@@ -224,18 +224,21 @@ pub fn download_file_with(
             }));
         }
         // Adaptive poll: while no recovery action can possibly fire — every
-        // live peer is either quarantined (its window is closed) or inside
-        // its retry backoff — sleep toward the earliest recovery deadline
-        // instead of busy re-polling at the base cadence. An arriving
-        // datagram still wakes `recv_timeout` immediately, so extending the
-        // sleep never delays real traffic; the extra wall-clock spent
-        // honoring backoff is surfaced as `SessionStats::backoff_wait_us`.
+        // live peer is quarantined (its window is closed), inside its retry
+        // backoff, or simply not yet past its stall deadline — sleep toward
+        // the earliest recovery deadline instead of busy re-polling at the
+        // base cadence. An arriving datagram still wakes `recv_timeout`
+        // immediately, so extending the sleep never delays real traffic.
+        // Only the extra wall-clock spent honoring a backoff or a ban is
+        // surfaced as `SessionStats::backoff_wait_us`; waiting on a slow but
+        // healthy link is ordinary waiting.
         const BASE_POLL: Duration = Duration::from_millis(50);
-        let poll =
-            heal_poll(&tracks, &quarantined, now, BASE_POLL, options.stall_timeout).min(remaining);
+        let (poll, backing_off) =
+            heal_poll(&tracks, &quarantined, now, BASE_POLL, options.stall_timeout);
+        let poll = poll.min(remaining);
         let wait_started = Instant::now();
         let received = inbox.recv_timeout(poll);
-        if poll > BASE_POLL {
+        if backing_off && poll > BASE_POLL {
             let extra = wait_started.elapsed().saturating_sub(BASE_POLL);
             user.stats_mut().backoff_wait_us += extra.as_micros() as u64;
         }
@@ -507,31 +510,42 @@ pub fn download_file_with(
 /// deadline or scheduled retry), capped at `cap` so lapsing quarantine
 /// bans are still re-checked. With every live peer banned (windows
 /// closed), the loop waits the full cap rather than spinning.
+///
+/// The flag says whether that wait honors a backoff — the earliest
+/// deadline is a scheduled retry rather than a stall deadline, or only
+/// quarantined peers are left — as opposed to ordinary waiting for a
+/// healthy peer's next message.
 fn heal_poll(
     tracks: &[PeerTrack],
     quarantined: &std::collections::HashSet<u64>,
     now: Instant,
     base: Duration,
     cap: Duration,
-) -> Duration {
-    let mut next: Option<Instant> = None;
+) -> (Duration, bool) {
+    // Earliest recovery deadline, and whether a retry backoff set it.
+    let mut next: Option<(Instant, bool)> = None;
+    let mut banned = false;
     for t in tracks.iter().filter(|t| !t.dead) {
         if quarantined.contains(&t.addr) {
             // Banned: nothing to probe until the ban lapses (re-checked
             // at the cap).
+            banned = true;
             continue;
         }
         // A recovery action fires once the peer is both past its stall
         // deadline and past its retry backoff.
-        let due = (t.last_activity + cap).max(t.next_attempt);
+        let stall_due = t.last_activity + cap;
+        let due = stall_due.max(t.next_attempt);
         if due <= now {
-            return base;
+            return (base, false);
         }
-        next = Some(next.map_or(due, |n| n.min(due)));
+        if next.is_none_or(|(n, _)| due < n) {
+            next = Some((due, t.next_attempt > stall_due));
+        }
     }
     match next {
-        Some(due) => due.duration_since(now).clamp(base, cap),
-        None => cap,
+        Some((due, retry)) => (due.duration_since(now).clamp(base, cap), retry),
+        None => (cap, banned),
     }
 }
 
@@ -715,6 +729,44 @@ mod tests {
         for host in hosts {
             host.shutdown();
         }
+    }
+
+    #[test]
+    fn clean_slow_link_accrues_no_backoff_wait() {
+        // One healthy peer on a 48 KiB/s uplink: once the token bucket's
+        // 64 KiB burst is spent, ~4 KiB messages arrive ~85 ms apart — over
+        // the 50 ms base poll, so the loop's extended polls do wait, but on
+        // the link, not on any retry backoff or ban.
+        let network = RtNetwork::new();
+        let owner = Identity::from_seed(b"rt-slow");
+        let (batches, manifest) = build_file(&owner, 1, 128 * 1024);
+        let identity = Identity::from_seed(b"rt-slow-peer");
+        let key = identity.public_key().to_bytes();
+        let mut peer = Peer::new(identity, 1_000.0);
+        peer.add_subscriber(owner.public_key().to_bytes());
+        for m in batches.into_iter().next().unwrap() {
+            peer.store_mut().insert(m);
+        }
+        let host = PeerHost::spawn(&network, 150, peer, 48 << 10, Duration::from_millis(5));
+        let mut user = User::<Gf2p32>::new(owner, manifest).unwrap();
+        let started = Instant::now();
+        download_file(
+            &network,
+            8,
+            &mut user,
+            &[(150, key)],
+            150,
+            Duration::from_secs(30),
+        )
+        .expect("download completes");
+        assert!(
+            started.elapsed() > Duration::from_millis(500),
+            "the link was slow enough to wait on: {:?}",
+            started.elapsed()
+        );
+        assert_eq!(user.stats().retries, 0, "{:?}", user.stats());
+        assert_eq!(user.stats().backoff_wait_us, 0, "{:?}", user.stats());
+        host.shutdown();
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! downloaders make up the deficit from other peers.
 
 use asymshare_rlnc::{EncodedMessage, FileId};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Per-peer storage of encoded messages, grouped by file.
 ///
@@ -28,10 +28,13 @@ pub struct MessageStore {
 }
 
 /// One file's stored messages plus a running wire-byte tally, so both
-/// per-file and whole-store byte accounting stay O(1).
+/// per-file and whole-store byte accounting stay O(1). `ids` mirrors the
+/// message ids in `messages` so the duplicate check does not scan the
+/// vector, which alone keeps insertion order.
 #[derive(Debug, Clone, Default)]
 struct FileEntry {
     messages: Vec<EncodedMessage>,
+    ids: HashSet<u64>,
     bytes: u64,
 }
 
@@ -61,11 +64,7 @@ impl MessageStore {
                 return false;
             }
         }
-        if entry
-            .messages
-            .iter()
-            .any(|m| m.message_id() == msg.message_id())
-        {
+        if !entry.ids.insert(msg.message_id().0) {
             return false;
         }
         let len = msg.wire_len() as u64;
@@ -151,6 +150,15 @@ mod tests {
         assert!(s.insert(msg(1, 0, 10)));
         assert!(!s.insert(msg(1, 0, 10)));
         assert_eq!(s.message_count(FileId(1)), 1);
+    }
+
+    #[test]
+    fn removed_file_forgets_its_ids() {
+        let mut s = MessageStore::unbounded();
+        assert!(s.insert(msg(1, 0, 10)));
+        assert_eq!(s.remove_file(FileId(1)), 1);
+        assert!(s.insert(msg(1, 0, 10)), "re-encoded file may reuse ids");
+        assert_eq!(s.total_bytes(), 16 + 10);
     }
 
     #[test]

@@ -214,13 +214,29 @@ impl<F: Field> User<F> {
                     })?;
                     c.peer_key
                 };
-                let wire_len = Wire::message_data_frame_len(&msg) as u64;
                 if self.decoder.is_complete() {
                     self.redundant += 1;
                     return Ok(vec![]);
                 }
-                let chunk = asymshare_rlnc::FileManifest::chunk_of(msg.message_id());
-                let chunk_was_complete = self.decoder.chunk_complete(chunk).unwrap_or(false);
+                // Admission order: a message is hashed iff it can still
+                // reach a decoder, and credited iff it was hashed and
+                // accepted. A complete chunk's decoder takes nothing more,
+                // so its stragglers are dropped unverified and uncredited
+                // like those of a complete file — except a replayed id,
+                // which stays visible to the replay detector.
+                let chunk = FileManifest::chunk_of(msg.message_id());
+                if self.decoder.chunk_complete(chunk).unwrap_or(false) {
+                    if self.decoder.has_seen(msg.message_id()) {
+                        self.stats.duplicates += 1;
+                        return Err(CodecError::DuplicateMessage {
+                            id: msg.message_id().0,
+                        }
+                        .into());
+                    }
+                    self.redundant += 1;
+                    return Ok(vec![]);
+                }
+                let wire_len = Wire::message_data_frame_len(&msg) as u64;
                 let innovative = match self.decoder.add_message(msg) {
                     Ok(innovative) => innovative,
                     Err(e) => {
@@ -244,8 +260,7 @@ impl<F: Field> User<F> {
                 }
                 // Chunk-granular stop (§III-D): the moment a chunk becomes
                 // decodable, tell every downloading peer to skip it.
-                if !chunk_was_complete
-                    && self.decoder.chunk_complete(chunk).unwrap_or(false)
+                if self.decoder.chunk_complete(chunk).unwrap_or(false)
                     && !self.decoder.is_complete()
                 {
                     let stops: Vec<(u64, Wire)> = self
@@ -395,7 +410,7 @@ mod tests {
     use super::*;
     use crate::peer::Peer;
     use asymshare_gf::{FieldKind, Gf2p32};
-    use asymshare_rlnc::{ChunkedEncoder, DigestKind, FileId};
+    use asymshare_rlnc::{ChunkedEncoder, DigestKind, EncodedMessage, FileId};
 
     fn rng(seed: u8) -> ChaChaRng {
         ChaChaRng::new([seed; 32], [0u8; 12])
@@ -488,6 +503,121 @@ mod tests {
         assert!(report.verify().is_ok());
         assert_eq!(report.entries.len(), 2, "both peers contributed");
         assert!(user.window_bytes().is_empty());
+    }
+
+    /// A user mid-download from one authenticated peer on connection 0,
+    /// that peer's key, and every coded message of a two-chunk file (k = 4,
+    /// two rank-checked batches per chunk) grouped by chunk.
+    fn downloading_user(r: &mut ChaChaRng) -> (User<Gf2p32>, KeyBytes, Vec<Vec<EncodedMessage>>) {
+        let owner = Identity::from_seed(b"owner5");
+        let data: Vec<u8> = (0..4096u32).map(|i| (i % 241) as u8).collect();
+        let mut enc = ChunkedEncoder::<Gf2p32>::with_chunk_size(
+            FieldKind::Gf2p32,
+            4,
+            DigestKind::Md5,
+            owner.coding_secret().clone(),
+            FileId(7),
+            &data,
+            2048,
+        )
+        .unwrap();
+        let mut by_chunk = vec![Vec::new(); 2];
+        for msg in enc.encode_for_peers(2).unwrap().into_iter().flatten() {
+            by_chunk[FileManifest::chunk_of(msg.message_id()) as usize].push(msg);
+        }
+        let mut peer = Peer::new(Identity::from_seed(b"p5"), 1.0);
+        peer.add_subscriber(owner.public_key().to_bytes());
+        let peer_key = peer.identity().public_key().to_bytes();
+        let mut user = User::<Gf2p32>::new(owner, enc.manifest().clone()).unwrap();
+        let commit = user.connect(0, peer_key, r);
+        let challenge = peer.on_message(0, commit, r).unwrap().remove(0);
+        let response = user.on_message(0, challenge, r).unwrap().remove(0).1;
+        let result = peer.on_message(0, response, r).unwrap().remove(0);
+        user.on_message(0, result, r).unwrap();
+        assert_eq!(user.stage(0), Some(ConnStage::Downloading));
+        (user, peer_key, by_chunk)
+    }
+
+    fn corrupted(msg: &EncodedMessage) -> EncodedMessage {
+        let mut payload = msg.payload().to_vec();
+        payload[0] ^= 0xFF;
+        EncodedMessage::new(msg.file_id(), msg.message_id(), payload)
+    }
+
+    #[test]
+    fn straggler_of_complete_chunk_dropped_unhashed_and_uncredited() {
+        let mut r = rng(5);
+        let (mut user, peer_key, by_chunk) = downloading_user(&mut r);
+        for msg in by_chunk[0][..4].iter().cloned() {
+            user.on_message(0, Wire::MessageData(msg), &mut r).unwrap();
+        }
+        assert_eq!(user.completed_chunks(), vec![0]);
+        let stats = user.stats().clone();
+        let window = user.window_bytes().clone();
+        let redundant = user.redundant_count();
+        // Were it hashed, the flipped payload byte would be a corruption.
+        let replies = user
+            .on_message(0, Wire::MessageData(corrupted(&by_chunk[0][4])), &mut r)
+            .unwrap();
+        assert!(replies.is_empty());
+        assert_eq!(user.redundant_count(), redundant + 1);
+        assert_eq!(user.stats(), &stats, "no corruption, no bytes_by_peer");
+        assert_eq!(user.window_bytes(), &window, "no credit");
+        assert!(user.window_rejected_bytes().is_empty(), "no debit either");
+        assert_eq!(window.len(), 1);
+        assert!(window.contains_key(&peer_key));
+    }
+
+    #[test]
+    fn replay_on_complete_chunk_still_reported_as_duplicate() {
+        let mut r = rng(6);
+        let (mut user, _, by_chunk) = downloading_user(&mut r);
+        for msg in by_chunk[0][..4].iter().cloned() {
+            user.on_message(0, Wire::MessageData(msg), &mut r).unwrap();
+        }
+        let window = user.window_bytes().clone();
+        let replay = by_chunk[0][1].clone();
+        let id = replay.message_id().0;
+        let err = user
+            .on_message(0, Wire::MessageData(replay), &mut r)
+            .unwrap_err();
+        assert!(
+            matches!(err, SystemError::Codec(CodecError::DuplicateMessage { id: got }) if got == id),
+            "got {err}"
+        );
+        assert_eq!(user.stats().duplicates, 1);
+        assert_eq!(user.window_bytes(), &window, "a replay earns nothing");
+    }
+
+    #[test]
+    fn forgery_for_incomplete_chunk_rejected_then_genuine_accepted() {
+        let mut r = rng(7);
+        let (mut user, peer_key, by_chunk) = downloading_user(&mut r);
+        // Chunk 0 complete, chunk 1 still open: the shortcut must not leak
+        // from one chunk to another.
+        for msg in by_chunk[0][..4].iter().cloned() {
+            user.on_message(0, Wire::MessageData(msg), &mut r).unwrap();
+        }
+        let genuine = by_chunk[1][0].clone();
+        let err = user
+            .on_message(0, Wire::MessageData(corrupted(&genuine)), &mut r)
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SystemError::Codec(CodecError::AuthenticationFailed { .. })
+            ),
+            "got {err}"
+        );
+        assert_eq!(user.stats().corruptions, 1);
+        assert!(user.window_rejected_bytes()[&peer_key] > 0);
+        // The forged id never entered the seen-set, so the genuine message
+        // is innovative rather than a "duplicate".
+        let innovative = user.innovative_count();
+        user.on_message(0, Wire::MessageData(genuine), &mut r)
+            .unwrap();
+        assert_eq!(user.innovative_count(), innovative + 1);
+        assert_eq!(user.stats().duplicates, 0);
     }
 
     #[test]

@@ -42,13 +42,6 @@ impl AsRef<[u8]> for Digest128 {
     }
 }
 
-const S: [u32; 64] = [
-    7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, //
-    5, 9, 14, 20, 5, 9, 14, 20, 5, 9, 14, 20, 5, 9, 14, 20, //
-    4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23, //
-    6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21,
-];
-
 const K: [u32; 64] = [
     0xd76aa478, 0xe8c7b756, 0x242070db, 0xc1bdceee, 0xf57c0faf, 0x4787c62a, 0xa8304613, 0xfd469501,
     0x698098d8, 0x8b44f7af, 0xffff5bb1, 0x895cd7be, 0x6b901122, 0xfd987193, 0xa679438e, 0x49b40821,
@@ -112,81 +105,279 @@ impl Md5 {
             self.buffer[self.buffered..self.buffered + take].copy_from_slice(&data[..take]);
             self.buffered += take;
             data = &data[take..];
-            if self.buffered == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffered = 0;
+            if self.buffered < 64 {
+                return;
             }
+            compress(&mut self.state, &self.buffer);
+            self.buffered = 0;
         }
-        while data.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&data[..64]);
-            self.compress(&block);
-            data = &data[64..];
-        }
-        if !data.is_empty() {
-            self.buffer[..data.len()].copy_from_slice(data);
-            self.buffered = data.len();
-        }
+        // Whole blocks are compressed where they lie in the input.
+        let tail = data.len() % 64;
+        let (blocks, rest) = data.split_at(data.len() - tail);
+        compress(&mut self.state, blocks);
+        self.buffer[..tail].copy_from_slice(rest);
+        self.buffered = tail;
     }
 
     /// Finishes and returns the digest, consuming the hasher state.
     pub fn finalize(mut self) -> Digest128 {
         let bit_len = self.length_bytes.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buffered != 56 {
-            self.update(&[0]);
+        // `buffered < 64` always holds between calls, so the 0x80 fits.
+        self.buffer[self.buffered] = 0x80;
+        self.buffer[self.buffered + 1..].fill(0);
+        if self.buffered >= 56 {
+            // No room left for the length: it goes in a block of its own.
+            compress(&mut self.state, &self.buffer);
+            self.buffer.fill(0);
         }
-        // Length goes in directly (no further length accounting).
-        let mut block = self.buffer;
-        block[56..64].copy_from_slice(&bit_len.to_le_bytes());
-        self.compress(&block);
+        self.buffer[56..].copy_from_slice(&bit_len.to_le_bytes());
+        compress(&mut self.state, &self.buffer);
         let mut out = [0u8; 16];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..(i + 1) * 4].copy_from_slice(&word.to_le_bytes());
         }
         Digest128(out)
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
+// RFC 1321's four auxiliary functions F, G, H, I, in the forms with the
+// shortest dependency chain on `b` (the value the previous step has only
+// just produced).
+#[inline(always)]
+fn mix_f(b: u32, c: u32, d: u32) -> u32 {
+    d ^ (b & (c ^ d))
+}
+#[inline(always)]
+fn mix_g(b: u32, c: u32, d: u32) -> u32 {
+    // The two terms never share a set bit, so `+` equals `|` and lets the
+    // `!d & c` half be folded into the running sum before `b` is ready.
+    (d & b).wrapping_add(!d & c)
+}
+#[inline(always)]
+fn mix_h(b: u32, c: u32, d: u32) -> u32 {
+    b ^ c ^ d
+}
+#[inline(always)]
+fn mix_i(b: u32, c: u32, d: u32) -> u32 {
+    c ^ (b | !d)
+}
+
+/// One MD5 step: `a = b + ((a + fn(b, c, d) + m + k) <<< s)`. The caller
+/// rotates the roles of the four registers instead of moving their values.
+macro_rules! step {
+    ($func:ident, $a:ident, $b:ident, $c:ident, $d:ident, $m:expr, $s:literal, $k:expr) => {
+        $a = $b.wrapping_add(
+            $a.wrapping_add($m)
+                .wrapping_add($k)
+                .wrapping_add($func($b, $c, $d))
+                .rotate_left($s),
+        );
+    };
+}
+
+/// Runs the compression function over every 64-byte block of `blocks`
+/// (whose length must be a multiple of 64), reading the message words
+/// straight from the slice. All 64 steps are written out with their shift
+/// amounts and message-word indices as constants, so the chaining state
+/// stays in registers across steps and across blocks.
+fn compress(state: &mut [u32; 4], blocks: &[u8]) {
+    debug_assert_eq!(blocks.len() % 64, 0);
+    let [mut a, mut b, mut c, mut d] = *state;
+    for block in blocks.chunks_exact(64) {
         let mut m = [0u32; 16];
-        for (i, word) in m.iter_mut().enumerate() {
-            *word = u32::from_le_bytes([
-                block[i * 4],
-                block[i * 4 + 1],
-                block[i * 4 + 2],
-                block[i * 4 + 3],
-            ]);
+        for (word, bytes) in m.iter_mut().zip(block.chunks_exact(4)) {
+            *word = u32::from_le_bytes(bytes.try_into().expect("4-byte chunk"));
         }
-        let [mut a, mut b, mut c, mut d] = self.state;
-        for i in 0..64 {
-            let (f, g) = match i / 16 {
-                0 => ((b & c) | (!b & d), i),
-                1 => ((d & b) | (!d & c), (5 * i + 1) % 16),
-                2 => (b ^ c ^ d, (3 * i + 5) % 16),
-                _ => (c ^ (b | !d), (7 * i) % 16),
-            };
-            let tmp = d;
-            d = c;
-            c = b;
-            b = b.wrapping_add(
-                a.wrapping_add(f)
-                    .wrapping_add(K[i])
-                    .wrapping_add(m[g])
-                    .rotate_left(S[i]),
-            );
-            a = tmp;
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
+        let (a0, b0, c0, d0) = (a, b, c, d);
+        // Round 1.
+        step!(mix_f, a, b, c, d, m[0], 7, K[0]);
+        step!(mix_f, d, a, b, c, m[1], 12, K[1]);
+        step!(mix_f, c, d, a, b, m[2], 17, K[2]);
+        step!(mix_f, b, c, d, a, m[3], 22, K[3]);
+        step!(mix_f, a, b, c, d, m[4], 7, K[4]);
+        step!(mix_f, d, a, b, c, m[5], 12, K[5]);
+        step!(mix_f, c, d, a, b, m[6], 17, K[6]);
+        step!(mix_f, b, c, d, a, m[7], 22, K[7]);
+        step!(mix_f, a, b, c, d, m[8], 7, K[8]);
+        step!(mix_f, d, a, b, c, m[9], 12, K[9]);
+        step!(mix_f, c, d, a, b, m[10], 17, K[10]);
+        step!(mix_f, b, c, d, a, m[11], 22, K[11]);
+        step!(mix_f, a, b, c, d, m[12], 7, K[12]);
+        step!(mix_f, d, a, b, c, m[13], 12, K[13]);
+        step!(mix_f, c, d, a, b, m[14], 17, K[14]);
+        step!(mix_f, b, c, d, a, m[15], 22, K[15]);
+        // Round 2.
+        step!(mix_g, a, b, c, d, m[1], 5, K[16]);
+        step!(mix_g, d, a, b, c, m[6], 9, K[17]);
+        step!(mix_g, c, d, a, b, m[11], 14, K[18]);
+        step!(mix_g, b, c, d, a, m[0], 20, K[19]);
+        step!(mix_g, a, b, c, d, m[5], 5, K[20]);
+        step!(mix_g, d, a, b, c, m[10], 9, K[21]);
+        step!(mix_g, c, d, a, b, m[15], 14, K[22]);
+        step!(mix_g, b, c, d, a, m[4], 20, K[23]);
+        step!(mix_g, a, b, c, d, m[9], 5, K[24]);
+        step!(mix_g, d, a, b, c, m[14], 9, K[25]);
+        step!(mix_g, c, d, a, b, m[3], 14, K[26]);
+        step!(mix_g, b, c, d, a, m[8], 20, K[27]);
+        step!(mix_g, a, b, c, d, m[13], 5, K[28]);
+        step!(mix_g, d, a, b, c, m[2], 9, K[29]);
+        step!(mix_g, c, d, a, b, m[7], 14, K[30]);
+        step!(mix_g, b, c, d, a, m[12], 20, K[31]);
+        // Round 3.
+        step!(mix_h, a, b, c, d, m[5], 4, K[32]);
+        step!(mix_h, d, a, b, c, m[8], 11, K[33]);
+        step!(mix_h, c, d, a, b, m[11], 16, K[34]);
+        step!(mix_h, b, c, d, a, m[14], 23, K[35]);
+        step!(mix_h, a, b, c, d, m[1], 4, K[36]);
+        step!(mix_h, d, a, b, c, m[4], 11, K[37]);
+        step!(mix_h, c, d, a, b, m[7], 16, K[38]);
+        step!(mix_h, b, c, d, a, m[10], 23, K[39]);
+        step!(mix_h, a, b, c, d, m[13], 4, K[40]);
+        step!(mix_h, d, a, b, c, m[0], 11, K[41]);
+        step!(mix_h, c, d, a, b, m[3], 16, K[42]);
+        step!(mix_h, b, c, d, a, m[6], 23, K[43]);
+        step!(mix_h, a, b, c, d, m[9], 4, K[44]);
+        step!(mix_h, d, a, b, c, m[12], 11, K[45]);
+        step!(mix_h, c, d, a, b, m[15], 16, K[46]);
+        step!(mix_h, b, c, d, a, m[2], 23, K[47]);
+        // Round 4.
+        step!(mix_i, a, b, c, d, m[0], 6, K[48]);
+        step!(mix_i, d, a, b, c, m[7], 10, K[49]);
+        step!(mix_i, c, d, a, b, m[14], 15, K[50]);
+        step!(mix_i, b, c, d, a, m[5], 21, K[51]);
+        step!(mix_i, a, b, c, d, m[12], 6, K[52]);
+        step!(mix_i, d, a, b, c, m[3], 10, K[53]);
+        step!(mix_i, c, d, a, b, m[10], 15, K[54]);
+        step!(mix_i, b, c, d, a, m[1], 21, K[55]);
+        step!(mix_i, a, b, c, d, m[8], 6, K[56]);
+        step!(mix_i, d, a, b, c, m[15], 10, K[57]);
+        step!(mix_i, c, d, a, b, m[6], 15, K[58]);
+        step!(mix_i, b, c, d, a, m[13], 21, K[59]);
+        step!(mix_i, a, b, c, d, m[4], 6, K[60]);
+        step!(mix_i, d, a, b, c, m[11], 10, K[61]);
+        step!(mix_i, c, d, a, b, m[2], 15, K[62]);
+        step!(mix_i, b, c, d, a, m[9], 21, K[63]);
+        a = a.wrapping_add(a0);
+        b = b.wrapping_add(b0);
+        c = c.wrapping_add(c0);
+        d = d.wrapping_add(d0);
     }
+    *state = [a, b, c, d];
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Straight-line reference: RFC 1321's step loop with table-driven
+    /// shifts and computed word indices, one block at a time, padding built
+    /// in one buffer. Shares only `K` with the unrolled implementation.
+    fn reference_md5(data: &[u8]) -> Digest128 {
+        const S: [u32; 64] = [
+            7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, //
+            5, 9, 14, 20, 5, 9, 14, 20, 5, 9, 14, 20, 5, 9, 14, 20, //
+            4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23, //
+            6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21,
+        ];
+        let mut padded = data.to_vec();
+        padded.push(0x80);
+        while padded.len() % 64 != 56 {
+            padded.push(0);
+        }
+        padded.extend_from_slice(&(data.len() as u64).wrapping_mul(8).to_le_bytes());
+        let mut state: [u32; 4] = [0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476];
+        for block in padded.chunks_exact(64) {
+            let mut m = [0u32; 16];
+            for (i, word) in m.iter_mut().enumerate() {
+                *word = u32::from_le_bytes([
+                    block[i * 4],
+                    block[i * 4 + 1],
+                    block[i * 4 + 2],
+                    block[i * 4 + 3],
+                ]);
+            }
+            let [mut a, mut b, mut c, mut d] = state;
+            for i in 0..64 {
+                let (f, g) = match i / 16 {
+                    0 => ((b & c) | (!b & d), i),
+                    1 => ((d & b) | (!d & c), (5 * i + 1) % 16),
+                    2 => (b ^ c ^ d, (3 * i + 5) % 16),
+                    _ => (c ^ (b | !d), (7 * i) % 16),
+                };
+                let tmp = d;
+                d = c;
+                c = b;
+                b = b.wrapping_add(
+                    a.wrapping_add(f)
+                        .wrapping_add(K[i])
+                        .wrapping_add(m[g])
+                        .rotate_left(S[i]),
+                );
+                a = tmp;
+            }
+            state[0] = state[0].wrapping_add(a);
+            state[1] = state[1].wrapping_add(b);
+            state[2] = state[2].wrapping_add(c);
+            state[3] = state[3].wrapping_add(d);
+        }
+        let mut out = [0u8; 16];
+        for (i, word) in state.iter().enumerate() {
+            out[i * 4..(i + 1) * 4].copy_from_slice(&word.to_le_bytes());
+        }
+        Digest128(out)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The unrolled compress, the in-place block walk and the direct
+        /// padding agree with the reference at every length that crosses
+        /// the 55/56/64-byte padding edges up to four blocks, however the
+        /// input is split across two `update` calls.
+        #[test]
+        fn unrolled_matches_reference_at_every_split(
+            data in proptest::collection::vec(any::<u8>(), 0..=300),
+        ) {
+            let expect = reference_md5(&data);
+            prop_assert_eq!(Md5::digest(&data), expect);
+            for split in 0..=data.len() {
+                let mut h = Md5::new();
+                h.update(&data[..split]);
+                h.update(&data[split..]);
+                prop_assert_eq!(h.finalize(), expect, "len={} split={}", data.len(), split);
+            }
+        }
+    }
+
+    /// Every length 0..=300 once, deterministically (the proptest above
+    /// samples lengths; this pins each one).
+    #[test]
+    fn unrolled_matches_reference_at_every_length() {
+        let data: Vec<u8> = (0..300u32).map(|i| (i * 7 + 3) as u8).collect();
+        for len in 0..=data.len() {
+            assert_eq!(
+                Md5::digest(&data[..len]),
+                reference_md5(&data[..len]),
+                "len={len}"
+            );
+        }
+    }
+
+    // RFC 1321-era extended vector: one million repetitions of "a", fed in
+    // uneven pieces so whole-block runs start at every buffer offset.
+    #[test]
+    fn million_a_vector() {
+        let chunk = [b'a'; 1009];
+        let mut h = Md5::new();
+        let mut left = 1_000_000usize;
+        while left > 0 {
+            let n = left.min(chunk.len());
+            h.update(&chunk[..n]);
+            left -= n;
+        }
+        assert_eq!(h.finalize().to_hex(), "7707d6ae4e027c70eea2a935c2296f21");
+    }
 
     // RFC 1321 appendix A.5 test suite.
     #[test]

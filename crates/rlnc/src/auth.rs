@@ -13,8 +13,6 @@ use crate::message::EncodedMessage;
 use asymshare_crypto::md5::{Digest128, Md5};
 use asymshare_crypto::sha256::{Digest256, Sha256};
 use std::collections::BTreeMap;
-#[allow(unused_imports)]
-use std::convert::TryInto;
 
 /// Which digest algorithm a manifest uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -148,8 +146,18 @@ impl AuthManifest {
 
     /// Records the digest of a freshly encoded message.
     pub fn record(&mut self, msg: &EncodedMessage) {
-        self.digests
-            .insert(msg.message_id().0, MessageDigest::compute(self.kind, msg));
+        self.record_digest(msg.message_id(), MessageDigest::compute(self.kind, msg));
+    }
+
+    /// Records a digest the caller already computed for message `id` (the
+    /// parallel encoder hashes each message on the worker that produced it).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the digest's algorithm is not this manifest's.
+    pub fn record_digest(&mut self, id: crate::MessageId, digest: MessageDigest) {
+        assert_eq!(digest.kind(), self.kind, "digest of a different kind");
+        self.digests.insert(id.0, digest);
     }
 
     /// Verifies a received message against the recorded digest.

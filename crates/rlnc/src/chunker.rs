@@ -9,7 +9,7 @@
 //! low 32 bits the per-chunk candidate id, so every chunk draws distinct
 //! coefficient rows from the secret-keyed PRNG.
 
-use crate::auth::{AuthManifest, DigestKind};
+use crate::auth::{AuthManifest, DigestKind, MessageDigest};
 use crate::decoder::BlockDecoder;
 use crate::encoder::Encoder;
 use crate::error::CodecError;
@@ -380,10 +380,12 @@ impl<F: Field> ChunkedEncoder<F> {
     /// `k` messages per chunk (so each peer alone can serve a full decode).
     ///
     /// Runs in three phases: rank-checked admission per (chunk, peer) batch
-    /// is sequential (candidate ids are consumed in order per chunk), the
-    /// payload combination — the dominant cost — fans out across threads
-    /// one batch per work item, and digest recording replays the batches in
-    /// the same deterministic order as the sequential implementation.
+    /// is sequential (candidate ids are consumed in order per chunk); the
+    /// payload combination and the digest of each message — hashed right
+    /// after it is produced, while its payload is still in cache — fan out
+    /// across threads one batch per work item; and the precomputed digests
+    /// enter the manifest in the same deterministic order as the sequential
+    /// implementation.
     ///
     /// # Errors
     ///
@@ -401,22 +403,28 @@ impl<F: Field> ChunkedEncoder<F> {
                 jobs.push((chunk as u32, peer, ids));
             }
         }
-        // Phase 2: combine payloads in parallel.
+        // Phase 2: combine payloads and hash them, in parallel.
         let encoders = &self.encoders;
+        let kind = self.manifest.auth.kind();
         let encoded = asymshare_par::map(&jobs, |(chunk, _, ids)| {
             let encoder = &encoders[*chunk as usize];
             let mut scratch = crate::encoder::EncodeScratch::default();
             ids.iter()
-                .map(|&id| encoder.encode_message_into(id, &mut scratch))
+                .map(|&id| {
+                    let msg = encoder.encode_message_into(id, &mut scratch);
+                    let digest = MessageDigest::compute(kind, &msg);
+                    (msg, digest)
+                })
                 .collect::<Vec<_>>()
         });
-        // Phase 3: record digests and regroup per peer.
+        // Phase 3: record the digests and regroup per peer.
         let mut per_peer = vec![Vec::new(); n];
         for ((_, peer, _), batch) in jobs.iter().zip(encoded) {
-            for msg in &batch {
-                self.manifest.auth.record(msg);
+            per_peer[*peer].reserve(batch.len());
+            for (msg, digest) in batch {
+                self.manifest.auth.record_digest(msg.message_id(), digest);
+                per_peer[*peer].push(msg);
             }
-            per_peer[*peer].extend(batch);
         }
         Ok(per_peer)
     }
@@ -475,6 +483,16 @@ impl<F: Field> ChunkedDecoder<F> {
             });
         };
         decoder.add_message(msg)
+    }
+
+    /// Whether the chunk decoder that `id` routes to has already accepted a
+    /// verified message with this id. Only verified messages reach a chunk
+    /// decoder, so this never reports an id that was merely claimed by a
+    /// forged message; an out-of-range chunk has seen nothing.
+    pub fn has_seen(&self, id: MessageId) -> bool {
+        self.chunks
+            .get(FileManifest::chunk_of(id) as usize)
+            .is_some_and(|decoder| decoder.has_seen(id))
     }
 
     /// Whether chunk `index` is decodable already (for streaming playback).
@@ -629,6 +647,10 @@ mod tests {
         }
         assert_eq!(peers, seq_peers);
         assert_eq!(par_enc.manifest(), seq_enc.manifest());
+        assert_eq!(
+            par_enc.manifest().auth().to_bytes(),
+            seq_enc.manifest().auth().to_bytes()
+        );
     }
 
     #[test]
@@ -644,10 +666,15 @@ mod tests {
             dec.add_message(forged),
             Err(CodecError::AuthenticationFailed { .. })
         ));
+        // The rejected message left no trace: its id is not "seen", so the
+        // genuine message with that id is not mistaken for a replay.
+        assert!(!dec.has_seen(batch[0].message_id()));
         // Genuine messages still work afterwards.
-        for m in batch {
+        for m in batch.iter().cloned() {
             dec.add_message(m).unwrap();
         }
+        assert!(dec.has_seen(batch[0].message_id()));
+        assert!(!dec.has_seen(FileManifest::message_id(9, 0)), "no chunk 9");
         assert_eq!(dec.decode().unwrap(), data);
     }
 

@@ -68,6 +68,13 @@ impl<F: Field> BlockDecoder<F> {
         self.tracker.is_full()
     }
 
+    /// Whether a message with this id has already been offered (and passed
+    /// the file and size checks) — a second one would be a
+    /// [`CodecError::DuplicateMessage`].
+    pub fn has_seen(&self, id: MessageId) -> bool {
+        self.seen.contains(&id.0)
+    }
+
     /// Offers a message to the decoder.
     ///
     /// Returns `true` if the message increased the decoder's rank (was
