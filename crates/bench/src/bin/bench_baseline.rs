@@ -3,12 +3,12 @@
 //! `BENCH_rlnc.json` so kernel regressions show up as a diff against the
 //! checked-in numbers.
 //!
-//! The measurement is a median of several timed runs of the same work the
-//! chunked pipeline does per chunk: one full rank-checked batch encode
-//! (`k` messages = 1 MB of coded payload) and one full block decode
-//! (admission + matrix inversion + payload reconstruction). Run with
-//! `--quick` for a single iteration per side, and from the repository root
-//! so the JSON lands next to the manifest:
+//! The measurement is a median of several timed samples, eight chunks each,
+//! of the same work the chunked pipeline does per chunk: one full
+//! rank-checked batch encode (`k` messages = 1 MB of coded payload) and one
+//! full block decode (admission + matrix inversion + payload
+//! reconstruction). Run with `--quick` for a single sample per side, and
+//! from the repository root so the JSON lands next to the manifest:
 //!
 //! ```text
 //! cargo run --release -p asymshare-bench --bin bench_baseline
@@ -23,6 +23,9 @@ use std::time::Instant;
 
 /// Symbols per message: 2^15 bytes, so k = 1 MB / m = 32 at GF(2⁸).
 const M: usize = 1 << 15;
+
+/// Chunks encoded (and decoded) per timed sample.
+const REPS: usize = 8;
 
 /// Where the baseline lands (relative to the working directory, which the
 /// doc comment asks to be the repository root).
@@ -118,24 +121,32 @@ fn main() {
 
     println!("measuring GF(2^8) k={k} m={M} on a 1 MB chunk ({samples} sample(s) per side)...");
 
+    // A chunk takes ~2 ms a side, so one sample is REPS chunks: a single
+    // one would make a `--quick` reading mostly first-touch page faults and
+    // timer noise, and the 30 % smoke gate a coin toss.
     let mut encode_secs = Vec::with_capacity(samples);
     let mut batch = Vec::new();
     for _ in 0..samples {
         let t0 = Instant::now();
-        batch = encoder.encode_batch(0, k).expect("batch");
-        encode_secs.push(t0.elapsed().as_secs_f64());
+        for _ in 0..REPS {
+            batch = encoder.encode_batch(0, k).expect("batch");
+        }
+        encode_secs.push(t0.elapsed().as_secs_f64() / REPS as f64);
     }
 
     let mut decode_secs = Vec::with_capacity(samples);
     for _ in 0..samples {
-        let msgs = batch.clone();
+        let inputs: Vec<_> = (0..REPS).map(|_| batch.clone()).collect();
+        let mut out = Vec::new();
         let t0 = Instant::now();
-        let mut dec = BlockDecoder::<Gf256>::new(params, secret.clone(), FileId(1), data.len());
-        for msg in msgs {
-            dec.add_message(msg).expect("accept");
+        for msgs in inputs {
+            let mut dec = BlockDecoder::<Gf256>::new(params, secret.clone(), FileId(1), data.len());
+            for msg in msgs {
+                dec.add_message(msg).expect("accept");
+            }
+            out = dec.decode().expect("decode");
         }
-        let out = dec.decode().expect("decode");
-        decode_secs.push(t0.elapsed().as_secs_f64());
+        decode_secs.push(t0.elapsed().as_secs_f64() / REPS as f64);
         assert_eq!(out, data, "decode must reconstruct the chunk");
     }
 

@@ -10,7 +10,7 @@ use crate::store::MessageStore;
 use asymshare_crypto::chacha20::ChaChaRng;
 use asymshare_crypto::schnorr::PublicKey;
 use asymshare_rlnc::{EncodedMessage, FileId, MessageId};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
 /// Chunk index encoded in a message id (high 32 bits; see
 /// `asymshare_rlnc::FileManifest::message_id`).
@@ -45,13 +45,18 @@ pub struct Peer {
     credit_bytes: HashMap<KeyBytes, f64>,
     initial_credit: f64,
     sessions: HashMap<u64, PeerSession>,
+    /// The connections whose session has `serving.is_some()`, in order.
+    /// Sessions outlive their transfer (`transfer_schedule`, a re-request
+    /// after a heal), so a serve pass walks this set, not every session
+    /// the peer ever authenticated.
+    serving_conns: BTreeSet<u64>,
     /// Last accepted feedback window end per reporter: a signed report is
     /// valid forever, so without this high-water mark anyone who captured
     /// one could replay it to re-credit the same bytes indefinitely.
     feedback_high_water: HashMap<KeyBytes, u64>,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct PeerSession {
     verifier: Verifier,
     verified: Option<PublicKey>,
@@ -88,6 +93,7 @@ impl Peer {
             credit_bytes: HashMap::new(),
             initial_credit,
             sessions: HashMap::new(),
+            serving_conns: BTreeSet::new(),
             feedback_high_water: HashMap::new(),
         }
     }
@@ -173,17 +179,7 @@ impl Peer {
                         ack: [0u8; 96],
                     }]);
                 }
-                let session = self.sessions.entry(conn).or_insert_with(|| PeerSession {
-                    verifier: Verifier::new(),
-                    verified: None,
-                    serving: None,
-                    order_file: None,
-                    order: Vec::new(),
-                    served: 0,
-                    stopped_chunks: HashSet::new(),
-                    resend: VecDeque::new(),
-                    replace_cursor: 0,
-                });
+                let session = self.sessions.entry(conn).or_default();
                 let challenge = session.verifier.on_commit(&commit, rng)?;
                 Ok(vec![challenge])
             }
@@ -206,7 +202,7 @@ impl Peer {
                         }])
                     }
                     Err(SystemError::AuthenticationRejected { .. }) => {
-                        self.sessions.remove(&conn);
+                        self.disconnect(conn);
                         Ok(vec![Wire::AuthResult {
                             ok: false,
                             ack: [0u8; 96],
@@ -230,6 +226,7 @@ impl Peer {
                     return Err(SystemError::UnknownFile { file_id });
                 }
                 session.serving = Some(FileId(file_id));
+                self.serving_conns.insert(conn);
                 session.order_file = Some(FileId(file_id));
                 session.served = 0;
                 session.stopped_chunks.clear();
@@ -277,6 +274,7 @@ impl Peer {
                 if let Some(session) = self.sessions.get_mut(&conn) {
                     if session.serving == Some(FileId(file_id)) {
                         session.serving = None;
+                        self.serving_conns.remove(&conn);
                     }
                 }
                 Ok(vec![])
@@ -429,19 +427,17 @@ impl Peer {
     /// Connections that are authenticated, serving a file, and still have
     /// messages to send (the real-time host's scheduling set).
     pub fn active_conns(&self) -> Vec<u64> {
-        let mut conns: Vec<u64> = self
-            .sessions
-            .keys()
+        self.serving_conns
+            .iter()
             .copied()
             .filter(|&c| self.is_authenticated(c) && self.has_pending(c))
-            .collect();
-        conns.sort_unstable();
-        conns
+            .collect()
     }
 
     /// Drops a connection's session state.
     pub fn disconnect(&mut self, conn: u64) {
         self.sessions.remove(&conn);
+        self.serving_conns.remove(&conn);
     }
 }
 
@@ -548,6 +544,43 @@ mod tests {
             .unwrap();
         assert!(peer.next_message(conn).is_none());
         assert!(!peer.has_pending(conn));
+    }
+
+    #[test]
+    fn active_conns_walks_only_serving_sessions() {
+        let (mut peer, first, _, mut r) = authed_peer_and_conn(12);
+        stock(&mut peer, 9, 2);
+        let key = peer.sessions[&first].verified;
+        for conn in first..first + 1000 {
+            // Sessions past the first are planted already verified: the
+            // handshake is not what is under test.
+            peer.sessions.entry(conn).or_default().verified = key;
+            peer.on_message(conn, Wire::FileRequest { file_id: 9 }, &mut r)
+                .unwrap();
+            assert_eq!(peer.active_conns(), vec![conn]);
+            while peer.next_message(conn).is_some() {}
+            assert!(peer.active_conns().is_empty(), "stock exhausted");
+            peer.on_message(conn, Wire::StopTransmission { file_id: 9 }, &mut r)
+                .unwrap();
+        }
+        assert_eq!(peer.sessions.len(), 1000, "completed sessions are kept");
+        assert!(peer.transfer_schedule(first + 500).is_some());
+        assert!(peer.active_conns().is_empty());
+        assert!(
+            peer.serving_conns.is_empty(),
+            "a serve pass has no stopped session left to inspect"
+        );
+
+        // A re-request on a stopped connection is active again, and the
+        // scheduling set comes out in connection order.
+        for conn in [first + 700, first + 3] {
+            peer.on_message(conn, Wire::FileRequest { file_id: 9 }, &mut r)
+                .unwrap();
+        }
+        assert_eq!(peer.active_conns(), vec![first + 3, first + 700]);
+        peer.disconnect(first + 3);
+        assert_eq!(peer.active_conns(), vec![first + 700]);
+        assert_eq!(peer.serving_conns.len(), 1);
     }
 
     #[test]

@@ -44,6 +44,7 @@ mod gf256;
 mod gf2p32;
 mod gf65536;
 
+pub mod block;
 pub mod bytes;
 pub mod kernels;
 pub mod linalg;

@@ -10,7 +10,9 @@
 //!
 //! Work is split into one contiguous range per worker, which keeps results
 //! in input order for free and matches the codec's workloads (items of
-//! near-equal cost). Worker count comes from
+//! near-equal cost). The calling thread is the first worker — it runs the
+//! first range itself instead of sleeping in `join` — so `w` workers cost
+//! `w − 1` spawns. Worker count comes from
 //! [`std::thread::available_parallelism`], overridable with the
 //! `ASYMSHARE_THREADS` environment variable; with one core (or one item)
 //! everything runs inline on the caller's thread with zero overhead.
@@ -52,8 +54,8 @@ fn threads_from_env(var: Option<&str>, detected: usize) -> usize {
 /// order, fanning out across up to [`max_threads`] scoped threads.
 ///
 /// Each worker owns one contiguous index range, so ordering costs nothing
-/// and items of similar cost balance well. A panic in any worker propagates
-/// to the caller after the scope joins.
+/// and items of similar cost balance well; the caller runs the first range.
+/// A panic in any worker propagates to the caller after the scope joins.
 pub fn map_indices<U, F>(n: usize, f: F) -> Vec<U>
 where
     U: Send,
@@ -66,7 +68,7 @@ where
     let per_worker = n.div_ceil(workers);
     let f = &f;
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
+        let handles: Vec<_> = (1..workers)
             .map(|w| {
                 let start = w * per_worker;
                 let end = (start + per_worker).min(n);
@@ -74,6 +76,7 @@ where
             })
             .collect();
         let mut out = Vec::with_capacity(n);
+        out.extend((0..per_worker).map(f));
         for handle in handles {
             match handle.join() {
                 Ok(part) => out.extend(part),
@@ -84,9 +87,10 @@ where
     })
 }
 
-/// Runs `f` over disjoint contiguous sub-slices of `data` in parallel, one
-/// scoped thread per slice, splitting into at most `max_slices` pieces
-/// (further capped by [`max_threads`] and `data.len()`).
+/// Runs `f` over disjoint contiguous sub-slices of `data` in parallel — the
+/// first on the calling thread, one scoped thread for each of the others —
+/// splitting into at most `max_slices` pieces (further capped by
+/// [`max_threads`] and `data.len()`).
 ///
 /// Each invocation gets the starting index of its slice within `data`, so
 /// position-dependent work (e.g. filling a bitmask keyed by global index, or
@@ -110,9 +114,9 @@ where
     let per_worker = n.div_ceil(workers);
     let f = &f;
     std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        let mut rest = data;
-        let mut start = 0;
+        let mut handles = Vec::with_capacity(workers - 1);
+        let (first, mut rest) = data.split_at_mut(per_worker);
+        let mut start = per_worker;
         while !rest.is_empty() {
             let take = per_worker.min(rest.len());
             let (head, tail) = rest.split_at_mut(take);
@@ -121,6 +125,7 @@ where
             start += take;
             rest = tail;
         }
+        f(0, first);
         for handle in handles {
             if let Err(payload) = handle.join() {
                 std::panic::resume_unwind(payload);
@@ -170,6 +175,22 @@ mod tests {
             let want: Vec<usize> = (0..n).map(|i| i * 3).collect();
             assert_eq!(got, want, "n={n}");
         }
+    }
+
+    #[test]
+    fn first_range_runs_on_the_calling_thread() {
+        let me = std::thread::current().id();
+        let ids = map_indices(64, |_| std::thread::current().id());
+        assert_eq!(ids[0], me);
+        assert_eq!(ids[63] != me, max_threads() > 1, "later ranges are spawned");
+
+        let mut ids = vec![me; 64];
+        for_each_slice_mut(&mut ids, 64, |base, chunk| {
+            assert_eq!(base == 0, std::thread::current().id() == me);
+            chunk.fill(std::thread::current().id());
+        });
+        assert_eq!(ids[0], me);
+        assert_eq!(ids[63] != me, max_threads() > 1, "later slices are spawned");
     }
 
     #[test]
@@ -231,6 +252,32 @@ mod tests {
         // work runs inline (single core) or on scoped threads.
         let mut data = vec![0u8; 64];
         for_each_slice_mut(&mut data, 8, |_, _| panic!("slice worker panicked"));
+    }
+
+    #[test]
+    #[should_panic(expected = "last slice panicked")]
+    fn for_each_slice_mut_propagates_a_spawned_panic() {
+        // Only the slice holding the last element panics: a spawned worker
+        // whenever there is more than one, while the caller's own slice
+        // returns normally.
+        let mut data = vec![0u8; 64];
+        for_each_slice_mut(&mut data, 8, |base, chunk| {
+            if base + chunk.len() == 64 {
+                panic!("last slice panicked");
+            }
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "worker 63 panicked")]
+    fn spawned_worker_panics_propagate() {
+        // Index 63 is in the last range, index 3 below in the caller's.
+        map_indices(64, |i| {
+            if i == 63 {
+                panic!("worker 63 panicked");
+            }
+            i
+        });
     }
 
     #[test]

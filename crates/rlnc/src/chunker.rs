@@ -16,7 +16,7 @@ use crate::error::CodecError;
 use crate::message::{EncodedMessage, FileId, MessageId};
 use crate::params::CodingParams;
 use asymshare_crypto::rng::SecretKey;
-use asymshare_gf::{Field, FieldKind};
+use asymshare_gf::{block, Field, FieldKind};
 
 /// The standard chunk size: 1 MB.
 pub const CHUNK_SIZE: usize = crate::params::MEGABYTE;
@@ -324,8 +324,8 @@ impl<F: Field> ChunkedEncoder<F> {
             k,
             auth: AuthManifest::new(file_id, digest),
         };
-        // Building an encoder converts the whole chunk into symbol pieces;
-        // chunks are independent, so construction fans out across threads.
+        // Building an encoder copies the chunk into its padded pieces; chunks
+        // are independent, so construction fans out across threads.
         let chunks: Vec<&[u8]> = data.chunks(chunk_size).collect();
         let encoders = asymshare_par::try_map(&chunks, |chunk| {
             let params = CodingParams::for_data_len(field, k, chunk.len())?;
@@ -381,9 +381,9 @@ impl<F: Field> ChunkedEncoder<F> {
     ///
     /// Runs in three phases: rank-checked admission per (chunk, peer) batch
     /// is sequential (candidate ids are consumed in order per chunk); the
-    /// payload combination and the digest of each message — hashed right
-    /// after it is produced, while its payload is still in cache — fan out
-    /// across threads one batch per work item; and the precomputed digests
+    /// payload combination of each batch (one block of Eq. (1)) and the
+    /// digests of its messages — hashed right after, on the worker that
+    /// produced them — fan out across threads; and the precomputed digests
     /// enter the manifest in the same deterministic order as the sequential
     /// implementation.
     ///
@@ -406,16 +406,19 @@ impl<F: Field> ChunkedEncoder<F> {
         // Phase 2: combine payloads and hash them, in parallel.
         let encoders = &self.encoders;
         let kind = self.manifest.auth.kind();
-        let encoded = asymshare_par::map(&jobs, |(chunk, _, ids)| {
-            let encoder = &encoders[*chunk as usize];
-            let mut scratch = crate::encoder::EncodeScratch::default();
-            ids.iter()
-                .map(|&id| {
-                    let msg = encoder.encode_message_into(id, &mut scratch);
-                    let digest = MessageDigest::compute(kind, &msg);
-                    (msg, digest)
-                })
-                .collect::<Vec<_>>()
+        let mut encoded: Vec<Vec<(EncodedMessage, MessageDigest)>> = vec![Vec::new(); jobs.len()];
+        asymshare_par::for_each_slice_mut(&mut encoded, jobs.len(), |base, slots| {
+            let mut scratch = block::Scratch::new();
+            for (slot, (chunk, _, ids)) in slots.iter_mut().zip(&jobs[base..]) {
+                let batch = encoders[*chunk as usize].encode_planned(ids, &mut scratch);
+                *slot = batch
+                    .into_iter()
+                    .map(|msg| {
+                        let digest = MessageDigest::compute(kind, &msg);
+                        (msg, digest)
+                    })
+                    .collect();
+            }
         });
         // Phase 3: record the digests and regroup per peer.
         let mut per_peer = vec![Vec::new(); n];
@@ -553,19 +556,30 @@ impl<F: Field> ChunkedDecoder<F> {
     /// Decodes the whole file.
     ///
     /// Chunks are independent coding blocks, so the per-chunk matrix
-    /// inversions and payload combinations run in parallel; any error is
-    /// reported for the lowest-indexed failing chunk, matching the
-    /// sequential implementation.
+    /// inversions and payload combinations run in parallel, each writing
+    /// its own slice of the one output buffer; any error is reported for
+    /// the lowest-indexed failing chunk, matching the sequential
+    /// implementation.
     ///
     /// # Errors
     ///
     /// [`CodecError::NotEnoughMessages`] if any chunk is incomplete.
     pub fn decode(&self) -> Result<Vec<u8>, CodecError> {
-        let pieces = asymshare_par::try_map(&self.chunks, |decoder| decoder.decode())?;
-        let mut out = Vec::with_capacity(self.manifest.total_len);
-        for piece in pieces {
-            out.extend_from_slice(&piece);
-        }
+        let mut out = vec![0u8; self.manifest.total_len];
+        let mut jobs: Vec<_> = self
+            .chunks
+            .iter()
+            .zip(out.chunks_mut(self.manifest.chunk_size))
+            .map(|(decoder, slice)| (decoder, slice, Ok(())))
+            .collect();
+        let n = jobs.len();
+        asymshare_par::for_each_slice_mut(&mut jobs, n, |_, jobs| {
+            let mut scratch = block::Scratch::new();
+            for (decoder, slice, result) in jobs {
+                *result = decoder.decode_into(slice, &mut scratch);
+            }
+        });
+        jobs.into_iter().try_for_each(|(_, _, result)| result)?;
         Ok(out)
     }
 }

@@ -6,7 +6,7 @@ use crate::message::{EncodedMessage, FileId, MessageId};
 use crate::params::CodingParams;
 use asymshare_crypto::rng::SecretKey;
 use asymshare_gf::linalg::{invert, Matrix, RankTracker};
-use asymshare_gf::{bytes as gfbytes, Field};
+use asymshare_gf::{block, Field};
 use std::collections::HashSet;
 
 /// Decodes one file (or chunk) from `k` independent encoded messages by
@@ -25,7 +25,10 @@ pub struct BlockDecoder<F> {
     file_id: FileId,
     data_len: usize,
     tracker: RankTracker<F>,
-    held: Vec<(MessageId, Vec<F>, Vec<F>)>, // (id, coefficient row, payload symbols)
+    /// Coefficient rows of the innovative messages, `rank × k` row-major.
+    held_rows: Vec<F>,
+    /// Their payloads in the same order, `payload_bytes` each.
+    held_payloads: Vec<u8>,
     seen: HashSet<u64>,
 }
 
@@ -48,7 +51,8 @@ impl<F: Field> BlockDecoder<F> {
             file_id,
             data_len,
             tracker: RankTracker::new(params.k()),
-            held: Vec::with_capacity(params.k()),
+            held_rows: Vec::new(),
+            held_payloads: Vec::new(),
             seen: HashSet::new(),
         }
     }
@@ -106,12 +110,18 @@ impl<F: Field> BlockDecoder<F> {
         if self.tracker.is_full() {
             return Ok(false);
         }
-        let row = self.rows.row(msg.message_id());
-        if !self.tracker.try_add(&row) {
+        let k = self.params.k();
+        let rank = self.tracker.rank();
+        self.rows.row_into(msg.message_id(), &mut self.held_rows);
+        if !self.tracker.try_add(&self.held_rows[rank * k..]) {
+            self.held_rows.truncate(rank * k);
             return Ok(false);
         }
-        let payload = gfbytes::symbols_from_bytes::<F>(msg.payload());
-        self.held.push((msg.message_id(), row, payload));
+        if rank == 0 {
+            self.held_payloads
+                .reserve_exact(k * self.params.payload_bytes());
+        }
+        self.held_payloads.extend_from_slice(msg.payload());
         Ok(true)
     }
 
@@ -123,33 +133,61 @@ impl<F: Field> BlockDecoder<F> {
     /// * [`CodecError::SingularCoefficients`] if inversion fails (cannot
     ///   happen for rank-checked inputs; kept as defense in depth).
     pub fn decode(&self) -> Result<Vec<u8>, CodecError> {
+        let mut out = vec![0u8; self.data_len];
+        self.decode_into(&mut out, &mut block::Scratch::new())?;
+        Ok(out)
+    }
+
+    /// Reconstructs the original data into `out`, which must be exactly
+    /// the `data_len` bytes this decoder was built for. A caller decoding
+    /// many chunks passes the same `scratch` to each.
+    ///
+    /// # Errors
+    ///
+    /// The errors of [`decode`](Self::decode), plus
+    /// [`CodecError::InvalidParams`] for an `out` of the wrong length.
+    pub fn decode_into(
+        &self,
+        out: &mut [u8],
+        scratch: &mut block::Scratch,
+    ) -> Result<(), CodecError> {
         let k = self.params.k();
-        if self.held.len() < k {
+        if out.len() != self.data_len {
+            return Err(CodecError::InvalidParams {
+                reason: format!(
+                    "decode output of {} bytes for a chunk of {}",
+                    out.len(),
+                    self.data_len
+                ),
+            });
+        }
+        if self.tracker.rank() < k {
             return Err(CodecError::NotEnoughMessages {
-                have: self.held.len(),
+                have: self.tracker.rank(),
                 need: k,
             });
         }
-        let mut flat = Vec::with_capacity(self.held.len() * k);
-        for (_, row, _) in &self.held {
-            flat.extend_from_slice(row);
+        let beta = Matrix::from_flat(k, k, self.held_rows.clone());
+        let inv = invert(&beta)
+            .ok_or(CodecError::SingularCoefficients)?
+            .into_flat();
+        // X_j = Σ_i inv[j][i] · Y_i: the leading rows of β⁻¹ are one block
+        // of Eq. (1) whose outputs are the pieces of `out`. Pieces that are
+        // all padding are not computed; a piece cut short by `data_len` is
+        // computed whole beside `out` and its head copied in.
+        let piece_bytes = self.params.payload_bytes();
+        let payloads: Vec<&[u8]> = self.held_payloads.chunks_exact(piece_bytes).collect();
+        let mut whole = out.chunks_exact_mut(piece_bytes);
+        let mut pieces: Vec<&mut [u8]> = whole.by_ref().collect();
+        let cut = whole.into_remainder();
+        let mut last = Vec::new();
+        if !cut.is_empty() {
+            last.resize(piece_bytes, 0);
+            pieces.push(&mut last);
         }
-        let beta = Matrix::from_flat(self.held.len(), k, flat);
-        let inv = invert(&beta).ok_or(CodecError::SingularCoefficients)?;
-        // X_j = Σ_i inv[j][i] · Y_i, computed with the bulk kernel. One
-        // m-symbol accumulator serves all k pieces.
-        let m = self.params.m();
-        let mut out = Vec::with_capacity(self.params.capacity_bytes());
-        let mut piece = vec![F::ZERO; m];
-        for j in 0..k {
-            piece.fill(F::ZERO);
-            for (i, (_, _, payload)) in self.held.iter().enumerate() {
-                F::axpy_slice(inv.get(j, i), payload, &mut piece);
-            }
-            gfbytes::symbols_to_bytes_into(&piece, &mut out);
-        }
-        out.truncate(self.data_len);
-        Ok(out)
+        block::combine(&inv[..pieces.len() * k], &payloads, &mut pieces, scratch);
+        cut.copy_from_slice(&last[..cut.len()]);
+        Ok(())
     }
 }
 
@@ -221,6 +259,34 @@ mod tests {
             dec.decode(),
             Err(CodecError::NotEnoughMessages { have: 3, need: 4 })
         ));
+    }
+
+    #[test]
+    fn decode_into_requires_the_exact_length() {
+        let len = 90; // 23-byte pieces: three whole, the fourth cut to 21
+        let params = CodingParams::for_data_len(FieldKind::Gf256, 4, len).unwrap();
+        assert_eq!(params.payload_bytes(), 23);
+        let payload = data(len);
+        let enc = Encoder::<Gf256>::new(params, secret(), FileId(1), &payload).unwrap();
+        let mut dec = BlockDecoder::<Gf256>::new(params, secret(), FileId(1), len);
+        for m in enc.encode_batch(0, 4).unwrap() {
+            dec.add_message(m).unwrap();
+        }
+        let mut scratch = block::Scratch::new();
+        for wrong in [0, len - 1, len + 1, params.capacity_bytes()] {
+            let mut out = vec![0xEEu8; wrong];
+            assert!(matches!(
+                dec.decode_into(&mut out, &mut scratch),
+                Err(CodecError::InvalidParams { .. })
+            ));
+            assert!(
+                out.iter().all(|&b| b == 0xEE),
+                "a rejected output is untouched"
+            );
+        }
+        let mut out = vec![0xEEu8; len];
+        dec.decode_into(&mut out, &mut scratch).unwrap();
+        assert_eq!(out, payload);
     }
 
     #[test]

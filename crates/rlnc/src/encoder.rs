@@ -6,12 +6,13 @@ use crate::message::{EncodedMessage, FileId, MessageId};
 use crate::params::CodingParams;
 use asymshare_crypto::rng::SecretKey;
 use asymshare_gf::linalg::RankTracker;
-use asymshare_gf::{bytes as gfbytes, Field};
+use asymshare_gf::{block, bytes as gfbytes, Field};
 
 /// Encodes one file (or 1 MB chunk) into secret-keyed coded messages.
 ///
-/// The encoder holds the file as `k` symbol pieces `X_1 … X_k` and produces
-/// messages `Y_i = Σ_j β_ij · X_j`. Batches are rank-checked: within a batch
+/// The encoder holds the file as `k` pieces `X_1 … X_k` of packed symbols
+/// and produces messages `Y_i = Σ_j β_ij · X_j`, a whole batch at a time
+/// through [`block::combine`]. Batches are rank-checked: within a batch
 /// every admitted row is linearly independent of the others, so a downloader
 /// holding any full batch decodes with exactly `k` messages — the paper's
 /// "testing generated rows for linear independence before encoding".
@@ -34,7 +35,8 @@ pub struct Encoder<F> {
     params: CodingParams,
     rows: RowGenerator<F>,
     file_id: FileId,
-    pieces: Vec<Vec<F>>,
+    /// The data zero-padded to `k` pieces of `payload_bytes` each.
+    padded: Vec<u8>,
     data_len: usize,
 }
 
@@ -74,17 +76,11 @@ impl<F: Field> Encoder<F> {
                 ),
             });
         }
-        let piece_bytes = params.payload_bytes();
-        let padded = gfbytes::pad_to_symbols(data, piece_bytes, params.k());
-        let pieces = padded
-            .chunks_exact(piece_bytes)
-            .map(gfbytes::symbols_from_bytes::<F>)
-            .collect();
         Ok(Encoder {
             params,
             rows: RowGenerator::new(secret, file_id, params.k()),
             file_id,
-            pieces,
+            padded: gfbytes::pad_to_symbols(data, params.payload_bytes(), params.k()),
             data_len: data.len(),
         })
     }
@@ -101,28 +97,33 @@ impl<F: Field> Encoder<F> {
 
     /// Encodes the single message with the given id (no rank check).
     pub fn encode_message(&self, id: MessageId) -> EncodedMessage {
-        let mut scratch = EncodeScratch::default();
-        self.encode_message_into(id, &mut scratch)
+        self.encode_planned(&[id], &mut block::Scratch::new())
+            .pop()
+            .expect("one message per id")
     }
 
-    /// Like [`encode_message`](Self::encode_message) but reuses `scratch`
-    /// for the coefficient row and the `m`-symbol accumulator, so callers
-    /// encoding many messages pay for the buffers once instead of per
-    /// message. The returned payload is still freshly allocated (the wire
-    /// message owns its bytes).
-    pub fn encode_message_into(
+    /// Combines the payloads of `ids` — one `ids.len() × k` block of
+    /// Eq. (1) — without a rank check: the ids normally come from
+    /// [`plan_batch`](Self::plan_batch). A caller encoding many batches
+    /// passes the same `scratch` to each.
+    pub(crate) fn encode_planned(
         &self,
-        id: MessageId,
-        scratch: &mut EncodeScratch<F>,
-    ) -> EncodedMessage {
-        scratch.row.clear();
-        self.rows.row_into(id, &mut scratch.row);
-        scratch.acc.clear();
-        scratch.acc.resize(self.params.m(), F::ZERO);
-        for (j, &beta) in scratch.row.iter().enumerate() {
-            F::axpy_slice(beta, &self.pieces[j], &mut scratch.acc);
+        ids: &[MessageId],
+        scratch: &mut block::Scratch,
+    ) -> Vec<EncodedMessage> {
+        let piece_bytes = self.params.payload_bytes();
+        let mut coeffs = Vec::with_capacity(ids.len() * self.params.k());
+        for &id in ids {
+            self.rows.row_into(id, &mut coeffs);
         }
-        EncodedMessage::new(self.file_id, id, gfbytes::symbols_to_bytes(&scratch.acc))
+        let pieces: Vec<&[u8]> = self.padded.chunks_exact(piece_bytes).collect();
+        let mut payloads = vec![vec![0u8; piece_bytes]; ids.len()];
+        let mut outputs: Vec<&mut [u8]> = payloads.iter_mut().map(Vec::as_mut_slice).collect();
+        block::combine(&coeffs, &pieces, &mut outputs, scratch);
+        ids.iter()
+            .zip(payloads)
+            .map(|(&id, payload)| EncodedMessage::new(self.file_id, id, payload))
+            .collect()
     }
 
     /// Runs the rank-checked admission of
@@ -203,12 +204,7 @@ impl<F: Field> Encoder<F> {
         count: usize,
     ) -> Result<(Vec<EncodedMessage>, u64), CodecError> {
         let (ids, next) = self.plan_batch(start_id, count)?;
-        let mut scratch = EncodeScratch::default();
-        let out = ids
-            .iter()
-            .map(|&id| self.encode_message_into(id, &mut scratch))
-            .collect();
-        Ok((out, next))
+        Ok((self.encode_planned(&ids, &mut block::Scratch::new()), next))
     }
 
     /// Encodes the paper's full dissemination set: `n` batches of `k`
@@ -230,29 +226,14 @@ impl<F: Field> Encoder<F> {
             plans.push(ids);
             next_id = next;
         }
-        Ok(asymshare_par::map(&plans, |ids| {
-            let mut scratch = EncodeScratch::default();
-            ids.iter()
-                .map(|&id| self.encode_message_into(id, &mut scratch))
-                .collect()
-        }))
-    }
-}
-
-/// Reusable buffers for [`Encoder::encode_message_into`]: the `k`-symbol
-/// coefficient row and the `m`-symbol payload accumulator.
-#[derive(Debug, Clone)]
-pub struct EncodeScratch<F> {
-    row: Vec<F>,
-    acc: Vec<F>,
-}
-
-impl<F> Default for EncodeScratch<F> {
-    fn default() -> Self {
-        EncodeScratch {
-            row: Vec::new(),
-            acc: Vec::new(),
-        }
+        let mut batches = vec![Vec::new(); n];
+        asymshare_par::for_each_slice_mut(&mut batches, n, |base, batches| {
+            let mut scratch = block::Scratch::new();
+            for (batch, ids) in batches.iter_mut().zip(&plans[base..]) {
+                *batch = self.encode_planned(ids, &mut scratch);
+            }
+        });
+        Ok(batches)
     }
 }
 
@@ -317,20 +298,20 @@ mod tests {
 
     #[test]
     fn plan_then_encode_matches_batch() {
-        // plan_batch + encode_message_into (with a dirty, reused scratch)
-        // must reproduce encode_batch_from exactly — this is the contract
-        // the parallel chunker relies on.
+        // plan_batch + encode_planned (with a dirty, reused scratch) must
+        // reproduce encode_batch_from exactly — this is the contract the
+        // parallel chunker relies on.
         let params = CodingParams::new(FieldKind::Gf256, 16, 5).unwrap();
         let enc = Encoder::<Gf256>::new(params, secret(), FileId(7), &data(60)).unwrap();
         let (batch, next) = enc.encode_batch_from(0, 5).unwrap();
         let (ids, planned_next) = enc.plan_batch(0, 5).unwrap();
         assert_eq!(next, planned_next);
-        let mut scratch = EncodeScratch::default();
-        let replay: Vec<_> = ids
-            .iter()
-            .map(|&id| enc.encode_message_into(id, &mut scratch))
-            .collect();
-        assert_eq!(replay, batch);
+        let mut scratch = block::Scratch::new();
+        enc.encode_planned(&ids[..2], &mut scratch);
+        assert_eq!(enc.encode_planned(&ids, &mut scratch), batch);
+        // A batch is its messages one at a time (the `r = 1` block).
+        let singly: Vec<_> = ids.iter().map(|&id| enc.encode_message(id)).collect();
+        assert_eq!(singly, batch);
     }
 
     #[test]

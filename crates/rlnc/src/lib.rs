@@ -57,7 +57,7 @@ pub use auth::{AuthManifest, DigestKind, MessageDigest};
 pub use chunker::{ChunkedDecoder, ChunkedEncoder, FileManifest, CHUNK_SIZE};
 pub use coeffs::RowGenerator;
 pub use decoder::BlockDecoder;
-pub use encoder::{EncodeScratch, Encoder};
+pub use encoder::Encoder;
 pub use error::CodecError;
 pub use ladder::ChunkLadder;
 pub use message::{EncodedMessage, FileId, MessageId};

@@ -122,32 +122,32 @@ impl<F: Field> ProgressiveDecoder<F> {
         self.rows.row_into(msg.message_id(), &mut aug);
         gfbytes::symbols_from_bytes_into::<F>(msg.payload(), &mut aug);
 
-        // Forward-eliminate against existing pivots.
+        // Reduce against every existing pivot — also those to the right of
+        // where this row's own pivot will land (a zero coefficient makes
+        // pivots appear out of column order; routine in GF(2⁴)). Basis rows
+        // are zero in each other's pivot columns, so one pass suffices.
         for col in 0..k {
-            if aug[col] == F::ZERO {
-                continue;
-            }
-            match &self.echelon[col] {
-                Some(basis) => {
-                    let f = aug[col];
+            if let Some(basis) = &self.echelon[col] {
+                let f = aug[col];
+                if f != F::ZERO {
                     F::axpy_slice(f, basis, &mut aug);
                     debug_assert_eq!(aug[col], F::ZERO);
                 }
-                None => {
-                    // New pivot: normalize, back-eliminate, store.
-                    let pinv = aug[col].inv();
-                    F::scale_slice(pinv, &mut aug);
-                    for other in self.echelon.iter_mut().flatten() {
-                        let f = other[col];
-                        if f != F::ZERO {
-                            F::axpy_slice(f, &aug, other);
-                        }
-                    }
-                    self.echelon[col] = Some(aug);
-                    self.rank += 1;
-                    return Ok(true);
+            }
+        }
+        if let Some(col) = aug[..k].iter().position(|&v| v != F::ZERO) {
+            // New pivot: normalize, back-eliminate, store.
+            let pinv = aug[col].inv();
+            F::scale_slice(pinv, &mut aug);
+            for other in self.echelon.iter_mut().flatten() {
+                let f = other[col];
+                if f != F::ZERO {
+                    F::axpy_slice(f, &aug, other);
                 }
             }
+            self.echelon[col] = Some(aug);
+            self.rank += 1;
+            return Ok(true);
         }
         self.scratch = aug;
         Ok(false)

@@ -28,6 +28,48 @@ fn round_trip_generic<F: Field>(data: &[u8], k: usize, tag: u64) {
     assert_eq!(dec.decode().expect("decode"), data);
 }
 
+/// Block and progressive decoders against each other and the data, for
+/// parameters whose capacity exceeds the data: `data_len` decides how many
+/// pieces are whole, whether one is cut short, and how many are padding
+/// only (which the block decoder does not compute).
+fn block_matches_progressive_with_padding<F: Field>(m: usize, k: usize, tag: u64) {
+    let params = CodingParams::new(F::KIND, m, k).expect("valid params");
+    let (piece, capacity) = (params.payload_bytes(), params.capacity_bytes());
+    let lens = [
+        1,
+        piece - 1,
+        piece,
+        piece + 1,
+        capacity - piece,
+        capacity - 1,
+        capacity,
+    ];
+    for data_len in lens.into_iter().filter(|n| (1..=capacity).contains(n)) {
+        let data: Vec<u8> = (0..data_len).map(|i| (i * 29 + 3) as u8).collect();
+        let enc = Encoder::<F>::new(params, secret(tag), FileId(tag), &data).expect("encoder");
+        let mut prog = ProgressiveDecoder::<F>::new(params, secret(tag), FileId(tag), data_len);
+        let mut block = BlockDecoder::<F>::new(params, secret(tag), FileId(tag), data_len);
+        for msg in enc.encode_batch(0, k).expect("batch") {
+            prog.add_message(msg.clone()).expect("progressive accepts");
+            block.add_message(msg).expect("block accepts");
+        }
+        let what = format!("{} m={m} k={k} data_len={data_len}", F::KIND);
+        assert_eq!(prog.decode().expect("progressive decode"), data, "{what}");
+        assert_eq!(block.decode().expect("block decode"), data, "{what}");
+    }
+}
+
+#[test]
+fn block_matches_progressive_with_partial_and_padding_pieces() {
+    // 24-byte pieces in every field; k below, at and above a row group.
+    for k in [1, 5, 8, 11, 33] {
+        block_matches_progressive_with_padding::<Gf16>(48, k, 41);
+        block_matches_progressive_with_padding::<Gf256>(24, k, 42);
+        block_matches_progressive_with_padding::<Gf65536>(12, k, 43);
+        block_matches_progressive_with_padding::<Gf2p32>(6, k, 44);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
