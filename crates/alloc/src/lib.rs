@@ -54,7 +54,7 @@ pub use bounds::theorem1_lower_bound;
 pub use demand::{random_hour_windows, Demand};
 pub use ledger::ContributionLedger;
 pub use metrics::{gain_over_isolation, jain_index, pairwise_unfairness, smooth};
-pub use rules::{allocate, allocate_into, AllocationInputs, RuleKind};
+pub use rules::{allocate_into, AllocationInputs, RuleKind};
 pub use sim::{InitialCredit, SimConfig, SlotSimulator};
 pub use slab::{AllocScratch, EngineConfig, EngineReport, RequestMask, SlotEngine};
 pub use strategy::{CapacityProfile, PeerConfig, Strategy};

@@ -96,18 +96,16 @@ pub fn allocate_into(
     kernels::normalize_masked_into(&scratch.weights, scratch.mask.words(), inputs.capacity, out)
 }
 
-/// Allocating convenience wrapper around [`allocate_into`], kept for the
-/// existing call sites and tests; per-slot loops should hold an
-/// [`AllocScratch`] and an output row instead.
-pub fn allocate(rule: RuleKind, inputs: &AllocationInputs<'_>) -> Vec<f64> {
-    let mut out = vec![0.0f64; inputs.requesting.len()];
-    allocate_into(rule, inputs, &mut AllocScratch::new(), &mut out);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`allocate_into`] with fresh scratch and a fresh output row.
+    fn allocate(rule: RuleKind, inputs: &AllocationInputs<'_>) -> Vec<f64> {
+        let mut out = vec![0.0f64; inputs.requesting.len()];
+        allocate_into(rule, inputs, &mut AllocScratch::new(), &mut out);
+        out
+    }
 
     fn ledger_3() -> ContributionLedger {
         let mut ledger = ContributionLedger::new(3, 0.0);

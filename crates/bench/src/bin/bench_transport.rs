@@ -4,18 +4,22 @@
 //! regressions show up as a diff against the checked-in numbers.
 //!
 //! This measures the *data plane*, not the codec (that is `bench_baseline`'s
-//! job): three `PeerHost` threads with effectively unshaped uplinks serve
-//! their full stock of pre-fabricated messages to a sink that authenticates,
-//! requests the file, and parses every arriving `MessageData` frame into a
-//! payload handle. Throughput is payload bytes over wall time; a counting
-//! global allocator reports heap allocations and allocated bytes per
-//! delivered message. Run with `--quick` for one sample, from the repo root:
+//! job): three peers on one reactor worker, with effectively unshaped
+//! uplinks, serve their full stock of pre-fabricated messages to a sink that
+//! authenticates, requests the file, and parses every arriving
+//! `MessageData` frame into a payload handle. Throughput is payload bytes
+//! over wall time; a counting global allocator reports heap allocations and
+//! allocated bytes per delivered message. The `scaling` block repeats the
+//! workload with the reactor hosting 3, 128 and 512 peers (three serving,
+//! the rest idle but *hosted*, as in a real swarm where most subscriptions
+//! are quiet): an idle peer must cost the worker nothing. Run with
+//! `--quick` for one sample, from the repo root:
 //!
 //! ```text
 //! cargo run --release -p asymshare-bench --bin bench_transport
 //! ```
 
-use asymshare::rt::{HealthMonitor, PeerHost, RtNetwork};
+use asymshare::rt::{HealthMonitor, Reactor, ReactorConfig, RtNetwork, WindowConfig};
 use asymshare::{Identity, Peer, Prover, Wire};
 use asymshare_crypto::chacha20::ChaChaRng;
 use asymshare_gf::{FieldKind, Gf2p32};
@@ -61,6 +65,8 @@ const FILE_BYTES: usize = 8 << 20;
 const CHUNK_BYTES: usize = 256 << 10;
 const K: usize = 8;
 const PEERS: usize = 3;
+/// Hosted-peer counts of the `scaling` block (`PEERS` of them serving).
+const SCALES: [usize; 3] = [3, 128, 512];
 
 const OUT_PATH: &str = "BENCH_transport.json";
 
@@ -91,30 +97,44 @@ struct Sample {
     alloc_kib_per_msg: f64,
 }
 
+/// A reactor tuned for an unshaped in-process link: a deep window floor and
+/// a short retirement floor so AIMD slow-start never caps the measured data
+/// plane (an 8 MiB stock is only 256 frames — on a real RTT the adaptive
+/// floor is the point, here it would just measure the ramp).
+fn bench_reactor_config() -> ReactorConfig {
+    ReactorConfig {
+        tick: Duration::from_micros(100),
+        window: WindowConfig {
+            min_frames: 256,
+            max_frames: 512,
+            retire_after: Duration::from_micros(100),
+            ..WindowConfig::default()
+        },
+        ..ReactorConfig::default()
+    }
+}
+
+/// Hosts `hosted` peers on one reactor — the first `batches.len()` hold a
+/// batch each, the rest are idle — and streams every stocked message to a
+/// sink.
 fn run_once(
     owner: &Identity,
     batches: &[Vec<asymshare_rlnc::EncodedMessage>],
     network: RtNetwork,
+    hosted: usize,
 ) -> (Sample, Snapshot) {
-    let mut hosts = Vec::new();
-    let mut peer_addrs = Vec::new();
-    for (i, batch) in batches.iter().enumerate() {
-        let identity = Identity::from_seed(&[b'b', b't', i as u8]);
+    let mut reactor = Reactor::new(&network, bench_reactor_config());
+    for i in 0..hosted {
+        let identity = Identity::from_seed(&[b'b', b't', (i % 251) as u8, (i / 251) as u8]);
         let mut peer = Peer::new(identity, 1_000.0);
         peer.add_subscriber(owner.public_key().to_bytes());
-        for m in batch {
+        for m in batches.get(i).into_iter().flatten() {
             peer.store_mut().insert(m.clone());
         }
-        let addr = 100 + i as u64;
-        hosts.push(PeerHost::spawn(
-            &network,
-            addr,
-            peer,
-            u64::MAX / 2, // effectively unshaped: measure the data plane
-            Duration::from_micros(200),
-        ));
-        peer_addrs.push(addr);
+        // Effectively unshaped: measure the data plane.
+        reactor.add_peer(100 + i as u64, peer, u64::MAX / 2);
     }
+    let peer_addrs: Vec<u64> = (0..batches.len()).map(|i| 100 + i as u64).collect();
 
     let my_addr = 1u64;
     let inbox = network.register(my_addr);
@@ -218,9 +238,7 @@ fn run_once(
     let alloc_bytes = ALLOC_BYTES.load(Ordering::Relaxed) - bytes0;
     assert_eq!(got_bytes, expect_bytes, "every payload byte arrived");
 
-    for host in hosts {
-        host.shutdown();
-    }
+    reactor.shutdown();
     let snapshot = network.metrics_snapshot();
     (
         Sample {
@@ -260,10 +278,10 @@ fn main() {
     // thread spawn, page faults, allocator growth and CPU frequency ramp,
     // which would otherwise dominate a --quick (single-sample) measurement.
     for _ in 0..3 {
-        let _ = run_once(&owner, &batches, RtNetwork::new());
+        let _ = run_once(&owner, &batches, RtNetwork::new(), PEERS);
     }
     let runs: Vec<Sample> = (0..samples)
-        .map(|_| run_once(&owner, &batches, RtNetwork::new()).0)
+        .map(|_| run_once(&owner, &batches, RtNetwork::new(), PEERS).0)
         .collect();
     let mb_per_s = minimum(runs.iter().map(|s| s.mb_per_s).collect());
     let allocs_per_msg = median(runs.iter().map(|s| s.allocs_per_msg).collect());
@@ -280,12 +298,20 @@ fn main() {
     let mut observed_runs = Vec::new();
     let mut snapshot = None;
     for _ in 0..cycles {
-        disabled_runs.push(run_once(&owner, &batches, RtNetwork::new()).0.mb_per_s);
-        observed_runs.push(run_once(&owner, &batches, observed_net()).0.mb_per_s);
-        let (s, snap) = run_once(&owner, &batches, observed_net());
+        disabled_runs.push(
+            run_once(&owner, &batches, RtNetwork::new(), PEERS)
+                .0
+                .mb_per_s,
+        );
+        observed_runs.push(run_once(&owner, &batches, observed_net(), PEERS).0.mb_per_s);
+        let (s, snap) = run_once(&owner, &batches, observed_net(), PEERS);
         observed_runs.push(s.mb_per_s);
         snapshot = Some(snap);
-        disabled_runs.push(run_once(&owner, &batches, RtNetwork::new()).0.mb_per_s);
+        disabled_runs.push(
+            run_once(&owner, &batches, RtNetwork::new(), PEERS)
+                .0
+                .mb_per_s,
+        );
     }
     let snapshot = snapshot.expect("at least one observed run");
     let disabled_mb_per_s = median(disabled_runs);
@@ -295,11 +321,11 @@ fn main() {
     let pool_hits = snapshot.gauge("rt.pool.hits").unwrap_or(0.0);
     let pool_misses = snapshot.gauge("rt.pool.misses").unwrap_or(0.0);
     let pool_hit_rate = pool_hits / (pool_hits + pool_misses).max(1.0);
-    let coalesce = snapshot.histogram("rt.host.coalesce_frames");
+    let coalesce = snapshot.histogram("rt.reactor.coalesce_frames");
     let coalesce_mean = coalesce.as_ref().map(|h| h.mean()).unwrap_or(0.0);
     let coalesce_p50 = coalesce.as_ref().map(|h| h.percentile(0.50)).unwrap_or(0.0);
     let coalesce_p95 = coalesce.as_ref().map(|h| h.percentile(0.95)).unwrap_or(0.0);
-    let served_frames = snapshot.counter("rt.host.served_frames").unwrap_or(0);
+    let served_frames = snapshot.counter("rt.reactor.served_frames").unwrap_or(0);
     let sends = snapshot.counter("rt.transport.sends").unwrap_or(0);
 
     // Health-engine overhead: same ABBA discipline, but both sides run with
@@ -310,17 +336,17 @@ fn main() {
     let mut health_runs = Vec::new();
     let mut last_report = None;
     for _ in 0..cycles {
-        plain_runs.push(run_once(&owner, &batches, observed_net()).0.mb_per_s);
+        plain_runs.push(run_once(&owner, &batches, observed_net(), PEERS).0.mb_per_s);
         let net = observed_net();
         let monitor =
             HealthMonitor::spawn(&net, HealthConfig::default(), Duration::from_millis(50));
-        health_runs.push(run_once(&owner, &batches, net).0.mb_per_s);
+        health_runs.push(run_once(&owner, &batches, net, PEERS).0.mb_per_s);
         last_report = Some(monitor.shutdown());
-        plain_runs.push(run_once(&owner, &batches, observed_net()).0.mb_per_s);
+        plain_runs.push(run_once(&owner, &batches, observed_net(), PEERS).0.mb_per_s);
         let net = observed_net();
         let monitor =
             HealthMonitor::spawn(&net, HealthConfig::default(), Duration::from_millis(50));
-        health_runs.push(run_once(&owner, &batches, net).0.mb_per_s);
+        health_runs.push(run_once(&owner, &batches, net, PEERS).0.mb_per_s);
         monitor.shutdown();
     }
     let report = last_report.expect("at least one health run");
@@ -334,6 +360,21 @@ fn main() {
         .map(|p| p.score)
         .fold(100.0f64, f64::min);
 
+    // Scaling: the same serving stock, growing hosted-peer count.
+    let scaling: Vec<(usize, f64)> = SCALES
+        .iter()
+        .map(|&hosted| {
+            let runs = (0..samples)
+                .map(|_| {
+                    run_once(&owner, &batches, RtNetwork::new(), hosted)
+                        .0
+                        .mb_per_s
+                })
+                .collect();
+            (hosted, minimum(runs))
+        })
+        .collect();
+
     println!("  throughput: {mb_per_s:.0} MB/s (baseline {BASELINE_MB_PER_S:.0})");
     println!("  allocs/msg: {allocs_per_msg:.1} (baseline {BASELINE_ALLOCS_PER_MSG:.1})");
     println!("  alloc KiB/msg: {alloc_kib_per_msg:.1}");
@@ -342,6 +383,9 @@ fn main() {
          ({overhead_pct:.1}% overhead), pool hit rate {pool_hit_rate:.3}, \
          {coalesce_mean:.1} frames/datagram (p50 {coalesce_p50:.1}, p95 {coalesce_p95:.1})"
     );
+    for (hosted, mb_per_s) in &scaling {
+        println!("  {hosted:>4} hosted peers: {mb_per_s:.0} MB/s");
+    }
     println!(
         "  health: plain {plain_mb_per_s:.0} vs engine-on {health_mb_per_s:.0} MB/s \
          ({health_overhead_pct:.1}% overhead), {} peer(s) scored, {} alert(s), min score {min_score:.1}",
@@ -350,10 +394,17 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"config\": {{\n    \"peers\": {PEERS},\n    \"file_bytes\": {FILE_BYTES},\n    \"chunk_bytes\": {CHUNK_BYTES},\n    \"k\": {K},\n    \"messages\": {msgs},\n    \"samples\": {samples},\n    \"statistic\": \"min of samples (throughput), median (allocs)\"\n  }},\n  \"before\": {{\n    \"mb_per_s\": {BASELINE_MB_PER_S:.0},\n    \"allocs_per_msg\": {BASELINE_ALLOCS_PER_MSG:.1}\n  }},\n  \"after\": {{\n    \"mb_per_s\": {mb_per_s:.0},\n    \"allocs_per_msg\": {allocs_per_msg:.1},\n    \"alloc_kib_per_msg\": {alloc_kib_per_msg:.1}\n  }},\n  \"metrics\": {{\n    \"disabled_mb_per_s\": {disabled_mb_per_s:.0},\n    \"observed_mb_per_s\": {observed_mb_per_s:.0},\n    \"overhead_pct\": {overhead_pct:.1},\n    \"pool_hit_rate\": {pool_hit_rate:.3},\n    \"coalesce_mean_frames\": {coalesce_mean:.1},\n    \"coalesce_p50_frames\": {coalesce_p50:.1},\n    \"coalesce_p95_frames\": {coalesce_p95:.1},\n    \"served_frames\": {served_frames},\n    \"transport_sends\": {sends}\n  }},\n  \"health\": {{\n    \"plain_mb_per_s\": {plain_mb_per_s:.0},\n    \"enabled_mb_per_s\": {health_mb_per_s:.0},\n    \"overhead_pct\": {health_overhead_pct:.1},\n    \"windows\": {},\n    \"peers_scored\": {},\n    \"alerts\": {},\n    \"min_score\": {min_score:.1}\n  }}\n}}\n",
+        "{{\n  \"config\": {{\n    \"peers\": {PEERS},\n    \"file_bytes\": {FILE_BYTES},\n    \"chunk_bytes\": {CHUNK_BYTES},\n    \"k\": {K},\n    \"messages\": {msgs},\n    \"samples\": {samples},\n    \"statistic\": \"min of samples (throughput), median (allocs)\"\n  }},\n  \"before\": {{\n    \"mb_per_s\": {BASELINE_MB_PER_S:.0},\n    \"allocs_per_msg\": {BASELINE_ALLOCS_PER_MSG:.1}\n  }},\n  \"after\": {{\n    \"mb_per_s\": {mb_per_s:.0},\n    \"allocs_per_msg\": {allocs_per_msg:.1},\n    \"alloc_kib_per_msg\": {alloc_kib_per_msg:.1}\n  }},\n  \"metrics\": {{\n    \"disabled_mb_per_s\": {disabled_mb_per_s:.0},\n    \"observed_mb_per_s\": {observed_mb_per_s:.0},\n    \"overhead_pct\": {overhead_pct:.1},\n    \"pool_hit_rate\": {pool_hit_rate:.3},\n    \"coalesce_mean_frames\": {coalesce_mean:.1},\n    \"coalesce_p50_frames\": {coalesce_p50:.1},\n    \"coalesce_p95_frames\": {coalesce_p95:.1},\n    \"served_frames\": {served_frames},\n    \"transport_sends\": {sends}\n  }},\n  \"health\": {{\n    \"plain_mb_per_s\": {plain_mb_per_s:.0},\n    \"enabled_mb_per_s\": {health_mb_per_s:.0},\n    \"overhead_pct\": {health_overhead_pct:.1},\n    \"windows\": {},\n    \"peers_scored\": {},\n    \"alerts\": {},\n    \"min_score\": {min_score:.1}\n  }},\n  \"scaling\": [\n{}\n  ]\n}}\n",
         report.windows,
         report.peers.len(),
-        report.total_alerts
+        report.total_alerts,
+        scaling
+            .iter()
+            .map(|(hosted, mb_per_s)| format!(
+                "    {{ \"peers\": {hosted}, \"mb_per_s\": {mb_per_s:.0} }}"
+            ))
+            .collect::<Vec<_>>()
+            .join(",\n")
     );
     std::fs::write(OUT_PATH, json).expect("write transport baseline");
     println!("wrote {OUT_PATH}");

@@ -15,7 +15,7 @@ pub const USAGE: &str = "usage:
   asymshare inspect --manifest <path>
   asymshare metrics [--peers N] [--size BYTES] [--json] [--events FILE]
   asymshare trace   [--peers N] [--size BYTES] [--width COLS] [--faults]
-  asymshare top     [--peers N] [--size BYTES] [--listen ADDR] [--once] [--reactor]";
+  asymshare top     [--peers N] [--size BYTES] [--listen ADDR] [--once]";
 
 /// Entry point; returns a user-facing error string on failure.
 pub fn run(args: &[String]) -> Result<(), String> {
@@ -423,48 +423,17 @@ fn render_top(network: &asymshare::rt::RtNetwork, elapsed: std::time::Duration) 
         "pool hit rate {hit_rate:.0}%   coalesce {coalesce:.1} frames/datagram   events dropped {}\n",
         network.events().dropped_events()
     ));
-    // Reactor runtime line: only present under `--reactor` (the threaded
-    // baseline never touches these counters).
-    let reactor_passes = snap.counter("rt.reactor.passes").unwrap_or(0);
-    if reactor_passes > 0 {
-        let depth = snap
-            .histogram("rt.reactor.queue_depth")
-            .map(|h| {
-                if h.count > 0 {
-                    h.sum as f64 / h.count as f64
-                } else {
-                    0.0
-                }
-            })
-            .unwrap_or(0.0);
-        out.push_str(&format!(
-            "reactor: {} frames in {} serve passes   queue depth {depth:.1} mean   {} backpressure yield(s)\n",
-            snap.counter("rt.reactor.served_frames").unwrap_or(0),
-            reactor_passes,
-            snap.counter("rt.reactor.backpressure_yields").unwrap_or(0),
-        ));
-    }
-    // Allocator throughput: Eq.-2 pass count and mean pass latency from
-    // the peer hosts (also exported verbatim on /metrics).
-    let passes = snap.counter("alloc.passes").unwrap_or(0);
-    let pass_us = snap
-        .histogram("alloc.pass_us")
-        .map(|h| {
-            if h.count > 0 {
-                h.sum as f64 / h.count as f64
-            } else {
-                0.0
-            }
-        })
-        .unwrap_or(0.0);
-    if passes > 0 {
-        out.push_str(&format!(
-            "alloc: {} Eq.-2 passes   mean pass {:.0} µs   ({:.0} passes/s sustained)\n",
-            passes,
-            pass_us,
-            passes as f64 / secs
-        ));
-    }
+    // Serving side: Eq.-2 serve passes, their mean latency, submission
+    // queue depth and window backpressure (also exported on /metrics).
+    let mean = |name: &str| snap.histogram(name).map_or(0.0, |h| h.mean());
+    out.push_str(&format!(
+        "reactor: {} frames in {} serve passes (mean {:.0} µs)   queue depth {:.1} mean   {} backpressure yield(s)\n",
+        snap.counter("rt.reactor.served_frames").unwrap_or(0),
+        snap.counter("rt.reactor.passes").unwrap_or(0),
+        mean("rt.reactor.pass_us"),
+        mean("rt.reactor.queue_depth"),
+        snap.counter("rt.reactor.backpressure_yields").unwrap_or(0),
+    ));
     match network.health_report() {
         Some(report) => {
             out.push_str(&format!(
@@ -520,15 +489,15 @@ fn render_top(network: &asymshare::rt::RtNetwork, elapsed: std::time::Duration) 
     out
 }
 
-/// Runs a seeded real-time download (threaded peer hosts, lossy transport,
+/// Runs a seeded real-time download (peers on the reactor, lossy transport,
 /// sampling health monitor) and renders a live terminal dashboard: per-peer
 /// health, throughput, pool hit rate and coalesce ratio. `--once` waits for
 /// completion and prints a single frame (no escape codes); `--listen ADDR`
 /// additionally serves `/metrics` and `/health` over HTTP while running.
 fn top(args: &[String]) -> Result<(), String> {
     use asymshare::rt::{
-        download_file_with, DownloadOptions, FaultPlan, HealthMonitor, MetricsServer, PeerHost,
-        Reactor, ReactorConfig, RtNetwork,
+        download_file_with, DownloadOptions, FaultPlan, HealthMonitor, MetricsServer, Reactor,
+        ReactorConfig, RtNetwork,
     };
     use asymshare::{Identity, Peer, User};
     use asymshare_obs::health::HealthConfig;
@@ -550,7 +519,6 @@ fn top(args: &[String]) -> Result<(), String> {
         return Err("--size must be between 1 byte and 16 MiB".to_owned());
     }
     let once = args.iter().any(|a| a == "--once");
-    let use_reactor = args.iter().any(|a| a == "--reactor");
 
     let network = RtNetwork::with_observability(Registry::new(), EventSink::new());
     let server = match flag_value(args, "--listen") {
@@ -566,7 +534,7 @@ fn top(args: &[String]) -> Result<(), String> {
         Duration::from_millis(200),
     );
 
-    // A seeded file spread over threaded hosts, downloaded over a mildly
+    // A seeded file spread over hosted peers, downloaded over a mildly
     // lossy link so the detectors and heal path have work to do.
     let owner = Identity::from_seed(b"cli-top-owner");
     let data: Vec<u8> = (0..size).map(|i| (i * 37 % 251) as u8).collect();
@@ -582,8 +550,7 @@ fn top(args: &[String]) -> Result<(), String> {
     .map_err(|e| e.to_string())?;
     let batches = enc.encode_for_peers(peers).map_err(|e| e.to_string())?;
     let manifest = enc.manifest().clone();
-    let mut hosts = Vec::new();
-    let mut reactor = use_reactor.then(|| Reactor::new(&network, ReactorConfig::default()));
+    let mut reactor = Reactor::new(&network, ReactorConfig::default());
     let mut peer_addrs = Vec::new();
     for (i, batch) in batches.into_iter().enumerate() {
         let identity = Identity::from_seed(&[b't', b'p', i as u8]);
@@ -594,17 +561,7 @@ fn top(args: &[String]) -> Result<(), String> {
             peer.store_mut().insert(m);
         }
         let addr = 100 + i as u64;
-        if let Some(r) = reactor.as_mut() {
-            r.add_peer(addr, peer, 1 << 20);
-        } else {
-            hosts.push(PeerHost::spawn(
-                &network,
-                addr,
-                peer,
-                1 << 20,
-                Duration::from_millis(5),
-            ));
-        }
+        reactor.add_peer(addr, peer, 1 << 20);
         peer_addrs.push((addr, key));
     }
     network.install_faults(FaultPlan::new(7).with_loss(0.03).with_corruption(0.02));
@@ -640,14 +597,9 @@ fn top(args: &[String]) -> Result<(), String> {
     }
     let outcome = download.join().expect("download thread panicked");
     let report = monitor.shutdown();
-    if let Some(r) = reactor {
-        // Shut down before the final frame so the window gauges flush.
-        r.shutdown();
-    }
+    // Shut down before the final frame so the window gauges flush.
+    reactor.shutdown();
     print!("{}", render_top(&network, started.elapsed()));
-    for host in hosts {
-        host.shutdown();
-    }
     if let Some(s) = server {
         s.shutdown();
     }
@@ -826,16 +778,7 @@ mod tests {
 
     #[test]
     fn top_once_on_the_reactor_runtime() {
-        run(&s(&[
-            "top",
-            "--peers",
-            "2",
-            "--size",
-            "32768",
-            "--once",
-            "--reactor",
-        ]))
-        .unwrap();
+        run(&s(&["top", "--peers", "2", "--size", "32768", "--once"])).unwrap();
     }
 
     #[test]

@@ -1,14 +1,15 @@
-//! Real-time deployment: peers as OS threads, wall-clock rate limiting,
-//! serialized wire messages on every hop — the paper's §VI-A future work
-//! ("implement the proposed system in a dynamic real-time environment").
+//! Real-time deployment: peers hosted on the event-loop reactor, wall-clock
+//! rate limiting, serialized wire messages on every hop — the paper's
+//! §VI-A future work ("implement the proposed system in a dynamic real-time
+//! environment").
 //!
-//! Four peer threads shape their uplinks to 2 MB/s each; the user thread
+//! Four peers shape their uplinks to 2 MB/s each; the user thread
 //! authenticates to all of them and pulls a 4 MB file. Watch the aggregate
 //! beat any single shaped uplink in *wall-clock* time.
 //!
 //! Run with: `cargo run --release --example realtime_peers`
 
-use asymshare::rt::{download_file, PeerHost, RtNetwork};
+use asymshare::rt::{download_file, Reactor, ReactorConfig, RtNetwork};
 use asymshare::{Identity, Peer, User};
 use asymshare_gf::{FieldKind, Gf2p32};
 use asymshare_rlnc::{ChunkedEncoder, DigestKind, FileId};
@@ -43,9 +44,9 @@ fn main() {
         t0.elapsed().as_secs_f64()
     );
 
-    // Spawn peer threads, each holding one decodable batch.
+    // Host the peers, each holding one decodable batch.
     let network = RtNetwork::new();
-    let mut hosts = Vec::new();
+    let mut reactor = Reactor::new(&network, ReactorConfig::default());
     let mut peer_addrs = Vec::new();
     for (i, batch) in batches.into_iter().enumerate() {
         let identity = Identity::from_seed(&[b'x', i as u8]);
@@ -56,17 +57,11 @@ fn main() {
             peer.store_mut().insert(m);
         }
         let addr = 100 + i as u64;
-        hosts.push(PeerHost::spawn(
-            &network,
-            addr,
-            peer,
-            UPLINK_BYTES_PER_SEC,
-            Duration::from_millis(5),
-        ));
+        reactor.add_peer(addr, peer, UPLINK_BYTES_PER_SEC);
         peer_addrs.push((addr, key));
     }
     println!(
-        "{N_PEERS} peer threads serving at {} MB/s each",
+        "{N_PEERS} peers serving at {} MB/s each",
         UPLINK_BYTES_PER_SEC >> 20
     );
 
@@ -100,7 +95,5 @@ fn main() {
         user.innovative_count(),
         user.redundant_count()
     );
-    for host in hosts {
-        host.shutdown();
-    }
+    reactor.shutdown();
 }

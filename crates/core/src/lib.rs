@@ -71,6 +71,7 @@ mod identity;
 mod peer;
 mod profile;
 mod protocol;
+mod recovery;
 pub mod rt;
 mod runtime;
 mod session;

@@ -425,13 +425,13 @@ impl Peer {
     }
 
     /// Connections that are authenticated, serving a file, and still have
-    /// messages to send (the real-time host's scheduling set).
-    pub fn active_conns(&self) -> Vec<u64> {
+    /// messages to send (the reactor's scheduling set), in connection
+    /// order.
+    pub fn active_conns(&self) -> impl Iterator<Item = u64> + '_ {
         self.serving_conns
             .iter()
             .copied()
             .filter(|&c| self.is_authenticated(c) && self.has_pending(c))
-            .collect()
     }
 
     /// Drops a connection's session state.
@@ -549,6 +549,7 @@ mod tests {
     #[test]
     fn active_conns_walks_only_serving_sessions() {
         let (mut peer, first, _, mut r) = authed_peer_and_conn(12);
+        let active = |peer: &Peer| peer.active_conns().collect::<Vec<u64>>();
         stock(&mut peer, 9, 2);
         let key = peer.sessions[&first].verified;
         for conn in first..first + 1000 {
@@ -557,15 +558,15 @@ mod tests {
             peer.sessions.entry(conn).or_default().verified = key;
             peer.on_message(conn, Wire::FileRequest { file_id: 9 }, &mut r)
                 .unwrap();
-            assert_eq!(peer.active_conns(), vec![conn]);
+            assert_eq!(active(&peer), vec![conn]);
             while peer.next_message(conn).is_some() {}
-            assert!(peer.active_conns().is_empty(), "stock exhausted");
+            assert!(active(&peer).is_empty(), "stock exhausted");
             peer.on_message(conn, Wire::StopTransmission { file_id: 9 }, &mut r)
                 .unwrap();
         }
         assert_eq!(peer.sessions.len(), 1000, "completed sessions are kept");
         assert!(peer.transfer_schedule(first + 500).is_some());
-        assert!(peer.active_conns().is_empty());
+        assert!(active(&peer).is_empty());
         assert!(
             peer.serving_conns.is_empty(),
             "a serve pass has no stopped session left to inspect"
@@ -577,9 +578,9 @@ mod tests {
             peer.on_message(conn, Wire::FileRequest { file_id: 9 }, &mut r)
                 .unwrap();
         }
-        assert_eq!(peer.active_conns(), vec![first + 3, first + 700]);
+        assert_eq!(active(&peer), vec![first + 3, first + 700]);
         peer.disconnect(first + 3);
-        assert_eq!(peer.active_conns(), vec![first + 700]);
+        assert_eq!(active(&peer), vec![first + 700]);
         assert_eq!(peer.serving_conns.len(), 1);
     }
 

@@ -1,5 +1,5 @@
-//! The threaded real-time runtime — the paper's §VI-A future work
-//! ("implement the proposed system in a dynamic real-time environment").
+//! The real-time runtime — the paper's §VI-A future work ("implement the
+//! proposed system in a dynamic real-time environment").
 //!
 //! Peers exchange *serialized* wire messages over an in-process transport,
 //! with token-bucket uplink shaping standing in for the physical link.
@@ -7,29 +7,26 @@
 //! Eq.-2 serving, chunk stops, feedback — plus real concurrency, real
 //! (de)serialization on every hop, and wall-clock rate limiting.
 //!
-//! Two hosting runtimes share the same [`Peer`](crate::Peer) state
-//! machine: the original thread-per-peer [`PeerHost`] (one blocking OS
-//! thread per hosted peer) and the event-loop [`Reactor`], which serves
-//! hundreds of peers per worker thread behind adaptive per-connection
-//! in-flight windows ([`AdaptiveWindow`]). Prefer the reactor for any
-//! fan-out beyond a handful of peers; `PeerHost` remains as the simple
-//! baseline the benchmarks compare against.
+//! Peers are hosted by the event-loop [`Reactor`]: one worker thread (or a
+//! few) serves hundreds of [`Peer`](crate::Peer) state machines behind
+//! adaptive per-connection in-flight windows ([`AdaptiveWindow`]). The
+//! client side is [`download_file_with`], a blocking loop on the caller's
+//! thread that drives the same recovery ladder as the simulator, on wall
+//! seconds.
 //!
 //! # Example
 //!
 //! ```rust,no_run
-//! use asymshare::rt::{download_file, PeerHost, RtNetwork};
+//! use asymshare::rt::{download_file, Reactor, ReactorConfig, RtNetwork};
 //! use asymshare::{Identity, Peer};
-//! use std::time::Duration;
 //!
 //! let network = RtNetwork::new();
-//! let identity = Identity::from_seed(b"peer");
-//! let peer = Peer::new(identity, 1000.0);
-//! let _host = PeerHost::spawn(&network, 1, peer, 1 << 20, Duration::from_millis(20));
+//! let mut reactor = Reactor::new(&network, ReactorConfig::default());
+//! let peer = Peer::new(Identity::from_seed(b"peer"), 1000.0);
+//! reactor.add_peer(1, peer, 1 << 20);
 //! // ... disseminate, then download_file(...) from a user thread.
 //! ```
 
-mod host;
 mod limiter;
 mod metrics_http;
 mod monitor;
@@ -38,17 +35,17 @@ mod reactor;
 mod transport;
 mod window;
 
-pub use host::{PeerHost, MAX_COALESCE};
 pub use limiter::TokenBucket;
 pub use metrics_http::MetricsServer;
 pub use monitor::HealthMonitor;
 pub use pool::{BufferPool, PoolStats};
-pub use reactor::{Reactor, ReactorConfig};
+pub use reactor::{Reactor, ReactorConfig, MAX_COALESCE};
 pub use transport::{Envelope, FaultPlan, FaultStats, FrameIter, RtNetwork};
 pub use window::{AdaptiveWindow, WindowConfig};
 
 use crate::error::SystemError;
 use crate::protocol::Wire;
+use crate::recovery::{Action, LadderConfig, LadderView, RecoveryLadder};
 use crate::user::{ConnStage, User};
 use asymshare_crypto::chacha20::ChaChaRng;
 use asymshare_gf::Gf2p32;
@@ -63,8 +60,9 @@ pub struct DownloadOptions {
     /// A peer silent for this long is considered stalled and recovered
     /// (re-request, then reconnect, then written off).
     pub stall_timeout: Duration,
-    /// Base reconnect backoff; doubles per consecutive retry (capped at
-    /// 8×), so a flapping peer is probed ever more gently.
+    /// Base reconnect backoff; the first retry waits twice this, doubling
+    /// per consecutive retry (capped at 8×), so a flapping peer is probed
+    /// ever more gently.
     pub retry_backoff: Duration,
     /// Consecutive fruitless recovery attempts before a peer is declared
     /// dead and its demand re-planned onto the survivors.
@@ -86,14 +84,30 @@ impl DownloadOptions {
     }
 }
 
-/// Per-peer health tracking for the self-healing loop.
-struct PeerTrack {
-    addr: u64,
-    key: [u8; 64],
-    last_activity: Instant,
-    next_attempt: Instant,
-    retries: u32,
-    dead: bool,
+/// Base delay between replacement requests for the same `(peer, chunk)`,
+/// wall seconds (the ladder doubles it per consecutive request).
+const REPL_BACKOFF_BASE_SECS: f64 = 0.1;
+
+/// What the download's [`RecoveryLadder`] sees: the user's connection
+/// stages and the network's health verdicts. The connection id is the
+/// peer's address; verdicts are read on the event sink's clock.
+struct DownloadView<'a> {
+    user: &'a User<Gf2p32>,
+    network: &'a RtNetwork,
+}
+
+impl LadderView for DownloadView<'_> {
+    fn stage(&self, conn: u64) -> Option<ConnStage> {
+        self.user.stage(conn)
+    }
+
+    fn quarantined(&self, conn: u64, _now: f64) -> bool {
+        self.network.peer_quarantined(conn)
+    }
+
+    fn sick(&self, conn: u64) -> bool {
+        self.network.peer_is_sick(conn)
+    }
 }
 
 /// Downloads the user's file by contacting `peers` in parallel over the
@@ -138,14 +152,23 @@ pub fn download_file(
 /// [`RtNetwork::peer_quarantined`]), the loop stops its transmission,
 /// re-plans its demand onto honest survivors, and pauses its stall clock
 /// until the timed ban lapses — a Byzantine peer is excluded instead of
-/// endlessly retried. Recovery actions are tallied in the user's
+/// endlessly retried. *When and whom* is decided by the same recovery
+/// ladder the simulator drives; this loop puts its decisions on the wire
+/// and tallies them in the user's
 /// [`SessionStats`](crate::user::SessionStats).
+///
+/// A protocol error raised on a connection that is not (yet) downloading —
+/// a stale reply to a handshake the ladder has since re-run, a late frame
+/// from a written-off peer — costs that connection, not the fetch: it is
+/// dropped (`rt.heal`/`handshake_error`) and the ladder recovers or writes
+/// off the peer. Errors on an authenticated connection stay fatal.
 ///
 /// # Errors
 ///
 /// [`SystemError::AllPeersUnavailable`] when every peer is written off
-/// before completion, [`SystemError::Codec`] (not-enough-messages) on
-/// timeout, or fatal protocol errors.
+/// before completion, [`SystemError::AuthenticationRejected`] when every
+/// peer refused, [`SystemError::Codec`] (not-enough-messages) on timeout,
+/// or fatal protocol errors.
 pub fn download_file_with(
     network: &RtNetwork,
     my_addr: u64,
@@ -158,6 +181,8 @@ pub fn download_file_with(
     let mut rng = ChaChaRng::new([0x5D; 32], *b"rt-download!");
     let file_id = user.file_id();
     let started = Instant::now();
+    // The ladder's clock: seconds since the download started.
+    let secs = |t: Instant| t.duration_since(started).as_secs_f64();
     // Observability: handles resolved once (inert when the network was not
     // built with `with_observability`); the span records the wall-clock
     // duration of the whole download, error paths included.
@@ -177,38 +202,27 @@ pub fn download_file_with(
     let mut window_msgs: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
     let mut window_flushed = started;
     const WINDOW_FLUSH: Duration = Duration::from_millis(250);
-    // Replacement-request rate limit per (peer, chunk): next allowed
-    // instant plus how often the pair has fired; the backoff doubles per
-    // repeat (capped at 32×) so a polluting peer cannot amplify each
-    // rejected message into a fresh request.
-    const REPL_BACKOFF_BASE: Duration = Duration::from_millis(100);
-    let mut repl_limit: std::collections::HashMap<(u64, u32), (Instant, u32)> =
-        std::collections::HashMap::new();
-    // Peers currently serving a quarantine ban (response ladder state).
-    let mut quarantined: std::collections::HashSet<u64> = std::collections::HashSet::new();
     // Connect to every peer; the connection id is the peer's address so
     // both sides key their session state consistently.
-    let mut tracks: Vec<PeerTrack> = peers
-        .iter()
-        .map(|&(addr, key)| PeerTrack {
-            addr,
-            key,
-            last_activity: started,
-            next_attempt: started,
-            retries: 0,
-            dead: false,
-        })
-        .collect();
-    for t in &mut tracks {
-        let commit = user.connect(t.addr, t.key, &mut rng);
-        if !network.send(my_addr, t.addr, &commit) {
-            t.dead = true;
+    let mut ladder = RecoveryLadder::new(
+        LadderConfig {
+            stall_secs: options.stall_timeout.as_secs_f64(),
+            retry_backoff_secs: options.retry_backoff.as_secs_f64(),
+            max_retries: options.max_peer_retries,
+            replacement_base_secs: REPL_BACKOFF_BASE_SECS,
+        },
+        peers.iter().map(|&(addr, _)| addr),
+        0.0,
+    );
+    for &(addr, key) in peers {
+        let commit = user.connect(addr, key, &mut rng);
+        if !network.send(my_addr, addr, &commit) {
+            ladder.lost(addr);
         }
     }
     let deadline = started + options.timeout;
-    // Round-robin cursor for picking the survivor that absorbs a dead
-    // peer's demand.
-    let mut reassign_rr = 0usize;
+    // Normally empty: the ladder appends only when something is due.
+    let mut actions: Vec<Action> = Vec::new();
     while !user.is_complete() {
         network.pump();
         if !window_msgs.is_empty() && window_flushed.elapsed() >= WINDOW_FLUSH {
@@ -233,9 +247,8 @@ pub fn download_file_with(
         // surfaced as `SessionStats::backoff_wait_us`; waiting on a slow but
         // healthy link is ordinary waiting.
         const BASE_POLL: Duration = Duration::from_millis(50);
-        let (poll, backing_off) =
-            heal_poll(&tracks, &quarantined, now, BASE_POLL, options.stall_timeout);
-        let poll = poll.min(remaining);
+        let (wait, backing_off) = ladder.next_deadline(secs(now));
+        let poll = Duration::from_secs_f64(wait).max(BASE_POLL).min(remaining);
         let wait_started = Instant::now();
         let received = inbox.recv_timeout(poll);
         if backing_off && poll > BASE_POLL {
@@ -243,12 +256,8 @@ pub fn download_file_with(
             user.stats_mut().backoff_wait_us += extra.as_micros() as u64;
         }
         if let Some(envelope) = received {
-            if let Some(t) = tracks.iter_mut().find(|t| t.addr == envelope.from) {
-                // Any traffic — even redundant re-sends — proves the peer
-                // is alive, so its retry budget refills.
-                t.last_activity = Instant::now();
-                t.retries = 0;
-            }
+            let from = envelope.from;
+            ladder.on_activity(from, secs(Instant::now()));
             // A serving peer coalesces several frames into one datagram;
             // each MessageData payload is a zero-copy handle into the
             // envelope's buffer, fed straight to the decoder.
@@ -256,7 +265,7 @@ pub fn download_file_with(
                 let wire = frame?;
                 if let Wire::MessageData(msg) = &wire {
                     if events.is_enabled() {
-                        *window_msgs.entry(envelope.from).or_insert(0) += 1;
+                        *window_msgs.entry(from).or_insert(0) += 1;
                     }
                     // An arriving message closes any open replacement
                     // round-trip for its chunk (checked only while one is
@@ -270,7 +279,7 @@ pub fn download_file_with(
                                 "rt.download",
                                 "replacement_served",
                                 &[
-                                    ("peer", envelope.from.into()),
+                                    ("peer", from.into()),
                                     ("chunk", chunk.into()),
                                     ("rtt_us", rtt.into()),
                                 ],
@@ -278,25 +287,12 @@ pub fn download_file_with(
                         }
                     }
                 }
-                match user.on_message(envelope.from, wire, &mut rng) {
+                match user.on_message(from, wire, &mut rng) {
                     Ok(replies) => {
-                        let mut lost = Vec::new();
                         for (conn, reply) in replies {
                             if !network.send(my_addr, conn, &reply) {
-                                lost.push(conn);
+                                ladder.lost(conn);
                             }
-                        }
-                        for conn in lost {
-                            write_off(user, &mut tracks, conn, &events);
-                            reassign(
-                                network,
-                                my_addr,
-                                user,
-                                &tracks,
-                                &mut reassign_rr,
-                                file_id,
-                                &events,
-                            );
                         }
                     }
                     // Digest-rejected message: corrupted or tampered in
@@ -310,32 +306,20 @@ pub fn download_file_with(
                         events.emit(
                             "rt.download",
                             "digest_reject",
-                            &[("peer", envelope.from.into()), ("chunk", chunk.into())],
+                            &[("peer", from.into()), ("chunk", chunk.into())],
                         );
                         let now = Instant::now();
-                        let gate = repl_limit.entry((envelope.from, chunk)).or_insert((now, 0));
-                        if now >= gate.0 {
-                            gate.1 = gate.1.saturating_add(1);
-                            gate.0 = now + REPL_BACKOFF_BASE * (1u32 << (gate.1 - 1).min(5));
+                        if ladder.admit_replacement(from, chunk, secs(now)) {
                             user.stats_mut().replacements += 1;
                             events.emit(
                                 "rt.download",
                                 "replacement_request",
-                                &[("peer", envelope.from.into()), ("chunk", chunk.into())],
+                                &[("peer", from.into()), ("chunk", chunk.into())],
                             );
                             pending_repl.entry(chunk).or_insert(now);
                             let request = Wire::ReplacementRequest { file_id, chunk };
-                            if !network.send(my_addr, envelope.from, &request) {
-                                write_off(user, &mut tracks, envelope.from, &events);
-                                reassign(
-                                    network,
-                                    my_addr,
-                                    user,
-                                    &tracks,
-                                    &mut reassign_rr,
-                                    file_id,
-                                    &events,
-                                );
+                            if !network.send(my_addr, from, &request) {
+                                ladder.lost(from);
                             }
                         }
                     }
@@ -344,14 +328,19 @@ pub fn download_file_with(
                     // but the health engine's replay detector counts the
                     // per-peer duplicate rate.
                     Err(SystemError::Codec(CodecError::DuplicateMessage { .. })) => {
-                        events.emit(
-                            "rt.download",
-                            "duplicate",
-                            &[("peer", envelope.from.into())],
-                        );
+                        events.emit("rt.download", "duplicate", &[("peer", from.into())]);
+                    }
+                    // Not (yet) downloading from this peer: a stale reply
+                    // to a handshake the ladder re-ran, or a late frame on
+                    // a written-off connection. Nothing of it was trusted;
+                    // a wedged handshake stalls and the ladder re-runs it
+                    // or writes the peer off.
+                    Err(_) if user.stage(from) != Some(ConnStage::Downloading) => {
+                        events.emit("rt.heal", "handshake_error", &[("peer", from.into())]);
                     }
                     // Every other error (decoder parameters, protocol
-                    // state, MITM) is genuine and must surface.
+                    // state on an authenticated connection) is genuine
+                    // and must surface.
                     Err(e) => return Err(e),
                 }
             }
@@ -361,127 +350,96 @@ pub fn download_file_with(
         if user.is_complete() {
             break;
         }
-        if tracks
+        if peers
             .iter()
-            .all(|t| user.stage(t.addr) == Some(ConnStage::Refused))
+            .all(|&(addr, _)| user.stage(addr) == Some(ConnStage::Refused))
         {
             return Err(SystemError::AuthenticationRejected {
                 context: "all peers refused".to_owned(),
             });
         }
-        // Health pass: recover stalled peers, write off hopeless ones.
-        let now = Instant::now();
-        for i in 0..tracks.len() {
-            let t = &tracks[i];
-            if t.dead {
-                continue;
+        // Recovery pass: carry out whatever the ladder says is due. A send
+        // that fails here reports the peer lost, which the next poll of the
+        // same pass turns into its write-off and re-plan.
+        let now = secs(Instant::now());
+        loop {
+            ladder.poll(now, &DownloadView { user, network }, &mut actions);
+            if actions.is_empty() {
+                break;
             }
-            if user.stage(t.addr) == Some(ConnStage::Refused) {
-                // Authentication refusal is terminal; nothing to re-plan
-                // because the peer never served a byte.
-                tracks[i].dead = true;
-                continue;
-            }
-            // Active response ladder: a peer the health engine has
-            // quarantined is stopped once, its demand re-planned onto
-            // honest survivors, and its stall clock paused — no retries
-            // are burned probing a banned peer. When the timed ban
-            // lapses, its sweep is restarted.
-            let addr = t.addr;
-            if network.peer_quarantined(addr) {
-                if quarantined.insert(addr) {
-                    user.stats_mut().quarantines += 1;
-                    let until = network.peer_quarantined_until(addr).unwrap_or(0.0);
-                    events.emit(
-                        "rt.heal",
-                        "quarantine",
-                        &[("peer", addr.into()), ("until", until.into())],
-                    );
-                    network.send(my_addr, addr, &Wire::StopTransmission { file_id });
-                    reassign(
-                        network,
-                        my_addr,
-                        user,
-                        &tracks,
-                        &mut reassign_rr,
-                        file_id,
-                        &events,
-                    );
+            for action in actions.drain(..) {
+                match action {
+                    Action::Resweep { conn, attempt } | Action::Rehandshake { conn, attempt } => {
+                        user.stats_mut().retries += 1;
+                        events.emit(
+                            "rt.heal",
+                            "retry",
+                            &[("peer", conn.into()), ("attempt", attempt.into())],
+                        );
+                        let delivered = if matches!(action, Action::Resweep { .. }) {
+                            // The stream dried up or its messages were
+                            // lost: restart the peer's sweep (duplicates
+                            // are rejected cheaply) and re-declare the
+                            // chunks we already hold.
+                            request_sweep(network, my_addr, user, conn)
+                        } else {
+                            // Handshake wedged (a control message was
+                            // lost): re-run it from the commit.
+                            peers.iter().find(|p| p.0 == conn).is_some_and(|&(_, key)| {
+                                let commit = user.connect(conn, key, &mut rng);
+                                network.send(my_addr, conn, &commit)
+                            })
+                        };
+                        if !delivered {
+                            ladder.lost(conn);
+                        }
+                    }
+                    Action::WriteOff { conn } => {
+                        user.drop_conn(conn);
+                        events.emit("rt.heal", "write_off", &[("peer", conn.into())]);
+                    }
+                    // Restart the survivor's sweep so messages only the
+                    // dead or banned peer had sent get re-covered.
+                    Action::Reassign {
+                        target,
+                        deprioritized,
+                    } => {
+                        if request_sweep(network, my_addr, user, target) {
+                            user.stats_mut().reassignments += 1;
+                            events.emit(
+                                "rt.heal",
+                                "reassign",
+                                &[
+                                    ("target", target.into()),
+                                    ("deprioritized", deprioritized.into()),
+                                ],
+                            );
+                        } else {
+                            ladder.lost(target);
+                        }
+                    }
+                    Action::Quarantined { conn } => {
+                        user.stats_mut().quarantines += 1;
+                        let until = network.peer_quarantined_until(conn).unwrap_or(0.0);
+                        events.emit(
+                            "rt.heal",
+                            "quarantine",
+                            &[("peer", conn.into()), ("until", until.into())],
+                        );
+                        network.send(my_addr, conn, &Wire::StopTransmission { file_id });
+                    }
+                    // Probe the peer again with a fresh sweep at once (it
+                    // keeps earning quarantine back if it still attacks).
+                    Action::BanLapsed { conn } => {
+                        if user.stage(conn) == Some(ConnStage::Downloading) {
+                            request_sweep(network, my_addr, user, conn);
+                        }
+                        ladder.on_activity(conn, now);
+                    }
                 }
-                let t = &mut tracks[i];
-                t.last_activity = now;
-                t.retries = 0;
-                continue;
-            }
-            if quarantined.remove(&addr) {
-                // Ban lapsed: probe the peer again with a fresh sweep
-                // (it keeps earning quarantine back if it still attacks).
-                if user.stage(addr) == Some(ConnStage::Downloading) {
-                    let _ = network.send(my_addr, addr, &Wire::FileRequest { file_id })
-                        && send_stops(network, my_addr, user, addr, file_id);
-                }
-                tracks[i].last_activity = now;
-                continue;
-            }
-            let t = &tracks[i];
-            if now.duration_since(t.last_activity) <= options.stall_timeout || now < t.next_attempt
-            {
-                continue;
-            }
-            if t.retries >= options.max_peer_retries {
-                let addr = t.addr;
-                write_off(user, &mut tracks, addr, &events);
-                reassign(
-                    network,
-                    my_addr,
-                    user,
-                    &tracks,
-                    &mut reassign_rr,
-                    file_id,
-                    &events,
-                );
-                continue;
-            }
-            let t = &mut tracks[i];
-            t.retries += 1;
-            // Bounded exponential backoff: 1×, 2×, 4×, capped at 8×.
-            let factor = 1u32 << t.retries.min(3);
-            t.next_attempt = now + options.retry_backoff * factor;
-            user.stats_mut().retries += 1;
-            events.emit(
-                "rt.heal",
-                "retry",
-                &[("peer", t.addr.into()), ("attempt", t.retries.into())],
-            );
-            let delivered = if user.stage(t.addr) == Some(ConnStage::Downloading) {
-                // The stream dried up or its messages were lost: restart
-                // the peer's sweep (duplicates are rejected cheaply) and
-                // re-declare the chunks we already hold.
-                network.send(my_addr, t.addr, &Wire::FileRequest { file_id })
-                    && send_stops(network, my_addr, user, t.addr, file_id)
-            } else {
-                // Handshake wedged (a control message was lost): tear the
-                // connection down and re-run it from the commit.
-                let (addr, key) = (t.addr, t.key);
-                user.drop_conn(addr);
-                let commit = user.connect(addr, key, &mut rng);
-                network.send(my_addr, addr, &commit)
-            };
-            if !delivered {
-                let addr = tracks[i].addr;
-                write_off(user, &mut tracks, addr, &events);
-                reassign(
-                    network,
-                    my_addr,
-                    user,
-                    &tracks,
-                    &mut reassign_rr,
-                    file_id,
-                    &events,
-                );
             }
         }
-        if tracks.iter().all(|t| t.dead) {
+        if ladder.all_dead() {
             return Err(SystemError::AllPeersUnavailable {
                 have: user.independent_count(),
                 need: user.messages_needed(),
@@ -504,51 +462,6 @@ pub fn download_file_with(
     user.decode()
 }
 
-/// Picks the inbox poll duration for the self-healing loop: the base
-/// cadence while any live, unbanned peer could need recovery right now,
-/// otherwise the time until the earliest recovery deadline (a peer's stall
-/// deadline or scheduled retry), capped at `cap` so lapsing quarantine
-/// bans are still re-checked. With every live peer banned (windows
-/// closed), the loop waits the full cap rather than spinning.
-///
-/// The flag says whether that wait honors a backoff — the earliest
-/// deadline is a scheduled retry rather than a stall deadline, or only
-/// quarantined peers are left — as opposed to ordinary waiting for a
-/// healthy peer's next message.
-fn heal_poll(
-    tracks: &[PeerTrack],
-    quarantined: &std::collections::HashSet<u64>,
-    now: Instant,
-    base: Duration,
-    cap: Duration,
-) -> (Duration, bool) {
-    // Earliest recovery deadline, and whether a retry backoff set it.
-    let mut next: Option<(Instant, bool)> = None;
-    let mut banned = false;
-    for t in tracks.iter().filter(|t| !t.dead) {
-        if quarantined.contains(&t.addr) {
-            // Banned: nothing to probe until the ban lapses (re-checked
-            // at the cap).
-            banned = true;
-            continue;
-        }
-        // A recovery action fires once the peer is both past its stall
-        // deadline and past its retry backoff.
-        let stall_due = t.last_activity + cap;
-        let due = stall_due.max(t.next_attempt);
-        if due <= now {
-            return (base, false);
-        }
-        if next.is_none_or(|(n, _)| due < n) {
-            next = Some((due, t.next_attempt > stall_due));
-        }
-    }
-    match next {
-        Some((due, retry)) => (due.duration_since(now).clamp(base, cap), retry),
-        None => (cap, banned),
-    }
-}
-
 /// Emits the accumulated per-peer message counts as `rt.download`/`window`
 /// events (peer order ascending, so logs are stable) and clears the map.
 fn flush_windows(
@@ -569,91 +482,15 @@ fn flush_windows(
     }
 }
 
-/// Marks `addr` dead and forgets its connection state.
-fn write_off(
-    user: &mut User<Gf2p32>,
-    tracks: &mut [PeerTrack],
-    addr: u64,
-    events: &asymshare_obs::EventSink,
-) {
-    user.drop_conn(addr);
-    if let Some(t) = tracks.iter_mut().find(|t| t.addr == addr) {
-        t.dead = true;
-    }
-    events.emit("rt.heal", "write_off", &[("peer", addr.into())]);
-}
-
-/// Re-plans a dead peer's demand onto the next live downloading survivor:
-/// restarts that survivor's sweep so messages only the dead peer had sent
-/// get re-covered, and re-declares completed chunks so the survivor skips
-/// them.
-fn reassign(
-    network: &RtNetwork,
-    my_addr: u64,
-    user: &mut User<Gf2p32>,
-    tracks: &[PeerTrack],
-    rr: &mut usize,
-    file_id: u64,
-    events: &asymshare_obs::EventSink,
-) {
-    let live: Vec<u64> = tracks
-        .iter()
-        .filter(|t| !t.dead && user.stage(t.addr) == Some(ConnStage::Downloading))
-        .map(|t| t.addr)
-        .collect();
-    if live.is_empty() {
-        return;
-    }
-    // Quarantined peers are excluded from the re-plan pool outright (they
-    // are under a timed ban); only if every survivor is banned does the
-    // full live pool still serve, so the download cannot strand itself.
-    let unbanned: Vec<u64> = live
-        .iter()
-        .copied()
-        .filter(|&addr| !network.peer_quarantined(addr))
-        .collect();
-    let base = if unbanned.is_empty() {
-        &live
-    } else {
-        &unbanned
-    };
-    // Deprioritize (never ban) survivors the health engine currently marks
-    // sick; if every survivor is sick, the full pool still serves. With no
-    // engine installed nobody is sick, so the round-robin is unchanged.
-    let healthy: Vec<u64> = base
-        .iter()
-        .copied()
-        .filter(|&addr| !network.peer_is_sick(addr))
-        .collect();
-    let pool = if healthy.is_empty() { base } else { &healthy };
-    let deprioritized = (live.len() - pool.len()) as u64;
-    let target = pool[*rr % pool.len()];
-    *rr += 1;
-    if network.send(my_addr, target, &Wire::FileRequest { file_id }) {
-        let _ = send_stops(network, my_addr, user, target, file_id);
-        user.stats_mut().reassignments += 1;
-        events.emit(
-            "rt.heal",
-            "reassign",
-            &[
-                ("target", target.into()),
-                ("deprioritized", deprioritized.into()),
-            ],
-        );
-    }
-}
-
-/// Tells `addr` to skip every chunk the user has already decoded.
-fn send_stops(
-    network: &RtNetwork,
-    my_addr: u64,
-    user: &User<Gf2p32>,
-    addr: u64,
-    file_id: u64,
-) -> bool {
-    user.completed_chunks()
-        .into_iter()
-        .all(|chunk| network.send(my_addr, addr, &Wire::StopChunk { file_id, chunk }))
+/// (Re)starts `addr`'s sweep and tells it to skip every chunk the user has
+/// already decoded. `false` when the peer's address is gone.
+fn request_sweep(network: &RtNetwork, my_addr: u64, user: &User<Gf2p32>, addr: u64) -> bool {
+    let file_id = user.file_id();
+    network.send(my_addr, addr, &Wire::FileRequest { file_id })
+        && user
+            .completed_chunks()
+            .into_iter()
+            .all(|chunk| network.send(my_addr, addr, &Wire::StopChunk { file_id, chunk }))
 }
 
 #[cfg(test)]
@@ -662,24 +499,20 @@ mod tests {
     use crate::identity::Identity;
     use crate::peer::Peer;
     use asymshare_gf::FieldKind;
-    use asymshare_rlnc::{ChunkedEncoder, DigestKind, FileId};
+    use asymshare_rlnc::{ChunkedEncoder, DigestKind, EncodedMessage, FileId};
 
     fn build_file(
         owner: &Identity,
         n_peers: usize,
         len: usize,
-    ) -> (
-        Vec<Vec<asymshare_rlnc::EncodedMessage>>,
-        asymshare_rlnc::FileManifest,
-    ) {
-        let data: Vec<u8> = (0..len).map(|i| (i * 41 % 251) as u8).collect();
+    ) -> (Vec<Vec<EncodedMessage>>, asymshare_rlnc::FileManifest) {
         let mut enc = ChunkedEncoder::<Gf2p32>::with_chunk_size(
             FieldKind::Gf2p32,
             4,
             DigestKind::Md5,
             owner.coding_secret().clone(),
             FileId(5),
-            &data,
+            &file_bytes(len),
             16 * 1024,
         )
         .unwrap();
@@ -687,32 +520,54 @@ mod tests {
         (batches, enc.manifest().clone())
     }
 
+    fn file_bytes(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 41 % 251) as u8).collect()
+    }
+
+    /// A peer subscribed to `owner`, stocked with `batch`, and its key.
+    fn stocked_peer(
+        owner: &Identity,
+        seed: &[u8],
+        batch: impl IntoIterator<Item = EncodedMessage>,
+    ) -> (Peer, [u8; 64]) {
+        let identity = Identity::from_seed(seed);
+        let key = identity.public_key().to_bytes();
+        let mut peer = Peer::new(identity, 1_000.0);
+        peer.add_subscriber(owner.public_key().to_bytes());
+        for m in batch {
+            peer.store_mut().insert(m);
+        }
+        (peer, key)
+    }
+
+    /// One reactor hosting `batches[i]` at address `base + i`, every uplink
+    /// shaped to `rate` bytes per second.
+    fn host_fleet(
+        network: &RtNetwork,
+        owner: &Identity,
+        batches: Vec<Vec<EncodedMessage>>,
+        base: u64,
+        tag: [u8; 2],
+        rate: u64,
+    ) -> (Reactor, Vec<(u64, [u8; 64])>) {
+        let mut reactor = Reactor::new(network, ReactorConfig::default());
+        let mut peer_addrs = Vec::new();
+        for (i, batch) in batches.into_iter().enumerate() {
+            let (peer, key) = stocked_peer(owner, &[tag[0], tag[1], i as u8], batch);
+            let addr = base + i as u64;
+            reactor.add_peer(addr, peer, rate);
+            peer_addrs.push((addr, key));
+        }
+        (reactor, peer_addrs)
+    }
+
     #[test]
-    fn threaded_download_from_three_peers() {
+    fn download_from_three_peers() {
         let network = RtNetwork::new();
         let owner = Identity::from_seed(b"rt-owner");
         let (batches, manifest) = build_file(&owner, 3, 96 * 1024);
-
-        let mut hosts = Vec::new();
-        let mut peer_addrs = Vec::new();
-        for (i, batch) in batches.into_iter().enumerate() {
-            let identity = Identity::from_seed(&[b'r', b't', i as u8]);
-            let key = identity.public_key().to_bytes();
-            let mut peer = Peer::new(identity, 1_000.0);
-            peer.add_subscriber(owner.public_key().to_bytes());
-            for m in batch {
-                peer.store_mut().insert(m);
-            }
-            let addr = 100 + i as u64;
-            hosts.push(PeerHost::spawn(
-                &network,
-                addr,
-                peer,
-                4 << 20, // 4 MB/s uplink so the test is fast
-                Duration::from_millis(5),
-            ));
-            peer_addrs.push((addr, key));
-        }
+        // 4 MB/s uplinks so the test is fast.
+        let (reactor, peer_addrs) = host_fleet(&network, &owner, batches, 100, *b"rt", 4 << 20);
 
         let mut user = User::<Gf2p32>::new(owner, manifest).unwrap();
         let data = download_file(
@@ -724,11 +579,8 @@ mod tests {
             Duration::from_secs(30),
         )
         .expect("download completes");
-        let expect: Vec<u8> = (0..96 * 1024).map(|i| (i * 41 % 251) as u8).collect();
-        assert_eq!(data, expect);
-        for host in hosts {
-            host.shutdown();
-        }
+        assert_eq!(data, file_bytes(96 * 1024));
+        reactor.shutdown();
     }
 
     #[test]
@@ -740,21 +592,14 @@ mod tests {
         let network = RtNetwork::new();
         let owner = Identity::from_seed(b"rt-slow");
         let (batches, manifest) = build_file(&owner, 1, 128 * 1024);
-        let identity = Identity::from_seed(b"rt-slow-peer");
-        let key = identity.public_key().to_bytes();
-        let mut peer = Peer::new(identity, 1_000.0);
-        peer.add_subscriber(owner.public_key().to_bytes());
-        for m in batches.into_iter().next().unwrap() {
-            peer.store_mut().insert(m);
-        }
-        let host = PeerHost::spawn(&network, 150, peer, 48 << 10, Duration::from_millis(5));
+        let (reactor, peer_addrs) = host_fleet(&network, &owner, batches, 150, *b"sl", 48 << 10);
         let mut user = User::<Gf2p32>::new(owner, manifest).unwrap();
         let started = Instant::now();
         download_file(
             &network,
             8,
             &mut user,
-            &[(150, key)],
+            &peer_addrs,
             150,
             Duration::from_secs(30),
         )
@@ -766,7 +611,23 @@ mod tests {
         );
         assert_eq!(user.stats().retries, 0, "{:?}", user.stats());
         assert_eq!(user.stats().backoff_wait_us, 0, "{:?}", user.stats());
-        host.shutdown();
+        reactor.shutdown();
+    }
+
+    /// A reactor hosting one peer that stores only two messages of the
+    /// file: not enough to decode.
+    fn host_partial_peer(
+        network: &RtNetwork,
+        owner: &Identity,
+        batches: Vec<Vec<EncodedMessage>>,
+        addr: u64,
+        seed: &[u8],
+    ) -> (Reactor, [u8; 64]) {
+        let stock = batches.into_iter().next().unwrap().into_iter().take(2);
+        let (peer, key) = stocked_peer(owner, seed, stock);
+        let mut reactor = Reactor::new(network, ReactorConfig::default());
+        reactor.add_peer(addr, peer, 4 << 20);
+        (reactor, key)
     }
 
     #[test]
@@ -774,15 +635,7 @@ mod tests {
         let network = RtNetwork::new();
         let owner = Identity::from_seed(b"rt-owner2");
         let (batches, manifest) = build_file(&owner, 1, 32 * 1024);
-        // The peer stores only half of one batch: not enough to decode.
-        let identity = Identity::from_seed(b"rt-partial");
-        let key = identity.public_key().to_bytes();
-        let mut peer = Peer::new(identity, 1_000.0);
-        peer.add_subscriber(owner.public_key().to_bytes());
-        for m in batches.into_iter().next().unwrap().into_iter().take(2) {
-            peer.store_mut().insert(m);
-        }
-        let host = PeerHost::spawn(&network, 200, peer, 4 << 20, Duration::from_millis(5));
+        let (reactor, key) = host_partial_peer(&network, &owner, batches, 200, b"rt-partial");
         let mut user = User::<Gf2p32>::new(owner, manifest).unwrap();
         let err = download_file(
             &network,
@@ -795,7 +648,7 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, SystemError::Codec(_)));
         assert!(user.progress() > 0.0, "partial progress was made");
-        host.shutdown();
+        reactor.shutdown();
     }
 
     /// The default fault seed for rt tests; CI sweeps a small matrix via
@@ -811,31 +664,17 @@ mod tests {
     fn download_survives_lossy_links() {
         let network = RtNetwork::new();
         let owner = Identity::from_seed(b"rt-lossy");
-        let (batches, manifest) = build_file(&owner, 3, 96 * 1024);
-        let mut hosts = Vec::new();
-        let mut peer_addrs = Vec::new();
-        for (i, batch) in batches.into_iter().enumerate() {
-            let identity = Identity::from_seed(&[b'l', b'y', i as u8]);
-            let key = identity.public_key().to_bytes();
-            let mut peer = Peer::new(identity, 1_000.0);
-            peer.add_subscriber(owner.public_key().to_bytes());
-            for m in batch {
-                peer.store_mut().insert(m);
-            }
-            let addr = 400 + i as u64;
-            hosts.push(PeerHost::spawn(
-                &network,
-                addr,
-                peer,
-                4 << 20,
-                Duration::from_millis(5),
-            ));
-            peer_addrs.push((addr, key));
-        }
+        // Coalescing packs eight messages into a datagram, so the file must
+        // be big and the faults heavy for every CI seed to realise them on
+        // the data path: hundreds of sends, a quarter lost, a tenth
+        // corrupted.
+        const LEN: usize = 1024 * 1024;
+        let (batches, manifest) = build_file(&owner, 3, LEN);
+        let (reactor, peer_addrs) = host_fleet(&network, &owner, batches, 400, *b"ly", 4 << 20);
         network.install_faults(
             FaultPlan::new(fault_seed())
-                .with_loss(0.05)
-                .with_corruption(0.02),
+                .with_loss(0.25)
+                .with_corruption(0.1),
         );
         let mut user = User::<Gf2p32>::new(owner, manifest).unwrap();
         let data = download_file_with(
@@ -852,13 +691,16 @@ mod tests {
             },
         )
         .expect("download heals through loss and corruption");
-        let expect: Vec<u8> = (0..96 * 1024).map(|i| (i * 41 % 251) as u8).collect();
-        assert_eq!(data, expect);
+        assert_eq!(data, file_bytes(LEN));
         let faults = network.fault_stats();
         assert!(faults.dropped > 0, "losses were actually injected");
-        for host in hosts {
-            host.shutdown();
-        }
+        assert!(faults.corrupted > 0, "corruption was actually injected");
+        assert!(
+            user.stats().retries + user.stats().replacements > 0,
+            "the ladder acted: {:?}",
+            user.stats()
+        );
+        reactor.shutdown();
     }
 
     #[test]
@@ -867,34 +709,20 @@ mod tests {
         let owner = Identity::from_seed(b"rt-churn");
         // Must dwarf the hosts' aggregate token-bucket burst (5 × 64 KB)
         // so the kill lands while serving is still rate-limited.
-        let (batches, manifest) = build_file(&owner, 5, 640 * 1024);
-        let mut hosts = Vec::new();
-        let mut peer_addrs = Vec::new();
-        for (i, batch) in batches.into_iter().enumerate() {
-            let identity = Identity::from_seed(&[b'c', b'h', i as u8]);
-            let key = identity.public_key().to_bytes();
-            let mut peer = Peer::new(identity, 1_000.0);
-            peer.add_subscriber(owner.public_key().to_bytes());
-            for m in batch {
-                peer.store_mut().insert(m);
-            }
-            let addr = 500 + i as u64;
-            hosts.push(PeerHost::spawn(
-                &network,
-                addr,
-                peer,
-                96 * 1024, // slow uplinks so the kill lands mid-download
-                Duration::from_millis(5),
-            ));
-            peer_addrs.push((addr, key));
-        }
+        let (mut batches, manifest) = build_file(&owner, 5, 640 * 1024);
+        // Slow uplinks so the kill lands mid-download. The two doomed peers
+        // live on a reactor of their own: shutting it down unregisters
+        // their addresses, which is what a peer leaving looks like.
+        let survivors = batches.split_off(2);
+        let (doomed, mut peer_addrs) =
+            host_fleet(&network, &owner, batches, 500, *b"cd", 96 * 1024);
+        let (reactor, survivor_addrs) =
+            host_fleet(&network, &owner, survivors, 502, *b"ch", 96 * 1024);
+        peer_addrs.extend(survivor_addrs);
         // Kill 2 of the 5 peers shortly after the download starts.
-        let doomed: Vec<PeerHost> = hosts.drain(0..2).collect();
         let killer = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(150));
-            for host in doomed {
-                host.shutdown();
-            }
+            doomed.shutdown();
         });
         let mut user = User::<Gf2p32>::new(owner, manifest).unwrap();
         let data = download_file_with(
@@ -912,16 +740,13 @@ mod tests {
         )
         .expect("survivors cover the demand");
         killer.join().unwrap();
-        let expect: Vec<u8> = (0..640 * 1024).map(|i| (i * 41 % 251) as u8).collect();
-        assert_eq!(data, expect);
+        assert_eq!(data, file_bytes(640 * 1024));
         assert!(
             user.stats().reassignments >= 1,
             "dead peers' demand was re-planned: {:?}",
             user.stats()
         );
-        for host in hosts {
-            host.shutdown();
-        }
+        reactor.shutdown();
     }
 
     #[test]
@@ -956,14 +781,7 @@ mod tests {
         let network = RtNetwork::new();
         let owner = Identity::from_seed(b"rt-counts");
         let (batches, manifest) = build_file(&owner, 1, 32 * 1024);
-        let identity = Identity::from_seed(b"rt-partial2");
-        let key = identity.public_key().to_bytes();
-        let mut peer = Peer::new(identity, 1_000.0);
-        peer.add_subscriber(owner.public_key().to_bytes());
-        for m in batches.into_iter().next().unwrap().into_iter().take(2) {
-            peer.store_mut().insert(m);
-        }
-        let host = PeerHost::spawn(&network, 700, peer, 4 << 20, Duration::from_millis(5));
+        let (reactor, key) = host_partial_peer(&network, &owner, batches, 700, b"rt-partial2");
         let mut user = User::<Gf2p32>::new(owner, manifest).unwrap();
         let needed = user.messages_needed();
         let err = download_file(
@@ -980,7 +798,75 @@ mod tests {
         };
         assert_eq!(need, needed, "real requirement, not a percentage");
         assert_eq!(have, 2, "exactly the two stored messages were counted");
-        host.shutdown();
+        reactor.shutdown();
+    }
+
+    /// The benchmark's finding at short stall timeouts: the acceptance of
+    /// the first handshake is still queued when the ladder re-runs the
+    /// handshake, and then arrives. The scripted peer below holds it back
+    /// until it sees the second commit, so the order is forced, not timed.
+    #[test]
+    fn stale_handshake_reply_does_not_fail_the_fetch() {
+        let network = RtNetwork::with_observability(
+            asymshare_obs::Registry::new(),
+            asymshare_obs::EventSink::new(),
+        );
+        let owner = Identity::from_seed(b"rt-stale");
+        let (batches, manifest) = build_file(&owner, 1, 32 * 1024);
+        let (mut peer, key) = stocked_peer(&owner, b"rt-stale-peer", batches.into_iter().flatten());
+        let inbox = network.register(800);
+        let net = network.clone();
+        let scripted = std::thread::spawn(move || {
+            let mut rng = ChaChaRng::new([0x51; 32], *b"stale-peer!!");
+            let mut held: Option<Wire> = None;
+            let mut commits = 0;
+            while let Some(envelope) = inbox.recv_timeout(Duration::from_secs(10)) {
+                let wire = envelope.decode().expect("one control frame");
+                if matches!(wire, Wire::Feedback(_)) {
+                    break;
+                }
+                if matches!(wire, Wire::AuthCommit { .. }) {
+                    commits += 1;
+                    if let Some(stale) = held.take() {
+                        net.send(800, envelope.from, &stale);
+                    }
+                }
+                for reply in peer.on_message(envelope.from, wire, &mut rng).unwrap() {
+                    if commits == 1 && matches!(reply, Wire::AuthResult { .. }) {
+                        held = Some(reply);
+                    } else {
+                        net.send(800, envelope.from, &reply);
+                    }
+                }
+                while let Some(msg) = peer.next_message(envelope.from) {
+                    net.send(800, envelope.from, &Wire::MessageData(msg));
+                }
+            }
+            commits
+        });
+        let mut user = User::<Gf2p32>::new(owner, manifest).unwrap();
+        let data = download_file_with(
+            &network,
+            9,
+            &mut user,
+            &[(800, key)],
+            800,
+            DownloadOptions {
+                timeout: Duration::from_secs(30),
+                stall_timeout: Duration::from_millis(100),
+                retry_backoff: Duration::from_millis(50),
+                max_peer_retries: 3,
+            },
+        )
+        .expect("the stale acceptance costs a retry, not the fetch");
+        assert_eq!(data, file_bytes(32 * 1024));
+        assert_eq!(scripted.join().unwrap(), 2, "the handshake ran twice");
+        assert_eq!(user.stats().retries, 1, "{:?}", user.stats());
+        assert!(network
+            .events()
+            .events()
+            .iter()
+            .any(|e| e.component == "rt.heal" && e.kind == "handshake_error"));
     }
 
     #[test]
@@ -989,25 +875,19 @@ mod tests {
         let owner = Identity::from_seed(b"rt-owner3");
         let stranger = Identity::from_seed(b"rt-stranger");
         let (batches, manifest) = build_file(&owner, 1, 16 * 1024);
-        let identity = Identity::from_seed(b"rt-strict");
-        let key = identity.public_key().to_bytes();
-        let mut peer = Peer::new(identity, 1_000.0);
-        peer.add_subscriber(owner.public_key().to_bytes()); // not the stranger
-        for m in batches.into_iter().next().unwrap() {
-            peer.store_mut().insert(m);
-        }
-        let host = PeerHost::spawn(&network, 300, peer, 1 << 20, Duration::from_millis(5));
+        // The peer subscribes the owner, not the stranger.
+        let (reactor, peer_addrs) = host_fleet(&network, &owner, batches, 300, *b"st", 1 << 20);
         let mut user = User::<Gf2p32>::new(stranger, manifest).unwrap();
         let err = download_file(
             &network,
             3,
             &mut user,
-            &[(300, key)],
+            &peer_addrs,
             300,
             Duration::from_secs(5),
         )
         .unwrap_err();
         assert!(matches!(err, SystemError::AuthenticationRejected { .. }));
-        host.shutdown();
+        reactor.shutdown();
     }
 }

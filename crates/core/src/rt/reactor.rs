@@ -29,12 +29,10 @@
 //! signals, and the windows simply grow to their ceiling and act as pacing
 //! bounds.
 //!
-//! Serving semantics (handshake handling, Eq.-2 splits, sweep order,
-//! replacement queues) are byte-identical to [`PeerHost`](super::PeerHost):
-//! both drive the same pure [`Peer`] state machine, which is what the
-//! sim-vs-rt golden schedule test pins.
+//! Serving semantics (handshake handling, sweep order, replacement queues)
+//! come from the pure [`Peer`] state machine the simulator also drives,
+//! which is what the sim-vs-reactor golden schedule test pins.
 
-use super::host::MAX_COALESCE;
 use super::limiter::TokenBucket;
 use super::transport::{Envelope, RtNetwork};
 use super::window::{AdaptiveWindow, WindowConfig};
@@ -50,12 +48,19 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// Serve-side coalescing bound `B`: at most this many `MessageData` frames
+/// share one datagram. Large enough to amortize per-send channel and fault
+/// bookkeeping, small enough that one datagram never monopolizes a pass's
+/// quota (with 32 KiB payloads, 8 frames ≈ 256 KiB ≈ one default burst).
+pub const MAX_COALESCE: usize = 8;
+
 /// How often each worker re-polls the health engine's quarantine verdicts.
 const QUARANTINE_POLL: Duration = Duration::from_millis(50);
 /// How often each worker refreshes its `rt.window.p{addr}` gauges and
 /// queue-depth histogram (also flushed once at shutdown).
 const GAUGE_EVERY: Duration = Duration::from_millis(100);
-/// Fairness telemetry cadence, matching the threaded host.
+/// Fairness telemetry is time-gated so a sub-millisecond pass cadence does
+/// not flood the event ring.
 const SHARE_EMIT_EVERY: Duration = Duration::from_millis(250);
 /// How often each worker folds its per-peer serving accumulators into the
 /// shared [`ProfileStore`] as one transfer sample (also once at shutdown).
@@ -149,6 +154,12 @@ struct Slot {
     win_gauge: Gauge,
     prof: ProfAccum,
     prof_gauge: Gauge,
+    /// Serve-pass scratch, reused so a steady-state pass allocates
+    /// nothing: the active connections, their Eq.-2 weight row, and the
+    /// connections found dead while flushing.
+    active: Vec<u64>,
+    weights: Vec<f64>,
+    dead: Vec<u64>,
 }
 
 /// Serving accumulators between profile flushes: one flush folds these
@@ -188,6 +199,9 @@ struct WorkerObs {
     retire_underflow: Counter,
     coalesce_frames: Histogram,
     queue_depth: Histogram,
+    /// Depth of a token bucket's overdraft after a connection's quota
+    /// (message granularity lets the last send of a quota overdraw).
+    debt_bytes: Histogram,
     pass_us: Histogram,
     passes: Counter,
 }
@@ -206,6 +220,7 @@ impl WorkerObs {
             retire_underflow: metrics.counter("rt.window.retire_underflow"),
             coalesce_frames: metrics.histogram("rt.reactor.coalesce_frames"),
             queue_depth: metrics.histogram("rt.reactor.queue_depth"),
+            debt_bytes: metrics.histogram("rt.reactor.debt_bytes"),
             pass_us: metrics.histogram("rt.reactor.pass_us"),
             passes: metrics.counter("rt.reactor.passes"),
         }
@@ -284,8 +299,8 @@ impl Reactor {
     }
 
     /// Adds a peer to the least-recently-assigned worker's shard.
-    /// `upload_bytes_per_sec` shapes the uplink exactly as in
-    /// [`PeerHost::spawn`](super::PeerHost::spawn).
+    /// `upload_bytes_per_sec` shapes the uplink through a token bucket
+    /// (burst: a tenth of a second, at least 64 KiB).
     ///
     /// # Panics
     ///
@@ -413,38 +428,13 @@ fn run_worker(
     let mut last_gauge_flush = Instant::now();
     let mut last_profile_flush = Instant::now();
     let mut idle = false;
+    let mut shutdown = false;
     loop {
-        while let Ok(ctrl) = ctrl_rx.try_recv() {
-            match ctrl {
-                Ctrl::AddPeer {
-                    addr,
-                    peer,
-                    upload_bytes_per_sec,
-                } => {
-                    let rate = upload_bytes_per_sec as f64;
-                    let mut nonce = [0u8; 12];
-                    nonce[..8].copy_from_slice(&addr.to_le_bytes());
-                    by_addr.insert(addr, slots.len());
-                    let now = Instant::now();
-                    slots.push(Slot {
-                        addr,
-                        peer: *peer,
-                        rng: ChaChaRng::new([0x7F; 32], nonce),
-                        bucket: TokenBucket::new(rate, (rate * 0.1).max(65_536.0), now),
-                        conns: HashMap::new(),
-                        quarantined: false,
-                        last_share_emit: None,
-                        win_gauge: net.metrics().gauge(&format!("rt.window.p{addr}")),
-                        prof: ProfAccum::new(now),
-                        prof_gauge: net.metrics().gauge(&format!("rt.profile.p{addr}")),
-                    });
-                }
-                Ctrl::Shutdown => {
-                    flush_gauges(&mut slots, &obs, &cfg);
-                    flush_profiles(&mut slots, &profiles, &cfg.profile, Instant::now());
-                    return slots.into_iter().map(|s| (s.addr, s.peer)).collect();
-                }
-            }
+        shutdown |= apply_ctrl(&ctrl_rx, &mut slots, &mut by_addr, &net);
+        if shutdown {
+            flush_gauges(&mut slots, &obs, &cfg);
+            flush_profiles(&mut slots, &profiles, &cfg.profile, Instant::now());
+            return slots.into_iter().map(|s| (s.addr, s.peer)).collect();
         }
         net.pump();
         let mut progressed = false;
@@ -458,6 +448,12 @@ fn run_worker(
         };
         while let Some(envelope) = next {
             progressed = true;
+            if !by_addr.contains_key(&envelope.to) {
+                // `add_peer` registers the address before its `AddPeer`
+                // reaches this worker, so a datagram can overtake it; the
+                // control message was sent first and is in the queue by now.
+                shutdown |= apply_ctrl(&ctrl_rx, &mut slots, &mut by_addr, &net);
+            }
             if let Some(&i) = by_addr.get(&envelope.to) {
                 deliver(&mut slots[i], &net, envelope);
             }
@@ -487,6 +483,47 @@ fn run_worker(
         }
         idle = !progressed;
     }
+}
+
+/// Applies every queued control message; `true` once shutdown was asked.
+fn apply_ctrl(
+    ctrl_rx: &Receiver<Ctrl>,
+    slots: &mut Vec<Slot>,
+    by_addr: &mut HashMap<u64, usize>,
+    net: &RtNetwork,
+) -> bool {
+    while let Ok(ctrl) = ctrl_rx.try_recv() {
+        match ctrl {
+            Ctrl::AddPeer {
+                addr,
+                peer,
+                upload_bytes_per_sec,
+            } => {
+                let rate = upload_bytes_per_sec as f64;
+                let mut nonce = [0u8; 12];
+                nonce[..8].copy_from_slice(&addr.to_le_bytes());
+                by_addr.insert(addr, slots.len());
+                let now = Instant::now();
+                slots.push(Slot {
+                    addr,
+                    peer: *peer,
+                    rng: ChaChaRng::new([0x7F; 32], nonce),
+                    bucket: TokenBucket::new(rate, (rate * 0.1).max(65_536.0), now),
+                    conns: HashMap::new(),
+                    quarantined: false,
+                    last_share_emit: None,
+                    win_gauge: net.metrics().gauge(&format!("rt.window.p{addr}")),
+                    prof: ProfAccum::new(now),
+                    prof_gauge: net.metrics().gauge(&format!("rt.profile.p{addr}")),
+                    active: Vec::new(),
+                    weights: Vec::new(),
+                    dead: Vec::new(),
+                });
+            }
+            Ctrl::Shutdown => return true,
+        }
+    }
+    false
 }
 
 /// Routes one inbound datagram through a slot's protocol state machine.
@@ -603,10 +640,14 @@ fn serve_slot(
         quarantined,
         last_share_emit,
         prof,
+        active,
+        weights,
+        dead,
         ..
     } = slot;
     let addr = *addr;
-    let active = peer.active_conns();
+    active.clear();
+    active.extend(peer.active_conns());
     // Window state machines tick even for momentarily inactive sessions
     // (signals may arrive between sweeps).
     for st in conns.values_mut() {
@@ -637,14 +678,12 @@ fn serve_slot(
     if available <= 0.0 {
         return false;
     }
-    let weights: Vec<f64> = active
-        .iter()
-        .map(|&c| {
-            peer.session_user(c)
-                .map(|key| peer.upload_weight(&key))
-                .unwrap_or(0.0)
-        })
-        .collect();
+    weights.clear();
+    weights.extend(active.iter().map(|&c| {
+        peer.session_user(c)
+            .map(|key| peer.upload_weight(&key))
+            .unwrap_or(0.0)
+    }));
     let total: f64 = weights.iter().sum();
     if total <= 0.0 {
         return false;
@@ -653,7 +692,7 @@ fn serve_slot(
         && last_share_emit.is_none_or(|t| now.duration_since(t) >= SHARE_EMIT_EVERY)
     {
         *last_share_emit = Some(now);
-        for (&conn, &w) in active.iter().zip(&weights) {
+        for (&conn, &w) in active.iter().zip(weights.iter()) {
             obs.events.emit(
                 "rt.reactor",
                 "slot_share",
@@ -666,8 +705,7 @@ fn serve_slot(
         }
     }
     let mut served_any = false;
-    let mut dead: Vec<u64> = Vec::new();
-    for (&conn, &w) in active.iter().zip(&weights) {
+    for (&conn, &w) in active.iter().zip(weights.iter()) {
         let st = conns
             .entry(conn)
             .or_insert_with(|| ConnState::new(cfg.window, *quarantined));
@@ -713,12 +751,16 @@ fn serve_slot(
         }
         st.staged.clear();
         served_any = true;
+        let debt = -bucket.available(now);
+        if debt > 0.0 {
+            obs.debt_bytes.record(debt as u64);
+        }
         if !alive {
             // The downloader deregistered: stop burning uplink on it.
             dead.push(conn);
         }
     }
-    for conn in dead {
+    for conn in dead.drain(..) {
         peer.disconnect(conn);
         conns.remove(&conn);
     }
@@ -895,6 +937,28 @@ mod tests {
         let peers = reactor.shutdown();
         assert_eq!(peers.len(), 3);
         assert_eq!(peers[0].0, 900, "peers come back sorted by address");
+    }
+
+    #[test]
+    fn datagram_racing_its_peers_registration_is_served() {
+        // `add_peer` makes the address routable before the worker has the
+        // peer; a commit sent straight away must still be answered.
+        use crate::session::Prover;
+        let owner = Identity::from_seed(b"reactor-race");
+        let mut rng = ChaChaRng::new([0x52; 32], *b"reactor-race");
+        for round in 0..200u64 {
+            let network = RtNetwork::new();
+            let inbox = network.register(1);
+            let mut reactor = Reactor::new(&network, ReactorConfig::default());
+            let mut peer = Peer::new(Identity::from_seed(b"reactor-race-peer"), 1_000.0);
+            peer.add_subscriber(owner.public_key().to_bytes());
+            let commit = Prover::new(owner.auth_keys().clone()).start(&mut rng);
+            reactor.add_peer(7, peer, 1 << 20);
+            assert!(network.send(1, 7, &commit));
+            let reply = inbox.recv_timeout(Duration::from_secs(5));
+            assert!(reply.is_some(), "round {round}: the commit was dropped");
+            reactor.shutdown();
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use crate::error::SystemError;
 use crate::protocol::{self, Wire};
 use crate::rt::pool::BufferPool;
-use asymshare_netsim::{adversary_draw, AdversaryStrategy};
+use asymshare_netsim::{adversary_draw, AdversaryStrategy, SplitMix64};
 use asymshare_obs::health::{HealthConfig, HealthEngine, HealthReport};
 use asymshare_obs::stream::EventCursor;
 use asymshare_obs::{Counter, EventSink, Histogram, Registry, Snapshot};
@@ -93,24 +93,6 @@ pub struct FaultStats {
     pub delayed: u64,
 }
 
-/// SplitMix64 for replayable fault decisions (not cryptographic).
-#[derive(Debug)]
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
-
 #[derive(Debug)]
 struct FaultState {
     plan: FaultPlan,
@@ -124,7 +106,7 @@ struct FaultState {
 
 impl FaultState {
     fn new(plan: FaultPlan) -> FaultState {
-        let rng = Mutex::new(SplitMix64(plan.seed));
+        let rng = Mutex::new(SplitMix64::new(plan.seed));
         FaultState {
             plan,
             rng,
@@ -617,7 +599,7 @@ impl RtNetwork {
                 AdversaryStrategy::Pollute { prob } => {
                     if adversary_draw(adv.seed, salt) < prob {
                         let mut rng =
-                            SplitMix64(adv.seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+                            SplitMix64::new(adv.seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15));
                         corrupt_in_place(&mut buf, &mut rng);
                     }
                 }

@@ -13,6 +13,7 @@ use crate::identity::Identity;
 use crate::peer::{KeyBytes, Peer};
 use crate::profile::{ProfileConfig, ProfileStore};
 use crate::protocol::Wire;
+use crate::recovery::{Action, LadderConfig, LadderView, RecoveryLadder};
 use crate::user::{ConnStage, SessionStats, User};
 use asymshare_crypto::chacha20::ChaChaRng;
 use asymshare_gf::{FieldKind, Gf2p32};
@@ -26,11 +27,10 @@ use asymshare_obs::{Counter, EventSink, Gauge, Histogram, Registry, Snapshot};
 use asymshare_rlnc::{
     ChunkedEncoder, CodecError, DigestKind, EncodedMessage, FileId, FileManifest, MessageId,
 };
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
-/// Base delay between replacement requests for the same `(conn, chunk)`;
-/// doubles per consecutive request up to `2^5` so a polluting peer cannot
-/// amplify one victim into unbounded replacement traffic.
+/// Base delay between replacement requests for the same `(conn, chunk)`,
+/// simulated seconds (the ladder doubles it per consecutive request).
 const REPL_BACKOFF_BASE_SECS: f64 = 0.5;
 
 /// Runtime tuning knobs.
@@ -112,14 +112,6 @@ pub struct DownloadReport {
     pub metrics: Snapshot,
 }
 
-/// Liveness bookkeeping for one user→peer connection.
-struct ConnHealth {
-    last_activity: SimTime,
-    next_attempt: SimTime,
-    retries: u32,
-    dead: bool,
-}
-
 struct Participant {
     peer: Peer,
     node: NodeId,
@@ -145,8 +137,9 @@ struct Session {
     // fault plan's next RNG draws — hash order here would make seeded runs
     // diverge between runtime instances.
     conns: BTreeMap<u64, usize>,
-    health: HashMap<u64, ConnHealth>,
-    replace_rr: usize,
+    /// Stall, write-off, re-plan, ban and replacement-rate decisions for
+    /// this session's connections, on simulated seconds.
+    ladder: RecoveryLadder,
     started_at: SimTime,
     finished_at: Option<SimTime>,
     bytes_by_peer: HashMap<usize, u64>,
@@ -156,9 +149,6 @@ struct Session {
     /// Data flows lost in transit per serving participant — the "lost"
     /// side of the profile loss ratio.
     drops_by_peer: HashMap<usize, u64>,
-    /// Replacement-request rate limiter: `(conn, chunk)` → (next allowed
-    /// instant, consecutive requests so far).
-    repl_limit: HashMap<(u64, u32), (f64, u32)>,
     /// Lifecycle instants for the trace timeline (filled only while the
     /// event sink is enabled; emitted as closed spans at completion).
     trace: SessionTrace,
@@ -250,10 +240,38 @@ struct SimHealth {
     /// as `sim.deliver`/`window` events at slot end so the engine (and any
     /// replay of the log) sees identical inputs.
     slot_msgs: HashMap<usize, u64>,
-    /// Peers whose quarantine entry the runtime has already reacted to
-    /// (stop + re-plan); cleared when the ban expires so a repeat offense
-    /// triggers the ladder again.
-    quarantine_seen: BTreeSet<u64>,
+}
+
+/// What a session's [`RecoveryLadder`] sees: the user's connection stages
+/// and, through the connection → participant map, the health engine's
+/// verdicts (nobody is banned or sick without an engine).
+struct SessionView<'a> {
+    user: &'a User<Gf2p32>,
+    conns: &'a BTreeMap<u64, usize>,
+    engine: Option<&'a HealthEngine>,
+}
+
+impl SessionView<'_> {
+    fn verdict(&self, conn: u64, ask: impl Fn(&HealthEngine, u64) -> bool) -> bool {
+        match (self.engine, self.conns.get(&conn)) {
+            (Some(engine), Some(&p)) => ask(engine, p as u64),
+            _ => false,
+        }
+    }
+}
+
+impl LadderView for SessionView<'_> {
+    fn stage(&self, conn: u64) -> Option<ConnStage> {
+        self.user.stage(conn)
+    }
+
+    fn quarantined(&self, conn: u64, now: f64) -> bool {
+        self.verdict(conn, |engine, p| engine.is_quarantined(p, now))
+    }
+
+    fn sick(&self, conn: u64) -> bool {
+        self.verdict(conn, HealthEngine::is_sick)
+    }
 }
 
 /// The simulated deployment.
@@ -379,7 +397,6 @@ impl SimRuntime {
             engine: HealthEngine::new(cfg),
             cursor: EventCursor::new(&self.obs.events),
             slot_msgs: HashMap::new(),
-            quarantine_seen: BTreeSet::new(),
         });
     }
 
@@ -734,20 +751,16 @@ impl SimRuntime {
             );
         }
         let now = self.net.now();
-        let health = conns
-            .keys()
-            .map(|&conn| {
-                (
-                    conn,
-                    ConnHealth {
-                        last_activity: now,
-                        next_attempt: now,
-                        retries: 0,
-                        dead: false,
-                    },
-                )
-            })
-            .collect();
+        let ladder = RecoveryLadder::new(
+            LadderConfig {
+                stall_secs: self.cfg.stall_timeout_secs,
+                retry_backoff_secs: self.cfg.retry_backoff_secs,
+                max_retries: self.cfg.max_peer_retries,
+                replacement_base_secs: REPL_BACKOFF_BASE_SECS,
+            },
+            conns.keys().copied(),
+            now.as_secs(),
+        );
         let mut trace = SessionTrace::default();
         if self.obs.events.is_enabled() {
             for &conn in conns.keys() {
@@ -759,14 +772,12 @@ impl SimRuntime {
             home: owner.0,
             remote_node,
             conns,
-            health,
-            replace_rr: 0,
+            ladder,
             started_at: now,
             finished_at: None,
             bytes_by_peer: HashMap::new(),
             msgs_by_peer: HashMap::new(),
             drops_by_peer: HashMap::new(),
-            repl_limit: HashMap::new(),
             trace,
         });
         Ok(SessionId(session_idx))
@@ -812,7 +823,7 @@ impl SimRuntime {
             if s.user.is_complete() {
                 return self.report(session);
             }
-            if !s.health.is_empty() && s.health.values().all(|h| h.dead) {
+            if s.ladder.all_dead() {
                 return Err(SystemError::AllPeersUnavailable {
                     have: s.user.independent_count(),
                     need: s.user.messages_needed(),
@@ -892,7 +903,7 @@ impl SimRuntime {
                     if pid != p_idx {
                         continue;
                     }
-                    if session.health.get(&conn).is_some_and(|h| h.dead) {
+                    if session.ladder.is_dead(conn) {
                         continue;
                     }
                     // A quarantined peer gets no Eq.-2 budget at all for
@@ -1273,10 +1284,9 @@ impl SimRuntime {
                 // Anything arriving on the connection — even a rejected
                 // message — proves the peer is alive.
                 let now = self.net.now();
-                if let Some(h) = self.sessions[session].health.get_mut(&conn) {
-                    h.last_activity = now;
-                    h.retries = 0;
-                }
+                self.sessions[session]
+                    .ladder
+                    .on_activity(conn, now.as_secs());
                 if self.obs.events.is_enabled() {
                     self.sessions[session]
                         .trace
@@ -1298,10 +1308,7 @@ impl SimRuntime {
                         // the same chunk.
                         let chunk = FileManifest::chunk_of(MessageId(id));
                         self.obs.digest_rejections.inc();
-                        let peer = self.sessions[session]
-                            .conns
-                            .get(&conn)
-                            .map_or(u64::MAX, |&p| p as u64);
+                        let peer = self.peer_of(session, conn);
                         let ts = now.as_secs();
                         self.obs.events.emit_at(
                             ts,
@@ -1314,14 +1321,10 @@ impl SimRuntime {
                                 ("chunk", chunk.into()),
                             ],
                         );
-                        let limit = self.sessions[session]
-                            .repl_limit
-                            .entry((conn, chunk))
-                            .or_insert((f64::NEG_INFINITY, 0));
-                        if ts >= limit.0 {
-                            limit.1 = limit.1.saturating_add(1);
-                            limit.0 =
-                                ts + REPL_BACKOFF_BASE_SECS * (1u32 << (limit.1 - 1).min(5)) as f64;
+                        if self.sessions[session]
+                            .ladder
+                            .admit_replacement(conn, chunk, ts)
+                        {
                             self.sessions[session].user.stats_mut().replacements += 1;
                             self.obs.events.emit_at(
                                 ts,
@@ -1341,27 +1344,12 @@ impl SimRuntime {
                                     .entry((conn, chunk))
                                     .or_insert(ts);
                             }
-                            let request = Wire::ReplacementRequest {
-                                file_id: self.sessions[session].user.file_id(),
-                                chunk,
-                            };
-                            if let Some(&p_idx) = self.sessions[session].conns.get(&conn) {
-                                let remote = self.sessions[session].remote_node;
-                                let node = self.participants[p_idx].node;
-                                self.send_control(
-                                    remote,
-                                    node,
-                                    Pending {
-                                        endpoint: Endpoint::ToPeer {
-                                            participant: p_idx,
-                                            conn,
-                                        },
-                                        wire: Some(request),
-                                        msg: None,
-                                        bulk_from: None,
-                                    },
-                                );
-                            }
+                            let file_id = self.sessions[session].user.file_id();
+                            self.send_to_peer(
+                                session,
+                                conn,
+                                Wire::ReplacementRequest { file_id, chunk },
+                            );
                         }
                         Vec::new()
                     }
@@ -1369,10 +1357,7 @@ impl SimRuntime {
                         // Already-seen message id: authentic bytes that
                         // buy no progress — the replay detector's raw
                         // signal.
-                        let peer = self.sessions[session]
-                            .conns
-                            .get(&conn)
-                            .map_or(u64::MAX, |&p| p as u64);
+                        let peer = self.peer_of(session, conn);
                         self.obs.events.emit_at(
                             now.as_secs(),
                             "sim.deliver",
@@ -1439,23 +1424,7 @@ impl SimRuntime {
                     }
                 }
                 for (target_conn, reply) in replies {
-                    let Some(&p_idx) = self.sessions[session].conns.get(&target_conn) else {
-                        continue;
-                    };
-                    let pending = Pending {
-                        endpoint: Endpoint::ToPeer {
-                            participant: p_idx,
-                            conn: target_conn,
-                        },
-                        wire: Some(reply),
-                        msg: None,
-                        bulk_from: None,
-                    };
-                    self.send_control(
-                        self.sessions[session].remote_node,
-                        self.participants[p_idx].node,
-                        pending,
-                    );
+                    self.send_to_peer(session, target_conn, reply);
                 }
             }
         }
@@ -1521,190 +1490,140 @@ impl SimRuntime {
         }
     }
 
-    /// Per-slot self-healing pass: every live connection that has gone
-    /// quiet past the stall timeout is nudged with a fresh
-    /// [`Wire::FileRequest`] under exponential backoff; after
-    /// `max_peer_retries` fruitless nudges the connection is written off
-    /// and its demand re-planned onto a surviving peer.
+    /// Per-slot self-healing pass: asks each unfinished session's
+    /// [`RecoveryLadder`] what is due and carries it out on the simulated
+    /// wire. The ladder decides when and whom; this driver owns the frames,
+    /// the stats counters and the events.
     fn heal_sessions(&mut self) {
-        let now = self.net.now();
+        let now = self.net.now().as_secs();
+        let mut actions = Vec::new();
         for s_idx in 0..self.sessions.len() {
-            let session = &self.sessions[s_idx];
+            let session = &mut self.sessions[s_idx];
             if session.finished_at.is_some() || session.user.is_complete() {
                 continue;
             }
-            let mut conns: Vec<u64> = session.health.keys().copied().collect();
-            conns.sort_unstable(); // deterministic recovery order
-            for conn in conns {
-                // A quarantined peer is neither nudged nor written off: its
-                // ban is timed, and the stall clock resumes on expiry (the
-                // next stalled pass re-requests the file).
-                if let Some(hh) = &self.health {
-                    let banned = self.sessions[s_idx]
-                        .conns
-                        .get(&conn)
-                        .is_some_and(|&p| hh.engine.is_quarantined(p as u64, now.as_secs()));
-                    if banned {
-                        if let Some(h) = self.sessions[s_idx].health.get_mut(&conn) {
-                            h.last_activity = now;
-                            h.retries = 0;
-                        }
-                        continue;
+            let view = SessionView {
+                user: &session.user,
+                conns: &session.conns,
+                engine: self.health.as_ref().map(|h| &h.engine),
+            };
+            session.ladder.poll(now, &view, &mut actions);
+            let mut due = actions.drain(..).peekable();
+            while let Some(action) = due.next() {
+                match action {
+                    Action::Resweep { conn, attempt } | Action::Rehandshake { conn, attempt } => {
+                        let rehandshake = matches!(action, Action::Rehandshake { .. });
+                        self.retry(s_idx, conn, attempt, rehandshake, now);
                     }
+                    Action::WriteOff { conn } => {
+                        self.sessions[s_idx].user.drop_conn(conn);
+                        self.obs.events.emit_at(
+                            now,
+                            "sim.heal",
+                            "write_off",
+                            &[
+                                ("peer", self.peer_of(s_idx, conn).into()),
+                                ("session", s_idx.into()),
+                                ("conn", conn.into()),
+                            ],
+                        );
+                    }
+                    Action::Reassign {
+                        target,
+                        deprioritized,
+                    } => self.reassign(s_idx, target, deprioritized, now),
+                    Action::Quarantined { conn } => {
+                        self.stop_quarantined(s_idx, conn, now);
+                        // The re-plan comes before the supply check, which
+                        // may start deposit flows of its own.
+                        if let Some(Action::Reassign {
+                            target,
+                            deprioritized,
+                        }) = due.next_if(|a| matches!(a, Action::Reassign { .. }))
+                        {
+                            self.reassign(s_idx, target, deprioritized, now);
+                        }
+                        self.redisseminate_if_starved(s_idx, now);
+                    }
+                    // The stall clock runs again; the next stalled pass
+                    // re-requests the file.
+                    Action::BanLapsed { .. } => {}
                 }
-                let h = &self.sessions[s_idx].health[&conn];
-                if h.dead
-                    || (now - h.last_activity).as_secs() < self.cfg.stall_timeout_secs
-                    || now < h.next_attempt
-                {
-                    continue;
-                }
-                if h.retries >= self.cfg.max_peer_retries {
-                    self.write_off(s_idx, conn);
-                    self.reassign(s_idx);
-                    continue;
-                }
-                let attempt = {
-                    let h = self.sessions[s_idx].health.get_mut(&conn).unwrap();
-                    h.retries += 1;
-                    let backoff = self.cfg.retry_backoff_secs * (1u32 << h.retries.min(3)) as f64;
-                    h.next_attempt = now.advance(backoff);
-                    h.retries
-                };
-                self.sessions[s_idx].user.stats_mut().retries += 1;
-                let peer = self.sessions[s_idx]
-                    .conns
-                    .get(&conn)
-                    .map_or(u64::MAX, |&p| p as u64);
-                self.obs.events.emit_at(
-                    now.as_secs(),
-                    "sim.heal",
-                    "retry",
-                    &[
-                        ("peer", peer.into()),
-                        ("session", s_idx.into()),
-                        ("conn", conn.into()),
-                        ("attempt", attempt.into()),
-                    ],
-                );
-                let file_id = self.sessions[s_idx].user.file_id();
-                let Some(&p_idx) = self.sessions[s_idx].conns.get(&conn) else {
-                    continue;
-                };
-                // A downloading connection is nudged with a fresh file
-                // request (the peer restarts its sweep; the decoder
-                // rejects anything it already absorbed). A connection
-                // stuck mid-handshake restarts the handshake instead.
-                let wire = if self.sessions[s_idx].user.stage(conn) == Some(ConnStage::Downloading)
-                {
-                    Wire::FileRequest { file_id }
-                } else {
-                    let peer_key = self.participants[p_idx]
-                        .peer
-                        .identity()
-                        .public_key()
-                        .to_bytes();
-                    self.sessions[s_idx]
-                        .user
-                        .connect(conn, peer_key, &mut self.rng)
-                };
-                let remote = self.sessions[s_idx].remote_node;
-                let node = self.participants[p_idx].node;
-                self.send_control(
-                    remote,
-                    node,
-                    Pending {
-                        endpoint: Endpoint::ToPeer {
-                            participant: p_idx,
-                            conn,
-                        },
-                        wire: Some(wire),
-                        msg: None,
-                        bulk_from: None,
-                    },
-                );
             }
         }
     }
 
-    /// Marks a connection dead and drops the user-side state.
-    fn write_off(&mut self, s_idx: usize, conn: u64) {
-        if let Some(h) = self.sessions[s_idx].health.get_mut(&conn) {
-            h.dead = true;
-        }
-        self.sessions[s_idx].user.drop_conn(conn);
-        let peer = self.sessions[s_idx]
+    /// The participant behind a session's connection, as events name it.
+    fn peer_of(&self, s_idx: usize, conn: u64) -> u64 {
+        self.sessions[s_idx]
             .conns
             .get(&conn)
-            .map_or(u64::MAX, |&p| p as u64);
-        self.obs.events.emit_at(
-            self.net.now().as_secs(),
-            "sim.heal",
-            "write_off",
-            &[
-                ("peer", peer.into()),
-                ("session", s_idx.into()),
-                ("conn", conn.into()),
-            ],
+            .map_or(u64::MAX, |&p| p as u64)
+    }
+
+    /// Sends a control frame from a session's user to the peer behind
+    /// `conn`.
+    fn send_to_peer(&mut self, s_idx: usize, conn: u64, wire: Wire) {
+        let Some(&p_idx) = self.sessions[s_idx].conns.get(&conn) else {
+            return;
+        };
+        self.send_control(
+            self.sessions[s_idx].remote_node,
+            self.participants[p_idx].node,
+            Pending {
+                endpoint: Endpoint::ToPeer {
+                    participant: p_idx,
+                    conn,
+                },
+                wire: Some(wire),
+                msg: None,
+                bulk_from: None,
+            },
         );
     }
 
-    /// Re-plans a dead connection's demand onto the next live downloading
-    /// survivor (round-robin): a fresh file request restarts that peer's
-    /// sweep, and re-declared chunk stops keep it off finished chunks.
-    ///
-    /// With health analytics enabled, peers whose `HealthScore` sits in
-    /// the sick band are deprioritized — they only receive reassigned
-    /// demand when no healthier survivor exists. Without an engine (or
-    /// with every survivor healthy) the choice is byte-identical to the
-    /// plain round-robin.
-    fn reassign(&mut self, s_idx: usize) {
-        let session = &self.sessions[s_idx];
-        let mut live: Vec<u64> = session
-            .health
-            .iter()
-            .filter(|(&c, h)| !h.dead && session.user.stage(c) == Some(ConnStage::Downloading))
-            .map(|(&c, _)| c)
-            .collect();
-        if live.is_empty() {
+    /// Nudges a stalled connection: a downloading one with a fresh file
+    /// request (the peer restarts its sweep; the decoder rejects anything
+    /// it already absorbed), one stuck mid-handshake with a new handshake.
+    fn retry(&mut self, s_idx: usize, conn: u64, attempt: u32, rehandshake: bool, now: f64) {
+        self.sessions[s_idx].user.stats_mut().retries += 1;
+        self.obs.events.emit_at(
+            now,
+            "sim.heal",
+            "retry",
+            &[
+                ("peer", self.peer_of(s_idx, conn).into()),
+                ("session", s_idx.into()),
+                ("conn", conn.into()),
+                ("attempt", attempt.into()),
+            ],
+        );
+        let Some(&p_idx) = self.sessions[s_idx].conns.get(&conn) else {
             return;
-        }
-        live.sort_unstable();
-        let pool: Vec<u64> = match &self.health {
-            Some(h) => {
-                // Quarantined peers are excluded outright (falling back to
-                // the full live set only if every survivor is banned), then
-                // sick peers are deprioritized within what remains.
-                let ts = self.net.now().as_secs();
-                let unbanned: Vec<u64> = live
-                    .iter()
-                    .copied()
-                    .filter(|c| !h.engine.is_quarantined(session.conns[c] as u64, ts))
-                    .collect();
-                let base = if unbanned.is_empty() {
-                    live.clone()
-                } else {
-                    unbanned
-                };
-                let healthy: Vec<u64> = base
-                    .iter()
-                    .copied()
-                    .filter(|c| !h.engine.is_sick(session.conns[c] as u64))
-                    .collect();
-                if healthy.is_empty() {
-                    base
-                } else {
-                    healthy
-                }
-            }
-            None => live.clone(),
         };
-        let deprioritized = live.len() - pool.len();
-        let target = pool[session.replace_rr % pool.len()];
-        self.sessions[s_idx].replace_rr += 1;
+        let user = &mut self.sessions[s_idx].user;
+        let wire = if rehandshake {
+            let peer_key = self.participants[p_idx]
+                .peer
+                .identity()
+                .public_key()
+                .to_bytes();
+            user.connect(conn, peer_key, &mut self.rng)
+        } else {
+            Wire::FileRequest {
+                file_id: user.file_id(),
+            }
+        };
+        self.send_to_peer(s_idx, conn, wire);
+    }
+
+    /// Moves a dead or banned connection's demand onto `target`: a fresh
+    /// file request restarts that peer's sweep, and re-declared chunk stops
+    /// keep it off finished chunks.
+    fn reassign(&mut self, s_idx: usize, target: u64, deprioritized: usize, now: f64) {
         self.sessions[s_idx].user.stats_mut().reassignments += 1;
         self.obs.events.emit_at(
-            self.net.now().as_secs(),
+            now,
             "sim.heal",
             "reassign",
             &[
@@ -1714,33 +1633,35 @@ impl SimRuntime {
             ],
         );
         let file_id = self.sessions[s_idx].user.file_id();
-        let chunks = self.sessions[s_idx].user.completed_chunks();
-        let Some(&p_idx) = self.sessions[s_idx].conns.get(&target) else {
-            return;
-        };
-        let remote = self.sessions[s_idx].remote_node;
-        let node = self.participants[p_idx].node;
-        let mut wires = vec![Wire::FileRequest { file_id }];
-        wires.extend(
-            chunks
-                .into_iter()
-                .map(|chunk| Wire::StopChunk { file_id, chunk }),
-        );
-        for wire in wires {
-            self.send_control(
-                remote,
-                node,
-                Pending {
-                    endpoint: Endpoint::ToPeer {
-                        participant: p_idx,
-                        conn: target,
-                    },
-                    wire: Some(wire),
-                    msg: None,
-                    bulk_from: None,
-                },
-            );
+        self.send_to_peer(s_idx, target, Wire::FileRequest { file_id });
+        for chunk in self.sessions[s_idx].user.completed_chunks() {
+            self.send_to_peer(s_idx, target, Wire::StopChunk { file_id, chunk });
         }
+    }
+
+    /// The peer behind `conn` entered quarantine: silence it for the
+    /// length of the ban.
+    fn stop_quarantined(&mut self, s_idx: usize, conn: u64, now: f64) {
+        let peer = self.peer_of(s_idx, conn);
+        let until = self
+            .health
+            .as_ref()
+            .and_then(|h| h.engine.quarantined_until(peer))
+            .unwrap_or(now);
+        self.sessions[s_idx].user.stats_mut().quarantines += 1;
+        self.obs.events.emit_at(
+            now,
+            "sim.heal",
+            "quarantine",
+            &[
+                ("peer", peer.into()),
+                ("session", s_idx.into()),
+                ("conn", conn.into()),
+                ("until", until.into()),
+            ],
+        );
+        let file_id = self.sessions[s_idx].user.file_id();
+        self.send_to_peer(s_idx, conn, Wire::StopTransmission { file_id });
     }
 
     /// Slot epilogue with health analytics on: flush the slot's per-peer
@@ -1795,78 +1716,7 @@ impl SimRuntime {
                 .gauge(&format!("health.score.p{}", peer.peer))
                 .set(peer.score);
         }
-        // Detect quarantine *entries* — expired bans fall out of the seen
-        // set so a repeat offense runs the ladder again.
-        h.quarantine_seen
-            .retain(|&p| h.engine.is_quarantined(p, ts));
-        let mut entered: Vec<u64> = Vec::new();
-        for attack in h.engine.last_attacks() {
-            if attack.quarantined_until.is_some() && h.quarantine_seen.insert(attack.peer) {
-                entered.push(attack.peer);
-            }
-        }
         self.health = Some(h);
-        for peer in entered {
-            self.react_to_quarantine(peer as usize, ts);
-        }
-    }
-
-    /// The active response to a peer entering quarantine: every unfinished
-    /// session it serves stops its transmission, re-plans the demand onto
-    /// an honest survivor, and checks whether the owner must re-disseminate
-    /// chunks whose surviving honest coded-message supply dropped below
-    /// rank.
-    fn react_to_quarantine(&mut self, p_idx: usize, ts: f64) {
-        let until = self
-            .health
-            .as_ref()
-            .and_then(|h| h.engine.quarantined_until(p_idx as u64))
-            .unwrap_or(ts);
-        for s_idx in 0..self.sessions.len() {
-            if self.sessions[s_idx].finished_at.is_some() || self.sessions[s_idx].user.is_complete()
-            {
-                continue;
-            }
-            let Some(conn) = self.sessions[s_idx]
-                .conns
-                .iter()
-                .find(|(_, &p)| p == p_idx)
-                .map(|(&c, _)| c)
-            else {
-                continue;
-            };
-            self.sessions[s_idx].user.stats_mut().quarantines += 1;
-            self.obs.events.emit_at(
-                ts,
-                "sim.heal",
-                "quarantine",
-                &[
-                    ("peer", p_idx.into()),
-                    ("session", s_idx.into()),
-                    ("conn", conn.into()),
-                    ("until", until.into()),
-                ],
-            );
-            // Silence the attacker for the length of the ban.
-            let file_id = self.sessions[s_idx].user.file_id();
-            let remote = self.sessions[s_idx].remote_node;
-            let node = self.participants[p_idx].node;
-            self.send_control(
-                remote,
-                node,
-                Pending {
-                    endpoint: Endpoint::ToPeer {
-                        participant: p_idx,
-                        conn,
-                    },
-                    wire: Some(Wire::StopTransmission { file_id }),
-                    msg: None,
-                    bulk_from: None,
-                },
-            );
-            self.reassign(s_idx);
-            self.redisseminate_if_starved(s_idx, ts);
-        }
     }
 
     /// Owner re-dissemination: when the honest, live coded-message supply
@@ -1886,7 +1736,7 @@ impl SimRuntime {
         let mut honest: Vec<usize> = session
             .conns
             .iter()
-            .filter(|(&c, _)| !session.health.get(&c).is_some_and(|h| h.dead))
+            .filter(|(&c, _)| !session.ladder.is_dead(c))
             .map(|(_, &p)| p)
             .filter(|&p| !banned(&self.health, p))
             .collect();

@@ -173,21 +173,23 @@ impl<F: Field> User<F> {
                     who: format!("connection {conn}"),
                 })?;
                 if ok {
+                    // An acceptance before this attempt answered any
+                    // challenge cannot be its reply: it is the late result
+                    // of a handshake since re-run. The attempt goes on.
+                    let Some(s) = c.sent_response else {
+                        return Err(SystemError::UnexpectedMessage {
+                            got: "AuthResult".to_owned(),
+                            expected: "AuthChallenge (no response outstanding)".to_owned(),
+                        });
+                    };
                     // Mutual authentication: the acceptance must be signed
                     // by the peer key we intended to talk to.
-                    let verified = c.sent_response.is_some_and(|s| {
-                        let transcript = crate::protocol::auth_ack_transcript(&s, true);
-                        let Some(key) =
-                            asymshare_crypto::schnorr::PublicKey::from_bytes(&c.peer_key)
-                        else {
-                            return false;
-                        };
-                        let Some(sig) = asymshare_crypto::schnorr::Signature::from_bytes(&ack)
-                        else {
-                            return false;
-                        };
-                        asymshare_crypto::schnorr::verify(&key, &transcript, &sig)
-                    });
+                    let transcript = crate::protocol::auth_ack_transcript(&s, true);
+                    let verified = asymshare_crypto::schnorr::PublicKey::from_bytes(&c.peer_key)
+                        .zip(asymshare_crypto::schnorr::Signature::from_bytes(&ack))
+                        .is_some_and(|(key, sig)| {
+                            asymshare_crypto::schnorr::verify(&key, &transcript, &sig)
+                        });
                     if !verified {
                         c.stage = ConnStage::Refused;
                         return Err(SystemError::AuthenticationRejected {
@@ -208,12 +210,18 @@ impl<F: Field> User<F> {
                 }
             }
             Wire::MessageData(msg) => {
-                let peer_key = {
-                    let c = self.conns.get(&conn).ok_or(SystemError::UnknownParty {
-                        who: format!("connection {conn}"),
-                    })?;
-                    c.peer_key
-                };
+                let c = self.conns.get(&conn).ok_or(SystemError::UnknownParty {
+                    who: format!("connection {conn}"),
+                })?;
+                // Nothing from a peer that has not completed the mutual
+                // handshake reaches the decoder or earns credit.
+                if matches!(c.stage, ConnStage::Authenticating | ConnStage::Refused) {
+                    return Err(SystemError::UnexpectedMessage {
+                        got: "MessageData".to_owned(),
+                        expected: "handshake reply (connection not authenticated)".to_owned(),
+                    });
+                }
+                let peer_key = c.peer_key;
                 if self.decoder.is_complete() {
                     self.redundant += 1;
                     return Ok(vec![]);

@@ -359,14 +359,16 @@ impl FaultPlan {
 /// Not cryptographic (the coding RNG elsewhere in the workspace is
 /// ChaCha20-based); fault injection only needs replayable uniform draws.
 #[derive(Debug, Clone)]
-pub(crate) struct SplitMix64(u64);
+pub struct SplitMix64(u64);
 
 impl SplitMix64 {
-    pub(crate) fn new(seed: u64) -> SplitMix64 {
+    /// The stream seeded with `seed`.
+    pub fn new(seed: u64) -> SplitMix64 {
         SplitMix64(seed)
     }
 
-    pub(crate) fn next_u64(&mut self) -> u64 {
+    /// The next 64 uniform bits.
+    pub fn next_u64(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -375,7 +377,7 @@ impl SplitMix64 {
     }
 
     /// A uniform draw in `[0, 1)`.
-    pub(crate) fn next_f64(&mut self) -> f64 {
+    pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 }

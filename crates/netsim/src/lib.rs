@@ -37,7 +37,9 @@ mod net;
 mod node;
 mod time;
 
-pub use fault::{adversary_draw, AdversaryStrategy, FaultPlan, FaultStats, LinkFault, Outage};
+pub use fault::{
+    adversary_draw, AdversaryStrategy, FaultPlan, FaultStats, LinkFault, Outage, SplitMix64,
+};
 pub use flow::{FlowId, FlowProgress};
 pub use net::{Event, EventKind, NetTotals, SimNet};
 pub use node::{LinkSpeed, NodeId, NodeStats};

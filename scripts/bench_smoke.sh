@@ -2,8 +2,7 @@
 # Bench smoke check: rerun the committed benchmarks in --quick mode and fail
 # on malformed JSON output or a >30% regression against the checked-in
 # snapshots (BENCH_rlnc.json, BENCH_transport.json, BENCH_alloc.json,
-# BENCH_adversary.json, BENCH_rt.json, BENCH_profile.json). This is a CI
-# noise guard, not a
+# BENCH_adversary.json, BENCH_profile.json). This is a CI noise guard, not a
 # precision benchmark — the committed numbers themselves come from full
 # (median/min-of-samples) runs on a quiet machine.
 set -euo pipefail
@@ -14,13 +13,12 @@ snapshot=$(mktemp -d)
 # the committed snapshots afterwards so the tree stays clean.
 trap 'cp "$snapshot"/*.json . 2>/dev/null || true; rm -rf "$snapshot"' EXIT
 cp BENCH_rlnc.json BENCH_transport.json BENCH_alloc.json BENCH_adversary.json \
-   BENCH_rt.json BENCH_profile.json "$snapshot"/
+   BENCH_profile.json "$snapshot"/
 
 cargo run --release -p asymshare-bench --bin bench_baseline -- --quick
 cargo run --release -p asymshare-bench --bin bench_transport -- --quick
 cargo run --release --features simd -p asymshare-bench --bin bench_alloc -- --quick
 cargo run --release -p asymshare-bench --bin bench_adversary -- --quick
-cargo run --release -p asymshare-bench --bin bench_rt -- --quick
 cargo run --release -p asymshare-bench --bin bench_profile -- --quick
 
 python3 - "$snapshot" <<'EOF'
@@ -52,11 +50,9 @@ CHECKS = [
     # samples in the committed file and a single sample in the quick rerun.
     ("BENCH_alloc.json", "scales[0].slots_per_sec", lambda d: d["scales"][0]["slots_per_sec"], "higher"),
     ("BENCH_alloc.json", "scales[-1].users_per_sec", lambda d: d["scales"][-1]["users_per_sec"], "higher"),
-    # Reactor gates on absolute throughput only: the speedup column divides
-    # by the starved threaded run, which is far too noisy for a quick rerun
-    # (the speedup invariants are checked against the committed file below).
-    ("BENCH_rt.json", "parity.reactor_mb_per_s", lambda d: d["parity"]["reactor_mb_per_s"], "higher"),
-    ("BENCH_rt.json", "scaling[-1].reactor_mb_per_s", lambda d: d["scaling"][-1]["reactor_mb_per_s"], "higher"),
+    # Idle hosted peers must stay free: throughput with 3 serving peers
+    # among the largest committed hosted-peer count.
+    ("BENCH_transport.json", "scaling[-1].mb_per_s", lambda d: d["scaling"][-1]["mb_per_s"], "higher"),
 ]
 
 # Observability columns both benches must now emit: their absence means a
@@ -76,10 +72,6 @@ REQUIRED_FIELDS = [
                           "config.kernel", "config.samples", "config.statistic"]),
     ("BENCH_adversary.json", ["config.fault_seed", "config.warmup_slots",
                               "honest.goodput_kbps", "honest.duration_secs"]),
-    ("BENCH_rt.json", ["config.serving_peers", "config.host_tick_us",
-                       "config.samples", "config.statistic",
-                       "parity.threaded_mb_per_s", "parity.reactor_mb_per_s",
-                       "parity.ratio"]),
     ("BENCH_profile.json", ["config.fault_seed", "config.warmup_rounds",
                             "static.chunk_bytes", "static.download_secs",
                             "adaptive.chunk_bytes", "adaptive.download_secs",
@@ -107,48 +99,20 @@ for i, entry in enumerate(alloc_scales):
 if failed:
     sys.exit(1)
 
-# BENCH_rt.json structural check: the scaling sweep must commit >= 3 peer
-# counts with the full column set (same list-index limitation as the alloc
-# scales above), and the committed numbers must hold the reactor's two
-# headline invariants — the event loop does not tax the small fan-out the
-# thread-per-peer design is good at (within 10% of the threaded transport
-# baseline), and it beats the threaded runtime's completed-download
-# throughput by >= 4x once the runtime hosts 64+ peers.
-RT_SCALE_FIELDS = ["peers", "threaded_mb_per_s", "reactor_mb_per_s", "speedup"]
-rt_fresh = load("BENCH_rt.json")
-rt_scales = rt_fresh.get("scaling")
-if not isinstance(rt_scales, list) or len(rt_scales) < 3:
-    print("BENCH_rt.json must commit >= 3 scaling points [MISSING]")
+# BENCH_transport.json structural check: the scaling sweep must commit >= 3
+# hosted-peer counts (same list-index limitation as the alloc scales above).
+transport_scales = load("BENCH_transport.json").get("scaling")
+if not isinstance(transport_scales, list) or len(transport_scales) < 3:
+    print("BENCH_transport.json must commit >= 3 scaling points [MISSING]")
     failed = True
-    rt_scales = []
-for i, entry in enumerate(rt_scales):
-    for field in RT_SCALE_FIELDS:
+    transport_scales = []
+for i, entry in enumerate(transport_scales):
+    for field in ["peers", "mb_per_s"]:
         if field not in entry:
-            print(f"BENCH_rt.json scaling[{i}] missing field {field} [MISSING]")
+            print(f"BENCH_transport.json scaling[{i}] missing field {field} [MISSING]")
             failed = True
 if failed:
     sys.exit(1)
-
-rt_committed = load(f"{snap}/BENCH_rt.json")
-transport_baseline = load(f"{snap}/BENCH_transport.json")["after"]["mb_per_s"]
-parity_committed = rt_committed["parity"]["reactor_mb_per_s"]
-if parity_committed < 0.9 * transport_baseline:
-    print(f"BENCH_rt.json parity.reactor_mb_per_s: committed {parity_committed} "
-          f"< 90% of threaded transport baseline {transport_baseline} [REGRESSED]")
-    failed = True
-else:
-    print(f"BENCH_rt.json parity.reactor_mb_per_s: committed {parity_committed} "
-          f"vs threaded transport baseline {transport_baseline} [ok]")
-for entry in rt_committed["scaling"]:
-    if entry["peers"] < 64:
-        continue
-    if entry["speedup"] < 4.0:
-        print(f"BENCH_rt.json scaling {entry['peers']} peers: committed speedup "
-              f"{entry['speedup']} < 4.0 [REGRESSED]")
-        failed = True
-    else:
-        print(f"BENCH_rt.json scaling {entry['peers']} peers: committed speedup "
-              f"{entry['speedup']}x [ok]")
 
 for name, paths in REQUIRED_FIELDS:
     fresh = load(name)

@@ -254,14 +254,15 @@ fn health_engine_does_not_perturb_seeded_run() {
     assert_eq!(now_health, now_plain);
 }
 
-/// End-to-end export surfaces: a threaded download with the sampling
+/// End-to-end export surfaces: a real-time download with the sampling
 /// health monitor attached, scraped live over HTTP — `/metrics` must
 /// render Prometheus text with cumulative `le` buckets and the health
 /// gauges, `/health` must report the engine's verdict, unknown paths 404.
 #[test]
 fn metrics_listener_serves_live_rt_state() {
     use asymshare::rt::{
-        download_file_with, DownloadOptions, HealthMonitor, MetricsServer, PeerHost, RtNetwork,
+        download_file_with, DownloadOptions, HealthMonitor, MetricsServer, Reactor, ReactorConfig,
+        RtNetwork,
     };
     use asymshare::{Peer, User};
     use asymshare_gf::{FieldKind, Gf2p32};
@@ -299,7 +300,7 @@ fn metrics_listener_serves_live_rt_state() {
     .unwrap();
     let batches = enc.encode_for_peers(3).unwrap();
     let manifest = enc.manifest().clone();
-    let mut hosts = Vec::new();
+    let mut reactor = Reactor::new(&network, ReactorConfig::default());
     let mut peer_addrs = Vec::new();
     for (i, batch) in batches.into_iter().enumerate() {
         let identity = Identity::from_seed(&[b'w', i as u8]);
@@ -310,13 +311,7 @@ fn metrics_listener_serves_live_rt_state() {
             peer.store_mut().insert(m);
         }
         let addr = 200 + i as u64;
-        hosts.push(PeerHost::spawn(
-            &network,
-            addr,
-            peer,
-            1 << 20,
-            Duration::from_millis(2),
-        ));
+        reactor.add_peer(addr, peer, 1 << 20);
         peer_addrs.push((addr, key));
     }
 
@@ -330,7 +325,7 @@ fn metrics_listener_serves_live_rt_state() {
         home,
         DownloadOptions::new(Duration::from_secs(30)),
     )
-    .expect("threaded download completes");
+    .expect("download completes");
     assert_eq!(got, data);
 
     // Stop sampling (with a final evaluation) so the scrape sees the
@@ -364,9 +359,7 @@ fn metrics_listener_serves_live_rt_state() {
     let (head, _) = http_get(server.addr(), "/nope");
     assert!(head.starts_with("HTTP/1.1 404"), "got: {head}");
 
-    for host in hosts {
-        host.shutdown();
-    }
+    reactor.shutdown();
     server.shutdown();
 }
 

@@ -1,0 +1,250 @@
+//! The sim driver of the recovery ladder is pinned byte for byte: the event
+//! log and every serving peer's planned transfer schedule hash to the values
+//! the two-copy implementation produced at commit fe55cf6 (ladder inlined in
+//! `runtime.rs`), for three scenarios that walk every rung — stall → nudge →
+//! write-off → re-plan → quarantine → re-dissemination — at the three fault
+//! seeds of the CI matrix. A control flow started in a different order draws
+//! different fault randoms, so any change to *when* or *whom* the ladder
+//! acts on moves these hashes.
+
+use asymshare::{Identity, ParticipantId, RuntimeConfig, SessionId, SimRuntime};
+use asymshare_crypto::md5::Md5;
+use asymshare_netsim::{AdversaryStrategy, FaultPlan, LinkSpeed};
+use asymshare_obs::health::HealthConfig;
+use asymshare_rlnc::FileId;
+
+const SEEDS: [u64; 3] = [5, 17, 83];
+
+fn kbps(v: f64) -> LinkSpeed {
+    LinkSpeed::kbps(v)
+}
+
+fn payload(n: usize, salt: u8) -> Vec<u8> {
+    (0..n).map(|i| ((i * 37) as u8) ^ salt).collect()
+}
+
+fn cfg() -> RuntimeConfig {
+    RuntimeConfig {
+        k: 4,
+        chunk_size: 16 * 1024,
+        ..RuntimeConfig::default()
+    }
+}
+
+fn healing_cfg() -> RuntimeConfig {
+    RuntimeConfig {
+        stall_timeout_secs: 1.5,
+        retry_backoff_secs: 0.5,
+        max_peer_retries: 1,
+        ..cfg()
+    }
+}
+
+fn participants(rt: &mut SimRuntime, tag: u8, ups: &[f64]) -> Vec<ParticipantId> {
+    ups.iter()
+        .enumerate()
+        .map(|(i, &up)| {
+            rt.add_participant(
+                Identity::from_seed(&[b'R', tag, i as u8]),
+                kbps(up),
+                kbps(3000.0),
+            )
+        })
+        .collect()
+}
+
+/// `(md5 of the event log, md5 of the transfer schedules)`. A deployment's
+/// connection counter starts at 0, so the session's connection `i` is the
+/// `i`-th peer it contacted.
+fn pins(rt: &mut SimRuntime, contacted: &[ParticipantId]) -> (String, String) {
+    let mut schedules = Vec::new();
+    for (conn, &pid) in contacted.iter().enumerate() {
+        let schedule = rt
+            .peer_mut(pid)
+            .transfer_schedule(conn as u64)
+            .unwrap_or_default();
+        schedules.extend_from_slice(&(schedule.len() as u64).to_le_bytes());
+        for id in schedule {
+            schedules.extend_from_slice(&id.0.to_le_bytes());
+        }
+    }
+    (
+        Md5::digest(rt.events_jsonl().as_bytes()).to_hex(),
+        Md5::digest(&schedules).to_hex(),
+    )
+}
+
+fn finish(
+    rt: &mut SimRuntime,
+    session: SessionId,
+    data: &[u8],
+    contacted: &[ParticipantId],
+) -> (asymshare::SessionStats, (String, String)) {
+    let report = rt
+        .run_to_completion(session, 7200)
+        .expect("download completes");
+    assert_eq!(report.data, data, "decoded bytes are the original");
+    (report.stats, pins(rt, contacted))
+}
+
+/// 5 % loss and 8 % corruption on every link: stalls are nudged, rejected
+/// messages are re-requested through the limiter.
+fn lossy(seed: u64) -> (String, String) {
+    let mut rt = SimRuntime::new(healing_cfg());
+    rt.enable_observability();
+    let ids = participants(&mut rt, b'l', &[256.0; 4]);
+    let data = payload(384 * 1024, 21);
+    let (manifest, _) = rt.disseminate(ids[0], FileId(61), &data, &ids).unwrap();
+    rt.set_fault_plan(FaultPlan::new(seed).with_loss(0.05).with_corruption(0.08));
+    let session = rt
+        .start_download(ids[0], manifest, kbps(256.0), kbps(3000.0), &ids)
+        .unwrap();
+    let (stats, pins) = finish(&mut rt, session, &data, &ids);
+    assert!(stats.drops > 0 && stats.replacements > 0, "{stats:?}");
+    pins
+}
+
+/// 2 of 5 peers die three seconds in, under 5 % loss: retried, written off,
+/// their demand re-planned round-robin onto the survivors (the health
+/// engine is on, so the pool selection runs through it).
+fn churn(seed: u64) -> (String, String) {
+    let mut rt = SimRuntime::new(healing_cfg());
+    rt.enable_health(HealthConfig::default());
+    let ids = participants(&mut rt, b'c', &[256.0; 5]);
+    let data = payload(1024 * 1024, 22);
+    let (manifest, _) = rt.disseminate(ids[0], FileId(62), &data, &ids).unwrap();
+    let t0 = rt.now().as_secs();
+    rt.set_fault_plan(
+        FaultPlan::new(seed)
+            .with_loss(0.05)
+            .with_kill(rt.participant_node(ids[3]), t0 + 3.0)
+            .with_kill(rt.participant_node(ids[4]), t0 + 3.0),
+    );
+    let session = rt
+        .start_download(ids[0], manifest, kbps(256.0), kbps(3000.0), &ids)
+        .unwrap();
+    let (stats, pins) = finish(&mut rt, session, &data, &ids);
+    assert!(stats.retries > 0 && stats.reassignments > 0, "{stats:?}");
+    pins
+}
+
+/// The file lives on the owner's home peer and on participant 2, which
+/// starts polluting after the detectors warm up; the download contacts
+/// participant 1 (which holds nothing yet) and participant 2. The ban
+/// leaves no honest supply, so the owner re-disseminates to participant 1
+/// and the next nudge starts it serving.
+fn pollution(seed: u64) -> (String, String) {
+    let mut rt = SimRuntime::new(RuntimeConfig {
+        max_peer_retries: 8,
+        ..cfg()
+    });
+    rt.enable_health(HealthConfig {
+        warmup_windows: 3,
+        recovery_per_window: 0.0,
+        ..HealthConfig::default()
+    });
+    let ids = participants(&mut rt, b'p', &[128.0, 128.0, 512.0]);
+    let data = payload(1536 * 1024, 23);
+    let (manifest, _) = rt
+        .disseminate(ids[0], FileId(63), &data, &[ids[0], ids[2]])
+        .unwrap();
+    let contacted = [ids[1], ids[2]];
+    let session = rt
+        .start_download(ids[0], manifest, kbps(128.0), kbps(3000.0), &contacted)
+        .unwrap();
+    rt.run_slots(6);
+    assert!(!rt.session_complete(session), "attack lands mid-download");
+    let evil = rt.participant_node(ids[2]);
+    rt.set_fault_plan(
+        FaultPlan::new(seed).with_adversary(evil, AdversaryStrategy::Pollute { prob: 0.9 }),
+    );
+    let (stats, pins) = finish(&mut rt, session, &data, &contacted);
+    assert!(
+        stats.quarantines > 0 && stats.reassignments > 0,
+        "{stats:?}"
+    );
+    assert!(
+        rt.event_log()
+            .iter()
+            .any(|e| e.component == "sim.heal" && e.kind == "redisseminate"),
+        "the ban must starve the honest supply"
+    );
+    pins
+}
+
+fn check(name: &str, scenario: fn(u64) -> (String, String), expected: [(&str, &str); 3]) {
+    for (seed, want) in SEEDS.into_iter().zip(expected) {
+        let (events, schedules) = scenario(seed);
+        assert_eq!(
+            (events.as_str(), schedules.as_str()),
+            want,
+            "{name}, fault seed {seed}: (event log, transfer schedules)"
+        );
+    }
+}
+
+#[test]
+fn lossy_links_are_pinned() {
+    check(
+        "lossy",
+        lossy,
+        [
+            (
+                "5e1c152dbcffa16c4b6a4225ce8cb829",
+                "f931af5bd868e42cf705ffd39b927b9c",
+            ),
+            (
+                "1de647e8b0bbb8d81af5549ceb8d76e3",
+                "d4f5ab75cc0531086a6c21d0bbcd9c13",
+            ),
+            (
+                "559c2ab1d71d069c8d6c149c80e4ca3b",
+                "6dea38acf7794c5ad08c7d02d3cde148",
+            ),
+        ],
+    );
+}
+
+#[test]
+fn churn_with_reassignment_is_pinned() {
+    check(
+        "churn",
+        churn,
+        [
+            (
+                "2e26c392a3f4865427cc87e0d46a5c9e",
+                "1f4a1ecb68316d03fd653d22e1b5294d",
+            ),
+            (
+                "04e496e4b890fd35f619e9695e0c817b",
+                "1f4a1ecb68316d03fd653d22e1b5294d",
+            ),
+            (
+                "ee0d9ae3d213dd08de4bbcc3d5e86359",
+                "69377347aca7f2c7c9acdf367657e846",
+            ),
+        ],
+    );
+}
+
+#[test]
+fn pollution_quarantine_and_redissemination_are_pinned() {
+    check(
+        "pollution",
+        pollution,
+        [
+            (
+                "3735bc42b43cdb19505314ab9b939156",
+                "ebb8ebc3dfb96f23b94e159524385c24",
+            ),
+            (
+                "3ab85f1fbecbf78a7e13243a5b83b122",
+                "ebb8ebc3dfb96f23b94e159524385c24",
+            ),
+            (
+                "9eb146e173696151644d992def850086",
+                "ebb8ebc3dfb96f23b94e159524385c24",
+            ),
+        ],
+    );
+}
