@@ -6,8 +6,8 @@
 use asymshare_crypto::rng::SecretKey;
 use asymshare_gf::{Field, FieldKind, Gf16, Gf256, Gf2p32, Gf65536};
 use asymshare_rlnc::{
-    BlockDecoder, ChunkedDecoder, ChunkedEncoder, CodingParams, DigestKind, Encoder, FileId,
-    MEGABYTE,
+    BlockDecoder, ChunkedDecoder, ChunkedEncoder, CodingParams, DigestKind, EncodedMessage,
+    Encoder, FileId, MessageDigest, MessageId, MEGABYTE,
 };
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
@@ -88,6 +88,34 @@ fn bench_chunked_pipeline(c: &mut Criterion) {
     group.finish();
 }
 
+/// The per-message MD5 digest (§III-C) of four equally long messages —
+/// half a datagram, half an encoded batch — hashed one after another and
+/// in the four lanes of one kernel, at the payload sizes of the 64 KiB and
+/// 1 MiB chunk rungs (`k = 8`).
+fn bench_digest(c: &mut Criterion) {
+    for (label, len) in [("8KiB", 8 << 10), ("128KiB", 128 << 10)] {
+        let msgs: Vec<EncodedMessage> = (0..4u64)
+            .map(|id| {
+                let payload: Vec<u8> = (0..len).map(|i| (i as u64 * 131 + id) as u8).collect();
+                EncodedMessage::new(FileId(1), MessageId(id), payload)
+            })
+            .collect();
+        let mut group = c.benchmark_group(format!("rlnc/digest/{label}"));
+        group.throughput(Throughput::Bytes(4 * len as u64));
+        group.bench_function("scalar", |b| {
+            b.iter(|| {
+                for msg in &msgs {
+                    black_box(MessageDigest::compute(DigestKind::Md5, black_box(msg)));
+                }
+            })
+        });
+        group.bench_function("4-lane", |b| {
+            b.iter(|| MessageDigest::compute_many(DigestKind::Md5, black_box(&msgs)))
+        });
+        group.finish();
+    }
+}
+
 fn benches(c: &mut Criterion) {
     // The paper's recommended operating point: q = 2^32, m = 2^15, k = 8.
     bench_cell::<Gf2p32>(c, 1 << 15);
@@ -99,6 +127,7 @@ fn benches(c: &mut Criterion) {
     bench_cell::<Gf2p32>(c, 1 << 18);
     bench_cell::<Gf2p32>(c, 1 << 13);
     bench_chunked_pipeline(c);
+    bench_digest(c);
 }
 
 criterion_group!(rlnc_codec, benches);

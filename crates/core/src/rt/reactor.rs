@@ -632,6 +632,10 @@ fn serve_slot(
     now: Instant,
     obs: &WorkerObs,
 ) -> bool {
+    // `now` is the cycle's clock, shared by every slot so window retirement
+    // and the token buckets see one instant; the pass itself is timed from
+    // its own start, or slot i's sample would count slots 0..i again.
+    let pass_started = Instant::now();
     let Slot {
         addr,
         peer,
@@ -765,7 +769,8 @@ fn serve_slot(
         conns.remove(&conn);
     }
     obs.passes.inc();
-    obs.pass_us.record(now.elapsed().as_micros() as u64);
+    obs.pass_us
+        .record(pass_started.elapsed().as_micros() as u64);
     served_any
 }
 

@@ -92,6 +92,9 @@ pub struct User<F: Field> {
     innovative: u64,
     redundant: u64,
     stats: SessionStats,
+    /// Scratch of [`prehash`](Self::prehash): `(frame index, chunk)` of the
+    /// frames picked from the datagram in hand.
+    picked: Vec<(usize, u32)>,
 }
 
 impl<F: Field> User<F> {
@@ -114,6 +117,7 @@ impl<F: Field> User<F> {
             innovative: 0,
             redundant: 0,
             stats: SessionStats::default(),
+            picked: Vec::new(),
         })
     }
 
@@ -141,6 +145,48 @@ impl<F: Field> User<F> {
     /// A connection's stage.
     pub fn stage(&self, conn: u64) -> Option<ConnStage> {
         self.conns.get(&conn).map(|c| c.stage)
+    }
+
+    /// Hashes ahead of time, four at a time, the coded messages at the head
+    /// of one datagram from `conn` that [`on_message`](Self::on_message) is
+    /// certain to hash when they are fed to it, in order, right after this
+    /// call. It changes when those digests are computed and nothing else:
+    /// each frame is still admitted or rejected by `on_message`, which finds
+    /// the digest already in the message and compares it.
+    ///
+    /// A frame is picked iff the connection is downloading, the file is
+    /// incomplete, the manifest knows the message id, and its chunk still
+    /// lacks more messages than frames already picked for it. Fewer picked
+    /// predecessors than the chunk lacks means the chunk — and so the file —
+    /// cannot have completed by the time the frame is reached, which is
+    /// exactly when `on_message` hashes it. Every other frame is left for
+    /// `on_message` to decide, as are all frames after the first that is not
+    /// a coded message (it may change the connection's stage).
+    pub fn prehash(&mut self, conn: u64, frames: &mut [Wire]) {
+        let downloading = self.stage(conn) == Some(ConnStage::Downloading);
+        if !downloading || self.decoder.is_complete() {
+            return;
+        }
+        self.picked.clear();
+        for (index, frame) in frames.iter().enumerate() {
+            let Wire::MessageData(msg) = frame else {
+                break;
+            };
+            let chunk = FileManifest::chunk_of(msg.message_id());
+            let taken = self.picked.iter().filter(|&&(_, c)| c == chunk).count();
+            let lacks_more = self.decoder.chunk_needed(chunk).is_ok_and(|n| n > taken);
+            if lacks_more && self.decoder.manifest().auth().contains(msg.message_id()) {
+                self.picked.push((index, chunk));
+            }
+        }
+        let mut picked = self.picked.iter().map(|&(index, _)| index).peekable();
+        let msgs = frames.iter_mut().enumerate().filter_map(|(index, frame)| {
+            let Wire::MessageData(msg) = frame else {
+                return None;
+            };
+            picked.next_if_eq(&index).map(|_| msg)
+        });
+        self.decoder.prehash(msgs);
     }
 
     /// Handles an inbound message; returns `(connection, message)` pairs to
@@ -333,6 +379,12 @@ impl<F: Field> User<F> {
     /// the overhead of parallel downloading without coordination.
     pub fn redundant_count(&self) -> u64 {
         self.redundant
+    }
+
+    /// Count of received messages whose digest was computed — the ones that
+    /// could still reach a decoder when they arrived.
+    pub fn hashed_count(&self) -> u64 {
+        self.decoder.hashed_count()
     }
 
     /// Decodes and returns the file.
@@ -626,6 +678,189 @@ mod tests {
             .unwrap();
         assert_eq!(user.innovative_count(), innovative + 1);
         assert_eq!(user.stats().duplicates, 0);
+    }
+
+    /// A user over a three-chunk file (k = 4; chunks of 2048, 2048 and 904
+    /// bytes, twelve coded messages each) holding a connection in every
+    /// stage one can be in while the file is incomplete — 0 and 1
+    /// downloading from two peers, 2 authenticating, 3 refused — and the
+    /// coded messages by chunk. Deterministic: two calls build twins.
+    fn user_with_conns_in_every_stage() -> (User<Gf2p32>, Vec<Vec<EncodedMessage>>) {
+        let mut r = rng(9);
+        let owner = Identity::from_seed(b"owner9");
+        let data: Vec<u8> = (0..5000u32).map(|i| (i % 239) as u8).collect();
+        let mut enc = ChunkedEncoder::<Gf2p32>::with_chunk_size(
+            FieldKind::Gf2p32,
+            4,
+            DigestKind::Md5,
+            owner.coding_secret().clone(),
+            FileId(7),
+            &data,
+            2048,
+        )
+        .unwrap();
+        let mut by_chunk = vec![Vec::new(); 3];
+        for msg in enc.encode_for_peers(3).unwrap().into_iter().flatten() {
+            by_chunk[FileManifest::chunk_of(msg.message_id()) as usize].push(msg);
+        }
+        let mut user = User::<Gf2p32>::new(owner.clone(), enc.manifest().clone()).unwrap();
+        for conn in 0..4u64 {
+            let mut peer = Peer::new(Identity::from_seed(&[b'q', conn as u8]), 1.0);
+            peer.add_subscriber(owner.public_key().to_bytes());
+            let commit = user.connect(conn, peer.identity().public_key().to_bytes(), &mut r);
+            if conn == 2 {
+                continue;
+            }
+            let challenge = peer.on_message(conn, commit, &mut r).unwrap().remove(0);
+            let response = user
+                .on_message(conn, challenge, &mut r)
+                .unwrap()
+                .remove(0)
+                .1;
+            let mut result = peer.on_message(conn, response, &mut r).unwrap().remove(0);
+            if conn == 3 {
+                result = Wire::AuthResult {
+                    ok: false,
+                    ack: [0u8; 96],
+                };
+            }
+            user.on_message(conn, result, &mut r).unwrap();
+        }
+        let stages: Vec<_> = (0..4).map(|conn| user.stage(conn).unwrap()).collect();
+        assert_eq!(
+            stages,
+            [
+                ConnStage::Downloading,
+                ConnStage::Downloading,
+                ConnStage::Authenticating,
+                ConnStage::Refused
+            ]
+        );
+        (user, by_chunk)
+    }
+
+    /// Everything about a session that a feed of frames can change.
+    fn observable(user: &User<Gf2p32>) -> impl PartialEq + core::fmt::Debug {
+        (
+            user.stats().clone(),
+            (
+                user.innovative_count(),
+                user.redundant_count(),
+                user.hashed_count(),
+            ),
+            user.window_bytes().clone(),
+            user.window_rejected_bytes().clone(),
+            user.completed_chunks(),
+            (0..4).map(|conn| user.stage(conn)).collect::<Vec<_>>(),
+            user.decode(),
+        )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// Hashing a datagram's coded messages ahead of time is invisible:
+        /// a user fed whole datagrams through `prehash` and then frame by
+        /// frame, and its twin fed frame by frame only, return the same
+        /// result and replies for every frame and end in the same state —
+        /// digests computed included — whatever the datagrams hold: frames
+        /// for untouched, nearly complete and complete chunks (the last
+        /// one's payloads shorter), exact duplicates, forged payloads,
+        /// swapped, unknown and out-of-range ids, control frames in the
+        /// middle, on connections in every stage and on none.
+        #[test]
+        fn prehashed_datagrams_equal_frame_by_frame_feed(
+            held in (0usize..=4, 0usize..=4, 0usize..=4),
+            datagrams in proptest::collection::vec(
+                (0usize..7, proptest::collection::vec((0u8..10, 0usize..3, 0usize..12), 0..=8)),
+                1..=10,
+            ),
+        ) {
+            let mut r = rng(10);
+            let (mut batched, by_chunk) = user_with_conns_in_every_stage();
+            let (mut single, _) = user_with_conns_in_every_stage();
+            for user in [&mut batched, &mut single] {
+                for (chunk, &n) in [held.0, held.1, held.2].iter().enumerate() {
+                    for msg in by_chunk[chunk][..n].iter().cloned() {
+                        user.on_message(0, Wire::MessageData(msg), &mut r).unwrap();
+                    }
+                }
+            }
+            for (conn, specs) in datagrams {
+                let conn = [0, 0, 0, 1, 2, 3, 9][conn];
+                let mut frames: Vec<Wire> = specs
+                    .into_iter()
+                    .map(|(kind, chunk, index)| {
+                        let msg = &by_chunk[chunk][index];
+                        let forged = |id, payload: &[u8]| {
+                            Wire::MessageData(EncodedMessage::new(msg.file_id(), id, payload.to_vec()))
+                        };
+                        match kind {
+                            0..=3 => Wire::MessageData(msg.clone()),
+                            4 => Wire::MessageData(corrupted(msg)),
+                            5 => forged(FileManifest::message_id(chunk as u32, 900), msg.payload()),
+                            6 => forged(FileManifest::message_id(7, index as u32), msg.payload()),
+                            7 => forged(by_chunk[chunk][(index + 1) % 12].message_id(), msg.payload()),
+                            8 => Wire::FileRequest { file_id: 7 },
+                            _ => Wire::AuthResult { ok: false, ack: [0u8; 96] },
+                        }
+                    })
+                    .collect();
+                let expect: Vec<_> = frames
+                    .iter()
+                    .map(|frame| single.on_message(conn, frame.clone(), &mut r))
+                    .collect();
+                batched.prehash(conn, &mut frames);
+                let got: Vec<_> = frames
+                    .into_iter()
+                    .map(|frame| batched.on_message(conn, frame, &mut r))
+                    .collect();
+                proptest::prop_assert_eq!(got, expect);
+                proptest::prop_assert_eq!(observable(&batched), observable(&single));
+            }
+        }
+    }
+
+    /// `prehash` picks no more frames per chunk than the chunk lacks, and a
+    /// frame it left alone is hashed on arrival if an earlier one fell out.
+    #[test]
+    fn prehash_picks_what_the_chunk_lacks_and_the_rest_falls_back() {
+        let mut r = rng(11);
+        let (mut user, by_chunk) = user_with_conns_in_every_stage();
+        user.on_message(0, Wire::MessageData(by_chunk[1][0].clone()), &mut r)
+            .unwrap();
+        assert_eq!(user.hashed_count(), 1);
+        // Chunk 1 lacks three: of six candidates, three are picked — one of
+        // them forged, so a fourth is hashed when its turn comes, the chunk
+        // completes, and the last two are dropped unhashed.
+        let mut frames: Vec<Wire> = by_chunk[1][1..7]
+            .iter()
+            .cloned()
+            .map(Wire::MessageData)
+            .collect();
+        frames[1] = Wire::MessageData(corrupted(&by_chunk[1][2]));
+        user.prehash(0, &mut frames);
+        assert_eq!(user.hashed_count(), 4);
+        let results: Vec<_> = frames
+            .into_iter()
+            .map(|frame| user.on_message(0, frame, &mut r).is_ok())
+            .collect();
+        assert_eq!(results, [true, false, true, true, true, true]);
+        assert_eq!(user.hashed_count(), 5);
+        assert_eq!(user.completed_chunks(), vec![1]);
+        assert_eq!((user.innovative_count(), user.redundant_count()), (4, 2));
+        assert_eq!(user.stats().corruptions, 1);
+        // Not downloading, nothing to pick: frames on an unauthenticated
+        // connection are never hashed.
+        let mut frames: Vec<Wire> = by_chunk[0][..4]
+            .iter()
+            .cloned()
+            .map(Wire::MessageData)
+            .collect();
+        user.prehash(2, &mut frames);
+        user.prehash(3, &mut frames);
+        user.prehash(9, &mut frames);
+        assert_eq!(user.hashed_count(), 5);
     }
 
     #[test]

@@ -66,12 +66,7 @@ const K: [u32; 64] = [
 /// assert_eq!(h.finalize(), Md5::digest(b"abc"));
 /// ```
 #[derive(Debug, Clone)]
-pub struct Md5 {
-    state: [u32; 4],
-    buffer: [u8; 64],
-    buffered: usize,
-    length_bytes: u64,
-}
+pub struct Md5(Hasher<1>);
 
 impl Default for Md5 {
     fn default() -> Self {
@@ -82,12 +77,7 @@ impl Default for Md5 {
 impl Md5 {
     /// A fresh hasher.
     pub fn new() -> Self {
-        Md5 {
-            state: [0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476],
-            buffer: [0u8; 64],
-            buffered: 0,
-            length_bytes: 0,
-        }
+        Md5(Hasher::new())
     }
 
     /// One-shot digest of `data`.
@@ -98,45 +88,204 @@ impl Md5 {
     }
 
     /// Absorbs more input.
-    pub fn update(&mut self, mut data: &[u8]) {
-        self.length_bytes = self.length_bytes.wrapping_add(data.len() as u64);
-        if self.buffered > 0 {
-            let take = (64 - self.buffered).min(data.len());
-            self.buffer[self.buffered..self.buffered + take].copy_from_slice(&data[..take]);
-            self.buffered += take;
-            data = &data[take..];
-            if self.buffered < 64 {
-                return;
-            }
-            compress(&mut self.state, &self.buffer);
-            self.buffered = 0;
-        }
-        // Whole blocks are compressed where they lie in the input.
-        let tail = data.len() % 64;
-        let (blocks, rest) = data.split_at(data.len() - tail);
-        compress(&mut self.state, blocks);
-        self.buffer[..tail].copy_from_slice(rest);
-        self.buffered = tail;
+    pub fn update(&mut self, data: &[u8]) {
+        self.0.update([data]);
     }
 
     /// Finishes and returns the digest, consuming the hasher state.
-    pub fn finalize(mut self) -> Digest128 {
-        let bit_len = self.length_bytes.wrapping_mul(8);
+    pub fn finalize(self) -> Digest128 {
+        let [digest] = self.0.finalize();
+        digest
+    }
+}
+
+/// Four streaming MD5 hashers advanced in lockstep over four inputs of
+/// equal length: every step of the compression function runs once on
+/// registers that hold one 32-bit word per input, which the compiler keeps
+/// in one SIMD register. Lane `i` of the result is exactly
+/// [`Md5`]'s digest of input `i`.
+///
+/// # Example
+///
+/// ```rust
+/// use asymshare_crypto::md5::{Md5, Md5x4};
+///
+/// let mut h = Md5x4::new();
+/// h.update([b"head", b"HEAD", b"hEAD", b"Head"]);
+/// h.update([b"-one", b"-two", b"-3.0", b"-iv."]);
+/// let digests = h.finalize();
+/// assert_eq!(digests[1], Md5::digest(b"HEAD-two"));
+/// assert_eq!(digests[3], Md5::digest(b"Head-iv."));
+/// ```
+#[derive(Debug, Clone)]
+pub struct Md5x4(Hasher<4>);
+
+impl Default for Md5x4 {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Md5x4 {
+    /// Four fresh hashers.
+    pub fn new() -> Self {
+        Md5x4(Hasher::new())
+    }
+
+    /// Absorbs the next piece of each input.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the four pieces differ in length.
+    pub fn update(&mut self, data: [&[u8]; 4]) {
+        self.0.update(data);
+    }
+
+    /// Finishes and returns the four digests, in input order.
+    pub fn finalize(self) -> [Digest128; 4] {
+        self.0.finalize()
+    }
+}
+
+/// `N` MD5 computations over inputs of equal length, sharing one block
+/// position: the chaining state holds `N` words per register and the
+/// unfilled-block tail is kept per lane at one common fill level.
+#[derive(Debug, Clone)]
+struct Hasher<const N: usize> {
+    state: [Lanes<N>; 4],
+    buffer: [[u8; 64]; N],
+    buffered: usize,
+    length_bytes: u64,
+}
+
+impl<const N: usize> Hasher<N> {
+    fn new() -> Self {
+        Hasher {
+            state: [0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476].map(Lanes::splat),
+            buffer: [[0u8; 64]; N],
+            buffered: 0,
+            length_bytes: 0,
+        }
+    }
+
+    /// Compresses the (full) tail buffers as the next block of every lane.
+    fn compress_buffer(&mut self) {
+        compress(&mut self.state, self.buffer.each_ref().map(|b| &b[..]));
+    }
+
+    fn update(&mut self, mut data: [&[u8]; N]) {
+        let len = data[0].len();
+        assert!(
+            data.iter().all(|lane| lane.len() == len),
+            "lanes of unequal length"
+        );
+        self.length_bytes = self.length_bytes.wrapping_add(len as u64);
+        if self.buffered > 0 {
+            let take = (64 - self.buffered).min(len);
+            for (buffer, lane) in self.buffer.iter_mut().zip(&mut data) {
+                buffer[self.buffered..self.buffered + take].copy_from_slice(&lane[..take]);
+                *lane = &lane[take..];
+            }
+            self.buffered += take;
+            if self.buffered < 64 {
+                return;
+            }
+            self.compress_buffer();
+            self.buffered = 0;
+        }
+        // Whole blocks are compressed where they lie in the input.
+        let tail = data[0].len() % 64;
+        let whole = data[0].len() - tail;
+        compress(&mut self.state, data.map(|lane| &lane[..whole]));
+        for (buffer, lane) in self.buffer.iter_mut().zip(data) {
+            buffer[..tail].copy_from_slice(&lane[whole..]);
+        }
+        self.buffered = tail;
+    }
+
+    fn finalize(mut self) -> [Digest128; N] {
+        let bit_len = self.length_bytes.wrapping_mul(8).to_le_bytes();
         // `buffered < 64` always holds between calls, so the 0x80 fits.
-        self.buffer[self.buffered] = 0x80;
-        self.buffer[self.buffered + 1..].fill(0);
+        for buffer in &mut self.buffer {
+            buffer[self.buffered] = 0x80;
+            buffer[self.buffered + 1..].fill(0);
+        }
         if self.buffered >= 56 {
             // No room left for the length: it goes in a block of its own.
-            compress(&mut self.state, &self.buffer);
-            self.buffer.fill(0);
+            self.compress_buffer();
+            self.buffer = [[0u8; 64]; N];
         }
-        self.buffer[56..].copy_from_slice(&bit_len.to_le_bytes());
-        compress(&mut self.state, &self.buffer);
-        let mut out = [0u8; 16];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..(i + 1) * 4].copy_from_slice(&word.to_le_bytes());
+        for buffer in &mut self.buffer {
+            buffer[56..].copy_from_slice(&bit_len);
         }
-        Digest128(out)
+        self.compress_buffer();
+        core::array::from_fn(|lane| {
+            let mut out = [0u8; 16];
+            for (bytes, word) in out.chunks_exact_mut(4).zip(&self.state) {
+                bytes.copy_from_slice(&word.0[lane].to_le_bytes());
+            }
+            Digest128(out)
+        })
+    }
+}
+
+/// One 32-bit word per lane. Every operation is element-wise, so with
+/// `N = 4` each is one SSE2 instruction (two for the rotation) on the
+/// baseline x86-64 target, and with `N = 1` it is the plain `u32` operation.
+#[derive(Debug, Clone, Copy)]
+struct Lanes<const N: usize>([u32; N]);
+
+impl<const N: usize> Lanes<N> {
+    #[inline(always)]
+    fn splat(word: u32) -> Self {
+        Lanes([word; N])
+    }
+
+    #[inline(always)]
+    fn zip(self, rhs: Self, op: impl Fn(u32, u32) -> u32) -> Self {
+        Lanes(core::array::from_fn(|lane| op(self.0[lane], rhs.0[lane])))
+    }
+
+    #[inline(always)]
+    fn wrapping_add(self, rhs: Self) -> Self {
+        self.zip(rhs, u32::wrapping_add)
+    }
+
+    #[inline(always)]
+    fn rotate_left(self, n: u32) -> Self {
+        Lanes(self.0.map(|word| word.rotate_left(n)))
+    }
+}
+
+impl<const N: usize> core::ops::BitAnd for Lanes<N> {
+    type Output = Self;
+    #[inline(always)]
+    fn bitand(self, rhs: Self) -> Self {
+        self.zip(rhs, |a, b| a & b)
+    }
+}
+
+impl<const N: usize> core::ops::BitOr for Lanes<N> {
+    type Output = Self;
+    #[inline(always)]
+    fn bitor(self, rhs: Self) -> Self {
+        self.zip(rhs, |a, b| a | b)
+    }
+}
+
+impl<const N: usize> core::ops::BitXor for Lanes<N> {
+    type Output = Self;
+    #[inline(always)]
+    fn bitxor(self, rhs: Self) -> Self {
+        self.zip(rhs, |a, b| a ^ b)
+    }
+}
+
+impl<const N: usize> core::ops::Not for Lanes<N> {
+    type Output = Self;
+    #[inline(always)]
+    fn not(self) -> Self {
+        Lanes(self.0.map(|word| !word))
     }
 }
 
@@ -144,21 +293,21 @@ impl Md5 {
 // shortest dependency chain on `b` (the value the previous step has only
 // just produced).
 #[inline(always)]
-fn mix_f(b: u32, c: u32, d: u32) -> u32 {
+fn mix_f<const N: usize>(b: Lanes<N>, c: Lanes<N>, d: Lanes<N>) -> Lanes<N> {
     d ^ (b & (c ^ d))
 }
 #[inline(always)]
-fn mix_g(b: u32, c: u32, d: u32) -> u32 {
+fn mix_g<const N: usize>(b: Lanes<N>, c: Lanes<N>, d: Lanes<N>) -> Lanes<N> {
     // The two terms never share a set bit, so `+` equals `|` and lets the
     // `!d & c` half be folded into the running sum before `b` is ready.
     (d & b).wrapping_add(!d & c)
 }
 #[inline(always)]
-fn mix_h(b: u32, c: u32, d: u32) -> u32 {
+fn mix_h<const N: usize>(b: Lanes<N>, c: Lanes<N>, d: Lanes<N>) -> Lanes<N> {
     b ^ c ^ d
 }
 #[inline(always)]
-fn mix_i(b: u32, c: u32, d: u32) -> u32 {
+fn mix_i<const N: usize>(b: Lanes<N>, c: Lanes<N>, d: Lanes<N>) -> Lanes<N> {
     c ^ (b | !d)
 }
 
@@ -168,26 +317,34 @@ macro_rules! step {
     ($func:ident, $a:ident, $b:ident, $c:ident, $d:ident, $m:expr, $s:literal, $k:expr) => {
         $a = $b.wrapping_add(
             $a.wrapping_add($m)
-                .wrapping_add($k)
+                .wrapping_add(Lanes::splat($k))
                 .wrapping_add($func($b, $c, $d))
                 .rotate_left($s),
         );
     };
 }
 
-/// Runs the compression function over every 64-byte block of `blocks`
-/// (whose length must be a multiple of 64), reading the message words
-/// straight from the slice. All 64 steps are written out with their shift
-/// amounts and message-word indices as constants, so the chaining state
-/// stays in registers across steps and across blocks.
-fn compress(state: &mut [u32; 4], blocks: &[u8]) {
-    debug_assert_eq!(blocks.len() % 64, 0);
+/// Runs the compression function over every 64-byte block of the `N`
+/// inputs in lockstep (their common length must be a multiple of 64),
+/// reading the message words straight from the slices. All 64 steps are
+/// written out with their shift amounts and message-word indices as
+/// constants, so the chaining state stays in registers across steps and
+/// across blocks. This is the only copy of the steps: [`Md5`] runs it at
+/// one lane, [`Md5x4`] at four.
+fn compress<const N: usize>(state: &mut [Lanes<N>; 4], blocks: [&[u8]; N]) {
+    let len = blocks[0].len();
+    debug_assert_eq!(len % 64, 0);
+    debug_assert!(blocks.iter().all(|lane| lane.len() == len));
     let [mut a, mut b, mut c, mut d] = *state;
-    for block in blocks.chunks_exact(64) {
-        let mut m = [0u32; 16];
-        for (word, bytes) in m.iter_mut().zip(block.chunks_exact(4)) {
-            *word = u32::from_le_bytes(bytes.try_into().expect("4-byte chunk"));
-        }
+    for at in (0..len).step_by(64) {
+        let block: [&[u8; 64]; N] = core::array::from_fn(|lane| {
+            blocks[lane][at..at + 64].try_into().expect("64-byte block")
+        });
+        let m: [Lanes<N>; 16] = core::array::from_fn(|word| {
+            Lanes(block.map(|bytes| {
+                u32::from_le_bytes(bytes[word * 4..word * 4 + 4].try_into().expect("4 bytes"))
+            }))
+        });
         let (a0, b0, c0, d0) = (a, b, c, d);
         // Round 1.
         step!(mix_f, a, b, c, d, m[0], 7, K[0]);
@@ -364,6 +521,78 @@ mod tests {
         }
     }
 
+    /// Four inputs of length `len` that differ from each other in every
+    /// block, so a digest that lands in the wrong lane cannot pass.
+    fn four_inputs(seed: &[u8], len: usize) -> [Vec<u8>; 4] {
+        core::array::from_fn(|lane| {
+            (0..len)
+                .map(|i| seed[i % seed.len().max(1)] ^ (i as u8).wrapping_mul(lane as u8 * 2 + 1))
+                .collect()
+        })
+    }
+
+    fn digests_x4(inputs: &[Vec<u8>; 4], split: usize) -> [Digest128; 4] {
+        let mut h = Md5x4::new();
+        h.update(inputs.each_ref().map(|input| &input[..split]));
+        h.update(inputs.each_ref().map(|input| &input[split..]));
+        h.finalize()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Each lane of the four-lane hasher equals the one-lane hasher and
+        /// the reference on that lane's own input, at every common length
+        /// across the padding edges and every split into two `update`s.
+        #[test]
+        fn four_lanes_match_scalar_and_reference_at_every_split(
+            seed in proptest::collection::vec(any::<u8>(), 1..=300),
+            len in 0usize..=300,
+        ) {
+            let inputs = four_inputs(&seed, len);
+            let expect = inputs.each_ref().map(|input| reference_md5(input));
+            prop_assert_eq!(inputs.each_ref().map(|input| Md5::digest(input)), expect);
+            for split in 0..=len {
+                prop_assert_eq!(digests_x4(&inputs, split), expect, "len={} split={}", len, split);
+            }
+        }
+    }
+
+    #[test]
+    fn four_lanes_match_reference_at_every_length() {
+        for len in 0..=300 {
+            let inputs = four_inputs(&[0x5A, 3, 0xC7], len);
+            assert_eq!(
+                digests_x4(&inputs, len / 3),
+                inputs.each_ref().map(|input| reference_md5(input)),
+                "len={len}"
+            );
+        }
+    }
+
+    /// A published vector holds in whichever lane carries it, beside three
+    /// unrelated inputs of the same length.
+    fn assert_vector_in_every_lane(input: &[u8], expect: &str) {
+        for lane in 0..4 {
+            let mut inputs = four_inputs(b"filler", input.len());
+            inputs[lane] = input.to_vec();
+            let got = digests_x4(&inputs, input.len() / 2);
+            assert_eq!(got[lane].to_hex(), expect, "lane {lane}");
+            let other = (lane + 1) % 4;
+            assert_eq!(
+                got[other],
+                Md5::digest(&inputs[other]),
+                "beside lane {lane}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "unequal length")]
+    fn four_lanes_reject_unequal_lengths() {
+        Md5x4::new().update([b"ab", b"ab", b"abc", b"ab"]);
+    }
+
     // RFC 1321-era extended vector: one million repetitions of "a", fed in
     // uneven pieces so whole-block runs start at every buffer offset.
     #[test]
@@ -377,6 +606,7 @@ mod tests {
             left -= n;
         }
         assert_eq!(h.finalize().to_hex(), "7707d6ae4e027c70eea2a935c2296f21");
+        assert_vector_in_every_lane(&[b'a'; 1_000_000], "7707d6ae4e027c70eea2a935c2296f21");
     }
 
     // RFC 1321 appendix A.5 test suite.
@@ -402,6 +632,7 @@ mod tests {
         ];
         for (input, expect) in cases {
             assert_eq!(Md5::digest(input).to_hex(), expect);
+            assert_vector_in_every_lane(input, expect);
         }
     }
 

@@ -370,8 +370,9 @@ impl<F: Field> ChunkedEncoder<F> {
         let start = ((index as u64) << 32) | self.next_candidate[index as usize] as u64;
         let (batch, next) = encoder.encode_batch_from(start, count)?;
         self.next_candidate[index as usize] = (next & 0xffff_ffff) as u32;
-        for msg in &batch {
-            self.manifest.auth.record(msg);
+        let digests = MessageDigest::compute_many(self.manifest.auth.kind(), &batch);
+        for (msg, digest) in batch.iter().zip(digests) {
+            self.manifest.auth.record_digest(msg.message_id(), digest);
         }
         Ok(batch)
     }
@@ -382,8 +383,9 @@ impl<F: Field> ChunkedEncoder<F> {
     /// Runs in three phases: rank-checked admission per (chunk, peer) batch
     /// is sequential (candidate ids are consumed in order per chunk); the
     /// payload combination of each batch (one block of Eq. (1)) and the
-    /// digests of its messages — hashed right after, on the worker that
-    /// produced them — fan out across threads; and the precomputed digests
+    /// digests of its messages — hashed right after, four at a time, on the
+    /// worker that produced them — fan out across threads; and the
+    /// precomputed digests
     /// enter the manifest in the same deterministic order as the sequential
     /// implementation.
     ///
@@ -411,13 +413,8 @@ impl<F: Field> ChunkedEncoder<F> {
             let mut scratch = block::Scratch::new();
             for (slot, (chunk, _, ids)) in slots.iter_mut().zip(&jobs[base..]) {
                 let batch = encoders[*chunk as usize].encode_planned(ids, &mut scratch);
-                *slot = batch
-                    .into_iter()
-                    .map(|msg| {
-                        let digest = MessageDigest::compute(kind, &msg);
-                        (msg, digest)
-                    })
-                    .collect();
+                let digests = MessageDigest::compute_many(kind, &batch);
+                *slot = batch.into_iter().zip(digests).collect();
             }
         });
         // Phase 3: record the digests and regroup per peer.
@@ -438,6 +435,8 @@ impl<F: Field> ChunkedEncoder<F> {
 pub struct ChunkedDecoder<F> {
     manifest: FileManifest,
     chunks: Vec<BlockDecoder<F>>,
+    /// Digests computed for offered messages so far.
+    hashed: u64,
 }
 
 impl<F: Field> ChunkedDecoder<F> {
@@ -464,7 +463,38 @@ impl<F: Field> ChunkedDecoder<F> {
                 manifest.chunk_len(index)?,
             ));
         }
-        Ok(ChunkedDecoder { manifest, chunks })
+        Ok(ChunkedDecoder {
+            manifest,
+            chunks,
+            hashed: 0,
+        })
+    }
+
+    /// Hashes `msgs` now — four at a time where neighbours have equally
+    /// long payloads — and leaves each digest in its message, so that
+    /// [`add_message`](Self::add_message) compares it against the manifest
+    /// instead of hashing the message a second time. Purely a matter of
+    /// *when* the hashing happens: a message is accepted or rejected
+    /// exactly as if it had been offered without this call.
+    pub fn prehash<'a>(&mut self, msgs: impl IntoIterator<Item = &'a mut EncodedMessage>) {
+        let hashed = &mut self.hashed;
+        crate::auth::digest_each(
+            self.manifest.auth.kind(),
+            msgs.into_iter(),
+            |msg| msg,
+            |msg, digest| {
+                msg.cache_digest(digest);
+                *hashed += 1;
+            },
+        );
+    }
+
+    /// How many offered messages have been hashed, by
+    /// [`prehash`](Self::prehash) or by [`add_message`](Self::add_message)
+    /// (which hashes a message only if its id is in the manifest and
+    /// `prehash` has not already done so).
+    pub fn hashed_count(&self) -> u64 {
+        self.hashed
     }
 
     /// Offers a message: authenticates it, routes it to its chunk decoder.
@@ -477,7 +507,7 @@ impl<F: Field> ChunkedDecoder<F> {
     /// [`CodecError::ChunkOutOfRange`] for an impossible chunk index, plus
     /// the underlying decoder errors.
     pub fn add_message(&mut self, msg: EncodedMessage) -> Result<bool, CodecError> {
-        self.manifest.auth.verify(&msg)?;
+        self.manifest.auth.verify_counting(&msg, &mut self.hashed)?;
         let chunk = FileManifest::chunk_of(msg.message_id());
         let Some(decoder) = self.chunks.get_mut(chunk as usize) else {
             return Err(CodecError::ChunkOutOfRange {
@@ -507,6 +537,22 @@ impl<F: Field> ChunkedDecoder<F> {
         self.chunks
             .get(index as usize)
             .map(|d| d.is_complete())
+            .ok_or(CodecError::ChunkOutOfRange {
+                index,
+                count: self.manifest.chunk_count(),
+            })
+    }
+
+    /// Independent messages chunk `index` still lacks (zero once it is
+    /// decodable).
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::ChunkOutOfRange`] for an invalid index.
+    pub fn chunk_needed(&self, index: u32) -> Result<usize, CodecError> {
+        self.chunks
+            .get(index as usize)
+            .map(|d| d.needed())
             .ok_or(CodecError::ChunkOutOfRange {
                 index,
                 count: self.manifest.chunk_count(),
@@ -707,6 +753,64 @@ mod tests {
             dec.add_message(injected),
             Err(CodecError::AuthenticationFailed { .. })
         ));
+    }
+
+    /// Hashing a datagram's messages ahead of time changes when they are
+    /// hashed and nothing else: every result, the count of digests
+    /// computed and the decoded bytes equal the one-at-a-time feed, with a
+    /// forgery, an unknown id and a shorter last-chunk payload in the mix.
+    #[test]
+    fn prehashed_feed_admits_and_hashes_like_plain_feed() {
+        let data = file(10_000); // chunks of 4096 + 4096 + 1808 bytes
+        let mut enc = encoder(&data, 4096);
+        let mut msgs: Vec<EncodedMessage> = enc
+            .encode_for_peers(1)
+            .unwrap()
+            .into_iter()
+            .flatten()
+            .collect();
+        let mut forged = msgs[2].payload().to_vec();
+        forged[100] ^= 1;
+        msgs.insert(
+            2,
+            EncodedMessage::new(FileId(11), msgs[2].message_id(), forged),
+        );
+        let unknown = FileManifest::message_id(1, 999);
+        msgs.insert(6, EncodedMessage::new(FileId(11), unknown, vec![0u8; 1024]));
+        let feed = |prehash: bool| {
+            let mut dec = ChunkedDecoder::<Gf2p32>::new(enc.manifest().clone(), secret()).unwrap();
+            let mut results = Vec::new();
+            for datagram in msgs.chunks(5) {
+                let mut datagram = datagram.to_vec();
+                if prehash {
+                    dec.prehash(&mut datagram);
+                }
+                results.extend(datagram.into_iter().map(|m| dec.add_message(m)));
+            }
+            (results, dec.hashed_count(), dec.decode().unwrap())
+        };
+        let (results, hashed, decoded) = feed(true);
+        assert_eq!(hashed, msgs.len() as u64, "prehash hashes all it is given");
+        assert_eq!(
+            results[2],
+            Err(CodecError::AuthenticationFailed {
+                id: msgs[2].message_id().0
+            })
+        );
+        assert_eq!(
+            results[6],
+            Err(CodecError::AuthenticationFailed { id: unknown.0 })
+        );
+        assert_eq!(results.iter().filter(|r| r.is_err()).count(), 2);
+        assert_eq!(decoded, data);
+        let (plain_results, plain_hashed, plain_decoded) = feed(false);
+        assert_eq!(plain_results, results);
+        assert_eq!(
+            plain_hashed,
+            msgs.len() as u64 - 1,
+            "an unknown id is never hashed"
+        );
+        assert_eq!(plain_decoded, data);
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! held as an [`Bytes`] handle: cloning a message (store → peer → frame)
 //! shares one allocation instead of copying payload bytes.
 
+use crate::auth::MessageDigest;
 use crate::error::CodecError;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -51,11 +52,45 @@ pub const HEADER_LEN: usize = 16;
 /// assert_eq!(EncodedMessage::from_wire(&wire)?, msg);
 /// # Ok::<(), asymshare_rlnc::CodecError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Clone)]
 pub struct EncodedMessage {
     file_id: FileId,
     message_id: MessageId,
     payload: Bytes,
+    /// The digest of this message's wire form, once this crate has hashed
+    /// it ahead of verification ([`ChunkedDecoder::prehash`]). No
+    /// constructor and no caller can set it: it is only ever computed from
+    /// the three fields above, which never change, so it cannot describe
+    /// other bytes than the ones it travels with. It is a cache, not part
+    /// of the message: equality, hashing and `Debug` ignore it.
+    ///
+    /// [`ChunkedDecoder::prehash`]: crate::ChunkedDecoder::prehash
+    digest: Option<MessageDigest>,
+}
+
+impl PartialEq for EncodedMessage {
+    fn eq(&self, other: &Self) -> bool {
+        (self.file_id, self.message_id, &self.payload)
+            == (other.file_id, other.message_id, &other.payload)
+    }
+}
+
+impl Eq for EncodedMessage {}
+
+impl core::hash::Hash for EncodedMessage {
+    fn hash<H: core::hash::Hasher>(&self, state: &mut H) {
+        (self.file_id, self.message_id, &self.payload).hash(state);
+    }
+}
+
+impl core::fmt::Debug for EncodedMessage {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_struct("EncodedMessage")
+            .field("file_id", &self.file_id)
+            .field("message_id", &self.message_id)
+            .field("payload", &self.payload)
+            .finish()
+    }
 }
 
 impl EncodedMessage {
@@ -66,7 +101,19 @@ impl EncodedMessage {
             file_id,
             message_id,
             payload: payload.into(),
+            digest: None,
         }
+    }
+
+    /// The digest cached by [`cache_digest`](Self::cache_digest), if any.
+    pub(crate) fn cached_digest(&self) -> Option<&MessageDigest> {
+        self.digest.as_ref()
+    }
+
+    /// Stores `digest`, which the caller has just computed from this very
+    /// message.
+    pub(crate) fn cache_digest(&mut self, digest: MessageDigest) {
+        self.digest = Some(digest);
     }
 
     /// The file this message belongs to.
@@ -126,6 +173,7 @@ impl EncodedMessage {
             file_id,
             message_id,
             payload: Bytes::from(wire.to_vec()),
+            digest: None,
         })
     }
 
@@ -150,6 +198,7 @@ impl EncodedMessage {
             file_id,
             message_id,
             payload: wire.slice(HEADER_LEN..),
+            digest: None,
         })
     }
 
