@@ -74,6 +74,7 @@ mod protocol;
 mod recovery;
 pub mod rt;
 mod runtime;
+mod serve;
 mod session;
 mod store;
 mod user;

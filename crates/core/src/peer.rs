@@ -8,7 +8,6 @@ use crate::protocol::Wire;
 use crate::session::Verifier;
 use crate::store::MessageStore;
 use asymshare_crypto::chacha20::ChaChaRng;
-use asymshare_crypto::schnorr::PublicKey;
 use asymshare_rlnc::{EncodedMessage, FileId, MessageId};
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
@@ -59,7 +58,10 @@ pub struct Peer {
 #[derive(Debug, Default)]
 struct PeerSession {
     verifier: Verifier,
-    verified: Option<PublicKey>,
+    /// The authenticated user's key, as the bytes its commit carried: a
+    /// serve pass reads it per connection per pass, so it must be a copy,
+    /// not a point serialization.
+    verified: Option<KeyBytes>,
     serving: Option<FileId>,
     /// The file `order` was planned for. Outlives `serving` (which a
     /// [`Wire::StopTransmission`] clears) so the planned schedule stays
@@ -149,9 +151,7 @@ impl Peer {
 
     /// The verified user key of a connection.
     pub fn session_user(&self, conn: u64) -> Option<KeyBytes> {
-        self.sessions
-            .get(&conn)
-            .and_then(|s| s.verified.map(|k| k.to_bytes()))
+        self.sessions.get(&conn).and_then(|s| s.verified)
     }
 
     /// Handles one protocol message on `conn`, returning replies to send
@@ -189,7 +189,7 @@ impl Peer {
                         who: format!("connection {conn}"),
                     });
                 };
-                match session.verifier.on_response(&wire) {
+                match session.verifier.on_response_bytes(&wire) {
                     Ok(key) => {
                         session.verified = Some(key);
                         // Countersign the transcript: mutual authentication
@@ -404,24 +404,33 @@ impl Peer {
         )
     }
 
+    /// The message [`next_message`](Peer::next_message) would return on
+    /// `conn`, without advancing anything.
+    fn peek_next(&self, conn: u64) -> Option<&EncodedMessage> {
+        let session = self.sessions.get(&conn)?;
+        let msgs = self.store.messages(session.serving?);
+        session
+            .resend
+            .iter()
+            .chain(&session.order[session.served.min(session.order.len())..])
+            .map(|&idx| &msgs[idx])
+            .find(|msg| {
+                !session
+                    .stopped_chunks
+                    .contains(&chunk_of(msg.message_id().0))
+            })
+    }
+
     /// Whether `conn` has more stored messages to send.
     pub fn has_pending(&self, conn: u64) -> bool {
-        let Some(session) = self.sessions.get(&conn) else {
-            return false;
-        };
-        let Some(file) = session.serving else {
-            return false;
-        };
-        let msgs = self.store.messages(file);
-        let not_stopped = |&idx: &usize| {
-            !session
-                .stopped_chunks
-                .contains(&chunk_of(msgs[idx].message_id().0))
-        };
-        session.resend.iter().any(not_stopped)
-            || session.order[session.served.min(session.order.len())..]
-                .iter()
-                .any(not_stopped)
+        self.peek_next(conn).is_some()
+    }
+
+    /// The wire length of the frame the next message on `conn` will make,
+    /// exact (stopped chunks skipped), or `None` when
+    /// [`next_message`](Peer::next_message) would return nothing.
+    pub(crate) fn next_message_len(&self, conn: u64) -> Option<usize> {
+        self.peek_next(conn).map(Wire::message_data_frame_len)
     }
 
     /// Connections that are authenticated, serving a file, and still have
@@ -494,6 +503,54 @@ mod tests {
         }
         assert_eq!(served, 3);
         assert!(!peer.has_pending(conn));
+    }
+
+    #[test]
+    fn session_user_is_the_key_the_handshake_verified() {
+        let (peer, conn, user, _) = authed_peer_and_conn(13);
+        assert_eq!(
+            peer.session_user(conn),
+            Some(user.public_key().to_bytes()),
+            "the cached bytes are the identity's own serialization"
+        );
+        assert_eq!(peer.session_user(conn + 1), None);
+    }
+
+    #[test]
+    fn next_message_len_reads_ahead_without_consuming() {
+        let (mut peer, conn, _, mut r) = authed_peer_and_conn(14);
+        assert_eq!(peer.next_message_len(conn), None, "nothing requested");
+        // Two chunks whose messages differ in length.
+        for (chunk, len) in [(0u64, 64usize), (1, 100)] {
+            for i in 0..2 {
+                peer.store_mut().insert(EncodedMessage::new(
+                    FileId(9),
+                    MessageId(chunk << 32 | i),
+                    vec![1; len],
+                ));
+            }
+        }
+        peer.on_message(conn, Wire::FileRequest { file_id: 9 }, &mut r)
+            .unwrap();
+        let mut seen = 0;
+        while let Some(len) = peer.next_message_len(conn) {
+            assert_eq!(peer.next_message_len(conn), Some(len), "peeking is idle");
+            if seen == 0 {
+                // Stopping the chunk at the head moves the answer on to
+                // the other chunk, as `next_message` will.
+                let head = peer.transfer_schedule(conn).unwrap()[0];
+                let chunk = chunk_of(head.0);
+                peer.on_message(conn, Wire::StopChunk { file_id: 9, chunk }, &mut r)
+                    .unwrap();
+                assert_ne!(peer.next_message_len(conn), Some(len));
+            }
+            let len = peer.next_message_len(conn).unwrap();
+            let msg = peer.next_message(conn).unwrap();
+            assert_eq!(Wire::message_data_frame_len(&msg), len);
+            seen += 1;
+        }
+        assert_eq!(seen, 2, "the stopped chunk's two messages were skipped");
+        assert!(peer.next_message(conn).is_none());
     }
 
     #[test]

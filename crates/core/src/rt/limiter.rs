@@ -14,8 +14,12 @@ use std::time::Instant;
 ///
 /// let t0 = Instant::now();
 /// let mut bucket = TokenBucket::new(1000.0, 500.0, t0);
-/// assert!(bucket.try_take(400.0, t0));
-/// assert!(!bucket.try_take(400.0, t0)); // only 100 left
+/// // A serve pass moves the whole balance out, spends what its frames
+/// // cost, and hands the rest back.
+/// assert_eq!(bucket.drain(t0), 500.0);
+/// bucket.refund(100.0);
+/// assert_eq!(bucket.available(t0), 100.0);
+/// assert!(!bucket.try_take(400.0, t0));
 /// assert!(bucket.try_take(400.0, t0 + Duration::from_secs(1)));
 /// ```
 #[derive(Debug, Clone)]
@@ -60,20 +64,29 @@ impl TokenBucket {
         }
     }
 
-    /// Spends `amount` tokens unconditionally, allowing the balance to go
-    /// negative (packet-granularity overdraft; future refills repay the
-    /// debt, so the long-run rate still converges to `rate`).
+    /// Takes every token out of the bucket, returning how many there were.
+    /// The caller spends them at its own granularity and [`refund`]s what
+    /// it did not use, so the balance is never negative and bytes sent by
+    /// time `t` never exceed `rate · t + burst`.
     ///
-    /// Debt is clamped at `-burst`: one oversized coalesced batch can stall
-    /// the bucket for at most `burst / rate` seconds, never longer. Without
-    /// the clamp a single pathological send could drive the balance
-    /// arbitrarily negative and silence a peer indefinitely.
-    pub fn take_with_debt(&mut self, amount: f64, now: Instant) {
+    /// [`refund`]: TokenBucket::refund
+    pub fn drain(&mut self, now: Instant) -> f64 {
         self.refill(now);
-        self.tokens = (self.tokens - amount).max(-self.burst);
+        std::mem::take(&mut self.tokens)
     }
 
-    /// Tokens currently available (may be negative while in debt).
+    /// Puts back `amount` tokens a [`drain`](TokenBucket::drain) took and
+    /// the caller did not spend (still at most `burst` in the bucket).
+    pub fn refund(&mut self, amount: f64) {
+        self.tokens = (self.tokens + amount).min(self.burst);
+    }
+
+    /// The most tokens the bucket holds.
+    pub fn burst(&self) -> f64 {
+        self.burst
+    }
+
+    /// Tokens currently available.
     pub fn available(&mut self, now: Instant) -> f64 {
         self.refill(now);
         self.tokens
@@ -105,34 +118,54 @@ mod tests {
     }
 
     #[test]
-    fn debt_is_repaid_over_time() {
+    fn drained_tokens_come_back_only_by_refund_or_time() {
         let t0 = Instant::now();
         let mut b = TokenBucket::new(100.0, 100.0, t0);
-        b.take_with_debt(150.0, t0); // 50 in debt, within the clamp
-        assert!((b.available(t0) - -50.0).abs() < 1e-9);
-        assert!(!b.try_take(1.0, t0));
-        let t1 = t0 + Duration::from_secs(2);
-        assert!((b.available(t1) - 100.0).abs() < 1e-9, "repaid and capped");
+        assert!((b.drain(t0) - 100.0).abs() < 1e-9);
+        assert_eq!(b.drain(t0), 0.0, "nothing left, and never negative");
+        b.refund(30.0);
+        assert!((b.available(t0) - 30.0).abs() < 1e-9);
+        b.refund(1_000.0);
+        assert!((b.available(t0) - 100.0).abs() < 1e-9, "capped at burst");
+        assert!((b.drain(t0) - 100.0).abs() < 1e-9);
+        let t1 = t0 + Duration::from_millis(250);
+        assert!((b.drain(t1) - 25.0).abs() < 1e-9);
     }
 
     #[test]
-    fn overdraft_debt_is_clamped_at_burst() {
+    fn a_drained_bucket_paces_frames_longer_than_its_burst() {
+        use crate::serve::{self, ServePass};
+        // Two connections, 3:1, sending 128 KiB frames against a 100 KB
+        // burst at 1 MB/s, a pass every millisecond. Sent on bucket debt,
+        // such frames left at 1.37 MB/s; drained into the serve pass, the
+        // bytes out by time t never exceed rate * t + burst.
+        let (rate, burst, frame) = (1e6, 1e5, 128.0 * 1024.0);
         let t0 = Instant::now();
-        let mut b = TokenBucket::new(100.0, 100.0, t0);
-        // A pathological batch far larger than the burst must not stall the
-        // bucket for longer than burst/rate = 1s.
-        b.take_with_debt(1_000_000.0, t0);
-        assert!(
-            (b.available(t0) - -100.0).abs() < 1e-9,
-            "debt clamped at -burst"
-        );
-        let just_past_bound = t0 + Duration::from_millis(1_001);
-        assert!(
-            b.available(just_past_bound) > 0.0,
-            "positive again within burst/rate seconds"
-        );
-        let t2 = t0 + Duration::from_secs(2);
-        assert!((b.available(t2) - 100.0).abs() < 1e-9, "fully refilled");
+        let mut bucket = TokenBucket::new(rate, burst, t0);
+        let mut engine = ServePass::default();
+        let mut sent = [0.0f64; 2];
+        for ms in 0..=4_000u64 {
+            let now = t0 + Duration::from_millis(ms);
+            let budget = bucket.drain(now);
+            let mut refund = 0.0;
+            for (conn, weight) in [(0u64, 3.0), (1, 1.0)] {
+                let share = serve::share(weight, 4.0);
+                let cap = serve::bank_cap(burst, share, frame);
+                refund += engine.grant(conn, budget * share, cap);
+                while engine.try_send(conn, frame) {
+                    sent[conn as usize] += frame;
+                }
+            }
+            bucket.refund(refund);
+            let allowed = rate * ms as f64 / 1e3 + burst;
+            assert!(
+                sent[0] + sent[1] <= allowed + 1e-6,
+                "over the rate at {ms} ms"
+            );
+        }
+        let accrued = rate * 4.0 + burst;
+        assert!(sent[0] > accrued * 0.75 - frame && sent[0] <= accrued * 0.75 + 1e-6);
+        assert!(sent[1] > accrued * 0.25 - frame && sent[1] <= accrued * 0.25 + 1e-6);
     }
 
     #[test]

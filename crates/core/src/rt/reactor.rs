@@ -14,12 +14,15 @@
 //!    replacement RTT samples into the per-connection
 //!    [`AdaptiveWindow`]s; poll the health engine's quarantine verdicts,
 //!    which close a peer's windows instead of killing a thread.
-//! 3. **Serve** — split each peer's token-bucket budget across its
-//!    connections by Eq.-2 weights, stage up to `window.available()`
-//!    frames per connection on its submission queue, and flush the queues
-//!    as coalesced datagrams. A full window stages nothing and leaves its
-//!    bucket tokens unspent — backpressure *is* the yield; no thread ever
-//!    blocks on a slow peer.
+//! 3. **Serve** — drain each peer's token bucket into its
+//!    [`ServePass`](crate::serve) engine, which grants the tokens to the
+//!    peer's connections by Eq.-2 weight and carries each connection's
+//!    unspent grant to the next pass; stage frames per connection while
+//!    its deficit covers the next frame and `window.available()` has
+//!    room, and flush the queues as coalesced datagrams. A full window
+//!    stages nothing and banks its share up to a cap, the rest going back
+//!    to the bucket — backpressure *is* the yield; no thread ever blocks
+//!    on a slow peer.
 //!
 //! The windows are the runtime's congestion control: they widen on clean
 //! retirements and narrow AIMD-style on the loss/rejection/RTT-inflation
@@ -39,6 +42,7 @@ use super::window::{AdaptiveWindow, WindowConfig};
 use crate::peer::Peer;
 use crate::profile::{ProfileConfig, ProfileStore};
 use crate::protocol::Wire;
+use crate::serve::{self, ServePass};
 use asymshare_crypto::chacha20::ChaChaRng;
 use asymshare_obs::stream::EventCursor;
 use asymshare_obs::{Counter, Event, EventSink, Gauge, Histogram, Value};
@@ -148,6 +152,9 @@ struct Slot {
     peer: Peer,
     rng: ChaChaRng,
     bucket: TokenBucket,
+    /// Where the bucket's tokens wait, per connection, until a whole frame
+    /// is covered.
+    serve: ServePass,
     conns: HashMap<u64, ConnState>,
     quarantined: bool,
     last_share_emit: Option<Instant>,
@@ -199,9 +206,6 @@ struct WorkerObs {
     retire_underflow: Counter,
     coalesce_frames: Histogram,
     queue_depth: Histogram,
-    /// Depth of a token bucket's overdraft after a connection's quota
-    /// (message granularity lets the last send of a quota overdraw).
-    debt_bytes: Histogram,
     pass_us: Histogram,
     passes: Counter,
 }
@@ -220,7 +224,6 @@ impl WorkerObs {
             retire_underflow: metrics.counter("rt.window.retire_underflow"),
             coalesce_frames: metrics.histogram("rt.reactor.coalesce_frames"),
             queue_depth: metrics.histogram("rt.reactor.queue_depth"),
-            debt_bytes: metrics.histogram("rt.reactor.debt_bytes"),
             pass_us: metrics.histogram("rt.reactor.pass_us"),
             passes: metrics.counter("rt.reactor.passes"),
         }
@@ -509,6 +512,7 @@ fn apply_ctrl(
                     peer: *peer,
                     rng: ChaChaRng::new([0x7F; 32], nonce),
                     bucket: TokenBucket::new(rate, (rate * 0.1).max(65_536.0), now),
+                    serve: ServePass::default(),
                     conns: HashMap::new(),
                     quarantined: false,
                     last_share_emit: None,
@@ -622,9 +626,10 @@ fn poll_quarantine(slots: &mut [Slot], net: &RtNetwork, obs: &WorkerObs) {
 }
 
 /// One serve pass over a slot: apply pending signals, retire aged
-/// batches, split the bucket budget by Eq.-2 weights, stage up to each
-/// window's headroom, and flush the submission queues as coalesced
-/// datagrams. Returns whether anything was sent.
+/// batches, move the bucket's tokens into the [`ServePass`] engine by
+/// Eq.-2 weight, stage frames while a connection's deficit and window both
+/// allow, and flush the submission queues as coalesced datagrams. Returns
+/// whether anything was sent.
 fn serve_slot(
     slot: &mut Slot,
     net: &RtNetwork,
@@ -640,6 +645,7 @@ fn serve_slot(
         addr,
         peer,
         bucket,
+        serve,
         conns,
         quarantined,
         last_share_emit,
@@ -675,11 +681,9 @@ fn serve_slot(
             }
         }
     }
+    // A quarantined slot is granted nothing: its tokens stay in the bucket
+    // and its connections' banks stay as they were.
     if active.is_empty() || *quarantined {
-        return false;
-    }
-    let available = bucket.available(now);
-    if available <= 0.0 {
         return false;
     }
     weights.clear();
@@ -692,50 +696,63 @@ fn serve_slot(
     if total <= 0.0 {
         return false;
     }
-    if obs.events.is_enabled()
-        && last_share_emit.is_none_or(|t| now.duration_since(t) >= SHARE_EMIT_EVERY)
-    {
+    let emit_shares = obs.events.is_enabled()
+        && last_share_emit.is_none_or(|t| now.duration_since(t) >= SHARE_EMIT_EVERY);
+    if emit_shares {
         *last_share_emit = Some(now);
-        for (&conn, &w) in active.iter().zip(weights.iter()) {
+    }
+    // Every token the uplink has accrued moves into the engine; `refund`
+    // collects what the connections may not keep, and goes back at the end.
+    // The bucket is thus never overdrawn, whatever a frame's length.
+    let budget = bucket.drain(now);
+    let mut refund = 0.0;
+    let mut served_any = false;
+    let mut yielded = false;
+    for (&conn, &w) in active.iter().zip(weights.iter()) {
+        let Some(mut frame_len) = peer.next_message_len(conn) else {
+            continue;
+        };
+        let share = serve::share(w, total);
+        // A closed window neither forfeits its share nor hoards the link:
+        // it banks up to the cap, and the rest goes back to the bucket.
+        let cap = serve::bank_cap(bucket.burst(), share, frame_len as f64);
+        refund += serve.grant(conn, budget * share, cap);
+        if emit_shares {
             obs.events.emit(
                 "rt.reactor",
                 "slot_share",
                 &[
                     ("peer", addr.into()),
                     ("conn", conn.into()),
-                    ("budget_bytes", (available * w / total).into()),
+                    ("budget_bytes", serve.deficit(conn).into()),
                 ],
             );
         }
-    }
-    let mut served_any = false;
-    for (&conn, &w) in active.iter().zip(weights.iter()) {
         let st = conns
             .entry(conn)
             .or_insert_with(|| ConnState::new(cfg.window, *quarantined));
         let headroom = st.window.available();
         if headroom == 0 {
-            // Bounded in-flight window full: yield. The quota stays in the
-            // token bucket, so the uplink capacity this connection skipped
-            // is not burned — it carries to the next pass.
+            // Bounded in-flight window full: yield.
             obs.backpressure.inc();
+            yielded = true;
             continue;
         }
-        let mut quota = available * w / total;
         let mut staged = 0u32;
-        while quota > 0.0 && staged < headroom {
-            let Some(msg) = peer.next_message(conn) else {
-                break;
-            };
-            let size = Wire::message_data_frame_len(&msg) as f64;
-            bucket.take_with_debt(size, now);
-            quota -= size;
+        while staged < headroom && serve.try_send(conn, frame_len as f64) {
+            let msg = peer
+                .next_message(conn)
+                .expect("a message whose length was just read");
             staged += 1;
             obs.served_frames.inc();
-            obs.served_bytes.add(size as u64);
-            prof.bytes += size as u64;
+            obs.served_bytes.add(frame_len as u64);
+            prof.bytes += frame_len as u64;
             prof.frames += 1;
             st.staged.push(Wire::MessageData(msg));
+            match peer.next_message_len(conn) {
+                Some(len) => frame_len = len,
+                None => break,
+            }
         }
         if st.staged.is_empty() {
             continue;
@@ -755,10 +772,6 @@ fn serve_slot(
         }
         st.staged.clear();
         served_any = true;
-        let debt = -bucket.available(now);
-        if debt > 0.0 {
-            obs.debt_bytes.record(debt as u64);
-        }
         if !alive {
             // The downloader deregistered: stop burning uplink on it.
             dead.push(conn);
@@ -768,9 +781,20 @@ fn serve_slot(
         peer.disconnect(conn);
         conns.remove(&conn);
     }
-    obs.passes.inc();
-    obs.pass_us
-        .record(pass_started.elapsed().as_micros() as u64);
+    // A connection that left the scheduling set (stock exhausted, transfer
+    // stopped, dropped) has no claim any more: its bank is idle capacity,
+    // and flows to the others through the bucket (Theorem 1).
+    if serve.len() > active.len() {
+        refund += serve.retain(|conn| active.binary_search(&conn).is_ok());
+    }
+    bucket.refund(refund);
+    // A pass that had nothing to stage is not a sample: on a shaped link
+    // that is most passes, and they would drown the ones that did work.
+    if served_any || yielded {
+        obs.passes.inc();
+        obs.pass_us
+            .record(pass_started.elapsed().as_micros() as u64);
+    }
     served_any
 }
 

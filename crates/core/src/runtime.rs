@@ -14,6 +14,7 @@ use crate::peer::{KeyBytes, Peer};
 use crate::profile::{ProfileConfig, ProfileStore};
 use crate::protocol::Wire;
 use crate::recovery::{Action, LadderConfig, LadderView, RecoveryLadder};
+use crate::serve::{self, ServePass};
 use crate::user::{ConnStage, SessionStats, User};
 use asymshare_crypto::chacha20::ChaChaRng;
 use asymshare_gf::{FieldKind, Gf2p32};
@@ -116,8 +117,8 @@ struct Participant {
     peer: Peer,
     node: NodeId,
     up_kbps: f64,
-    /// Per-connection bulk-send deficit (bytes available to burst).
-    deficits: HashMap<u64, f64>,
+    /// Per-connection bulk-send deficits (bytes granted and not yet sent).
+    serve: ServePass,
     /// Number of bulk flows currently in flight per connection.
     inflight: HashMap<u64, usize>,
     /// Last data message sent per connection — the stale copy a replaying
@@ -512,7 +513,7 @@ impl SimRuntime {
             peer,
             node,
             up_kbps: up.as_kbps(),
-            deficits: HashMap::new(),
+            serve: ServePass::default(),
             inflight: HashMap::new(),
             last_sent: HashMap::new(),
             adv_seq: HashMap::new(),
@@ -935,7 +936,7 @@ impl SimRuntime {
                 self.participants[p_idx].up_kbps * 1_000.0 / 8.0 * self.cfg.slot_secs;
             let ts = self.net.now().as_secs();
             for &(conn, s_idx, w) in &conns {
-                let share = if total_w > 0.0 { w / total_w } else { 0.0 };
+                let share = serve::share(w, total_w);
                 let budget = cap_bytes_per_slot * share;
                 self.obs.alloc_budget_bytes.record(budget as u64);
                 self.obs.events.emit_at(
@@ -952,8 +953,13 @@ impl SimRuntime {
                         ("budget_bytes", budget.into()),
                     ],
                 );
-                let deficit = self.participants[p_idx].deficits.entry(conn).or_insert(0.0);
-                *deficit = (*deficit + budget).min(cap_bytes_per_slot.max(budget) * 4.0);
+                // A slot's capacity does not outlive the bank: what exceeds
+                // four slots' worth is forfeited, not handed on.
+                self.participants[p_idx].serve.grant(
+                    conn,
+                    budget,
+                    cap_bytes_per_slot.max(budget) * 4.0,
+                );
                 self.pump(p_idx, s_idx, conn);
             }
         }
@@ -990,15 +996,10 @@ impl SimRuntime {
             if *self.participants[p_idx].inflight.entry(conn).or_insert(0) >= MAX_INFLIGHT {
                 break;
             }
-            let deficit_now = self.participants[p_idx]
-                .deficits
-                .get(&conn)
-                .copied()
-                .unwrap_or(0.0);
             let Some(msg) = self.peek_next_size(p_idx, conn) else {
                 break;
             };
-            if deficit_now < msg as f64 {
+            if !self.participants[p_idx].serve.try_send(conn, msg as f64) {
                 break;
             }
             // A replaying adversary re-serves its previous message instead
@@ -1040,7 +1041,6 @@ impl SimRuntime {
                 }
                 _ => Wire::MessageData(message),
             };
-            *self.participants[p_idx].deficits.get_mut(&conn).unwrap() -= msg as f64;
             *self.participants[p_idx].inflight.get_mut(&conn).unwrap() += 1;
             let tag = self.alloc_tag(Pending {
                 endpoint: Endpoint::ToUser {
