@@ -58,9 +58,8 @@ pub struct Peer {
 #[derive(Debug, Default)]
 struct PeerSession {
     verifier: Verifier,
-    /// The authenticated user's key, as the bytes its commit carried: a
-    /// serve pass reads it per connection per pass, so it must be a copy,
-    /// not a point serialization.
+    /// The authenticated user's key, in the byte form the subscriber set,
+    /// the credit map and the serve pass all key on.
     verified: Option<KeyBytes>,
     serving: Option<FileId>,
     /// The file `order` was planned for. Outlives `serving` (which a
@@ -189,9 +188,9 @@ impl Peer {
                         who: format!("connection {conn}"),
                     });
                 };
-                match session.verifier.on_response_bytes(&wire) {
+                match session.verifier.on_response(&wire) {
                     Ok(key) => {
-                        session.verified = Some(key);
+                        session.verified = Some(key.to_bytes());
                         // Countersign the transcript: mutual authentication
                         // (the user checks this against our known key).
                         let transcript = crate::protocol::auth_ack_transcript(&response_s, true);
@@ -280,12 +279,15 @@ impl Peer {
                 Ok(vec![])
             }
             Wire::Feedback(report) => {
-                report.verify()?;
+                // The set lookup goes first: verifying a signature is the
+                // most expensive thing this loop does, and a stranger must
+                // not be able to make it do so.
                 if !self.subscribers.contains(&report.reporter) {
                     return Err(SystemError::UnknownParty {
                         who: "feedback from non-subscriber".to_owned(),
                     });
                 }
+                report.verify()?;
                 // Replay protection: each reporter's windows must strictly
                 // advance; a re-sent (captured) report credits nothing.
                 if let Some(&last) = self.feedback_high_water.get(&report.reporter) {
@@ -686,6 +688,65 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, SystemError::BadFeedbackSignature);
         assert_eq!(peer.upload_weight(&[9u8; 64]), 1.0);
+    }
+
+    /// The order of the three feedback checks: subscriber lookup, then the
+    /// signature, then the replay mark. A stranger is answered by the
+    /// lookup whatever its report's signature is worth — so it cannot make
+    /// the event loop run a verification — and a window end is compared or
+    /// stored only once its signature has been checked.
+    #[test]
+    fn feedback_checks_run_lookup_then_signature_then_replay() {
+        use crate::protocol::{FeedbackEntry, FeedbackReport};
+        let (mut peer, _conn, user, mut r) = authed_peer_and_conn(15);
+        let stranger = Identity::from_seed(b"stranger");
+        let entry = |bytes| {
+            vec![FeedbackEntry {
+                contributor: [9u8; 64],
+                bytes,
+            }]
+        };
+        let unknown = |err| matches!(err, SystemError::UnknownParty { .. });
+
+        let signed = FeedbackReport::sign(stranger.auth_keys(), 60, entry(10), &mut r);
+        let mut inflated = signed.clone();
+        inflated.entries[0].bytes = 1_000_000;
+        // Neither the reporter nor the commitment is even a curve point.
+        let mut junk = signed.clone();
+        junk.reporter = [0xFF; 64];
+        junk.signature.commitment = [0xFF; 64];
+        assert_eq!(inflated.verify(), Err(SystemError::BadFeedbackSignature));
+        assert_eq!(junk.verify(), Err(SystemError::BadFeedbackSignature));
+        for report in [signed, inflated, junk] {
+            let err = peer
+                .on_message(2, Wire::Feedback(report), &mut r)
+                .unwrap_err();
+            assert!(unknown(err), "a stranger's report is refused by the lookup");
+        }
+        assert!(peer.feedback_high_water.is_empty());
+        assert_eq!(peer.upload_weight(&[9u8; 64]), 1.0);
+
+        // A subscriber's report with a bad signature fails on the signature
+        // wherever its claimed window lies, and moves no mark.
+        let good = FeedbackReport::sign(user.auth_keys(), 60, entry(10), &mut r);
+        peer.on_message(2, Wire::Feedback(good), &mut r).unwrap();
+        for window_end in [30, 60, 90] {
+            let mut forged = FeedbackReport::sign(user.auth_keys(), window_end, entry(10), &mut r);
+            forged.entries[0].bytes = 1_000_000;
+            let err = peer
+                .on_message(2, Wire::Feedback(forged), &mut r)
+                .unwrap_err();
+            assert_eq!(
+                err,
+                SystemError::BadFeedbackSignature,
+                "window {window_end}"
+            );
+        }
+        let reporter = user.public_key().to_bytes();
+        assert_eq!(peer.feedback_high_water[&reporter], 60);
+        let next = FeedbackReport::sign(user.auth_keys(), 61, entry(5), &mut r);
+        peer.on_message(2, Wire::Feedback(next), &mut r).unwrap();
+        assert_eq!(peer.upload_weight(&[9u8; 64]), 1.0 + 15.0);
     }
 
     #[test]

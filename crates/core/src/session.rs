@@ -86,10 +86,6 @@ pub struct Verifier {
 struct PendingAuth {
     commitment: [u8; 64],
     claimed: PublicKey,
-    /// `claimed` as the commit carried it, kept so that whoever needs the
-    /// verified key's bytes does not pay a field inversion to serialize
-    /// the point again.
-    claimed_bytes: [u8; 64],
     challenge: U256,
 }
 
@@ -125,7 +121,6 @@ impl Verifier {
         self.pending = Some(PendingAuth {
             commitment: *commitment,
             claimed,
-            claimed_bytes: *claimed_key,
             challenge,
         });
         Ok(Wire::AuthChallenge {
@@ -140,16 +135,6 @@ impl Verifier {
     /// [`SystemError::AuthenticationRejected`] on a bad response,
     /// [`SystemError::UnexpectedMessage`] if no challenge is outstanding.
     pub fn on_response(&mut self, wire: &Wire) -> Result<PublicKey, SystemError> {
-        self.check_response(wire).map(|auth| auth.claimed)
-    }
-
-    /// [`on_response`](Verifier::on_response), returning the verified key
-    /// as the bytes its commit carried.
-    pub(crate) fn on_response_bytes(&mut self, wire: &Wire) -> Result<[u8; 64], SystemError> {
-        self.check_response(wire).map(|auth| auth.claimed_bytes)
-    }
-
-    fn check_response(&mut self, wire: &Wire) -> Result<PendingAuth, SystemError> {
         let Wire::AuthResponse { s } = wire else {
             return Err(SystemError::UnexpectedMessage {
                 got: format!("{wire:?}"),
@@ -169,7 +154,7 @@ impl Verifier {
             &pending.challenge,
             &s,
         ) {
-            Ok(pending)
+            Ok(pending.claimed)
         } else {
             Err(SystemError::AuthenticationRejected {
                 context: "schnorr response does not verify".to_owned(),

@@ -3,9 +3,27 @@
 //!
 //! Provides exactly what the Schnorr identification protocol needs: point
 //! addition, doubling, scalar multiplication, and (de)serialization as an
-//! uncompressed 64-byte (x, y) pair with an on-curve check. Scalar
-//! multiplication is plain double-and-add — adequate for the simulated
-//! deployment this crate targets, *not* hardened against timing channels.
+//! uncompressed 64-byte (x, y) pair with an on-curve check.
+//!
+//! Scalar multiplication comes in the two standard fast forms:
+//!
+//! * [`Point::mul_base`] — `k·B` from a table of `j·16ⁱ·B` (i < 64,
+//!   1 ≤ j ≤ 8) built once per process: the signed radix-16 digits of `k`
+//!   select one entry per position, so a multiplication is at most 64 mixed
+//!   additions and **no doublings**. Entries are kept affine in the
+//!   (y+x, y−x, 2dxy) form, 96 bytes each, 48 KiB in all.
+//! * [`Point::mul_scalar`] — `k·P` for any point by width-5 wNAF: the eight
+//!   odd multiples P, 3P, … 15P live on the stack, and the ≈ 253 doublings
+//!   of a scalar below ℓ carry ≈ 42 additions (a sixth of the positions)
+//!   where bit-at-a-time double-and-add carried ≈ 126. Doublings between
+//!   additions skip the T coordinate.
+//!
+//! Both index tables by, and branch on, digits of the scalar: like the
+//! double-and-add they replace they are variable-time — adequate for the
+//! simulated deployment this crate targets, *not* hardened against timing
+//! channels.
+
+use std::sync::OnceLock;
 
 use crate::fe25519::Fe;
 use crate::u256::U256;
@@ -17,6 +35,16 @@ pub const D: U256 = U256::from_limbs([
     0x8cc7_4079_7779_e898,
     0x5203_6cee_2b6f_fe73,
 ]);
+
+const FE_D: Fe = Fe::from_reduced(D);
+
+/// 2d mod p, the constant of the unified addition formulas.
+const FE_2D: Fe = Fe::from_reduced(U256::from_limbs([
+    0xebd6_9b94_26b2_f159,
+    0x00e0_149a_8283_b156,
+    0x198e_80f2_eef3_d130,
+    0x2406_d9dc_56df_fce7,
+]));
 
 /// Order ℓ of the prime-order subgroup: 2²⁵² + 27742317777372353535851937790883648493.
 pub const L: U256 = U256::from_limbs([
@@ -50,6 +78,117 @@ pub struct Point {
     t: Fe,
 }
 
+/// The outcome of an addition or doubling before the multiplications that
+/// bring it back to one denominator: x = E/G, y = H/F. Three multiplications
+/// give (X : Y : Z) — all a further doubling reads — and a fourth the T of
+/// a [`Point`].
+#[derive(Clone, Copy)]
+struct Completed {
+    e: Fe,
+    f: Fe,
+    g: Fe,
+    h: Fe,
+}
+
+/// A point prepared as the right-hand side of an addition:
+/// (Y+X, Y−X, 2Z, 2d·T).
+#[derive(Clone, Copy)]
+struct Cached {
+    y_plus_x: Fe,
+    y_minus_x: Fe,
+    z2: Fe,
+    t2d: Fe,
+}
+
+/// [`Cached`] for an affine point (Z = 1): (y+x, y−x, 2d·xy). Adding one
+/// saves the Z multiplication — a "mixed" addition.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Niels {
+    y_plus_x: Fe,
+    y_minus_x: Fe,
+    xy2d: Fe,
+}
+
+/// `table[i][j − 1]` = j·16ⁱ·B for 1 ≤ j ≤ 8.
+type BaseTable = [[Niels; 8]; 64];
+
+/// Doubling (dbl-2008-hwcd, a = −1) of (X : Y : Z): four squarings.
+fn double_xyz(x: Fe, y: Fe, z: Fe) -> Completed {
+    let a = x.square();
+    let b = y.square();
+    let c2 = z.square();
+    let c = c2 + c2;
+    let d = a.neg(); // a_curve = -1
+    let e = (x + y).square() - a - b;
+    let g = d + b;
+    Completed {
+        e,
+        f: g - c,
+        g,
+        h: d - b,
+    }
+}
+
+impl Completed {
+    const IDENTITY: Completed = Completed {
+        e: Fe::ZERO,
+        f: Fe::ONE,
+        g: Fe::ONE,
+        h: Fe::ONE,
+    };
+
+    /// Twice this point, without computing the T nothing would read.
+    fn double(self) -> Completed {
+        double_xyz(self.e * self.f, self.g * self.h, self.f * self.g)
+    }
+
+    fn extended(self) -> Point {
+        Point {
+            x: self.e * self.f,
+            y: self.g * self.h,
+            z: self.f * self.g,
+            t: self.e * self.h,
+        }
+    }
+}
+
+impl Cached {
+    /// The same point negated (x ↦ −x).
+    fn neg(self) -> Cached {
+        Cached {
+            y_plus_x: self.y_minus_x,
+            y_minus_x: self.y_plus_x,
+            z2: self.z2,
+            t2d: self.t2d.neg(),
+        }
+    }
+}
+
+impl Niels {
+    const IDENTITY: Niels = Niels {
+        y_plus_x: Fe::ONE,
+        y_minus_x: Fe::ONE,
+        xy2d: Fe::ZERO,
+    };
+
+    fn from_affine(x: Fe, y: Fe) -> Niels {
+        Niels {
+            y_plus_x: y + x,
+            y_minus_x: y - x,
+            xy2d: x * y * FE_2D,
+        }
+    }
+
+    /// The same point negated (x ↦ −x).
+    fn neg(self) -> Niels {
+        Niels {
+            y_plus_x: self.y_minus_x,
+            y_minus_x: self.y_plus_x,
+            xy2d: self.xy2d.neg(),
+        }
+    }
+}
+
 impl Point {
     /// The group identity (0, 1).
     pub fn identity() -> Point {
@@ -63,8 +202,8 @@ impl Point {
 
     /// The standard base point B (of order ℓ).
     pub fn base() -> Point {
-        let x = Fe::from_u256(BASE_X);
-        let y = Fe::from_u256(BASE_Y);
+        let x = Fe::from_reduced(BASE_X);
+        let y = Fe::from_reduced(BASE_Y);
         Point {
             x,
             y,
@@ -78,9 +217,8 @@ impl Point {
     pub fn from_affine(x: Fe, y: Fe) -> Option<Point> {
         let x2 = x.square();
         let y2 = y.square();
-        let d = Fe::from_u256(D);
         let lhs = y2 - x2;
-        let rhs = Fe::ONE + d * x2 * y2;
+        let rhs = Fe::ONE + FE_D * x2 * y2;
         if lhs == rhs {
             Some(Point {
                 x,
@@ -111,7 +249,8 @@ impl Point {
     /// Deserializes from [`to_bytes`](Self::to_bytes) form, verifying the
     /// point is on the curve. Returns `None` for off-curve or malformed
     /// encodings (this is the defense against forged public keys and
-    /// commitments).
+    /// commitments). Only canonical coordinates are accepted, so for every
+    /// accepted encoding `from_bytes(b).to_bytes() == b`.
     pub fn from_bytes(bytes: &[u8]) -> Option<Point> {
         if bytes.len() != 64 {
             return None;
@@ -122,63 +261,92 @@ impl Point {
         if x >= crate::fe25519::P || y >= crate::fe25519::P {
             return None;
         }
-        Point::from_affine(Fe::from_u256(x), Fe::from_u256(y))
+        Point::from_affine(Fe::from_reduced(x), Fe::from_reduced(y))
     }
 
-    /// Point addition (add-2008-hwcd-3 unified formulas, a = −1).
+    fn cached(self) -> Cached {
+        Cached {
+            y_plus_x: self.y + self.x,
+            y_minus_x: self.y - self.x,
+            z2: self.z + self.z,
+            t2d: self.t * FE_2D,
+        }
+    }
+
+    /// Addition (add-2008-hwcd-3 unified formulas, a = −1) of a point given
+    /// as Y₂+X₂, Y₂−X₂, 2d·T₂ and the product `zz` = 2·Z₁·Z₂.
+    fn add_prepared(self, y_plus_x: Fe, y_minus_x: Fe, t2d: Fe, zz: Fe) -> Completed {
+        let a = (self.y - self.x) * y_minus_x;
+        let b = (self.y + self.x) * y_plus_x;
+        let c = self.t * t2d;
+        Completed {
+            e: b - a,
+            f: zz - c,
+            g: zz + c,
+            h: b + a,
+        }
+    }
+
+    fn add_cached(self, rhs: &Cached) -> Completed {
+        self.add_prepared(rhs.y_plus_x, rhs.y_minus_x, rhs.t2d, self.z * rhs.z2)
+    }
+
+    /// The mixed addition: Z₂ = 1 costs no multiplication.
+    fn add_niels(self, rhs: &Niels) -> Completed {
+        self.add_prepared(rhs.y_plus_x, rhs.y_minus_x, rhs.xy2d, self.z + self.z)
+    }
+
+    /// Point addition.
     #[allow(clippy::should_implement_trait)]
     pub fn add(self, rhs: Point) -> Point {
-        let d = Fe::from_u256(D);
-        let two_d = d + d;
-        let a = (self.y - self.x) * (rhs.y - rhs.x);
-        let b = (self.y + self.x) * (rhs.y + rhs.x);
-        let c = self.t * two_d * rhs.t;
-        let dd = self.z * rhs.z;
-        let dd = dd + dd;
-        let e = b - a;
-        let f = dd - c;
-        let g = dd + c;
-        let h = b + a;
-        Point {
-            x: e * f,
-            y: g * h,
-            z: f * g,
-            t: e * h,
-        }
+        self.add_cached(&rhs.cached()).extended()
     }
 
-    /// Point doubling (dbl-2008-hwcd, a = −1).
+    /// Point doubling.
     pub fn double(self) -> Point {
-        let a = self.x.square();
-        let b = self.y.square();
-        let c2 = self.z.square();
-        let c = c2 + c2;
-        let d = a.neg(); // a_curve = -1
-        let e = (self.x + self.y).square() - a - b;
-        let g = d + b;
-        let f = g - c;
-        let h = d - b;
-        Point {
-            x: e * f,
-            y: g * h,
-            z: f * g,
-            t: e * h,
-        }
+        double_xyz(self.x, self.y, self.z).extended()
     }
 
-    /// Scalar multiplication `k · self` by double-and-add.
-    pub fn mul_scalar(self, k: &U256) -> Point {
+    /// `k·B` for the base point, from the process-wide table of
+    /// `j·16ⁱ·B`: one mixed addition per non-zero signed radix-16 digit of
+    /// `k`, no doublings.
+    pub fn mul_base(k: &U256) -> Point {
+        // B has order ℓ, and below ℓ < 2²⁵³ the top digit cannot carry out.
+        let k = if *k >= L { k.reduce_mod(&L) } else { *k };
         let mut acc = Point::identity();
-        let Some(high) = k.highest_bit() else {
-            return acc;
-        };
-        for i in (0..=high).rev() {
-            acc = acc.double();
-            if k.bit(i) {
-                acc = acc.add(self);
+        for (row, digit) in base_table().iter().zip(signed_radix16(&k)) {
+            if digit != 0 {
+                let entry = row[digit.unsigned_abs() as usize - 1];
+                let entry = if digit < 0 { entry.neg() } else { entry };
+                acc = acc.add_niels(&entry).extended();
             }
         }
         acc
+    }
+
+    /// Scalar multiplication `k · self` by width-5 wNAF: one doubling per
+    /// bit of `k`, one addition of an odd multiple ±P, ±3P, … ±15P per
+    /// non-zero digit (on average every sixth position).
+    pub fn mul_scalar(self, k: &U256) -> Point {
+        let naf = wnaf5(k);
+        let top = naf.iter().rposition(|&d| d != 0).map_or(0, |i| i + 1);
+        let twice = self.double().cached();
+        let mut multiple = self;
+        let mut odd = [self.cached(); 8];
+        for slot in &mut odd[1..] {
+            multiple = multiple.add_cached(&twice).extended();
+            *slot = multiple.cached();
+        }
+        let mut sum = Completed::IDENTITY;
+        for &digit in naf[..top].iter().rev() {
+            sum = sum.double();
+            if digit != 0 {
+                let entry = odd[digit.unsigned_abs() as usize / 2];
+                let entry = if digit < 0 { entry.neg() } else { entry };
+                sum = sum.extended().add_cached(&entry);
+            }
+        }
+        sum.extended()
     }
 
     /// Projective equality (compares x/z and y/z without inversions).
@@ -200,9 +368,221 @@ impl PartialEq for Point {
 
 impl Eq for Point {}
 
+/// The 64 digits of `k` in radix 16 recoded to −8 ≤ dᵢ < 8 (a digit of 8 or
+/// more borrows 16 from the next). The caller keeps `k` below 2²⁵⁵ so the
+/// last digit absorbs its carry.
+fn signed_radix16(k: &U256) -> [i8; 64] {
+    let limbs = k.limbs();
+    let mut digits = [0i8; 64];
+    let mut carry = 0i8;
+    for (i, digit) in digits.iter_mut().enumerate() {
+        let nibble = ((limbs[i / 16] >> (4 * (i % 16))) & 15) as i8 + carry;
+        carry = (nibble >= 8) as i8;
+        *digit = nibble - 16 * carry;
+    }
+    debug_assert_eq!(carry, 0, "scalar too large for 64 signed digits");
+    digits
+}
+
+/// Width-5 non-adjacent form of `k`: every non-zero digit is odd, within
+/// ±15, and followed by at least four zeros. A 256-bit scalar can carry
+/// into a 257th digit.
+fn wnaf5(k: &U256) -> [i8; 257] {
+    let [k0, k1, k2, k3] = k.limbs();
+    let limbs = [k0, k1, k2, k3, 0];
+    let mut naf = [0i8; 257];
+    let mut carry = 0u64;
+    let mut pos = 0;
+    while pos < naf.len() {
+        let (limb, bit) = (pos / 64, pos % 64);
+        let mut bits = limbs[limb] >> bit;
+        if bit > 64 - 5 {
+            bits |= limbs[limb + 1] << (64 - bit);
+        }
+        let window = carry + (bits & 31);
+        if window & 1 == 0 {
+            pos += 1;
+            continue;
+        }
+        carry = (window >= 16) as u64;
+        naf[pos] = window as i8 - 32 * carry as i8;
+        pos += 5;
+    }
+    naf
+}
+
+/// The fixed-base table, built on first use (≈ 0.3 ms: 256 doublings, 448
+/// additions, and one shared inversion to make all 512 entries affine).
+fn base_table() -> &'static BaseTable {
+    static TABLE: OnceLock<BaseTable> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let mut points = Vec::with_capacity(64 * 8);
+        let mut power = Point::base(); // 16ⁱ·B
+        for _ in 0..64 {
+            let step = power.cached();
+            let mut multiple = power;
+            points.push(multiple);
+            for _ in 1..8 {
+                multiple = multiple.add_cached(&step).extended();
+                points.push(multiple);
+            }
+            power = power.double().double().double().double();
+        }
+        // Montgomery's trick: invert the product of all Z, then peel one
+        // factor at a time.
+        let mut prefix = Vec::with_capacity(points.len());
+        let mut product = Fe::ONE;
+        for p in &points {
+            prefix.push(product);
+            product = product * p.z;
+        }
+        let mut inv = product.inv();
+        let mut table = [[Niels::IDENTITY; 8]; 64];
+        for (n, p) in points.iter().enumerate().rev() {
+            let zinv = inv * prefix[n];
+            inv = inv * p.z;
+            table[n / 8][n % 8] = Niels::from_affine(p.x * zinv, p.y * zinv);
+        }
+        table
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The bit-at-a-time double-and-add that [`Point::mul_base`] and
+    /// [`Point::mul_scalar`] replaced, kept as their oracle.
+    fn double_and_add(p: Point, k: &U256) -> Point {
+        let mut acc = Point::identity();
+        let Some(high) = k.highest_bit() else {
+            return acc;
+        };
+        for i in (0..=high).rev() {
+            acc = acc.double();
+            if k.bit(i) {
+                acc = acc.add(p);
+            }
+        }
+        acc
+    }
+
+    fn edge_scalars() -> Vec<U256> {
+        let l_minus_1 = L.overflowing_sub(&U256::ONE).0;
+        vec![
+            U256::ZERO,
+            U256::ONE,
+            U256::from_u64(15),
+            U256::from_u64(16),
+            l_minus_1,
+            L,
+            L.overflowing_add(&U256::ONE).0,
+            U256::from_limbs([0, 0, 0, 1 << 60]), // 2^252
+            U256::from_limbs([u64::MAX, u64::MAX, u64::MAX, u64::MAX >> 1]), // 2^255 − 1
+            U256::from_limbs([u64::MAX; 4]),
+            U256::from_limbs([0x8888_8888_8888_8888; 4]), // every digit borrows
+            U256::from_limbs([0x7777_7777_7777_7777, 0, u64::MAX, 0x0fff_ffff_ffff_ffff]),
+        ]
+    }
+
+    #[test]
+    fn two_d_is_twice_d() {
+        assert_eq!(FE_2D, FE_D + FE_D);
+        assert_eq!(FE_D, Fe::from_u256(D));
+    }
+
+    #[test]
+    fn fast_multiplications_match_double_and_add_at_the_edges() {
+        let b = Point::base();
+        let p = double_and_add(b, &U256::from_limbs([3, 1, 4, 1])); // not B
+        for k in edge_scalars() {
+            let expect = double_and_add(b, &k);
+            assert_eq!(Point::mul_base(&k), expect, "mul_base, k = {k}");
+            assert_eq!(b.mul_scalar(&k), expect, "windowed k·B, k = {k}");
+            assert_eq!(p.mul_scalar(&k), double_and_add(p, &k), "k·P, k = {k}");
+            assert_eq!(
+                Point::identity().mul_scalar(&k),
+                Point::identity(),
+                "k·O, k = {k}"
+            );
+        }
+    }
+
+    /// Every scalar with a single non-zero nibble, j·16ⁱ, against multiples
+    /// built from `add` and `double` alone; for j ≤ 8 that multiple is also
+    /// what the table must hold at (i, j).
+    #[test]
+    fn single_nibble_scalars_and_table_entries() {
+        let table = base_table();
+        let mut power = Point::base(); // 16ⁱ·B
+        for i in 0..64 {
+            let mut expect = Point::identity();
+            for j in 1..16u64 {
+                expect = expect.add(power);
+                let mut limbs = [0u64; 4];
+                limbs[i / 16] = j << (4 * (i % 16));
+                let k = U256::from_limbs(limbs);
+                assert_eq!(Point::mul_base(&k), expect, "mul_base({j}·16^{i})");
+                assert_eq!(Point::base().mul_scalar(&k), expect, "{j}·16^{i}·B");
+                if j <= 8 {
+                    let (x, y) = expect.to_affine();
+                    let entry = Niels::from_affine(x, y);
+                    assert_eq!(table[i][j as usize - 1], entry, "table[{i}][{j}]");
+                }
+            }
+            power = power.double().double().double().double();
+        }
+    }
+
+    #[test]
+    fn base_table_fits_64_kib() {
+        assert_eq!(core::mem::size_of::<Niels>(), 96);
+        assert!(core::mem::size_of::<BaseTable>() <= 64 << 10);
+    }
+
+    #[test]
+    fn wnaf_digits_are_odd_small_and_sparse() {
+        for k in edge_scalars() {
+            let naf = wnaf5(&k);
+            let mut last = None;
+            for (i, &d) in naf.iter().enumerate() {
+                if d != 0 {
+                    assert!(d % 2 != 0 && d.unsigned_abs() <= 15, "digit {d} at {i}");
+                    assert!(last.is_none_or(|l| i - l >= 5), "digits {last:?} and {i}");
+                    last = Some(i);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn fast_multiplications_match_double_and_add(
+            k in any::<[u8; 32]>(),
+            r in any::<[u8; 32]>(),
+        ) {
+            let k = U256::from_le_bytes(&k);
+            let b = Point::base();
+            let expect = double_and_add(b, &k);
+            prop_assert_eq!(Point::mul_base(&k), expect);
+            prop_assert_eq!(b.mul_scalar(&k), expect);
+            // A random point of the group, not only B.
+            let p = double_and_add(b, &U256::from_le_bytes(&r));
+            prop_assert_eq!(p.mul_scalar(&k), double_and_add(p, &k));
+        }
+
+        /// What lets `schnorr::verify` hash a commitment as received:
+        /// an accepted encoding is the one `to_bytes` would produce.
+        #[test]
+        fn accepted_encodings_are_canonical(r in any::<[u8; 32]>()) {
+            let bytes = Point::mul_base(&U256::from_le_bytes(&r)).to_bytes();
+            let parsed = Point::from_bytes(&bytes).expect("own encoding");
+            prop_assert_eq!(parsed.to_bytes(), bytes);
+        }
+    }
 
     #[test]
     fn base_point_is_on_curve() {

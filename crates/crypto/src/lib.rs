@@ -17,9 +17,12 @@
 //! These implementations are written for a research reproduction running
 //! against simulated networks: they are correct against published test
 //! vectors and safe for that purpose, but they are **not** hardened
-//! side-channel-free production cryptography (scalar multiplication is
-//! variable-time, MD5 is retained deliberately, and there is no zeroization
-//! of secrets).
+//! side-channel-free production cryptography: MD5 is retained deliberately,
+//! there is no zeroization of secrets, and scalar multiplication is
+//! variable-time. The last was true of the bit-at-a-time double-and-add the
+//! crate started with and is just as true of the fixed-base table and wNAF
+//! window that replaced it — a table indexed by nonce digits is no better
+//! than a branch on nonce bits.
 //!
 //! # Example
 //!

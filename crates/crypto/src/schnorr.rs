@@ -33,23 +33,46 @@ use crate::u256::U256;
 
 const SIG_DOMAIN: &[u8] = b"asymshare.schnorr.sig.v1";
 
-/// A Schnorr public key (a point on the Ed25519 curve).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PublicKey(Point);
+/// A Schnorr public key: a point on the Ed25519 curve together with its
+/// canonical 64-byte encoding — the bytes it was parsed from or generated
+/// with — so that serialising, hashing and comparing a key never costs a
+/// field inversion.
+#[derive(Debug, Clone, Copy)]
+pub struct PublicKey {
+    point: Point,
+    bytes: [u8; 64],
+}
+
+impl PartialEq for PublicKey {
+    /// Encodings are canonical, so equal points have equal bytes.
+    fn eq(&self, other: &Self) -> bool {
+        self.bytes == other.bytes
+    }
+}
+
+impl Eq for PublicKey {}
 
 impl PublicKey {
     /// Serializes to 64 bytes.
     pub fn to_bytes(self) -> [u8; 64] {
-        self.0.to_bytes()
+        self.bytes
     }
 
-    /// Deserializes, rejecting off-curve points.
+    /// Deserializes, rejecting off-curve points and non-canonical
+    /// coordinates.
     pub fn from_bytes(bytes: &[u8]) -> Option<PublicKey> {
-        Point::from_bytes(bytes).map(PublicKey)
+        let point = Point::from_bytes(bytes)?;
+        Some(PublicKey {
+            point,
+            bytes: bytes.try_into().expect("from_bytes accepted 64 bytes"),
+        })
     }
 
-    fn point(&self) -> Point {
-        self.0
+    fn from_point(point: Point) -> PublicKey {
+        PublicKey {
+            point,
+            bytes: point.to_bytes(),
+        }
     }
 }
 
@@ -83,7 +106,7 @@ impl KeyPair {
         if secret.is_zero() {
             secret = U256::ONE;
         }
-        let public = PublicKey(Point::base().mul_scalar(&secret));
+        let public = PublicKey::from_point(Point::mul_base(&secret));
         KeyPair { secret, public }
     }
 
@@ -101,13 +124,10 @@ impl KeyPair {
     /// protocol, challenge bound to the public key and message).
     pub fn sign(&self, message: &[u8], rng: &mut ChaChaRng) -> Signature {
         let r = random_scalar(rng);
-        let big_r = Point::base().mul_scalar(&r);
-        let c = challenge_hash(&big_r, &self.public, message);
+        let commitment = Point::mul_base(&r).to_bytes();
+        let c = challenge_hash(&commitment, &self.public, message);
         let s = r.add_mod(&c.mul_mod(&self.secret, &L), &L);
-        Signature {
-            commitment: big_r.to_bytes(),
-            s,
-        }
+        Signature { commitment, s }
     }
 }
 
@@ -144,22 +164,25 @@ impl Signature {
 }
 
 /// Verifies a signature: s·B == R + c·P with c = H(R ‖ P ‖ m).
+///
+/// R is hashed as received: [`Point::from_bytes`] accepts only the canonical
+/// encoding of an on-curve point, so the bytes that passed it are the bytes
+/// re-serialising R would give.
 pub fn verify(public: &PublicKey, message: &[u8], sig: &Signature) -> bool {
     let Some(big_r) = Point::from_bytes(&sig.commitment) else {
         return false;
     };
-    if sig.s >= L {
-        return false;
-    }
-    let c = challenge_hash(&big_r, public, message);
-    let lhs = Point::base().mul_scalar(&sig.s);
-    let rhs = big_r.add(public.point().mul_scalar(&c));
-    lhs == rhs
+    let c = challenge_hash(&sig.commitment, public, message);
+    group_equation_holds(public, big_r, &c, &sig.s)
 }
 
-fn challenge_hash(big_r: &Point, public: &PublicKey, message: &[u8]) -> U256 {
-    let digest =
-        Sha256::digest_parts(&[SIG_DOMAIN, &big_r.to_bytes(), &public.to_bytes(), message]);
+/// Whether s < ℓ and s·B == R + c·P, compared projectively (no inversion).
+fn group_equation_holds(public: &PublicKey, big_r: Point, c: &U256, s: &U256) -> bool {
+    *s < L && Point::mul_base(s) == big_r.add(public.point.mul_scalar(c))
+}
+
+fn challenge_hash(commitment: &[u8; 64], public: &PublicKey, message: &[u8]) -> U256 {
+    let digest = Sha256::digest_parts(&[SIG_DOMAIN, commitment, &public.bytes, message]);
     U256::from_le_bytes(&digest.0).reduce_mod(&L)
 }
 
@@ -193,7 +216,7 @@ impl Identification {
     /// Prover move 1: pick nonce r, send commitment R = r·B.
     pub fn commit(rng: &mut ChaChaRng) -> ([u8; 64], CommitNonce) {
         let r = random_scalar(rng);
-        (Point::base().mul_scalar(&r).to_bytes(), CommitNonce(r))
+        (Point::mul_base(&r).to_bytes(), CommitNonce(r))
     }
 
     /// Verifier move 2: pick a random challenge scalar.
@@ -208,15 +231,8 @@ impl Identification {
 
     /// Verifier move 4: accept iff s·B == R + c·P.
     pub fn verify(public: &PublicKey, commitment: &[u8; 64], challenge: &U256, s: &U256) -> bool {
-        let Some(big_r) = Point::from_bytes(commitment) else {
-            return false;
-        };
-        if *s >= L {
-            return false;
-        }
-        let lhs = Point::base().mul_scalar(s);
-        let rhs = big_r.add(public.point().mul_scalar(challenge));
-        lhs == rhs
+        Point::from_bytes(commitment)
+            .is_some_and(|big_r| group_equation_holds(public, big_r, challenge, s))
     }
 }
 
@@ -339,6 +355,98 @@ mod tests {
         assert_eq!(k1.public_key(), k2.public_key());
         let k3 = KeyPair::from_secret(U256::ZERO); // degenerate input handled
         assert_eq!(k3.secret_scalar(), U256::ONE);
+    }
+
+    /// The cost model, in field inversions (≈ 265 field multiplications
+    /// each): a move inverts once per point it *serialises* and never to
+    /// verify. Counts, not timings, so they hold on any machine.
+    #[test]
+    fn inversions_per_move_are_pinned() {
+        use crate::fe25519::inv_calls;
+        fn inversions<T>(f: impl FnOnce() -> T) -> (u64, T) {
+            let before = inv_calls();
+            let out = f();
+            (inv_calls() - before, out)
+        }
+        let mut r = rng(10);
+        // The fixed-base table's one-time build inverts once, on whichever
+        // thread gets there first; have it over with.
+        Point::mul_base(&U256::ONE);
+
+        let (n, keys) = inversions(|| KeyPair::from_secret(U256::from_u64(77)));
+        assert_eq!(n, 1, "KeyPair::from_secret serialises the public key once");
+        let (n, pk) = inversions(|| keys.public_key().to_bytes());
+        assert_eq!(n, 0, "PublicKey::to_bytes is a copy");
+        let (n, parsed) = inversions(|| PublicKey::from_bytes(&pk));
+        assert_eq!((n, parsed), (0, Some(keys.public_key())));
+
+        let (n, (commitment, nonce)) = inversions(|| Identification::commit(&mut r));
+        assert_eq!(n, 1, "commit serialises R");
+        let c = Identification::challenge(&mut r);
+        let (n, s) = inversions(|| Identification::respond(&keys, &nonce, &c));
+        assert_eq!(n, 0);
+        let (n, ok) =
+            inversions(|| Identification::verify(&keys.public_key(), &commitment, &c, &s));
+        assert_eq!(
+            (n, ok),
+            (0, true),
+            "Identification::verify compares projectively"
+        );
+
+        let (n, sig) = inversions(|| keys.sign(b"m", &mut r));
+        assert_eq!(n, 1, "sign serialises R once and hashes those bytes");
+        let (n, ok) = inversions(|| verify(&keys.public_key(), b"m", &sig));
+        assert_eq!((n, ok), (0, true), "verify hashes R and P as received");
+    }
+
+    /// `verify` hashes the commitment bytes it was handed, which is sound
+    /// only because nothing but the canonical encoding of an on-curve point
+    /// gets as far as the hash.
+    #[test]
+    fn non_canonical_or_off_curve_commitment_rejected() {
+        let mut r = rng(11);
+        let keys = KeyPair::generate(&mut r);
+        let sig = keys.sign(b"m", &mut r);
+        assert!(verify(&keys.public_key(), b"m", &sig));
+
+        // The same point with x written as x + p (still below 2^256).
+        let x = U256::from_le_bytes(&sig.commitment[..32]);
+        let (x_plus_p, overflow) = x.overflowing_add(&crate::fe25519::P);
+        assert!(!overflow);
+        let mut alias = sig;
+        alias.commitment[..32].copy_from_slice(&x_plus_p.to_le_bytes());
+        assert!(Point::from_bytes(&alias.commitment).is_none());
+        assert!(!verify(&keys.public_key(), b"m", &alias));
+
+        let mut off_curve = sig;
+        off_curve.commitment[0] ^= 1;
+        assert!(!verify(&keys.public_key(), b"m", &off_curve));
+
+        let (commitment, nonce) = Identification::commit(&mut r);
+        let c = Identification::challenge(&mut r);
+        let s = Identification::respond(&keys, &nonce, &c);
+        let mut alias = commitment;
+        let x = U256::from_le_bytes(&commitment[..32]);
+        alias[..32].copy_from_slice(&x.overflowing_add(&crate::fe25519::P).0.to_le_bytes());
+        assert!(Identification::verify(
+            &keys.public_key(),
+            &commitment,
+            &c,
+            &s
+        ));
+        assert!(!Identification::verify(&keys.public_key(), &alias, &c, &s));
+    }
+
+    #[test]
+    fn public_key_bytes_are_the_points_own_serialisation() {
+        let mut r = rng(12);
+        let keys = KeyPair::generate(&mut r);
+        let pk = keys.public_key();
+        assert_eq!(pk.to_bytes(), pk.point.to_bytes());
+        let parsed = PublicKey::from_bytes(&pk.to_bytes()).unwrap();
+        assert_eq!(parsed.point, pk.point);
+        assert_eq!(parsed.to_bytes(), parsed.point.to_bytes());
+        assert_ne!(pk, KeyPair::generate(&mut r).public_key());
     }
 
     #[test]
