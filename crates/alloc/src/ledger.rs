@@ -8,14 +8,68 @@
 //! control traffic and cannot be lied to.
 //!
 //! Storage is O(active pairs), not O(n²): each receiver keeps a sorted
-//! [`SparseRow`] of the peers that actually credited it, and every
+//! `SparseRow` of the peers that actually credited it, and every
 //! non-materialized pair carries a shared `baseline` value (the paper's
-//! uniform initial credit). A freshly seeded million-peer ledger therefore
-//! stores nothing at all, and [`discount`](ContributionLedger::discount)
+//! uniform initial credit). A freshly seeded ledger therefore stores
+//! nothing at all, and [`discount`](ContributionLedger::discount)
 //! scales the baseline alongside the materialized entries — the exact same
 //! multiply the dense matrix applied to every cell.
 
-use crate::slab::SparseRow;
+/// A sparse row: parallel sorted arrays of `u32` indices and `f64` values.
+/// Indices not present carry an implicit caller-supplied baseline value
+/// (the ledger's uniform initial credit).
+#[derive(Debug, Clone, Default)]
+struct SparseRow {
+    idx: Vec<u32>,
+    val: Vec<f64>,
+}
+
+impl SparseRow {
+    /// Number of materialized entries.
+    fn len(&self) -> usize {
+        self.idx.len()
+    }
+
+    /// The materialized indices, ascending.
+    fn indices(&self) -> &[u32] {
+        &self.idx
+    }
+
+    /// The values parallel to [`indices`](Self::indices).
+    fn values(&self) -> &[f64] {
+        &self.val
+    }
+
+    /// The value at `i`, or `baseline` if `i` is not materialized.
+    #[inline]
+    fn get(&self, i: u32, baseline: f64) -> f64 {
+        match self.idx.binary_search(&i) {
+            Ok(pos) => self.val[pos],
+            Err(_) => baseline,
+        }
+    }
+
+    /// Adds `amount` to entry `i`, materializing it at `baseline` first if
+    /// absent.
+    #[inline]
+    fn add(&mut self, i: u32, baseline: f64, amount: f64) {
+        match self.idx.binary_search(&i) {
+            Ok(pos) => self.val[pos] += amount,
+            Err(pos) => {
+                self.idx.insert(pos, i);
+                self.val.insert(pos, baseline + amount);
+            }
+        }
+    }
+
+    /// Multiplies every materialized value by `factor` (the baseline is the
+    /// caller's to scale).
+    fn scale(&mut self, factor: f64) {
+        for v in &mut self.val {
+            *v *= factor;
+        }
+    }
+}
 
 /// Logically an `n × n` cumulative-contribution matrix; physically one
 /// sparse row per *receiver* plus a baseline for untouched pairs, so the
@@ -56,7 +110,7 @@ impl ContributionLedger {
         ContributionLedger {
             n,
             baseline: initial_credit,
-            recv: vec![SparseRow::new(); n],
+            recv: vec![SparseRow::default(); n],
         }
     }
 
@@ -198,6 +252,28 @@ impl PartialEq for ContributionLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn sparse_row_baseline_and_materialization() {
+        let mut row = SparseRow::default();
+        assert_eq!(row.get(7, 1.5), 1.5, "absent entries read the baseline");
+        row.add(7, 1.5, 2.0);
+        assert_eq!(row.get(7, 1.5), 3.5, "baseline + amount on first touch");
+        row.add(3, 1.5, 0.5);
+        assert_eq!(row.indices(), &[3, 7], "kept sorted");
+        row.add(7, 1.5, 1.0);
+        assert_eq!(row.get(7, 1.5), 4.5);
+        assert_eq!(row.len(), 2);
+    }
+
+    #[test]
+    fn sparse_row_scale_touches_only_materialized() {
+        let mut row = SparseRow::default();
+        row.add(0, 2.0, 2.0);
+        row.scale(0.5);
+        assert_eq!(row.get(0, 2.0), 2.0);
+        assert_eq!(row.get(1, 2.0), 2.0, "baseline untouched by row scale");
+    }
 
     #[test]
     fn initial_credit_fills_all_pairs() {

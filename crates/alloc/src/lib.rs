@@ -35,28 +35,27 @@
 //! assert!((avg - 1024.0).abs() < 64.0, "dominant peer earns its own rate back");
 //! ```
 
-// `deny`, not `forbid`: the slab SIMD kernels opt back in with a local
-// `#![allow(unsafe_code)]` behind `--features simd`, gf-crate style.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod bounds;
 mod demand;
+mod kernels;
 mod ledger;
+mod mask;
 mod metrics;
 mod rules;
 mod sim;
-pub mod slab;
 mod strategy;
 mod trace;
 
 pub use bounds::theorem1_lower_bound;
 pub use demand::{random_hour_windows, Demand};
 pub use ledger::ContributionLedger;
+pub use mask::RequestMask;
 pub use metrics::{gain_over_isolation, jain_index, pairwise_unfairness, smooth};
-pub use rules::{allocate_into, AllocationInputs, RuleKind};
+pub use rules::{allocate_into, AllocScratch, AllocationInputs, RuleKind};
 pub use sim::{InitialCredit, SimConfig, SlotSimulator};
-pub use slab::{AllocScratch, EngineConfig, EngineReport, RequestMask, SlotEngine};
 pub use strategy::{CapacityProfile, PeerConfig, Strategy};
 pub use trace::SimTrace;
 

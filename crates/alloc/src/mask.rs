@@ -1,10 +1,10 @@
 //! Packed request bitmasks: `I_j(t)` for a whole slot as one `u64` word per
-//! 64 users, the representation the masked-normalize kernels consume.
+//! 64 users, the representation the masked-normalize kernel consumes.
 
 /// A packed bitmask over `len` users: bit `j` of word `j / 64` is user `j`'s
 /// request indicator for the slot. Bits at positions `>= len` are always
-/// zero (maintained as an invariant so population counts and word-at-a-time
-/// kernels never see garbage in the tail word).
+/// zero (maintained as an invariant so population counts never see garbage
+/// in the tail word).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RequestMask {
     words: Vec<u64>,
@@ -89,25 +89,6 @@ impl RequestMask {
         &self.words
     }
 
-    /// Mutable access to the packed words for bulk fills (e.g. sampling a
-    /// whole slot's demand word-at-a-time, possibly in parallel). The caller
-    /// must keep tail bits beyond `len` zero; [`zero_tail`](Self::zero_tail)
-    /// restores the invariant after an over-wide write.
-    #[inline]
-    pub fn words_mut(&mut self) -> &mut [u64] {
-        &mut self.words
-    }
-
-    /// Clears any bits at positions `>= len` in the tail word.
-    pub fn zero_tail(&mut self) {
-        let tail = self.len & 63;
-        if tail != 0 {
-            if let Some(last) = self.words.last_mut() {
-                *last &= (1u64 << tail) - 1;
-            }
-        }
-    }
-
     /// Number of set bits.
     pub fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
@@ -120,34 +101,6 @@ impl RequestMask {
             if r {
                 self.words[j >> 6] |= 1u64 << (j & 63);
             }
-        }
-    }
-
-    /// Copies another mask's contents into this one (resizing to match).
-    pub fn copy_from(&mut self, other: &RequestMask) {
-        self.len = other.len;
-        self.words.clear();
-        self.words.extend_from_slice(&other.words);
-    }
-}
-
-/// Gathers the bits of `mask` at `indices` into a row-local packed mask:
-/// bit `e` of `out` is `mask.get(indices[e])`. This is how a sparse credit
-/// row (whose entries name arbitrary users) turns the global per-slot
-/// request mask into a dense row-aligned mask the vector kernels can use.
-///
-/// `out` is cleared and resized to cover `indices.len()` bits; with enough
-/// capacity retained from previous slots this never allocates.
-///
-/// # Panics
-///
-/// Panics if any index is out of range for `mask`.
-pub fn gather_mask(mask: &RequestMask, indices: &[u32], out: &mut Vec<u64>) {
-    out.clear();
-    out.resize(words_for(indices.len()), 0);
-    for (e, &u) in indices.iter().enumerate() {
-        if mask.get(u as usize) {
-            out[e >> 6] |= 1u64 << (e & 63);
         }
     }
 }
@@ -181,29 +134,6 @@ mod tests {
             assert_eq!(m.get(j), b, "bit {j}");
         }
         assert_eq!(m.count_ones(), bools.iter().filter(|&&b| b).count());
-    }
-
-    #[test]
-    fn zero_tail_clears_out_of_range_bits() {
-        let mut m = RequestMask::new(70);
-        m.words_mut().fill(u64::MAX);
-        m.zero_tail();
-        assert_eq!(m.count_ones(), 70);
-    }
-
-    #[test]
-    fn gather_picks_indexed_bits() {
-        let mut m = RequestMask::new(200);
-        m.set(5);
-        m.set(100);
-        m.set(199);
-        let indices: Vec<u32> = vec![5, 6, 100, 150, 199, 0];
-        let mut out = Vec::new();
-        gather_mask(&m, &indices, &mut out);
-        let bits: Vec<bool> = (0..indices.len())
-            .map(|e| (out[e >> 6] >> (e & 63)) & 1 == 1)
-            .collect();
-        assert_eq!(bits, vec![true, false, true, false, true, false]);
     }
 
     #[test]

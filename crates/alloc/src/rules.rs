@@ -1,8 +1,9 @@
 //! The allocation rules: Eq. 2 (peer-wise proportional), Eq. 3 (global
 //! proportional) and an equal-split baseline.
 
+use crate::kernels;
 use crate::ledger::ContributionLedger;
-use crate::slab::{kernels, AllocScratch};
+use crate::mask::RequestMask;
 
 /// Which allocation rule a peer runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -34,6 +35,23 @@ pub struct AllocationInputs<'a> {
     pub ledger: &'a ContributionLedger,
 }
 
+/// Caller-owned scratch for [`allocate_into`]: a reusable weight row and
+/// request mask that settle at their high-water marks after the first slot.
+#[derive(Debug, Clone, Default)]
+pub struct AllocScratch {
+    /// Dense per-user weight row (`w_j` for the active rule).
+    pub weights: Vec<f64>,
+    /// Packed request mask for the slot.
+    pub mask: RequestMask,
+}
+
+impl AllocScratch {
+    /// Empty scratch; buffers grow on first use.
+    pub fn new() -> AllocScratch {
+        AllocScratch::default()
+    }
+}
+
 /// Computes peer `i`'s allocation for one slot into caller-owned storage:
 /// `out[j]` is the bandwidth devoted to user `j`, with `Σ_j out[j] ≤
 /// capacity` and equality whenever at least one requester has positive
@@ -43,8 +61,8 @@ pub struct AllocationInputs<'a> {
 ///
 /// This is the zero-allocation hot path: weights and the packed request
 /// mask live in `scratch` (which settles at its high-water mark after the
-/// first call), and the masked weighted normalize runs through the
-/// vectorized [`slab::kernels`](crate::slab::kernels).
+/// first call), and the masked weighted normalize runs through
+/// [`kernels`](crate::kernels).
 ///
 /// # Panics
 ///

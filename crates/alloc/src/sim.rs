@@ -1,8 +1,7 @@
 //! The discrete-time slot simulator (the paper's §V simulator, rebuilt).
 
 use crate::ledger::ContributionLedger;
-use crate::rules::{allocate_into, AllocationInputs, RuleKind};
-use crate::slab::AllocScratch;
+use crate::rules::{allocate_into, AllocScratch, AllocationInputs, RuleKind};
 use crate::strategy::{EffectiveRule, PeerConfig, Strategy};
 use crate::trace::SimTrace;
 use rand::rngs::StdRng;

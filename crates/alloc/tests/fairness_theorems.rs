@@ -237,3 +237,39 @@ fn discounting_speeds_adaptation() {
         "discounted ({discounted_rate:.1}) adapts down faster than plain ({plain_rate:.1})"
     );
 }
+
+/// Fairness among the users actually contending for a slot, under the
+/// paper's model (credit earned by *uploading*): 64 equal peers each
+/// requesting with γ = 0.3 must split every slot's bandwidth evenly among
+/// that slot's requesters, from slot 0 onward. A stepper that credits
+/// bytes *received* locks in whoever asked first (slot-0 requesters then
+/// hold hundreds of times the initial credit of everyone else) and fails
+/// this from slot 1.
+#[test]
+fn jain_over_requesters_holds_under_contention() {
+    const N: usize = 64;
+    const SLOTS: usize = 400;
+    let peers: Vec<PeerConfig> = (0..N)
+        .map(|_| PeerConfig::honest(1000.0, Demand::Bernoulli { gamma: 0.3 }))
+        .collect();
+    let trace = SlotSimulator::new(SimConfig::new(peers, RuleKind::PeerWise).with_seed(9))
+        .run(SLOTS as u64);
+    let mut contended = 0;
+    for t in 0..SLOTS {
+        let shares: Vec<f64> = (0..N)
+            .filter(|&j| trace.was_requesting(j, t))
+            .map(|j| trace.download_series(j)[t])
+            .collect();
+        if shares.len() < 2 {
+            continue;
+        }
+        contended += 1;
+        let jain = jain_index(&shares);
+        assert!(
+            jain >= 0.99,
+            "slot {t}: Jain {jain:.4} over {} requesters",
+            shares.len()
+        );
+    }
+    assert!(contended > SLOTS / 2, "only {contended} contended slots");
+}

@@ -1,36 +1,18 @@
-//! Differential property tests for the slab allocator: the vectorized
-//! kernel tiers must be *bitwise* identical to the scalar reference, and
-//! the zero-allocation [`allocate_into`] path must agree with a
-//! straight-line reimplementation of the legacy per-slot allocator to
-//! floating-point tolerance (the kernels use a fixed 4-lane accumulator,
-//! the legacy loop a single accumulator, so sums differ in the last ulps).
+//! Differential property tests for the Eq.-2 oracle: the zero-allocation
+//! [`allocate_into`] path must agree with a straight-line
+//! reimplementation of the legacy per-slot allocator to floating-point
+//! tolerance (the kernel uses a fixed 4-lane accumulator, the legacy loop
+//! a single accumulator, so sums differ in the last ulps).
 //!
 //! Also pinned here: the allocation invariant `Σ_j out[j] ≤ capacity`
 //! with equality exactly when some requester carries positive weight, and
 //! logical equivalence of the sparse [`ContributionLedger`] against a
 //! dense `n × n` shadow matrix under random credit/discount interleavings.
 
-use asymshare_alloc::slab::kernels::{
-    masked_scale_scalar, masked_scale_words, masked_sum_scalar, masked_sum_words,
-};
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-use asymshare_alloc::slab::kernels::{masked_scale_simd, masked_sum_simd};
 use asymshare_alloc::{
     allocate_into, AllocScratch, AllocationInputs, ContributionLedger, RuleKind,
 };
 use proptest::prelude::*;
-
-/// Packs per-element request booleans into mask words the way the slab
-/// engine stores them (bit `j % 64` of word `j / 64`).
-fn pack_mask(bits: &[bool]) -> Vec<u64> {
-    let mut words = vec![0u64; bits.len().div_ceil(64)];
-    for (j, &b) in bits.iter().enumerate() {
-        if b {
-            words[j / 64] |= 1u64 << (j % 64);
-        }
-    }
-    words
-}
 
 /// The pre-slab allocator, re-derived from Eq. 2/3 as straight-line code:
 /// select weights by rule, zero non-requesters, single-accumulator sum,
@@ -110,54 +92,6 @@ fn build_ledger(inst: &Instance) -> ContributionLedger {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// The word-at-a-time masked-sum tier is bitwise identical to the
-    /// 4-lane scalar reference on arbitrary values and mask patterns.
-    #[test]
-    fn masked_sum_word_tier_bitwise(
-        x in proptest::collection::vec(0.0f64..1e9, 0..300),
-        mask_seed in any::<u64>(),
-    ) {
-        let bits: Vec<bool> = (0..x.len())
-            .map(|j| (mask_seed.rotate_left(j as u32 % 64)) & 1 == 1)
-            .collect();
-        let mask = pack_mask(&bits);
-        let reference = masked_sum_scalar(&x, &mask);
-        prop_assert_eq!(masked_sum_words(&x, &mask).to_bits(), reference.to_bits());
-        #[cfg(feature = "simd")]
-        if let Some(simd) = masked_sum_simd(&x, &mask) {
-            prop_assert_eq!(simd.to_bits(), reference.to_bits());
-        }
-    }
-
-    /// Same bitwise pin for the masked-scale tiers, including the
-    /// all-zero-word and all-ones-word fast paths.
-    #[test]
-    fn masked_scale_word_tier_bitwise(
-        x in proptest::collection::vec(0.0f64..1e9, 0..300),
-        scale in 1e-6f64..1e6,
-        mask_seed in any::<u64>(),
-    ) {
-        let bits: Vec<bool> = (0..x.len())
-            .map(|j| (mask_seed >> (j % 64)) & 1 == 1)
-            .collect();
-        let mask = pack_mask(&bits);
-        let mut reference = vec![0.0f64; x.len()];
-        let mut words = vec![1.0f64; x.len()];
-        masked_scale_scalar(&x, &mask, scale, &mut reference);
-        masked_scale_words(&x, &mask, scale, &mut words);
-        let ref_bits: Vec<u64> = reference.iter().map(|v| v.to_bits()).collect();
-        let word_bits: Vec<u64> = words.iter().map(|v| v.to_bits()).collect();
-        prop_assert_eq!(&word_bits, &ref_bits);
-        #[cfg(feature = "simd")]
-        {
-            let mut simd = vec![2.0f64; x.len()];
-            if masked_scale_simd(&x, &mask, scale, &mut simd) {
-                let simd_bits: Vec<u64> = simd.iter().map(|v| v.to_bits()).collect();
-                prop_assert_eq!(&simd_bits, &ref_bits);
-            }
-        }
-    }
 
     /// `allocate_into` agrees with the legacy oracle across all three rules, arbitrary request masks,
     /// sparse credit histories, negative declarations, and degenerate

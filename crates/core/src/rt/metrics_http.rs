@@ -136,7 +136,9 @@ mod tests {
 
     fn http_get(addr: SocketAddr, path: &str) -> (String, String) {
         let mut stream = TcpStream::connect(addr).expect("connect");
-        write!(stream, "GET {path} HTTP/1.1\r\nHost: test\r\n\r\n").unwrap();
+        // One write: the server answers after a single read, and closes.
+        let request = format!("GET {path} HTTP/1.1\r\nHost: test\r\n\r\n");
+        stream.write_all(request.as_bytes()).unwrap();
         let mut response = String::new();
         stream.read_to_string(&mut response).expect("read response");
         let (head, body) = response.split_once("\r\n\r\n").expect("has body");

@@ -937,6 +937,16 @@ mod tests {
         (reactor, peer_addrs)
     }
 
+    /// Hosts `n` more peers that subscribe to `owner` and store nothing.
+    fn add_idle_peers(reactor: &mut Reactor, owner: &Identity, base_addr: u64, n: u64) {
+        for i in 0..n {
+            let identity = Identity::from_seed(&[b'i', b'd', i as u8]);
+            let mut peer = Peer::new(identity, 1_000.0);
+            peer.add_subscriber(owner.public_key().to_bytes());
+            reactor.add_peer(base_addr + i, peer, 1 << 20);
+        }
+    }
+
     fn fault_seed() -> u64 {
         std::env::var("ASYMSHARE_FAULT_SEED")
             .ok()
@@ -966,6 +976,29 @@ mod tests {
         let peers = reactor.shutdown();
         assert_eq!(peers.len(), 3);
         assert_eq!(peers[0].0, 900, "peers come back sorted by address");
+    }
+
+    #[test]
+    fn idle_hosted_peers_do_not_stall_serving() {
+        let network = RtNetwork::new();
+        let owner = Identity::from_seed(b"reactor-crowd");
+        let (batches, manifest) = build_file(&owner, 3, 96 * 1024);
+        let (mut reactor, peer_addrs) = spawn_fleet(&network, &owner, batches, 3000, 4);
+        add_idle_peers(&mut reactor, &owner, 4000, 253);
+        assert_eq!(reactor.peer_count(), 256);
+        let mut user = User::<Gf2p32>::new(owner, manifest).unwrap();
+        let data = download_file(
+            &network,
+            4,
+            &mut user,
+            &peer_addrs,
+            peer_addrs[0].0,
+            Duration::from_secs(30),
+        )
+        .expect("download completes");
+        let expect: Vec<u8> = (0..96 * 1024).map(|i| (i * 59 % 251) as u8).collect();
+        assert_eq!(data, expect);
+        assert_eq!(reactor.shutdown().len(), 256);
     }
 
     #[test]
@@ -1069,12 +1102,7 @@ mod tests {
         let owner = Identity::from_seed(b"reactor-pool");
         assert_eq!(network.buffer_pool().capacity(), 32);
         let mut reactor = Reactor::new(&network, ReactorConfig::default());
-        for i in 0..64u64 {
-            let identity = Identity::from_seed(&[b'p', b'o', i as u8]);
-            let mut peer = Peer::new(identity, 1_000.0);
-            peer.add_subscriber(owner.public_key().to_bytes());
-            reactor.add_peer(2000 + i, peer, 1 << 20);
-        }
+        add_idle_peers(&mut reactor, &owner, 2000, 64);
         // 64 peers x 64-frame windows / 8-frame datagrams = 512 buffers.
         assert_eq!(network.buffer_pool().capacity(), 512);
         reactor.shutdown();

@@ -2024,22 +2024,38 @@ mod tests {
     #[test]
     fn feedback_builds_credit_at_home_peer() {
         let mut rt = SimRuntime::new(small_cfg());
-        let a = rt.add_participant(Identity::from_seed(b"A"), kbps(512.0), kbps(3000.0));
-        let b = rt.add_participant(Identity::from_seed(b"B"), kbps(512.0), kbps(3000.0));
-        let payload = data(32 * 1024);
-        let (manifest, _) = rt.disseminate(a, FileId(3), &payload, &[a, b]).unwrap();
-        let b_key = rt.participants[b.0].peer.identity().public_key().to_bytes();
+        let ids: Vec<ParticipantId> = [b"A", b"B", b"C"]
+            .iter()
+            .map(|&seed| rt.add_participant(Identity::from_seed(seed), kbps(512.0), kbps(3000.0)))
+            .collect();
+        let (a, b, c) = (ids[0], ids[1], ids[2]);
+        let payload = data(64 * 1024);
+        let (manifest, _) = rt.disseminate(a, FileId(3), &payload, &ids).unwrap();
+        let key = |rt: &SimRuntime, p: ParticipantId| {
+            rt.participants[p.0].peer.identity().public_key().to_bytes()
+        };
+        let (b_key, c_key) = (key(&rt, b), key(&rt, c));
         let before = rt.participants[a.0].peer.upload_weight(&b_key);
         let session = rt
-            .start_download(a, manifest, kbps(512.0), kbps(3000.0), &[a, b])
+            .start_download(a, manifest, kbps(512.0), kbps(3000.0), &ids)
             .unwrap();
-        rt.run_to_completion(session, 600).unwrap();
+        let report = rt.run_to_completion(session, 600).unwrap();
         // Let the final feedback report flush.
         rt.run_slots(rt.cfg.feedback_every_slots + 2);
         let after = rt.participants[a.0].peer.upload_weight(&b_key);
         assert!(
             after > before,
             "A's ledger must credit B for served bytes ({before} -> {after})"
+        );
+        // Equal uplinks serve equal bytes and earn near-equal credit at home.
+        let bytes: Vec<f64> = report.per_peer_bytes.values().map(|&v| v as f64).collect();
+        assert_eq!(bytes.len(), 3, "every peer contributed");
+        let jain = asymshare_alloc::jain_index(&bytes);
+        assert!(jain >= 0.99, "byte Jain {jain:.3} over {bytes:?}");
+        let other = rt.participants[a.0].peer.upload_weight(&c_key);
+        assert!(
+            after.min(other) >= 0.75 * after.max(other),
+            "home credit {after} vs {other}"
         );
     }
 

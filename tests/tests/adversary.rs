@@ -57,14 +57,24 @@ fn detector_cfg() -> HealthConfig {
     }
 }
 
-/// A seeded download where participant 3 turns Byzantine after the
+/// CI sweeps this via the `ASYMSHARE_FAULT_SEED` matrix.
+fn fault_seed() -> u64 {
+    std::env::var("ASYMSHARE_FAULT_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(11)
+}
+
+/// A seeded download served by the first `serving` of four participants,
+/// where participant 3 turns Byzantine (if a strategy is given) after the
 /// detectors warm up on clean behavior. Returns the finished runtime, the
 /// participants, the adversary, the instant the attack began, and the
 /// session report.
 fn adversary_scenario(
-    strategy: AdversaryStrategy,
+    strategy: Option<AdversaryStrategy>,
     seed: u64,
     salt: u8,
+    serving: usize,
 ) -> (
     SimRuntime,
     Vec<ParticipantId>,
@@ -92,7 +102,7 @@ fn adversary_scenario(
         .disseminate(ids[0], FileId(90 + salt as u64), &data, &ids)
         .unwrap();
     let session = rt
-        .start_download(ids[0], manifest, kbps(128.0), kbps(3000.0), &ids)
+        .start_download(ids[0], manifest, kbps(128.0), kbps(3000.0), &ids[..serving])
         .unwrap();
     // Clean phase: clear the detector warmup before the attack begins.
     rt.run_slots(6);
@@ -102,8 +112,10 @@ fn adversary_scenario(
     );
     let evil = ids[3];
     let attack_start = rt.now().as_secs();
-    let node = rt.participant_node(evil);
-    rt.set_fault_plan(FaultPlan::new(seed).with_adversary(node, strategy));
+    if let Some(strategy) = strategy {
+        let node = rt.participant_node(evil);
+        rt.set_fault_plan(FaultPlan::new(seed).with_adversary(node, strategy));
+    }
     let report = rt
         .run_to_completion(session, 7200)
         .expect("download completes despite the adversary");
@@ -121,13 +133,20 @@ fn attacks_against(log: &[Event], peer: u64) -> Vec<Event> {
         .collect()
 }
 
+/// Whether the response ladder quarantined `peer` at any point.
+fn was_quarantined(log: &[Event], peer: u64) -> bool {
+    log.iter().any(|e| {
+        e.component == "sim.heal" && e.kind == "quarantine" && field_u64(e, "peer") == Some(peer)
+    })
+}
+
 /// A polluting peer is attributed, quarantined within a bounded window,
 /// its demand re-planned, and the download still decodes byte-identical
 /// data — the full response ladder end to end.
 #[test]
 fn pollution_is_attributed_quarantined_and_survived() {
     let (rt, ids, evil, attack_start, report) =
-        adversary_scenario(AdversaryStrategy::Pollute { prob: 0.9 }, 11, 1);
+        adversary_scenario(Some(AdversaryStrategy::Pollute { prob: 0.9 }), 11, 1, 4);
     let log = rt.event_log();
 
     let attacks = attacks_against(&log, evil.0 as u64);
@@ -150,15 +169,9 @@ fn pollution_is_attributed_quarantined_and_survived() {
 
     // The response ladder fired: a quarantine event against the adversary,
     // tallied in the session stats, and the engine still reports the ban.
-    let quarantines: Vec<&Event> = log
-        .iter()
-        .filter(|e| e.component == "sim.heal" && e.kind == "quarantine")
-        .collect();
     assert!(
-        quarantines
-            .iter()
-            .any(|e| field_u64(e, "peer") == Some(evil.0 as u64)),
-        "the adversary must be quarantined: {quarantines:?}"
+        was_quarantined(&log, evil.0 as u64),
+        "the adversary must be quarantined"
     );
     assert!(report.stats.quarantines >= 1, "{:?}", report.stats);
 
@@ -199,8 +212,12 @@ fn pollution_is_attributed_quarantined_and_survived() {
 /// downloader actually accepted; the balance detector attributes it.
 #[test]
 fn credit_inflation_divergence_is_attributed() {
-    let (rt, _ids, evil, _t0, _report) =
-        adversary_scenario(AdversaryStrategy::InflateCredit { factor: 4.0 }, 13, 2);
+    let (rt, _ids, evil, _t0, _report) = adversary_scenario(
+        Some(AdversaryStrategy::InflateCredit { factor: 4.0 }),
+        13,
+        2,
+        4,
+    );
     let log = rt.event_log();
     let attacks = attacks_against(&log, evil.0 as u64);
     assert!(
@@ -216,7 +233,7 @@ fn credit_inflation_divergence_is_attributed() {
 #[test]
 fn replayed_messages_are_detected() {
     let (rt, _ids, evil, _t0, _report) =
-        adversary_scenario(AdversaryStrategy::Replay { prob: 0.8 }, 17, 3);
+        adversary_scenario(Some(AdversaryStrategy::Replay { prob: 0.8 }), 17, 3, 4);
     let log = rt.event_log();
     // The decoder saw (and cheaply rejected) duplicates from the adversary.
     assert!(
@@ -236,6 +253,52 @@ fn replayed_messages_are_detected() {
     );
 }
 
+/// Detection latency and goodput under attack, per strategy. At any fault
+/// seed every strategy is attributed and the download keeps at least 0.8
+/// of what the three honest peers alone deliver. At the default seed the
+/// slots from attack onset to the first verdict are pinned exactly —
+/// detection delay is a property of the detectors, not of the machine —
+/// and every adversary ends up quarantined. (Other seeds do not promise
+/// the ban: at seed 83 a 25 % selective server draws two isolated
+/// one-strike verdicts and the download finishes before a second strike.)
+#[test]
+fn every_strategy_is_detected_and_outrun() {
+    const SALT: u8 = 5;
+    let seed = fault_seed();
+    let (_, _, _, _, honest) = adversary_scenario(None, seed, SALT, 3);
+    let cases = [
+        (AdversaryStrategy::Pollute { prob: 0.9 }, 1.0),
+        (AdversaryStrategy::Replay { prob: 0.8 }, 1.0),
+        (
+            AdversaryStrategy::SelectiveServe {
+                serve_fraction: 0.25,
+            },
+            3.0,
+        ),
+        (AdversaryStrategy::InflateCredit { factor: 4.0 }, 5.0),
+    ];
+    for (strategy, pinned_slots) in cases {
+        let (rt, _, evil, attack_start, report) = adversary_scenario(Some(strategy), seed, SALT, 4);
+        let log = rt.event_log();
+        let attacks = attacks_against(&log, evil.0 as u64);
+        assert!(!attacks.is_empty(), "{strategy:?} was never attributed");
+        assert!(
+            report.mean_rate_kbps >= 0.8 * honest.mean_rate_kbps,
+            "{strategy:?}: goodput {:.1} kbps under the honest floor {:.1}",
+            report.mean_rate_kbps,
+            honest.mean_rate_kbps
+        );
+        if seed == 11 {
+            let detection_slots = (attacks[0].ts - attack_start) / rt.config().slot_secs;
+            assert_eq!(detection_slots, pinned_slots, "{strategy:?}");
+            assert!(
+                was_quarantined(&log, evil.0 as u64),
+                "{strategy:?}: the adversary must be quarantined"
+            );
+        }
+    }
+}
+
 /// Attack-verdict identity for the golden comparison: everything the
 /// engine computes for a verdict.
 type AttackKey = (f64, u64, String, String, u64);
@@ -248,7 +311,7 @@ type AttackKey = (f64, u64, String, String, u64);
 #[test]
 fn golden_attack_sequence_sim_vs_rt_replay() {
     let (rt, _ids, _evil, _t0, _report) =
-        adversary_scenario(AdversaryStrategy::Pollute { prob: 0.9 }, 11, 4);
+        adversary_scenario(Some(AdversaryStrategy::Pollute { prob: 0.9 }), 11, 4, 4);
     let log = rt.event_log();
 
     let key = |ts: f64, e: &Event| -> AttackKey {

@@ -12,6 +12,7 @@ use asymshare_gf::{FieldKind, Gf2p32};
 use asymshare_netsim::{FaultPlan, LinkFault, LinkSpeed};
 use asymshare_obs::{EventSink, Registry};
 use asymshare_rlnc::{ChunkLadder, ChunkedEncoder, DigestKind, FileId};
+use asymshare_workloads::hetero;
 use std::time::Duration;
 
 /// CI sweeps this via the `ASYMSHARE_FAULT_SEED` matrix.
@@ -22,32 +23,28 @@ fn fault_seed() -> u64 {
         .unwrap_or(42)
 }
 
-/// A small three-class swarm: slow-clean, fast-clean, fast-lossy.
-fn build_swarm(adaptive: bool, seed: u64) -> (SimRuntime, Vec<ParticipantId>) {
-    let mut rt = SimRuntime::new(RuntimeConfig {
-        k: 4,
-        chunk_size: 64 * 1024,
-        adaptive_sizing: adaptive,
-        ..RuntimeConfig::default()
-    });
-    let links = [
-        (384.0, 4_000.0, 0.0),      // DSL-class
-        (20_000.0, 100_000.0, 0.0), // fiber-class
-        (2_000.0, 20_000.0, 0.15),  // flaky mobile
-    ];
-    let ids: Vec<ParticipantId> = links
+/// One participant per `(up kbps, down kbps, last-mile loss)` member,
+/// identities `[prefix.., i]`, every lossy last mile in one fault plan.
+fn build_swarm_of(
+    cfg: RuntimeConfig,
+    members: &[(f64, f64, f64)],
+    prefix: [u8; 2],
+    seed: u64,
+) -> (SimRuntime, Vec<ParticipantId>) {
+    let mut rt = SimRuntime::new(cfg);
+    let ids: Vec<ParticipantId> = members
         .iter()
         .enumerate()
         .map(|(i, &(up, down, _))| {
             rt.add_participant(
-                Identity::from_seed(&[b'p', b'f', i as u8]),
+                Identity::from_seed(&[prefix[0], prefix[1], i as u8]),
                 LinkSpeed::kbps(up),
                 LinkSpeed::kbps(down),
             )
         })
         .collect();
     let mut plan = FaultPlan::new(seed);
-    for (id, &(_, _, loss)) in ids.iter().zip(&links) {
+    for (id, &(_, _, loss)) in ids.iter().zip(members) {
         if loss > 0.0 {
             plan = plan.with_node_fault(
                 rt.participant_node(*id),
@@ -60,6 +57,25 @@ fn build_swarm(adaptive: bool, seed: u64) -> (SimRuntime, Vec<ParticipantId>) {
     }
     rt.set_fault_plan(plan);
     (rt, ids)
+}
+
+/// A small three-class swarm: slow-clean, fast-clean, fast-lossy.
+fn build_swarm(adaptive: bool, seed: u64) -> (SimRuntime, Vec<ParticipantId>) {
+    build_swarm_of(
+        RuntimeConfig {
+            k: 4,
+            chunk_size: 64 * 1024,
+            adaptive_sizing: adaptive,
+            ..RuntimeConfig::default()
+        },
+        &[
+            (384.0, 4_000.0, 0.0),      // DSL-class
+            (20_000.0, 100_000.0, 0.0), // fiber-class
+            (2_000.0, 20_000.0, 0.15),  // flaky mobile
+        ],
+        [b'p', b'f'],
+        seed,
+    )
 }
 
 fn one_round(rt: &mut SimRuntime, ids: &[ParticipantId], peers: &[ParticipantId], file: u64) {
@@ -190,6 +206,86 @@ fn adaptive_manifest_carries_the_preferred_size() {
         "the manifest carries the ladder decision — no negotiation"
     );
     assert!(ChunkLadder::is_rung(manifest.chunk_size()));
+}
+
+/// The heterogeneous swarm of `workloads::hetero` (3 DSL + 3 fiber + 2
+/// flaky mobile, `k = 8`, owner on fiber, remote link 1 000/100 000 kbps):
+/// twelve 1 MiB warm-up rounds, then one measured 8 MiB round per arm.
+/// Returns (measured download seconds, manifest chunk bytes, settled rungs).
+fn hetero_arm(adaptive: bool, seed: u64) -> (f64, usize, Vec<usize>) {
+    let members: Vec<(f64, f64, f64)> = hetero::swarm_members()
+        .iter()
+        .map(|c| (c.link.up_kbps, c.link.down_kbps, c.loss_prob))
+        .collect();
+    let (mut rt, ids) = build_swarm_of(
+        RuntimeConfig {
+            k: 8,
+            adaptive_sizing: adaptive,
+            ..RuntimeConfig::default()
+        },
+        &members,
+        [b'h', b'p'],
+        seed,
+    );
+    let owner = ids[hetero::DSL.count];
+    let round = |rt: &mut SimRuntime, file: u64, len: usize| {
+        let data: Vec<u8> = (0..len as u64)
+            .map(|i| (i.wrapping_mul(2_654_435_761).wrapping_add(file * 97) % 251) as u8)
+            .collect();
+        let (manifest, _) = rt
+            .disseminate(owner, FileId(file), &data, &ids)
+            .expect("disseminate");
+        let chunk = manifest.chunk_size();
+        let session = rt
+            .start_download(
+                owner,
+                manifest,
+                LinkSpeed::kbps(1_000.0),
+                LinkSpeed::kbps(100_000.0),
+                &ids,
+            )
+            .expect("start download");
+        let report = rt.run_to_completion(session, 100_000).expect("completes");
+        assert_eq!(report.data, data);
+        (report.duration_secs, chunk)
+    };
+    for r in 0..12 {
+        round(&mut rt, 100 + r, 1 << 20);
+    }
+    let (secs, chunk) = round(&mut rt, 999, 8 << 20);
+    let rungs = ids
+        .iter()
+        .map(|&id| {
+            let key = rt.peer_mut(id).identity().public_key().to_bytes();
+            rt.profiles().profile(&key).map_or(0, |p| p.rung())
+        })
+        .collect();
+    (secs, chunk, rungs)
+}
+
+/// Profile-steered sizing on the heterogeneous swarm: the measured file is
+/// encoded at the weakest peer's 64 KiB instead of the static 1 MiB, and
+/// the remote download finishes sooner (2.13 s against 2.42 s). At the
+/// default seed the settled rungs are pinned: DSL at 4, fiber at 5, both
+/// lossy mobiles forced to 0 (other seeds leave one mobile at rung 1).
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "about a minute unoptimised; CI's profile job runs it with --release"
+)]
+fn adaptive_sizing_beats_the_static_chunk_on_the_hetero_swarm() {
+    let seed = fault_seed();
+    let (static_secs, static_chunk, _) = hetero_arm(false, seed);
+    let (adaptive_secs, adaptive_chunk, rungs) = hetero_arm(true, seed);
+    if seed == 42 {
+        assert_eq!(rungs, [4, 4, 4, 5, 5, 5, 0, 0]);
+    }
+    assert_eq!(static_chunk, 1 << 20);
+    assert_eq!(adaptive_chunk, 64 << 10);
+    assert!(
+        adaptive_secs < static_secs,
+        "adaptive {adaptive_secs:.2} s vs static {static_secs:.2} s"
+    );
 }
 
 /// The hard rail: with `adaptive_sizing` off, a warmed profile store must
