@@ -1,10 +1,8 @@
-//! Microbenchmarks of the finite-field kernels: scalar multiply, inversion,
-//! the bulk axpy kernel the codec's inner loop consists of, and the GF(2⁸)
-//! kernel tiers (per-symbol scalar vs u64 SWAR vs the dispatching kernel,
-//! which selects SIMD when built with `--features simd`) on 1 KiB / 64 KiB /
-//! 1 MiB byte slabs.
+//! Microbenchmarks of the finite-field symbol operations: multiply,
+//! inversion, and the per-symbol `axpy_slice` the `k × k` linear algebra
+//! runs on (payload bytes go through `block::combine`; see `rlnc_codec`).
 
-use asymshare_gf::{kernels, Field, Gf16, Gf256, Gf2p32, Gf65536};
+use asymshare_gf::{Field, Gf16, Gf256, Gf2p32, Gf65536};
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
 fn bench_field<F: Field>(c: &mut Criterion, name: &str) {
@@ -55,59 +53,11 @@ fn bench_field<F: Field>(c: &mut Criterion, name: &str) {
     group.finish();
 }
 
-/// The GF(2⁸) kernel-tier ladder on one slab size: the acceptance numbers
-/// (SWAR ≥ 2× scalar, dispatch ≥ 4× scalar on 64 KiB) read directly off
-/// these throughput lines.
-fn bench_gf256_kernels(c: &mut Criterion, slab: usize, label: &str) {
-    let coeff = Gf256::new(0xC4);
-    let xs: Vec<Gf256> = (0..slab)
-        .map(|i| Gf256::new((i as u8).wrapping_mul(167).wrapping_add(13)))
-        .collect();
-    let mut y = vec![Gf256::new(0xAA); slab];
-
-    let mut group = c.benchmark_group(format!("gf/kernels/{label}"));
-    group.throughput(Throughput::Bytes(slab as u64));
-    group.bench_function("axpy_scalar", |b| {
-        b.iter(|| {
-            kernels::axpy_scalar(black_box(coeff), &xs, &mut y);
-            black_box(y[0])
-        })
-    });
-    group.bench_function("axpy_swar", |b| {
-        b.iter(|| {
-            kernels::axpy_swar(black_box(coeff), &xs, &mut y);
-            black_box(y[0])
-        })
-    });
-    group.bench_function("axpy_dispatch", |b| {
-        b.iter(|| {
-            kernels::axpy(black_box(coeff), &xs, &mut y);
-            black_box(y[0])
-        })
-    });
-    group.bench_function("scale_swar", |b| {
-        b.iter(|| {
-            kernels::scale_swar(black_box(coeff), &mut y);
-            black_box(y[0])
-        })
-    });
-    group.bench_function("scale_dispatch", |b| {
-        b.iter(|| {
-            kernels::scale(black_box(coeff), &mut y);
-            black_box(y[0])
-        })
-    });
-    group.finish();
-}
-
 fn benches(c: &mut Criterion) {
     bench_field::<Gf16>(c, "2^4");
     bench_field::<Gf256>(c, "2^8");
     bench_field::<Gf65536>(c, "2^16");
     bench_field::<Gf2p32>(c, "2^32");
-    bench_gf256_kernels(c, 1 << 10, "1KiB");
-    bench_gf256_kernels(c, 1 << 16, "64KiB");
-    bench_gf256_kernels(c, 1 << 20, "1MiB");
 }
 
 criterion_group!(gf_ops, benches);

@@ -339,12 +339,6 @@ impl Reactor {
         self.profiles.lock().expect("profile store lock").clone()
     }
 
-    /// Seeds the shared profile store (e.g. from
-    /// [`ProfileStore::load`]) so this deployment starts warm.
-    pub fn seed_profiles(&self, store: ProfileStore) {
-        *self.profiles.lock().expect("profile store lock") = store;
-    }
-
     /// Stops the workers and returns every hosted peer (with its final
     /// ledger/store), sorted by address.
     ///
@@ -435,7 +429,7 @@ fn run_worker(
     loop {
         shutdown |= apply_ctrl(&ctrl_rx, &mut slots, &mut by_addr, &net);
         if shutdown {
-            flush_gauges(&mut slots, &obs, &cfg);
+            flush_gauges(&mut slots, &cfg);
             flush_profiles(&mut slots, &profiles, &cfg.profile, Instant::now());
             return slots.into_iter().map(|s| (s.addr, s.peer)).collect();
         }
@@ -478,7 +472,7 @@ fn run_worker(
         }
         if now.duration_since(last_gauge_flush) >= GAUGE_EVERY {
             last_gauge_flush = now;
-            flush_gauges(&mut slots, &obs, &cfg);
+            flush_gauges(&mut slots, &cfg);
         }
         if now.duration_since(last_profile_flush) >= PROFILE_EVERY {
             last_profile_flush = now;
@@ -837,8 +831,7 @@ fn apply_signals(st: &mut ConnState, obs: &WorkerObs) {
 
 /// Refreshes the per-peer window gauges (`rt.window.p{addr}` — the widest
 /// connection window, or the configured floor before any session opens).
-fn flush_gauges(slots: &mut [Slot], obs: &WorkerObs, cfg: &ReactorConfig) {
-    let _ = obs;
+fn flush_gauges(slots: &mut [Slot], cfg: &ReactorConfig) {
     for slot in slots {
         let widest = slot
             .conns

@@ -12,8 +12,7 @@ use crate::error::SystemError;
 use crate::protocol::{self, Wire};
 use crate::rt::pool::BufferPool;
 use asymshare_netsim::{adversary_draw, AdversaryStrategy, SplitMix64};
-use asymshare_obs::health::{HealthConfig, HealthEngine, HealthReport};
-use asymshare_obs::stream::EventCursor;
+use asymshare_obs::health::{HealthConfig, HealthReport, HealthStream};
 use asymshare_obs::{Counter, EventSink, Histogram, Registry, Snapshot};
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -233,15 +232,6 @@ impl TransportObs {
     }
 }
 
-/// The health engine plus its private read cursor over the shared event
-/// stream. Guarded by one mutex so evaluation (drain + evaluate + emit)
-/// is atomic with respect to score reads from the download loop.
-#[derive(Debug)]
-struct RtHealth {
-    engine: HealthEngine,
-    cursor: EventCursor,
-}
-
 /// A Byzantine sender: its strategy plus a private draw sequence so every
 /// per-datagram decision replays deterministically for a given seed,
 /// independent of the link-fault RNG stream.
@@ -263,7 +253,9 @@ pub struct RtNetwork {
     adversaries: Arc<RwLock<HashMap<u64, AdvState>>>,
     pool: Arc<BufferPool>,
     obs: TransportObs,
-    health: Arc<Mutex<Option<RtHealth>>>,
+    /// One mutex, so closing a window (drain + evaluate + emit) is atomic
+    /// with respect to score reads from the download loop.
+    health: Arc<Mutex<Option<HealthStream>>>,
 }
 
 impl RtNetwork {
@@ -308,7 +300,7 @@ impl RtNetwork {
         metrics.snapshot()
     }
 
-    /// Installs a streaming [`HealthEngine`] fed from this network's event
+    /// Installs a streaming [`HealthStream`] fed from this network's event
     /// sink. Meaningful only on a network built with
     /// [`with_observability`](Self::with_observability) — without an event
     /// stream the engine never sees a signal. Replaces any previous engine.
@@ -318,10 +310,7 @@ impl RtNetwork {
     /// or spawn a [`HealthMonitor`](crate::rt::HealthMonitor) to sample on
     /// a thread.
     pub fn enable_health(&self, cfg: HealthConfig) {
-        *self.health.lock().expect("health lock") = Some(RtHealth {
-            engine: HealthEngine::new(cfg),
-            cursor: EventCursor::new(&self.obs.events),
-        });
+        *self.health.lock().expect("health lock") = Some(HealthStream::new(cfg, &self.obs.events));
     }
 
     /// Closes the current health window: drains every event emitted since
@@ -334,30 +323,7 @@ impl RtNetwork {
         let mut guard = self.health.lock().expect("health lock");
         let h = guard.as_mut()?;
         let ts = self.obs.events.now_secs();
-        for event in h.cursor.drain() {
-            h.engine.observe_event(&event);
-        }
-        let alerts = h.engine.evaluate(ts);
-        for alert in &alerts {
-            self.obs
-                .events
-                .emit_at(ts, "health", "alert", &alert.to_fields());
-        }
-        for attack in h.engine.last_attacks() {
-            self.obs
-                .events
-                .emit_at(ts, "health", "attack", &attack.to_fields());
-        }
-        self.obs
-            .events
-            .emit_at(ts, "health", "window", &[("alerts", alerts.len().into())]);
-        for peer in h.engine.report().peers {
-            self.obs
-                .metrics
-                .gauge(&format!("health.score.p{}", peer.peer))
-                .set(peer.score);
-        }
-        Some(alerts.len())
+        Some(h.close_window(ts, &self.obs.events, &self.obs.metrics, &[]))
     }
 
     /// The health engine's current per-peer report (`None` unless
@@ -367,7 +333,7 @@ impl RtNetwork {
             .lock()
             .expect("health lock")
             .as_ref()
-            .map(|h| h.engine.report())
+            .map(|h| h.engine().report())
     }
 
     /// A peer address's current 0–100 health score, if the engine has
@@ -377,7 +343,7 @@ impl RtNetwork {
             .lock()
             .expect("health lock")
             .as_ref()
-            .and_then(|h| h.engine.score(addr))
+            .and_then(|h| h.engine().score(addr))
     }
 
     /// Whether `addr` sits in the sick band (score strictly below
@@ -388,7 +354,7 @@ impl RtNetwork {
             .lock()
             .expect("health lock")
             .as_ref()
-            .is_some_and(|h| h.engine.is_sick(addr))
+            .is_some_and(|h| h.engine().is_sick(addr))
     }
 
     /// Registers `addr` and returns its inbox.
@@ -479,7 +445,7 @@ impl RtNetwork {
             .lock()
             .expect("health lock")
             .as_ref()
-            .is_some_and(|h| h.engine.is_quarantined(addr, self.obs.events.now_secs()))
+            .is_some_and(|h| h.engine().is_quarantined(addr, self.obs.events.now_secs()))
     }
 
     /// When `addr`'s quarantine lifts on the event-sink timeline, if it
@@ -489,7 +455,7 @@ impl RtNetwork {
             .lock()
             .expect("health lock")
             .as_ref()
-            .and_then(|h| h.engine.quarantined_until(addr))
+            .and_then(|h| h.engine().quarantined_until(addr))
     }
 
     /// Counters of faults realized so far (zero if no plan installed).

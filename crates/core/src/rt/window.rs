@@ -93,9 +93,6 @@ pub struct AdaptiveWindow {
     closed: bool,
     rtt_ewma_us: Option<f64>,
     rtt_floor_us: Option<f64>,
-    /// Lifetime adaptation tallies, surfaced as reactor gauges.
-    widens: u64,
-    narrows: u64,
     /// Retirements that exceeded the in-flight count (a double-retired
     /// completion batch). Previously masked by `saturating_sub`; now
     /// counted and surfaced as `rt.window.retire_underflow`.
@@ -117,8 +114,6 @@ impl AdaptiveWindow {
             closed: false,
             rtt_ewma_us: None,
             rtt_floor_us: None,
-            widens: 0,
-            narrows: 0,
             retire_underflows: 0,
         }
     }
@@ -152,11 +147,6 @@ impl AdaptiveWindow {
     /// Smoothed replacement round-trip estimate, if any sample arrived.
     pub fn rtt_ewma_us(&self) -> Option<f64> {
         self.rtt_ewma_us
-    }
-
-    /// Lifetime (widen, narrow) adaptation counts.
-    pub fn adaptations(&self) -> (u64, u64) {
-        (self.widens, self.narrows)
     }
 
     /// Retirements that tried to retire more frames than were in flight
@@ -198,7 +188,6 @@ impl AdaptiveWindow {
         self.retire(n);
         if !self.closed && self.size < self.cfg.max_frames {
             self.size = (self.size + self.cfg.additive_step).min(self.cfg.max_frames);
-            self.widens += 1;
         }
     }
 
@@ -207,11 +196,7 @@ impl AdaptiveWindow {
         // The floored product of a small window and a small factor lands
         // at 0; the clamp keeps every decrease at or above the configured
         // floor so a penalized peer trickles instead of starving.
-        let next = next.max(self.cfg.min_frames);
-        if next < self.size {
-            self.narrows += 1;
-        }
-        self.size = next;
+        self.size = next.max(self.cfg.min_frames);
     }
 
     /// An observed transport loss attributed to this connection:

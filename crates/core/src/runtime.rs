@@ -22,8 +22,7 @@ use asymshare_netsim::{
     adversary_draw, AdversaryStrategy, Event, EventKind, FaultPlan, FaultStats, LinkSpeed, NodeId,
     SimNet, SimTime,
 };
-use asymshare_obs::health::{HealthConfig, HealthEngine, HealthReport};
-use asymshare_obs::stream::EventCursor;
+use asymshare_obs::health::{HealthConfig, HealthEngine, HealthReport, HealthStream};
 use asymshare_obs::{Counter, EventSink, Gauge, Histogram, Registry, Snapshot};
 use asymshare_rlnc::{
     ChunkedEncoder, CodecError, DigestKind, EncodedMessage, FileId, FileManifest, MessageId,
@@ -115,6 +114,8 @@ pub struct DownloadReport {
 
 struct Participant {
     peer: Peer,
+    /// The peer identity's public key, as ledgers and handshakes name it.
+    key: KeyBytes,
     node: NodeId,
     up_kbps: f64,
     /// Per-connection bulk-send deficits (bytes granted and not yet sent).
@@ -231,18 +232,6 @@ impl SimObs {
     }
 }
 
-/// Streaming health analytics bolted onto the simulated deployment: the
-/// engine consumes the deployment's own event log through an incremental
-/// cursor and is evaluated once per allocation slot on simulated time.
-struct SimHealth {
-    engine: HealthEngine,
-    cursor: EventCursor,
-    /// Data messages accepted per serving participant this slot, flushed
-    /// as `sim.deliver`/`window` events at slot end so the engine (and any
-    /// replay of the log) sees identical inputs.
-    slot_msgs: HashMap<usize, u64>,
-}
-
 /// What a session's [`RecoveryLadder`] sees: the user's connection stages
 /// and, through the connection → participant map, the health engine's
 /// verdicts (nobody is banned or sick without an engine).
@@ -287,7 +276,15 @@ pub struct SimRuntime {
     slot: u64,
     rng: ChaChaRng,
     obs: SimObs,
-    health: Option<SimHealth>,
+    /// Streaming health analytics: the engine consumes the deployment's own
+    /// event log through an incremental cursor and is evaluated once per
+    /// allocation slot on simulated time.
+    health: Option<HealthStream>,
+    /// Data messages accepted per serving participant this slot (counted
+    /// only with health on), flushed as `sim.deliver`/`window` events at
+    /// slot end so the engine (and any replay of the log) sees identical
+    /// inputs.
+    slot_msgs: HashMap<usize, u64>,
     /// Scratch for the per-slot allocation pass: `(conn, session, weight)`
     /// triples, reused so slots allocate nothing at steady state.
     alloc_conns: Vec<(u64, usize, f64)>,
@@ -324,6 +321,7 @@ impl SimRuntime {
             rng: ChaChaRng::new([0xE7; 32], *b"sim-runtime!"),
             obs: SimObs::default(),
             health: None,
+            slot_msgs: HashMap::new(),
             alloc_conns: Vec::new(),
             adversaries: HashMap::new(),
             adv_seed: 0,
@@ -347,12 +345,6 @@ impl SimRuntime {
     /// deployment before the first download.
     pub fn profiles_mut(&mut self) -> &mut ProfileStore {
         &mut self.profiles
-    }
-
-    /// Replaces the ladder-steering knobs (validated on use).
-    pub fn set_profile_config(&mut self, cfg: ProfileConfig) {
-        cfg.validate();
-        self.profile_cfg = cfg;
     }
 
     /// Loads persisted peer profiles from `path` (missing file = cold
@@ -394,24 +386,20 @@ impl SimRuntime {
         if !self.obs.metrics.is_enabled() {
             self.enable_observability();
         }
-        self.health = Some(SimHealth {
-            engine: HealthEngine::new(cfg),
-            cursor: EventCursor::new(&self.obs.events),
-            slot_msgs: HashMap::new(),
-        });
+        self.health = Some(HealthStream::new(cfg, &self.obs.events));
     }
 
     /// The health engine's current per-peer report (`None` unless
     /// [`enable_health`](Self::enable_health) was called).
     pub fn health_report(&self) -> Option<HealthReport> {
-        self.health.as_ref().map(|h| h.engine.report())
+        self.health.as_ref().map(|h| h.engine().report())
     }
 
     /// A peer's current 0–100 health score, if the engine has scored it.
     pub fn health_score(&self, id: ParticipantId) -> Option<f64> {
         self.health
             .as_ref()
-            .and_then(|h| h.engine.score(id.0 as u64))
+            .and_then(|h| h.engine().score(id.0 as u64))
     }
 
     /// The deployment's event log so far (empty unless observability is on).
@@ -433,11 +421,7 @@ impl SimRuntime {
     pub fn metrics_snapshot(&self) -> Snapshot {
         let metrics = &self.obs.metrics;
         if metrics.is_enabled() {
-            let keys: Vec<KeyBytes> = self
-                .participants
-                .iter()
-                .map(|p| p.peer.identity().public_key().to_bytes())
-                .collect();
+            let keys: Vec<KeyBytes> = self.participants.iter().map(|p| p.key).collect();
             for (i, p) in self.participants.iter().enumerate() {
                 for (j, key) in keys.iter().enumerate() {
                     metrics
@@ -488,11 +472,7 @@ impl SimRuntime {
     /// for participant `j`'s user key (initial credit plus bytes credited
     /// through signed feedback). Available with or without observability.
     pub fn credit_matrix(&self) -> Vec<Vec<f64>> {
-        let keys: Vec<KeyBytes> = self
-            .participants
-            .iter()
-            .map(|p| p.peer.identity().public_key().to_bytes())
-            .collect();
+        let keys: Vec<KeyBytes> = self.participants.iter().map(|p| p.key).collect();
         self.participants
             .iter()
             .map(|p| keys.iter().map(|k| p.peer.upload_weight(k)).collect())
@@ -508,9 +488,11 @@ impl SimRuntime {
         down: LinkSpeed,
     ) -> ParticipantId {
         let node = self.net.add_node(up, down);
+        let key = identity.public_key().to_bytes();
         let peer = Peer::new(identity, self.cfg.initial_credit_bytes);
         self.participants.push(Participant {
             peer,
+            key,
             node,
             up_kbps: up.as_kbps(),
             serve: ServePass::default(),
@@ -521,11 +503,7 @@ impl SimRuntime {
         let id = ParticipantId(self.participants.len() - 1);
         // Everyone subscribes everyone registered so far (the "system
         // subscribers" set); callers can add more via `peer_mut`.
-        let keys: Vec<KeyBytes> = self
-            .participants
-            .iter()
-            .map(|p| p.peer.identity().public_key().to_bytes())
-            .collect();
+        let keys: Vec<KeyBytes> = self.participants.iter().map(|p| p.key).collect();
         for p in &mut self.participants {
             for k in &keys {
                 p.peer.add_subscriber(*k);
@@ -590,16 +568,6 @@ impl SimRuntime {
         self.participants[id.0].node
     }
 
-    /// The simulator node hosting a session's remote downloader.
-    pub fn session_node(&self, id: SessionId) -> NodeId {
-        self.sessions[id.0].remote_node
-    }
-
-    /// A session's fault/recovery counters so far.
-    pub fn session_stats(&self, id: SessionId) -> &SessionStats {
-        self.sessions[id.0].user.stats()
-    }
-
     /// Runs the paper's initialization phase: encodes `data` under the
     /// owner's secret and uploads one decodable batch per target peer over
     /// the owner's (slow) uplink. Returns the manifest and the simulated
@@ -625,16 +593,8 @@ impl SimRuntime {
         // need no negotiation. With the flag off this is exactly the
         // configured size and the schedule is byte-identical to before.
         let chunk_size = if self.cfg.adaptive_sizing {
-            let target_keys: Vec<KeyBytes> = targets
-                .iter()
-                .map(|t| {
-                    self.participants[t.0]
-                        .peer
-                        .identity()
-                        .public_key()
-                        .to_bytes()
-                })
-                .collect();
+            let target_keys: Vec<KeyBytes> =
+                targets.iter().map(|t| self.participants[t.0].key).collect();
             self.profiles
                 .preferred_chunk_size(&target_keys, self.cfg.chunk_size)
         } else {
@@ -707,16 +667,7 @@ impl SimRuntime {
         // peers keep their caller-given order (or all of them do, when the
         // flag is off — preserving seeded schedules exactly).
         let planned: Vec<ParticipantId> = if self.cfg.adaptive_sizing {
-            let keys: Vec<KeyBytes> = peers
-                .iter()
-                .map(|p| {
-                    self.participants[p.0]
-                        .peer
-                        .identity()
-                        .public_key()
-                        .to_bytes()
-                })
-                .collect();
+            let keys: Vec<KeyBytes> = peers.iter().map(|p| self.participants[p.0].key).collect();
             self.profiles
                 .plan_order(&keys)
                 .into_iter()
@@ -731,11 +682,7 @@ impl SimRuntime {
             let conn = self.next_conn;
             self.next_conn += 1;
             conns.insert(conn, pid.0);
-            let peer_key = self.participants[pid.0]
-                .peer
-                .identity()
-                .public_key()
-                .to_bytes();
+            let peer_key = self.participants[pid.0].key;
             let commit = user.connect(conn, peer_key, &mut self.rng);
             self.send_control(
                 remote_node,
@@ -910,7 +857,7 @@ impl SimRuntime {
                     // A quarantined peer gets no Eq.-2 budget at all for
                     // the duration of its ban.
                     if self.health.as_ref().is_some_and(|h| {
-                        h.engine
+                        h.engine()
                             .is_quarantined(pid as u64, self.net.now().as_secs())
                     }) {
                         continue;
@@ -919,11 +866,7 @@ impl SimRuntime {
                     if peer.serving(conn).is_none() || !peer.has_pending(conn) {
                         continue;
                     }
-                    let user_key = self.participants[session.home]
-                        .peer
-                        .identity()
-                        .public_key()
-                        .to_bytes();
+                    let user_key = self.participants[session.home].key;
                     let w = self.participants[p_idx].peer.upload_weight(&user_key);
                     conns.push((conn, s_idx, w));
                 }
@@ -1383,8 +1326,8 @@ impl SimRuntime {
                             .msgs_by_peer
                             .entry(p_idx)
                             .or_insert(0) += 1;
-                        if let Some(h) = &mut self.health {
-                            *h.slot_msgs.entry(p_idx).or_insert(0) += 1;
+                        if self.health.is_some() {
+                            *self.slot_msgs.entry(p_idx).or_insert(0) += 1;
                         }
                         // A credit-inflating adversary claims `factor`×
                         // extra contribution directly at the downloader's
@@ -1394,11 +1337,7 @@ impl SimRuntime {
                         if let Some(AdversaryStrategy::InflateCredit { factor }) =
                             self.adversaries.get(&p_idx).copied()
                         {
-                            let key = self.participants[p_idx]
-                                .peer
-                                .identity()
-                                .public_key()
-                                .to_bytes();
+                            let key = self.participants[p_idx].key;
                             let home = self.sessions[session].home;
                             self.participants[home]
                                 .peer
@@ -1459,11 +1398,7 @@ impl SimRuntime {
             if msgs + drops == 0 {
                 continue; // never served data; nothing to profile
             }
-            let key = self.participants[p_idx]
-                .peer
-                .identity()
-                .public_key()
-                .to_bytes();
+            let key = self.participants[p_idx].key;
             let mv = self.profiles.record_transfer(
                 &self.profile_cfg,
                 &key,
@@ -1505,7 +1440,7 @@ impl SimRuntime {
             let view = SessionView {
                 user: &session.user,
                 conns: &session.conns,
-                engine: self.health.as_ref().map(|h| &h.engine),
+                engine: self.health.as_ref().map(HealthStream::engine),
             };
             session.ladder.poll(now, &view, &mut actions);
             let mut due = actions.drain(..).peekable();
@@ -1603,11 +1538,7 @@ impl SimRuntime {
         };
         let user = &mut self.sessions[s_idx].user;
         let wire = if rehandshake {
-            let peer_key = self.participants[p_idx]
-                .peer
-                .identity()
-                .public_key()
-                .to_bytes();
+            let peer_key = self.participants[p_idx].key;
             user.connect(conn, peer_key, &mut self.rng)
         } else {
             Wire::FileRequest {
@@ -1646,7 +1577,7 @@ impl SimRuntime {
         let until = self
             .health
             .as_ref()
-            .and_then(|h| h.engine.quarantined_until(peer))
+            .and_then(|h| h.engine().quarantined_until(peer))
             .unwrap_or(now);
         self.sessions[s_idx].user.stats_mut().quarantines += 1;
         self.obs.events.emit_at(
@@ -1674,11 +1605,7 @@ impl SimRuntime {
             return;
         }
         let ts = self.net.now().as_secs();
-        let mut msgs: Vec<(usize, u64)> = self
-            .health
-            .as_mut()
-            .map(|h| h.slot_msgs.drain().collect())
-            .unwrap_or_default();
+        let mut msgs: Vec<(usize, u64)> = self.slot_msgs.drain().collect();
         msgs.sort_unstable();
         for (p_idx, n) in msgs {
             self.obs.events.emit_at(
@@ -1689,34 +1616,14 @@ impl SimRuntime {
             );
         }
         self.emit_credit_balances(ts);
-        let mut h = self.health.take().expect("checked above");
-        for event in h.cursor.drain() {
-            h.engine.observe_event(&event);
+        if let Some(h) = &mut self.health {
+            h.close_window(
+                ts,
+                &self.obs.events,
+                &self.obs.metrics,
+                &[("slot", self.slot.into())],
+            );
         }
-        let alerts = h.engine.evaluate(ts);
-        for alert in &alerts {
-            self.obs
-                .events
-                .emit_at(ts, "health", "alert", &alert.to_fields());
-        }
-        for attack in h.engine.last_attacks() {
-            self.obs
-                .events
-                .emit_at(ts, "health", "attack", &attack.to_fields());
-        }
-        self.obs.events.emit_at(
-            ts,
-            "health",
-            "window",
-            &[("slot", self.slot.into()), ("alerts", alerts.len().into())],
-        );
-        for peer in h.engine.report().peers {
-            self.obs
-                .metrics
-                .gauge(&format!("health.score.p{}", peer.peer))
-                .set(peer.score);
-        }
-        self.health = Some(h);
     }
 
     /// Owner re-dissemination: when the honest, live coded-message supply
@@ -1727,10 +1634,10 @@ impl SimRuntime {
     fn redisseminate_if_starved(&mut self, s_idx: usize, ts: f64) {
         let file_id = FileId(self.sessions[s_idx].user.file_id());
         let k = self.cfg.k;
-        let banned = |health: &Option<SimHealth>, p: usize| {
+        let banned = |health: &Option<HealthStream>, p: usize| {
             health
                 .as_ref()
-                .is_some_and(|h| h.engine.is_quarantined(p as u64, ts))
+                .is_some_and(|h| h.engine().is_quarantined(p as u64, ts))
         };
         let session = &self.sessions[s_idx];
         let mut honest: Vec<usize> = session
@@ -1823,11 +1730,7 @@ impl SimRuntime {
                 if p_idx == session.home {
                     continue;
                 }
-                let key = self.participants[p_idx]
-                    .peer
-                    .identity()
-                    .public_key()
-                    .to_bytes();
+                let key = self.participants[p_idx].key;
                 let credited = home.upload_weight(&key) - self.cfg.initial_credit_bytes;
                 let delivered = session.bytes_by_peer.get(&p_idx).copied().unwrap_or(0) as f64;
                 *drift.entry(p_idx).or_insert(0.0) += credited - delivered;
@@ -2031,9 +1934,7 @@ mod tests {
         let (a, b, c) = (ids[0], ids[1], ids[2]);
         let payload = data(64 * 1024);
         let (manifest, _) = rt.disseminate(a, FileId(3), &payload, &ids).unwrap();
-        let key = |rt: &SimRuntime, p: ParticipantId| {
-            rt.participants[p.0].peer.identity().public_key().to_bytes()
-        };
+        let key = |rt: &SimRuntime, p: ParticipantId| rt.participants[p.0].key;
         let (b_key, c_key) = (key(&rt, b), key(&rt, c));
         let before = rt.participants[a.0].peer.upload_weight(&b_key);
         let session = rt

@@ -105,13 +105,6 @@ impl ChaChaRng {
         }
     }
 
-    /// Next pseudorandom `u32`.
-    pub fn next_u32(&mut self) -> u32 {
-        let mut buf = [0u8; 4];
-        self.fill_bytes(&mut buf);
-        u32::from_le_bytes(buf)
-    }
-
     /// Next pseudorandom `u64`.
     pub fn next_u64(&mut self) -> u64 {
         let mut buf = [0u8; 8];

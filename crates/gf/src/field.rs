@@ -93,9 +93,9 @@ pub trait Field:
 
     /// Bulk fused multiply-accumulate: `y[i] += c * x[i]` for all `i`.
     ///
-    /// This is the hot kernel of random-linear encoding and decoding; wide
-    /// fields override it to hoist per-coefficient precomputation out of the
-    /// element loop.
+    /// The per-symbol reference for Eq. (1): the `k × k` linear algebra and
+    /// the progressive decoder run on it, and `block::combine` — the path
+    /// every payload byte takes — is tested against it.
     ///
     /// # Panics
     ///

@@ -52,7 +52,7 @@ const LOG: [u8; ORDER] = build_log(&EXP);
 /// assert_eq!(a * a.inv(), Gf16::ONE);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Gf16(pub(crate) u8);
+pub struct Gf16(u8);
 
 impl Gf16 {
     /// Constructs an element from the low 4 bits of `v`.
@@ -96,49 +96,6 @@ impl Field for Gf16 {
     fn inv(self) -> Self {
         assert!(self.0 != 0, "inverse of zero in GF(2^4)");
         Gf16(EXP[GROUP - LOG[self.0 as usize] as usize])
-    }
-
-    fn axpy_slice(c: Self, x: &[Self], y: &mut [Self]) {
-        assert_eq!(x.len(), y.len(), "axpy slices must have equal length");
-        if c.0 == 0 {
-            return;
-        }
-        if c.0 == 1 {
-            for (yi, &xi) in y.iter_mut().zip(x) {
-                yi.0 ^= xi.0;
-            }
-            return;
-        }
-        if crate::kernels::hoist_worthwhile::<Self>(x.len()) {
-            let table = crate::kernels::product_table::<Self, 16>(c);
-            for (yi, &xi) in y.iter_mut().zip(x) {
-                yi.0 ^= table[xi.0 as usize].0;
-            }
-            return;
-        }
-        for (yi, &xi) in y.iter_mut().zip(x) {
-            *yi += c * xi;
-        }
-    }
-
-    fn scale_slice(c: Self, y: &mut [Self]) {
-        if c.0 == 1 {
-            return;
-        }
-        if c.0 == 0 {
-            y.fill(Gf16(0));
-            return;
-        }
-        if crate::kernels::hoist_worthwhile::<Self>(y.len()) {
-            let table = crate::kernels::product_table::<Self, 16>(c);
-            for yi in y.iter_mut() {
-                *yi = table[yi.0 as usize];
-            }
-            return;
-        }
-        for yi in y.iter_mut() {
-            *yi *= c;
-        }
     }
 }
 

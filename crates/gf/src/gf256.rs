@@ -70,8 +70,7 @@ const LOG: [u16; ORDER] = build_log(&EXP);
 /// assert_eq!(Gf256::new(0x57) * Gf256::new(0x83), Gf256::new(0xc1));
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[repr(transparent)] // the byte-slab kernels reinterpret &[Gf256] as &[u8]
-pub struct Gf256(pub(crate) u8);
+pub struct Gf256(u8);
 
 impl Gf256 {
     /// Constructs an element from a byte.
@@ -111,16 +110,6 @@ impl Field for Gf256 {
     fn inv(self) -> Self {
         assert!(self.0 != 0, "inverse of zero in GF(2^8)");
         Gf256(EXP[GROUP - LOG[self.0 as usize] as usize])
-    }
-
-    fn axpy_slice(c: Self, x: &[Self], y: &mut [Self]) {
-        // Tiered byte-slab kernels: SIMD (feature "simd") > u64 SWAR >
-        // per-symbol scalar for short slices.
-        crate::kernels::axpy(c, x, y);
-    }
-
-    fn scale_slice(c: Self, y: &mut [Self]) {
-        crate::kernels::scale(c, y);
     }
 }
 
@@ -195,26 +184,5 @@ mod tests {
 
     fn equiv_limit() -> usize {
         40
-    }
-
-    #[test]
-    fn bulk_kernels_match_scalar_paths() {
-        use crate::Field;
-        let xs: Vec<Gf256> = (0..512u32).map(|i| Gf256::new((i * 7 + 3) as u8)).collect();
-        for c in [0u8, 1, 2, 0x53, 0xFF] {
-            let c = Gf256::new(c);
-            let mut fast = vec![Gf256::new(0xAA); xs.len()];
-            let mut slow = fast.clone();
-            Gf256::axpy_slice(c, &xs, &mut fast);
-            for (yi, &xi) in slow.iter_mut().zip(&xs) {
-                *yi += c * xi;
-            }
-            assert_eq!(fast, slow, "axpy c={c}");
-
-            let mut fast = xs.clone();
-            Gf256::scale_slice(c, &mut fast);
-            let slow: Vec<Gf256> = xs.iter().map(|&x| x * c).collect();
-            assert_eq!(fast, slow, "scale c={c}");
-        }
     }
 }

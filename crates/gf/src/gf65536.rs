@@ -93,68 +93,6 @@ impl Field for Gf65536 {
         let t = tables();
         Gf65536(t.exp[GROUP - t.log[self.0 as usize] as usize])
     }
-
-    fn axpy_slice(c: Self, x: &[Self], y: &mut [Self]) {
-        assert_eq!(x.len(), y.len(), "axpy slices must have equal length");
-        if c.0 == 0 {
-            return;
-        }
-        if c.0 == 1 {
-            for (yi, &xi) in y.iter_mut().zip(x) {
-                yi.0 ^= xi.0;
-            }
-            return;
-        }
-        if crate::kernels::hoist_worthwhile::<Self>(x.len()) {
-            let t = split_table(c.0);
-            for (yi, &xi) in y.iter_mut().zip(x) {
-                yi.0 ^= t[0][(xi.0 & 0xff) as usize] ^ t[1][(xi.0 >> 8) as usize];
-            }
-            return;
-        }
-        for (yi, &xi) in y.iter_mut().zip(x) {
-            *yi += c * xi;
-        }
-    }
-
-    fn scale_slice(c: Self, y: &mut [Self]) {
-        if c.0 == 1 {
-            return;
-        }
-        if c.0 == 0 {
-            y.fill(Gf65536(0));
-            return;
-        }
-        if crate::kernels::hoist_worthwhile::<Self>(y.len()) {
-            let t = split_table(c.0);
-            for yi in y.iter_mut() {
-                yi.0 = t[0][(yi.0 & 0xff) as usize] ^ t[1][(yi.0 >> 8) as usize];
-            }
-            return;
-        }
-        for yi in y.iter_mut() {
-            *yi *= c;
-        }
-    }
-}
-
-/// Byte-sliced product tables for a fixed coefficient: `t[j][b]` is
-/// `c · (b << 8j)`, so a product is two lookups and one xor. Built from 16
-/// single-bit products (multiplication is GF(2)-linear) plus xors.
-fn split_table(c: u16) -> [[u16; 256]; 2] {
-    let mut t = [[0u16; 256]; 2];
-    for (j, table) in t.iter_mut().enumerate() {
-        for i in 0..8 {
-            table[1usize << i] = (Gf65536(c) * Gf65536(1u16 << (8 * j + i))).0;
-        }
-        for b in 1..256usize {
-            let low = b & b.wrapping_neg();
-            if b != low {
-                table[b] = table[b ^ low] ^ table[low];
-            }
-        }
-    }
-    t
 }
 
 impl_field_ops!(Gf65536);
@@ -200,28 +138,6 @@ mod tests {
         for a in (1..=0xffffu32).step_by(257) {
             let x = Gf65536::new(a as u16);
             assert_eq!(x * x.inv(), Gf65536::ONE, "a={a:#x}");
-        }
-    }
-
-    #[test]
-    fn bulk_kernels_match_scalar_paths() {
-        let xs: Vec<Gf65536> = (0..300u32)
-            .map(|i| Gf65536::new((i * 257 + 11) as u16))
-            .collect();
-        for c in [0u16, 1, 2, 0xBEEF, 0xFFFF] {
-            let c = Gf65536::new(c);
-            let mut fast = vec![Gf65536::new(0x1234); xs.len()];
-            let mut slow = fast.clone();
-            Gf65536::axpy_slice(c, &xs, &mut fast);
-            for (yi, &xi) in slow.iter_mut().zip(&xs) {
-                *yi += c * xi;
-            }
-            assert_eq!(fast, slow, "axpy c={c}");
-
-            let mut fast = xs.clone();
-            Gf65536::scale_slice(c, &mut fast);
-            let slow: Vec<Gf65536> = xs.iter().map(|&x| x * c).collect();
-            assert_eq!(fast, slow, "scale c={c}");
         }
     }
 

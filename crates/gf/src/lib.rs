@@ -29,11 +29,7 @@
 //!
 //! [`asymshare-rlnc`]: https://example.org/asymshare
 
-// `deny` rather than `forbid`: the feature-gated SIMD submodule of
-// `kernels` carries a scoped `#![allow(unsafe_code)]` for its intrinsics —
-// the only unsafe in the crate (see DESIGN.md). Default builds contain no
-// unsafe code at all.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod field;
@@ -46,7 +42,6 @@ mod gf65536;
 
 pub mod block;
 pub mod bytes;
-pub mod kernels;
 pub mod linalg;
 pub mod poly;
 

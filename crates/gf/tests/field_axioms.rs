@@ -9,6 +9,17 @@ fn arb_elem<F: Field>() -> impl Strategy<Value = F> {
     any::<u64>().prop_map(F::from_u64)
 }
 
+/// A seeded xorshift64 stream for tests that need many values per case.
+fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+    let mut s = seed | 1;
+    move || {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        s
+    }
+}
+
 macro_rules! field_axiom_suite {
     ($modname:ident, $field:ty) => {
         mod $modname {
@@ -96,6 +107,30 @@ macro_rules! field_axiom_suite {
                     prop_assert_eq!(fast, slow);
                 }
             }
+
+            /// The coefficients `axpy_slice`/`scale_slice` special-case and
+            /// lengths on both sides of GF(2³²)'s split-table threshold.
+            #[test]
+            fn bulk_ops_match_per_symbol_at_edge_lengths() {
+                let mut stream = xorshift(0x9E37_79B9_7F4A_7C15);
+                let mut next = move || F::from_u64(stream());
+                for len in [0usize, 1, 7, 63, 64, 65, 257] {
+                    for c in [F::ZERO, F::ONE, next()] {
+                        let xs: Vec<F> = (0..len).map(|_| next()).collect();
+                        let ys: Vec<F> = (0..len).map(|_| next()).collect();
+
+                        let mut got = ys.clone();
+                        F::axpy_slice(c, &xs, &mut got);
+                        let want: Vec<F> = ys.iter().zip(&xs).map(|(&y, &x)| y + c * x).collect();
+                        assert_eq!(got, want, "axpy len={len} c={c:?}");
+
+                        let mut got = ys.clone();
+                        F::scale_slice(c, &mut got);
+                        let want: Vec<F> = ys.iter().map(|&y| c * y).collect();
+                        assert_eq!(got, want, "scale len={len} c={c:?}");
+                    }
+                }
+            }
         }
     };
 }
@@ -110,13 +145,7 @@ proptest! {
     /// identity (GF(2^8), the middle of the field range).
     #[test]
     fn invert_round_trip_random(n in 1usize..8, seed in any::<u64>()) {
-        let mut s = seed | 1;
-        let mut next = move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            s
-        };
+        let mut next = xorshift(seed);
         let rows: Vec<Vec<Gf256>> = (0..n)
             .map(|_| (0..n).map(|_| Gf256::from_u64(next())).collect())
             .collect();
@@ -135,13 +164,7 @@ proptest! {
         ncols in 1usize..8,
         seed in any::<u64>(),
     ) {
-        let mut s = seed | 1;
-        let mut next = move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            s
-        };
+        let mut next = xorshift(seed);
         let rows: Vec<Vec<Gf2p32>> = (0..nrows)
             .map(|_| (0..ncols).map(|_| Gf2p32::from_u64(next())).collect())
             .collect();

@@ -162,11 +162,6 @@ impl SimNet {
         NodeId(self.nodes.len() - 1)
     }
 
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// A node's transfer counters.
     ///
     /// # Panics

@@ -43,7 +43,8 @@
 //! [`evaluate`]: HealthEngine::evaluate
 //! [`HealthScore`]: PeerHealth::score
 
-use crate::{Event, Value};
+use crate::stream::EventCursor;
+use crate::{Event, EventSink, Registry, Value};
 use std::collections::BTreeMap;
 
 /// Tuning knobs for the detector bank. The defaults are deliberately
@@ -827,6 +828,64 @@ impl HealthEngine {
             windows: self.evaluations,
             total_alerts: self.total_alerts,
         }
+    }
+}
+
+/// A [`HealthEngine`] fed from an [`EventSink`] through its own cursor:
+/// the one place a health window is closed, shared by the simulated and
+/// the real-time runtime.
+#[derive(Debug)]
+pub struct HealthStream {
+    engine: HealthEngine,
+    cursor: EventCursor,
+}
+
+impl HealthStream {
+    /// A fresh engine reading `sink` from the start of its retained history.
+    pub fn new(cfg: HealthConfig, sink: &EventSink) -> HealthStream {
+        HealthStream {
+            engine: HealthEngine::new(cfg),
+            cursor: EventCursor::new(sink),
+        }
+    }
+
+    /// The engine, for score and quarantine queries.
+    pub fn engine(&self) -> &HealthEngine {
+        &self.engine
+    }
+
+    /// Closes the current window at `ts`: feeds the engine every event
+    /// emitted since the previous close, runs the detector bank, emits one
+    /// `health`/`alert` event per alert, one `health`/`attack` per verdict
+    /// and a `health`/`window` heartbeat (`leading` fields first, then
+    /// `alerts`), and refreshes the `health.score.p{peer}` gauges. Returns
+    /// the number of alerts raised.
+    pub fn close_window(
+        &mut self,
+        ts: f64,
+        sink: &EventSink,
+        metrics: &Registry,
+        leading: &[(&'static str, Value)],
+    ) -> usize {
+        for event in self.cursor.drain() {
+            self.engine.observe_event(&event);
+        }
+        let alerts = self.engine.evaluate(ts);
+        for alert in &alerts {
+            sink.emit_at(ts, "health", "alert", &alert.to_fields());
+        }
+        for attack in self.engine.last_attacks() {
+            sink.emit_at(ts, "health", "attack", &attack.to_fields());
+        }
+        let mut window = leading.to_vec();
+        window.push(("alerts", alerts.len().into()));
+        sink.emit_at(ts, "health", "window", &window);
+        for peer in self.engine.report().peers {
+            metrics
+                .gauge(&format!("health.score.p{}", peer.peer))
+                .set(peer.score);
+        }
+        alerts.len()
     }
 }
 

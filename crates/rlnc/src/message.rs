@@ -201,11 +201,6 @@ impl EncodedMessage {
             digest: None,
         })
     }
-
-    /// Consumes the message, returning its payload handle.
-    pub fn into_payload(self) -> Bytes {
-        self.payload
-    }
 }
 
 #[cfg(test)]

@@ -35,7 +35,7 @@ fn round_trip_generic<F: Field>(data: &[u8], k: usize, tag: u64) {
 fn block_matches_progressive_with_padding<F: Field>(m: usize, k: usize, tag: u64) {
     let params = CodingParams::new(F::KIND, m, k).expect("valid params");
     let (piece, capacity) = (params.payload_bytes(), params.capacity_bytes());
-    let lens = [
+    let mut lens = vec![
         1,
         piece - 1,
         piece,
@@ -44,6 +44,8 @@ fn block_matches_progressive_with_padding<F: Field>(m: usize, k: usize, tag: u64
         capacity - 1,
         capacity,
     ];
+    lens.sort_unstable();
+    lens.dedup(); // one-byte pieces make neighbours coincide
     for data_len in lens.into_iter().filter(|n| (1..=capacity).contains(n)) {
         let data: Vec<u8> = (0..data_len).map(|i| (i * 29 + 3) as u8).collect();
         let enc = Encoder::<F>::new(params, secret(tag), FileId(tag), &data).expect("encoder");
@@ -68,6 +70,9 @@ fn block_matches_progressive_with_partial_and_padding_pieces() {
         block_matches_progressive_with_padding::<Gf65536>(12, k, 43);
         block_matches_progressive_with_padding::<Gf2p32>(6, k, 44);
     }
+    // Table II's extreme corner at the smallest legal `m`: the largest
+    // `k × k` inversion the paper bins run, on one-byte pieces.
+    block_matches_progressive_with_padding::<Gf16>(2, 256, 45);
 }
 
 proptest! {
