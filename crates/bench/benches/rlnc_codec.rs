@@ -4,7 +4,7 @@
 //! solid numbers for the headline cells.
 
 use asymshare_crypto::rng::SecretKey;
-use asymshare_gf::{Field, FieldKind, Gf16, Gf256, Gf2p32, Gf65536};
+use asymshare_gf::{block, Field, FieldKind, Gf16, Gf256, Gf2p32, Gf65536};
 use asymshare_rlnc::{
     BlockDecoder, ChunkedDecoder, ChunkedEncoder, CodingParams, DigestKind, EncodedMessage,
     Encoder, FileId, MessageDigest, MessageId, MEGABYTE,
@@ -39,6 +39,41 @@ fn bench_cell<F: Field>(c: &mut Criterion, m: usize) {
             black_box(dec.decode().expect("decode"))
         })
     });
+    group.finish();
+}
+
+/// One coding block at the shape every benchmark workload uses — GF(2³²),
+/// `k = 8` — at the 64 KiB rung, where building the kernel's tables rivals
+/// the product, and at 1 MiB, where it is noise. `decode` keeps one
+/// `block::Scratch` and one output buffer across iterations, as the chunk
+/// pipeline's workers do; `encode` is the public `encode_batch`, which
+/// allocates its scratch per call.
+fn bench_block(c: &mut Criterion) {
+    let mut group = c.benchmark_group("rlnc/block/2^32/k8");
+    for (label, len) in [("64KiB", 64 << 10), ("1MiB", MEGABYTE)] {
+        let params = CodingParams::for_data_len(FieldKind::Gf2p32, 8, len).expect("valid shape");
+        let data: Vec<u8> = (0..len).map(|i| (i * 131 % 251) as u8).collect();
+        let secret = SecretKey::from_passphrase("bench");
+        let encoder =
+            Encoder::<Gf2p32>::new(params, secret.clone(), FileId(1), &data).expect("encoder");
+        let mut decoder = BlockDecoder::<Gf2p32>::new(params, secret, FileId(1), len);
+        for msg in encoder.encode_batch(0, 8).expect("batch") {
+            decoder.add_message(msg).expect("accept");
+        }
+        let mut out = vec![0u8; len];
+        let mut scratch = block::Scratch::new();
+        group.throughput(Throughput::Bytes(len as u64));
+        group.bench_function(format!("decode/{label}"), |b| {
+            b.iter(|| {
+                decoder
+                    .decode_into(black_box(&mut out), &mut scratch)
+                    .expect("decode")
+            })
+        });
+        group.bench_function(format!("encode/{label}"), |b| {
+            b.iter(|| black_box(encoder.encode_batch(0, 8).expect("batch")))
+        });
+    }
     group.finish();
 }
 
@@ -126,6 +161,7 @@ fn benches(c: &mut Criterion) {
     // GF(2^32) fast corner and slow corner.
     bench_cell::<Gf2p32>(c, 1 << 18);
     bench_cell::<Gf2p32>(c, 1 << 13);
+    bench_block(c);
     bench_chunked_pipeline(c);
     bench_digest(c);
 }

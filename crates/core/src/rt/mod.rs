@@ -48,8 +48,12 @@ use crate::protocol::Wire;
 use crate::recovery::{Action, LadderConfig, LadderView, RecoveryLadder};
 use crate::user::{ConnStage, User};
 use asymshare_crypto::chacha20::ChaChaRng;
-use asymshare_gf::Gf2p32;
-use asymshare_rlnc::{CodecError, FileManifest, MessageId};
+use asymshare_gf::{block, Gf2p32};
+use asymshare_obs::Value;
+use asymshare_rlnc::{CodecError, FileManifest, MessageId, SealedBlock};
+use crossbeam::channel;
+use std::sync::Arc;
+use std::thread::{Scope, ScopedJoinHandle};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 /// Tuning knobs for the self-healing download loop.
@@ -110,6 +114,165 @@ impl LadderView for DownloadView<'_> {
     }
 }
 
+/// A chunk's index and how its decode went.
+type Decoded = (u32, Result<(), CodecError>);
+
+/// Records `[start, end]`, on the sink's clock, as a `kind` span under the
+/// download's.
+fn emit_under(
+    events: &asymshare_obs::EventSink,
+    download: u64,
+    kind: &'static str,
+    (start, end): (f64, f64),
+    fields: &[(&'static str, Value)],
+) {
+    events.emit_span_at(end, start, end, "rt.download", kind, Some(download), fields);
+}
+
+/// A sealed chunk and the slice of the output it decodes into: the two move
+/// together, to the worker or through the client thread, and the chunk's
+/// rows are freed when the job has run.
+struct DecodeJob<'env> {
+    chunk: u32,
+    block: SealedBlock<Gf2p32>,
+    out: &'env mut [u8],
+    /// On the event sink's clock, which reads 0 when the sink is disabled.
+    sealed_secs: f64,
+}
+
+impl DecodeJob<'_> {
+    /// Decodes, and reports `rt.download`/`chunk_decoded` under `parent`.
+    fn run(
+        self,
+        scratch: &mut block::Scratch,
+        inline: bool,
+        events: &asymshare_obs::EventSink,
+        parent: u64,
+    ) -> Decoded {
+        let start = events.now_secs();
+        let result = self.block.decode_into(self.out, scratch);
+        let end = events.now_secs();
+        let micros = |secs: f64| Value::from((secs * 1e6) as u64);
+        let fields = [
+            ("chunk", self.chunk.into()),
+            ("queued_us", micros(start - self.sealed_secs)),
+            ("decode_us", micros(end - start)),
+            ("inline", inline.into()),
+        ];
+        emit_under(events, parent, "chunk_decoded", (start, end), &fields);
+        (self.chunk, result)
+    }
+}
+
+/// The thread draining the decode queue, and the queue's two ends: the
+/// caller keeps the receiving one to share what is left once it is done
+/// receiving.
+struct DecodeWorker<'scope, 'env> {
+    jobs: channel::Sender<DecodeJob<'env>>,
+    queue: Arc<channel::Receiver<DecodeJob<'env>>>,
+    thread: ScopedJoinHandle<'scope, Vec<Decoded>>,
+}
+
+/// Decodes chunks as they reach rank `k`, beside the receive loop where
+/// that helps (DESIGN.md §12): the first chunk to complete while more of
+/// the file is still to come starts one scoped worker, which decodes such
+/// chunks in turn; the chunk that completes the file, whatever the worker
+/// has not reached by then, and every chunk when
+/// [`asymshare_par::max_threads`] is one, are decoded by the caller.
+/// Dropping the pipeline drops the sender, which ends the worker's queue,
+/// and the scope joins it: a fetch that fails leaves no thread behind.
+struct DecodePipeline<'scope, 'env> {
+    scope: &'scope Scope<'scope, 'env>,
+    /// Each chunk's slice of the output, until its job takes it.
+    slices: Vec<Option<&'env mut [u8]>>,
+    worker: Option<DecodeWorker<'scope, 'env>>,
+    /// Scratch and results of the chunks decoded on the caller's thread.
+    scratch: block::Scratch,
+    results: Vec<Decoded>,
+    pipelined: bool,
+    /// When the file-completing chunk was sealed.
+    completed_secs: Option<f64>,
+    events: asymshare_obs::EventSink,
+    /// The whole download, error paths included; parent of the decodes.
+    span: asymshare_obs::Span,
+}
+
+impl<'scope, 'env> DecodePipeline<'scope, 'env> {
+    /// Takes a chunk sealed just now; `last` says it completed the file.
+    fn submit(&mut self, chunk: u32, block: SealedBlock<Gf2p32>, last: bool) {
+        let out = self.slices[chunk as usize].take();
+        let job = DecodeJob {
+            chunk,
+            block,
+            out: out.expect("a chunk is sealed once"),
+            sealed_secs: self.events.now_secs(),
+        };
+        let parent = self.span.id();
+        if last || !self.pipelined {
+            if last {
+                self.completed_secs.get_or_insert(job.sealed_secs);
+            }
+            let result = job.run(&mut self.scratch, true, &self.events, parent);
+            return self.results.push(result);
+        }
+        let (scope, events) = (self.scope, &self.events);
+        let worker = self.worker.get_or_insert_with(|| {
+            let (jobs, queue) = channel::unbounded::<DecodeJob<'env>>();
+            let queue = Arc::new(queue);
+            let (events, theirs) = (events.clone(), queue.clone());
+            let thread = scope.spawn(move || {
+                let mut scratch = block::Scratch::new();
+                let run = |job: DecodeJob<'env>| job.run(&mut scratch, false, &events, parent);
+                std::iter::from_fn(|| theirs.recv().ok()).map(run).collect()
+            });
+            DecodeWorker {
+                jobs,
+                queue,
+                thread,
+            }
+        });
+        if worker.jobs.send(job).is_err() {
+            unreachable!("this pipeline holds the queue's receiving end");
+        }
+    }
+
+    /// Decodes what `user` held complete before the fetch began, empties
+    /// the queue alongside the worker, and reports
+    /// `rt.download`/`decode_tail`: from the file-completing message to
+    /// here, what of decoding was left on the blocking path.
+    ///
+    /// # Errors
+    ///
+    /// The lowest-indexed failing chunk's, as `ChunkedDecoder::decode`;
+    /// [`CodecError::ChunkSealed`] for a chunk an earlier fetch sealed.
+    fn finish(mut self, user: &mut User<Gf2p32>) -> Result<(), CodecError> {
+        for index in 0..self.slices.len() as u32 {
+            if self.slices[index as usize].is_some() {
+                let block = user.seal_chunk(index);
+                self.submit(index, block.ok_or(CodecError::ChunkSealed { index })?, true);
+            }
+        }
+        let mut results = self.results;
+        if let Some(worker) = self.worker {
+            drop(worker.jobs);
+            // Nothing left to receive: share the worker's backlog.
+            let parent = self.span.id();
+            while let Ok(job) = worker.queue.try_recv() {
+                results.push(job.run(&mut self.scratch, true, &self.events, parent));
+            }
+            let joined = worker.thread.join();
+            results.extend(joined.unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
+        }
+        let now = self.events.now_secs();
+        let start = self.completed_secs.unwrap_or(now);
+        let fields = [("us", (((now - start) * 1e6) as u64).into())];
+        let download = self.span.id();
+        emit_under(&self.events, download, "decode_tail", (start, now), &fields);
+        results.sort_unstable_by_key(|&(chunk, _)| chunk);
+        results.into_iter().try_for_each(|(_, result)| result)
+    }
+}
+
 /// Downloads the user's file by contacting `peers` in parallel over the
 /// real-time transport, blocking the calling thread until the file decodes
 /// or the timeout elapses. Sends the final signed feedback report to
@@ -163,6 +326,11 @@ pub fn download_file(
 /// dropped (`rt.heal`/`handshake_error`) and the ladder recovers or writes
 /// off the peer. Errors on an authenticated connection stay fatal.
 ///
+/// Each chunk is sealed ([`User::seal_chunk`]) the moment it reaches rank
+/// `k` and decoded into its slice of the returned buffer while the loop
+/// receives the next ones; afterwards the session still counts every chunk
+/// as complete but holds no rows, and [`User::decode`] says so.
+///
 /// # Errors
 ///
 /// [`SystemError::AllPeersUnavailable`] when every peer is written off
@@ -177,6 +345,38 @@ pub fn download_file_with(
     home_peer: u64,
     options: DownloadOptions,
 ) -> Result<Vec<u8>, SystemError> {
+    let mut out = vec![0u8; user.manifest().total_len()];
+    let chunk_size = user.manifest().chunk_size();
+    let events = network.events();
+    std::thread::scope(|scope| {
+        let decoders = DecodePipeline {
+            scope,
+            slices: out.chunks_mut(chunk_size).map(Some).collect(),
+            worker: None,
+            scratch: block::Scratch::new(),
+            results: Vec::new(),
+            pipelined: asymshare_par::max_threads() > 1,
+            completed_secs: None,
+            events: events.clone(),
+            span: events.span("rt.download", "download"),
+        };
+        fetch(network, my_addr, user, peers, home_peer, options, decoders)
+    })?;
+    Ok(out)
+}
+
+/// The receive loop of [`download_file_with`]: every chunk goes to
+/// `decoders` the moment it reaches rank `k`, and the file is whole in
+/// their output when this returns `Ok`.
+fn fetch(
+    network: &RtNetwork,
+    my_addr: u64,
+    user: &mut User<Gf2p32>,
+    peers: &[(u64, [u8; 64])],
+    home_peer: u64,
+    options: DownloadOptions,
+    mut decoders: DecodePipeline<'_, '_>,
+) -> Result<(), SystemError> {
     let inbox = network.register(my_addr);
     let mut rng = ChaChaRng::new([0x5D; 32], *b"rt-download!");
     let file_id = user.file_id();
@@ -184,14 +384,12 @@ pub fn download_file_with(
     // The ladder's clock: seconds since the download started.
     let secs = |t: Instant| t.duration_since(started).as_secs_f64();
     // Observability: handles resolved once (inert when the network was not
-    // built with `with_observability`); the span records the wall-clock
-    // duration of the whole download, error paths included.
+    // built with `with_observability`).
     let events = network.events().clone();
     let digest_rejections = network.metrics().counter("rt.download.digest_rejections");
     let replacement_rtt_us = network
         .metrics()
         .histogram("rt.download.replacement_rtt_us");
-    let _download_span = events.span("rt.download", "download");
     // Chunks with an outstanding replacement request, for round-trip timing
     // (first request wins; resolved when any message of the chunk arrives).
     let mut pending_repl: std::collections::HashMap<u32, Instant> =
@@ -278,7 +476,10 @@ pub fn download_file_with(
                 user.prehash(from, &mut frames);
             }
             for wire in frames.drain(..) {
+                let mut coded_chunk = None;
                 if let Wire::MessageData(msg) = &wire {
+                    let chunk = FileManifest::chunk_of(msg.message_id());
+                    coded_chunk = Some(chunk);
                     if events.is_enabled() {
                         *window_msgs.entry(from).or_insert(0) += 1;
                     }
@@ -286,7 +487,6 @@ pub fn download_file_with(
                     // round-trip for its chunk (checked only while one is
                     // outstanding).
                     if !pending_repl.is_empty() {
-                        let chunk = FileManifest::chunk_of(msg.message_id());
                         if let Some(t0) = pending_repl.remove(&chunk) {
                             let rtt = t0.elapsed().as_micros() as u64;
                             replacement_rtt_us.record(rtt);
@@ -307,6 +507,13 @@ pub fn download_file_with(
                         for (conn, reply) in replies {
                             if !network.send(my_addr, conn, &reply) {
                                 ladder.lost(conn);
+                            }
+                        }
+                        // The message that brought its chunk to rank `k`:
+                        // the chunk's rows leave the session here.
+                        if let Some(chunk) = coded_chunk {
+                            if let Some(block) = user.seal_chunk(chunk) {
+                                decoders.submit(chunk, block, user.is_complete());
                             }
                         }
                     }
@@ -477,7 +684,8 @@ pub fn download_file_with(
         .map_or(0, |d| d.as_micros() as u64);
     let report = user.make_feedback(window_end, &mut rng);
     network.send(my_addr, home_peer, &Wire::Feedback(report));
-    user.decode()
+    // Only now wait: what the worker still has queued is all that is left.
+    Ok(decoders.finish(user)?)
 }
 
 /// Emits the accumulated per-peer message counts as `rt.download`/`window`
@@ -746,6 +954,191 @@ mod tests {
         reactor.shutdown();
     }
 
+    /// A user that took `batch` from one in-memory peer, frame by frame,
+    /// until the peer ran dry: complete, nothing sealed.
+    fn fed_user(
+        owner: &Identity,
+        manifest: FileManifest,
+        batch: Vec<EncodedMessage>,
+    ) -> User<Gf2p32> {
+        let mut rng = ChaChaRng::new([0x77; 32], *b"rt-fed-user!");
+        let (mut peer, key) = stocked_peer(owner, b"rt-fed-peer", batch);
+        let mut user = User::<Gf2p32>::new(owner.clone(), manifest).unwrap();
+        let commit = user.connect(0, key, &mut rng);
+        let challenge = peer.on_message(0, commit, &mut rng).unwrap().remove(0);
+        let response = user.on_message(0, challenge, &mut rng).unwrap().remove(0);
+        let result = peer.on_message(0, response.1, &mut rng).unwrap().remove(0);
+        let request = user.on_message(0, result, &mut rng).unwrap().remove(0);
+        peer.on_message(0, request.1, &mut rng).unwrap();
+        while let Some(msg) = peer.next_message(0) {
+            user.on_message(0, Wire::MessageData(msg), &mut rng)
+                .unwrap();
+        }
+        assert!(user.is_complete());
+        user
+    }
+
+    /// `(chunk, inline)` of every `rt.download`/`chunk_decoded` event.
+    fn chunks_decoded(network: &RtNetwork) -> Vec<(u64, bool)> {
+        let field = |event: &asymshare_obs::Event, name: &str| {
+            let (_, value) = event.fields.iter().find(|(n, _)| *n == name).unwrap();
+            value.clone()
+        };
+        network
+            .events()
+            .events()
+            .iter()
+            .filter(|e| e.component == "rt.download" && e.kind == "chunk_decoded")
+            .map(|e| match (field(e, "chunk"), field(e, "inline")) {
+                (asymshare_obs::Value::U64(chunk), asymshare_obs::Value::Bool(inline)) => {
+                    (chunk, inline)
+                }
+                other => panic!("chunk_decoded fields: {other:?}"),
+            })
+            .collect()
+    }
+
+    /// Five whole chunks and one of 1001 bytes (k = 4: three 252-byte
+    /// pieces and one cut to 245): each is sealed at rank `k` and decoded
+    /// into its slice of the one output, by the worker while the loop is
+    /// still receiving and by the caller for the last. The bytes are the
+    /// file's, and what `User::decode` gives a second user that kept its
+    /// rows.
+    #[test]
+    fn pipelined_fetch_equals_the_unsealed_decode() {
+        const LEN: usize = 5 * 16 * 1024 + 1001;
+        let network = RtNetwork::with_observability(
+            asymshare_obs::Registry::new(),
+            asymshare_obs::EventSink::new(),
+        );
+        let owner = Identity::from_seed(b"rt-pipeline");
+        let (batches, manifest) = build_file(&owner, 3, LEN);
+        let reference = fed_user(&owner, manifest.clone(), batches[0].clone())
+            .decode()
+            .unwrap();
+        let (reactor, peer_addrs) = host_fleet(&network, &owner, batches, 1600, *b"pl", 1 << 30);
+        let mut user = User::<Gf2p32>::new(owner, manifest).unwrap();
+        let fetch = |user: &mut User<Gf2p32>, my_addr| {
+            download_file(
+                &network,
+                my_addr,
+                user,
+                &peer_addrs,
+                peer_addrs[0].0,
+                Duration::from_secs(30),
+            )
+        };
+        let data = fetch(&mut user, 16).expect("download completes");
+        assert_eq!(data, file_bytes(LEN));
+        assert_eq!(data, reference);
+
+        let mut decoded = chunks_decoded(&network);
+        decoded.sort_unstable();
+        let chunks: Vec<u64> = decoded.iter().map(|&(chunk, _)| chunk).collect();
+        assert_eq!(chunks, [0, 1, 2, 3, 4, 5], "each chunk decoded once");
+        // The file-completing chunk is the caller's, with whatever the
+        // worker had not reached by then — all six if the caller is all
+        // there is.
+        let inline = decoded.iter().filter(|&&(_, inline)| inline).count();
+        let at_least = if asymshare_par::max_threads() > 1 {
+            1
+        } else {
+            6
+        };
+        assert!(inline >= at_least, "{decoded:?}");
+        // The product's own trace: every decode and the tail nest under
+        // the download.
+        let tree = asymshare_obs::stream::TraceTree::build(&network.events().events());
+        let download = &tree.nodes()[tree.roots()[0]];
+        assert_eq!(download.kind, "download");
+        let kinds = |kind| {
+            let children = download.children.iter();
+            children.filter(|&&c| tree.nodes()[c].kind == kind).count()
+        };
+        assert_eq!((kinds("chunk_decoded"), kinds("decode_tail")), (6, 1));
+
+        // The rows left with the fetch: the session still counts the
+        // chunks, and neither it nor a second fetch can decode them again.
+        assert_eq!(user.completed_chunks().len(), 6);
+        let sealed = SystemError::Codec(CodecError::ChunkSealed { index: 0 });
+        assert_eq!(user.decode(), Err(sealed.clone()));
+        assert_eq!(fetch(&mut user, 15), Err(sealed));
+        reactor.shutdown();
+    }
+
+    #[test]
+    fn one_chunk_fetch_decodes_inline() {
+        let network = RtNetwork::with_observability(
+            asymshare_obs::Registry::new(),
+            asymshare_obs::EventSink::new(),
+        );
+        let owner = Identity::from_seed(b"rt-one-chunk");
+        let (batches, manifest) = build_file(&owner, 2, 16 * 1024);
+        let (reactor, peer_addrs) = host_fleet(&network, &owner, batches, 1700, *b"oc", 1 << 30);
+        let mut user = User::<Gf2p32>::new(owner, manifest).unwrap();
+        let data = download_file(
+            &network,
+            17,
+            &mut user,
+            &peer_addrs,
+            1700,
+            Duration::from_secs(30),
+        )
+        .expect("download completes");
+        assert_eq!(data, file_bytes(16 * 1024));
+        assert_eq!(chunks_decoded(&network), [(0, true)], "no worker to start");
+        reactor.shutdown();
+    }
+
+    /// Chunks that were complete before the fetch began never pass through
+    /// its loop; it decodes what the session still holds.
+    #[test]
+    fn fetch_of_a_user_fed_beforehand_decodes_what_it_holds() {
+        let network = RtNetwork::new();
+        let owner = Identity::from_seed(b"rt-fed");
+        let (batches, manifest) = build_file(&owner, 1, 40_001);
+        let mut user = fed_user(&owner, manifest, batches.into_iter().next().unwrap());
+        let data = download_file(&network, 18, &mut user, &[], 1800, Duration::from_secs(5))
+            .expect("nothing left to receive");
+        assert_eq!(data, file_bytes(40_001));
+    }
+
+    /// The peer lacks two messages of the last chunk, so the fetch times
+    /// out with three chunks already sealed and handed over. The error is
+    /// the timeout's, and it comes back on time: the worker was joined, not
+    /// waited for.
+    #[test]
+    fn timed_out_fetch_joins_its_decode_worker() {
+        let network = RtNetwork::new();
+        let owner = Identity::from_seed(b"rt-join");
+        let (batches, manifest) = build_file(&owner, 1, 64 * 1024);
+        let mut stock = batches.into_iter().next().unwrap();
+        stock.truncate(14);
+        let (peer, key) = stocked_peer(&owner, b"rt-join-peer", stock);
+        let mut reactor = Reactor::new(&network, ReactorConfig::default());
+        reactor.add_peer(1900, peer, 1 << 30);
+        let mut user = User::<Gf2p32>::new(owner, manifest).unwrap();
+        let timeout = Duration::from_millis(600);
+        let started = Instant::now();
+        let err =
+            download_file(&network, 19, &mut user, &[(1900, key)], 1900, timeout).unwrap_err();
+        let elapsed = started.elapsed();
+        assert_eq!(
+            err,
+            SystemError::Codec(CodecError::NotEnoughMessages { have: 14, need: 16 })
+        );
+        assert!(
+            elapsed < timeout + Duration::from_millis(400),
+            "returned after {elapsed:?}"
+        );
+        assert_eq!(user.completed_chunks(), [0, 1, 2]);
+        assert_eq!(
+            user.decode(),
+            Err(SystemError::Codec(CodecError::ChunkSealed { index: 0 }))
+        );
+        reactor.shutdown();
+    }
+
     /// The default fault seed for rt tests; CI sweeps a small matrix via
     /// `ASYMSHARE_FAULT_SEED` so flaky recovery logic cannot land silently.
     fn fault_seed() -> u64 {
@@ -762,8 +1155,10 @@ mod tests {
         // Coalescing packs eight messages into a datagram, so the file must
         // be big and the faults heavy for every CI seed to realise them on
         // the data path: hundreds of sends, a quarter lost, a tenth
-        // corrupted.
-        const LEN: usize = 1024 * 1024;
+        // corrupted. The last chunk is short and its last piece cut, and
+        // every chunk is sealed and decoded beside the loop while
+        // replacements for the later ones are still being asked for.
+        const LEN: usize = 1024 * 1024 + 1001;
         let (batches, manifest) = build_file(&owner, 3, LEN);
         let (reactor, peer_addrs) = host_fleet(&network, &owner, batches, 400, *b"ly", 4 << 20);
         network.install_faults(
@@ -787,6 +1182,11 @@ mod tests {
         )
         .expect("download heals through loss and corruption");
         assert_eq!(data, file_bytes(LEN));
+        assert_eq!(user.completed_chunks().len(), 65);
+        assert_eq!(
+            user.decode(),
+            Err(SystemError::Codec(CodecError::ChunkSealed { index: 0 }))
+        );
         let faults = network.fault_stats();
         assert!(faults.dropped > 0, "losses were actually injected");
         assert!(faults.corrupted > 0, "corruption was actually injected");

@@ -9,7 +9,7 @@ use crate::protocol::{FeedbackEntry, FeedbackReport, Wire};
 use crate::session::Prover;
 use asymshare_crypto::chacha20::ChaChaRng;
 use asymshare_gf::Field;
-use asymshare_rlnc::{ChunkedDecoder, CodecError, FileManifest};
+use asymshare_rlnc::{ChunkedDecoder, CodecError, FileManifest, SealedBlock};
 use std::collections::{BTreeMap, HashMap};
 
 /// Fault and recovery counters for one download session.
@@ -391,9 +391,25 @@ impl<F: Field> User<F> {
     ///
     /// # Errors
     ///
-    /// [`asymshare_rlnc::CodecError::NotEnoughMessages`] until complete.
+    /// [`asymshare_rlnc::CodecError::NotEnoughMessages`] until complete;
+    /// [`asymshare_rlnc::CodecError::ChunkSealed`] once
+    /// [`seal_chunk`](Self::seal_chunk) has moved a chunk out, as
+    /// [`rt::download_file_with`](crate::rt::download_file_with) does.
     pub fn decode(&self) -> Result<Vec<u8>, SystemError> {
         Ok(self.decoder.decode()?)
+    }
+
+    /// [`ChunkedDecoder::seal_chunk`]: the rows of a chunk at rank `k`,
+    /// once, for a caller that decodes it beside the session — which goes
+    /// on treating the chunk as complete (stragglers dropped unhashed, a
+    /// replayed id a duplicate, listed by `completed_chunks`).
+    pub fn seal_chunk(&mut self, index: u32) -> Option<SealedBlock<F>> {
+        self.decoder.seal_chunk(index)
+    }
+
+    /// The manifest of the file being downloaded.
+    pub fn manifest(&self) -> &FileManifest {
+        self.decoder.manifest()
     }
 
     /// Builds the signed periodic feedback report for the home peer and
@@ -647,6 +663,59 @@ mod tests {
         );
         assert_eq!(user.stats().duplicates, 1);
         assert_eq!(user.window_bytes(), &window, "a replay earns nothing");
+    }
+
+    /// [`downloading_user`] with chunk 0 complete and sealed, chunk 1
+    /// untouched.
+    fn half_sealed_user(r: &mut ChaChaRng) -> (User<Gf2p32>, Vec<Vec<EncodedMessage>>) {
+        let (mut user, _, by_chunk) = downloading_user(r);
+        assert!(user.seal_chunk(0).is_none(), "nothing to seal at rank 0");
+        for msg in by_chunk[0][..4].iter().cloned() {
+            user.on_message(0, Wire::MessageData(msg), r).unwrap();
+        }
+        assert!(user.seal_chunk(0).is_some());
+        assert!(user.seal_chunk(0).is_none(), "a chunk seals once");
+        (user, by_chunk)
+    }
+
+    #[test]
+    fn decode_after_sealing_is_a_typed_error() {
+        let mut r = rng(12);
+        let (mut user, by_chunk) = half_sealed_user(&mut r);
+        let sealed = SystemError::Codec(CodecError::ChunkSealed { index: 0 });
+        assert_eq!(user.decode(), Err(sealed.clone()));
+        for msg in by_chunk[1][..4].iter().cloned() {
+            user.on_message(0, Wire::MessageData(msg), &mut r).unwrap();
+        }
+        assert!(user.is_complete());
+        assert_eq!(user.decode(), Err(sealed), "complete, and still sealed");
+    }
+
+    #[test]
+    fn completed_chunks_lists_a_sealed_chunk() {
+        let mut r = rng(13);
+        let (user, _) = half_sealed_user(&mut r);
+        assert_eq!(user.completed_chunks(), vec![0]);
+        assert_eq!(user.independent_count(), 4);
+        assert!((user.progress() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn sealed_chunk_drops_stragglers_unhashed_and_reports_replays() {
+        let mut r = rng(14);
+        let (mut user, by_chunk) = half_sealed_user(&mut r);
+        let (hashed, redundant) = (user.hashed_count(), user.redundant_count());
+        let straggler = Wire::MessageData(corrupted(&by_chunk[0][4]));
+        assert!(user.on_message(0, straggler, &mut r).unwrap().is_empty());
+        assert_eq!(user.hashed_count(), hashed, "dropped before the digest");
+        assert_eq!(user.redundant_count(), redundant + 1);
+        let replay = by_chunk[0][2].clone();
+        let id = replay.message_id().0;
+        assert_eq!(
+            user.on_message(0, Wire::MessageData(replay), &mut r),
+            Err(SystemError::Codec(CodecError::DuplicateMessage { id }))
+        );
+        assert_eq!(user.stats().duplicates, 1);
     }
 
     #[test]

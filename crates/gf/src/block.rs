@@ -24,6 +24,13 @@
 //! with the input loop outside the index loop, so the accumulator tile
 //! (8 KiB) and one input's `u` tables (≤ 32 KiB) stay in L1.
 //!
+//! Set-up per group is that fill and little else: each coefficient's
+//! single-bit products `c · x^j` come from `c` by doubling (a shift and a
+//! conditional XOR; one field multiplication per group, for the constant a
+//! doubling folds in), 8 of them seed each table and 247 XORs of entries
+//! complete it. On a 64 KiB GF(2³²) `k = 8` block the fill is about a
+//! third of the call; on 1 MiB it is noise.
+//!
 //! The tables are functions of the coefficients. The codec's coefficients
 //! are secret (β rows, β⁻¹), so a [`Scratch`] belongs to the owner-side
 //! caller and is never serialized — like `axpy_slice`'s per-call tables.
@@ -180,32 +187,60 @@ fn combine_units<F: Field, const U: usize>(
     }
 }
 
+/// `x^BITS` reduced by the field's modulus: what a doubling folds back in
+/// when the top bit leaves. The one multiplication of a table set-up.
+fn fold_constant<F: Field>() -> u64 {
+    (F::from_u64(1 << (F::BITS - 1)) * F::from_u64(2)).to_u64()
+}
+
+/// Writes `c · x^j` to `products[j]` for every `j < products.len()`, each
+/// from the one before by doubling: shift, and when the top bit leaves,
+/// XOR `fold` ([`fold_constant`]) back in.
+fn doublings<F: Field>(c: F, fold: u64, products: &mut [u64]) {
+    let top = 1u64 << (F::BITS - 1);
+    let mut v = c.to_u64();
+    for product in products {
+        *product = v;
+        v = ((v & !top) << 1) ^ if v & top != 0 { fold } else { 0 };
+    }
+}
+
 /// Fills `tables[i · U + p][b]` for the group whose `g × k` coefficient
-/// rows are `rows`: 8 single-bit products per row and table, the other 247
-/// entries by XOR of those (multiplication is linear over GF(2)).
+/// rows are `rows`: the `BITS` single-bit products of each coefficient by
+/// doubling, 8 of them per row and table, the other 247 entries by XOR of
+/// those (multiplication is linear over GF(2)).
 fn build_tables<F: Field, const U: usize>(rows: &[F], k: usize, tables: &mut [[Entry; 256]]) {
-    for (slot, table) in tables.iter_mut().enumerate() {
-        let (i, p) = (slot / U, slot % U);
-        table[0] = Entry::ZERO;
-        for bit in 0..8 {
-            let mut entry = Entry::ZERO;
-            for (r, row) in rows.chunks_exact(k).enumerate() {
-                let unit = if F::BITS == 4 {
-                    // Two symbols per byte: bits 4..8 are the second one.
-                    (row[i] * F::from_u64(1 << (bit % 4))).to_u64() << (bit / 4 * 4)
-                } else {
-                    (row[i] * F::from_u64(1 << (8 * p + bit))).to_u64()
-                };
-                entry.0[r * U / 8] |= unit << (r * U % 8 * 8);
-            }
-            table[1 << bit] = entry;
+    let fold = fold_constant::<F>();
+    let bits = F::BITS as usize;
+    // A group is at most `32 / U` rows of `BITS ≤ 8 · U` products each.
+    let mut products = [0u64; 8 * ENTRY_BYTES];
+    let products = &mut products[..rows.len() / k * bits];
+    for (i, tables) in tables.chunks_exact_mut(U).enumerate() {
+        for (row, products) in rows.chunks_exact(k).zip(products.chunks_exact_mut(bits)) {
+            doublings(row[i], fold, products);
         }
-        for b in 1..256usize {
-            let low = b & b.wrapping_neg();
-            if b != low {
-                let mut entry = table[b ^ low];
-                entry.xor(&table[low]);
-                table[b] = entry;
+        for (p, table) in tables.iter_mut().enumerate() {
+            table[0] = Entry::ZERO;
+            for bit in 0..8 {
+                let mut entry = Entry::ZERO;
+                for (r, products) in products.chunks_exact(bits).enumerate() {
+                    let unit = if F::BITS == 4 {
+                        // Two symbols per byte: bits 4..8 are the second one.
+                        products[bit % 4] << (bit / 4 * 4)
+                    } else {
+                        products[8 * p + bit]
+                    };
+                    entry.0[r * U / 8] |= unit << (r * U % 8 * 8);
+                }
+                table[1 << bit] = entry;
+            }
+            for b in 1..256usize {
+                let low = b & b.wrapping_neg();
+                if b != low {
+                    let mut entry = table[b ^ low];
+                    entry.xor(&table[low]);
+                    table[b] = entry;
+                }
             }
         }
     }
@@ -216,7 +251,35 @@ mod tests {
     // The differential tests against `axpy_slice` are in
     // `tests/block_equiv.rs`; these are the shapes that have no oracle.
     use super::*;
-    use crate::{Gf256, Gf2p32};
+    use crate::{Gf16, Gf256, Gf2p32, Gf65536};
+
+    /// The table set-up's two ingredients against the field's own
+    /// multiplication: every doubling, and the constant it folds in.
+    fn doublings_are_products_by_powers_of_x<F: Field>(modulus: u64) {
+        let fold = fold_constant::<F>();
+        assert_eq!(fold, modulus ^ (1 << F::BITS), "x^BITS mod the modulus");
+        let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ modulus;
+        for _ in 0..200 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let c = F::from_u64(state);
+            let mut products = [0u64; 32];
+            let products = &mut products[..F::BITS as usize];
+            doublings(c, fold, products);
+            for (j, &product) in products.iter().enumerate() {
+                assert_eq!(product, (c * F::from_u64(1 << j)).to_u64(), "{c:?}·x^{j}");
+            }
+        }
+    }
+
+    #[test]
+    fn doubling_matches_field_multiplication_in_all_four_fields() {
+        doublings_are_products_by_powers_of_x::<Gf16>(crate::gf16::MODULUS.into());
+        doublings_are_products_by_powers_of_x::<Gf256>(crate::gf256::MODULUS.into());
+        doublings_are_products_by_powers_of_x::<Gf65536>(crate::gf65536::MODULUS);
+        doublings_are_products_by_powers_of_x::<Gf2p32>(crate::gf2p32::MODULUS);
+    }
 
     #[test]
     fn no_inputs_is_zero_and_no_outputs_is_a_no_op() {

@@ -10,7 +10,7 @@
 //! coefficient rows from the secret-keyed PRNG.
 
 use crate::auth::{AuthManifest, DigestKind, MessageDigest};
-use crate::decoder::BlockDecoder;
+use crate::decoder::{BlockDecoder, SealedBlock};
 use crate::encoder::Encoder;
 use crate::error::CodecError;
 use crate::message::{EncodedMessage, FileId, MessageId};
@@ -559,19 +559,37 @@ impl<F: Field> ChunkedDecoder<F> {
             })
     }
 
+    /// Moves the rows and payloads of chunk `index` out, to be decoded on
+    /// another thread while this decoder takes the next chunks' messages,
+    /// and freed once the plaintext is written. `None` unless the chunk is
+    /// at rank `k` and still holds them: once per chunk.
+    ///
+    /// A sealed chunk stays complete — every accessor answers as before and
+    /// [`add_message`](Self::add_message) still reports a replayed id — but
+    /// [`decode_chunk`](Self::decode_chunk) and [`decode`](Self::decode)
+    /// return [`CodecError::ChunkSealed`].
+    pub fn seal_chunk(&mut self, index: u32) -> Option<SealedBlock<F>> {
+        self.chunks.get_mut(index as usize)?.seal()
+    }
+
     /// Decodes a single chunk (streaming mode).
     ///
     /// # Errors
     ///
-    /// [`CodecError::ChunkOutOfRange`] or decoding errors.
+    /// [`CodecError::ChunkOutOfRange`], [`CodecError::ChunkSealed`] or
+    /// decoding errors.
     pub fn decode_chunk(&self, index: u32) -> Result<Vec<u8>, CodecError> {
-        self.chunks
+        let decoder = self
+            .chunks
             .get(index as usize)
             .ok_or(CodecError::ChunkOutOfRange {
                 index,
                 count: self.manifest.chunk_count(),
-            })?
-            .decode()
+            })?;
+        if decoder.is_sealed() {
+            return Err(CodecError::ChunkSealed { index });
+        }
+        decoder.decode()
     }
 
     /// Whether every chunk is decodable.
@@ -609,7 +627,9 @@ impl<F: Field> ChunkedDecoder<F> {
     ///
     /// # Errors
     ///
-    /// [`CodecError::NotEnoughMessages`] if any chunk is incomplete.
+    /// [`CodecError::NotEnoughMessages`] if any chunk is incomplete,
+    /// [`CodecError::ChunkSealed`] if any was moved out by
+    /// [`seal_chunk`](Self::seal_chunk).
     pub fn decode(&self) -> Result<Vec<u8>, CodecError> {
         let mut out = vec![0u8; self.manifest.total_len];
         let mut jobs: Vec<_> = self
@@ -619,10 +639,14 @@ impl<F: Field> ChunkedDecoder<F> {
             .map(|(decoder, slice)| (decoder, slice, Ok(())))
             .collect();
         let n = jobs.len();
-        asymshare_par::for_each_slice_mut(&mut jobs, n, |_, jobs| {
+        asymshare_par::for_each_slice_mut(&mut jobs, n, |base, jobs| {
             let mut scratch = block::Scratch::new();
-            for (decoder, slice, result) in jobs {
-                *result = decoder.decode_into(slice, &mut scratch);
+            for (index, (decoder, slice, result)) in (base as u32..).zip(jobs) {
+                *result = if decoder.is_sealed() {
+                    Err(CodecError::ChunkSealed { index })
+                } else {
+                    decoder.decode_into(slice, &mut scratch)
+                };
             }
         });
         jobs.into_iter().try_for_each(|(_, _, result)| result)?;
@@ -824,6 +848,94 @@ mod tests {
             dec.add_message(m).unwrap();
         }
         assert!((dec.progress() - 1.0).abs() < 1e-12);
+    }
+
+    /// A decoder over 4096 + 4096 + 1808 bytes with chunk 0 sealed, chunk 1
+    /// complete and still held, chunk 2 one message short; the file, the
+    /// sealed block and chunk 0's messages.
+    fn half_sealed() -> (
+        ChunkedDecoder<Gf2p32>,
+        Vec<u8>,
+        SealedBlock<Gf2p32>,
+        Vec<EncodedMessage>,
+    ) {
+        let data = file(10_000);
+        let mut enc = encoder(&data, 4096);
+        let msgs = enc.encode_for_peers(1).unwrap().remove(0);
+        let mut dec = ChunkedDecoder::<Gf2p32>::new(enc.manifest().clone(), secret()).unwrap();
+        assert!(dec.seal_chunk(0).is_none(), "nothing to seal at rank 0");
+        for msg in &msgs[..11] {
+            dec.add_message(msg.clone()).unwrap();
+        }
+        assert!(dec.seal_chunk(2).is_none(), "rank 3 of 4");
+        assert!(dec.seal_chunk(3).is_none(), "no chunk 3");
+        let sealed = dec.seal_chunk(0).expect("chunk 0 is at rank k");
+        assert!(dec.seal_chunk(0).is_none(), "a chunk seals once");
+        (dec, data, sealed, msgs[..4].to_vec())
+    }
+
+    #[test]
+    fn sealed_block_decodes_to_its_chunk() {
+        let (_, data, sealed, _) = half_sealed();
+        let mut out = vec![0u8; 4096];
+        sealed
+            .decode_into(&mut out, &mut block::Scratch::new())
+            .unwrap();
+        assert_eq!(out, &data[..4096]);
+        assert!(matches!(
+            sealed.decode_into(&mut out[..4095], &mut block::Scratch::new()),
+            Err(CodecError::InvalidParams { .. })
+        ));
+    }
+
+    #[test]
+    fn decode_of_a_half_sealed_decoder_names_the_lowest_sealed_chunk() {
+        let (mut dec, _, _, _) = half_sealed();
+        // Chunk 2 is incomplete too, but chunk 0's error comes first.
+        assert_eq!(dec.decode(), Err(CodecError::ChunkSealed { index: 0 }));
+        dec.seal_chunk(1).expect("chunk 1 is at rank k");
+        assert_eq!(dec.decode(), Err(CodecError::ChunkSealed { index: 0 }));
+    }
+
+    #[test]
+    fn decode_chunk_of_a_sealed_chunk_is_a_typed_error() {
+        let (dec, data, _, _) = half_sealed();
+        assert_eq!(
+            dec.decode_chunk(0),
+            Err(CodecError::ChunkSealed { index: 0 })
+        );
+        assert_eq!(dec.decode_chunk(1).unwrap(), &data[4096..8192]);
+        assert_eq!(
+            dec.decode_chunk(2),
+            Err(CodecError::NotEnoughMessages { have: 3, need: 4 })
+        );
+    }
+
+    #[test]
+    fn progress_counts_a_sealed_chunk() {
+        let (dec, _, _, _) = half_sealed();
+        assert!((dec.progress() - 11.0 / 12.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn independent_count_counts_a_sealed_chunk() {
+        let (dec, _, _, _) = half_sealed();
+        assert_eq!(dec.independent_count(), 11);
+        assert!(!dec.is_complete());
+    }
+
+    #[test]
+    fn sealed_chunk_stays_complete_and_knows_a_replay() {
+        let (mut dec, _, _, chunk0) = half_sealed();
+        assert!(dec.chunk_complete(0).unwrap());
+        assert_eq!(dec.chunk_needed(0).unwrap(), 0);
+        assert!(dec.has_seen(chunk0[1].message_id()));
+        assert_eq!(
+            dec.add_message(chunk0[1].clone()),
+            Err(CodecError::DuplicateMessage {
+                id: chunk0[1].message_id().0
+            })
+        );
     }
 
     #[test]

@@ -20,16 +20,26 @@ use std::collections::HashSet;
 /// See the crate-level example for end-to-end usage.
 #[derive(Debug, Clone)]
 pub struct BlockDecoder<F> {
-    params: CodingParams,
     rows: RowGenerator<F>,
     file_id: FileId,
-    data_len: usize,
     tracker: RankTracker<F>,
-    /// Coefficient rows of the innovative messages, `rank × k` row-major.
-    held_rows: Vec<F>,
-    /// Their payloads in the same order, `payload_bytes` each.
-    held_payloads: Vec<u8>,
+    /// The innovative messages so far; empty again once sealed.
+    held: SealedBlock<F>,
     seen: HashSet<u64>,
+}
+
+/// The innovative messages of one coding block — all that decoding reads.
+/// A [`BlockDecoder`] fills one; at rank `k`
+/// [`ChunkedDecoder::seal_chunk`](crate::ChunkedDecoder::seal_chunk) moves
+/// it out, to be decoded elsewhere and freed with this value.
+#[derive(Debug, Clone)]
+pub struct SealedBlock<F> {
+    params: CodingParams,
+    data_len: usize,
+    /// Coefficient rows of the innovative messages, `rank × k` row-major.
+    rows: Vec<F>,
+    /// Their payloads in the same order, `payload_bytes` each.
+    payloads: Vec<u8>,
 }
 
 impl<F: Field> BlockDecoder<F> {
@@ -46,13 +56,15 @@ impl<F: Field> BlockDecoder<F> {
             "decoder field type must match parameters"
         );
         BlockDecoder {
-            params,
             rows: RowGenerator::new(secret, file_id, params.k()),
             file_id,
-            data_len,
             tracker: RankTracker::new(params.k()),
-            held_rows: Vec::new(),
-            held_payloads: Vec::new(),
+            held: SealedBlock {
+                params,
+                data_len,
+                rows: Vec::new(),
+                payloads: Vec::new(),
+            },
             seen: HashSet::new(),
         }
     }
@@ -64,7 +76,7 @@ impl<F: Field> BlockDecoder<F> {
 
     /// Messages still needed before decoding is possible.
     pub fn needed(&self) -> usize {
-        self.params.k() - self.tracker.rank()
+        self.held.params.k() - self.tracker.rank()
     }
 
     /// Whether enough independent messages are held to decode.
@@ -96,9 +108,10 @@ impl<F: Field> BlockDecoder<F> {
                 got: msg.file_id().0,
             });
         }
-        if msg.payload().len() != self.params.payload_bytes() {
+        let params = self.held.params;
+        if msg.payload().len() != params.payload_bytes() {
             return Err(CodecError::PayloadSizeMismatch {
-                expected: self.params.payload_bytes(),
+                expected: params.payload_bytes(),
                 got: msg.payload().len(),
             });
         }
@@ -110,19 +123,40 @@ impl<F: Field> BlockDecoder<F> {
         if self.tracker.is_full() {
             return Ok(false);
         }
-        let k = self.params.k();
+        let k = params.k();
         let rank = self.tracker.rank();
-        self.rows.row_into(msg.message_id(), &mut self.held_rows);
-        if !self.tracker.try_add(&self.held_rows[rank * k..]) {
-            self.held_rows.truncate(rank * k);
+        self.rows.row_into(msg.message_id(), &mut self.held.rows);
+        if !self.tracker.try_add(&self.held.rows[rank * k..]) {
+            self.held.rows.truncate(rank * k);
             return Ok(false);
         }
         if rank == 0 {
-            self.held_payloads
-                .reserve_exact(k * self.params.payload_bytes());
+            self.held.payloads.reserve_exact(k * params.payload_bytes());
         }
-        self.held_payloads.extend_from_slice(msg.payload());
+        self.held.payloads.extend_from_slice(msg.payload());
         Ok(true)
+    }
+
+    /// Whether [`seal`](Self::seal) has moved the messages out: full rank,
+    /// and the rows that got it there gone.
+    pub(crate) fn is_sealed(&self) -> bool {
+        self.tracker.is_full() && self.held.rows.is_empty()
+    }
+
+    /// Moves the innovative messages out; `None` before rank `k` and after
+    /// the first call. Rank and seen ids stay: the decoder is complete,
+    /// takes nothing more and still knows a replay. Crate-private: only the
+    /// chunk pipeline can name the chunk in the error a later decode gets.
+    pub(crate) fn seal(&mut self) -> Option<SealedBlock<F>> {
+        if !self.tracker.is_full() || self.is_sealed() {
+            return None;
+        }
+        let emptied = SealedBlock {
+            rows: Vec::new(),
+            payloads: Vec::new(),
+            ..self.held
+        };
+        Some(std::mem::replace(&mut self.held, emptied))
     }
 
     /// Reconstructs the original data.
@@ -133,7 +167,7 @@ impl<F: Field> BlockDecoder<F> {
     /// * [`CodecError::SingularCoefficients`] if inversion fails (cannot
     ///   happen for rank-checked inputs; kept as defense in depth).
     pub fn decode(&self) -> Result<Vec<u8>, CodecError> {
-        let mut out = vec![0u8; self.data_len];
+        let mut out = vec![0u8; self.held.data_len];
         self.decode_into(&mut out, &mut block::Scratch::new())?;
         Ok(out)
     }
@@ -151,6 +185,21 @@ impl<F: Field> BlockDecoder<F> {
         out: &mut [u8],
         scratch: &mut block::Scratch,
     ) -> Result<(), CodecError> {
+        self.held.decode_into(out, scratch)
+    }
+}
+
+impl<F: Field> SealedBlock<F> {
+    /// [`BlockDecoder::decode_into`] — this is its body.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`BlockDecoder::decode_into`].
+    pub fn decode_into(
+        &self,
+        out: &mut [u8],
+        scratch: &mut block::Scratch,
+    ) -> Result<(), CodecError> {
         let k = self.params.k();
         if out.len() != self.data_len {
             return Err(CodecError::InvalidParams {
@@ -161,13 +210,13 @@ impl<F: Field> BlockDecoder<F> {
                 ),
             });
         }
-        if self.tracker.rank() < k {
+        if self.rows.len() < k * k {
             return Err(CodecError::NotEnoughMessages {
-                have: self.tracker.rank(),
+                have: self.rows.len() / k,
                 need: k,
             });
         }
-        let beta = Matrix::from_flat(k, k, self.held_rows.clone());
+        let beta = Matrix::from_flat(k, k, self.rows.clone());
         let inv = invert(&beta)
             .ok_or(CodecError::SingularCoefficients)?
             .into_flat();
@@ -176,7 +225,7 @@ impl<F: Field> BlockDecoder<F> {
         // all padding are not computed; a piece cut short by `data_len` is
         // computed whole beside `out` and its head copied in.
         let piece_bytes = self.params.payload_bytes();
-        let payloads: Vec<&[u8]> = self.held_payloads.chunks_exact(piece_bytes).collect();
+        let payloads: Vec<&[u8]> = self.payloads.chunks_exact(piece_bytes).collect();
         let mut whole = out.chunks_exact_mut(piece_bytes);
         let mut pieces: Vec<&mut [u8]> = whole.by_ref().collect();
         let cut = whole.into_remainder();

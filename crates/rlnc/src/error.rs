@@ -59,6 +59,13 @@ pub enum CodecError {
         /// Number of chunks in the file.
         count: u32,
     },
+    /// The chunk's rows and payloads were moved out of the decoder by
+    /// `ChunkedDecoder::seal_chunk`; it is complete, and whoever holds the
+    /// sealed block decodes it.
+    ChunkSealed {
+        /// The sealed chunk.
+        index: u32,
+    },
     /// The manifest's declared field does not match the decoder's field
     /// type parameter.
     FieldMismatch {
@@ -109,6 +116,9 @@ impl core::fmt::Display for CodecError {
                     f,
                     "chunk index {index} out of range (file has {count} chunks)"
                 )
+            }
+            CodecError::ChunkSealed { index } => {
+                write!(f, "chunk {index} was sealed and is decoded elsewhere")
             }
             CodecError::FieldMismatch { expected, got } => {
                 write!(

@@ -56,7 +56,7 @@ mod progressive;
 pub use auth::{AuthManifest, DigestKind, MessageDigest};
 pub use chunker::{ChunkedDecoder, ChunkedEncoder, FileManifest, CHUNK_SIZE};
 pub use coeffs::RowGenerator;
-pub use decoder::BlockDecoder;
+pub use decoder::{BlockDecoder, SealedBlock};
 pub use encoder::Encoder;
 pub use error::CodecError;
 pub use ladder::ChunkLadder;
