@@ -451,27 +451,15 @@ fn render_top(network: &asymshare::rt::RtNetwork, elapsed: std::time::Duration) 
                 } else {
                     "DEGRADED"
                 };
-                // Adaptive send window, published by the reactor as a
+                // Widest send window, published by the reactor as a
                 // per-peer gauge (a quarantined peer shows win 0 — its
-                // window is closed, not merely narrowed).
+                // window is closed).
                 let win = snap
                     .gauge(&format!("rt.window.p{}", p.peer))
                     .map(|w| format!("  win {:>3}", w as u64))
                     .unwrap_or_default();
-                // Profile ladder rung, published by the reactor as a
-                // per-peer gauge once the peer has served enough to be
-                // profiled — rendered as the chunk size that rung steers.
-                let prof = snap
-                    .gauge(&format!("rt.profile.p{}", p.peer))
-                    .map(|r| {
-                        format!(
-                            "  chunk {:>4}K",
-                            asymshare_rlnc::ChunkLadder::size_at(r as usize) >> 10
-                        )
-                    })
-                    .unwrap_or_default();
                 out.push_str(&format!(
-                    "  peer {:>4}  [{:<20}] {:>5.1} {}{win}{prof}  {} alert(s)",
+                    "  peer {:>4}  [{:<20}] {:>5.1} {}{win}  {} alert(s)",
                     p.peer,
                     "#".repeat(bar_len),
                     p.score,

@@ -28,8 +28,8 @@
 //!
 //! Everything here is pure integer/float bookkeeping over the samples it
 //! is fed: no randomness, no clocks. Fed the same sample sequence, a
-//! store replays the same rung trajectory bit-for-bit, which is what the
-//! sim-vs-reactor golden profile test pins.
+//! store replays the same rung trajectory bit-for-bit, which is what
+//! `tests/tests/profile.rs` pins.
 
 use crate::peer::KeyBytes;
 use asymshare_rlnc::ChunkLadder;
@@ -70,26 +70,6 @@ impl Default for ProfileConfig {
             rtt_upgrade_max_us: 80_000.0,
             target_chunk_secs: 3.0,
         }
-    }
-}
-
-impl ProfileConfig {
-    /// Panics unless the knobs are internally consistent.
-    pub fn validate(&self) {
-        assert!(
-            self.ewma_alpha > 0.0 && self.ewma_alpha <= 1.0,
-            "ewma_alpha in (0, 1]"
-        );
-        assert!(self.stable_transfers >= 1, "stable_transfers >= 1");
-        assert!(
-            self.loss_upgrade_max <= self.loss_downgrade,
-            "upgrade gate must be stricter than the downgrade trigger"
-        );
-        assert!(
-            self.rtt_upgrade_max_us <= self.rtt_downgrade_us,
-            "rtt upgrade gate must be stricter than the downgrade trigger"
-        );
-        assert!(self.target_chunk_secs > 0.0, "target_chunk_secs positive");
     }
 }
 
@@ -182,8 +162,8 @@ impl PeerProfile {
 
     /// Folds one completed transfer into the profile and applies the
     /// ladder rules (see module docs). `lost`/`total` count messages (or
-    /// frames) attempted toward this peer; `rtt_us` is optional — only
-    /// the reactor measures end-to-end replacement RTTs.
+    /// frames) attempted toward this peer; `rtt_us` is optional — the
+    /// sim's client, the one collector, has no RTT probe and passes none.
     pub fn record_transfer(
         &mut self,
         cfg: &ProfileConfig,

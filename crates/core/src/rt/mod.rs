@@ -390,9 +390,10 @@ fn fetch(
     let replacement_rtt_us = network
         .metrics()
         .histogram("rt.download.replacement_rtt_us");
-    // Chunks with an outstanding replacement request, for round-trip timing
-    // (first request wins; resolved when any message of the chunk arrives).
-    let mut pending_repl: std::collections::HashMap<u32, Instant> =
+    // `(peer, chunk)` pairs with an outstanding replacement request, for
+    // round-trip timing (first request wins; resolved when that peer next
+    // sends a message of the chunk).
+    let mut pending_repl: std::collections::HashMap<(u64, u32), Instant> =
         std::collections::HashMap::new();
     // Per-peer message counts flushed a few times a second as
     // `rt.download`/`window` events — the health engine's rate
@@ -483,11 +484,11 @@ fn fetch(
                     if events.is_enabled() {
                         *window_msgs.entry(from).or_insert(0) += 1;
                     }
-                    // An arriving message closes any open replacement
-                    // round-trip for its chunk (checked only while one is
+                    // An arriving message closes the round trip its sender
+                    // owes for its chunk (checked only while one is
                     // outstanding).
                     if !pending_repl.is_empty() {
-                        if let Some(t0) = pending_repl.remove(&chunk) {
+                        if let Some(t0) = pending_repl.remove(&(from, chunk)) {
                             let rtt = t0.elapsed().as_micros() as u64;
                             replacement_rtt_us.record(rtt);
                             events.emit(
@@ -538,7 +539,7 @@ fn fetch(
                                 "replacement_request",
                                 &[("peer", from.into()), ("chunk", chunk.into())],
                             );
-                            pending_repl.entry(chunk).or_insert(now);
+                            pending_repl.entry((from, chunk)).or_insert(now);
                             let request = Wire::ReplacementRequest { file_id, chunk };
                             if !network.send(my_addr, from, &request) {
                                 ladder.lost(from);
@@ -1284,6 +1285,70 @@ mod tests {
                 fault_seed(),
             );
         });
+    }
+
+    /// A replacement round trip is closed by the peer that was asked, not
+    /// by whichever peer next sends a message of the chunk: the health
+    /// engine charges `replacement_served` RTTs to the peer it names.
+    #[test]
+    fn replacement_round_trips_are_charged_to_the_peer_asked() {
+        let network = RtNetwork::with_observability(
+            asymshare_obs::Registry::new(),
+            asymshare_obs::EventSink::new(),
+        );
+        let owner = Identity::from_seed(b"rt-repl-owner");
+        let (batches, manifest) = build_file(&owner, 3, 256 * 1024);
+        let (reactor, peer_addrs) = host_fleet(&network, &owner, batches, 1100, *b"rp", 1 << 20);
+        network.install_adversary(
+            peer_addrs[1].0,
+            asymshare_netsim::AdversaryStrategy::Pollute { prob: 1.0 },
+            fault_seed(),
+        );
+        let mut user = User::<Gf2p32>::new(owner, manifest).unwrap();
+        let data = download_file(
+            &network,
+            11,
+            &mut user,
+            &peer_addrs,
+            peer_addrs[0].0,
+            Duration::from_secs(30),
+        )
+        .expect("the honest peers cover the file");
+        assert_eq!(data, file_bytes(256 * 1024));
+        reactor.shutdown();
+
+        let u64_field = |event: &asymshare_obs::Event, name: &str| {
+            let field = event.fields.iter().find(|(n, _)| *n == name);
+            match field {
+                Some((_, Value::U64(v))) => *v,
+                other => panic!("{name} of {event:?}: {other:?}"),
+            }
+        };
+        assert_eq!(network.events().dropped_events(), 0);
+        let mut requested = std::collections::HashSet::new();
+        let mut served = 0;
+        for event in network.events().events() {
+            if event.component != "rt.download" {
+                continue;
+            }
+            let key = || (u64_field(&event, "peer"), u64_field(&event, "chunk"));
+            match event.kind {
+                "replacement_request" => {
+                    requested.insert(key());
+                }
+                "replacement_served" => {
+                    served += 1;
+                    assert!(requested.contains(&key()), "unrequested: {event:?}");
+                }
+                _ => {}
+            }
+        }
+        assert!(!requested.is_empty(), "the polluter's frames were rejected");
+        assert!(
+            requested.iter().all(|&(peer, _)| peer == peer_addrs[1].0),
+            "only the polluter was asked: {requested:?}"
+        );
+        assert!(served > 0, "some round trip closed");
     }
 
     #[test]

@@ -1,51 +1,37 @@
-//! Adaptive per-connection in-flight windows for the event-loop reactor.
+//! Per-connection in-flight windows for the event-loop reactor.
 //!
 //! Each serving connection is bounded by an [`AdaptiveWindow`]: at most
 //! `size` frames may be in flight (submitted to the transport but not yet
-//! retired). The window follows classic AIMD driven by the signals the
-//! obs/health layer already measures — no new acknowledgement machinery:
+//! retired). The window is a ramp and a quarantine gate, fed only by what
+//! the serving reactor itself sees — it reads nothing from the obs layer,
+//! so a traced and an untraced run pace their links identically:
 //!
-//! * **Additive increase** — a batch retired with no loss signal since its
-//!   submission widens the window by [`WindowConfig::additive_step`].
-//! * **Multiplicative decrease** — an observed transport drop, a
-//!   digest-rejected message, or replacement round-trip time inflating past
-//!   [`WindowConfig::rtt_inflation`]× the smoothed floor halves the window
-//!   (floored at `min_frames`).
+//! * **Ramp** — a batch older than [`WindowConfig::retire_after`] retires
+//!   clean and widens the window by [`WindowConfig::additive_step`], from
+//!   `min_frames` up to `max_frames`.
 //! * **Close / reopen** — a quarantine verdict from the health engine
 //!   closes the window outright (`available() == 0`); when the timed ban
 //!   lapses the window reopens at `min_frames` and must re-earn its depth,
 //!   the congestion-control analogue of slow start after an outage.
 //!
-//! RTT samples feed a small EWMA ladder (the adaptation pattern of
-//! per-provider link profiles): the smoothed estimate rides an
-//! `ewma` while the lowest sample seen anchors the inflation baseline, so
-//! a link that degrades gradually still trips the narrow path.
+//! The transport is unacknowledged, so age is the completion proxy; losses
+//! are repaired end to end by the downloader's recovery ladder.
 
 use std::time::Duration;
 
 /// Tuning knobs for one [`AdaptiveWindow`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WindowConfig {
-    /// Floor: the window never narrows below this many frames, so a peer
-    /// in the penalty box still trickles instead of starving outright.
+    /// Floor: a new or reopened window starts at this many frames.
     pub min_frames: u32,
     /// Ceiling: the window never widens past this many frames; also the
     /// per-peer contribution to [`BufferPool`](super::BufferPool) sizing.
     pub max_frames: u32,
-    /// Frames added per clean batch retirement (additive increase).
+    /// Frames added per clean batch retirement.
     pub additive_step: u32,
-    /// Multiplier applied on loss/rejection/RTT inflation, in `(0, 1)`
-    /// (multiplicative decrease; 0.5 is the classic halving).
-    pub decrease_factor: f64,
-    /// EWMA smoothing factor for RTT samples, in `(0, 1]`.
-    pub rtt_alpha: f64,
-    /// A smoothed RTT above `rtt_inflation ×` the observed floor counts as
-    /// congestion and narrows the window.
-    pub rtt_inflation: f64,
     /// Frames submitted longer ago than this retire as clean completions
-    /// when no loss signal arrived in the meantime (the transport is
-    /// datagram-like and unacknowledged, so age is the completion proxy;
-    /// kept well above the reactor tick).
+    /// (the transport is datagram-like and unacknowledged, so age is the
+    /// completion proxy; kept well above the reactor tick).
     pub retire_after: Duration,
 }
 
@@ -55,9 +41,6 @@ impl Default for WindowConfig {
             min_frames: 2,
             max_frames: 64,
             additive_step: 1,
-            decrease_factor: 0.5,
-            rtt_alpha: 0.25,
-            rtt_inflation: 2.0,
             retire_after: Duration::from_millis(2),
         }
     }
@@ -72,27 +55,17 @@ impl WindowConfig {
             "max_frames below min_frames"
         );
         assert!(self.additive_step >= 1, "additive_step must be at least 1");
-        assert!(
-            self.decrease_factor > 0.0 && self.decrease_factor < 1.0,
-            "decrease_factor in (0, 1)"
-        );
-        assert!(
-            self.rtt_alpha > 0.0 && self.rtt_alpha <= 1.0,
-            "rtt_alpha in (0, 1]"
-        );
-        assert!(self.rtt_inflation > 1.0, "rtt_inflation must exceed 1");
     }
 }
 
-/// A bounded in-flight window with AIMD adaptation (see module docs).
+/// A bounded in-flight window that ramps on clean retirements (see module
+/// docs).
 #[derive(Debug, Clone)]
 pub struct AdaptiveWindow {
     cfg: WindowConfig,
     size: u32,
     in_flight: u32,
     closed: bool,
-    rtt_ewma_us: Option<f64>,
-    rtt_floor_us: Option<f64>,
     /// Retirements that exceeded the in-flight count (a double-retired
     /// completion batch). Previously masked by `saturating_sub`; now
     /// counted and surfaced as `rt.window.retire_underflow`.
@@ -112,8 +85,6 @@ impl AdaptiveWindow {
             cfg,
             in_flight: 0,
             closed: false,
-            rtt_ewma_us: None,
-            rtt_floor_us: None,
             retire_underflows: 0,
         }
     }
@@ -144,11 +115,6 @@ impl AdaptiveWindow {
         self.closed
     }
 
-    /// Smoothed replacement round-trip estimate, if any sample arrived.
-    pub fn rtt_ewma_us(&self) -> Option<f64> {
-        self.rtt_ewma_us
-    }
-
     /// Retirements that tried to retire more frames than were in flight
     /// (a double-retired completion batch — an accounting bug upstream).
     pub fn retire_underflows(&self) -> u64 {
@@ -160,8 +126,7 @@ impl AdaptiveWindow {
         self.in_flight = self.in_flight.saturating_add(n);
     }
 
-    /// Retires `n` in-flight frames without adapting (used when a loss
-    /// signal already accounted for the batch).
+    /// Retires `n` in-flight frames without widening.
     ///
     /// Retiring more than is in flight means a completion batch was
     /// counted twice. The old `saturating_sub` silently masked that; the
@@ -169,7 +134,7 @@ impl AdaptiveWindow {
     /// [`retire_underflows`](Self::retire_underflows)) so the reactor can
     /// surface it, and asserts in debug builds so tests catch the
     /// double-retire at its source.
-    pub fn retire(&mut self, n: u32) {
+    fn retire(&mut self, n: u32) {
         if n > self.in_flight {
             debug_assert!(
                 false,
@@ -191,53 +156,6 @@ impl AdaptiveWindow {
         }
     }
 
-    fn decrease(&mut self) {
-        let next = (self.size as f64 * self.cfg.decrease_factor).floor() as u32;
-        // The floored product of a small window and a small factor lands
-        // at 0; the clamp keeps every decrease at or above the configured
-        // floor so a penalized peer trickles instead of starving.
-        self.size = next.max(self.cfg.min_frames);
-    }
-
-    /// An observed transport loss attributed to this connection:
-    /// multiplicative decrease. Call once per loss *burst* (the reactor
-    /// batches the signals it drains each cycle), so a single noisy pass
-    /// cannot collapse the window straight to the floor.
-    pub fn on_loss(&mut self) {
-        self.decrease();
-    }
-
-    /// A digest-rejected (corrupted or polluted) message attributed to this
-    /// connection: multiplicative decrease.
-    pub fn on_reject(&mut self) {
-        self.decrease();
-    }
-
-    /// Feeds a replacement round-trip sample (microseconds). Returns `true`
-    /// — after also narrowing — when the smoothed estimate inflated past
-    /// `rtt_inflation ×` the observed floor.
-    pub fn observe_rtt(&mut self, rtt_us: f64) -> bool {
-        if !rtt_us.is_finite() || rtt_us < 0.0 {
-            return false;
-        }
-        let ewma = match self.rtt_ewma_us {
-            Some(prev) => prev + self.cfg.rtt_alpha * (rtt_us - prev),
-            None => rtt_us,
-        };
-        self.rtt_ewma_us = Some(ewma);
-        let floor = match self.rtt_floor_us {
-            Some(f) => f.min(rtt_us),
-            None => rtt_us,
-        };
-        self.rtt_floor_us = Some(floor);
-        if ewma > floor * self.cfg.rtt_inflation && floor > 0.0 {
-            self.decrease();
-            true
-        } else {
-            false
-        }
-    }
-
     /// Closes the window (quarantine verdict): nothing more may be
     /// submitted until [`reopen`](Self::reopen).
     pub fn close(&mut self) {
@@ -256,12 +174,7 @@ impl AdaptiveWindow {
 
     /// The frames-submitted age beyond which a batch retires as clean.
     pub fn retire_after(&self) -> Duration {
-        // An inflated RTT estimate stretches the retirement horizon so a
-        // slow link is not credited with early clean completions.
-        match self.rtt_ewma_us {
-            Some(us) => self.cfg.retire_after.max(Duration::from_micros(us as u64)),
-            None => self.cfg.retire_after,
-        }
+        self.cfg.retire_after
     }
 }
 
@@ -279,21 +192,6 @@ mod tests {
         w.retire_clean(2);
         assert_eq!(w.size(), 3, "clean batch widens additively");
         assert_eq!(w.available(), 3);
-    }
-
-    #[test]
-    fn loss_halves_and_floors() {
-        let mut w = AdaptiveWindow::new(WindowConfig::default());
-        for _ in 0..30 {
-            w.retire_clean(0);
-        }
-        assert_eq!(w.size(), 32);
-        w.on_loss();
-        assert_eq!(w.size(), 16, "multiplicative decrease");
-        for _ in 0..10 {
-            w.on_reject();
-        }
-        assert_eq!(w.size(), 2, "never underflows min_frames");
     }
 
     #[test]
@@ -322,39 +220,6 @@ mod tests {
         w.reopen();
         assert_eq!(w.size(), 2, "reopen restarts from the floor");
         assert!(!w.is_closed());
-    }
-
-    #[test]
-    fn rtt_inflation_narrows() {
-        let mut w = AdaptiveWindow::new(WindowConfig::default());
-        for _ in 0..20 {
-            w.retire_clean(0);
-        }
-        let wide = w.size();
-        assert!(!w.observe_rtt(100.0), "first sample sets the floor");
-        assert!(!w.observe_rtt(110.0), "mild jitter tolerated");
-        // Sustained inflation drags the EWMA past 2x the floor.
-        let mut tripped = false;
-        for _ in 0..20 {
-            tripped |= w.observe_rtt(400.0);
-        }
-        assert!(tripped, "sustained inflation trips the narrow path");
-        assert!(w.size() < wide);
-        assert!(w.retire_after() >= Duration::from_micros(200));
-    }
-
-    #[test]
-    fn decrease_never_lands_below_floor() {
-        // Even an aggressive factor from the floor itself stays clamped:
-        // floor(2 * 0.1) = 0 would otherwise zero the window for good.
-        let mut w = AdaptiveWindow::new(WindowConfig {
-            decrease_factor: 0.1,
-            ..WindowConfig::default()
-        });
-        for _ in 0..5 {
-            w.on_loss();
-            assert_eq!(w.size(), 2, "decrease clamped at min_frames");
-        }
     }
 
     #[test]
@@ -403,28 +268,22 @@ mod tests {
         });
     }
 
-    /// A random adaptation signal for the property tests.
+    /// A random window operation for the property tests.
     #[derive(Debug, Clone, Copy)]
     enum Sig {
         Submit(u32),
         RetireClean(u32),
         Retire(u32),
-        Loss,
-        Reject,
-        Rtt(f64),
         Close,
         Reopen,
     }
 
     fn arb_sig() -> impl Strategy<Value = Sig> {
-        (0u32..8, 0u32..16, 0.0f64..1e6).prop_map(|(kind, n, rtt)| match kind {
+        (0u32..5, 0u32..16).prop_map(|(kind, n)| match kind {
             0 => Sig::Submit(n),
             1 => Sig::RetireClean(n),
             2 => Sig::Retire(n),
-            3 => Sig::Loss,
-            4 => Sig::Reject,
-            5 => Sig::Rtt(rtt),
-            6 => Sig::Close,
+            3 => Sig::Close,
             _ => Sig::Reopen,
         })
     }
@@ -432,7 +291,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// Under any signal sequence the window stays inside its bounds
+        /// Under any operation sequence the window stays inside its bounds
         /// and `available` never exceeds `size`.
         #[test]
         fn bounds_hold_under_any_signal_sequence(
@@ -448,9 +307,6 @@ mod tests {
                     // window now debug-asserts on (pinned separately).
                     Sig::RetireClean(n) => w.retire_clean(n.min(w.in_flight())),
                     Sig::Retire(n) => w.retire(n.min(w.in_flight())),
-                    Sig::Loss => w.on_loss(),
-                    Sig::Reject => w.on_reject(),
-                    Sig::Rtt(us) => { w.observe_rtt(us); }
                     Sig::Close => w.close(),
                     Sig::Reopen => w.reopen(),
                 }
@@ -477,24 +333,6 @@ mod tests {
                 prop_assert!(w.size() >= prev, "narrowed on a clean link");
                 prop_assert!(w.size() <= cfg.max_frames);
                 prev = w.size();
-            }
-        }
-
-        /// A loss burst halves the window (down to the floor) from
-        /// whatever depth the clean phase earned.
-        #[test]
-        fn loss_burst_halves(clean in 0usize..40, bursts in 1usize..6) {
-            let cfg = WindowConfig::default();
-            let mut w = AdaptiveWindow::new(cfg);
-            for _ in 0..clean {
-                w.retire_clean(0);
-            }
-            let mut expect = w.size();
-            for _ in 0..bursts {
-                w.on_loss();
-                expect = ((expect as f64 * cfg.decrease_factor).floor() as u32)
-                    .max(cfg.min_frames);
-                prop_assert_eq!(w.size(), expect);
             }
         }
     }

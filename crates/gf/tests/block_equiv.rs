@@ -4,12 +4,6 @@
 //! any number of inputs, for output counts that leave a partial group of
 //! rows, fill exactly one, or span several, and for lengths of zero, one
 //! unit, and ends that fall inside a tile.
-//!
-//! Run both ways, so the oracle is also the AVX2 `axpy` where there is one:
-//! ```text
-//! cargo test -p asymshare-gf --test block_equiv
-//! cargo test -p asymshare-gf --test block_equiv --features simd
-//! ```
 
 use asymshare_gf::{block, bytes, Field, Gf16, Gf256, Gf2p32, Gf65536};
 use proptest::prelude::*;

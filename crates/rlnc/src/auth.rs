@@ -5,13 +5,11 @@
 //! digest of every uploaded message and keeps the digest list; a downloader
 //! verifies each received message against it before feeding the decoder.
 //! The paper's arithmetic: with `k = 8` messages per 1 MB, that is
-//! `8 × 16 = 128` hash bytes per megabyte. SHA-256 is offered as the modern
-//! alternative (double the overhead, actual collision resistance).
+//! `8 × 16 = 128` hash bytes per megabyte.
 
 use crate::error::CodecError;
 use crate::message::EncodedMessage;
 use asymshare_crypto::md5::{Digest128, Md5, Md5x4};
-use asymshare_crypto::sha256::{Digest256, Sha256};
 use std::collections::BTreeMap;
 
 /// Which digest algorithm a manifest uses.
@@ -19,8 +17,6 @@ use std::collections::BTreeMap;
 pub enum DigestKind {
     /// 128-bit MD5 (the paper's choice; 16 bytes per message).
     Md5,
-    /// 256-bit SHA-256 (32 bytes per message).
-    Sha256,
 }
 
 impl DigestKind {
@@ -28,7 +24,6 @@ impl DigestKind {
     pub fn len(self) -> usize {
         match self {
             DigestKind::Md5 => 16,
-            DigestKind::Sha256 => 32,
         }
     }
 
@@ -45,8 +40,6 @@ impl DigestKind {
 pub enum MessageDigest {
     /// MD5 digest.
     Md5(Digest128),
-    /// SHA-256 digest.
-    Sha256(Digest256),
 }
 
 impl MessageDigest {
@@ -64,12 +57,6 @@ impl MessageDigest {
                 h.update(msg.payload());
                 MessageDigest::Md5(h.finalize())
             }
-            DigestKind::Sha256 => {
-                let mut h = Sha256::new();
-                h.update(&header);
-                h.update(msg.payload());
-                MessageDigest::Sha256(h.finalize())
-            }
         }
     }
 
@@ -79,7 +66,7 @@ impl MessageDigest {
     /// MD5 digests of neighbouring messages with equal payload length —
     /// the frames of one datagram, the `k` messages of one encoded batch —
     /// are computed four at a time in the lanes of one [`Md5x4`]; a message
-    /// with no such neighbour, and every SHA-256 digest, is hashed alone.
+    /// with no such neighbour is hashed alone.
     pub fn compute_many<'a>(
         kind: DigestKind,
         msgs: impl IntoIterator<Item = &'a EncodedMessage>,
@@ -94,7 +81,6 @@ impl MessageDigest {
     pub fn kind(&self) -> DigestKind {
         match self {
             MessageDigest::Md5(_) => DigestKind::Md5,
-            MessageDigest::Sha256(_) => DigestKind::Sha256,
         }
     }
 
@@ -102,7 +88,6 @@ impl MessageDigest {
     pub fn as_bytes(&self) -> &[u8] {
         match self {
             MessageDigest::Md5(d) => &d.0,
-            MessageDigest::Sha256(d) => &d.0,
         }
     }
 }
@@ -119,9 +104,9 @@ fn wire_header(msg: &EncodedMessage) -> [u8; crate::message::HEADER_LEN] {
 /// Hands every item of `items`, in order, to `emit` together with the
 /// digest of the message `msg_of` finds in it.
 ///
-/// Consecutive items whose MD5 is wanted and whose payloads are equally
-/// long are held back until four are in hand (or the run ends) and hashed
-/// together; nothing is allocated.
+/// Consecutive items whose payloads are equally long are held back until
+/// four are in hand (or the run ends) and hashed together; nothing is
+/// allocated.
 pub(crate) fn digest_each<T>(
     kind: DigestKind,
     items: impl Iterator<Item = T>,
@@ -153,10 +138,9 @@ pub(crate) fn digest_each<T>(
     };
     for item in items {
         let len = msg_of(&item).payload().len();
-        let joins = kind == DigestKind::Md5
-            && group[0]
-                .as_ref()
-                .is_none_or(|first| msg_of(first).payload().len() == len);
+        let joins = group[0]
+            .as_ref()
+            .is_none_or(|first| msg_of(first).payload().len() == len);
         if !joins || held == group.len() {
             flush(&mut group[..held]);
             held = 0;
@@ -265,8 +249,8 @@ impl AuthManifest {
             return Err(CodecError::AuthenticationFailed { id });
         };
         let actual = match msg.cached_digest() {
-            Some(cached) if cached.kind() == self.kind => *cached,
-            _ => {
+            Some(cached) => *cached,
+            None => {
                 *hashed += 1;
                 MessageDigest::compute(self.kind, msg)
             }
@@ -297,7 +281,6 @@ impl AuthManifest {
         out.extend_from_slice(&self.file_id.0.to_le_bytes());
         out.push(match self.kind {
             DigestKind::Md5 => 0,
-            DigestKind::Sha256 => 1,
         });
         out.extend_from_slice(&(self.digests.len() as u32).to_le_bytes());
         for (id, d) in self.digests.iter() {
@@ -329,7 +312,6 @@ impl AuthManifest {
         ));
         let kind = match take(&mut buf, 1, "digest kind")?[0] {
             0 => DigestKind::Md5,
-            1 => DigestKind::Sha256,
             other => {
                 return Err(CodecError::Malformed {
                     reason: format!("unknown digest kind {other}"),
@@ -347,9 +329,6 @@ impl AuthManifest {
             let raw = take(&mut buf, kind.len(), "digest")?;
             let digest = match kind {
                 DigestKind::Md5 => MessageDigest::Md5(Digest128(raw.try_into().expect("16 bytes"))),
-                DigestKind::Sha256 => {
-                    MessageDigest::Sha256(Digest256(raw.try_into().expect("32 bytes")))
-                }
             };
             digests.insert(id, digest);
         }
@@ -403,10 +382,6 @@ mod tests {
             MessageDigest::compute(DigestKind::Md5, &m),
             MessageDigest::Md5(Md5::digest(&m.to_wire()))
         );
-        assert_eq!(
-            MessageDigest::compute(DigestKind::Sha256, &m),
-            MessageDigest::Sha256(Sha256::digest(&m.to_wire()))
-        );
     }
 
     #[test]
@@ -421,7 +396,7 @@ mod tests {
 
     #[test]
     fn verify_rejects_unknown_id() {
-        let m = AuthManifest::new(FileId(7), DigestKind::Sha256);
+        let m = AuthManifest::new(FileId(7), DigestKind::Md5);
         assert!(m.verify(&msg(5, 1)).is_err());
     }
 
@@ -446,15 +421,6 @@ mod tests {
     }
 
     #[test]
-    fn sha256_doubles_overhead() {
-        let mut m = AuthManifest::new(FileId(1), DigestKind::Sha256);
-        for i in 0..8 {
-            m.record(&msg(i, i as u8));
-        }
-        assert_eq!(m.overhead_bytes(), 256);
-    }
-
-    #[test]
     fn merge_combines_ids() {
         let mut a = AuthManifest::new(FileId(1), DigestKind::Md5);
         let mut b = AuthManifest::new(FileId(1), DigestKind::Md5);
@@ -473,10 +439,6 @@ mod tests {
         let bytes = m.to_bytes();
         let back = AuthManifest::from_bytes(&bytes).unwrap();
         assert_eq!(back, m);
-        // And for SHA-256.
-        let mut m = AuthManifest::new(FileId(1), DigestKind::Sha256);
-        m.record(&msg(9, 3));
-        assert_eq!(AuthManifest::from_bytes(&m.to_bytes()).unwrap(), m);
     }
 
     #[test]
@@ -488,6 +450,24 @@ mod tests {
             assert!(
                 AuthManifest::from_bytes(&bytes[..cut]).is_err(),
                 "cut {cut}"
+            );
+        }
+    }
+
+    /// Kind byte 1 named SHA-256, which is gone: it parses as any other
+    /// unknown kind does.
+    #[test]
+    fn retired_digest_kind_rejected() {
+        let mut m = AuthManifest::new(FileId(1), DigestKind::Md5);
+        m.record(&msg(0, 1));
+        for kind in [1u8, 2, 0xFF] {
+            let mut bytes = m.to_bytes();
+            bytes[8] = kind;
+            assert_eq!(
+                AuthManifest::from_bytes(&bytes),
+                Err(CodecError::Malformed {
+                    reason: format!("unknown digest kind {kind}")
+                })
             );
         }
     }
@@ -517,21 +497,19 @@ mod tests {
             [0, 0, 1, 64, 64, 64, 64, 64, 3],
             [5, 6, 7, 8, 9, 10, 11, 12, 13],
         ];
-        for kind in [DigestKind::Md5, DigestKind::Sha256] {
-            for lens in patterns {
-                for n in 0..=lens.len() {
-                    let msgs: Vec<EncodedMessage> =
-                        (0..n).map(|i| sized(i as u64, lens[i])).collect();
-                    let expect: Vec<MessageDigest> = msgs
-                        .iter()
-                        .map(|m| MessageDigest::compute(kind, m))
-                        .collect();
-                    assert_eq!(
-                        MessageDigest::compute_many(kind, &msgs),
-                        expect,
-                        "{kind:?} {lens:?} n={n}"
-                    );
-                }
+        let kind = DigestKind::Md5;
+        for lens in patterns {
+            for n in 0..=lens.len() {
+                let msgs: Vec<EncodedMessage> = (0..n).map(|i| sized(i as u64, lens[i])).collect();
+                let expect: Vec<MessageDigest> = msgs
+                    .iter()
+                    .map(|m| MessageDigest::compute(kind, m))
+                    .collect();
+                assert_eq!(
+                    MessageDigest::compute_many(kind, &msgs),
+                    expect,
+                    "{lens:?} n={n}"
+                );
             }
         }
     }
@@ -607,12 +585,12 @@ mod tests {
         let mut manifest = AuthManifest::new(FileId(7), DigestKind::Md5);
         manifest.record(&msg(0, 9));
         assert!(manifest.verify(carrier).is_err());
-        // A digest of the wrong algorithm is not compared at all.
-        let mut manifest = AuthManifest::new(FileId(7), DigestKind::Sha256);
+        // A carried digest that matches is compared, not recomputed.
+        let mut manifest = AuthManifest::new(FileId(7), DigestKind::Md5);
         manifest.record(carrier);
         let mut hashed = 0;
         assert!(manifest.verify_counting(carrier, &mut hashed).is_ok());
-        assert_eq!(hashed, 1);
+        assert_eq!(hashed, 0);
         // The carried digest is no part of the message's identity.
         let plain = sized(0, 64);
         assert_eq!(*carrier, plain);

@@ -1,19 +1,13 @@
 //! Peer-profile integration tests: persistence across store close/reopen,
-//! deterministic ladder trajectories for a fixed seed, agreement between
-//! the two runtimes' profile collection, and the hard safety rail —
-//! seeded schedules with adaptation *disabled* are byte-identical whether
-//! or not a warmed profile store is present.
+//! deterministic ladder trajectories for a fixed seed, identical stores
+//! from identical samples, and the hard safety rail — seeded schedules
+//! with adaptation *disabled* are byte-identical whether or not a warmed
+//! profile store is present.
 
-use asymshare::rt::{download_file, Reactor, ReactorConfig, RtNetwork};
-use asymshare::{
-    Identity, ParticipantId, Peer, ProfileConfig, ProfileStore, RuntimeConfig, SimRuntime, User,
-};
-use asymshare_gf::{FieldKind, Gf2p32};
+use asymshare::{Identity, ParticipantId, ProfileConfig, ProfileStore, RuntimeConfig, SimRuntime};
 use asymshare_netsim::{FaultPlan, LinkFault, LinkSpeed};
-use asymshare_obs::{EventSink, Registry};
-use asymshare_rlnc::{ChunkLadder, ChunkedEncoder, DigestKind, FileId};
+use asymshare_rlnc::{ChunkLadder, FileId};
 use asymshare_workloads::hetero;
-use std::time::Duration;
 
 /// CI sweeps this via the `ASYMSHARE_FAULT_SEED` matrix.
 fn fault_seed() -> u64 {
@@ -365,66 +359,4 @@ fn identical_samples_agree_across_runtime_boundaries() {
         sim_side.preferred_chunk_size(&keys, ChunkLadder::size_at(ChunkLadder::DEFAULT_RUNG)),
         rt_side.preferred_chunk_size(&keys, ChunkLadder::size_at(ChunkLadder::DEFAULT_RUNG)),
     );
-}
-
-/// The reactor's serving loop profiles its hosted peers: after a real
-/// download every serving peer has transfer samples and a ladder rung.
-#[test]
-fn reactor_collects_profiles_while_serving() {
-    let network = RtNetwork::with_observability(Registry::new(), EventSink::new());
-    let owner = Identity::from_seed(b"profile-reactor-owner");
-    let data: Vec<u8> = (0..96 * 1024).map(|i| (i * 59 % 251) as u8).collect();
-    let mut enc = ChunkedEncoder::<Gf2p32>::with_chunk_size(
-        FieldKind::Gf2p32,
-        4,
-        DigestKind::Md5,
-        owner.coding_secret().clone(),
-        FileId(31),
-        &data,
-        16 * 1024,
-    )
-    .unwrap();
-    let batches = enc.encode_for_peers(3).unwrap();
-    let manifest = enc.manifest().clone();
-
-    let mut reactor = Reactor::new(&network, ReactorConfig::default());
-    let mut peer_addrs = Vec::new();
-    for (i, batch) in batches.into_iter().enumerate() {
-        let identity = Identity::from_seed(&[b'p', b'r', i as u8]);
-        let key = identity.public_key().to_bytes();
-        let mut peer = Peer::new(identity, 1_000.0);
-        peer.add_subscriber(owner.public_key().to_bytes());
-        for m in batch {
-            peer.store_mut().insert(m);
-        }
-        let addr = 700 + i as u64;
-        reactor.add_peer(addr, peer, 4 << 20);
-        peer_addrs.push((addr, key));
-    }
-    let mut user = User::<Gf2p32>::new(owner, manifest).unwrap();
-    let got = download_file(
-        &network,
-        1,
-        &mut user,
-        &peer_addrs,
-        peer_addrs[0].0,
-        Duration::from_secs(30),
-    )
-    .expect("download completes");
-    assert_eq!(got, data);
-    // The worker folds its accumulators into the shared store once per
-    // second; wait out one flush interval before sampling.
-    std::thread::sleep(Duration::from_millis(1_300));
-    let profiles = reactor.profiles();
-    reactor.shutdown();
-    assert_eq!(profiles.len(), 3, "every serving peer was profiled");
-    for (key, profile) in profiles.iter() {
-        assert!(
-            profile.transfers() > 0,
-            "peer {:02x?} has at least one sample",
-            &key[..4]
-        );
-        assert!(profile.throughput_bps().unwrap_or(0.0) > 0.0);
-        assert!(profile.rung() < ChunkLadder::COUNT);
-    }
 }
