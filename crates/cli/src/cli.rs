@@ -453,7 +453,7 @@ fn render_top(network: &asymshare::rt::RtNetwork, elapsed: std::time::Duration) 
                 };
                 // Widest send window, published by the reactor as a
                 // per-peer gauge (a quarantined peer shows win 0 — its
-                // window is closed).
+                // slot serves nothing).
                 let win = snap
                     .gauge(&format!("rt.window.p{}", p.peer))
                     .map(|w| format!("  win {:>3}", w as u64))

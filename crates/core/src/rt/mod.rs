@@ -35,12 +35,13 @@ mod reactor;
 mod transport;
 mod window;
 
+pub use asymshare_netsim::{FaultPlan, FaultStats};
 pub use limiter::TokenBucket;
 pub use metrics_http::MetricsServer;
 pub use monitor::HealthMonitor;
 pub use pool::{BufferPool, PoolStats};
 pub use reactor::{Reactor, ReactorConfig, MAX_COALESCE};
-pub use transport::{Envelope, FaultPlan, FaultStats, FrameIter, RtNetwork};
+pub use transport::{Envelope, FrameIter, RtNetwork};
 pub use window::{AdaptiveWindow, WindowConfig};
 
 use crate::error::SystemError;
@@ -439,7 +440,7 @@ fn fetch(
             }));
         }
         // Adaptive poll: while no recovery action can possibly fire — every
-        // live peer is quarantined (its window is closed), inside its retry
+        // live peer is quarantined (its slot serves nothing), inside its retry
         // backoff, or simply not yet past its stall deadline — sleep toward
         // the earliest recovery deadline instead of busy re-polling at the
         // base cadence. An arriving datagram still wakes `recv_timeout`
@@ -726,6 +727,7 @@ mod tests {
     use crate::identity::Identity;
     use crate::peer::Peer;
     use asymshare_gf::FieldKind;
+    use asymshare_netsim::{AdversaryStrategy, NodeId};
     use asymshare_rlnc::{ChunkedEncoder, DigestKind, EncodedMessage, FileId};
 
     fn build_file(
@@ -1279,11 +1281,10 @@ mod tests {
     #[test]
     fn polluted_frames_in_coalesced_datagrams_are_rejected_alone() {
         download_with_damaged_payloads(*b"pz", 1500, |network, peers| {
-            network.install_adversary(
-                peers[1].0,
-                asymshare_netsim::AdversaryStrategy::Pollute { prob: 0.5 },
-                fault_seed(),
-            );
+            network.install_faults(FaultPlan::new(fault_seed()).with_adversary(
+                NodeId::new(peers[1].0 as usize),
+                AdversaryStrategy::Pollute { prob: 0.5 },
+            ));
         });
     }
 
@@ -1299,11 +1300,10 @@ mod tests {
         let owner = Identity::from_seed(b"rt-repl-owner");
         let (batches, manifest) = build_file(&owner, 3, 256 * 1024);
         let (reactor, peer_addrs) = host_fleet(&network, &owner, batches, 1100, *b"rp", 1 << 20);
-        network.install_adversary(
-            peer_addrs[1].0,
-            asymshare_netsim::AdversaryStrategy::Pollute { prob: 1.0 },
-            fault_seed(),
-        );
+        network.install_faults(FaultPlan::new(fault_seed()).with_adversary(
+            NodeId::new(peer_addrs[1].0 as usize),
+            AdversaryStrategy::Pollute { prob: 1.0 },
+        ));
         let mut user = User::<Gf2p32>::new(owner, manifest).unwrap();
         let data = download_file(
             &network,

@@ -9,8 +9,8 @@
 //!
 //! 1. **Completion drain** — route every queued [`Envelope`] to its peer's
 //!    protocol state machine (`Peer::on_message`).
-//! 2. **Quarantine poll** — read the health engine's verdicts, which close
-//!    a peer's [`AdaptiveWindow`]s instead of killing a thread.
+//! 2. **Quarantine poll** — read the health engine's verdicts, which gate
+//!    a peer's slot shut instead of killing a thread.
 //! 3. **Serve** — drain each peer's token bucket into its
 //!    [`ServePass`](crate::serve) engine, which grants the tokens to the
 //!    peer's connections by Eq.-2 weight and carries each connection's
@@ -22,8 +22,10 @@
 //!    on a slow peer.
 //!
 //! The windows are pacing bounds: they ramp from their floor to their
-//! ceiling on age-retired batches and close under quarantine (see
-//! [`window`](super::window) module docs). Observability is a tap here,
+//! ceiling on age-retired batches (see [`window`](super::window) module
+//! docs). Quarantine is the slot's gate: a banned slot is served nothing,
+//! and its windows restart at the floor when the ban lapses. Observability
+//! is a tap here,
 //! never an input: the reactor emits counters and events but reads none
 //! back, so a traced and an untraced run pace their links by the same
 //! rules. Its one input from the health side is the quarantine verdict of
@@ -112,13 +114,9 @@ struct ConnState {
 }
 
 impl ConnState {
-    fn new(cfg: WindowConfig, quarantined: bool) -> ConnState {
-        let mut window = AdaptiveWindow::new(cfg);
-        if quarantined {
-            window.close();
-        }
+    fn new(cfg: WindowConfig) -> ConnState {
         ConnState {
-            window,
+            window: AdaptiveWindow::new(cfg),
             staged: Vec::new(),
             in_flight: VecDeque::new(),
             reported_underflows: 0,
@@ -437,23 +435,20 @@ fn deliver(slot: &mut Slot, net: &RtNetwork, envelope: Envelope) {
     net.recycle_envelope(envelope);
 }
 
-/// Applies quarantine/heal verdicts: a banned peer's windows close (its
-/// demand is re-planned by the download loop's response ladder); a healed
-/// peer reopens at the window floor and re-earns its depth.
+/// Applies quarantine/heal verdicts: a banned peer's slot is gated shut
+/// (its demand is re-planned by the download loop's response ladder); a
+/// healed peer's windows restart at the floor and re-earn their depth.
 fn poll_quarantine(slots: &mut [Slot], net: &RtNetwork, obs: &WorkerObs) {
     for slot in slots {
         let banned = net.peer_quarantined(slot.addr);
         if banned && !slot.quarantined {
             slot.quarantined = true;
-            for st in slot.conns.values_mut() {
-                st.window.close();
-            }
             obs.events
                 .emit("rt.reactor", "window_closed", &[("peer", slot.addr.into())]);
         } else if !banned && slot.quarantined {
             slot.quarantined = false;
             for st in slot.conns.values_mut() {
-                st.window.reopen();
+                st.window.restart();
                 st.in_flight.clear();
             }
             obs.events.emit(
@@ -541,7 +536,7 @@ fn serve_slot(
             continue;
         };
         let share = serve::share(w, total);
-        // A closed window neither forfeits its share nor hoards the link:
+        // A full window neither forfeits its share nor hoards the link:
         // it banks up to the cap, and the rest goes back to the bucket.
         let cap = serve::bank_cap(bucket.burst(), share, frame_len as f64);
         refund += serve.grant(conn, budget * share, cap);
@@ -558,7 +553,7 @@ fn serve_slot(
         }
         let st = conns
             .entry(conn)
-            .or_insert_with(|| ConnState::new(cfg.window, *quarantined));
+            .or_insert_with(|| ConnState::new(cfg.window));
         let headroom = st.window.available();
         if headroom == 0 {
             // Bounded in-flight window full: yield.

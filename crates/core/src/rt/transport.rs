@@ -11,7 +11,9 @@
 use crate::error::SystemError;
 use crate::protocol::{self, Wire};
 use crate::rt::pool::BufferPool;
-use asymshare_netsim::{adversary_draw, AdversaryStrategy, SplitMix64};
+use asymshare_netsim::{
+    adversary_draw, AdversaryStrategy, FaultPlan, FaultStats, NodeId, SplitMix64,
+};
 use asymshare_obs::health::{HealthConfig, HealthReport, HealthStream};
 use asymshare_obs::{Counter, EventSink, Histogram, Registry, Snapshot};
 use bytes::Bytes;
@@ -22,80 +24,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// A deterministic fault plan for the threaded transport: per-send loss
-/// and payload-corruption probabilities plus a uniform extra delivery
-/// delay, all drawn from a seeded PRNG stream.
-///
-/// Corruption touches only `MessageData` payload bytes, never framing or
-/// control messages — a flipped content bit surfaces as a per-message
-/// digest-authentication failure at the receiver, exactly like real link
-/// noise under the paper's MD5 scheme, rather than as a parse error.
-#[derive(Debug, Clone)]
-pub struct FaultPlan {
-    seed: u64,
-    loss_prob: f64,
-    corrupt_prob: f64,
-    max_delay: Duration,
-}
-
-impl FaultPlan {
-    /// An empty plan (no faults) with the given RNG seed.
-    pub fn new(seed: u64) -> FaultPlan {
-        FaultPlan {
-            seed,
-            loss_prob: 0.0,
-            corrupt_prob: 0.0,
-            max_delay: Duration::ZERO,
-        }
-    }
-
-    /// Sets the per-send loss probability.
-    ///
-    /// # Panics
-    ///
-    /// Panics for probabilities outside `[0, 1]`.
-    #[must_use]
-    pub fn with_loss(mut self, prob: f64) -> FaultPlan {
-        assert!((0.0..=1.0).contains(&prob), "loss probability in [0, 1]");
-        self.loss_prob = prob;
-        self
-    }
-
-    /// Sets the per-send payload corruption probability.
-    ///
-    /// # Panics
-    ///
-    /// Panics for probabilities outside `[0, 1]`.
-    #[must_use]
-    pub fn with_corruption(mut self, prob: f64) -> FaultPlan {
-        assert!((0.0..=1.0).contains(&prob), "corrupt probability in [0, 1]");
-        self.corrupt_prob = prob;
-        self
-    }
-
-    /// Sets the maximum extra delivery delay (drawn uniformly per send).
-    #[must_use]
-    pub fn with_delay(mut self, max: Duration) -> FaultPlan {
-        self.max_delay = max;
-        self
-    }
-}
-
-/// Counters of faults realized by the transport.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultStats {
-    /// Sends whose payload was dropped in transit.
-    pub dropped: u64,
-    /// Sends whose payload was delivered bit-corrupted.
-    pub corrupted: u64,
-    /// Sends delivered late through the delay queue.
-    pub delayed: u64,
-}
-
+/// An installed [`FaultPlan`] and what realising it per datagram needs.
 #[derive(Debug)]
 struct FaultState {
     plan: FaultPlan,
+    /// The plan's outage windows are read in seconds since this instant.
+    installed: Instant,
     rng: Mutex<SplitMix64>,
+    /// Datagrams sent so far by each of the plan's adversaries: the
+    /// per-address sequence their decisions are hashed from.
+    adversary_sends: HashMap<u64, AtomicU64>,
     /// Deliveries held back by injected delay: (due, destination, envelope).
     held: Mutex<Vec<(Instant, u64, Envelope)>>,
     dropped: AtomicU64,
@@ -105,10 +43,14 @@ struct FaultState {
 
 impl FaultState {
     fn new(plan: FaultPlan) -> FaultState {
-        let rng = Mutex::new(SplitMix64::new(plan.seed));
         FaultState {
+            installed: Instant::now(),
+            rng: Mutex::new(SplitMix64::new(plan.seed())),
+            adversary_sends: plan
+                .adversaries()
+                .map(|(node, _)| (node as u64, AtomicU64::new(0)))
+                .collect(),
             plan,
-            rng,
             held: Mutex::new(Vec::new()),
             dropped: AtomicU64::new(0),
             corrupted: AtomicU64::new(0),
@@ -232,16 +174,6 @@ impl TransportObs {
     }
 }
 
-/// A Byzantine sender: its strategy plus a private draw sequence so every
-/// per-datagram decision replays deterministically for a given seed,
-/// independent of the link-fault RNG stream.
-#[derive(Debug)]
-struct AdvState {
-    strategy: AdversaryStrategy,
-    seed: u64,
-    seq: AtomicU64,
-}
-
 /// The in-process network: a registry of address → inbox senders.
 ///
 /// Cloning shares the registry (it is an `Arc` internally), so hosts and
@@ -250,7 +182,6 @@ struct AdvState {
 pub struct RtNetwork {
     registry: Arc<RwLock<HashMap<u64, Sender<Envelope>>>>,
     fault: Arc<RwLock<Option<FaultState>>>,
-    adversaries: Arc<RwLock<HashMap<u64, AdvState>>>,
     pool: Arc<BufferPool>,
     obs: TransportObs,
     /// One mutex, so closing a window (drain + evaluate + emit) is atomic
@@ -393,8 +324,22 @@ impl RtNetwork {
     }
 
     /// Installs a [`FaultPlan`] affecting every subsequent send; replaces
-    /// any previous plan and resets its counters. With no plan installed
-    /// the transport draws no random numbers at all.
+    /// any previous plan and resets its counters. A node of the plan is the
+    /// address [`NodeId::new`] names. The plan is realised per datagram,
+    /// by [`send_frames`](Self::send_frames): a datagram from or to a node
+    /// inside an outage window (seconds since this call) is dropped; the
+    /// sender's adversary strategy filters it; then the sender's link
+    /// faults apply in the order loss, corruption, delay. With no plan
+    /// installed the transport draws no random numbers at all.
+    ///
+    /// Corruption touches only `MessageData` payload bytes, never framing
+    /// or control messages — a flipped content bit surfaces as a
+    /// per-message digest-authentication failure at the receiver, as link
+    /// noise does under the paper's MD5 scheme, rather than as a parse
+    /// error. `InflateCredit` is inert at this layer: rt credit moves only
+    /// inside signed `Feedback` reports the transport cannot forge, so
+    /// inflation is modeled in the simulator, which owns the ledger
+    /// (DESIGN.md §11).
     pub fn install_faults(&self, plan: FaultPlan) {
         *self.fault.write() = Some(FaultState::new(plan));
     }
@@ -403,37 +348,6 @@ impl RtNetwork {
     /// discarded.
     pub fn clear_faults(&self) {
         *self.fault.write() = None;
-    }
-
-    /// Marks `addr` as a Byzantine sender: every datagram it originates is
-    /// filtered through `strategy`, with decisions drawn deterministically
-    /// from `seed` and a private send sequence so seeded runs replay
-    /// exactly and the honest link-fault RNG stream is never consumed.
-    /// Replaces any previous strategy for the address.
-    ///
-    /// `InflateCredit` is accepted but inert at this layer: in the
-    /// threaded runtime, credit moves only inside signed `Feedback`
-    /// reports the transport cannot forge, so inflation is modeled in the
-    /// simulator (which owns the ledger directly). See DESIGN.md §11.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the strategy's knobs are out of range.
-    pub fn install_adversary(&self, addr: u64, strategy: AdversaryStrategy, seed: u64) {
-        strategy.validate();
-        self.adversaries.write().insert(
-            addr,
-            AdvState {
-                strategy,
-                seed,
-                seq: AtomicU64::new(0),
-            },
-        );
-    }
-
-    /// Removes every installed adversary strategy.
-    pub fn clear_adversaries(&self) {
-        self.adversaries.write().clear();
     }
 
     /// Whether `addr` is currently quarantined by the health engine's
@@ -546,57 +460,61 @@ impl RtNetwork {
         for frame in frames {
             frame.encode_into(&mut buf);
         }
-        // A Byzantine sender filters its own datagrams before the link's
-        // faults apply. Nothing is counted or emitted here — a real attacker
-        // does not announce itself; detection happens at the receiver.
         let mut copies = 1usize;
-        if let Some(adv) = self.adversaries.read().get(&from) {
-            let seq = adv.seq.fetch_add(1, Ordering::Relaxed);
-            let salt = from.wrapping_mul(0x9E37_79B9).wrapping_add(seq);
-            match adv.strategy {
-                AdversaryStrategy::SelectiveServe { serve_fraction } => {
-                    // Withhold whole data-bearing datagrams; control frames
-                    // pass so the peer still looks alive and cooperative.
-                    if payload_bytes(&buf) > 0 && adversary_draw(adv.seed, salt) >= serve_fraction {
-                        self.pool.recycle(buf);
-                        return true; // withheld: reads as silence, not error
-                    }
-                }
-                AdversaryStrategy::Pollute { prob } => {
-                    if adversary_draw(adv.seed, salt) < prob {
-                        let mut rng =
-                            SplitMix64::new(adv.seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-                        corrupt_in_place(&mut buf, &mut rng);
-                    }
-                }
-                AdversaryStrategy::Replay { prob } => {
-                    // Serve the same coded bytes again: stale information
-                    // dressed up as fresh service.
-                    if payload_bytes(&buf) > 0 && adversary_draw(adv.seed, salt) < prob {
-                        copies = 2;
-                    }
-                }
-                // Inflation cannot be expressed at this layer: rt credit
-                // moves only inside signed Feedback reports (see
-                // `install_adversary`).
-                AdversaryStrategy::InflateCredit { .. } => {}
-            }
-        }
         let guard = self.fault.read();
         if let Some(fault) = guard.as_ref() {
+            let plan = &fault.plan;
+            let sender = NodeId::new(from as usize);
+            let now = fault.installed.elapsed().as_secs_f64();
+            if plan.node_down(sender, now) || plan.node_down(NodeId::new(to as usize), now) {
+                self.lose(fault, from, to, buf);
+                return true; // address resolved; an end is down
+            }
+            // A Byzantine sender filters its own datagrams before the link's
+            // faults apply. Nothing is counted or emitted here — a real
+            // attacker does not announce itself; detection happens at the
+            // receiver.
+            if let Some(strategy) = plan.adversary_for(sender) {
+                let seq = fault.adversary_sends[&from].fetch_add(1, Ordering::Relaxed);
+                let salt = from.wrapping_mul(0x9E37_79B9).wrapping_add(seq);
+                let draw = adversary_draw(plan.seed(), salt);
+                match strategy {
+                    AdversaryStrategy::SelectiveServe { serve_fraction } => {
+                        // Withhold whole data-bearing datagrams; control
+                        // frames pass so the peer still looks alive.
+                        if payload_bytes(&buf) > 0 && draw >= serve_fraction {
+                            self.pool.recycle(buf);
+                            return true; // withheld: reads as silence, not error
+                        }
+                    }
+                    AdversaryStrategy::Pollute { prob } => {
+                        if draw < prob {
+                            let mut rng = SplitMix64::new(
+                                plan.seed() ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                            );
+                            corrupt_in_place(&mut buf, &mut rng);
+                        }
+                    }
+                    AdversaryStrategy::Replay { prob } => {
+                        // Serve the same coded bytes again: stale
+                        // information dressed up as fresh service.
+                        if payload_bytes(&buf) > 0 && draw < prob {
+                            copies = 2;
+                        }
+                    }
+                    // Inert on the wire (see `install_faults`).
+                    AdversaryStrategy::InflateCredit { .. } => {}
+                }
+            }
+            let link = plan.fault_for(sender);
             let mut rng = fault.rng.lock().expect("fault rng lock");
-            if fault.plan.loss_prob > 0.0 && rng.next_f64() < fault.plan.loss_prob {
-                fault.dropped.fetch_add(1, Ordering::Relaxed);
-                self.obs.events.emit(
-                    "rt.transport",
-                    "drop",
-                    &[("peer", from.into()), ("to", to.into())],
-                );
-                self.pool.recycle(buf);
+            if link.loss_prob > 0.0 && rng.next_f64() < link.loss_prob {
+                drop(rng);
+                self.lose(fault, from, to, buf);
                 return true; // address resolved; datagram lost in transit
             }
-            if fault.plan.corrupt_prob > 0.0
-                && rng.next_f64() < fault.plan.corrupt_prob
+            if link.corrupt_prob > 0.0
+                && rng.next_f64() < link.corrupt_prob
                 && corrupt_in_place(&mut buf, &mut rng)
             {
                 fault.corrupted.fetch_add(1, Ordering::Relaxed);
@@ -606,7 +524,7 @@ impl RtNetwork {
                     &[("peer", from.into()), ("to", to.into())],
                 );
             }
-            let delay_nanos = fault.plan.max_delay.as_nanos() as u64;
+            let delay_nanos = (link.jitter_secs * 1e9) as u64;
             if delay_nanos > 0 {
                 let extra = Duration::from_nanos(rng.next_u64() % delay_nanos);
                 drop(rng);
@@ -644,6 +562,17 @@ impl RtNetwork {
             self.pool.recycle_bytes(bytes);
         }
         true
+    }
+
+    /// Counts and reports a datagram the plan lost, and recycles its buffer.
+    fn lose(&self, fault: &FaultState, from: u64, to: u64, buf: Vec<u8>) {
+        fault.dropped.fetch_add(1, Ordering::Relaxed);
+        self.obs.events.emit(
+            "rt.transport",
+            "drop",
+            &[("peer", from.into()), ("to", to.into())],
+        );
+        self.pool.recycle(buf);
     }
 }
 
@@ -1017,7 +946,10 @@ mod tests {
         use asymshare_rlnc::{EncodedMessage, FileId, MessageId};
         let net = RtNetwork::with_observability(Registry::new(), EventSink::new());
         let inbox = net.register(50);
-        net.install_adversary(51, AdversaryStrategy::Pollute { prob: 1.0 }, 7);
+        net.install_faults(
+            FaultPlan::new(7)
+                .with_adversary(NodeId::new(51), AdversaryStrategy::Pollute { prob: 1.0 }),
+        );
         let msg = EncodedMessage::new(FileId(1), MessageId(0), vec![0x55; 48]);
         assert!(net.send(51, 50, &Wire::MessageData(msg.clone())));
         let e = inbox.try_recv().unwrap();
@@ -1044,7 +976,10 @@ mod tests {
         use asymshare_rlnc::{EncodedMessage, FileId, MessageId};
         let net = RtNetwork::new();
         let inbox = net.register(60);
-        net.install_adversary(61, AdversaryStrategy::Replay { prob: 1.0 }, 3);
+        net.install_faults(
+            FaultPlan::new(3)
+                .with_adversary(NodeId::new(61), AdversaryStrategy::Replay { prob: 1.0 }),
+        );
         let msg = EncodedMessage::new(FileId(1), MessageId(4), vec![0xAB; 32]);
         assert!(net.send(61, 60, &Wire::MessageData(msg.clone())));
         let first = inbox.try_recv().expect("original");
@@ -1062,13 +997,12 @@ mod tests {
         use asymshare_rlnc::{EncodedMessage, FileId, MessageId};
         let net = RtNetwork::new();
         let inbox = net.register(70);
-        net.install_adversary(
-            71,
+        net.install_faults(FaultPlan::new(5).with_adversary(
+            NodeId::new(71),
             AdversaryStrategy::SelectiveServe {
                 serve_fraction: 0.0,
             },
-            5,
-        );
+        ));
         let msg = EncodedMessage::new(FileId(1), MessageId(0), vec![1u8; 16]);
         assert!(
             net.send(71, 70, &Wire::MessageData(msg)),
@@ -1077,7 +1011,7 @@ mod tests {
         assert!(inbox.try_recv().is_none(), "data withheld");
         net.send(71, 70, &Wire::StopTransmission { file_id: 1 });
         assert!(inbox.try_recv().is_some(), "control still flows");
-        net.clear_adversaries();
+        net.clear_faults();
         let msg = EncodedMessage::new(FileId(1), MessageId(1), vec![2u8; 16]);
         assert!(net.send(71, 70, &Wire::MessageData(msg)));
         assert!(inbox.try_recv().is_some(), "honest again once cleared");
@@ -1088,7 +1022,10 @@ mod tests {
         use asymshare_rlnc::{EncodedMessage, FileId, MessageId};
         let net = RtNetwork::new();
         let inbox = net.register(80);
-        net.install_adversary(81, AdversaryStrategy::InflateCredit { factor: 4.0 }, 2);
+        net.install_faults(FaultPlan::new(2).with_adversary(
+            NodeId::new(81),
+            AdversaryStrategy::InflateCredit { factor: 4.0 },
+        ));
         let msg = EncodedMessage::new(FileId(1), MessageId(0), vec![9u8; 24]);
         assert!(net.send(81, 80, &Wire::MessageData(msg.clone())));
         let e = inbox.try_recv().unwrap();
@@ -1103,11 +1040,33 @@ mod tests {
     fn delayed_messages_arrive_after_pump() {
         let net = RtNetwork::new();
         let inbox = net.register(8);
-        net.install_faults(FaultPlan::new(13).with_delay(Duration::from_millis(5)));
+        net.install_faults(FaultPlan::new(13).with_jitter(0.005));
         net.send(1, 8, &Wire::FileRequest { file_id: 1 });
         std::thread::sleep(Duration::from_millis(10));
         net.pump();
         assert!(inbox.try_recv().is_some(), "held message flushed as due");
         assert_eq!(net.fault_stats().delayed, 1);
+    }
+
+    #[test]
+    fn outage_drops_datagrams_from_and_to_the_down_node() {
+        let net = RtNetwork::new();
+        let down = net.register(90);
+        let up = net.register(91);
+        net.install_faults(FaultPlan::new(1).with_outage(NodeId::new(90), 0.0, 0.3));
+        assert!(
+            net.send(90, 91, &Wire::FileRequest { file_id: 1 }),
+            "address resolves"
+        );
+        assert!(net.send(91, 90, &Wire::FileRequest { file_id: 2 }));
+        assert!(up.try_recv().is_none() && down.try_recv().is_none());
+        assert_eq!(net.fault_stats().dropped, 2, "an outage drop is a drop");
+        // The window is read in seconds since the plan was installed.
+        std::thread::sleep(Duration::from_millis(350));
+        assert!(net.send(90, 91, &Wire::FileRequest { file_id: 3 }));
+        assert!(
+            up.try_recv().is_some(),
+            "the node is back once its window ends"
+        );
     }
 }

@@ -2,27 +2,30 @@
 //!
 //! Each serving connection is bounded by an [`AdaptiveWindow`]: at most
 //! `size` frames may be in flight (submitted to the transport but not yet
-//! retired). The window is a ramp and a quarantine gate, fed only by what
-//! the serving reactor itself sees — it reads nothing from the obs layer,
-//! so a traced and an untraced run pace their links identically:
+//! retired). The window is a ramp, fed only by what the serving reactor
+//! itself sees — it reads nothing from the obs layer, so a traced and an
+//! untraced run pace their links identically. A batch older than
+//! [`WindowConfig::retire_after`] retires clean and widens the window by
+//! [`WindowConfig::additive_step`], from `min_frames` up to `max_frames`;
+//! [`restart`](AdaptiveWindow::restart) sends it back to the floor, where
+//! it must re-earn its depth.
 //!
-//! * **Ramp** — a batch older than [`WindowConfig::retire_after`] retires
-//!   clean and widens the window by [`WindowConfig::additive_step`], from
-//!   `min_frames` up to `max_frames`.
-//! * **Close / reopen** — a quarantine verdict from the health engine
-//!   closes the window outright (`available() == 0`); when the timed ban
-//!   lapses the window reopens at `min_frames` and must re-earn its depth,
-//!   the congestion-control analogue of slow start after an outage.
+//! The floor is load-bearing: the ramp is what bounds a client's early
+//! backlog (a window started at its ceiling serves faster but raises peak
+//! memory beyond the benchmark's bound; EXPERIMENTS.md).
 //!
-//! The transport is unacknowledged, so age is the completion proxy; losses
-//! are repaired end to end by the downloader's recovery ladder.
+//! Quarantine is not the window's business: the reactor's slot gate
+//! serves a banned peer nothing, and restarts its windows when the ban
+//! lapses. The transport is unacknowledged, so age is the completion
+//! proxy; losses are repaired end to end by the downloader's recovery
+//! ladder.
 
 use std::time::Duration;
 
 /// Tuning knobs for one [`AdaptiveWindow`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WindowConfig {
-    /// Floor: a new or reopened window starts at this many frames.
+    /// Floor: a new or restarted window starts at this many frames.
     pub min_frames: u32,
     /// Ceiling: the window never widens past this many frames; also the
     /// per-peer contribution to [`BufferPool`](super::BufferPool) sizing.
@@ -65,7 +68,6 @@ pub struct AdaptiveWindow {
     cfg: WindowConfig,
     size: u32,
     in_flight: u32,
-    closed: bool,
     /// Retirements that exceeded the in-flight count (a double-retired
     /// completion batch). Previously masked by `saturating_sub`; now
     /// counted and surfaced as `rt.window.retire_underflow`.
@@ -84,7 +86,6 @@ impl AdaptiveWindow {
             size: cfg.min_frames,
             cfg,
             in_flight: 0,
-            closed: false,
             retire_underflows: 0,
         }
     }
@@ -99,20 +100,11 @@ impl AdaptiveWindow {
         self.in_flight
     }
 
-    /// Frames that may be submitted right now: `size - in_flight`, or zero
-    /// while the window is closed. A zero here is the backpressure signal —
-    /// the producer leaves its token-bucket budget unspent and yields.
+    /// Frames that may be submitted right now: `size - in_flight`. A zero
+    /// here is the backpressure signal — the producer leaves its
+    /// token-bucket budget unspent and yields.
     pub fn available(&self) -> u32 {
-        if self.closed {
-            0
-        } else {
-            self.size.saturating_sub(self.in_flight)
-        }
-    }
-
-    /// Whether a quarantine verdict has closed the window.
-    pub fn is_closed(&self) -> bool {
-        self.closed
+        self.size.saturating_sub(self.in_flight)
     }
 
     /// Retirements that tried to retire more frames than were in flight
@@ -151,25 +143,17 @@ impl AdaptiveWindow {
     /// Retires `n` frames as a clean completion: additive increase.
     pub fn retire_clean(&mut self, n: u32) {
         self.retire(n);
-        if !self.closed && self.size < self.cfg.max_frames {
+        if self.size < self.cfg.max_frames {
             self.size = (self.size + self.cfg.additive_step).min(self.cfg.max_frames);
         }
     }
 
-    /// Closes the window (quarantine verdict): nothing more may be
-    /// submitted until [`reopen`](Self::reopen).
-    pub fn close(&mut self) {
-        self.closed = true;
-    }
-
-    /// Reopens a closed window at `min_frames` — slow restart: a healed
-    /// peer re-earns its depth instead of resuming a stale deep window.
-    pub fn reopen(&mut self) {
-        if self.closed {
-            self.closed = false;
-            self.size = self.cfg.min_frames;
-            self.in_flight = 0;
-        }
+    /// Returns the window to `min_frames` with nothing in flight — slow
+    /// restart: a peer whose ban lapsed re-earns its depth instead of
+    /// resuming a stale deep window.
+    pub fn restart(&mut self) {
+        self.size = self.cfg.min_frames;
+        self.in_flight = 0;
     }
 
     /// The frames-submitted age beyond which a batch retires as clean.
@@ -207,19 +191,19 @@ mod tests {
     }
 
     #[test]
-    fn close_blocks_and_reopen_slow_restarts() {
+    fn restart_returns_to_the_floor() {
         let mut w = AdaptiveWindow::new(WindowConfig::default());
         for _ in 0..10 {
             w.retire_clean(0);
         }
         assert_eq!(w.size(), 12);
-        w.close();
-        assert_eq!(w.available(), 0, "closed window backpressures fully");
+        w.submit(5);
+        w.restart();
+        assert_eq!(w.size(), 2, "restart returns to the floor");
+        assert_eq!(w.in_flight(), 0, "and forgets what was in flight");
+        assert_eq!(w.available(), 2);
         w.retire_clean(0);
-        assert_eq!(w.size(), 12, "no widening while closed");
-        w.reopen();
-        assert_eq!(w.size(), 2, "reopen restarts from the floor");
-        assert!(!w.is_closed());
+        assert_eq!(w.size(), 3, "depth is re-earned on the ramp");
     }
 
     #[test]
@@ -274,17 +258,15 @@ mod tests {
         Submit(u32),
         RetireClean(u32),
         Retire(u32),
-        Close,
-        Reopen,
+        Restart,
     }
 
     fn arb_sig() -> impl Strategy<Value = Sig> {
-        (0u32..5, 0u32..16).prop_map(|(kind, n)| match kind {
+        (0u32..4, 0u32..16).prop_map(|(kind, n)| match kind {
             0 => Sig::Submit(n),
             1 => Sig::RetireClean(n),
             2 => Sig::Retire(n),
-            3 => Sig::Close,
-            _ => Sig::Reopen,
+            _ => Sig::Restart,
         })
     }
 
@@ -307,15 +289,11 @@ mod tests {
                     // window now debug-asserts on (pinned separately).
                     Sig::RetireClean(n) => w.retire_clean(n.min(w.in_flight())),
                     Sig::Retire(n) => w.retire(n.min(w.in_flight())),
-                    Sig::Close => w.close(),
-                    Sig::Reopen => w.reopen(),
+                    Sig::Restart => w.restart(),
                 }
                 prop_assert!(w.size() >= cfg.min_frames, "underflow: {}", w.size());
                 prop_assert!(w.size() <= cfg.max_frames, "overflow: {}", w.size());
                 prop_assert!(w.available() <= w.size());
-                if w.is_closed() {
-                    prop_assert_eq!(w.available(), 0);
-                }
             }
         }
 

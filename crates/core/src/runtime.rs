@@ -288,11 +288,6 @@ pub struct SimRuntime {
     /// Scratch for the per-slot allocation pass: `(conn, session, weight)`
     /// triples, reused so slots allocate nothing at steady state.
     alloc_conns: Vec<(u64, usize, f64)>,
-    /// Byzantine participants and their scripted strategies, lifted from
-    /// the installed fault plan.
-    adversaries: HashMap<usize, AdversaryStrategy>,
-    /// Seed the adversary decision hashes replay from (the fault plan's).
-    adv_seed: u64,
     /// `(session, chunk)` pairs the owner has already re-disseminated, so
     /// the starvation check reacts to each shortage at most once.
     redisseminated: HashSet<(usize, u32)>,
@@ -323,8 +318,6 @@ impl SimRuntime {
             health: None,
             slot_msgs: HashMap::new(),
             alloc_conns: Vec::new(),
-            adversaries: HashMap::new(),
-            adv_seed: 0,
             redisseminated: HashSet::new(),
             profiles: ProfileStore::new(),
             profile_cfg: ProfileConfig::default(),
@@ -537,24 +530,20 @@ impl SimRuntime {
     /// decisions hash off the plan's seed independently of the link-fault
     /// RNG, so adding an adversary never shifts honest faults.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.adv_seed = plan.seed();
-        self.adversaries.clear();
-        for (node, strategy) in plan.adversaries() {
-            if let Some(p_idx) = self
-                .participants
-                .iter()
-                .position(|p| p.node.index() == node)
-            {
-                self.adversaries.insert(p_idx, strategy);
-            }
-        }
         self.net.set_fault_plan(plan);
     }
 
     /// Removes any installed fault plan; subsequent traffic is clean.
     pub fn clear_fault_plan(&mut self) {
-        self.adversaries.clear();
         self.net.clear_fault_plan();
+    }
+
+    /// The strategy the installed plan assigns to participant `p_idx`'s
+    /// node, with the seed its decisions hash from.
+    fn adversary(&self, p_idx: usize) -> Option<(AdversaryStrategy, u64)> {
+        let plan = self.net.fault_plan()?;
+        let strategy = plan.adversary_for(self.participants[p_idx].node)?;
+        Some((strategy, plan.seed()))
     }
 
     /// Counters of faults injected since the plan was installed.
@@ -925,13 +914,13 @@ impl SimRuntime {
         if self.sessions[s_idx].finished_at.is_some() {
             return;
         }
-        let adversary = self.adversaries.get(&p_idx).copied();
+        let adversary = self.adversary(p_idx);
         // A selectively-serving adversary withholds the whole slot: the
         // Eq.-2 budget was granted (it has pending work), yet nothing
         // moves — the starvation signature the health engine attributes.
-        if let Some(AdversaryStrategy::SelectiveServe { serve_fraction }) = adversary {
+        if let Some((AdversaryStrategy::SelectiveServe { serve_fraction }, seed)) = adversary {
             let salt = self.slot.wrapping_mul(1_000_003).wrapping_add(conn);
-            if adversary_draw(self.adv_seed, salt) >= serve_fraction {
+            if adversary_draw(seed, salt) >= serve_fraction {
                 return;
             }
         }
@@ -949,14 +938,14 @@ impl SimRuntime {
             // of fresh ones: the frame is authentic (digest passes) but the
             // decoder has seen the id, so the bytes buy no progress.
             let mut message: Option<EncodedMessage> = None;
-            if let Some(AdversaryStrategy::Replay { prob }) = adversary {
+            if let Some((AdversaryStrategy::Replay { prob }, seed)) = adversary {
                 let seq = {
                     let e = self.participants[p_idx].adv_seq.entry(conn).or_insert(0);
                     *e += 1;
                     *e
                 };
                 let salt = conn.wrapping_mul(0x9E37_79B9).wrapping_add(seq);
-                if adversary_draw(self.adv_seed, salt) < prob {
+                if adversary_draw(seed, salt) < prob {
                     message = self.participants[p_idx].last_sent.get(&conn).cloned();
                 }
             }
@@ -966,7 +955,7 @@ impl SimRuntime {
                     let Some(m) = self.participants[p_idx].peer.next_message(conn) else {
                         break;
                     };
-                    if matches!(adversary, Some(AdversaryStrategy::Replay { .. })) {
+                    if matches!(adversary, Some((AdversaryStrategy::Replay { .. }, _))) {
                         self.participants[p_idx].last_sent.insert(conn, m.clone());
                     }
                     m
@@ -977,8 +966,8 @@ impl SimRuntime {
             // digest check can tell (no `corruption` event — the attacker
             // does not announce itself).
             let wire = match adversary {
-                Some(AdversaryStrategy::Pollute { prob })
-                    if adversary_draw(self.adv_seed, message.message_id().0) < prob =>
+                Some((AdversaryStrategy::Pollute { prob }, seed))
+                    if adversary_draw(seed, message.message_id().0) < prob =>
                 {
                     corrupt_message(&message).unwrap_or(Wire::MessageData(message))
                 }
@@ -1334,8 +1323,8 @@ impl SimRuntime {
                         // home ledger, on top of whatever honest feedback
                         // will credit — the served-vs-credited divergence
                         // the balance detector watches.
-                        if let Some(AdversaryStrategy::InflateCredit { factor }) =
-                            self.adversaries.get(&p_idx).copied()
+                        if let Some((AdversaryStrategy::InflateCredit { factor }, _)) =
+                            self.adversary(p_idx)
                         {
                             let key = self.participants[p_idx].key;
                             let home = self.sessions[session].home;

@@ -9,7 +9,7 @@
 //! 1. [`grant`]s each connection its Eq.-2 [`share`] of the budget the pass
 //!    has to give away. A connection banks at most `cap` bytes; what would
 //!    exceed the cap is handed back to the driver, so a connection that
-//!    cannot send (closed window, full pipe) neither forfeits its share nor
+//!    cannot send (full window, full pipe) neither forfeits its share nor
 //!    hoards the link;
 //! 2. sends on a connection while [`try_send`] covers the next frame. The
 //!    remainder carries to the next pass, which is what makes the long-run

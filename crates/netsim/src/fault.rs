@@ -1,10 +1,14 @@
-//! Deterministic, seeded fault injection for the simulated network.
+//! Deterministic, seeded fault injection — the one fault schedule of both
+//! runtimes.
 //!
 //! A [`FaultPlan`] describes the misbehaviour to impose on the network:
 //! per-link loss probability, payload bit-corruption probability, latency
-//! jitter, and scheduled node outages (including permanent "churn" kills).
-//! Install one with [`SimNet::set_fault_plan`](crate::SimNet::set_fault_plan);
-//! every decision is drawn from a seeded [`SplitMix64`] stream, so a given
+//! jitter, scheduled node outages (including permanent "churn" kills) and
+//! Byzantine strategies. The simulator installs one with
+//! [`SimNet::set_fault_plan`](crate::SimNet::set_fault_plan) and realises
+//! it per flow; the real-time transport installs the same value and
+//! realises it per datagram. Every decision is drawn from a seeded
+//! [`SplitMix64`] stream or an [`adversary_draw`] hash, so a given
 //! `(plan, workload)` pair replays byte-for-byte.
 //!
 //! The simulator itself only marks flows as lost or corrupted — the
@@ -27,7 +31,8 @@ pub struct LinkFault {
     pub loss_prob: f64,
     /// Probability in `[0, 1]` that the payload arrives bit-corrupted.
     pub corrupt_prob: f64,
-    /// Maximum extra one-way delay in seconds, drawn uniformly per flow.
+    /// Maximum extra one-way delay in seconds, drawn uniformly per flow
+    /// (per datagram on the real-time transport).
     pub jitter_secs: f64,
 }
 
@@ -95,14 +100,13 @@ pub enum AdversaryStrategy {
 }
 
 impl AdversaryStrategy {
-    /// Asserts the strategy's knobs are in range. Called on installation by
-    /// both the netsim fault plan and the threaded transport.
+    /// Asserts the strategy's knobs are in range.
     ///
     /// # Panics
     ///
     /// Panics for probabilities or fractions outside `[0, 1]`, or a
     /// non-finite / negative inflation factor.
-    pub fn validate(&self) {
+    fn validate(&self) {
         match *self {
             AdversaryStrategy::Pollute { prob } | AdversaryStrategy::Replay { prob } => {
                 assert!(
@@ -154,21 +158,24 @@ pub fn adversary_draw(seed: u64, salt: u64) -> f64 {
 pub struct Outage {
     /// The affected node.
     pub node: NodeId,
-    /// Outage start, seconds of simulated time.
+    /// Outage start, seconds of simulated time (on the real-time
+    /// transport, seconds since the plan was installed).
     pub from_secs: f64,
     /// Outage end (exclusive); `f64::INFINITY` for a permanent kill.
     pub until_secs: f64,
 }
 
-/// Counters of faults actually realized (not merely configured).
+/// Counters of faults actually realized (not merely configured): flows in
+/// the simulator, datagrams on the real-time transport.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
-    /// Flows whose payload was dropped in transit.
-    pub lost_flows: u64,
-    /// Flows whose payload was delivered corrupted.
-    pub corrupted_flows: u64,
-    /// Flows that received extra jitter delay.
-    pub delayed_flows: u64,
+    /// Payloads dropped in transit (on the transport, also the datagrams
+    /// dropped because an end was inside an outage window).
+    pub dropped: u64,
+    /// Payloads delivered corrupted.
+    pub corrupted: u64,
+    /// Payloads that received extra jitter delay.
+    pub delayed: u64,
 }
 
 /// A deterministic, seeded description of network misbehaviour.

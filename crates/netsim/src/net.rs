@@ -140,6 +140,12 @@ impl SimNet {
         self.fault.as_ref().map(|f| f.stats).unwrap_or_default()
     }
 
+    /// The installed fault plan, if any — what the layer above reads its
+    /// nodes' adversary strategies from.
+    pub fn fault_plan(&self) -> Option<&FaultPlan> {
+        self.fault.as_ref().map(|f| &f.plan)
+    }
+
     /// Whole-network aggregate counters since construction.
     pub fn totals(&self) -> NetTotals {
         self.totals
@@ -208,15 +214,15 @@ impl SimNet {
             let knobs = fault.plan.fault_for(src);
             if knobs.jitter_secs > 0.0 {
                 starts_at += fault.rng.next_f64() * knobs.jitter_secs;
-                fault.stats.delayed_flows += 1;
+                fault.stats.delayed += 1;
             }
             if knobs.loss_prob > 0.0 && fault.rng.next_f64() < knobs.loss_prob {
                 lost = true;
-                fault.stats.lost_flows += 1;
+                fault.stats.dropped += 1;
             }
             if !lost && knobs.corrupt_prob > 0.0 && fault.rng.next_f64() < knobs.corrupt_prob {
                 corrupted = true;
-                fault.stats.corrupted_flows += 1;
+                fault.stats.corrupted += 1;
             }
         }
         self.flows.push(Flow {
@@ -715,7 +721,7 @@ mod tests {
         net.start_flow(a, b, 12_500, 0);
         let e = net.step().unwrap();
         assert_eq!(e.kind, EventKind::FlowLost);
-        assert_eq!(net.fault_stats().lost_flows, 1);
+        assert_eq!(net.fault_stats().dropped, 1);
         // Lost bytes still congested the links, so they are still booked.
         assert_eq!(net.stats(b).bytes_received, 12_500);
     }
@@ -728,7 +734,7 @@ mod tests {
         net.set_fault_plan(FaultPlan::new(1).with_corruption(1.0));
         net.start_flow(a, b, 12_500, 0);
         assert_eq!(net.step().unwrap().kind, EventKind::FlowCorrupted);
-        assert_eq!(net.fault_stats().corrupted_flows, 1);
+        assert_eq!(net.fault_stats().corrupted, 1);
     }
 
     #[test]
@@ -755,8 +761,8 @@ mod tests {
         assert_eq!(run(7), run(7), "same seed, same schedule");
         assert_ne!(run(7).0, run(8).0, "different seed, different schedule");
         let (_, stats) = run(7);
-        assert!(stats.lost_flows > 0 && stats.corrupted_flows > 0);
-        assert_eq!(stats.delayed_flows, 50, "every flow drew jitter");
+        assert!(stats.dropped > 0 && stats.corrupted > 0);
+        assert_eq!(stats.delayed, 50, "every flow drew jitter");
     }
 
     #[test]

@@ -5,6 +5,13 @@
 pub struct NodeId(pub(crate) usize);
 
 impl NodeId {
+    /// The node with raw id `index`: how a [`FaultPlan`](crate::FaultPlan)
+    /// names a node of a runtime that has no [`SimNet`](crate::SimNet),
+    /// such as an address of the real-time transport.
+    pub fn new(index: usize) -> NodeId {
+        NodeId(index)
+    }
+
     /// The node's index (stable for the lifetime of the net).
     pub fn index(self) -> usize {
         self.0

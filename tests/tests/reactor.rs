@@ -13,13 +13,10 @@
 //! alone gets all of it, and the limiter holds its rate even for frames
 //! longer than its burst.
 
-use asymshare::rt::{
-    download_file_with, DownloadOptions, FaultPlan as RtFaultPlan, Reactor, ReactorConfig,
-    RtNetwork,
-};
+use asymshare::rt::{download_file_with, DownloadOptions, Reactor, ReactorConfig, RtNetwork};
 use asymshare::{Identity, Peer, RuntimeConfig, SimRuntime, User};
 use asymshare_gf::{FieldKind, Gf2p32};
-use asymshare_netsim::{FaultPlan as SimFaultPlan, LinkSpeed};
+use asymshare_netsim::{FaultPlan, LinkSpeed};
 use asymshare_rlnc::{ChunkedEncoder, DigestKind, EncodedMessage, FileId, FileManifest, MessageId};
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
@@ -64,7 +61,7 @@ fn peer_identity(i: usize) -> Identity {
 
 /// Sim half: three single-peer downloads under a lossy plan. The global
 /// connection counter starts at 0, so download `i` runs on connection `i`.
-fn sim_schedules(seed: u64) -> Vec<Vec<MessageId>> {
+fn sim_schedules(plan: FaultPlan) -> Vec<Vec<MessageId>> {
     let owner = Identity::from_seed(b"golden-owner");
     let (batch, manifest) = build_batch(&owner);
     let mut sim = SimRuntime::new(RuntimeConfig {
@@ -90,7 +87,7 @@ fn sim_schedules(seed: u64) -> Vec<Vec<MessageId>> {
             sim.peer_mut(pid).store_mut().insert(m.clone());
         }
     }
-    sim.set_fault_plan(SimFaultPlan::new(seed).with_loss(0.1).with_corruption(0.02));
+    sim.set_fault_plan(plan);
     let sessions: Vec<_> = peers
         .iter()
         .map(|&pid| {
@@ -126,7 +123,7 @@ fn sim_schedules(seed: u64) -> Vec<Vec<MessageId>> {
 /// downloaded one at a time from user addresses 0, 1, 2 — the peer-side
 /// connection id is the user's address, matching the sim's connection
 /// counter.
-fn reactor_schedules(seed: u64) -> Vec<Vec<MessageId>> {
+fn reactor_schedules(plan: FaultPlan) -> Vec<Vec<MessageId>> {
     let owner = Identity::from_seed(b"golden-owner");
     let (batch, manifest) = build_batch(&owner);
     let network = RtNetwork::new();
@@ -144,7 +141,7 @@ fn reactor_schedules(seed: u64) -> Vec<Vec<MessageId>> {
         reactor.add_peer(addr, peer, 4 << 20);
         peer_addrs.push((addr, key));
     }
-    network.install_faults(RtFaultPlan::new(seed).with_loss(0.1).with_corruption(0.02));
+    network.install_faults(plan);
     let expect = expected_data();
     for (i, &(addr, key)) in peer_addrs.iter().enumerate() {
         let mut user = User::<Gf2p32>::new(owner.clone(), manifest.clone()).unwrap();
@@ -182,9 +179,11 @@ fn reactor_schedules(seed: u64) -> Vec<Vec<MessageId>> {
 /// same seeded fault plan — and both runtimes decode the original file.
 #[test]
 fn sim_and_reactor_plan_identical_schedules_under_loss() {
-    let seed = fault_seed();
-    let sim = sim_schedules(seed);
-    let rt = reactor_schedules(seed);
+    let plan = FaultPlan::new(fault_seed())
+        .with_loss(0.1)
+        .with_corruption(0.02);
+    let sim = sim_schedules(plan.clone());
+    let rt = reactor_schedules(plan);
     assert_eq!(sim.len(), rt.len());
     for (i, (s, r)) in sim.iter().zip(&rt).enumerate() {
         assert!(!s.is_empty(), "peer {i} planned a non-empty schedule");
