@@ -451,15 +451,8 @@ fn render_top(network: &asymshare::rt::RtNetwork, elapsed: std::time::Duration) 
                 } else {
                     "DEGRADED"
                 };
-                // Widest send window, published by the reactor as a
-                // per-peer gauge (a quarantined peer shows win 0 — its
-                // slot serves nothing).
-                let win = snap
-                    .gauge(&format!("rt.window.p{}", p.peer))
-                    .map(|w| format!("  win {:>3}", w as u64))
-                    .unwrap_or_default();
                 out.push_str(&format!(
-                    "  peer {:>4}  [{:<20}] {:>5.1} {}{win}  {} alert(s)",
+                    "  peer {:>4}  [{:<20}] {:>5.1} {}  {} alert(s)",
                     p.peer,
                     "#".repeat(bar_len),
                     p.score,

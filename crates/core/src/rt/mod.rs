@@ -8,8 +8,8 @@
 //! (de)serialization on every hop, and wall-clock rate limiting.
 //!
 //! Peers are hosted by the event-loop [`Reactor`]: one worker thread (or a
-//! few) serves hundreds of [`Peer`](crate::Peer) state machines behind
-//! adaptive per-connection in-flight windows ([`AdaptiveWindow`]). The
+//! few) serves hundreds of [`Peer`](crate::Peer) state machines, each
+//! connection bounded by the frames its receiver still holds. The
 //! client side is [`download_file_with`], a blocking loop on the caller's
 //! thread that drives the same recovery ladder as the simulator, on wall
 //! seconds.
@@ -33,7 +33,6 @@ mod monitor;
 mod pool;
 mod reactor;
 mod transport;
-mod window;
 
 pub use asymshare_netsim::{FaultPlan, FaultStats};
 pub use limiter::TokenBucket;
@@ -42,7 +41,6 @@ pub use monitor::HealthMonitor;
 pub use pool::{BufferPool, PoolStats};
 pub use reactor::{Reactor, ReactorConfig, MAX_COALESCE};
 pub use transport::{Envelope, FrameIter, RtNetwork};
-pub use window::{AdaptiveWindow, WindowConfig};
 
 use crate::error::SystemError;
 use crate::protocol::Wire;

@@ -15,36 +15,38 @@
 //!    [`ServePass`](crate::serve) engine, which grants the tokens to the
 //!    peer's connections by Eq.-2 weight and carries each connection's
 //!    unspent grant to the next pass; stage frames per connection while
-//!    its deficit covers the next frame and `window.available()` has
-//!    room, and flush the queues as coalesced datagrams. A full window
-//!    stages nothing and banks its share up to a cap, the rest going back
-//!    to the bucket — backpressure *is* the yield; no thread ever blocks
-//!    on a slow peer.
+//!    its deficit covers the next frame and its window has room, and
+//!    flush the queues as coalesced datagrams. A full window stages
+//!    nothing and banks its share up to a cap, the rest going back to the
+//!    bucket — backpressure *is* the yield; no thread ever blocks on a
+//!    slow peer.
 //!
-//! The windows are pacing bounds: they ramp from their floor to their
-//! ceiling on age-retired batches (see [`window`](super::window) module
-//! docs). Quarantine is the slot's gate: a banned slot is served nothing,
-//! and its windows restart at the floor when the ban lapses. Observability
-//! is a tap here,
-//! never an input: the reactor emits counters and events but reads none
-//! back, so a traced and an untraced run pace their links by the same
-//! rules. Its one input from the health side is the quarantine verdict of
-//! an installed health engine — Byzantine defense, not pacing.
+//! A connection's window is what its receiver still holds: at most
+//! [`ReactorConfig::window_frames`] of its frames may sit queued at the
+//! user, as the transport counts them ([`QueuedFrames`]) — delivered or
+//! delay-held, not yet dropped. A lost datagram never counts, so no loss
+//! can wedge a window, and a user that stops reading stops its peers
+//! after one window, as a full socket receive buffer would. Windows start
+//! open; there is no depth to earn. Quarantine is the slot's gate: a
+//! banned slot is served nothing. Observability is a tap here, never an
+//! input: the reactor emits counters and events but reads none back, so a
+//! traced and an untraced run pace their links by the same rules. Its one
+//! input from the health side is the quarantine verdict of an installed
+//! health engine — Byzantine defense, not pacing.
 //!
 //! Serving semantics (handshake handling, sweep order, replacement queues)
 //! come from the pure [`Peer`] state machine the simulator also drives,
 //! which is what the sim-vs-reactor golden schedule test pins.
 
 use super::limiter::TokenBucket;
-use super::transport::{Envelope, RtNetwork};
-use super::window::{AdaptiveWindow, WindowConfig};
+use super::transport::{Envelope, QueuedFrames, RtNetwork};
 use crate::peer::Peer;
 use crate::protocol::Wire;
 use crate::serve::{self, ServePass};
 use asymshare_crypto::chacha20::ChaChaRng;
-use asymshare_obs::{Counter, EventSink, Gauge, Histogram};
+use asymshare_obs::{Counter, EventSink, Histogram};
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -56,9 +58,6 @@ pub const MAX_COALESCE: usize = 8;
 
 /// How often each worker re-polls the health engine's quarantine verdicts.
 const QUARANTINE_POLL: Duration = Duration::from_millis(50);
-/// How often each worker refreshes its `rt.window.p{addr}` gauges and
-/// queue-depth histogram (also flushed once at shutdown).
-const GAUGE_EVERY: Duration = Duration::from_millis(100);
 /// Fairness telemetry is time-gated so a sub-millisecond pass cadence does
 /// not flood the event ring.
 const SHARE_EMIT_EVERY: Duration = Duration::from_millis(250);
@@ -76,8 +75,10 @@ pub struct ReactorConfig {
     /// Idle park duration, bounding scheduling latency when no traffic
     /// arrives (an inbound datagram wakes the loop immediately).
     pub tick: Duration,
-    /// Per-connection adaptive window knobs.
-    pub window: WindowConfig,
+    /// Per-connection window: the most frames a connection may have queued
+    /// at its receiver. Also each peer's share of the
+    /// [`BufferPool`](super::BufferPool) sizing.
+    pub window_frames: u32,
 }
 
 impl Default for ReactorConfig {
@@ -85,7 +86,7 @@ impl Default for ReactorConfig {
         ReactorConfig {
             workers: 1,
             tick: Duration::from_millis(1),
-            window: WindowConfig::default(),
+            window_frames: 64,
         }
     }
 }
@@ -101,27 +102,12 @@ enum Ctrl {
     Shutdown,
 }
 
-/// Per-connection serving state: the adaptive window, the submission
-/// queue, and in-flight batches awaiting retirement.
+/// Per-connection serving state: the frames queued at the receiver and the
+/// submission queue.
+#[derive(Default)]
 struct ConnState {
-    window: AdaptiveWindow,
+    queued: QueuedFrames,
     staged: Vec<Wire>,
-    in_flight: VecDeque<(Instant, u32)>,
-    /// Underflow count already pushed to the `rt.window.retire_underflow`
-    /// counter (the window's tally is lifetime-monotonic; this tracks the
-    /// delta still unreported).
-    reported_underflows: u64,
-}
-
-impl ConnState {
-    fn new(cfg: WindowConfig) -> ConnState {
-        ConnState {
-            window: AdaptiveWindow::new(cfg),
-            staged: Vec::new(),
-            in_flight: VecDeque::new(),
-            reported_underflows: 0,
-        }
-    }
 }
 
 /// One hosted peer on a worker's shard.
@@ -136,7 +122,6 @@ struct Slot {
     conns: HashMap<u64, ConnState>,
     quarantined: bool,
     last_share_emit: Option<Instant>,
-    win_gauge: Gauge,
     /// Serve-pass scratch, reused so a steady-state pass allocates
     /// nothing: the active connections, their Eq.-2 weight row, and the
     /// connections found dead while flushing.
@@ -152,7 +137,6 @@ struct WorkerObs {
     served_frames: Counter,
     served_bytes: Counter,
     backpressure: Counter,
-    retire_underflow: Counter,
     coalesce_frames: Histogram,
     queue_depth: Histogram,
     pass_us: Histogram,
@@ -167,7 +151,6 @@ impl WorkerObs {
             served_frames: metrics.counter("rt.reactor.served_frames"),
             served_bytes: metrics.counter("rt.reactor.served_bytes"),
             backpressure: metrics.counter("rt.reactor.backpressure_yields"),
-            retire_underflow: metrics.counter("rt.window.retire_underflow"),
             coalesce_frames: metrics.histogram("rt.reactor.coalesce_frames"),
             queue_depth: metrics.histogram("rt.reactor.queue_depth"),
             pass_us: metrics.histogram("rt.reactor.pass_us"),
@@ -208,11 +191,10 @@ impl Reactor {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.workers` is zero or the window config is
-    /// inconsistent.
+    /// Panics if `cfg.workers` or `cfg.window_frames` is zero.
     pub fn new(network: &RtNetwork, cfg: ReactorConfig) -> Reactor {
         assert!(cfg.workers >= 1, "a reactor needs at least one worker");
-        cfg.window.validate();
+        assert!(cfg.window_frames >= 1, "a window holds at least one frame");
         let workers = (0..cfg.workers)
             .map(|i| {
                 let (ctrl_tx, ctrl_rx) = unbounded::<Ctrl>();
@@ -258,10 +240,10 @@ impl Reactor {
         assert!(sent.is_ok(), "reactor worker alive");
         self.addrs.push(addr);
         // Deep windows would thrash a fixed-size frame pool: one buffer is
-        // held per in-flight datagram, so size the free list from the sum
-        // of per-peer window limits (in datagrams, i.e. frames over the
-        // coalescing bound), within sane bounds.
-        let frames = self.addrs.len() * self.cfg.window.max_frames as usize;
+        // held per queued datagram, so size the free list from the sum of
+        // per-peer windows (in datagrams, i.e. frames over the coalescing
+        // bound), within sane bounds.
+        let frames = self.addrs.len() * self.cfg.window_frames as usize;
         let cap = (frames / MAX_COALESCE).clamp(POOL_MIN_SLOTS, POOL_MAX_SLOTS);
         self.network.buffer_pool().set_capacity(cap);
     }
@@ -321,13 +303,11 @@ fn run_worker(
     let mut by_addr: HashMap<u64, usize> = HashMap::new();
     let obs = WorkerObs::new(&net);
     let mut last_quarantine_poll = Instant::now();
-    let mut last_gauge_flush = Instant::now();
     let mut idle = false;
     let mut shutdown = false;
     loop {
-        shutdown |= apply_ctrl(&ctrl_rx, &mut slots, &mut by_addr, &net);
+        shutdown |= apply_ctrl(&ctrl_rx, &mut slots, &mut by_addr);
         if shutdown {
-            flush_gauges(&mut slots, &cfg);
             return slots.into_iter().map(|s| (s.addr, s.peer)).collect();
         }
         net.pump();
@@ -346,7 +326,7 @@ fn run_worker(
                 // `add_peer` registers the address before its `AddPeer`
                 // reaches this worker, so a datagram can overtake it; the
                 // control message was sent first and is in the queue by now.
-                shutdown |= apply_ctrl(&ctrl_rx, &mut slots, &mut by_addr, &net);
+                shutdown |= apply_ctrl(&ctrl_rx, &mut slots, &mut by_addr);
             }
             if let Some(&i) = by_addr.get(&envelope.to) {
                 deliver(&mut slots[i], &net, envelope);
@@ -361,10 +341,6 @@ fn run_worker(
         for slot in &mut slots {
             progressed |= serve_slot(slot, &net, &cfg, now, &obs);
         }
-        if now.duration_since(last_gauge_flush) >= GAUGE_EVERY {
-            last_gauge_flush = now;
-            flush_gauges(&mut slots, &cfg);
-        }
         idle = !progressed;
     }
 }
@@ -374,7 +350,6 @@ fn apply_ctrl(
     ctrl_rx: &Receiver<Ctrl>,
     slots: &mut Vec<Slot>,
     by_addr: &mut HashMap<u64, usize>,
-    net: &RtNetwork,
 ) -> bool {
     while let Ok(ctrl) = ctrl_rx.try_recv() {
         match ctrl {
@@ -396,7 +371,6 @@ fn apply_ctrl(
                     conns: HashMap::new(),
                     quarantined: false,
                     last_share_emit: None,
-                    win_gauge: net.metrics().gauge(&format!("rt.window.p{addr}")),
                     active: Vec::new(),
                     weights: Vec::new(),
                     dead: Vec::new(),
@@ -436,8 +410,9 @@ fn deliver(slot: &mut Slot, net: &RtNetwork, envelope: Envelope) {
 }
 
 /// Applies quarantine/heal verdicts: a banned peer's slot is gated shut
-/// (its demand is re-planned by the download loop's response ladder); a
-/// healed peer's windows restart at the floor and re-earn their depth.
+/// (its demand is re-planned by the download loop's response ladder) and
+/// a healed peer's slot opens again. The windows need no reset: they count
+/// what the receivers hold, which a ban does not change.
 fn poll_quarantine(slots: &mut [Slot], net: &RtNetwork, obs: &WorkerObs) {
     for slot in slots {
         let banned = net.peer_quarantined(slot.addr);
@@ -447,10 +422,6 @@ fn poll_quarantine(slots: &mut [Slot], net: &RtNetwork, obs: &WorkerObs) {
                 .emit("rt.reactor", "window_closed", &[("peer", slot.addr.into())]);
         } else if !banned && slot.quarantined {
             slot.quarantined = false;
-            for st in slot.conns.values_mut() {
-                st.window.restart();
-                st.in_flight.clear();
-            }
             obs.events.emit(
                 "rt.reactor",
                 "window_reopened",
@@ -460,10 +431,10 @@ fn poll_quarantine(slots: &mut [Slot], net: &RtNetwork, obs: &WorkerObs) {
     }
 }
 
-/// One serve pass over a slot: retire aged batches, move the bucket's
-/// tokens into the [`ServePass`] engine by Eq.-2 weight, stage frames while
-/// a connection's deficit and window both allow, and flush the submission
-/// queues as coalesced datagrams. Returns whether anything was sent.
+/// One serve pass over a slot: move the bucket's tokens into the
+/// [`ServePass`] engine by Eq.-2 weight, stage frames while a connection's
+/// deficit and window both allow, and flush the submission queues as
+/// coalesced datagrams. Returns whether anything was sent.
 fn serve_slot(
     slot: &mut Slot,
     net: &RtNetwork,
@@ -471,9 +442,9 @@ fn serve_slot(
     now: Instant,
     obs: &WorkerObs,
 ) -> bool {
-    // `now` is the cycle's clock, shared by every slot so window retirement
-    // and the token buckets see one instant; the pass itself is timed from
-    // its own start, or slot i's sample would count slots 0..i again.
+    // `now` is the cycle's clock, shared by every slot so the token buckets
+    // see one instant; the pass itself is timed from its own start, or slot
+    // i's sample would count slots 0..i again.
     let pass_started = Instant::now();
     let Slot {
         addr,
@@ -491,19 +462,6 @@ fn serve_slot(
     let addr = *addr;
     active.clear();
     active.extend(peer.active_conns());
-    // Windows retire aged batches even for momentarily inactive sessions.
-    for st in conns.values_mut() {
-        let horizon = st.window.retire_after();
-        while let Some(&(sent_at, n)) = st.in_flight.front() {
-            if now.duration_since(sent_at) >= horizon {
-                st.in_flight.pop_front();
-                st.window.retire_clean(n);
-            } else {
-                break;
-            }
-        }
-        report_underflows(st, obs);
-    }
     // A quarantined slot is granted nothing: its tokens stay in the bucket
     // and its connections' banks stay as they were.
     if active.is_empty() || *quarantined {
@@ -551,12 +509,10 @@ fn serve_slot(
                 ],
             );
         }
-        let st = conns
-            .entry(conn)
-            .or_insert_with(|| ConnState::new(cfg.window));
-        let headroom = st.window.available();
+        let st = conns.entry(conn).or_default();
+        let headroom = cfg.window_frames.saturating_sub(st.queued.get());
         if headroom == 0 {
-            // Bounded in-flight window full: yield.
+            // The receiver holds a full window: yield.
             obs.backpressure.inc();
             yielded = true;
             continue;
@@ -583,13 +539,10 @@ fn serve_slot(
         let mut alive = true;
         for batch in st.staged.chunks(MAX_COALESCE) {
             obs.coalesce_frames.record(batch.len() as u64);
-            alive = net.send_frames(addr, conn, batch);
+            alive = net.send_counted(addr, conn, batch, Some(&st.queued));
             if !alive {
                 break;
             }
-            let n = batch.len() as u32;
-            st.window.submit(n);
-            st.in_flight.push_back((now, n));
         }
         st.staged.clear();
         served_any = true;
@@ -619,41 +572,17 @@ fn serve_slot(
     served_any
 }
 
-/// Surfaces the double-retire accounting mismatches the window detected
-/// since the last pass (release builds count; debug builds assert).
-fn report_underflows(st: &mut ConnState, obs: &WorkerObs) {
-    let underflows = st.window.retire_underflows();
-    if underflows > st.reported_underflows {
-        obs.retire_underflow
-            .add(underflows - st.reported_underflows);
-        st.reported_underflows = underflows;
-    }
-}
-
-/// Refreshes the per-peer window gauges (`rt.window.p{addr}` — the widest
-/// connection window, or the configured floor before any session opens).
-fn flush_gauges(slots: &mut [Slot], cfg: &ReactorConfig) {
-    for slot in slots {
-        let widest = slot
-            .conns
-            .values()
-            .map(|st| st.window.size())
-            .max()
-            .unwrap_or(cfg.window.min_frames);
-        let widest = if slot.quarantined { 0 } else { widest };
-        slot.win_gauge.set(widest as f64);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::SystemError;
     use crate::identity::Identity;
+    use crate::rt::transport::Inbox;
     use crate::rt::{download_file, download_file_with, DownloadOptions, FaultPlan};
     use crate::user::User;
     use asymshare_gf::{FieldKind, Gf2p32};
     use asymshare_obs::{EventSink, Registry};
-    use asymshare_rlnc::{ChunkedEncoder, DigestKind, FileId};
+    use asymshare_rlnc::{ChunkedEncoder, CodecError, DigestKind, FileId};
 
     fn build_file(
         owner: &Identity,
@@ -684,8 +613,9 @@ mod tests {
         batches: Vec<Vec<asymshare_rlnc::EncodedMessage>>,
         base_addr: u64,
         seed_tag: u8,
+        cfg: ReactorConfig,
     ) -> (Reactor, Vec<(u64, [u8; 64])>) {
-        let mut reactor = Reactor::new(network, ReactorConfig::default());
+        let mut reactor = Reactor::new(network, cfg);
         let mut peer_addrs = Vec::new();
         for (i, batch) in batches.into_iter().enumerate() {
             let identity = Identity::from_seed(&[b'x', seed_tag, i as u8]);
@@ -724,7 +654,8 @@ mod tests {
         let network = RtNetwork::new();
         let owner = Identity::from_seed(b"reactor-owner");
         let (batches, manifest) = build_file(&owner, 3, 96 * 1024);
-        let (reactor, peer_addrs) = spawn_fleet(&network, &owner, batches, 900, 1);
+        let (reactor, peer_addrs) =
+            spawn_fleet(&network, &owner, batches, 900, 1, ReactorConfig::default());
         assert_eq!(reactor.peer_count(), 3);
         let mut user = User::<Gf2p32>::new(owner, manifest).unwrap();
         let data = download_file(
@@ -748,7 +679,8 @@ mod tests {
         let network = RtNetwork::new();
         let owner = Identity::from_seed(b"reactor-crowd");
         let (batches, manifest) = build_file(&owner, 3, 96 * 1024);
-        let (mut reactor, peer_addrs) = spawn_fleet(&network, &owner, batches, 3000, 4);
+        let (mut reactor, peer_addrs) =
+            spawn_fleet(&network, &owner, batches, 3000, 4, ReactorConfig::default());
         add_idle_peers(&mut reactor, &owner, 4000, 253);
         assert_eq!(reactor.peer_count(), 256);
         let mut user = User::<Gf2p32>::new(owner, manifest).unwrap();
@@ -788,36 +720,141 @@ mod tests {
         }
     }
 
-    #[test]
-    fn windows_widen_on_a_clean_link() {
-        let network = RtNetwork::with_observability(Registry::new(), EventSink::new());
-        let owner = Identity::from_seed(b"reactor-clean");
-        let (batches, manifest) = build_file(&owner, 3, 192 * 1024);
-        let (reactor, peer_addrs) = spawn_fleet(&network, &owner, batches, 910, 2);
-        let mut user = User::<Gf2p32>::new(owner, manifest).unwrap();
-        download_file(
-            &network,
-            2,
-            &mut user,
-            &peer_addrs,
-            peer_addrs[0].0,
-            Duration::from_secs(30),
-        )
-        .expect("download completes");
-        reactor.shutdown();
-        let snap = network.metrics_snapshot();
-        let min = WindowConfig::default().min_frames as f64;
-        for (addr, _) in &peer_addrs {
-            let win = snap
-                .gauge(&format!("rt.window.p{addr}"))
-                .expect("window gauge flushed at shutdown");
-            assert!(
-                win > min,
-                "clean link must widen beyond the floor, p{addr} = {win}"
-            );
+    /// Authenticates `user` with every peer and returns the file requests
+    /// it would send next, unsent.
+    fn handshake(
+        network: &RtNetwork,
+        inbox: &Inbox,
+        my_addr: u64,
+        user: &mut User<Gf2p32>,
+        peer_addrs: &[(u64, [u8; 64])],
+        rng: &mut ChaChaRng,
+    ) -> Vec<(u64, Wire)> {
+        for &(addr, key) in peer_addrs {
+            assert!(network.send(my_addr, addr, &user.connect(addr, key, rng)));
         }
-        let depth = snap.histogram("rt.reactor.queue_depth").unwrap();
-        assert!(depth.count > 0, "submission queues were exercised");
+        let mut requests = Vec::new();
+        while requests.len() < peer_addrs.len() {
+            let envelope = inbox
+                .recv_timeout(Duration::from_secs(10))
+                .expect("handshake reply");
+            let reply = envelope.decode().expect("one control frame");
+            for (conn, wire) in user.on_message(envelope.from, reply, rng).unwrap() {
+                if matches!(wire, Wire::FileRequest { .. }) {
+                    requests.push((conn, wire));
+                } else {
+                    assert!(network.send(my_addr, conn, &wire));
+                }
+            }
+        }
+        requests
+    }
+
+    /// The benchmark's staged client loop in miniature: admit a datagram's
+    /// frames, send the replies, recycle the buffer — nothing a peer could
+    /// read as an acknowledgement.
+    fn admit(
+        network: &RtNetwork,
+        my_addr: u64,
+        user: &mut User<Gf2p32>,
+        envelope: Envelope,
+        rng: &mut ChaChaRng,
+    ) {
+        for frame in envelope.decode_all() {
+            match user.on_message(envelope.from, frame.unwrap(), rng) {
+                Ok(replies) => {
+                    for (conn, reply) in replies {
+                        network.send(my_addr, conn, &reply);
+                    }
+                }
+                Err(SystemError::Codec(CodecError::DuplicateMessage { .. })) => {}
+                Err(e) => panic!("{e}"),
+            }
+        }
+        network.recycle_envelope(envelope);
+    }
+
+    fn receive_until_complete(
+        network: &RtNetwork,
+        inbox: &Inbox,
+        my_addr: u64,
+        user: &mut User<Gf2p32>,
+        rng: &mut ChaChaRng,
+    ) {
+        while !user.is_complete() {
+            let envelope = inbox
+                .recv_timeout(Duration::from_secs(10))
+                .expect("the peers keep serving");
+            admit(network, my_addr, user, envelope, rng);
+        }
+    }
+
+    #[test]
+    fn a_user_that_stops_reading_holds_exactly_one_window() {
+        let network = RtNetwork::with_observability(Registry::new(), EventSink::new());
+        let owner = Identity::from_seed(b"reactor-hold");
+        let len = 1 << 20;
+        let (batches, manifest) = build_file(&owner, 1, len);
+        let (reactor, peer_addrs) =
+            spawn_fleet(&network, &owner, batches, 910, 2, ReactorConfig::default());
+        let inbox = network.register(2);
+        let mut user = User::<Gf2p32>::new(owner, manifest).unwrap();
+        let mut rng = ChaChaRng::new([0x6B; 32], *b"reactor-hold");
+        for (conn, request) in handshake(&network, &inbox, 2, &mut user, &peer_addrs, &mut rng) {
+            assert!(network.send(2, conn, &request));
+        }
+        // The user stops reading: the peer fills one window, then yields.
+        let counter = |name| network.metrics_snapshot().counter(name).unwrap_or(0);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while counter("rt.reactor.backpressure_yields") == 0 {
+            assert!(Instant::now() < deadline, "the window never filled");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        std::thread::sleep(Duration::from_millis(50));
+        let held: Vec<Envelope> = std::iter::from_fn(|| inbox.try_recv()).collect();
+        let frames = held
+            .iter()
+            .flat_map(Envelope::decode_all)
+            .filter(|f| matches!(f, Ok(Wire::MessageData(_))))
+            .count() as u64;
+        let window = u64::from(ReactorConfig::default().window_frames);
+        assert_eq!(frames, window, "the user holds exactly one window");
+        assert_eq!(counter("rt.reactor.served_frames"), window, "and no more");
+        // Draining the inbox reopens the window; the fetch completes.
+        for envelope in held {
+            admit(&network, 2, &mut user, envelope, &mut rng);
+        }
+        receive_until_complete(&network, &inbox, 2, &mut user, &mut rng);
+        let expect: Vec<u8> = (0..len).map(|i| (i * 59 % 251) as u8).collect();
+        assert_eq!(user.decode().unwrap(), expect);
+        assert!(counter("rt.reactor.served_frames") > window);
+        reactor.shutdown();
+    }
+
+    #[test]
+    fn a_receive_reply_recycle_loop_completes_a_multi_chunk_fetch() {
+        // The windows count what the transport queued at the user, not
+        // acknowledgements: a client that never says what it consumed
+        // still reopens them by dropping what it read.
+        let network = RtNetwork::new();
+        let owner = Identity::from_seed(b"reactor-staged");
+        let len = 384 * 1024;
+        let (batches, manifest) = build_file(&owner, 3, len);
+        let cfg = ReactorConfig {
+            window_frames: 4,
+            ..ReactorConfig::default()
+        };
+        let (reactor, peer_addrs) = spawn_fleet(&network, &owner, batches, 970, 6, cfg);
+        let inbox = network.register(7);
+        let mut user = User::<Gf2p32>::new(owner, manifest).unwrap();
+        let mut rng = ChaChaRng::new([0x5D; 32], *b"rt-download!");
+        for (conn, request) in handshake(&network, &inbox, 7, &mut user, &peer_addrs, &mut rng) {
+            assert!(network.send(7, conn, &request));
+        }
+        receive_until_complete(&network, &inbox, 7, &mut user, &mut rng);
+        let expect: Vec<u8> = (0..len).map(|i| (i * 59 % 251) as u8).collect();
+        assert_eq!(user.decode().unwrap(), expect);
+        reactor.shutdown();
     }
 
     #[test]
@@ -828,7 +865,8 @@ mod tests {
         // the workload must be big (many datagrams) and the loss heavy for
         // the data path itself to observe drops under every CI fault seed.
         let (batches, manifest) = build_file(&owner, 3, 384 * 1024);
-        let (reactor, peer_addrs) = spawn_fleet(&network, &owner, batches, 920, 3);
+        let (reactor, peer_addrs) =
+            spawn_fleet(&network, &owner, batches, 920, 3, ReactorConfig::default());
         network.install_faults(
             FaultPlan::new(fault_seed())
                 .with_loss(0.25)
@@ -878,11 +916,7 @@ mod tests {
         let mut reactor = Reactor::new(
             &network,
             ReactorConfig {
-                window: WindowConfig {
-                    min_frames: 1,
-                    max_frames: 1,
-                    ..WindowConfig::default()
-                },
+                window_frames: 1,
                 ..ReactorConfig::default()
             },
         );
@@ -903,7 +937,7 @@ mod tests {
             950,
             Duration::from_secs(30),
         )
-        .expect("download completes even at window floor");
+        .expect("download completes through a one-frame window");
         reactor.shutdown();
         let snap = network.metrics_snapshot();
         assert!(

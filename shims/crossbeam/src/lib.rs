@@ -217,12 +217,16 @@ pub mod channel {
         }
     }
 
+    /// As in crossbeam, the messages still queued are dropped with the
+    /// receiver, not when the last sender goes.
     impl<T> Drop for Receiver<T> {
         fn drop(&mut self) {
             let mut st = self.inner.state.lock().expect("channel lock");
             st.receiver_alive = false;
+            let queued = std::mem::take(&mut st.queue);
             drop(st);
             self.inner.space.notify_all();
+            drop(queued);
         }
     }
 
@@ -299,6 +303,16 @@ pub mod channel {
             let (tx, rx) = unbounded();
             drop(rx);
             assert_eq!(tx.send(5), Err(SendError(5)));
+        }
+
+        #[test]
+        fn dropping_the_receiver_drops_queued_messages() {
+            let (tx, rx) = unbounded();
+            let msg = std::sync::Arc::new(());
+            tx.send(msg.clone()).unwrap();
+            assert_eq!(std::sync::Arc::strong_count(&msg), 2);
+            drop(rx);
+            assert_eq!(std::sync::Arc::strong_count(&msg), 1, "sender still alive");
         }
 
         #[test]
