@@ -67,6 +67,7 @@
 #![warn(missing_docs)]
 
 mod error;
+mod fetch;
 mod identity;
 mod peer;
 mod profile;

@@ -11,11 +11,12 @@
 //! [`SimRuntime`](crate::SimRuntime), seconds since the fetch began in
 //! [`rt::download_file_with`](crate::rt::download_file_with).
 //!
-//! A driver tells the ladder what happened ([`on_activity`], [`lost`],
+//! Its one caller is the client engine, [`Fetch`](crate::fetch::Fetch),
+//! which tells the ladder what happened ([`on_activity`], [`lost`],
 //! [`admit_replacement`]) and asks it what to do ([`poll`], which appends
 //! [`Action`]s to a caller-owned buffer, and [`next_deadline`]). The ladder
-//! decides *when and whom*; what goes on the wire for each action, the
-//! stats counters and the events stay with the driver.
+//! decides *when and whom*; what goes on the wire for each action and the
+//! stats counters stay with the engine, the events with its drivers.
 //!
 //! [`on_activity`]: RecoveryLadder::on_activity
 //! [`lost`]: RecoveryLadder::lost
@@ -42,10 +43,10 @@ pub(crate) struct LadderConfig {
     pub replacement_base_secs: f64,
 }
 
-/// What the ladder reads of the world, per connection.
+/// The health verdicts the ladder reads, per connection. The user's
+/// handshake/download stage comes from the engine's own `User`, as the
+/// `stage` argument of [`RecoveryLadder::poll`].
 pub(crate) trait LadderView {
-    /// The user's handshake/download stage on `conn` (`None` once dropped).
-    fn stage(&self, conn: u64) -> Option<ConnStage>;
     /// Whether the peer behind `conn` is under a quarantine ban at `now`.
     fn quarantined(&self, conn: u64, now: f64) -> bool;
     /// Whether the health engine marks the peer behind `conn` sick.
@@ -183,14 +184,21 @@ impl RecoveryLadder {
 
     /// Appends every action due at `now`, in the order the driver must
     /// carry them out: lost connections, then ban entries and lapses, then
-    /// stalls, each in connection order. Steady state appends nothing and
-    /// allocates nothing.
-    pub(crate) fn poll(&mut self, now: f64, view: &impl LadderView, actions: &mut Vec<Action>) {
+    /// stalls, each in connection order. `stage` is the user's
+    /// handshake/download stage on a connection (`None` once dropped).
+    /// Steady state appends nothing and allocates nothing.
+    pub(crate) fn poll(
+        &mut self,
+        now: f64,
+        stage: &impl Fn(u64) -> Option<ConnStage>,
+        view: &impl LadderView,
+        actions: &mut Vec<Action>,
+    ) {
         for i in 0..self.conns.len() {
             let c = &mut self.conns[i];
             if c.lost {
                 c.lost = false;
-                self.write_off(i, now, view, actions);
+                self.write_off(i, now, stage, view, actions);
             }
         }
         for i in 0..self.conns.len() {
@@ -199,7 +207,7 @@ impl RecoveryLadder {
                 continue;
             }
             let conn = c.conn;
-            if view.stage(conn) == Some(ConnStage::Refused) {
+            if stage(conn) == Some(ConnStage::Refused) {
                 // Terminal, and nothing to re-plan: a refusing peer never
                 // served a byte.
                 c.dead = true;
@@ -213,7 +221,7 @@ impl RecoveryLadder {
                 if !c.banned {
                     c.banned = true;
                     actions.push(Action::Quarantined { conn });
-                    self.reassign(now, view, actions);
+                    self.reassign(now, stage, view, actions);
                 }
             } else if c.banned {
                 c.banned = false;
@@ -233,13 +241,13 @@ impl RecoveryLadder {
                 continue;
             }
             if c.retries >= self.cfg.max_retries {
-                self.write_off(i, now, view, actions);
+                self.write_off(i, now, stage, view, actions);
                 continue;
             }
             c.retries += 1;
             c.next_attempt = now + self.cfg.retry_backoff_secs * (1u32 << c.retries.min(3)) as f64;
             let (conn, attempt) = (c.conn, c.retries);
-            actions.push(if view.stage(conn) == Some(ConnStage::Downloading) {
+            actions.push(if stage(conn) == Some(ConnStage::Downloading) {
                 Action::Resweep { conn, attempt }
             } else {
                 Action::Rehandshake { conn, attempt }
@@ -247,12 +255,19 @@ impl RecoveryLadder {
         }
     }
 
-    fn write_off(&mut self, i: usize, now: f64, view: &impl LadderView, actions: &mut Vec<Action>) {
+    fn write_off(
+        &mut self,
+        i: usize,
+        now: f64,
+        stage: &impl Fn(u64) -> Option<ConnStage>,
+        view: &impl LadderView,
+        actions: &mut Vec<Action>,
+    ) {
         self.conns[i].dead = true;
         actions.push(Action::WriteOff {
             conn: self.conns[i].conn,
         });
-        self.reassign(now, view, actions);
+        self.reassign(now, stage, view, actions);
     }
 
     /// Picks the survivor that absorbs a dead or banned connection's
@@ -260,8 +275,14 @@ impl RecoveryLadder {
     /// downloading) → not banned → not sick. Banned peers serve only when
     /// every survivor is banned, sick ones only when every remaining one is
     /// sick, so the download cannot strand itself.
-    fn reassign(&mut self, now: f64, view: &impl LadderView, actions: &mut Vec<Action>) {
-        let live = |c: &ConnState| !c.dead && view.stage(c.conn) == Some(ConnStage::Downloading);
+    fn reassign(
+        &mut self,
+        now: f64,
+        stage: &impl Fn(u64) -> Option<ConnStage>,
+        view: &impl LadderView,
+        actions: &mut Vec<Action>,
+    ) {
+        let live = |c: &ConnState| !c.dead && stage(c.conn) == Some(ConnStage::Downloading);
         // Pool sizes by tier: [live, unbanned, unbanned healthy, live healthy].
         let mut n = [0usize; 4];
         for c in self.conns.iter().filter(|c| live(c)) {
@@ -358,10 +379,13 @@ mod tests {
         sick: BTreeSet<u64>,
     }
 
-    impl LadderView for World {
-        fn stage(&self, conn: u64) -> Option<ConnStage> {
-            self.stages.get(&conn).copied()
+    impl World {
+        fn poll(&self, ladder: &mut RecoveryLadder, now: f64, actions: &mut Vec<Action>) {
+            ladder.poll(now, &|conn| self.stages.get(&conn).copied(), self, actions);
         }
+    }
+
+    impl LadderView for World {
         fn quarantined(&self, conn: u64, _now: f64) -> bool {
             self.banned.contains(&conn)
         }
@@ -414,7 +438,7 @@ mod tests {
                 Lift(conn) => drop(world.banned.remove(&conn)),
                 Stage(conn, stage) => drop(world.stages.insert(conn, stage)),
             }
-            ladder.poll(now, world, &mut actions);
+            world.poll(ladder, now, &mut actions);
             assert_eq!(actions, want, "row {i}: t = {now}, {ev:?}");
             actions.clear();
         }
@@ -635,12 +659,12 @@ mod tests {
             world.sick = sick.iter().copied().collect();
             let mut actions = Vec::new();
             // Entering the ban is itself a re-plan (cursor 0).
-            ladder.poll(0.0, &world, &mut actions);
+            world.poll(&mut ladder, 0.0, &mut actions);
             assert_eq!(actions.len(), 2 * banned.len(), "{banned:?} {sick:?}");
             for (lost, (target, deprioritized)) in [7, 8, 9].into_iter().zip(want) {
                 actions.clear();
                 ladder.lost(lost);
-                ladder.poll(0.25, &world, &mut actions);
+                world.poll(&mut ladder, 0.25, &mut actions);
                 assert_eq!(
                     actions,
                     [
@@ -769,7 +793,7 @@ mod tests {
         // An action is due now: no wait (the driver polls at its base
         // cadence).
         assert_eq!(ladder.next_deadline(1.25), (0.0, false));
-        ladder.poll(1.25, &world, &mut actions);
+        world.poll(&mut ladder, 1.25, &mut actions);
         assert_eq!(
             actions,
             [Resweep {
@@ -787,7 +811,7 @@ mod tests {
         ladder.lost(2);
         assert_eq!(ladder.next_deadline(1.5), (0.0, false));
         actions.clear();
-        ladder.poll(1.5, &world, &mut actions);
+        world.poll(&mut ladder, 1.5, &mut actions);
         assert_eq!(
             actions,
             [
@@ -801,11 +825,11 @@ mod tests {
         // Only a banned peer left: the cap, so the lapse is noticed, and
         // the wait counts as backoff.
         world.banned.insert(1);
-        ladder.poll(1.5, &world, &mut actions);
+        world.poll(&mut ladder, 1.5, &mut actions);
         assert_eq!(ladder.next_deadline(1.75), (1.0, true));
         // Nobody left at all.
         ladder.lost(1);
-        ladder.poll(2.0, &world, &mut actions);
+        world.poll(&mut ladder, 2.0, &mut actions);
         assert!(ladder.all_dead());
         assert_eq!(ladder.next_deadline(2.0), (1.0, false));
     }
@@ -853,12 +877,10 @@ mod tests {
         result.is_err() && user.stage(0) != Some(Downloading)
     }
 
-    struct Stages<'a>(&'a User<Gf2p32>);
+    /// No bans and nobody sick.
+    struct Healthy;
 
-    impl LadderView for Stages<'_> {
-        fn stage(&self, conn: u64) -> Option<ConnStage> {
-            self.0.stage(conn)
-        }
+    impl LadderView for Healthy {
         fn quarantined(&self, _conn: u64, _now: f64) -> bool {
             false
         }
@@ -877,7 +899,7 @@ mod tests {
         let result1 = reply(&mut peer, response1, &mut r);
         // ...when the connection stalls and the ladder re-runs the handshake.
         let mut actions = Vec::new();
-        ladder.poll(1.0, &Stages(&user), &mut actions);
+        ladder.poll(1.0, &|conn| user.stage(conn), &Healthy, &mut actions);
         assert_eq!(
             actions,
             [Rehandshake {
@@ -925,7 +947,7 @@ mod tests {
         assert!(user.on_message(0, refusal, &mut r).unwrap().is_empty());
         assert_eq!(user.stage(0), Some(Refused));
         let mut actions = Vec::new();
-        ladder.poll(0.5, &Stages(&user), &mut actions);
+        ladder.poll(0.5, &|conn| user.stage(conn), &Healthy, &mut actions);
         assert!(actions.is_empty() && ladder.all_dead());
     }
 
@@ -956,7 +978,7 @@ mod tests {
         assert!(user.stats().bytes_by_peer.is_empty() && user.window_bytes().is_empty());
         // The only peer is gone: the fetch ends in a typed error.
         let mut actions = Vec::new();
-        ladder.poll(0.5, &Stages(&user), &mut actions);
+        ladder.poll(0.5, &|conn| user.stage(conn), &Healthy, &mut actions);
         assert!(actions.is_empty() && ladder.all_dead());
     }
 }

@@ -11,8 +11,8 @@
 //! few) serves hundreds of [`Peer`](crate::Peer) state machines, each
 //! connection bounded by the frames its receiver still holds. The
 //! client side is [`download_file_with`], a blocking loop on the caller's
-//! thread that drives the same recovery ladder as the simulator, on wall
-//! seconds.
+//! thread that drives the client engine the simulator also drives
+//! (per-frame bookkeeping and the recovery ladder), on wall seconds.
 //!
 //! # Example
 //!
@@ -43,13 +43,14 @@ pub use reactor::{Reactor, ReactorConfig, MAX_COALESCE};
 pub use transport::{Envelope, FrameIter, RtNetwork};
 
 use crate::error::SystemError;
+use crate::fetch::{Fetch, Out};
 use crate::protocol::Wire;
-use crate::recovery::{Action, LadderConfig, LadderView, RecoveryLadder};
-use crate::user::{ConnStage, User};
+use crate::recovery::{LadderConfig, LadderView};
+use crate::user::User;
 use asymshare_crypto::chacha20::ChaChaRng;
 use asymshare_gf::{block, Gf2p32};
 use asymshare_obs::Value;
-use asymshare_rlnc::{CodecError, FileManifest, MessageId, SealedBlock};
+use asymshare_rlnc::{CodecError, SealedBlock};
 use crossbeam::channel;
 use std::sync::Arc;
 use std::thread::{Scope, ScopedJoinHandle};
@@ -91,25 +92,16 @@ impl DownloadOptions {
 /// wall seconds (the ladder doubles it per consecutive request).
 const REPL_BACKOFF_BASE_SECS: f64 = 0.1;
 
-/// What the download's [`RecoveryLadder`] sees: the user's connection
-/// stages and the network's health verdicts. The connection id is the
-/// peer's address; verdicts are read on the event sink's clock.
-struct DownloadView<'a> {
-    user: &'a User<Gf2p32>,
-    network: &'a RtNetwork,
-}
-
-impl LadderView for DownloadView<'_> {
-    fn stage(&self, conn: u64) -> Option<ConnStage> {
-        self.user.stage(conn)
-    }
-
+/// The network's health verdicts, as a download's recovery ladder reads
+/// them: the connection id is the peer's address, and verdicts are read on
+/// the event sink's clock.
+impl LadderView for RtNetwork {
     fn quarantined(&self, conn: u64, _now: f64) -> bool {
-        self.network.peer_quarantined(conn)
+        self.peer_quarantined(conn)
     }
 
     fn sick(&self, conn: u64) -> bool {
-        self.network.peer_is_sick(conn)
+        self.peer_is_sick(conn)
     }
 }
 
@@ -302,28 +294,16 @@ pub fn download_file(
 
 /// [`download_file`] with explicit self-healing knobs.
 ///
-/// The loop survives lossy links, stalled or churned peers, and corrupted
-/// messages: any peer silent past the stall deadline is re-requested or
-/// reconnected with bounded exponential backoff; a peer that exhausts its
-/// retries (or whose address deregisters) is written off and its demand
-/// re-planned onto the survivors; a digest-rejected message triggers a
-/// [`Wire::ReplacementRequest`] instead of silently shrinking the batch,
-/// rate-limited per `(peer, chunk)` with bounded exponential backoff so a
-/// polluting sender cannot provoke a request storm. When the network's
-/// health engine quarantines a peer (see
-/// [`RtNetwork::peer_quarantined`]), the loop stops its transmission,
-/// re-plans its demand onto honest survivors, and pauses its stall clock
-/// until the timed ban lapses — a Byzantine peer is excluded instead of
-/// endlessly retried. *When and whom* is decided by the same recovery
-/// ladder the simulator drives; this loop puts its decisions on the wire
-/// and tallies them in the user's
-/// [`SessionStats`](crate::user::SessionStats).
-///
-/// A protocol error raised on a connection that is not (yet) downloading —
-/// a stale reply to a handshake the ladder has since re-run, a late frame
-/// from a written-off peer — costs that connection, not the fetch: it is
-/// dropped (`rt.heal`/`handshake_error`) and the ladder recovers or writes
-/// off the peer. Errors on an authenticated connection stay fatal.
+/// The real-time driver of the client engine the simulator also drives:
+/// this loop owns the inbox, the wait, the decoders, the deadline and the
+/// final feedback; the engine decides what each datagram (timed by when it
+/// landed in the inbox) and each passing moment call for — re-requests,
+/// re-handshakes and write-offs of silent peers with bounded backoff,
+/// rate-limited [`Wire::ReplacementRequest`]s for rejected messages, a stop
+/// for a peer the network quarantines ([`RtNetwork::peer_quarantined`]) —
+/// and counts it in the user's [`SessionStats`](crate::user::SessionStats).
+/// A protocol error on a connection that is not (yet) downloading costs
+/// that connection (`rt.heal`/`handshake_error`), not the fetch.
 ///
 /// Each chunk is sealed ([`User::seal_chunk`]) the moment it reaches rank
 /// `k` and decoded into its slice of the returned buffer while the loop
@@ -335,7 +315,7 @@ pub fn download_file(
 /// [`SystemError::AllPeersUnavailable`] when every peer is written off
 /// before completion, [`SystemError::AuthenticationRejected`] when every
 /// peer refused, [`SystemError::Codec`] (not-enough-messages) on timeout,
-/// or fatal protocol errors.
+/// or a protocol error on an authenticated connection.
 pub fn download_file_with(
     network: &RtNetwork,
     my_addr: u64,
@@ -378,86 +358,147 @@ fn fetch(
 ) -> Result<(), SystemError> {
     let inbox = network.register(my_addr);
     let mut rng = ChaChaRng::new([0x5D; 32], *b"rt-download!");
-    let file_id = user.file_id();
     let started = Instant::now();
-    // The ladder's clock: seconds since the download started.
-    let secs = |t: Instant| t.duration_since(started).as_secs_f64();
+    // The engine's clock: seconds since the download started.
+    let secs = |t: Instant| t.saturating_duration_since(started).as_secs_f64();
     // Observability: handles resolved once (inert when the network was not
     // built with `with_observability`).
     let events = network.events().clone();
     let digest_rejections = network.metrics().counter("rt.download.digest_rejections");
-    let replacement_rtt_us = network
+    let rtt_us = network
         .metrics()
         .histogram("rt.download.replacement_rtt_us");
-    // `(peer, chunk)` pairs with an outstanding replacement request, for
-    // round-trip timing (first request wins; resolved when that peer next
-    // sends a message of the chunk).
-    let mut pending_repl: std::collections::HashMap<(u64, u32), Instant> =
-        std::collections::HashMap::new();
-    // Per-peer message counts flushed a few times a second as
-    // `rt.download`/`window` events — the health engine's rate
-    // denominators. Idle (and with observability off, always empty).
-    let mut window_msgs: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
-    let mut window_flushed = started;
-    const WINDOW_FLUSH: Duration = Duration::from_millis(250);
-    // Connect to every peer; the connection id is the peer's address so
-    // both sides key their session state consistently.
-    let mut ladder = RecoveryLadder::new(
-        LadderConfig {
-            stall_secs: options.stall_timeout.as_secs_f64(),
-            retry_backoff_secs: options.retry_backoff.as_secs_f64(),
-            max_retries: options.max_peer_retries,
-            replacement_base_secs: REPL_BACKOFF_BASE_SECS,
-        },
-        peers.iter().map(|&(addr, _)| addr),
-        0.0,
-    );
-    for &(addr, key) in peers {
-        let commit = user.connect(addr, key, &mut rng);
-        if !network.send(my_addr, addr, &commit) {
-            ladder.lost(addr);
+    let download = |kind, fields: &[_]| events.emit("rt.download", kind, fields);
+    let heal = |kind, fields: &[_]| events.emit("rt.heal", kind, fields);
+    // Carries out what the engine asked for, in order: frames go on the
+    // wire (a send that fails reports the peer lost), notes become events,
+    // and a chunk at rank `k` leaves the session for the decoders.
+    let mut carry_out = |fetch: &mut Fetch<&mut User<Gf2p32>>, out: &mut Vec<Out>| {
+        for item in out.drain(..) {
+            match item {
+                Out::Send(conn, wire) => {
+                    if !network.send(my_addr, conn, &wire) {
+                        fetch.lost(conn);
+                    }
+                }
+                Out::Accepted { .. } | Out::BanLapsed { .. } => {}
+                Out::Ranked { chunk, last } => {
+                    if let Some(block) = fetch.user_mut().seal_chunk(chunk) {
+                        decoders.submit(chunk, block, last);
+                    }
+                }
+                Out::DigestReject {
+                    conn,
+                    chunk,
+                    replaced,
+                } => {
+                    digest_rejections.inc();
+                    let fields = [("peer", conn.into()), ("chunk", chunk.into())];
+                    download("digest_reject", &fields);
+                    if replaced {
+                        download("replacement_request", &fields);
+                    }
+                }
+                Out::Served {
+                    conn,
+                    chunk,
+                    requested,
+                    at,
+                } => {
+                    let rtt = ((at - requested) * 1e6) as u64;
+                    rtt_us.record(rtt);
+                    let fields = [
+                        ("peer", conn.into()),
+                        ("chunk", chunk.into()),
+                        ("rtt_us", rtt.into()),
+                    ];
+                    download("replacement_served", &fields);
+                }
+                Out::Duplicate { conn } => download("duplicate", &[("peer", conn.into())]),
+                Out::Stale { conn } => heal("handshake_error", &[("peer", conn.into())]),
+                Out::Retry { conn, attempt } => {
+                    heal(
+                        "retry",
+                        &[("peer", conn.into()), ("attempt", attempt.into())],
+                    );
+                }
+                Out::WriteOff { conn } => heal("write_off", &[("peer", conn.into())]),
+                Out::Reassign {
+                    target,
+                    deprioritized,
+                } => {
+                    let fields = [
+                        ("target", target.into()),
+                        ("deprioritized", deprioritized.into()),
+                    ];
+                    heal("reassign", &fields);
+                }
+                Out::Quarantine { conn } => {
+                    let until = network.peer_quarantined_until(conn).unwrap_or(0.0);
+                    heal(
+                        "quarantine",
+                        &[("peer", conn.into()), ("until", until.into())],
+                    );
+                }
+            }
         }
-    }
+    };
+    // Each peer's coded frames since the last report, as `window` events —
+    // the health engine's rate denominators.
+    let report_windows = |fetch: &mut Fetch<&mut User<Gf2p32>>| {
+        fetch.drain_window(|peer, counts| {
+            if counts.frames > 0 {
+                download(
+                    "window",
+                    &[("peer", peer.into()), ("msgs", counts.frames.into())],
+                );
+            }
+        });
+    };
+    let ladder = LadderConfig {
+        stall_secs: options.stall_timeout.as_secs_f64(),
+        retry_backoff_secs: options.retry_backoff.as_secs_f64(),
+        max_retries: options.max_peer_retries,
+        replacement_base_secs: REPL_BACKOFF_BASE_SECS,
+    };
+    // The connection id is the peer's address, so both sides key their
+    // session state consistently.
+    let mut out = Vec::new();
+    let mut fetch = Fetch::new(user, peers, ladder, 0.0, &mut rng, &mut out);
+    carry_out(&mut fetch, &mut out);
     let deadline = started + options.timeout;
-    // Normally empty: the ladder appends only when something is due.
-    let mut actions: Vec<Action> = Vec::new();
-    // The frames of the datagram in hand, drained before the next receive.
+    // The frames of the datagram in hand, drained by the engine.
     let mut frames: Vec<Wire> = Vec::new();
-    while !user.is_complete() {
+    let mut windows_reported = 0.0;
+    while !fetch.user().is_complete() {
         network.pump();
-        if !window_msgs.is_empty() && window_flushed.elapsed() >= WINDOW_FLUSH {
-            flush_windows(&mut window_msgs, &events);
-            window_flushed = Instant::now();
-        }
         let now = Instant::now();
+        if events.is_enabled() && secs(now) - windows_reported >= 0.25 {
+            report_windows(&mut fetch);
+            windows_reported = secs(now);
+        }
         let remaining = deadline.saturating_duration_since(now);
         if remaining.is_zero() {
             return Err(SystemError::Codec(CodecError::NotEnoughMessages {
-                have: user.independent_count(),
-                need: user.messages_needed(),
+                have: fetch.user().independent_count(),
+                need: fetch.user().messages_needed(),
             }));
         }
-        // Adaptive poll: while no recovery action can possibly fire — every
-        // live peer is quarantined (its slot serves nothing), inside its retry
-        // backoff, or simply not yet past its stall deadline — sleep toward
-        // the earliest recovery deadline instead of busy re-polling at the
-        // base cadence. An arriving datagram still wakes `recv_timeout`
-        // immediately, so extending the sleep never delays real traffic.
-        // Only the extra wall-clock spent honoring a backoff or a ban is
-        // surfaced as `SessionStats::backoff_wait_us`; waiting on a slow but
-        // healthy link is ordinary waiting.
+        // Adaptive poll: while no recovery action can fire, sleep toward the
+        // earliest recovery deadline instead of re-polling at the base
+        // cadence; an arriving datagram still wakes `recv_timeout` at once.
+        // Only the extra wait spent honoring a backoff or a ban counts as
+        // `SessionStats::backoff_wait_us`.
         const BASE_POLL: Duration = Duration::from_millis(50);
-        let (wait, backing_off) = ladder.next_deadline(secs(now));
+        let (wait, backing_off) = fetch.next_deadline(secs(now));
         let poll = Duration::from_secs_f64(wait).max(BASE_POLL).min(remaining);
         let wait_started = Instant::now();
         let received = inbox.recv_timeout(poll);
         if backing_off && poll > BASE_POLL {
             let extra = wait_started.elapsed().saturating_sub(BASE_POLL);
-            user.stats_mut().backoff_wait_us += extra.as_micros() as u64;
+            fetch.user_mut().stats_mut().backoff_wait_us += extra.as_micros() as u64;
         }
         if let Some(envelope) = received {
-            let from = envelope.from;
-            ladder.on_activity(from, secs(Instant::now()));
             // A serving peer coalesces several frames into one datagram;
             // each MessageData payload is a zero-copy handle into the
             // envelope's buffer, fed straight to the decoder. A malformed
@@ -469,210 +510,35 @@ fn fetch(
                     .decode_all()
                     .map_while(|frame| frame.map_err(|e| malformed = Some(e)).ok()),
             );
-            // Coded messages that arrive together are hashed together (four
-            // digests per pass of the MD5 kernel), then admitted one by one.
-            let coded = frames.iter().filter(|w| matches!(w, Wire::MessageData(_)));
-            if coded.count() >= 2 {
-                user.prehash(from, &mut frames);
-            }
-            for wire in frames.drain(..) {
-                let mut coded_chunk = None;
-                if let Wire::MessageData(msg) = &wire {
-                    let chunk = FileManifest::chunk_of(msg.message_id());
-                    coded_chunk = Some(chunk);
-                    if events.is_enabled() {
-                        *window_msgs.entry(from).or_insert(0) += 1;
-                    }
-                    // An arriving message closes the round trip its sender
-                    // owes for its chunk (checked only while one is
-                    // outstanding).
-                    if !pending_repl.is_empty() {
-                        if let Some(t0) = pending_repl.remove(&(from, chunk)) {
-                            let rtt = t0.elapsed().as_micros() as u64;
-                            replacement_rtt_us.record(rtt);
-                            events.emit(
-                                "rt.download",
-                                "replacement_served",
-                                &[
-                                    ("peer", from.into()),
-                                    ("chunk", chunk.into()),
-                                    ("rtt_us", rtt.into()),
-                                ],
-                            );
-                        }
-                    }
-                }
-                match user.on_message(from, wire, &mut rng) {
-                    Ok(replies) => {
-                        for (conn, reply) in replies {
-                            if !network.send(my_addr, conn, &reply) {
-                                ladder.lost(conn);
-                            }
-                        }
-                        // The message that brought its chunk to rank `k`:
-                        // the chunk's rows leave the session here.
-                        if let Some(chunk) = coded_chunk {
-                            if let Some(block) = user.seal_chunk(chunk) {
-                                decoders.submit(chunk, block, user.is_complete());
-                            }
-                        }
-                    }
-                    // Digest-rejected message: corrupted or tampered in
-                    // transit. Ask the sender for a replacement from the
-                    // same chunk — through the per-(peer, chunk) rate
-                    // limiter — and move on. The rejected bytes never
-                    // count toward the sender's feedback credit.
-                    Err(SystemError::Codec(CodecError::AuthenticationFailed { id })) => {
-                        digest_rejections.inc();
-                        let chunk = FileManifest::chunk_of(MessageId(id));
-                        events.emit(
-                            "rt.download",
-                            "digest_reject",
-                            &[("peer", from.into()), ("chunk", chunk.into())],
-                        );
-                        let now = Instant::now();
-                        if ladder.admit_replacement(from, chunk, secs(now)) {
-                            user.stats_mut().replacements += 1;
-                            events.emit(
-                                "rt.download",
-                                "replacement_request",
-                                &[("peer", from.into()), ("chunk", chunk.into())],
-                            );
-                            pending_repl.entry((from, chunk)).or_insert(now);
-                            let request = Wire::ReplacementRequest { file_id, chunk };
-                            if !network.send(my_addr, from, &request) {
-                                ladder.lost(from);
-                            }
-                        }
-                    }
-                    // A reconnect (or a replaying adversary) re-sent a
-                    // message we already hold — harmless to the decoder,
-                    // but the health engine's replay detector counts the
-                    // per-peer duplicate rate.
-                    Err(SystemError::Codec(CodecError::DuplicateMessage { .. })) => {
-                        events.emit("rt.download", "duplicate", &[("peer", from.into())]);
-                    }
-                    // Not (yet) downloading from this peer: a stale reply
-                    // to a handshake the ladder re-ran, or a late frame on
-                    // a written-off connection. Nothing of it was trusted;
-                    // a wedged handshake stalls and the ladder re-runs it
-                    // or writes the peer off.
-                    Err(_) if user.stage(from) != Some(ConnStage::Downloading) => {
-                        events.emit("rt.heal", "handshake_error", &[("peer", from.into())]);
-                    }
-                    // Every other error (decoder parameters, protocol
-                    // state on an authenticated connection) is genuine
-                    // and must surface.
-                    Err(e) => return Err(e),
-                }
-            }
+            // Timed by when it landed, not when the loop got to it.
+            let at = secs(envelope.arrived);
+            let result = fetch.on_datagram(envelope.from, &mut frames, at, &mut rng, &mut out);
+            carry_out(&mut fetch, &mut out);
+            result?;
             if let Some(e) = malformed {
                 return Err(e);
             }
             // The decoder copied what it needed; hand the buffer back.
             network.recycle_envelope(envelope);
         }
-        if user.is_complete() {
+        if fetch.user().is_complete() {
             break;
         }
-        if peers
-            .iter()
-            .all(|&(addr, _)| user.stage(addr) == Some(ConnStage::Refused))
-        {
-            return Err(SystemError::AuthenticationRejected {
-                context: "all peers refused".to_owned(),
-            });
-        }
-        // Recovery pass: carry out whatever the ladder says is due. A send
-        // that fails here reports the peer lost, which the next poll of the
-        // same pass turns into its write-off and re-plan.
+        // Recovery pass: a send that fails reports the peer lost, which the
+        // next poll of the same pass turns into its write-off and re-plan.
         let now = secs(Instant::now());
         loop {
-            ladder.poll(now, &DownloadView { user, network }, &mut actions);
-            if actions.is_empty() {
+            let result = fetch.poll(now, network, &mut rng, &mut out);
+            let acted = !out.is_empty();
+            carry_out(&mut fetch, &mut out);
+            result?;
+            if !acted {
                 break;
             }
-            for action in actions.drain(..) {
-                match action {
-                    Action::Resweep { conn, attempt } | Action::Rehandshake { conn, attempt } => {
-                        user.stats_mut().retries += 1;
-                        events.emit(
-                            "rt.heal",
-                            "retry",
-                            &[("peer", conn.into()), ("attempt", attempt.into())],
-                        );
-                        let delivered = if matches!(action, Action::Resweep { .. }) {
-                            // The stream dried up or its messages were
-                            // lost: restart the peer's sweep (duplicates
-                            // are rejected cheaply) and re-declare the
-                            // chunks we already hold.
-                            request_sweep(network, my_addr, user, conn)
-                        } else {
-                            // Handshake wedged (a control message was
-                            // lost): re-run it from the commit.
-                            peers.iter().find(|p| p.0 == conn).is_some_and(|&(_, key)| {
-                                let commit = user.connect(conn, key, &mut rng);
-                                network.send(my_addr, conn, &commit)
-                            })
-                        };
-                        if !delivered {
-                            ladder.lost(conn);
-                        }
-                    }
-                    Action::WriteOff { conn } => {
-                        user.drop_conn(conn);
-                        events.emit("rt.heal", "write_off", &[("peer", conn.into())]);
-                    }
-                    // Restart the survivor's sweep so messages only the
-                    // dead or banned peer had sent get re-covered.
-                    Action::Reassign {
-                        target,
-                        deprioritized,
-                    } => {
-                        if request_sweep(network, my_addr, user, target) {
-                            user.stats_mut().reassignments += 1;
-                            events.emit(
-                                "rt.heal",
-                                "reassign",
-                                &[
-                                    ("target", target.into()),
-                                    ("deprioritized", deprioritized.into()),
-                                ],
-                            );
-                        } else {
-                            ladder.lost(target);
-                        }
-                    }
-                    Action::Quarantined { conn } => {
-                        user.stats_mut().quarantines += 1;
-                        let until = network.peer_quarantined_until(conn).unwrap_or(0.0);
-                        events.emit(
-                            "rt.heal",
-                            "quarantine",
-                            &[("peer", conn.into()), ("until", until.into())],
-                        );
-                        network.send(my_addr, conn, &Wire::StopTransmission { file_id });
-                    }
-                    // Probe the peer again with a fresh sweep at once (it
-                    // keeps earning quarantine back if it still attacks).
-                    Action::BanLapsed { conn } => {
-                        if user.stage(conn) == Some(ConnStage::Downloading) {
-                            request_sweep(network, my_addr, user, conn);
-                        }
-                        ladder.on_activity(conn, now);
-                    }
-                }
-            }
-        }
-        if ladder.all_dead() {
-            return Err(SystemError::AllPeersUnavailable {
-                have: user.independent_count(),
-                need: user.messages_needed(),
-            });
         }
     }
     // Close the last partial health window before reporting back.
-    flush_windows(&mut window_msgs, &events);
+    report_windows(&mut fetch);
     // Final feedback to the home peer (the off-line informational update).
     // The window end doubles as the report's anti-replay counter on the
     // peer side (each accepted report must strictly advance it), so use
@@ -682,41 +548,10 @@ fn fetch(
     let window_end = SystemTime::now()
         .duration_since(UNIX_EPOCH)
         .map_or(0, |d| d.as_micros() as u64);
-    let report = user.make_feedback(window_end, &mut rng);
+    let report = fetch.user_mut().make_feedback(window_end, &mut rng);
     network.send(my_addr, home_peer, &Wire::Feedback(report));
     // Only now wait: what the worker still has queued is all that is left.
-    Ok(decoders.finish(user)?)
-}
-
-/// Emits the accumulated per-peer message counts as `rt.download`/`window`
-/// events (peer order ascending, so logs are stable) and clears the map.
-fn flush_windows(
-    window_msgs: &mut std::collections::HashMap<u64, u64>,
-    events: &asymshare_obs::EventSink,
-) {
-    if window_msgs.is_empty() {
-        return;
-    }
-    let mut counts: Vec<(u64, u64)> = window_msgs.drain().collect();
-    counts.sort_unstable();
-    for (peer, msgs) in counts {
-        events.emit(
-            "rt.download",
-            "window",
-            &[("peer", peer.into()), ("msgs", msgs.into())],
-        );
-    }
-}
-
-/// (Re)starts `addr`'s sweep and tells it to skip every chunk the user has
-/// already decoded. `false` when the peer's address is gone.
-fn request_sweep(network: &RtNetwork, my_addr: u64, user: &User<Gf2p32>, addr: u64) -> bool {
-    let file_id = user.file_id();
-    network.send(my_addr, addr, &Wire::FileRequest { file_id })
-        && user
-            .completed_chunks()
-            .into_iter()
-            .all(|chunk| network.send(my_addr, addr, &Wire::StopChunk { file_id, chunk }))
+    Ok(decoders.finish(fetch.user_mut())?)
 }
 
 #[cfg(test)]
@@ -726,7 +561,7 @@ mod tests {
     use crate::peer::Peer;
     use asymshare_gf::FieldKind;
     use asymshare_netsim::{AdversaryStrategy, NodeId};
-    use asymshare_rlnc::{ChunkedEncoder, DigestKind, EncodedMessage, FileId};
+    use asymshare_rlnc::{ChunkedEncoder, DigestKind, EncodedMessage, FileId, FileManifest};
 
     fn build_file(
         owner: &Identity,

@@ -114,6 +114,9 @@ pub struct Envelope {
     pub to: u64,
     /// Serialized [`Wire`] bytes.
     pub bytes: Bytes,
+    /// When the datagram landed in the receiver's inbox — for one held
+    /// back by injected jitter, when the delay queue released it.
+    pub arrived: Instant,
     /// The sender's count of this datagram's frames, if it keeps one.
     _held: Option<Held>,
 }
@@ -126,6 +129,7 @@ impl Clone for Envelope {
             from: self.from,
             to: self.to,
             bytes: self.bytes.clone(),
+            arrived: self.arrived,
             _held: None,
         }
     }
@@ -466,9 +470,11 @@ impl RtNetwork {
         // Deliver oldest-first so delayed traffic stays roughly ordered.
         due.sort_by_key(|(at, _, _)| *at);
         let registry = self.registry.read();
-        for (_, to, envelope) in due {
+        let released = Instant::now();
+        for (_, to, mut envelope) in due {
             if let Some(tx) = registry.get(&to) {
                 self.obs.recv_bytes.add(envelope.bytes.len() as u64);
+                envelope.arrived = released;
                 let _ = tx.send(envelope);
             }
         }
@@ -605,14 +611,16 @@ impl RtNetwork {
                     fault.delayed.fetch_add(1, Ordering::Relaxed);
                     let bytes = Bytes::from(buf);
                     let mut held = fault.held.lock().expect("delay queue lock");
+                    let due = Instant::now() + extra;
                     for _ in 0..copies {
                         held.push((
-                            Instant::now() + extra,
+                            due,
                             to,
                             Envelope {
                                 from,
                                 to,
                                 bytes: bytes.clone(),
+                                arrived: due,
                                 _held: hold(),
                             },
                         ));
@@ -624,6 +632,7 @@ impl RtNetwork {
         drop(guard);
         let bytes = Bytes::from(buf);
         if let Some(tx) = self.registry.read().get(&to) {
+            let arrived = Instant::now();
             for _ in 0..copies {
                 self.obs.recv_bytes.add(bytes.len() as u64);
                 // A receiver gone since the lookup hands the envelope back,
@@ -632,6 +641,7 @@ impl RtNetwork {
                     from,
                     to,
                     bytes: bytes.clone(),
+                    arrived,
                     _held: hold(),
                 });
             }
@@ -1236,6 +1246,31 @@ mod tests {
         net.pump();
         assert!(inbox.try_recv().is_some(), "held message flushed as due");
         assert_eq!(net.fault_stats().delayed, 1);
+    }
+
+    /// An envelope carries the instant it landed in the inbox — for a
+    /// jitter-held one, when the delay queue released it — so a receiver
+    /// that reaches it late still knows when it arrived.
+    #[test]
+    fn envelopes_carry_their_enqueue_time() {
+        let net = RtNetwork::new();
+        let inbox = net.register(9);
+        let before = Instant::now();
+        assert!(net.send(1, 9, &Wire::FileRequest { file_id: 1 }));
+        let sent = Instant::now();
+        std::thread::sleep(Duration::from_millis(20));
+        let envelope = inbox.try_recv().expect("queued");
+        assert!(before <= envelope.arrived && envelope.arrived <= sent);
+        assert_eq!(envelope.clone().arrived, envelope.arrived);
+
+        net.install_faults(FaultPlan::new(13).with_jitter(0.005));
+        net.send(1, 9, &Wire::FileRequest { file_id: 2 });
+        std::thread::sleep(Duration::from_millis(10));
+        assert!(inbox.try_recv().is_none(), "held");
+        let released = Instant::now();
+        net.pump();
+        let envelope = inbox.try_recv().expect("released by the pump");
+        assert!(released <= envelope.arrived && envelope.arrived <= Instant::now());
     }
 
     #[test]

@@ -9,13 +9,14 @@
 //! Eq.-2 weights accumulated from their users' signed feedback.
 
 use crate::error::SystemError;
+use crate::fetch::{Fetch, Out, Tally};
 use crate::identity::Identity;
 use crate::peer::{KeyBytes, Peer};
 use crate::profile::{ProfileConfig, ProfileStore};
 use crate::protocol::Wire;
-use crate::recovery::{Action, LadderConfig, LadderView, RecoveryLadder};
+use crate::recovery::{LadderConfig, LadderView};
 use crate::serve::{self, ServePass};
-use crate::user::{ConnStage, SessionStats, User};
+use crate::user::{SessionStats, User};
 use asymshare_crypto::chacha20::ChaChaRng;
 use asymshare_gf::{FieldKind, Gf2p32};
 use asymshare_netsim::{
@@ -23,9 +24,9 @@ use asymshare_netsim::{
     SimNet, SimTime,
 };
 use asymshare_obs::health::{HealthConfig, HealthEngine, HealthReport, HealthStream};
-use asymshare_obs::{Counter, EventSink, Gauge, Histogram, Registry, Snapshot};
+use asymshare_obs::{Counter, EventSink, Gauge, Histogram, Registry, Snapshot, Value};
 use asymshare_rlnc::{
-    ChunkedEncoder, CodecError, DigestKind, EncodedMessage, FileId, FileManifest, MessageId,
+    ChunkedEncoder, CodecError, DigestKind, EncodedMessage, FileId, FileManifest,
 };
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -131,7 +132,9 @@ struct Participant {
 }
 
 struct Session {
-    user: User<Gf2p32>,
+    /// The download's client engine: the user, its recovery ladder on
+    /// simulated seconds, and what each connection delivered.
+    fetch: Fetch,
     home: usize,
     remote_node: NodeId,
     // Conn id -> participant index. Ordered: the slot driver iterates this
@@ -139,18 +142,10 @@ struct Session {
     // fault plan's next RNG draws — hash order here would make seeded runs
     // diverge between runtime instances.
     conns: BTreeMap<u64, usize>,
-    /// Stall, write-off, re-plan, ban and replacement-rate decisions for
-    /// this session's connections, on simulated seconds.
-    ladder: RecoveryLadder,
     started_at: SimTime,
     finished_at: Option<SimTime>,
-    bytes_by_peer: HashMap<usize, u64>,
-    /// Digest-accepted data messages per serving participant — the
-    /// "delivered" side of the profile loss ratio.
-    msgs_by_peer: HashMap<usize, u64>,
-    /// Data flows lost in transit per serving participant — the "lost"
-    /// side of the profile loss ratio.
-    drops_by_peer: HashMap<usize, u64>,
+    /// The error the engine ended the fetch with.
+    failed: Option<SystemError>,
     /// Lifecycle instants for the trace timeline (filled only while the
     /// event sink is enabled; emitted as closed spans at completion).
     trace: SessionTrace,
@@ -160,12 +155,9 @@ struct Session {
 /// nested spans when the session completes.
 #[derive(Debug, Default)]
 struct SessionTrace {
-    conn_started: HashMap<u64, f64>,
     conn_last: HashMap<u64, f64>,
     chunk_first: HashMap<u32, f64>,
     chunk_done: HashMap<u32, f64>,
-    /// Pending replacement requests: `(conn, chunk)` → request instant.
-    pending_repl: HashMap<(u64, u32), f64>,
     /// Served replacements: `(conn, chunk, requested_at, served_at)`.
     repl_spans: Vec<(u64, u32, f64, f64)>,
     spans_emitted: bool,
@@ -232,29 +224,36 @@ impl SimObs {
     }
 }
 
-/// What a session's [`RecoveryLadder`] sees: the user's connection stages
-/// and, through the connection → participant map, the health engine's
-/// verdicts (nobody is banned or sick without an engine).
+impl Session {
+    /// What the engine tallied for participant `p`, over every connection
+    /// to it.
+    fn peer_tally(&self, p: usize) -> Tally {
+        let mut sum = Tally::default();
+        for (&conn, _) in self.conns.iter().filter(|&(_, &q)| q == p) {
+            let t = self.fetch.tally(conn);
+            (sum.msgs, sum.bytes, sum.drops) =
+                (sum.msgs + t.msgs, sum.bytes + t.bytes, sum.drops + t.drops);
+        }
+        sum
+    }
+}
+
+/// The health engine's verdicts as a session's recovery ladder reads them,
+/// through the connection → participant map (nobody is banned or sick
+/// without an engine).
 struct SessionView<'a> {
-    user: &'a User<Gf2p32>,
     conns: &'a BTreeMap<u64, usize>,
     engine: Option<&'a HealthEngine>,
 }
 
 impl SessionView<'_> {
     fn verdict(&self, conn: u64, ask: impl Fn(&HealthEngine, u64) -> bool) -> bool {
-        match (self.engine, self.conns.get(&conn)) {
-            (Some(engine), Some(&p)) => ask(engine, p as u64),
-            _ => false,
-        }
+        let pair = self.engine.zip(self.conns.get(&conn));
+        pair.is_some_and(|(engine, &p)| ask(engine, p as u64))
     }
 }
 
 impl LadderView for SessionView<'_> {
-    fn stage(&self, conn: u64) -> Option<ConnStage> {
-        self.user.stage(conn)
-    }
-
     fn quarantined(&self, conn: u64, now: f64) -> bool {
         self.verdict(conn, |engine, p| engine.is_quarantined(p, now))
     }
@@ -280,11 +279,6 @@ pub struct SimRuntime {
     /// event log through an incremental cursor and is evaluated once per
     /// allocation slot on simulated time.
     health: Option<HealthStream>,
-    /// Data messages accepted per serving participant this slot (counted
-    /// only with health on), flushed as `sim.deliver`/`window` events at
-    /// slot end so the engine (and any replay of the log) sees identical
-    /// inputs.
-    slot_msgs: HashMap<usize, u64>,
     /// Scratch for the per-slot allocation pass: `(conn, session, weight)`
     /// triples, reused so slots allocate nothing at steady state.
     alloc_conns: Vec<(u64, usize, f64)>,
@@ -316,7 +310,6 @@ impl SimRuntime {
             rng: ChaChaRng::new([0xE7; 32], *b"sim-runtime!"),
             obs: SimObs::default(),
             health: None,
-            slot_msgs: HashMap::new(),
             alloc_conns: Vec::new(),
             redisseminated: HashSet::new(),
             profiles: ProfileStore::new(),
@@ -436,10 +429,10 @@ impl SimRuntime {
             for (i, s) in self.sessions.iter().enumerate() {
                 metrics
                     .gauge(&format!("sim.session.s{i}.progress"))
-                    .set(s.user.progress());
+                    .set(s.fetch.user().progress());
                 metrics
                     .gauge(&format!("sim.session.s{i}.rank"))
-                    .set(s.user.independent_count() as f64);
+                    .set(s.fetch.user().independent_count() as f64);
             }
             let totals = self.net.totals();
             metrics
@@ -609,21 +602,7 @@ impl SimRuntime {
                 continue;
             }
             for m in batch {
-                let size = Wire::message_data_frame_len(&m) as u64;
-                let tag = self.alloc_tag(Pending {
-                    endpoint: Endpoint::StoreDeposit {
-                        participant: target.0,
-                    },
-                    wire: None,
-                    msg: Some(m),
-                    bulk_from: None,
-                });
-                self.net.start_flow(
-                    self.participants[owner.0].node,
-                    self.participants[target.0].node,
-                    size,
-                    tag,
-                );
+                self.deposit(owner.0, target.0, m);
             }
         }
         // Drain the upload phase to completion.
@@ -649,7 +628,7 @@ impl SimRuntime {
         peers: &[ParticipantId],
     ) -> Result<SessionId, SystemError> {
         let identity = self.participants[owner.0].peer.identity().clone();
-        let mut user = User::<Gf2p32>::new(identity, manifest)?;
+        let user = User::<Gf2p32>::new(identity, manifest)?;
         let remote_node = self.net.add_node(remote_up, remote_down);
         // Adaptive planning: contact profiled-fastest peers first, so they
         // get the lowest conn ids and the earliest flow starts. Unprofiled
@@ -666,58 +645,36 @@ impl SimRuntime {
             peers.to_vec()
         };
         let mut conns = BTreeMap::new();
-        let session_idx = self.sessions.len();
+        let mut keys = Vec::with_capacity(planned.len());
         for &pid in &planned {
             let conn = self.next_conn;
             self.next_conn += 1;
             conns.insert(conn, pid.0);
-            let peer_key = self.participants[pid.0].key;
-            let commit = user.connect(conn, peer_key, &mut self.rng);
-            self.send_control(
-                remote_node,
-                self.participants[pid.0].node,
-                Pending {
-                    endpoint: Endpoint::ToPeer {
-                        participant: pid.0,
-                        conn,
-                    },
-                    wire: Some(commit),
-                    msg: None,
-                    bulk_from: None,
-                },
-            );
+            keys.push((conn, self.participants[pid.0].key));
         }
         let now = self.net.now();
-        let ladder = RecoveryLadder::new(
-            LadderConfig {
-                stall_secs: self.cfg.stall_timeout_secs,
-                retry_backoff_secs: self.cfg.retry_backoff_secs,
-                max_retries: self.cfg.max_peer_retries,
-                replacement_base_secs: REPL_BACKOFF_BASE_SECS,
-            },
-            conns.keys().copied(),
-            now.as_secs(),
-        );
-        let mut trace = SessionTrace::default();
-        if self.obs.events.is_enabled() {
-            for &conn in conns.keys() {
-                trace.conn_started.insert(conn, now.as_secs());
-            }
-        }
+        let ladder = LadderConfig {
+            stall_secs: self.cfg.stall_timeout_secs,
+            retry_backoff_secs: self.cfg.retry_backoff_secs,
+            max_retries: self.cfg.max_peer_retries,
+            replacement_base_secs: REPL_BACKOFF_BASE_SECS,
+        };
+        let mut out = Vec::new();
+        let fetch = Fetch::new(user, &keys, ladder, now.as_secs(), &mut self.rng, &mut out);
         self.sessions.push(Session {
-            user,
+            fetch,
             home: owner.0,
             remote_node,
             conns,
-            ladder,
             started_at: now,
             finished_at: None,
-            bytes_by_peer: HashMap::new(),
-            msgs_by_peer: HashMap::new(),
-            drops_by_peer: HashMap::new(),
-            trace,
+            failed: None,
+            trace: SessionTrace::default(),
         });
-        Ok(SessionId(session_idx))
+        // The handshake commits.
+        let session = self.sessions.len() - 1;
+        self.carry_out(session, &mut out, now.as_secs());
+        Ok(SessionId(session))
     }
 
     /// Advances the deployment by `slots` allocation slots.
@@ -739,16 +696,17 @@ impl SimRuntime {
 
     /// Whether a session's download has decoded completely.
     pub fn session_complete(&self, session: SessionId) -> bool {
-        self.sessions[session.0].user.is_complete()
+        self.sessions[session.0].fetch.user().is_complete()
     }
 
     /// Runs until the session completes or `max_slots` elapse.
     ///
     /// # Errors
     ///
-    /// [`SystemError::AllPeersUnavailable`] once every serving connection
-    /// has been written off; [`SystemError::Codec`] with the real message
-    /// counts if the deadline passes before completion.
+    /// The error the session's engine ended the fetch with (every peer
+    /// written off or refused, a protocol error on an authenticated
+    /// connection), or [`SystemError::Codec`] with the real message counts
+    /// if the deadline passes before completion.
     pub fn run_to_completion(
         &mut self,
         session: SessionId,
@@ -757,19 +715,14 @@ impl SimRuntime {
         for _ in 0..max_slots {
             self.run_slots(1);
             let s = &self.sessions[session.0];
-            if s.user.is_complete() {
+            if s.failed.is_some() || s.fetch.user().is_complete() {
                 return self.report(session);
             }
-            if s.ladder.all_dead() {
-                return Err(SystemError::AllPeersUnavailable {
-                    have: s.user.independent_count(),
-                    need: s.user.messages_needed(),
-                });
-            }
         }
+        let user = self.sessions[session.0].fetch.user();
         Err(SystemError::Codec(CodecError::NotEnoughMessages {
-            have: self.sessions[session.0].user.independent_count(),
-            need: self.sessions[session.0].user.messages_needed(),
+            have: user.independent_count(),
+            need: user.messages_needed(),
         }))
     }
 
@@ -777,22 +730,33 @@ impl SimRuntime {
     ///
     /// # Errors
     ///
-    /// Decoder errors when the session is incomplete.
+    /// The error the session's engine ended the fetch with; decoder errors
+    /// when the session is incomplete.
     pub fn report(&mut self, session: SessionId) -> Result<DownloadReport, SystemError> {
         let now = self.net.now();
         let metrics = self.metrics_snapshot();
         let s = &mut self.sessions[session.0];
-        let data = s.user.decode()?;
+        if let Some(e) = &s.failed {
+            return Err(e.clone());
+        }
+        let data = s.fetch.user().decode()?;
         let finished = *s.finished_at.get_or_insert(now);
         let duration = (finished - s.started_at).as_secs().max(1e-9);
-        let total_bytes: u64 = s.bytes_by_peer.values().sum();
+        let per_peer_bytes: HashMap<usize, u64> = s
+            .conns
+            .values()
+            .map(|&p| (p, s.peer_tally(p).bytes))
+            .filter(|&(_, bytes)| bytes > 0)
+            .collect();
+        let total_bytes: u64 = per_peer_bytes.values().sum();
+        let user = s.fetch.user();
         Ok(DownloadReport {
             duration_secs: duration,
             mean_rate_kbps: total_bytes as f64 * 8.0 / duration / 1_000.0,
-            innovative: s.user.innovative_count(),
-            redundant: s.user.redundant_count(),
-            per_peer_bytes: s.bytes_by_peer.clone(),
-            stats: s.user.stats().clone(),
+            innovative: user.innovative_count(),
+            redundant: user.redundant_count(),
+            per_peer_bytes,
+            stats: user.stats().clone(),
             metrics,
             data,
         })
@@ -800,7 +764,7 @@ impl SimRuntime {
 
     /// A session's download progress in `[0, 1]`.
     pub fn progress(&self, session: SessionId) -> f64 {
-        self.sessions[session.0].user.progress()
+        self.sessions[session.0].fetch.user().progress()
     }
 
     fn alloc_tag(&mut self, pending: Pending) -> u64 {
@@ -810,14 +774,34 @@ impl SimRuntime {
         tag
     }
 
-    fn send_control(&mut self, src: NodeId, dst: NodeId, pending: Pending) {
-        let size = pending
-            .wire
-            .as_ref()
-            .map(|w| w.encoded_len() as u64)
-            .unwrap_or(1);
-        let tag = self.alloc_tag(pending);
-        self.net.start_flow(src, dst, size.max(1), tag);
+    /// Starts the flow of a control frame from `src` to `dst`, for
+    /// `endpoint`.
+    fn send_control(&mut self, src: NodeId, dst: NodeId, endpoint: Endpoint, wire: Wire) {
+        let size = wire.encoded_len().max(1) as u64;
+        let (wire, msg, bulk_from) = (Some(wire), None, None);
+        let tag = self.alloc_tag(Pending {
+            endpoint,
+            wire,
+            msg,
+            bulk_from,
+        });
+        self.net.start_flow(src, dst, size, tag);
+    }
+
+    /// Starts the flow depositing a coded message from participant `from`
+    /// with participant `to`.
+    fn deposit(&mut self, from: usize, to: usize, msg: EncodedMessage) {
+        let size = Wire::message_data_frame_len(&msg) as u64;
+        let endpoint = Endpoint::StoreDeposit { participant: to };
+        let (wire, msg, bulk_from) = (None, Some(msg), None);
+        let tag = self.alloc_tag(Pending {
+            endpoint,
+            wire,
+            msg,
+            bulk_from,
+        });
+        let (from, to) = (self.participants[from].node, self.participants[to].node);
+        self.net.start_flow(from, to, size, tag);
     }
 
     /// Slot phase 1: every peer re-divides its uplink per Eq. 2 and starts
@@ -840,7 +824,7 @@ impl SimRuntime {
                     if pid != p_idx {
                         continue;
                     }
-                    if session.ladder.is_dead(conn) {
+                    if session.fetch.is_dead(conn) {
                         continue;
                     }
                     // A quarantined peer gets no Eq.-2 budget at all for
@@ -1008,12 +992,11 @@ impl SimRuntime {
     fn send_feedback_reports(&mut self) {
         let now_secs = self.net.now().as_secs() as u64;
         for s_idx in 0..self.sessions.len() {
-            if self.sessions[s_idx].user.window_bytes().is_empty() {
+            let user = self.sessions[s_idx].fetch.user_mut();
+            if user.window_bytes().is_empty() {
                 continue;
             }
-            let report = self.sessions[s_idx]
-                .user
-                .make_feedback(now_secs, &mut self.rng);
+            let report = user.make_feedback(now_secs, &mut self.rng);
             self.obs.events.emit_at(
                 self.net.now().as_secs(),
                 "sim.feedback",
@@ -1023,23 +1006,12 @@ impl SimRuntime {
                     ("entries", report.entries.len().into()),
                 ],
             );
-            let home = self.sessions[s_idx].home;
+            let participant = self.sessions[s_idx].home;
             let remote = self.sessions[s_idx].remote_node;
-            let home_node = self.participants[home].node;
+            let home_node = self.participants[participant].node;
             let conn = u64::MAX - s_idx as u64; // dedicated feedback lane
-            self.send_control(
-                remote,
-                home_node,
-                Pending {
-                    endpoint: Endpoint::ToPeer {
-                        participant: home,
-                        conn,
-                    },
-                    wire: Some(Wire::Feedback(report)),
-                    msg: None,
-                    bulk_from: None,
-                },
-            );
+            let endpoint = Endpoint::ToPeer { participant, conn };
+            self.send_control(remote, home_node, endpoint, Wire::Feedback(report));
         }
     }
 
@@ -1063,27 +1035,10 @@ impl SimRuntime {
             // user-side drop counter observes it.
             self.obs.drops.inc();
             if let Endpoint::ToUser { session, conn } = pending.endpoint {
-                self.sessions[session].user.stats_mut().drops += 1;
-                if let Some(&p_idx) = self.sessions[session].conns.get(&conn) {
-                    *self.sessions[session]
-                        .drops_by_peer
-                        .entry(p_idx)
-                        .or_insert(0) += 1;
-                }
-                if self.obs.events.is_enabled() {
-                    if let Some(&p_idx) = self.sessions[session].conns.get(&conn) {
-                        self.obs.events.emit_at(
-                            self.net.now().as_secs(),
-                            "sim.deliver",
-                            "drop",
-                            &[
-                                ("peer", p_idx.into()),
-                                ("session", session.into()),
-                                ("conn", conn.into()),
-                            ],
-                        );
-                    }
-                }
+                self.sessions[session].fetch.on_drop(conn, true);
+                let fields = self.conn_fields(session, conn, &[]);
+                let now = self.net.now().as_secs();
+                self.obs.events.emit_at(now, "sim.deliver", "drop", &fields);
             }
             self.repump(refill);
             return;
@@ -1113,27 +1068,21 @@ impl SimRuntime {
                         .unwrap_or_default()
                 };
                 // Find the session this connection belongs to (if any).
-                let session_idx = self
+                let Some(s_idx) = self
                     .sessions
                     .iter()
-                    .position(|s| s.conns.contains_key(&conn));
+                    .position(|s| s.conns.contains_key(&conn))
+                else {
+                    return self.repump(refill);
+                };
                 for reply in replies {
-                    if let Some(s_idx) = session_idx {
-                        let pending = Pending {
-                            endpoint: Endpoint::ToUser {
-                                session: s_idx,
-                                conn,
-                            },
-                            wire: Some(reply),
-                            msg: None,
-                            bulk_from: None,
-                        };
-                        self.send_control(
-                            self.participants[participant].node,
-                            self.sessions[s_idx].remote_node,
-                            pending,
-                        );
-                    }
+                    let endpoint = Endpoint::ToUser {
+                        session: s_idx,
+                        conn,
+                    };
+                    let from = self.participants[participant].node;
+                    let to = self.sessions[s_idx].remote_node;
+                    self.send_control(from, to, endpoint, reply);
                 }
             }
             Endpoint::ToUser { session, conn } => {
@@ -1145,20 +1094,11 @@ impl SimRuntime {
                     (true, Wire::MessageData(msg)) => match corrupt_message(&msg) {
                         Some(mangled) => {
                             self.obs.corruptions.inc();
-                            if self.obs.events.is_enabled() {
-                                if let Some(&p_idx) = self.sessions[session].conns.get(&conn) {
-                                    self.obs.events.emit_at(
-                                        self.net.now().as_secs(),
-                                        "sim.deliver",
-                                        "corruption",
-                                        &[
-                                            ("peer", p_idx.into()),
-                                            ("session", session.into()),
-                                            ("conn", conn.into()),
-                                        ],
-                                    );
-                                }
-                            }
+                            let fields = self.conn_fields(session, conn, &[]);
+                            let now = self.net.now().as_secs();
+                            self.obs
+                                .events
+                                .emit_at(now, "sim.deliver", "corruption", &fields);
                             mangled
                         }
                         None => {
@@ -1172,187 +1112,41 @@ impl SimRuntime {
                     (true, _) => {
                         // A mangled control frame fails to parse: the user
                         // sees nothing but a drop.
-                        self.sessions[session].user.stats_mut().drops += 1;
+                        self.sessions[session].fetch.on_drop(conn, false);
                         self.repump(refill);
                         return;
                     }
                     (false, wire) => wire,
                 };
-                // Arrival-time bookkeeping (trace spans, replacement round
-                // trips). Byte and window accounting happens below, after
-                // the digest check: rejected bytes never count as
-                // contribution and never earn ledger credit.
-                let mut data_meta: Option<(usize, u64)> = None;
-                if let Wire::MessageData(msg) = &wire {
-                    if let Some(&p_idx) = self.sessions[session].conns.get(&conn) {
-                        data_meta = Some((p_idx, wire.encoded_len() as u64));
-                        if self.obs.events.is_enabled() {
-                            let ts = self.net.now().as_secs();
-                            let chunk = FileManifest::chunk_of(msg.message_id());
-                            let trace = &mut self.sessions[session].trace;
-                            trace.chunk_first.entry(chunk).or_insert(ts);
-                            // A data message covering a pending replacement
-                            // closes that round trip.
-                            if let Some(t_req) = trace.pending_repl.remove(&(conn, chunk)) {
-                                trace.repl_spans.push((conn, chunk, t_req, ts));
-                                let rtt_us = ((ts - t_req) * 1e6).round();
-                                self.obs.replacement_rtt_us.record(rtt_us as u64);
-                                self.obs.events.emit_at(
-                                    ts,
-                                    "sim.deliver",
-                                    "replacement_served",
-                                    &[
-                                        ("peer", p_idx.into()),
-                                        ("session", session.into()),
-                                        ("conn", conn.into()),
-                                        ("chunk", chunk.into()),
-                                        ("rtt_us", rtt_us.into()),
-                                    ],
-                                );
-                            }
-                        }
-                    }
+                if self.sessions[session].failed.is_some() {
+                    self.repump(refill);
+                    return;
                 }
-                // Anything arriving on the connection — even a rejected
-                // message — proves the peer is alive.
-                let now = self.net.now();
-                self.sessions[session]
-                    .ladder
-                    .on_activity(conn, now.as_secs());
+                let ts = self.net.now().as_secs();
                 if self.obs.events.is_enabled() {
-                    self.sessions[session]
-                        .trace
-                        .conn_last
-                        .insert(conn, now.as_secs());
-                }
-                let was_complete = self.sessions[session].user.is_complete();
-                let result = self.sessions[session]
-                    .user
-                    .on_message(conn, wire, &mut self.rng);
-                let accepted = result.is_ok();
-                let replies = match result {
-                    Ok(replies) => replies,
-                    Err(SystemError::Codec(CodecError::AuthenticationFailed { id })) => {
-                        // Digest-rejected message: record the rejection
-                        // (the attribution detectors feed off it) and —
-                        // within the per-(conn, chunk) rate limit — ask
-                        // the sender for a different message covering
-                        // the same chunk.
-                        let chunk = FileManifest::chunk_of(MessageId(id));
-                        self.obs.digest_rejections.inc();
-                        let peer = self.peer_of(session, conn);
-                        let ts = now.as_secs();
-                        self.obs.events.emit_at(
-                            ts,
-                            "sim.deliver",
-                            "digest_reject",
-                            &[
-                                ("peer", peer.into()),
-                                ("session", session.into()),
-                                ("conn", conn.into()),
-                                ("chunk", chunk.into()),
-                            ],
-                        );
-                        if self.sessions[session]
-                            .ladder
-                            .admit_replacement(conn, chunk, ts)
-                        {
-                            self.sessions[session].user.stats_mut().replacements += 1;
-                            self.obs.events.emit_at(
-                                ts,
-                                "sim.deliver",
-                                "replacement_request",
-                                &[
-                                    ("peer", peer.into()),
-                                    ("session", session.into()),
-                                    ("conn", conn.into()),
-                                    ("chunk", chunk.into()),
-                                ],
-                            );
-                            if self.obs.events.is_enabled() {
-                                self.sessions[session]
-                                    .trace
-                                    .pending_repl
-                                    .entry((conn, chunk))
-                                    .or_insert(ts);
-                            }
-                            let file_id = self.sessions[session].user.file_id();
-                            self.send_to_peer(
-                                session,
-                                conn,
-                                Wire::ReplacementRequest { file_id, chunk },
-                            );
-                        }
-                        Vec::new()
-                    }
-                    Err(SystemError::Codec(CodecError::DuplicateMessage { .. })) => {
-                        // Already-seen message id: authentic bytes that
-                        // buy no progress — the replay detector's raw
-                        // signal.
-                        let peer = self.peer_of(session, conn);
-                        self.obs.events.emit_at(
-                            now.as_secs(),
-                            "sim.deliver",
-                            "duplicate",
-                            &[
-                                ("peer", peer.into()),
-                                ("session", session.into()),
-                                ("conn", conn.into()),
-                            ],
-                        );
-                        Vec::new()
-                    }
-                    Err(_) => Vec::new(),
-                };
-                // Contribution accounting for the digest-accepted message.
-                if accepted {
-                    if let Some((p_idx, len)) = data_meta {
-                        *self.sessions[session]
-                            .bytes_by_peer
-                            .entry(p_idx)
-                            .or_insert(0) += len;
-                        *self.sessions[session]
-                            .msgs_by_peer
-                            .entry(p_idx)
-                            .or_insert(0) += 1;
-                        if self.health.is_some() {
-                            *self.slot_msgs.entry(p_idx).or_insert(0) += 1;
-                        }
-                        // A credit-inflating adversary claims `factor`×
-                        // extra contribution directly at the downloader's
-                        // home ledger, on top of whatever honest feedback
-                        // will credit — the served-vs-credited divergence
-                        // the balance detector watches.
-                        if let Some((AdversaryStrategy::InflateCredit { factor }, _)) =
-                            self.adversary(p_idx)
-                        {
-                            let key = self.participants[p_idx].key;
-                            let home = self.sessions[session].home;
-                            self.participants[home]
-                                .peer
-                                .credit_direct(key, factor * len as f64);
-                        }
-                    }
-                }
-                if self.obs.events.is_enabled() {
-                    // Record newly completed chunks at the instant they
-                    // finish, so chunk spans end when decoding did.
-                    let ts = self.net.now().as_secs();
-                    let done: Vec<u32> = self.sessions[session].user.completed_chunks();
                     let trace = &mut self.sessions[session].trace;
-                    for chunk in done {
-                        trace.chunk_done.entry(chunk).or_insert(ts);
+                    if let Wire::MessageData(msg) = &wire {
+                        let chunk = FileManifest::chunk_of(msg.message_id());
+                        trace.chunk_first.entry(chunk).or_insert(ts);
                     }
+                    trace.conn_last.insert(conn, ts);
                 }
-                if !was_complete && self.sessions[session].user.is_complete() {
+                let was_complete = self.sessions[session].fetch.user().is_complete();
+                let mut out = Vec::new();
+                let s = &mut self.sessions[session];
+                if let Err(e) =
+                    s.fetch
+                        .on_datagram(conn, &mut vec![wire], ts, &mut self.rng, &mut out)
+                {
+                    s.failed = Some(e);
+                }
+                self.carry_out(session, &mut out, ts);
+                if !was_complete && self.sessions[session].fetch.user().is_complete() {
                     self.sessions[session].finished_at = Some(self.net.now());
                     self.record_session_profiles(session);
                     if self.obs.events.is_enabled() {
                         self.emit_trace_spans(session);
                     }
-                }
-                for (target_conn, reply) in replies {
-                    self.send_to_peer(session, target_conn, reply);
                 }
             }
         }
@@ -1365,25 +1159,16 @@ impl SimRuntime {
     /// messages. Pure bookkeeping — draws no randomness and never touches
     /// simulated time — so collecting profiles perturbs nothing.
     fn record_session_profiles(&mut self, session: usize) {
-        let (duration, samples) = {
-            let s = &self.sessions[session];
-            let finished = s.finished_at.unwrap_or_else(|| self.net.now());
-            let duration = (finished - s.started_at).as_secs().max(1e-9);
-            let mut peers: Vec<usize> = s.conns.values().copied().collect();
-            peers.sort_unstable();
-            peers.dedup();
-            let samples: Vec<(usize, u64, u64, u64)> = peers
-                .into_iter()
-                .map(|p| {
-                    let bytes = s.bytes_by_peer.get(&p).copied().unwrap_or(0);
-                    let msgs = s.msgs_by_peer.get(&p).copied().unwrap_or(0);
-                    let drops = s.drops_by_peer.get(&p).copied().unwrap_or(0);
-                    (p, bytes, msgs, drops)
-                })
-                .collect();
-            (duration, samples)
-        };
-        for (p_idx, bytes, msgs, drops) in samples {
+        let s = &self.sessions[session];
+        let finished = s.finished_at.unwrap_or_else(|| self.net.now());
+        let duration = (finished - s.started_at).as_secs().max(1e-9);
+        let mut peers: Vec<usize> = s.conns.values().copied().collect();
+        peers.sort_unstable();
+        peers.dedup();
+        for p_idx in peers {
+            let Tally {
+                bytes, msgs, drops, ..
+            } = s.peer_tally(p_idx);
             if msgs + drops == 0 {
                 continue; // never served data; nothing to profile
             }
@@ -1414,75 +1199,153 @@ impl SimRuntime {
         }
     }
 
-    /// Per-slot self-healing pass: asks each unfinished session's
-    /// [`RecoveryLadder`] what is due and carries it out on the simulated
-    /// wire. The ladder decides when and whom; this driver owns the frames,
-    /// the stats counters and the events.
+    /// Per-slot self-healing pass: polls each unfinished session's engine
+    /// and carries out what is due on the simulated wire.
     fn heal_sessions(&mut self) {
         let now = self.net.now().as_secs();
-        let mut actions = Vec::new();
+        let mut out = Vec::new();
         for s_idx in 0..self.sessions.len() {
             let session = &mut self.sessions[s_idx];
-            if session.finished_at.is_some() || session.user.is_complete() {
+            if session.finished_at.is_some() || session.failed.is_some() {
                 continue;
             }
             let view = SessionView {
-                user: &session.user,
                 conns: &session.conns,
                 engine: self.health.as_ref().map(HealthStream::engine),
             };
-            session.ladder.poll(now, &view, &mut actions);
-            let mut due = actions.drain(..).peekable();
-            while let Some(action) = due.next() {
-                match action {
-                    Action::Resweep { conn, attempt } | Action::Rehandshake { conn, attempt } => {
-                        let rehandshake = matches!(action, Action::Rehandshake { .. });
-                        self.retry(s_idx, conn, attempt, rehandshake, now);
-                    }
-                    Action::WriteOff { conn } => {
-                        self.sessions[s_idx].user.drop_conn(conn);
-                        self.obs.events.emit_at(
-                            now,
-                            "sim.heal",
-                            "write_off",
-                            &[
-                                ("peer", self.peer_of(s_idx, conn).into()),
-                                ("session", s_idx.into()),
-                                ("conn", conn.into()),
-                            ],
-                        );
-                    }
-                    Action::Reassign {
-                        target,
-                        deprioritized,
-                    } => self.reassign(s_idx, target, deprioritized, now),
-                    Action::Quarantined { conn } => {
-                        self.stop_quarantined(s_idx, conn, now);
-                        // The re-plan comes before the supply check, which
-                        // may start deposit flows of its own.
-                        if let Some(Action::Reassign {
-                            target,
-                            deprioritized,
-                        }) = due.next_if(|a| matches!(a, Action::Reassign { .. }))
-                        {
-                            self.reassign(s_idx, target, deprioritized, now);
-                        }
-                        self.redisseminate_if_starved(s_idx, now);
-                    }
-                    // The stall clock runs again; the next stalled pass
-                    // re-requests the file.
-                    Action::BanLapsed { .. } => {}
-                }
+            if let Err(e) = session.fetch.poll(now, &view, &mut self.rng, &mut out) {
+                session.failed = Some(e);
             }
+            self.carry_out(s_idx, &mut out, now);
         }
     }
 
-    /// The participant behind a session's connection, as events name it.
-    fn peer_of(&self, s_idx: usize, conn: u64) -> u64 {
-        self.sessions[s_idx]
-            .conns
-            .get(&conn)
-            .map_or(u64::MAX, |&p| p as u64)
+    /// Carries out, in order, what a session's engine asked for at `ts`,
+    /// draining `out`: frames go to the peers, notes become `sim.deliver`
+    /// and `sim.heal` events and trace marks. After a ban's stop and
+    /// re-plan, the owner checks the honest supply, which may start
+    /// deposit flows of its own.
+    fn carry_out(&mut self, s_idx: usize, out: &mut Vec<Out>, ts: f64) {
+        let banned = out
+            .iter()
+            .any(|item| matches!(item, Out::Quarantine { .. }));
+        for item in out.drain(..) {
+            match item {
+                Out::Send(conn, wire) => self.send_to_peer(s_idx, conn, wire),
+                note => self.note(s_idx, note, ts),
+            }
+        }
+        if banned {
+            self.redisseminate_if_starved(s_idx, ts);
+        }
+    }
+
+    /// Turns one of a session's engine notes into its events and trace marks.
+    fn note(&mut self, s_idx: usize, note: Out, ts: f64) {
+        let events = self.obs.events.clone();
+        let on = |conn, more: &[_]| self.conn_fields(s_idx, conn, more);
+        let (component, kind, fields) = match note {
+            Out::Send(..) | Out::Stale { .. } | Out::BanLapsed { .. } => return,
+            // A credit-inflating adversary claims `factor`× extra
+            // contribution directly at the downloader's home ledger, on top
+            // of whatever honest feedback will credit — the
+            // served-vs-credited divergence the balance detector watches.
+            Out::Accepted { conn, bytes } => {
+                let p_idx = self.sessions[s_idx].conns[&conn];
+                if let Some((AdversaryStrategy::InflateCredit { factor }, _)) =
+                    self.adversary(p_idx)
+                {
+                    let (key, home) = (self.participants[p_idx].key, self.sessions[s_idx].home);
+                    let ledger = &mut self.participants[home].peer;
+                    ledger.credit_direct(key, factor * bytes as f64);
+                }
+                return;
+            }
+            Out::DigestReject {
+                conn,
+                chunk,
+                replaced,
+            } => {
+                self.obs.digest_rejections.inc();
+                let fields = on(conn, &[("chunk", chunk.into())]);
+                if replaced {
+                    events.emit_at(ts, "sim.deliver", "digest_reject", &fields);
+                    ("sim.deliver", "replacement_request", fields)
+                } else {
+                    ("sim.deliver", "digest_reject", fields)
+                }
+            }
+            Out::Duplicate { conn } => ("sim.deliver", "duplicate", on(conn, &[])),
+            Out::Served {
+                conn,
+                chunk,
+                requested,
+                at,
+            } => {
+                if !events.is_enabled() {
+                    return;
+                }
+                let rtt_us = ((at - requested) * 1e6).round();
+                let fields = on(conn, &[("chunk", chunk.into()), ("rtt_us", rtt_us.into())]);
+                self.obs.replacement_rtt_us.record(rtt_us as u64);
+                let trace = &mut self.sessions[s_idx].trace;
+                trace.repl_spans.push((conn, chunk, requested, at));
+                ("sim.deliver", "replacement_served", fields)
+            }
+            // Chunk spans end when decoding did.
+            Out::Ranked { chunk, .. } => {
+                if events.is_enabled() {
+                    let trace = &mut self.sessions[s_idx].trace;
+                    trace.chunk_done.entry(chunk).or_insert(ts);
+                }
+                return;
+            }
+            Out::Retry { conn, attempt } => (
+                "sim.heal",
+                "retry",
+                on(conn, &[("attempt", attempt.into())]),
+            ),
+            Out::WriteOff { conn } => ("sim.heal", "write_off", on(conn, &[])),
+            Out::Reassign {
+                target,
+                deprioritized,
+            } => {
+                let fields = vec![
+                    ("session", s_idx.into()),
+                    ("target", target.into()),
+                    ("deprioritized", deprioritized.into()),
+                ];
+                ("sim.heal", "reassign", fields)
+            }
+            Out::Quarantine { conn } => {
+                let engine = self.health.as_ref().map(HealthStream::engine);
+                let peer = self.sessions[s_idx].conns[&conn] as u64;
+                let until = engine.and_then(|e| e.quarantined_until(peer));
+                (
+                    "sim.heal",
+                    "quarantine",
+                    on(conn, &[("until", until.unwrap_or(ts).into())]),
+                )
+            }
+        };
+        events.emit_at(ts, component, kind, &fields);
+    }
+
+    /// A session's connection as events name it — the participant behind
+    /// it, the session, the connection — then `more`.
+    fn conn_fields(
+        &self,
+        s_idx: usize,
+        conn: u64,
+        more: &[(&'static str, Value)],
+    ) -> Vec<(&'static str, Value)> {
+        let peer = self.sessions[s_idx].conns[&conn];
+        let conn = [
+            ("peer", peer.into()),
+            ("session", s_idx.into()),
+            ("conn", conn.into()),
+        ];
+        [&conn, more].concat()
     }
 
     /// Sends a control frame from a session's user to the peer behind
@@ -1491,97 +1354,15 @@ impl SimRuntime {
         let Some(&p_idx) = self.sessions[s_idx].conns.get(&conn) else {
             return;
         };
-        self.send_control(
+        let (from, to) = (
             self.sessions[s_idx].remote_node,
             self.participants[p_idx].node,
-            Pending {
-                endpoint: Endpoint::ToPeer {
-                    participant: p_idx,
-                    conn,
-                },
-                wire: Some(wire),
-                msg: None,
-                bulk_from: None,
-            },
         );
-    }
-
-    /// Nudges a stalled connection: a downloading one with a fresh file
-    /// request (the peer restarts its sweep; the decoder rejects anything
-    /// it already absorbed), one stuck mid-handshake with a new handshake.
-    fn retry(&mut self, s_idx: usize, conn: u64, attempt: u32, rehandshake: bool, now: f64) {
-        self.sessions[s_idx].user.stats_mut().retries += 1;
-        self.obs.events.emit_at(
-            now,
-            "sim.heal",
-            "retry",
-            &[
-                ("peer", self.peer_of(s_idx, conn).into()),
-                ("session", s_idx.into()),
-                ("conn", conn.into()),
-                ("attempt", attempt.into()),
-            ],
-        );
-        let Some(&p_idx) = self.sessions[s_idx].conns.get(&conn) else {
-            return;
+        let endpoint = Endpoint::ToPeer {
+            participant: p_idx,
+            conn,
         };
-        let user = &mut self.sessions[s_idx].user;
-        let wire = if rehandshake {
-            let peer_key = self.participants[p_idx].key;
-            user.connect(conn, peer_key, &mut self.rng)
-        } else {
-            Wire::FileRequest {
-                file_id: user.file_id(),
-            }
-        };
-        self.send_to_peer(s_idx, conn, wire);
-    }
-
-    /// Moves a dead or banned connection's demand onto `target`: a fresh
-    /// file request restarts that peer's sweep, and re-declared chunk stops
-    /// keep it off finished chunks.
-    fn reassign(&mut self, s_idx: usize, target: u64, deprioritized: usize, now: f64) {
-        self.sessions[s_idx].user.stats_mut().reassignments += 1;
-        self.obs.events.emit_at(
-            now,
-            "sim.heal",
-            "reassign",
-            &[
-                ("session", s_idx.into()),
-                ("target", target.into()),
-                ("deprioritized", deprioritized.into()),
-            ],
-        );
-        let file_id = self.sessions[s_idx].user.file_id();
-        self.send_to_peer(s_idx, target, Wire::FileRequest { file_id });
-        for chunk in self.sessions[s_idx].user.completed_chunks() {
-            self.send_to_peer(s_idx, target, Wire::StopChunk { file_id, chunk });
-        }
-    }
-
-    /// The peer behind `conn` entered quarantine: silence it for the
-    /// length of the ban.
-    fn stop_quarantined(&mut self, s_idx: usize, conn: u64, now: f64) {
-        let peer = self.peer_of(s_idx, conn);
-        let until = self
-            .health
-            .as_ref()
-            .and_then(|h| h.engine().quarantined_until(peer))
-            .unwrap_or(now);
-        self.sessions[s_idx].user.stats_mut().quarantines += 1;
-        self.obs.events.emit_at(
-            now,
-            "sim.heal",
-            "quarantine",
-            &[
-                ("peer", peer.into()),
-                ("session", s_idx.into()),
-                ("conn", conn.into()),
-                ("until", until.into()),
-            ],
-        );
-        let file_id = self.sessions[s_idx].user.file_id();
-        self.send_to_peer(s_idx, conn, Wire::StopTransmission { file_id });
+        self.send_control(from, to, endpoint, wire);
     }
 
     /// Slot epilogue with health analytics on: flush the slot's per-peer
@@ -1594,8 +1375,16 @@ impl SimRuntime {
             return;
         }
         let ts = self.net.now().as_secs();
-        let mut msgs: Vec<(usize, u64)> = self.slot_msgs.drain().collect();
-        msgs.sort_unstable();
+        // Data messages accepted per serving participant this slot.
+        let mut msgs: BTreeMap<usize, u64> = BTreeMap::new();
+        for session in &mut self.sessions {
+            let conns = &session.conns;
+            session.fetch.drain_window(|conn, counts| {
+                if counts.msgs > 0 {
+                    *msgs.entry(conns[&conn]).or_insert(0) += counts.msgs;
+                }
+            });
+        }
         for (p_idx, n) in msgs {
             self.obs.events.emit_at(
                 ts,
@@ -1621,7 +1410,7 @@ impl SimRuntime {
     /// peer (once per `(session, chunk)`), restoring decodability without
     /// trusting the quarantined source.
     fn redisseminate_if_starved(&mut self, s_idx: usize, ts: f64) {
-        let file_id = FileId(self.sessions[s_idx].user.file_id());
+        let file_id = FileId(self.sessions[s_idx].fetch.user().file_id());
         let k = self.cfg.k;
         let banned = |health: &Option<HealthStream>, p: usize| {
             health
@@ -1632,7 +1421,7 @@ impl SimRuntime {
         let mut honest: Vec<usize> = session
             .conns
             .iter()
-            .filter(|(&c, _)| !session.ladder.is_dead(c))
+            .filter(|(&c, _)| !session.fetch.is_dead(c))
             .map(|(_, &p)| p)
             .filter(|&p| !banned(&self.health, p))
             .collect();
@@ -1649,8 +1438,9 @@ impl SimRuntime {
                     .or_insert(0) += 1;
             }
         }
-        let completed: HashSet<u32> = session.user.completed_chunks().into_iter().collect();
-        let chunk_count = session.user.chunk_count();
+        let user = session.fetch.user();
+        let completed: HashSet<u32> = user.completed_chunks().into_iter().collect();
+        let chunk_count = user.chunk_count();
         let home = session.home;
         for chunk in 0..chunk_count {
             if completed.contains(&chunk) || supply.get(&chunk).copied().unwrap_or(0) >= k {
@@ -1685,21 +1475,7 @@ impl SimRuntime {
                 ],
             );
             for m in msgs {
-                let size = Wire::message_data_frame_len(&m) as u64;
-                let tag = self.alloc_tag(Pending {
-                    endpoint: Endpoint::StoreDeposit {
-                        participant: target,
-                    },
-                    wire: None,
-                    msg: Some(m),
-                    bulk_from: None,
-                });
-                self.net.start_flow(
-                    self.participants[home].node,
-                    self.participants[target].node,
-                    size,
-                    tag,
-                );
+                self.deposit(home, target, m);
             }
         }
     }
@@ -1721,7 +1497,7 @@ impl SimRuntime {
                 }
                 let key = self.participants[p_idx].key;
                 let credited = home.upload_weight(&key) - self.cfg.initial_credit_bytes;
-                let delivered = session.bytes_by_peer.get(&p_idx).copied().unwrap_or(0) as f64;
+                let delivered = session.peer_tally(p_idx).bytes as f64;
                 *drift.entry(p_idx).or_insert(0.0) += credited - delivered;
             }
         }
@@ -1759,15 +1535,12 @@ impl SimRuntime {
             &[("session", s_idx.into())],
         );
         let session = &self.sessions[s_idx];
-        let mut conns: Vec<u64> = session.trace.conn_started.keys().copied().collect();
-        conns.sort_unstable();
-        for conn in conns {
-            let t0 = session.trace.conn_started[&conn];
-            let t1 = session.trace.conn_last.get(&conn).copied().unwrap_or(t0);
-            let peer = session.conns.get(&conn).map_or(u64::MAX, |&p| p as u64);
+        // Every connection was opened when the download started.
+        for (&conn, &peer) in &session.conns {
+            let t1 = session.trace.conn_last.get(&conn).copied().unwrap_or(start);
             events.emit_span_at(
                 ts,
-                t0,
+                start,
                 t1,
                 "sim.trace",
                 "request",
@@ -1839,6 +1612,7 @@ fn corrupt_message(msg: &EncodedMessage) -> Option<Wire> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asymshare_rlnc::MessageId;
 
     fn kbps(v: f64) -> LinkSpeed {
         LinkSpeed::kbps(v)

@@ -15,7 +15,7 @@ use std::collections::{BTreeMap, HashMap};
 /// Fault and recovery counters for one download session.
 ///
 /// Filled in by the user core (corruptions, duplicates, cumulative bytes)
-/// and by the self-healing drivers in the runtimes (drops, retries,
+/// and by the client engine both runtimes drive (drops, retries,
 /// reassignments, replacements), so tests and benches can assert recovery
 /// behavior instead of eyeballing logs.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -142,6 +142,14 @@ impl<F: Field> User<F> {
         commit
     }
 
+    /// Connection `conn`'s state. Runs once per frame, so the error for a
+    /// stranger is built only when it happens.
+    fn conn(&mut self, conn: u64) -> Result<&mut Conn, SystemError> {
+        let who = || format!("connection {conn}");
+        let unknown = || SystemError::UnknownParty { who: who() };
+        self.conns.get_mut(&conn).ok_or_else(unknown)
+    }
+
     /// A connection's stage.
     pub fn stage(&self, conn: u64) -> Option<ConnStage> {
         self.conns.get(&conn).map(|c| c.stage)
@@ -205,9 +213,7 @@ impl<F: Field> User<F> {
     ) -> Result<Vec<(u64, Wire)>, SystemError> {
         match wire {
             Wire::AuthChallenge { .. } => {
-                let c = self.conns.get_mut(&conn).ok_or(SystemError::UnknownParty {
-                    who: format!("connection {conn}"),
-                })?;
+                let c = self.conn(conn)?;
                 let response = c.prover.on_challenge(&wire)?;
                 if let Wire::AuthResponse { s } = &response {
                     c.sent_response = Some(*s);
@@ -215,9 +221,8 @@ impl<F: Field> User<F> {
                 Ok(vec![(conn, response)])
             }
             Wire::AuthResult { ok, ack } => {
-                let c = self.conns.get_mut(&conn).ok_or(SystemError::UnknownParty {
-                    who: format!("connection {conn}"),
-                })?;
+                let file_id = self.file_id;
+                let c = self.conn(conn)?;
                 if ok {
                     // An acceptance before this attempt answered any
                     // challenge cannot be its reply: it is the late result
@@ -244,21 +249,14 @@ impl<F: Field> User<F> {
                         });
                     }
                     c.stage = ConnStage::Downloading;
-                    Ok(vec![(
-                        conn,
-                        Wire::FileRequest {
-                            file_id: self.file_id,
-                        },
-                    )])
+                    Ok(vec![(conn, Wire::FileRequest { file_id })])
                 } else {
                     c.stage = ConnStage::Refused;
                     Ok(vec![])
                 }
             }
             Wire::MessageData(msg) => {
-                let c = self.conns.get(&conn).ok_or(SystemError::UnknownParty {
-                    who: format!("connection {conn}"),
-                })?;
+                let c = self.conn(conn)?;
                 // Nothing from a peer that has not completed the mutual
                 // handshake reaches the decoder or earns credit.
                 if matches!(c.stage, ConnStage::Authenticating | ConnStage::Refused) {
@@ -313,45 +311,28 @@ impl<F: Field> User<F> {
                     self.redundant += 1;
                 }
                 // Chunk-granular stop (§III-D): the moment a chunk becomes
-                // decodable, tell every downloading peer to skip it.
-                if self.decoder.chunk_complete(chunk).unwrap_or(false)
-                    && !self.decoder.is_complete()
-                {
-                    let stops: Vec<(u64, Wire)> = self
-                        .conns
-                        .iter()
-                        .filter(|(_, c)| c.stage == ConnStage::Downloading)
-                        .map(|(&id, _)| {
-                            (
-                                id,
-                                Wire::StopChunk {
-                                    file_id: self.file_id,
-                                    chunk,
-                                },
-                            )
-                        })
-                        .collect();
-                    return Ok(stops);
-                }
-                if self.decoder.is_complete() {
-                    // Transmission "5": stop everyone still sending.
-                    let stops: Vec<(u64, Wire)> = self
-                        .conns
-                        .iter_mut()
-                        .filter(|(_, c)| c.stage == ConnStage::Downloading)
-                        .map(|(&id, c)| {
+                // decodable, tell every downloading peer to skip it; once the
+                // file is, stop everyone still sending (transmission "5").
+                let (file_id, done) = (self.file_id, self.decoder.is_complete());
+                let stop = if done {
+                    Wire::StopTransmission { file_id }
+                } else if self.decoder.chunk_complete(chunk).unwrap_or(false) {
+                    Wire::StopChunk { file_id, chunk }
+                } else {
+                    return Ok(vec![]);
+                };
+                let downloading = self
+                    .conns
+                    .iter_mut()
+                    .filter(|(_, c)| c.stage == ConnStage::Downloading);
+                Ok(downloading
+                    .map(|(&id, c)| {
+                        if done {
                             c.stage = ConnStage::Stopped;
-                            (
-                                id,
-                                Wire::StopTransmission {
-                                    file_id: self.file_id,
-                                },
-                            )
-                        })
-                        .collect();
-                    return Ok(stops);
-                }
-                Ok(vec![])
+                        }
+                        (id, stop.clone())
+                    })
+                    .collect())
             }
             other => Err(SystemError::UnexpectedMessage {
                 got: format!("{other:?}"),
@@ -439,8 +420,8 @@ impl<F: Field> User<F> {
         &self.stats
     }
 
-    /// Mutable access for the runtime's self-healing driver, which records
-    /// drops, retries, and reassignments it performs on the user's behalf.
+    /// Mutable access for the client engine, which records drops, retries,
+    /// and reassignments it performs on the user's behalf.
     pub fn stats_mut(&mut self) -> &mut SessionStats {
         &mut self.stats
     }
@@ -454,9 +435,14 @@ impl<F: Field> User<F> {
     /// Chunks that are already decodable — a reconnecting peer is told to
     /// skip these immediately instead of re-streaming them.
     pub fn completed_chunks(&self) -> Vec<u32> {
-        (0..self.decoder.manifest().chunk_count())
-            .filter(|&i| self.decoder.chunk_complete(i).unwrap_or(false))
+        (0..self.chunk_count())
+            .filter(|&i| self.chunk_complete(i))
             .collect()
+    }
+
+    /// Whether chunk `index` is decodable (a sealed chunk counts).
+    pub(crate) fn chunk_complete(&self, index: u32) -> bool {
+        self.decoder.chunk_complete(index).unwrap_or(false)
     }
 
     /// Linearly independent messages received so far.
