@@ -375,16 +375,10 @@ fn trace(args: &[String]) -> Result<(), String> {
             report.windows, report.total_alerts
         );
         for p in &report.peers {
-            let state = if p.quarantined {
-                "QUARANTINED"
-            } else if p.healthy {
-                "healthy"
-            } else {
-                "DEGRADED"
-            };
+            let state = if p.healthy { "healthy" } else { "DEGRADED" };
             println!(
-                "  peer p{}: score {:>5.1} {} ({} alert(s), {} attack(s))",
-                p.peer, p.score, state, p.alerts, p.attacks
+                "  peer p{}: score {:>5.1} {} ({} alert(s))",
+                p.peer, p.score, state, p.alerts
             );
         }
     }
@@ -442,27 +436,15 @@ fn render_top(network: &asymshare::rt::RtNetwork, elapsed: std::time::Duration) 
             ));
             for p in &report.peers {
                 let bar_len = (p.score / 5.0).round().clamp(0.0, 20.0) as usize;
-                // Quarantine outranks the score band: a banned peer is
-                // flagged loudly even if its EWMA score has recovered.
-                let state = if p.quarantined {
-                    "QUARANTINED"
-                } else if p.healthy {
-                    "healthy "
-                } else {
-                    "DEGRADED"
-                };
+                let state = if p.healthy { "healthy " } else { "DEGRADED" };
                 out.push_str(&format!(
-                    "  peer {:>4}  [{:<20}] {:>5.1} {}  {} alert(s)",
+                    "  peer {:>4}  [{:<20}] {:>5.1} {}  {} alert(s)\n",
                     p.peer,
                     "#".repeat(bar_len),
                     p.score,
                     state,
                     p.alerts
                 ));
-                if p.attacks > 0 {
-                    out.push_str(&format!("  {} attack(s)", p.attacks));
-                }
-                out.push('\n');
             }
         }
         None => out.push_str("health: engine not installed\n"),

@@ -9,17 +9,56 @@
 //! epoch: since the fetch began in
 //! [`rt::download_file_with`](crate::rt::download_file_with), simulated in
 //! [`SimRuntime`](crate::SimRuntime).
+//!
+//! The engine is also the client's only Byzantine defense (DESIGN.md §11):
+//! from the outcomes it already sorts each datagram into, it convicts a
+//! connection of pollution, replay or selective serving by the rules
+//! below, and the ladder bans it — a write-off the client chose, for the
+//! rest of the fetch. The rules are constants, not options, and run
+//! whether or not anyone is watching.
 
 use crate::error::SystemError;
 use crate::peer::KeyBytes;
 use crate::protocol::Wire;
-use crate::recovery::{Action, LadderConfig, LadderView, RecoveryLadder};
+use crate::recovery::{Action, LadderConfig, RecoveryLadder};
 use crate::user::{ConnStage, User};
 use asymshare_crypto::chacha20::ChaChaRng;
 use asymshare_gf::Gf2p32;
 use asymshare_rlnc::{CodecError, FileManifest, MessageId};
 use std::borrow::BorrowMut;
 use std::collections::HashMap;
+
+/// Coded datagrams in one evidence window of the pollution and replay
+/// rules. The unit is the datagram because both transports damage,
+/// lose and replay whole datagrams (a sim flow carries one frame, an rt
+/// datagram up to eight), so a polluter that spoils one frame per datagram
+/// is seen at the rate it acts.
+const EVIDENCE_DATAGRAMS: u32 = 16;
+/// Pollution: a window in which at least this many datagrams carried a
+/// frame that failed its digest (half; honest corruption of 8 % reaches it
+/// about once in 10⁵ windows).
+const POLLUTE_DATAGRAMS: u32 = 8;
+/// Replay: a window in which at least this many datagrams carried a
+/// duplicate the engine did not ask for. A replacement is asked for; so is
+/// a re-send after the engine re-swept or re-planned onto the connection,
+/// which restarts the peer's sweep — up to as many frames as it had
+/// delivered before.
+const REPLAY_DATAGRAMS: u32 = 8;
+/// Selective serving: a silence is judged only once the connection has
+/// delivered this many datagrams, its own history.
+const SELECTIVE_HISTORY: u32 = 8;
+/// A silence is withholding when, at the connection's recent share of the
+/// datagrams, it should have delivered at least this many while the other
+/// live connections delivered theirs...
+const SILENT_DATAGRAMS: f64 = 8.0;
+/// ...and it lasted at least this share of the stall timeout (an rt serve
+/// pass interleaves its peers' bursts within milliseconds).
+const SILENCE_OF_STALL: f64 = 0.0625;
+/// Withholding silences that convict.
+const SELECTIVE_SILENCES: u32 = 2;
+/// What one coded datagram weighs in the decayed delivery shares (a
+/// memory of about 64 datagrams).
+const SHARE_STEP: f64 = 1.0 / 64.0;
 
 /// One thing for the driver to do or report, in order. Every variant but
 /// `Send` is a note, counted in the user's `SessionStats` where a counter
@@ -28,9 +67,6 @@ use std::collections::HashMap;
 pub(crate) enum Out {
     /// Put a frame on `conn`; report a failed send with [`Fetch::lost`].
     Send(u64, Wire),
-    /// The user took a coded frame of `bytes` on the wire: digest-checked,
-    /// or dropped unhashed as surplus to a complete chunk.
-    Accepted { conn: u64, bytes: u64 },
     /// A coded frame of `chunk` failed its digest; `replaced` when the
     /// limiter let a `ReplacementRequest` go (the next `Send`).
     DigestReject {
@@ -57,11 +93,11 @@ pub(crate) enum Out {
     /// A dead connection was dropped from the user.
     WriteOff { conn: u64 },
     /// `target` took a dead or banned connection's demand.
-    Reassign { target: u64, deprioritized: usize },
-    /// The peer behind `conn` entered quarantine and was told to stop.
-    Quarantine { conn: u64 },
-    /// The ban on `conn` lapsed; its stall clock runs again.
-    BanLapsed { conn: u64 },
+    Reassign { target: u64 },
+    /// The client banned the peer behind `conn` for `strategy` (`"pollute"`,
+    /// `"replay"` or `"selective"`): a stop follows, then the connection is
+    /// dropped from the user and its demand re-planned.
+    Quarantine { conn: u64, strategy: &'static str },
 }
 
 /// One connection's counts.
@@ -69,20 +105,48 @@ pub(crate) enum Out {
 pub(crate) struct Tally {
     /// Coded frames that arrived, whatever became of them.
     pub frames: u64,
-    /// Coded frames the user took ([`Out::Accepted`]), and their bytes.
+    /// Coded frames the user took — digest-checked, or dropped unhashed as
+    /// surplus to a complete chunk — and their bytes on the wire.
     pub msgs: u64,
     pub bytes: u64,
     /// Frames lost in transit.
     pub drops: u64,
 }
 
-/// A connection: its peer's key (for a re-run handshake), and its counts
-/// since the fetch began and since the last [`Fetch::drain_window`].
+/// What the attribution rules know of one connection.
+#[derive(Debug, Default)]
+struct Evidence {
+    /// The current window: coded datagrams, those with a digest reject,
+    /// those with a duplicate nobody asked for.
+    datagrams: u32,
+    rejected: u32,
+    replayed: u32,
+    /// Duplicates still owed to the engine's last (re-)sweep.
+    resends: u64,
+    /// Coded datagrams delivered; the instant of the last, and the fetch's
+    /// datagram count just after it.
+    delivered: u32,
+    last_at: f64,
+    last_mark: u64,
+    /// Its decayed share of the fetch's recent coded datagrams.
+    share: f64,
+    /// Since the last delivery the engine asked the peer for something or
+    /// one of its frames was lost: a silence that ends is not withholding.
+    excused: bool,
+    silences: u32,
+    /// Convicted: its frames are dropped unread.
+    banned: bool,
+}
+
+/// A connection: its peer's key (for a re-run handshake), its counts since
+/// the fetch began and since the last [`Fetch::drain_window`], and the
+/// evidence against it.
 #[derive(Debug)]
 struct PeerState {
     conn: u64,
     key: KeyBytes,
     tallies: [Tally; 2],
+    evidence: Evidence,
 }
 
 /// See the [module docs](self). `U` is the user, owned (the sim) or
@@ -97,6 +161,10 @@ pub(crate) struct Fetch<U = User<Gf2p32>> {
     replacements: HashMap<(u64, u32), f64>,
     /// The ladder's actions, reused.
     actions: Vec<Action>,
+    /// Coded datagrams delivered by live connections.
+    delivered: u64,
+    /// The shortest silence that can count as withholding.
+    silence_floor: f64,
 }
 
 impl<U: BorrowMut<User<Gf2p32>>> Fetch<U> {
@@ -113,8 +181,13 @@ impl<U: BorrowMut<User<Gf2p32>>> Fetch<U> {
         let mut states = Vec::with_capacity(peers.len());
         for &(conn, key) in peers {
             out.push(Out::Send(conn, user.borrow_mut().connect(conn, key, rng)));
-            let tallies = Default::default();
-            states.push(PeerState { conn, key, tallies });
+            let (tallies, evidence) = Default::default();
+            states.push(PeerState {
+                conn,
+                key,
+                tallies,
+                evidence,
+            });
         }
         states.sort_unstable_by_key(|p| p.conn);
         Fetch {
@@ -123,6 +196,8 @@ impl<U: BorrowMut<User<Gf2p32>>> Fetch<U> {
             peers: states,
             replacements: HashMap::new(),
             actions: Vec::new(),
+            delivered: 0,
+            silence_floor: cfg.stall_secs * SILENCE_OF_STALL,
         }
     }
 
@@ -142,7 +217,9 @@ impl<U: BorrowMut<User<Gf2p32>>> Fetch<U> {
 
     /// Takes one datagram from `conn` that arrived at `at`, draining
     /// `frames`: the arrival is activity on the connection, its coded
-    /// frames are hashed together, then each frame is admitted in turn.
+    /// frames are hashed together, then each frame is admitted in turn, and
+    /// what became of them is evidence. A banned connection's datagram is
+    /// dropped unread.
     ///
     /// # Errors
     ///
@@ -157,28 +234,38 @@ impl<U: BorrowMut<User<Gf2p32>>> Fetch<U> {
         rng: &mut ChaChaRng,
         out: &mut Vec<Out>,
     ) -> Result<(), SystemError> {
+        let i = self.index(conn);
+        if i.is_some_and(|i| self.peers[i].evidence.banned) {
+            frames.clear();
+            return Ok(());
+        }
         // Anything arriving on the connection — even a rejected message —
         // proves the peer alive.
         self.ladder.on_activity(conn, at);
-        let i = self.index(conn);
         let user = self.user.borrow_mut();
         // Four digests per pass of the MD5 kernel.
         let coded = frames.iter().filter(|w| matches!(w, Wire::MessageData(_)));
-        if coded.count() >= 2 {
+        let coded = coded.count();
+        if coded >= 2 {
             user.prehash(conn, frames);
         }
         let file_id = user.file_id();
+        let sent = out.len();
+        let (mut rejected, mut replayed) = (false, false);
+        let mut resends = i.map_or(0, |i| self.peers[i].evidence.resends);
         let tallies = i.map_or(&mut [][..], |i| &mut self.peers[i].tallies[..]);
         for wire in frames.drain(..) {
-            let mut coded = None;
+            let mut data = None;
+            let mut asked = false;
             if let Wire::MessageData(msg) = &wire {
                 let chunk = FileManifest::chunk_of(msg.message_id());
-                coded = Some((chunk, wire.encoded_len() as u64, user.chunk_complete(chunk)));
+                data = Some((chunk, wire.encoded_len() as u64, user.chunk_complete(chunk)));
                 tallies.iter_mut().for_each(|t| t.frames += 1);
                 // A message of the chunk closes the round trip its sender
                 // owes.
                 if !self.replacements.is_empty() {
                     if let Some(requested) = self.replacements.remove(&(conn, chunk)) {
+                        asked = true;
                         out.push(Out::Served {
                             conn,
                             chunk,
@@ -190,11 +277,10 @@ impl<U: BorrowMut<User<Gf2p32>>> Fetch<U> {
             }
             match user.on_message(conn, wire, rng) {
                 Ok(replies) => {
-                    if let Some((chunk, bytes, was_ranked)) = coded {
+                    if let Some((chunk, bytes, was_ranked)) = data {
                         for t in tallies.iter_mut() {
                             (t.msgs, t.bytes) = (t.msgs + 1, t.bytes + bytes);
                         }
-                        out.push(Out::Accepted { conn, bytes });
                         if !was_ranked && user.chunk_complete(chunk) {
                             let last = user.is_complete();
                             out.push(Out::Ranked { chunk, last });
@@ -206,6 +292,7 @@ impl<U: BorrowMut<User<Gf2p32>>> Fetch<U> {
                 // another message of the chunk, through the limiter. The
                 // rejected bytes never count toward its credit.
                 Err(SystemError::Codec(CodecError::AuthenticationFailed { id })) => {
+                    rejected = true;
                     let chunk = FileManifest::chunk_of(MessageId(id));
                     let replaced = self.ladder.admit_replacement(conn, chunk, at);
                     out.push(Out::DigestReject {
@@ -219,8 +306,13 @@ impl<U: BorrowMut<User<Gf2p32>>> Fetch<U> {
                         out.push(Out::Send(conn, Wire::ReplacementRequest { file_id, chunk }));
                     }
                 }
-                // Harmless to the decoder; the replay detector's signal.
+                // Harmless to the decoder; the replay rule's evidence
+                // unless it answered the engine's own request.
                 Err(SystemError::Codec(CodecError::DuplicateMessage { .. })) => {
+                    if !asked && resends == 0 {
+                        replayed = true;
+                    }
+                    resends = resends.saturating_sub(u64::from(!asked));
                     out.push(Out::Duplicate { conn });
                 }
                 // Nothing of it was trusted; a wedged handshake stalls and
@@ -231,7 +323,84 @@ impl<U: BorrowMut<User<Gf2p32>>> Fetch<U> {
                 Err(e) => return Err(e),
             }
         }
+        if let Some(i) = i {
+            self.peers[i].evidence.resends = resends;
+        }
+        self.watch(&out[sent..]);
+        if let Some(i) = i.filter(|_| coded > 0 && !self.ladder.is_dead(conn)) {
+            self.judge(i, at, rejected, replayed);
+        }
         Ok(())
+    }
+
+    /// Weighs a coded datagram from live connection `i`, which arrived at
+    /// `at`, against the rules; a conviction goes to the ladder, which
+    /// carries it out at the next poll.
+    fn judge(&mut self, i: usize, at: f64, rejected: bool, replayed: bool) {
+        let mut verdict = None;
+        let e = &mut self.peers[i].evidence;
+        // Selective serving, judged on the silence this datagram ends: the
+        // others kept delivering, and at its own recent share it should
+        // have too.
+        if e.delivered >= SELECTIVE_HISTORY && !e.excused && at - e.last_at >= self.silence_floor {
+            let others = (self.delivered - e.last_mark) as f64;
+            if others * e.share / (1.0 - e.share) >= SILENT_DATAGRAMS {
+                e.silences += 1;
+                if e.silences >= SELECTIVE_SILENCES {
+                    verdict = Some("selective");
+                }
+            }
+        }
+        self.delivered += 1;
+        (e.delivered, e.last_at, e.last_mark) = (e.delivered + 1, at, self.delivered);
+        e.excused = false;
+        e.datagrams += 1;
+        e.rejected += rejected as u32;
+        e.replayed += replayed as u32;
+        if e.datagrams == EVIDENCE_DATAGRAMS {
+            if e.rejected >= POLLUTE_DATAGRAMS {
+                verdict = Some("pollute");
+            } else if e.replayed >= REPLAY_DATAGRAMS {
+                verdict = Some("replay");
+            }
+            (e.datagrams, e.rejected, e.replayed) = (0, 0, 0);
+        }
+        for (j, p) in self.peers.iter_mut().enumerate() {
+            let e = &mut p.evidence;
+            e.share += (f64::from(u8::from(i == j)) - e.share) * SHARE_STEP;
+        }
+        if let Some(strategy) = verdict {
+            let p = &mut self.peers[i];
+            p.evidence.banned = true;
+            self.ladder.ban(p.conn, strategy);
+        }
+    }
+
+    /// Notes what the engine asked of each peer in `sent`: a silence after
+    /// a request is not withholding, and what a (re-)sweep makes the peer
+    /// re-send is no replay.
+    fn watch(&mut self, sent: &[Out]) {
+        for item in sent {
+            let Out::Send(conn, wire) = item else {
+                continue;
+            };
+            let Some(i) = self.index(*conn) else {
+                continue;
+            };
+            let PeerState {
+                tallies, evidence, ..
+            } = &mut self.peers[i];
+            match wire {
+                Wire::FileRequest { .. } => {
+                    evidence.resends = tallies[0].frames;
+                    evidence.excused = true;
+                }
+                Wire::ReplacementRequest { .. } | Wire::AuthCommit { .. } => {
+                    evidence.excused = true;
+                }
+                _ => {}
+            }
+        }
     }
 
     /// A frame for the user from `conn` never reached it: lost in transit
@@ -239,7 +408,9 @@ impl<U: BorrowMut<User<Gf2p32>>> Fetch<U> {
     pub(crate) fn on_drop(&mut self, conn: u64, link: bool) {
         self.user_mut().stats_mut().drops += 1;
         if let Some(i) = self.index(conn).filter(|_| link) {
-            self.peers[i].tallies.iter_mut().for_each(|t| t.drops += 1);
+            let peer = &mut self.peers[i];
+            peer.tallies.iter_mut().for_each(|t| t.drops += 1);
+            peer.evidence.excused = true;
         }
     }
 
@@ -250,18 +421,16 @@ impl<U: BorrowMut<User<Gf2p32>>> Fetch<U> {
     }
 
     /// Carries out the recovery due at `now`: re-sweeps and re-handshakes
-    /// of stalled connections, write-offs and re-plans, a quarantine's
-    /// stop. `verdicts` says who is banned or sick.
+    /// of stalled connections, write-offs, bans and re-plans.
     ///
     /// # Errors
     ///
     /// [`SystemError::AuthenticationRejected`] when every peer refused,
     /// [`SystemError::AllPeersUnavailable`] once every connection is
-    /// written off; the `Out`s of the poll stand.
+    /// written off or banned; the `Out`s of the poll stand.
     pub(crate) fn poll(
         &mut self,
         now: f64,
-        verdicts: &impl LadderView,
         rng: &mut ChaChaRng,
         out: &mut Vec<Out>,
     ) -> Result<(), SystemError> {
@@ -273,8 +442,9 @@ impl<U: BorrowMut<User<Gf2p32>>> Fetch<U> {
             });
         }
         self.ladder
-            .poll(now, &|conn| user.stage(conn), verdicts, &mut self.actions);
+            .poll(now, &|conn| user.stage(conn), &mut self.actions);
         let file_id = user.file_id();
+        let sent = out.len();
         for action in self.actions.drain(..) {
             let stats = user.stats_mut();
             match action {
@@ -298,32 +468,30 @@ impl<U: BorrowMut<User<Gf2p32>>> Fetch<U> {
                     user.drop_conn(conn);
                     out.push(Out::WriteOff { conn });
                 }
+                // A write-off the client chose: tell the peer to stop, then
+                // forget it.
+                Action::Quarantined { conn, strategy } => {
+                    stats.quarantines += 1;
+                    out.push(Out::Quarantine { conn, strategy });
+                    out.push(Out::Send(conn, Wire::StopTransmission { file_id }));
+                    user.drop_conn(conn);
+                }
                 // Restart the survivor's sweep, skipping finished chunks, so
                 // what only the dead or banned peer had sent is re-covered.
-                Action::Reassign {
-                    target,
-                    deprioritized,
-                } => {
+                Action::Reassign { target } => {
                     stats.reassignments += 1;
-                    out.push(Out::Reassign {
-                        target,
-                        deprioritized,
-                    });
+                    out.push(Out::Reassign { target });
                     out.push(Out::Send(target, Wire::FileRequest { file_id }));
                     let held = (0..user.chunk_count()).filter(|&c| user.chunk_complete(c));
                     out.extend(
                         held.map(|chunk| Out::Send(target, Wire::StopChunk { file_id, chunk })),
                     );
                 }
-                Action::Quarantined { conn } => {
-                    stats.quarantines += 1;
-                    out.push(Out::Quarantine { conn });
-                    out.push(Out::Send(conn, Wire::StopTransmission { file_id }));
-                }
-                Action::BanLapsed { conn } => out.push(Out::BanLapsed { conn }),
             }
         }
+        self.watch(&out[sent..]);
         if self.ladder.all_dead() {
+            let user = self.user.borrow();
             return Err(SystemError::AllPeersUnavailable {
                 have: user.independent_count(),
                 need: user.messages_needed(),
@@ -337,7 +505,7 @@ impl<U: BorrowMut<User<Gf2p32>>> Fetch<U> {
         self.ladder.next_deadline(now)
     }
 
-    /// Whether `conn` was written off.
+    /// Whether `conn` was written off or banned.
     pub(crate) fn is_dead(&self, conn: u64) -> bool {
         self.ladder.is_dead(conn)
     }
@@ -380,29 +548,22 @@ mod tests {
         replacement_base_secs: 0.125,
     };
 
-    /// Nobody is banned or sick.
-    struct Healthy;
-
-    impl LadderView for Healthy {
-        fn quarantined(&self, _conn: u64, _now: f64) -> bool {
-            false
-        }
-        fn sick(&self, _conn: u64) -> bool {
-            false
-        }
-    }
-
     fn rng(seed: u8) -> ChaChaRng {
         ChaChaRng::new([seed; 32], [0u8; 12])
     }
 
     fn original() -> Vec<u8> {
-        (0..5000u32).map(|i| (i * 7 % 253) as u8).collect()
+        file_of(5000)
     }
 
-    /// One download of a three-chunk file (k = 4; chunks of 2048, 2048 and
-    /// 904 bytes) from four in-memory peers on connections 0–3, built the
-    /// same way whatever the clock's epoch.
+    fn file_of(len: u32) -> Vec<u8> {
+        (0..len).map(|i| (i * 7 % 253) as u8).collect()
+    }
+
+    /// One download of a file of 2048-byte chunks (k = 4) from four
+    /// in-memory peers on connections 0–3, built the same way whatever the
+    /// clock's epoch. Each peer's batch holds four messages of every chunk,
+    /// chunk by chunk.
     struct Rig {
         fetch: Fetch,
         /// Each connection's coded messages.
@@ -413,8 +574,15 @@ mod tests {
         out: Vec<Out>,
     }
 
-    /// A [`Rig`] whose four handshakes completed at `epoch`.
+    /// A [`Rig`] for the three-chunk file (chunks of 2048, 2048 and 904
+    /// bytes) whose four handshakes completed at `epoch`.
     fn connected(epoch: f64) -> Rig {
+        connected_with(epoch, 5000)
+    }
+
+    /// A [`Rig`] for a file of `len` bytes whose four handshakes completed
+    /// at `epoch`.
+    fn connected_with(epoch: f64, len: u32) -> Rig {
         let owner = Identity::from_seed(b"fetch-owner");
         let mut enc = ChunkedEncoder::<Gf2p32>::with_chunk_size(
             FieldKind::Gf2p32,
@@ -422,7 +590,7 @@ mod tests {
             DigestKind::Md5,
             owner.coding_secret().clone(),
             FileId(8),
-            &original(),
+            &file_of(len),
             2048,
         )
         .unwrap();
@@ -560,7 +728,7 @@ mod tests {
             // As the drivers do: no recovery once the file is whole.
             let complete = fetch.user().is_complete();
             if result.is_ok() && !complete {
-                result = fetch.poll(now, &Healthy, rng, out);
+                result = fetch.poll(now, rng, out);
             }
             log.extend(out.drain(..).map(|item| (t, Ok(relative(item, epoch)))));
             if let Err(e) = result {
@@ -582,10 +750,10 @@ mod tests {
         /// The engine has no clock of its own: one generated datagram
         /// sequence — valid frames, flipped payloads, duplicates and
         /// another peer's replays, stale and forged acceptances, frames
-        /// from a written-off connection — gives the same sends, notes,
-        /// errors, stats and bytes on the sim's epoch (0) and the rt's
-        /// (1000); and no connection is asked for a chunk's replacement
-        /// faster than the limiter allows.
+        /// from a written-off connection — gives the same bans, sends,
+        /// notes, errors, stats and bytes on the sim's epoch (0) and the
+        /// rt's (1000); and no connection is asked for a chunk's
+        /// replacement faster than the limiter allows.
         #[test]
         fn one_engine_either_clock(
             steps in proptest::collection::vec(
@@ -600,6 +768,16 @@ mod tests {
         ) {
             let sim = run(&steps, 0.0);
             let rt = run(&steps, 1000.0);
+            // The verdicts first: the same bans, at the same instants.
+            let bans = |log: &[(f64, Result<Out, SystemError>)]| -> Vec<(f64, Out)> {
+                log.iter()
+                    .filter_map(|(t, item)| match item {
+                        Ok(ban @ Out::Quarantine { .. }) => Some((*t, ban.clone())),
+                        _ => None,
+                    })
+                    .collect()
+            };
+            proptest::prop_assert_eq!(bans(&sim.0), bans(&rt.0));
             proptest::prop_assert_eq!(&sim, &rt);
             let (log, _, _, decoded) = sim;
             if let Ok(bytes) = decoded {
@@ -638,7 +816,7 @@ mod tests {
         let mut frames = vec![Wire::MessageData(msg)];
         fetch.on_datagram(0, &mut frames, 0.75, rng, out).unwrap();
         out.clear();
-        fetch.poll(1.25, &Healthy, rng, out).unwrap();
+        fetch.poll(1.25, rng, out).unwrap();
         let swept: Vec<u64> = out
             .iter()
             .filter_map(|item| match item {
@@ -647,5 +825,179 @@ mod tests {
             })
             .collect();
         assert_eq!(swept, [1, 2, 3]);
+    }
+
+    /// Feeds each `(conn, frames)` datagram at `t`, then polls at `t`, as
+    /// the drivers do; returns what came out.
+    fn at(rig: &mut Rig, t: f64, datagrams: Vec<(u64, Vec<Wire>)>) -> Vec<Out> {
+        let Rig {
+            fetch, rng, out, ..
+        } = rig;
+        for (conn, mut frames) in datagrams {
+            fetch.on_datagram(conn, &mut frames, t, rng, out).unwrap();
+        }
+        fetch.poll(t, rng, out).unwrap();
+        std::mem::take(out)
+    }
+
+    /// Message `index` of `conn`'s batch, as sent.
+    fn coded(rig: &Rig, conn: usize, index: usize) -> Wire {
+        frame(rig, conn, (0, index))
+    }
+
+    /// The bans in `outs`.
+    fn bans(outs: &[Out]) -> Vec<(u64, &'static str)> {
+        outs.iter()
+            .filter_map(|item| match item {
+                Out::Quarantine { conn, strategy } => Some((*conn, *strategy)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// A peer that spoils one frame of every two-frame datagram is banned
+    /// at the close of its first evidence window: the ban, then the stop,
+    /// then the re-plan; it is dropped from the user, and its later
+    /// datagrams are dropped before they are hashed.
+    #[test]
+    fn a_polluter_is_banned() {
+        let mut rig = connected_with(0.0, 64 * 1024);
+        let mut outs = Vec::new();
+        for n in 0..16 {
+            let datagrams = (0..4)
+                .map(|conn| {
+                    let first = match conn {
+                        0 => frame(&rig, 0, (9, 2 * n)),
+                        _ => coded(&rig, conn, 2 * n),
+                    };
+                    (conn as u64, vec![first, coded(&rig, conn, 2 * n + 1)])
+                })
+                .collect();
+            outs = at(&mut rig, n as f64 / 8.0, datagrams);
+            if n < 15 {
+                assert_eq!(bans(&outs), [], "datagram {n}");
+            }
+        }
+        let ban = outs
+            .iter()
+            .position(|item| matches!(item, Out::Quarantine { .. }))
+            .expect("banned at the poll after the window closed");
+        let file_id = rig.fetch.user().file_id();
+        assert_eq!(
+            outs[ban..ban + 3],
+            [
+                Out::Quarantine {
+                    conn: 0,
+                    strategy: "pollute"
+                },
+                Out::Send(0, Wire::StopTransmission { file_id }),
+                Out::Reassign { target: 1 },
+            ]
+        );
+        let user = rig.fetch.user();
+        assert_eq!((user.stage(0), user.stats().quarantines), (None, 1));
+        let (tally, hashed) = (rig.fetch.tally(0), user.hashed_count());
+        let late = vec![(0, vec![coded(&rig, 0, 40), coded(&rig, 0, 41)])];
+        assert_eq!(at(&mut rig, 2.0, late), []);
+        assert_eq!(rig.fetch.tally(0), tally);
+        assert_eq!(rig.fetch.user().hashed_count(), hashed, "dropped unhashed");
+    }
+
+    /// A peer the engine re-swept re-sends what it sent before: a window
+    /// of nothing but those duplicates draws no replay strike. The same
+    /// duplicates again, unasked, are replay.
+    #[test]
+    fn replay_is_not_struck_right_after_the_engines_own_resweep() {
+        let mut rig = connected_with(0.0, 256 * 1024);
+        // Connections 1–3 keep delivering fresh messages at every step.
+        let mut fresh = 16;
+        let mut step = |rig: &mut Rig, t: f64, from_0: Vec<Wire>| {
+            let mut datagrams: Vec<(u64, Vec<Wire>)> = (1..4)
+                .map(|c| (c as u64, vec![coded(rig, c, fresh)]))
+                .collect();
+            fresh += 1;
+            datagrams.extend(from_0.into_iter().map(|w| (0, vec![w])));
+            at(rig, t, datagrams)
+        };
+        // Connection 0 completes chunks 0–3 on its own, one evidence window
+        // of sixteen datagrams...
+        let held: Vec<Wire> = (0..16).map(|i| coded(&rig, 0, i)).collect();
+        step(&mut rig, 0.0, held.clone());
+        // ...then falls silent until the engine re-sweeps it.
+        let mut t = 0.0;
+        loop {
+            t += 0.125;
+            let outs = step(&mut rig, t, vec![]);
+            if outs.contains(&Out::Retry {
+                conn: 0,
+                attempt: 1,
+            }) {
+                break;
+            }
+        }
+        // The re-sweep re-sends all sixteen: a window of duplicates, no
+        // strike.
+        t += 0.125;
+        let outs = step(&mut rig, t, held.clone());
+        let duplicates = outs.iter().filter(|o| **o == Out::Duplicate { conn: 0 });
+        assert_eq!(duplicates.count(), 16);
+        assert_eq!(bans(&outs), []);
+        // Sixteen more, unasked: replay.
+        t += 0.125;
+        let outs = step(&mut rig, t, held);
+        assert_eq!(bans(&outs), [(0, "replay")]);
+        assert_eq!(rig.fetch.user().stats().quarantines, 1);
+    }
+
+    /// Four peers, three delivering a datagram every eighth of a second.
+    /// The fourth either serves three datagrams a step for a second and
+    /// then withholds for most of one, over and over, or delivers one
+    /// datagram every second — a link eight times slower than the others.
+    /// The first is banned for selective serving, the second never.
+    #[test]
+    fn a_withholding_peer_is_banned_but_a_slow_link_is_not() {
+        let run = |fourth: fn(usize) -> usize| -> Vec<(u64, &'static str)> {
+            let mut rig = connected_with(0.0, 256 * 1024);
+            let mut sent = 0;
+            let mut all = Vec::new();
+            for step in 0..60 {
+                let mut datagrams: Vec<(u64, Vec<Wire>)> = (0..3)
+                    .map(|c| (c as u64, vec![coded(&rig, c, step)]))
+                    .collect();
+                for _ in 0..fourth(step) {
+                    datagrams.push((3, vec![coded(&rig, 3, sent)]));
+                    sent += 1;
+                }
+                let outs = at(&mut rig, step as f64 / 8.0, datagrams);
+                assert!(!outs.iter().any(|o| matches!(o, Out::Retry { .. })));
+                all.extend(bans(&outs));
+            }
+            all
+        };
+        // On for eight steps, off for seven (0.875 s, under the stall).
+        let withholding = run(|step| if step % 15 < 8 { 4 } else { 0 });
+        assert_eq!(withholding, [(3, "selective")]);
+        let slow = run(|step| usize::from(step % 8 == 0));
+        assert_eq!(slow, []);
+    }
+
+    /// Honest links that corrupt 8 % of datagrams, drawn at random, are
+    /// never banned.
+    #[test]
+    fn honest_corruption_of_eight_percent_is_never_banned() {
+        let mut rig = connected_with(0.0, 256 * 1024);
+        let mut draws = asymshare_netsim::SplitMix64::new(8);
+        for step in 0..120 {
+            let datagrams = (0..4)
+                .map(|c| {
+                    let kind = if draws.next_f64() < 0.08 { 9 } else { 0 };
+                    (c as u64, vec![frame(&rig, c, (kind, step))])
+                })
+                .collect();
+            let outs = at(&mut rig, step as f64 / 8.0, datagrams);
+            assert_eq!(bans(&outs), [], "step {step}");
+        }
+        let stats = rig.fetch.user().stats();
+        assert!(stats.corruptions > 0 && stats.quarantines == 0, "{stats:?}");
     }
 }

@@ -1,25 +1,26 @@
 //! The recovery ladder: when a silent connection is nudged, re-handshaken
-//! or written off, whose demand moves where, how a quarantine is answered,
-//! and how often a rejected message may be re-requested.
+//! or written off, whose demand moves where, and how often a rejected
+//! message may be re-requested.
 //!
 //! [`RecoveryLadder`] is the one implementation of that policy. It holds
 //! per-connection liveness (`last_activity`, `next_attempt`, `retries`,
-//! `dead`), which connections are under a ban, the round-robin re-plan
-//! cursor and the per-`(connection, chunk)` replacement limiter — and no
-//! clock, socket, thread, `User`, RNG or event sink. Time is `f64` seconds
-//! on an epoch the driver picks: simulated seconds in
-//! [`SimRuntime`](crate::SimRuntime), seconds since the fetch began in
-//! [`rt::download_file_with`](crate::rt::download_file_with).
+//! `dead`), the round-robin re-plan cursor and the per-`(connection,
+//! chunk)` replacement limiter — and no clock, socket, thread, `User`, RNG
+//! or event sink. Time is `f64` seconds on an epoch the driver picks:
+//! simulated seconds in [`SimRuntime`](crate::SimRuntime), seconds since
+//! the fetch began in [`rt::download_file_with`](crate::rt::download_file_with).
 //!
 //! Its one caller is the client engine, [`Fetch`](crate::fetch::Fetch),
 //! which tells the ladder what happened ([`on_activity`], [`lost`],
-//! [`admit_replacement`]) and asks it what to do ([`poll`], which appends
-//! [`Action`]s to a caller-owned buffer, and [`next_deadline`]). The ladder
-//! decides *when and whom*; what goes on the wire for each action and the
-//! stats counters stay with the engine, the events with its drivers.
+//! [`ban`], [`admit_replacement`]) and asks it what to do ([`poll`], which
+//! appends [`Action`]s to a caller-owned buffer, and [`next_deadline`]).
+//! The ladder decides *when and whom*; what goes on the wire for each
+//! action and the stats counters stay with the engine, the events with its
+//! drivers.
 //!
 //! [`on_activity`]: RecoveryLadder::on_activity
 //! [`lost`]: RecoveryLadder::lost
+//! [`ban`]: RecoveryLadder::ban
 //! [`admit_replacement`]: RecoveryLadder::admit_replacement
 //! [`poll`]: RecoveryLadder::poll
 //! [`next_deadline`]: RecoveryLadder::next_deadline
@@ -43,16 +44,6 @@ pub(crate) struct LadderConfig {
     pub replacement_base_secs: f64,
 }
 
-/// The health verdicts the ladder reads, per connection. The user's
-/// handshake/download stage comes from the engine's own `User`, as the
-/// `stage` argument of [`RecoveryLadder::poll`].
-pub(crate) trait LadderView {
-    /// Whether the peer behind `conn` is under a quarantine ban at `now`.
-    fn quarantined(&self, conn: u64, now: f64) -> bool;
-    /// Whether the health engine marks the peer behind `conn` sick.
-    fn sick(&self, conn: u64) -> bool;
-}
-
 /// One decision for the driver to carry out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Action {
@@ -65,15 +56,21 @@ pub(crate) enum Action {
     /// survivor can take its demand.
     WriteOff { conn: u64 },
     /// Restart `target`'s sweep so it re-covers what a dead or banned
-    /// connection had been sending; `deprioritized` live connections were
-    /// passed over as banned or sick.
-    Reassign { target: u64, deprioritized: usize },
-    /// The peer behind `conn` entered quarantine: stop its transmission.
-    /// Reported once per ban; a `Reassign` follows as for `WriteOff`.
-    Quarantined { conn: u64 },
-    /// The ban on `conn` lapsed (once per lapse); its stall clock runs
-    /// again from the last poll of the ban.
-    BanLapsed { conn: u64 },
+    /// connection had been sending.
+    Reassign { target: u64 },
+    /// The client banned the peer behind `conn` for `strategy`: stop it and
+    /// forget it, for the rest of the fetch. A `Reassign` follows as for
+    /// `WriteOff`.
+    Quarantined { conn: u64, strategy: &'static str },
+}
+
+/// How a connection ends at the next poll.
+#[derive(Debug, Clone, Copy)]
+enum End {
+    /// A send to it failed.
+    Lost,
+    /// The engine's evidence convicted it of `strategy`.
+    Banned(&'static str),
 }
 
 #[derive(Debug)]
@@ -83,11 +80,9 @@ struct ConnState {
     next_attempt: f64,
     retries: u32,
     dead: bool,
-    /// Reported by [`RecoveryLadder::lost`], written off at the next poll.
-    lost: bool,
-    banned: bool,
-    /// The ban lapsed in the current poll: no stall check until the next.
-    lapsed: bool,
+    /// Reported by [`RecoveryLadder::lost`] or [`RecoveryLadder::ban`],
+    /// carried out at the next poll.
+    end: Option<End>,
 }
 
 /// See the [module docs](self).
@@ -116,9 +111,7 @@ impl RecoveryLadder {
                 next_attempt: now,
                 retries: 0,
                 dead: false,
-                lost: false,
-                banned: false,
-                lapsed: false,
+                end: None,
             })
             .collect();
         conns.sort_unstable_by_key(|c| c.conn);
@@ -150,18 +143,30 @@ impl RecoveryLadder {
     /// A send to `conn` failed (its address is gone): the next
     /// [`poll`](Self::poll) writes it off and re-plans its demand.
     pub(crate) fn lost(&mut self, conn: u64) {
-        if let Some(c) = self.get_mut(conn) {
-            c.lost = !c.dead;
+        self.end(conn, End::Lost);
+    }
+
+    /// The engine convicted `conn` of `strategy`: the next
+    /// [`poll`](Self::poll) bans it — a write-off the client chose — and
+    /// re-plans its demand.
+    pub(crate) fn ban(&mut self, conn: u64, strategy: &'static str) {
+        self.end(conn, End::Banned(strategy));
+    }
+
+    /// The first end reported for a live connection stands.
+    fn end(&mut self, conn: u64, end: End) {
+        if let Some(c) = self.get_mut(conn).filter(|c| !c.dead) {
+            c.end.get_or_insert(end);
         }
     }
 
-    /// Whether `conn` was written off.
+    /// Whether `conn` was written off or banned.
     pub(crate) fn is_dead(&self, conn: u64) -> bool {
         self.index(conn).is_some_and(|i| self.conns[i].dead)
     }
 
-    /// Whether every connection has been written off — with the driver's
-    /// deadline, the only way a fetch ends short of success.
+    /// Whether every connection has been written off or banned — with the
+    /// driver's deadline, the only way a fetch ends short of success.
     pub(crate) fn all_dead(&self) -> bool {
         self.conns.iter().all(|c| c.dead)
     }
@@ -183,7 +188,7 @@ impl RecoveryLadder {
     }
 
     /// Appends every action due at `now`, in the order the driver must
-    /// carry them out: lost connections, then ban entries and lapses, then
+    /// carry them out: lost and banned connections, then refusals, then
     /// stalls, each in connection order. `stage` is the user's
     /// handshake/download stage on a connection (`None` once dropped).
     /// Steady state appends nothing and allocates nothing.
@@ -191,57 +196,35 @@ impl RecoveryLadder {
         &mut self,
         now: f64,
         stage: &impl Fn(u64) -> Option<ConnStage>,
-        view: &impl LadderView,
         actions: &mut Vec<Action>,
     ) {
         for i in 0..self.conns.len() {
             let c = &mut self.conns[i];
-            if c.lost {
-                c.lost = false;
-                self.write_off(i, now, stage, view, actions);
+            let conn = c.conn;
+            match c.end.take() {
+                Some(End::Lost) => self.write_off(i, Action::WriteOff { conn }, stage, actions),
+                Some(End::Banned(strategy)) => {
+                    let ban = Action::Quarantined { conn, strategy };
+                    self.write_off(i, ban, stage, actions);
+                }
+                None => {}
             }
         }
-        for i in 0..self.conns.len() {
-            let c = &mut self.conns[i];
-            if c.dead {
-                continue;
-            }
-            let conn = c.conn;
-            if stage(conn) == Some(ConnStage::Refused) {
+        for c in self.conns.iter_mut().filter(|c| !c.dead) {
+            if stage(c.conn) == Some(ConnStage::Refused) {
                 // Terminal, and nothing to re-plan: a refusing peer never
                 // served a byte.
                 c.dead = true;
-                continue;
-            }
-            if view.quarantined(conn, now) {
-                // Neither nudged nor written off, and no retries burned:
-                // the ban is timed, and the stall clock is paused for it.
-                c.last_activity = now;
-                c.retries = 0;
-                if !c.banned {
-                    c.banned = true;
-                    actions.push(Action::Quarantined { conn });
-                    self.reassign(now, stage, view, actions);
-                }
-            } else if c.banned {
-                c.banned = false;
-                c.lapsed = true;
-                actions.push(Action::BanLapsed { conn });
             }
         }
         for i in 0..self.conns.len() {
             let c = &mut self.conns[i];
-            let lapsed = std::mem::take(&mut c.lapsed);
-            if c.dead
-                || c.banned
-                || lapsed
-                || now - c.last_activity < self.cfg.stall_secs
-                || now < c.next_attempt
-            {
+            if c.dead || now - c.last_activity < self.cfg.stall_secs || now < c.next_attempt {
                 continue;
             }
             if c.retries >= self.cfg.max_retries {
-                self.write_off(i, now, stage, view, actions);
+                let conn = c.conn;
+                self.write_off(i, Action::WriteOff { conn }, stage, actions);
                 continue;
             }
             c.retries += 1;
@@ -255,94 +238,50 @@ impl RecoveryLadder {
         }
     }
 
+    /// Marks connection `i` dead, reports `why`, and re-plans its demand.
     fn write_off(
         &mut self,
         i: usize,
-        now: f64,
+        why: Action,
         stage: &impl Fn(u64) -> Option<ConnStage>,
-        view: &impl LadderView,
         actions: &mut Vec<Action>,
     ) {
         self.conns[i].dead = true;
-        actions.push(Action::WriteOff {
-            conn: self.conns[i].conn,
-        });
-        self.reassign(now, stage, view, actions);
+        actions.push(why);
+        self.reassign(stage, actions);
     }
 
     /// Picks the survivor that absorbs a dead or banned connection's
-    /// demand, round-robin over the best non-empty pool: live (not dead,
-    /// downloading) → not banned → not sick. Banned peers serve only when
-    /// every survivor is banned, sick ones only when every remaining one is
-    /// sick, so the download cannot strand itself.
-    fn reassign(
-        &mut self,
-        now: f64,
-        stage: &impl Fn(u64) -> Option<ConnStage>,
-        view: &impl LadderView,
-        actions: &mut Vec<Action>,
-    ) {
-        let live = |c: &ConnState| !c.dead && stage(c.conn) == Some(ConnStage::Downloading);
-        // Pool sizes by tier: [live, unbanned, unbanned healthy, live healthy].
-        let mut n = [0usize; 4];
-        for c in self.conns.iter().filter(|c| live(c)) {
-            let unbanned = !view.quarantined(c.conn, now);
-            let healthy = !view.sick(c.conn);
-            n[0] += 1;
-            n[1] += unbanned as usize;
-            n[2] += (unbanned && healthy) as usize;
-            n[3] += healthy as usize;
-        }
-        let [n_live, n_unbanned, n_unbanned_healthy, n_live_healthy] = n;
+    /// demand, round-robin over the live (not dead, downloading) ones.
+    fn reassign(&mut self, stage: &impl Fn(u64) -> Option<ConnStage>, actions: &mut Vec<Action>) {
+        let live = |c: &&ConnState| !c.dead && stage(c.conn) == Some(ConnStage::Downloading);
+        let n_live = self.conns.iter().filter(live).count();
         if n_live == 0 {
             return;
         }
-        let skip_banned = n_unbanned > 0;
-        let n_base = if skip_banned { n_unbanned } else { n_live };
-        let n_healthy = if skip_banned {
-            n_unbanned_healthy
-        } else {
-            n_live_healthy
-        };
-        let skip_sick = n_healthy > 0;
-        let len = if skip_sick { n_healthy } else { n_base };
         let target = self
             .conns
             .iter()
-            .filter(|c| live(c))
-            .filter(|c| !(skip_banned && view.quarantined(c.conn, now)))
-            .filter(|c| !(skip_sick && view.sick(c.conn)))
-            .nth(self.replan_cursor % len)
+            .filter(live)
+            .nth(self.replan_cursor % n_live)
             .expect("the pool was just counted")
             .conn;
         self.replan_cursor += 1;
-        actions.push(Action::Reassign {
-            target,
-            deprioritized: n_live - len,
-        });
+        actions.push(Action::Reassign { target });
     }
 
     /// How long the driver may sleep before the next [`poll`](Self::poll)
     /// can produce an action, and whether that wait honors a backoff — the
-    /// earliest deadline is a scheduled retry rather than a stall deadline,
-    /// or only banned connections are left — as opposed to ordinary waiting
-    /// for a healthy peer's next message. Zero when an action is due now;
-    /// at most the stall timeout, so lapsing bans are still re-checked.
+    /// earliest deadline is a scheduled retry rather than a stall deadline
+    /// — as opposed to ordinary waiting for a healthy peer's next message.
+    /// Zero when an action is due now; at most the stall timeout.
     pub(crate) fn next_deadline(&self, now: f64) -> (f64, bool) {
         let cap = self.cfg.stall_secs;
         let mut next: Option<(f64, bool)> = None;
-        let mut banned = false;
         for c in self.conns.iter().filter(|c| !c.dead) {
-            if c.lost {
-                return (0.0, false);
-            }
-            if c.banned {
-                banned = true;
-                continue;
-            }
             let stall_due = c.last_activity + cap;
             let due = stall_due.max(c.next_attempt);
-            if due <= now {
+            if c.end.is_some() || due <= now {
                 return (0.0, false);
             }
             if next.is_none_or(|(n, _)| due < n) {
@@ -351,7 +290,7 @@ impl RecoveryLadder {
         }
         match next {
             Some((due, retry)) => ((due - now).min(cap), retry),
-            None => (cap, banned),
+            None => (cap, false),
         }
     }
 }
@@ -368,29 +307,17 @@ mod tests {
     use asymshare_crypto::chacha20::ChaChaRng;
     use asymshare_gf::{FieldKind, Gf2p32};
     use asymshare_rlnc::{ChunkedEncoder, DigestKind, FileId};
-    use std::collections::{BTreeMap, BTreeSet};
+    use std::collections::BTreeMap;
     use ConnStage::{Authenticating, Downloading, Refused};
 
-    /// The world as a table: stages, bans and sick marks set by hand.
-    #[derive(Default)]
+    /// The world as a table: stages set by hand.
     struct World {
         stages: BTreeMap<u64, ConnStage>,
-        banned: BTreeSet<u64>,
-        sick: BTreeSet<u64>,
     }
 
     impl World {
         fn poll(&self, ladder: &mut RecoveryLadder, now: f64, actions: &mut Vec<Action>) {
-            ladder.poll(now, &|conn| self.stages.get(&conn).copied(), self, actions);
-        }
-    }
-
-    impl LadderView for World {
-        fn quarantined(&self, conn: u64, _now: f64) -> bool {
-            self.banned.contains(&conn)
-        }
-        fn sick(&self, conn: u64) -> bool {
-            self.sick.contains(&conn)
+            ladder.poll(now, &|conn| self.stages.get(&conn).copied(), actions);
         }
     }
 
@@ -401,7 +328,6 @@ mod tests {
         Heard(u64),
         Lost(u64),
         Ban(u64),
-        Lift(u64),
         Stage(u64, ConnStage),
     }
     use Ev::*;
@@ -420,7 +346,6 @@ mod tests {
     fn setup(max_retries: u32, conns: &[(u64, ConnStage)]) -> (RecoveryLadder, World) {
         let world = World {
             stages: conns.iter().copied().collect(),
-            ..World::default()
         };
         let ladder = RecoveryLadder::new(cfg(max_retries), conns.iter().map(|c| c.0), 0.0);
         (ladder, world)
@@ -434,8 +359,7 @@ mod tests {
                 Tick => {}
                 Heard(conn) => ladder.on_activity(conn, now),
                 Lost(conn) => ladder.lost(conn),
-                Ban(conn) => drop(world.banned.insert(conn)),
-                Lift(conn) => drop(world.banned.remove(&conn)),
+                Ban(conn) => ladder.ban(conn, "pollute"),
                 Stage(conn, stage) => drop(world.stages.insert(conn, stage)),
             }
             world.poll(ladder, now, &mut actions);
@@ -581,29 +505,13 @@ mod tests {
                 (1.5, Heard(2), &[]),
                 (1.5, Heard(3), &[]),
                 // Budget of one spent and still silent past the backoff.
-                (
-                    2.0,
-                    Tick,
-                    &[
-                        WriteOff { conn: 1 },
-                        Reassign {
-                            target: 2,
-                            deprioritized: 0,
-                        },
-                    ],
-                ),
+                (2.0, Tick, &[WriteOff { conn: 1 }, Reassign { target: 2 }]),
                 // A failed send is a write-off at once, whatever the clock
                 // says; the cursor moves on to the next survivor.
                 (
                     2.0,
                     Lost(2),
-                    &[
-                        WriteOff { conn: 2 },
-                        Reassign {
-                            target: 3,
-                            deprioritized: 0,
-                        },
-                    ],
+                    &[WriteOff { conn: 2 }, Reassign { target: 3 }],
                 ),
                 (2.0, Lost(2), &[]),
                 // Nobody left to take the last one's demand.
@@ -628,62 +536,80 @@ mod tests {
         assert!(ladder.is_dead(1) && !ladder.is_dead(2));
     }
 
-    /// The re-plan pool is live → not banned → not sick, each step falling
-    /// back to the wider pool when it would leave nobody.
+    /// A re-plan goes round-robin over the live connections: downloading,
+    /// and neither written off nor banned.
     #[test]
-    fn replan_pool_prefers_unbanned_then_healthy() {
-        // (banned, sick, [(target, deprioritized); 3]) over three losses;
-        // connections 1–3 download, 7–9 are there to be lost.
-        type Case = (&'static [u64], &'static [u64], [(u64, usize); 3]);
-        let cases: [Case; 6] = [
-            (&[], &[], [(1, 0), (2, 0), (3, 0)]),
-            (&[], &[2], [(1, 1), (3, 1), (1, 1)]),
-            (&[], &[1, 2, 3], [(1, 0), (2, 0), (3, 0)]),
-            (&[1], &[], [(3, 1), (2, 1), (3, 1)]),
-            (&[1], &[2, 3], [(3, 1), (2, 1), (3, 1)]),
-            (&[1], &[3], [(2, 2), (2, 2), (2, 2)]),
-        ];
-        for (banned, sick, want) in cases {
-            let (mut ladder, mut world) = setup(
-                3,
-                &[
-                    (1, Downloading),
-                    (2, Downloading),
-                    (3, Downloading),
-                    (7, Authenticating),
-                    (8, Authenticating),
-                    (9, Authenticating),
-                ],
-            );
-            world.banned = banned.iter().copied().collect();
-            world.sick = sick.iter().copied().collect();
-            let mut actions = Vec::new();
-            // Entering the ban is itself a re-plan (cursor 0).
-            world.poll(&mut ladder, 0.0, &mut actions);
-            assert_eq!(actions.len(), 2 * banned.len(), "{banned:?} {sick:?}");
-            for (lost, (target, deprioritized)) in [7, 8, 9].into_iter().zip(want) {
-                actions.clear();
-                ladder.lost(lost);
-                world.poll(&mut ladder, 0.25, &mut actions);
-                assert_eq!(
-                    actions,
-                    [
-                        WriteOff { conn: lost },
-                        Reassign {
-                            target,
-                            deprioritized
-                        }
+    fn replan_is_round_robin_over_live_connections() {
+        let (mut ladder, mut world) = setup(
+            3,
+            &[
+                (1, Downloading),
+                (2, Downloading),
+                (3, Downloading),
+                (7, Authenticating),
+                (8, Authenticating),
+            ],
+        );
+        let reassign = |target| Reassign { target };
+        run(
+            &mut ladder,
+            &mut world,
+            &[
+                (0.25, Lost(7), &[WriteOff { conn: 7 }, reassign(1)]),
+                (
+                    0.25,
+                    Ban(2),
+                    &[
+                        Quarantined {
+                            conn: 2,
+                            strategy: "pollute",
+                        },
+                        reassign(3),
                     ],
-                    "banned {banned:?}, sick {sick:?}, losing {lost}"
-                );
-            }
-        }
+                ),
+                // Cursor 2 over the two survivors {1, 3}.
+                (0.5, Lost(8), &[WriteOff { conn: 8 }, reassign(1)]),
+            ],
+        );
     }
 
+    /// A ban is a write-off the client chose: reported once, its demand
+    /// re-planned, and the connection is never nudged, re-banned or lost
+    /// again, however long it stays silent.
     #[test]
-    fn every_survivor_banned_still_serves() {
+    fn a_ban_is_a_write_off_reported_once() {
+        let (mut ladder, mut world) = setup(1, &[(1, Downloading), (2, Downloading)]);
+        run(
+            &mut ladder,
+            &mut world,
+            &[
+                (
+                    0.5,
+                    Ban(1),
+                    &[
+                        Quarantined {
+                            conn: 1,
+                            strategy: "pollute",
+                        },
+                        Reassign { target: 2 },
+                    ],
+                ),
+                (0.75, Heard(2), &[]),
+                (1.5, Heard(2), &[]),
+                (2.25, Heard(2), &[]),
+                (2.25, Ban(1), &[]),
+                (3.0, Heard(2), &[]),
+                (3.0, Lost(1), &[]),
+            ],
+        );
+        assert!(ladder.is_dead(1) && !ladder.all_dead());
+    }
+
+    /// With every peer banned there is no fallback tier: the fetch has
+    /// nobody left.
+    #[test]
+    fn every_peer_banned_ends_the_fetch() {
         let (mut ladder, mut world) = setup(3, &[(1, Downloading), (2, Downloading)]);
-        world.sick.insert(1);
         run(
             &mut ladder,
             &mut world,
@@ -692,72 +618,25 @@ mod tests {
                     0.25,
                     Ban(1),
                     &[
-                        Quarantined { conn: 1 },
-                        Reassign {
-                            target: 2,
-                            deprioritized: 1,
+                        Quarantined {
+                            conn: 1,
+                            strategy: "pollute",
                         },
+                        Reassign { target: 2 },
                     ],
                 ),
-                // Both banned: the full live pool, then its healthy part.
                 (
                     0.5,
                     Ban(2),
-                    &[
-                        Quarantined { conn: 2 },
-                        Reassign {
-                            target: 2,
-                            deprioritized: 1,
-                        },
-                    ],
-                ),
-            ],
-        );
-    }
-
-    #[test]
-    fn a_ban_pauses_the_clock_and_is_reported_once_each_way() {
-        let (mut ladder, mut world) = setup(1, &[(1, Downloading), (2, Downloading)]);
-        let entry: &[Action] = &[
-            Quarantined { conn: 1 },
-            Reassign {
-                target: 2,
-                deprioritized: 1,
-            },
-        ];
-        run(
-            &mut ladder,
-            &mut world,
-            &[
-                (0.5, Ban(1), entry),
-                (0.75, Heard(2), &[]),
-                // Neither nudged nor written off, however long the ban.
-                (1.5, Heard(2), &[]),
-                (2.25, Heard(2), &[]),
-                (3.0, Heard(2), &[]),
-                (3.75, Heard(2), &[]),
-                (4.0, Tick, &[]),
-                // Reported once; not stall-checked in the same poll.
-                (4.5, Lift(1), &[BanLapsed { conn: 1 }]),
-                (4.5, Heard(2), &[]),
-                // The clock runs on from the last poll of the ban (4.0),
-                // with a full retry budget.
-                (4.75, Tick, &[]),
-                (
-                    5.0,
-                    Tick,
-                    &[Resweep {
-                        conn: 1,
-                        attempt: 1,
+                    &[Quarantined {
+                        conn: 2,
+                        strategy: "pollute",
                     }],
                 ),
-                (5.25, Heard(2), &[]),
-                // A repeat offence is a new ban.
-                (5.5, Ban(1), entry),
-                (6.0, Heard(2), &[]),
-                (6.25, Lift(1), &[BanLapsed { conn: 1 }]),
             ],
         );
+        assert!(ladder.all_dead());
+        assert_eq!(ladder.next_deadline(0.5), (1.0, false));
     }
 
     #[test]
@@ -783,7 +662,7 @@ mod tests {
 
     #[test]
     fn next_deadline_tells_backoff_from_ordinary_waiting() {
-        let (mut ladder, mut world) = setup(3, &[(1, Downloading), (2, Downloading)]);
+        let (mut ladder, world) = setup(3, &[(1, Downloading), (2, Downloading)]);
         let mut actions = Vec::new();
         // A healthy peer between messages (the clean slow link): wait for
         // its stall deadline, and that is not backoff.
@@ -812,23 +691,11 @@ mod tests {
         assert_eq!(ladder.next_deadline(1.5), (0.0, false));
         actions.clear();
         world.poll(&mut ladder, 1.5, &mut actions);
-        assert_eq!(
-            actions,
-            [
-                WriteOff { conn: 2 },
-                Reassign {
-                    target: 1,
-                    deprioritized: 0
-                }
-            ]
-        );
-        // Only a banned peer left: the cap, so the lapse is noticed, and
-        // the wait counts as backoff.
-        world.banned.insert(1);
-        world.poll(&mut ladder, 1.5, &mut actions);
-        assert_eq!(ladder.next_deadline(1.75), (1.0, true));
+        assert_eq!(actions, [WriteOff { conn: 2 }, Reassign { target: 1 }]);
+        // A reported ban is due at once too.
+        ladder.ban(1, "replay");
+        assert_eq!(ladder.next_deadline(1.75), (0.0, false));
         // Nobody left at all.
-        ladder.lost(1);
         world.poll(&mut ladder, 2.0, &mut actions);
         assert!(ladder.all_dead());
         assert_eq!(ladder.next_deadline(2.0), (1.0, false));
@@ -877,18 +744,6 @@ mod tests {
         result.is_err() && user.stage(0) != Some(Downloading)
     }
 
-    /// No bans and nobody sick.
-    struct Healthy;
-
-    impl LadderView for Healthy {
-        fn quarantined(&self, _conn: u64, _now: f64) -> bool {
-            false
-        }
-        fn sick(&self, _conn: u64) -> bool {
-            false
-        }
-    }
-
     #[test]
     fn late_result_of_a_rerun_handshake_is_ignored() {
         let mut r = rng(31);
@@ -899,7 +754,7 @@ mod tests {
         let result1 = reply(&mut peer, response1, &mut r);
         // ...when the connection stalls and the ladder re-runs the handshake.
         let mut actions = Vec::new();
-        ladder.poll(1.0, &|conn| user.stage(conn), &Healthy, &mut actions);
+        ladder.poll(1.0, &|conn| user.stage(conn), &mut actions);
         assert_eq!(
             actions,
             [Rehandshake {
@@ -947,7 +802,7 @@ mod tests {
         assert!(user.on_message(0, refusal, &mut r).unwrap().is_empty());
         assert_eq!(user.stage(0), Some(Refused));
         let mut actions = Vec::new();
-        ladder.poll(0.5, &|conn| user.stage(conn), &Healthy, &mut actions);
+        ladder.poll(0.5, &|conn| user.stage(conn), &mut actions);
         assert!(actions.is_empty() && ladder.all_dead());
     }
 
@@ -978,7 +833,7 @@ mod tests {
         assert!(user.stats().bytes_by_peer.is_empty() && user.window_bytes().is_empty());
         // The only peer is gone: the fetch ends in a typed error.
         let mut actions = Vec::new();
-        ladder.poll(0.5, &|conn| user.stage(conn), &Healthy, &mut actions);
+        ladder.poll(0.5, &|conn| user.stage(conn), &mut actions);
         assert!(actions.is_empty() && ladder.all_dead());
     }
 }

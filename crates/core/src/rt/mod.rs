@@ -45,7 +45,7 @@ pub use transport::{Envelope, FrameIter, RtNetwork};
 use crate::error::SystemError;
 use crate::fetch::{Fetch, Out};
 use crate::protocol::Wire;
-use crate::recovery::{LadderConfig, LadderView};
+use crate::recovery::LadderConfig;
 use crate::user::User;
 use asymshare_crypto::chacha20::ChaChaRng;
 use asymshare_gf::{block, Gf2p32};
@@ -91,19 +91,6 @@ impl DownloadOptions {
 /// Base delay between replacement requests for the same `(peer, chunk)`,
 /// wall seconds (the ladder doubles it per consecutive request).
 const REPL_BACKOFF_BASE_SECS: f64 = 0.1;
-
-/// The network's health verdicts, as a download's recovery ladder reads
-/// them: the connection id is the peer's address, and verdicts are read on
-/// the event sink's clock.
-impl LadderView for RtNetwork {
-    fn quarantined(&self, conn: u64, _now: f64) -> bool {
-        self.peer_quarantined(conn)
-    }
-
-    fn sick(&self, conn: u64) -> bool {
-        self.peer_is_sick(conn)
-    }
-}
 
 /// A chunk's index and how its decode went.
 type Decoded = (u32, Result<(), CodecError>);
@@ -299,9 +286,12 @@ pub fn download_file(
 /// final feedback; the engine decides what each datagram (timed by when it
 /// landed in the inbox) and each passing moment call for — re-requests,
 /// re-handshakes and write-offs of silent peers with bounded backoff,
-/// rate-limited [`Wire::ReplacementRequest`]s for rejected messages, a stop
-/// for a peer the network quarantines ([`RtNetwork::peer_quarantined`]) —
-/// and counts it in the user's [`SessionStats`](crate::user::SessionStats).
+/// rate-limited [`Wire::ReplacementRequest`]s for rejected messages, and a
+/// ban — a stop, then a write-off — for a peer its own evidence convicts of
+/// pollution, replay or selective serving (DESIGN.md §11) — and counts it
+/// in the user's [`SessionStats`](crate::user::SessionStats). The verdicts
+/// are this fetch's alone: another user's fetch from the same peer judges
+/// it afresh.
 /// A protocol error on a connection that is not (yet) downloading costs
 /// that connection (`rt.heal`/`handshake_error`), not the fetch.
 ///
@@ -381,7 +371,6 @@ fn fetch(
                         fetch.lost(conn);
                     }
                 }
-                Out::Accepted { .. } | Out::BanLapsed { .. } => {}
                 Out::Ranked { chunk, last } => {
                     if let Some(block) = fetch.user_mut().seal_chunk(chunk) {
                         decoders.submit(chunk, block, last);
@@ -423,28 +412,16 @@ fn fetch(
                     );
                 }
                 Out::WriteOff { conn } => heal("write_off", &[("peer", conn.into())]),
-                Out::Reassign {
-                    target,
-                    deprioritized,
-                } => {
-                    let fields = [
-                        ("target", target.into()),
-                        ("deprioritized", deprioritized.into()),
-                    ];
-                    heal("reassign", &fields);
-                }
-                Out::Quarantine { conn } => {
-                    let until = network.peer_quarantined_until(conn).unwrap_or(0.0);
-                    heal(
-                        "quarantine",
-                        &[("peer", conn.into()), ("until", until.into())],
-                    );
+                Out::Reassign { target } => heal("reassign", &[("target", target.into())]),
+                Out::Quarantine { conn, strategy } => {
+                    let fields = [("peer", conn.into()), ("strategy", strategy.into())];
+                    heal("quarantine", &fields);
                 }
             }
         }
     };
     // Each peer's coded frames since the last report, as `window` events —
-    // the health engine's rate denominators.
+    // the health report's rate denominators.
     let report_windows = |fetch: &mut Fetch<&mut User<Gf2p32>>| {
         fetch.drain_window(|peer, counts| {
             if counts.frames > 0 {
@@ -487,7 +464,7 @@ fn fetch(
         // Adaptive poll: while no recovery action can fire, sleep toward the
         // earliest recovery deadline instead of re-polling at the base
         // cadence; an arriving datagram still wakes `recv_timeout` at once.
-        // Only the extra wait spent honoring a backoff or a ban counts as
+        // Only the extra wait spent honoring a backoff counts as
         // `SessionStats::backoff_wait_us`.
         const BASE_POLL: Duration = Duration::from_millis(50);
         let (wait, backing_off) = fetch.next_deadline(secs(now));
@@ -528,7 +505,7 @@ fn fetch(
         // next poll of the same pass turns into its write-off and re-plan.
         let now = secs(Instant::now());
         loop {
-            let result = fetch.poll(now, network, &mut rng, &mut out);
+            let result = fetch.poll(now, &mut rng, &mut out);
             let acted = !out.is_empty();
             carry_out(&mut fetch, &mut out);
             result?;
@@ -537,7 +514,7 @@ fn fetch(
             }
         }
     }
-    // Close the last partial health window before reporting back.
+    // Flush the last partial window before reporting back.
     report_windows(&mut fetch);
     // Final feedback to the home peer (the off-line informational update).
     // The window end doubles as the report's anti-replay counter on the
@@ -1182,6 +1159,49 @@ mod tests {
             "only the polluter was asked: {requested:?}"
         );
         assert!(served > 0, "some round trip closed");
+    }
+
+    /// A polluter serving two users is banned by each of them on its own
+    /// evidence, with observability off. The second user starts after the
+    /// first has banned the peer and still receives its polluted frames
+    /// until it convicts the peer itself: a ban is the banning client's
+    /// stop, not a gate on the peer.
+    #[test]
+    fn each_user_bans_a_polluter_on_its_own_evidence() {
+        const LEN: usize = 512 * 1024;
+        let network = RtNetwork::new();
+        let owner = Identity::from_seed(b"rt-two-users");
+        let (batches, manifest) = build_file(&owner, 4, LEN);
+        let mut reactor = Reactor::new(&network, ReactorConfig::default());
+        let mut peers = Vec::new();
+        for (i, batch) in batches.into_iter().enumerate() {
+            let (peer, key) = stocked_peer(&owner, &[b't', b'u', i as u8], batch);
+            let addr = 1600 + i as u64;
+            // The polluter is the fastest of the four.
+            reactor.add_peer(addr, peer, if i == 1 { 256 << 10 } else { 64 << 10 });
+            peers.push((addr, key));
+        }
+        network.install_faults(
+            FaultPlan::new(fault_seed())
+                .with_adversary(NodeId::new(1601), AdversaryStrategy::Pollute { prob: 1.0 }),
+        );
+        for me in [16, 17] {
+            let mut user = User::<Gf2p32>::new(owner.clone(), manifest.clone()).unwrap();
+            let data = download_file(
+                &network,
+                me,
+                &mut user,
+                &peers,
+                peers[0].0,
+                Duration::from_secs(60),
+            )
+            .expect("the honest peers cover the file");
+            assert_eq!(data, file_bytes(LEN));
+            let stats = user.stats();
+            assert_eq!(stats.quarantines, 1, "user {me}: {stats:?}");
+            assert!(stats.corruptions >= 8, "user {me}: {stats:?}");
+        }
+        reactor.shutdown();
     }
 
     #[test]

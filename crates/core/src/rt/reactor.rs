@@ -9,9 +9,7 @@
 //!
 //! 1. **Completion drain** — route every queued [`Envelope`] to its peer's
 //!    protocol state machine (`Peer::on_message`).
-//! 2. **Quarantine poll** — read the health engine's verdicts, which gate
-//!    a peer's slot shut instead of killing a thread.
-//! 3. **Serve** — drain each peer's token bucket into its
+//! 2. **Serve** — drain each peer's token bucket into its
 //!    [`ServePass`](crate::serve) engine, which grants the tokens to the
 //!    peer's connections by Eq.-2 weight and carries each connection's
 //!    unspent grant to the next pass; stage frames per connection while
@@ -27,12 +25,12 @@
 //! delay-held, not yet dropped. A lost datagram never counts, so no loss
 //! can wedge a window, and a user that stops reading stops its peers
 //! after one window, as a full socket receive buffer would. Windows start
-//! open; there is no depth to earn. Quarantine is the slot's gate: a
-//! banned slot is served nothing. Observability is a tap here, never an
+//! open; there is no depth to earn. Observability is a tap here, never an
 //! input: the reactor emits counters and events but reads none back, so a
-//! traced and an untraced run pace their links by the same rules. Its one
-//! input from the health side is the quarantine verdict of an installed
-//! health engine — Byzantine defense, not pacing.
+//! traced and an untraced run pace their links by the same rules. A user
+//! that bans one of its peers says so on the wire, with a
+//! `StopTransmission` for its own connection; the peer keeps serving
+//! everyone else.
 //!
 //! Serving semantics (handshake handling, sweep order, replacement queues)
 //! come from the pure [`Peer`] state machine the simulator also drives,
@@ -56,8 +54,6 @@ use std::time::{Duration, Instant};
 /// quota (with 32 KiB payloads, 8 frames ≈ 256 KiB ≈ one default burst).
 pub const MAX_COALESCE: usize = 8;
 
-/// How often each worker re-polls the health engine's quarantine verdicts.
-const QUARANTINE_POLL: Duration = Duration::from_millis(50);
 /// Fairness telemetry is time-gated so a sub-millisecond pass cadence does
 /// not flood the event ring.
 const SHARE_EMIT_EVERY: Duration = Duration::from_millis(250);
@@ -120,7 +116,6 @@ struct Slot {
     /// is covered.
     serve: ServePass,
     conns: HashMap<u64, ConnState>,
-    quarantined: bool,
     last_share_emit: Option<Instant>,
     /// Serve-pass scratch, reused so a steady-state pass allocates
     /// nothing: the active connections, their Eq.-2 weight row, and the
@@ -302,7 +297,6 @@ fn run_worker(
     let mut slots: Vec<Slot> = Vec::new();
     let mut by_addr: HashMap<u64, usize> = HashMap::new();
     let obs = WorkerObs::new(&net);
-    let mut last_quarantine_poll = Instant::now();
     let mut idle = false;
     let mut shutdown = false;
     loop {
@@ -334,10 +328,6 @@ fn run_worker(
             next = ingress_rx.try_recv().ok();
         }
         let now = Instant::now();
-        if now.duration_since(last_quarantine_poll) >= QUARANTINE_POLL {
-            last_quarantine_poll = now;
-            poll_quarantine(&mut slots, &net, &obs);
-        }
         for slot in &mut slots {
             progressed |= serve_slot(slot, &net, &cfg, now, &obs);
         }
@@ -369,7 +359,6 @@ fn apply_ctrl(
                     bucket: TokenBucket::new(rate, (rate * 0.1).max(65_536.0), Instant::now()),
                     serve: ServePass::default(),
                     conns: HashMap::new(),
-                    quarantined: false,
                     last_share_emit: None,
                     active: Vec::new(),
                     weights: Vec::new(),
@@ -409,28 +398,6 @@ fn deliver(slot: &mut Slot, net: &RtNetwork, envelope: Envelope) {
     net.recycle_envelope(envelope);
 }
 
-/// Applies quarantine/heal verdicts: a banned peer's slot is gated shut
-/// (its demand is re-planned by the download loop's response ladder) and
-/// a healed peer's slot opens again. The windows need no reset: they count
-/// what the receivers hold, which a ban does not change.
-fn poll_quarantine(slots: &mut [Slot], net: &RtNetwork, obs: &WorkerObs) {
-    for slot in slots {
-        let banned = net.peer_quarantined(slot.addr);
-        if banned && !slot.quarantined {
-            slot.quarantined = true;
-            obs.events
-                .emit("rt.reactor", "window_closed", &[("peer", slot.addr.into())]);
-        } else if !banned && slot.quarantined {
-            slot.quarantined = false;
-            obs.events.emit(
-                "rt.reactor",
-                "window_reopened",
-                &[("peer", slot.addr.into())],
-            );
-        }
-    }
-}
-
 /// One serve pass over a slot: move the bucket's tokens into the
 /// [`ServePass`] engine by Eq.-2 weight, stage frames while a connection's
 /// deficit and window both allow, and flush the submission queues as
@@ -452,7 +419,6 @@ fn serve_slot(
         bucket,
         serve,
         conns,
-        quarantined,
         last_share_emit,
         active,
         weights,
@@ -462,9 +428,7 @@ fn serve_slot(
     let addr = *addr;
     active.clear();
     active.extend(peer.active_conns());
-    // A quarantined slot is granted nothing: its tokens stay in the bucket
-    // and its connections' banks stay as they were.
-    if active.is_empty() || *quarantined {
+    if active.is_empty() {
         return false;
     }
     weights.clear();

@@ -247,7 +247,7 @@ pub struct RtNetwork {
     pool: Arc<BufferPool>,
     obs: TransportObs,
     /// One mutex, so closing a window (drain + evaluate + emit) is atomic
-    /// with respect to score reads from the download loop.
+    /// with respect to report and score reads.
     health: Arc<Mutex<Option<HealthStream>>>,
 }
 
@@ -339,17 +339,6 @@ impl RtNetwork {
             .and_then(|h| h.engine().score(addr))
     }
 
-    /// Whether `addr` sits in the sick band (score strictly below
-    /// [`HealthConfig::sick_score`]). `false` with no engine installed or
-    /// for never-scored peers, so callers can consult it unconditionally.
-    pub fn peer_is_sick(&self, addr: u64) -> bool {
-        self.health
-            .lock()
-            .expect("health lock")
-            .as_ref()
-            .is_some_and(|h| h.engine().is_sick(addr))
-    }
-
     /// Registers `addr` and returns its inbox.
     ///
     /// # Panics
@@ -398,10 +387,9 @@ impl RtNetwork {
     /// or control messages — a flipped content bit surfaces as a
     /// per-message digest-authentication failure at the receiver, as link
     /// noise does under the paper's MD5 scheme, rather than as a parse
-    /// error. `InflateCredit` is inert at this layer: rt credit moves only
-    /// inside signed `Feedback` reports the transport cannot forge, so
-    /// inflation is modeled in the simulator, which owns the ledger
-    /// (DESIGN.md §11).
+    /// error. `InflateCredit` is inert: credit moves only inside signed
+    /// `Feedback` reports whose window strictly advances, which the
+    /// transport cannot forge (DESIGN.md §11).
     pub fn install_faults(&self, plan: FaultPlan) {
         *self.fault.write() = Some(FaultState::new(plan));
     }
@@ -410,28 +398,6 @@ impl RtNetwork {
     /// discarded (and their frames leave their senders' counts).
     pub fn clear_faults(&self) {
         *self.fault.write() = None;
-    }
-
-    /// Whether `addr` is currently quarantined by the health engine's
-    /// attack attribution (a timed ban on the event-sink timeline).
-    /// `false` with no engine installed, so callers can consult it
-    /// unconditionally.
-    pub fn peer_quarantined(&self, addr: u64) -> bool {
-        self.health
-            .lock()
-            .expect("health lock")
-            .as_ref()
-            .is_some_and(|h| h.engine().is_quarantined(addr, self.obs.events.now_secs()))
-    }
-
-    /// When `addr`'s quarantine lifts on the event-sink timeline, if it
-    /// has ever been quarantined.
-    pub fn peer_quarantined_until(&self, addr: u64) -> Option<f64> {
-        self.health
-            .lock()
-            .expect("health lock")
-            .as_ref()
-            .and_then(|h| h.engine().quarantined_until(addr))
     }
 
     /// Counters of faults realized so far (zero if no plan installed).
@@ -1110,7 +1076,6 @@ mod tests {
             assert_eq!(net.evaluate_health(), Some(0));
         }
         assert_eq!(net.health_score(41), Some(100.0));
-        assert!(!net.peer_is_sick(41));
         // Then the link to 41 turns hostile: every send is dropped.
         net.install_faults(FaultPlan::new(5).with_loss(1.0));
         for _ in 0..4 {
@@ -1138,7 +1103,7 @@ mod tests {
         let net = RtNetwork::new();
         assert_eq!(net.evaluate_health(), None);
         assert!(net.health_report().is_none());
-        assert!(!net.peer_is_sick(1));
+        assert_eq!(net.health_score(1), None);
     }
 
     #[test]

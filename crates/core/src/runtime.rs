@@ -14,7 +14,7 @@ use crate::identity::Identity;
 use crate::peer::{KeyBytes, Peer};
 use crate::profile::{ProfileConfig, ProfileStore};
 use crate::protocol::Wire;
-use crate::recovery::{LadderConfig, LadderView};
+use crate::recovery::LadderConfig;
 use crate::serve::{self, ServePass};
 use crate::user::{SessionStats, User};
 use asymshare_crypto::chacha20::ChaChaRng;
@@ -23,7 +23,7 @@ use asymshare_netsim::{
     adversary_draw, AdversaryStrategy, Event, EventKind, FaultPlan, FaultStats, LinkSpeed, NodeId,
     SimNet, SimTime,
 };
-use asymshare_obs::health::{HealthConfig, HealthEngine, HealthReport, HealthStream};
+use asymshare_obs::health::{HealthConfig, HealthReport, HealthStream};
 use asymshare_obs::{Counter, EventSink, Gauge, Histogram, Registry, Snapshot, Value};
 use asymshare_rlnc::{
     ChunkedEncoder, CodecError, DigestKind, EncodedMessage, FileId, FileManifest,
@@ -238,31 +238,6 @@ impl Session {
     }
 }
 
-/// The health engine's verdicts as a session's recovery ladder reads them,
-/// through the connection → participant map (nobody is banned or sick
-/// without an engine).
-struct SessionView<'a> {
-    conns: &'a BTreeMap<u64, usize>,
-    engine: Option<&'a HealthEngine>,
-}
-
-impl SessionView<'_> {
-    fn verdict(&self, conn: u64, ask: impl Fn(&HealthEngine, u64) -> bool) -> bool {
-        let pair = self.engine.zip(self.conns.get(&conn));
-        pair.is_some_and(|(engine, &p)| ask(engine, p as u64))
-    }
-}
-
-impl LadderView for SessionView<'_> {
-    fn quarantined(&self, conn: u64, now: f64) -> bool {
-        self.verdict(conn, |engine, p| engine.is_quarantined(p, now))
-    }
-
-    fn sick(&self, conn: u64) -> bool {
-        self.verdict(conn, HealthEngine::is_sick)
-    }
-}
-
 /// The simulated deployment.
 pub struct SimRuntime {
     cfg: RuntimeConfig,
@@ -364,10 +339,10 @@ impl SimRuntime {
     /// Turns on streaming health analytics (implies
     /// [`enable_observability`](Self::enable_observability)): detectors are
     /// evaluated once per allocation slot on simulated time, alerts appear
-    /// as `health`/`alert` events, per-peer scores as `health.score.p{i}`
-    /// gauges, and the heal path deprioritizes sick peers during
-    /// reassignment. Like every observability hook, the engine draws no
-    /// randomness and never touches simulated time.
+    /// as `health`/`alert` events and per-peer scores as
+    /// `health.score.p{i}` gauges. The report is read by nothing else: like
+    /// every observability hook, the engine draws no randomness and never
+    /// touches simulated time.
     pub fn enable_health(&mut self, cfg: HealthConfig) {
         if !self.obs.metrics.is_enabled() {
             self.enable_observability();
@@ -762,6 +737,12 @@ impl SimRuntime {
         })
     }
 
+    /// A session's fault and recovery counters so far, whether or not its
+    /// fetch succeeded.
+    pub fn session_stats(&self, session: SessionId) -> &SessionStats {
+        self.sessions[session.0].fetch.user().stats()
+    }
+
     /// A session's download progress in `[0, 1]`.
     pub fn progress(&self, session: SessionId) -> f64 {
         self.sessions[session.0].fetch.user().progress()
@@ -824,15 +805,8 @@ impl SimRuntime {
                     if pid != p_idx {
                         continue;
                     }
+                    // Written off or banned by this session's client.
                     if session.fetch.is_dead(conn) {
-                        continue;
-                    }
-                    // A quarantined peer gets no Eq.-2 budget at all for
-                    // the duration of its ban.
-                    if self.health.as_ref().is_some_and(|h| {
-                        h.engine()
-                            .is_quarantined(pid as u64, self.net.now().as_secs())
-                    }) {
                         continue;
                     }
                     let peer = &self.participants[p_idx].peer;
@@ -901,7 +875,7 @@ impl SimRuntime {
         let adversary = self.adversary(p_idx);
         // A selectively-serving adversary withholds the whole slot: the
         // Eq.-2 budget was granted (it has pending work), yet nothing
-        // moves — the starvation signature the health engine attributes.
+        // moves while the other peers keep delivering.
         if let Some((AdversaryStrategy::SelectiveServe { serve_fraction }, seed)) = adversary {
             let salt = self.slot.wrapping_mul(1_000_003).wrapping_add(conn);
             if adversary_draw(seed, salt) >= serve_fraction {
@@ -1209,11 +1183,7 @@ impl SimRuntime {
             if session.finished_at.is_some() || session.failed.is_some() {
                 continue;
             }
-            let view = SessionView {
-                conns: &session.conns,
-                engine: self.health.as_ref().map(HealthStream::engine),
-            };
-            if let Err(e) = session.fetch.poll(now, &view, &mut self.rng, &mut out) {
+            if let Err(e) = session.fetch.poll(now, &mut self.rng, &mut out) {
                 session.failed = Some(e);
             }
             self.carry_out(s_idx, &mut out, now);
@@ -1245,22 +1215,7 @@ impl SimRuntime {
         let events = self.obs.events.clone();
         let on = |conn, more: &[_]| self.conn_fields(s_idx, conn, more);
         let (component, kind, fields) = match note {
-            Out::Send(..) | Out::Stale { .. } | Out::BanLapsed { .. } => return,
-            // A credit-inflating adversary claims `factor`× extra
-            // contribution directly at the downloader's home ledger, on top
-            // of whatever honest feedback will credit — the
-            // served-vs-credited divergence the balance detector watches.
-            Out::Accepted { conn, bytes } => {
-                let p_idx = self.sessions[s_idx].conns[&conn];
-                if let Some((AdversaryStrategy::InflateCredit { factor }, _)) =
-                    self.adversary(p_idx)
-                {
-                    let (key, home) = (self.participants[p_idx].key, self.sessions[s_idx].home);
-                    let ledger = &mut self.participants[home].peer;
-                    ledger.credit_direct(key, factor * bytes as f64);
-                }
-                return;
-            }
+            Out::Send(..) | Out::Stale { .. } => return,
             Out::DigestReject {
                 conn,
                 chunk,
@@ -1306,27 +1261,21 @@ impl SimRuntime {
                 on(conn, &[("attempt", attempt.into())]),
             ),
             Out::WriteOff { conn } => ("sim.heal", "write_off", on(conn, &[])),
-            Out::Reassign {
-                target,
-                deprioritized,
-            } => {
+            // Nothing is passed over any more; the field keeps the log's
+            // format.
+            Out::Reassign { target } => {
                 let fields = vec![
                     ("session", s_idx.into()),
                     ("target", target.into()),
-                    ("deprioritized", deprioritized.into()),
+                    ("deprioritized", 0usize.into()),
                 ];
                 ("sim.heal", "reassign", fields)
             }
-            Out::Quarantine { conn } => {
-                let engine = self.health.as_ref().map(HealthStream::engine);
-                let peer = self.sessions[s_idx].conns[&conn] as u64;
-                let until = engine.and_then(|e| e.quarantined_until(peer));
-                (
-                    "sim.heal",
-                    "quarantine",
-                    on(conn, &[("until", until.unwrap_or(ts).into())]),
-                )
-            }
+            Out::Quarantine { conn, strategy } => (
+                "sim.heal",
+                "quarantine",
+                on(conn, &[("strategy", strategy.into())]),
+            ),
         };
         events.emit_at(ts, component, kind, &fields);
     }
@@ -1404,26 +1353,21 @@ impl SimRuntime {
         }
     }
 
-    /// Owner re-dissemination: when the honest, live coded-message supply
-    /// for an incomplete chunk has fallen below rank `k`, the owner
-    /// deposits its own coded copies of that chunk with an honest serving
-    /// peer (once per `(session, chunk)`), restoring decodability without
-    /// trusting the quarantined source.
+    /// Owner re-dissemination: when the coded-message supply of the
+    /// session's live (neither written off nor banned) peers for an
+    /// incomplete chunk has fallen below rank `k`, the owner deposits its
+    /// own coded copies of that chunk with one of them (once per
+    /// `(session, chunk)`), restoring decodability without trusting the
+    /// banned source.
     fn redisseminate_if_starved(&mut self, s_idx: usize, ts: f64) {
         let file_id = FileId(self.sessions[s_idx].fetch.user().file_id());
         let k = self.cfg.k;
-        let banned = |health: &Option<HealthStream>, p: usize| {
-            health
-                .as_ref()
-                .is_some_and(|h| h.engine().is_quarantined(p as u64, ts))
-        };
         let session = &self.sessions[s_idx];
         let mut honest: Vec<usize> = session
             .conns
             .iter()
             .filter(|(&c, _)| !session.fetch.is_dead(c))
             .map(|(_, &p)| p)
-            .filter(|&p| !banned(&self.health, p))
             .collect();
         honest.sort_unstable();
         honest.dedup();
@@ -1485,8 +1429,7 @@ impl SimRuntime {
     /// participant (Eq. 2, beyond the initial allowance) minus the wire
     /// bytes it actually delivered. Honest feedback lags deliveries, so
     /// drift sits at or below zero; a positive excursion means credit was
-    /// claimed for bytes never served — the inflation ROADMAP item 4 wants
-    /// caught.
+    /// claimed for bytes never served.
     fn emit_credit_balances(&mut self, ts: f64) {
         let mut drift: std::collections::BTreeMap<usize, f64> = std::collections::BTreeMap::new();
         for session in &self.sessions {

@@ -34,12 +34,12 @@ pub struct SessionStats {
     pub reassignments: u64,
     /// Replacement requests sent for digest-rejected messages.
     pub replacements: u64,
-    /// Times a serving peer of this session entered quarantine after an
-    /// attack verdict.
+    /// Serving peers this session banned on its own evidence of
+    /// pollution, replay or selective serving.
     pub quarantines: u64,
     /// Extra wall-clock (µs) the download loop spent sleeping past its
-    /// base poll cadence because every live peer was quarantined or inside
-    /// its retry backoff — honored backoff instead of busy re-polling.
+    /// base poll cadence because every live peer was inside its retry
+    /// backoff — honored backoff instead of busy re-polling.
     pub backoff_wait_us: u64,
     /// Cumulative payload bytes per contributing peer (unlike the feedback
     /// window tallies, never reset).

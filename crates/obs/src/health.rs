@@ -1,4 +1,5 @@
-//! Streaming health analytics over the obs event stream.
+//! Streaming health analytics over the obs event stream: a report, read by
+//! no policy.
 //!
 //! A [`HealthEngine`] consumes [`Event`]s incrementally ([`observe_event`])
 //! and, at a cadence the caller chooses ([`evaluate`]), runs a bank of
@@ -20,24 +21,9 @@
 //! test possible: replaying one runtime's event log through the other
 //! runtime's evaluation cadence must produce the identical alert sequence.
 //!
-//! # Attack attribution and quarantine
-//!
-//! On top of the anomaly bank sits an **attack-attribution layer** (the
-//! Byzantine defense of DESIGN.md §11). Where the plain detectors ask "is
-//! this peer behaving unusually?", the attribution rules ask "does the
-//! deviation match a known adversary strategy?" and are gated far more
-//! strictly — a higher z bar ([`HealthConfig::attack_z_threshold`]) *and*
-//! absolute floors — so they never fire on honest peers under mere loss or
-//! jitter (pinned by a property test). Verdicts map signals to strategies:
-//! sustained digest-rejection rate → `pollute`; replay-duplicate rate with
-//! no heal churn → `replay`; positive served-vs-credited ledger divergence
-//! → `inflate_credit`; budget granted but nothing delivered, or inflated
-//! replacement RTT → `selective`. Each verdict raises a typed
-//! [`AttackAlert`] and adds a strike; enough strikes put the peer in
-//! **quarantine** — a timed ban with exponentially growing duration and
-//! slow decay on clean windows — which the runtimes' heal paths consult via
-//! [`is_quarantined`](HealthEngine::is_quarantined) to stop scheduling the
-//! peer and re-plan its chunks.
+//! The Byzantine defense is not here: each client convicts and bans its
+//! own peers from the evidence of its own fetch, with or without an
+//! engine (`asymshare::fetch`, DESIGN.md §11).
 //!
 //! [`observe_event`]: HealthEngine::observe_event
 //! [`evaluate`]: HealthEngine::evaluate
@@ -64,42 +50,10 @@ pub struct HealthConfig {
     pub jain_warmup_windows: u32,
     /// Scores at or above this are "healthy" (reports, `/health`).
     pub healthy_score: f64,
-    /// Scores strictly below this are "sick": the heal path deprioritizes
-    /// (but does not ban) such peers during reassignment.
-    pub sick_score: f64,
     /// Score subtracted per alert.
     pub alert_penalty: f64,
     /// Score restored per clean active window.
     pub recovery_per_window: f64,
-    /// z bar a signal must clear before an attack verdict may blame it on a
-    /// strategy — deliberately above `z_threshold`, so every attack alert
-    /// implies an anomaly alert but not vice versa.
-    pub attack_z_threshold: f64,
-    /// Absolute digest-reject-rate floor for a `pollute` verdict.
-    pub attack_reject_floor: f64,
-    /// Absolute replay-duplicate-rate floor for a `replay` verdict.
-    pub attack_duplicate_floor: f64,
-    /// Minimum duplicate events in a window for a `replay` verdict.
-    pub attack_min_duplicates: u64,
-    /// Minimum positive credit drift (bytes) for an `inflate_credit`
-    /// verdict.
-    pub attack_drift_floor_bytes: f64,
-    /// Replacement-RTT multiple over baseline for a `selective` verdict.
-    pub attack_rtt_factor: f64,
-    /// Minimum granted budget (bytes) for a window to count as starved when
-    /// nothing was delivered.
-    pub attack_starve_min_budget: f64,
-    /// Consecutive starved windows before a `selective` verdict.
-    pub attack_starve_windows: u32,
-    /// Attack-verdict windows (strikes) before quarantine begins.
-    pub quarantine_strikes: u32,
-    /// First quarantine duration in seconds; doubles per repeat offense.
-    pub quarantine_base_secs: f64,
-    /// Cap on the duration-doubling level.
-    pub quarantine_max_level: u32,
-    /// Clean windows that shed one strike / one escalation level, so a
-    /// reformed peer is eventually trusted again ("timed ban with decay").
-    pub quarantine_decay_windows: u32,
 }
 
 impl Default for HealthConfig {
@@ -111,21 +65,8 @@ impl Default for HealthConfig {
             jain_floor: 0.55,
             jain_warmup_windows: 4,
             healthy_score: 70.0,
-            sick_score: 40.0,
             alert_penalty: 12.0,
             recovery_per_window: 1.5,
-            attack_z_threshold: 6.0,
-            attack_reject_floor: 0.10,
-            attack_duplicate_floor: 0.10,
-            attack_min_duplicates: 6,
-            attack_drift_floor_bytes: 8192.0,
-            attack_rtt_factor: 4.0,
-            attack_starve_min_budget: 16_384.0,
-            attack_starve_windows: 3,
-            quarantine_strikes: 2,
-            quarantine_base_secs: 60.0,
-            quarantine_max_level: 4,
-            quarantine_decay_windows: 8,
         }
     }
 }
@@ -140,7 +81,6 @@ const DETECTORS: &[(&str, f64)] = &[
     ("retry_rate", 0.5),
     ("replacement_rtt_us", 10_000.0),
     ("credit_drift", 4096.0),
-    ("replay_duplicate_rate", 0.05),
 ];
 
 const D_REJECT: usize = 0;
@@ -149,12 +89,6 @@ const D_CORRUPT: usize = 2;
 const D_RETRY: usize = 3;
 const D_RTT: usize = 4;
 const D_CREDIT: usize = 5;
-const D_DUP: usize = 6;
-
-/// Detectors below this index raise plain anomaly alerts; the rest only
-/// feed baselines for the attack-attribution layer (a duplicate burst after
-/// an honest heal re-request must not sink an honest peer's score).
-const SCORED_DETECTORS: usize = 6;
 
 /// Detector name used by the Jain floor alert.
 pub const JAIN_DETECTOR: &str = "jain_fairness";
@@ -193,71 +127,6 @@ impl HealthAlert {
             ("score", self.score.into()),
         ]
     }
-}
-
-/// Detector name used by the starved-budget selective-serving verdict
-/// (counter-based — no EWMA baseline behind it).
-pub const STARVE_DETECTOR: &str = "starved_budget";
-
-/// One attack verdict: which peer, the suspected adversary strategy, the
-/// signal that triggered it, and the quarantine state after the strike.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AttackAlert {
-    /// Evaluation instant (the caller's timeline).
-    pub ts: f64,
-    /// The implicated peer.
-    pub peer: u64,
-    /// Suspected strategy: `"pollute"`, `"replay"`, `"selective"`, or
-    /// `"inflate_credit"` (matching `AdversaryStrategy::name`).
-    pub strategy: &'static str,
-    /// The signal that produced the verdict, e.g. `"digest_reject_rate"`.
-    pub detector: &'static str,
-    /// The window value of that signal.
-    pub value: f64,
-    /// Its standardized deviation (0 for the counter-based
-    /// [`STARVE_DETECTOR`]).
-    pub z: f64,
-    /// Strikes accumulated against this peer, including this one.
-    pub strikes: u32,
-    /// When the peer's quarantine ends, if this strike triggered (or the
-    /// peer already was in) one.
-    pub quarantined_until: Option<f64>,
-}
-
-impl AttackAlert {
-    /// This alert as event fields, for emission as a `health`/`attack`
-    /// event.
-    pub fn to_fields(&self) -> Vec<(&'static str, Value)> {
-        vec![
-            ("peer", self.peer.into()),
-            ("strategy", self.strategy.into()),
-            ("detector", self.detector.into()),
-            ("value", self.value.into()),
-            ("z", self.z.into()),
-            ("strikes", (self.strikes as u64).into()),
-            (
-                "quarantined_until",
-                self.quarantined_until.unwrap_or(-1.0).into(),
-            ),
-        ]
-    }
-}
-
-/// Per-peer attack/quarantine state.
-#[derive(Debug, Clone, Default)]
-struct AttackState {
-    /// Attack-verdict windows seen; reset when quarantine begins.
-    strikes: u32,
-    /// Escalation level: each quarantine entry doubles the ban duration.
-    level: u32,
-    /// End of the current (or most recent) quarantine.
-    until: Option<f64>,
-    /// Attack alerts ever raised against this peer.
-    attacks: u64,
-    /// Consecutive verdict-free windows, for strike/level decay.
-    clean_windows: u32,
-    /// Consecutive windows with granted budget and zero deliveries.
-    starved_windows: u32,
 }
 
 /// EWMA mean/variance baseline with update-after-test semantics.
@@ -311,11 +180,6 @@ struct Window {
     rtt_sum: f64,
     rtt_n: u64,
     credit_drift: Option<f64>,
-    /// Serving budget granted to this peer's connections this window (from
-    /// `slot_share` events); drives the starved-budget selective verdict,
-    /// deliberately excluded from `active()` so a budget grant alone does
-    /// not earn score recovery.
-    budget_bytes: f64,
 }
 
 impl Window {
@@ -359,12 +223,8 @@ pub struct PeerHealth {
     pub score: f64,
     /// Alerts raised against this peer so far.
     pub alerts: u64,
-    /// Attack verdicts raised against this peer so far.
-    pub attacks: u64,
     /// Whether the score clears [`HealthConfig::healthy_score`].
     pub healthy: bool,
-    /// Whether the peer was under quarantine at the last evaluation.
-    pub quarantined: bool,
 }
 
 /// Point-in-time summary of the engine: every scored peer plus totals.
@@ -401,9 +261,8 @@ impl HealthReport {
                 out.push_str(", ");
             }
             out.push_str(&format!(
-                "{{\"peer\": {}, \"score\": {:.1}, \"alerts\": {}, \"attacks\": {}, \
-                 \"healthy\": {}, \"quarantined\": {}}}",
-                p.peer, p.score, p.alerts, p.attacks, p.healthy, p.quarantined
+                "{{\"peer\": {}, \"score\": {:.1}, \"alerts\": {}, \"healthy\": {}}}",
+                p.peer, p.score, p.alerts, p.healthy
             ));
         }
         out.push_str("]}");
@@ -423,12 +282,8 @@ pub struct HealthEngine {
     baselines: BTreeMap<(u64, usize), Baseline>,
     jain_windows: u32,
     scores: BTreeMap<u64, ScoreState>,
-    attack: BTreeMap<u64, AttackState>,
-    last_attacks: Vec<AttackAlert>,
-    last_eval_ts: f64,
     evaluations: u64,
     total_alerts: u64,
-    total_attacks: u64,
 }
 
 impl HealthEngine {
@@ -441,12 +296,8 @@ impl HealthEngine {
             baselines: BTreeMap::new(),
             jain_windows: 0,
             scores: BTreeMap::new(),
-            attack: BTreeMap::new(),
-            last_attacks: Vec::new(),
-            last_eval_ts: 0.0,
             evaluations: 0,
             total_alerts: 0,
-            total_attacks: 0,
         }
     }
 
@@ -525,23 +376,18 @@ impl HealthEngine {
                 let entry = self.shares.entry(conn).or_insert((0.0, peer));
                 entry.0 += budget;
                 entry.1 = peer;
-                self.windows.entry(peer).or_default().budget_bytes += budget;
             }
             _ => {}
         }
     }
 
     /// Closes the current window at `ts`: every active peer's signals are
-    /// tested against their baselines, attack attribution runs over the
-    /// same evidence, scores are updated, and the raised anomaly alerts are
-    /// returned (deterministically ordered by peer then detector). Attack
-    /// verdicts raised by this window are available from
-    /// [`last_attacks`](Self::last_attacks) until the next evaluation.
+    /// tested against their baselines, scores are updated, and the raised
+    /// alerts are returned (deterministically ordered by peer then
+    /// detector).
     pub fn evaluate(&mut self, ts: f64) -> Vec<HealthAlert> {
         self.evaluations += 1;
-        self.last_eval_ts = ts;
         let mut alerts = Vec::new();
-        let mut attacks: Vec<AttackAlert> = Vec::new();
         let alpha = self.cfg.ewma_alpha;
         let warmup = self.cfg.warmup_windows;
         let z_thresh = self.cfg.z_threshold;
@@ -549,40 +395,8 @@ impl HealthEngine {
         let windows = std::mem::take(&mut self.windows);
         let mut alerted: BTreeMap<u64, u64> = BTreeMap::new();
         let mut active_peers: Vec<u64> = Vec::new();
-        // Per-peer evidence this window: for each detector, the warmed-up
-        // `(value, z, baseline mean)` triple, feeding both the plain alert
-        // test and the attribution rules below.
-        struct PeerEval {
-            peer: u64,
-            vals: [Option<(f64, f64, f64)>; DETECTORS.len()],
-            duplicates: u64,
-            retries: u64,
-            starved_now: bool,
-        }
-        let mut evals: Vec<PeerEval> = Vec::new();
         for (&peer, w) in &windows {
-            // Starved-budget tracking runs first: a selective adversary's
-            // window is budget-only (and therefore "inactive") by
-            // construction.
-            let starved_now = w.budget_bytes >= self.cfg.attack_starve_min_budget && w.msgs == 0;
-            {
-                let st = self.attack.entry(peer).or_default();
-                if starved_now {
-                    st.starved_windows = st.starved_windows.saturating_add(1);
-                } else {
-                    st.starved_windows = 0;
-                }
-            }
             if !w.active() {
-                if starved_now {
-                    evals.push(PeerEval {
-                        peer,
-                        vals: [None; DETECTORS.len()],
-                        duplicates: 0,
-                        retries: 0,
-                        starved_now,
-                    });
-                }
                 continue;
             }
             active_peers.push(peer);
@@ -592,7 +406,6 @@ impl HealthEngine {
                 signals.push((D_REJECT, w.rejects as f64 / denom));
                 signals.push((D_DROP, w.drops as f64 / denom));
                 signals.push((D_CORRUPT, w.corruptions as f64 / denom));
-                signals.push((D_DUP, w.duplicates as f64 / denom));
             }
             signals.push((D_RETRY, w.retries as f64));
             if w.rtt_n > 0 {
@@ -601,13 +414,11 @@ impl HealthEngine {
             if let Some(drift) = w.credit_drift {
                 signals.push((D_CREDIT, drift));
             }
-            let mut vals: [Option<(f64, f64, f64)>; DETECTORS.len()] = [None; DETECTORS.len()];
             for (idx, value) in signals {
                 let (name, floor) = DETECTORS[idx];
                 let baseline = self.baselines.entry((peer, idx)).or_default();
                 if let Some((mean, z)) = baseline.test_and_update(value, alpha, warmup, floor) {
-                    vals[idx] = Some((value, z, mean));
-                    if idx < SCORED_DETECTORS && z > z_thresh {
+                    if z > z_thresh {
                         *alerted.entry(peer).or_default() += 1;
                         alerts.push(HealthAlert {
                             ts,
@@ -619,96 +430,6 @@ impl HealthEngine {
                             score: 0.0, // filled in after scoring below
                         });
                     }
-                }
-            }
-            evals.push(PeerEval {
-                peer,
-                vals,
-                duplicates: w.duplicates,
-                retries: w.retries,
-                starved_now,
-            });
-        }
-
-        // Attack attribution: map this window's evidence onto adversary
-        // strategies, gated by the stricter attack z bar plus absolute
-        // floors so honest loss/jitter can never produce a verdict. One
-        // verdict per peer per window, in fixed priority order.
-        let az = self.cfg.attack_z_threshold;
-        for ev in &evals {
-            // A verdict needs the window value over the absolute floor AND
-            // either an onset deviation (z above the attack bar) or a
-            // baseline that has itself adapted past the floor — the latter
-            // keeps a *sustained* attack striking after the EWMA absorbs it.
-            let above = |slot: Option<(f64, f64, f64)>, floor: f64| {
-                slot.filter(|&(v, z, mean)| v >= floor && (z > az || mean >= floor))
-            };
-            let starved_run = self.attack.get(&ev.peer).map_or(0, |st| st.starved_windows);
-            let verdict: Option<(&'static str, &'static str, f64, f64)> =
-                if let Some((v, z, _)) = above(ev.vals[D_REJECT], self.cfg.attack_reject_floor) {
-                    Some(("pollute", DETECTORS[D_REJECT].0, v, z))
-                } else if ev.duplicates >= self.cfg.attack_min_duplicates && ev.retries == 0 {
-                    // Honest duplicate floods always follow heal churn (a
-                    // retry or re-request in the same window); a replay
-                    // adversary's do not.
-                    above(ev.vals[D_DUP], self.cfg.attack_duplicate_floor)
-                        .map(|(v, z, _)| ("replay", DETECTORS[D_DUP].0, v, z))
-                } else if let Some((v, z, _)) =
-                    above(ev.vals[D_CREDIT], self.cfg.attack_drift_floor_bytes)
-                {
-                    Some(("inflate_credit", DETECTORS[D_CREDIT].0, v, z))
-                } else if let Some((v, z, _)) = ev.vals[D_RTT].filter(|&(v, z, mean)| {
-                    mean > 0.0 && v >= self.cfg.attack_rtt_factor * mean && z > az
-                }) {
-                    Some(("selective", DETECTORS[D_RTT].0, v, z))
-                } else if ev.starved_now && starved_run >= self.cfg.attack_starve_windows {
-                    Some(("selective", STARVE_DETECTOR, starved_run as f64, 0.0))
-                } else {
-                    None
-                };
-            let Some((strategy, detector, value, z)) = verdict else {
-                continue;
-            };
-            let st = self.attack.entry(ev.peer).or_default();
-            st.clean_windows = 0;
-            st.strikes = st.strikes.saturating_add(1);
-            st.attacks += 1;
-            let strikes_now = st.strikes;
-            let in_quarantine = st.until.is_some_and(|u| ts < u);
-            if !in_quarantine && st.strikes >= self.cfg.quarantine_strikes {
-                st.level = (st.level + 1).min(self.cfg.quarantine_max_level.max(1));
-                let dur = self.cfg.quarantine_base_secs * (1u64 << (st.level - 1).min(62)) as f64;
-                st.until = Some(ts + dur);
-                st.strikes = 0;
-            }
-            *alerted.entry(ev.peer).or_default() += 1;
-            if !active_peers.contains(&ev.peer) {
-                active_peers.push(ev.peer);
-            }
-            attacks.push(AttackAlert {
-                ts,
-                peer: ev.peer,
-                strategy,
-                detector,
-                value,
-                z,
-                strikes: strikes_now,
-                quarantined_until: st.until.filter(|&u| ts < u),
-            });
-        }
-
-        // Strike/level decay for every verdict-free peer with attack state,
-        // including peers silenced by their own quarantine.
-        for (peer, st) in self.attack.iter_mut() {
-            if attacks.iter().any(|a| a.peer == *peer) {
-                continue;
-            }
-            st.clean_windows = st.clean_windows.saturating_add(1);
-            if st.clean_windows >= self.cfg.quarantine_decay_windows {
-                st.clean_windows = 0;
-                st.strikes = st.strikes.saturating_sub(1);
-                if st.until.is_none_or(|u| ts >= u) {
-                    st.level = st.level.saturating_sub(1);
                 }
             }
         }
@@ -762,52 +483,12 @@ impl HealthEngine {
             alert.score = self.scores[&alert.peer].score;
         }
         self.total_alerts += alerts.len() as u64;
-        self.total_attacks += attacks.len() as u64;
-        self.last_attacks = attacks;
         alerts
-    }
-
-    /// Attack verdicts raised by the most recent [`evaluate`](Self::evaluate)
-    /// call (empty if it raised none).
-    pub fn last_attacks(&self) -> &[AttackAlert] {
-        &self.last_attacks
-    }
-
-    /// Whether `peer` is under quarantine at `now`. The heal paths consult
-    /// this before scheduling: quarantined peers receive no budget, serve no
-    /// chunks, and their in-flight plan is redistributed to honest peers.
-    pub fn is_quarantined(&self, peer: u64, now: f64) -> bool {
-        self.attack
-            .get(&peer)
-            .and_then(|st| st.until)
-            .is_some_and(|u| now < u)
-    }
-
-    /// When `peer`'s current or most recent quarantine ends, if it was ever
-    /// quarantined.
-    pub fn quarantined_until(&self, peer: u64) -> Option<f64> {
-        self.attack.get(&peer).and_then(|st| st.until)
-    }
-
-    /// Attack alerts ever raised against `peer`.
-    pub fn attack_count(&self, peer: u64) -> u64 {
-        self.attack.get(&peer).map_or(0, |st| st.attacks)
-    }
-
-    /// Attack alerts ever raised across all peers.
-    pub fn total_attacks(&self) -> u64 {
-        self.total_attacks
     }
 
     /// The current score of `peer`, if it has ever been active.
     pub fn score(&self, peer: u64) -> Option<f64> {
         self.scores.get(&peer).map(|s| s.score)
-    }
-
-    /// Whether `peer` is in the sick band (strictly below
-    /// [`HealthConfig::sick_score`]). Unknown peers are not sick.
-    pub fn is_sick(&self, peer: u64) -> bool {
-        self.score(peer).is_some_and(|s| s < self.cfg.sick_score)
     }
 
     /// A point-in-time report over every scored peer.
@@ -820,9 +501,7 @@ impl HealthEngine {
                     peer,
                     score: s.score,
                     alerts: s.alerts,
-                    attacks: self.attack_count(peer),
                     healthy: s.score >= self.cfg.healthy_score,
-                    quarantined: self.is_quarantined(peer, self.last_eval_ts),
                 })
                 .collect(),
             windows: self.evaluations,
@@ -849,17 +528,16 @@ impl HealthStream {
         }
     }
 
-    /// The engine, for score and quarantine queries.
+    /// The engine, for score queries.
     pub fn engine(&self) -> &HealthEngine {
         &self.engine
     }
 
     /// Closes the current window at `ts`: feeds the engine every event
     /// emitted since the previous close, runs the detector bank, emits one
-    /// `health`/`alert` event per alert, one `health`/`attack` per verdict
-    /// and a `health`/`window` heartbeat (`leading` fields first, then
-    /// `alerts`), and refreshes the `health.score.p{peer}` gauges. Returns
-    /// the number of alerts raised.
+    /// `health`/`alert` event per alert and a `health`/`window` heartbeat
+    /// (`leading` fields first, then `alerts`), and refreshes the
+    /// `health.score.p{peer}` gauges. Returns the number of alerts raised.
     pub fn close_window(
         &mut self,
         ts: f64,
@@ -873,9 +551,6 @@ impl HealthStream {
         let alerts = self.engine.evaluate(ts);
         for alert in &alerts {
             sink.emit_at(ts, "health", "alert", &alert.to_fields());
-        }
-        for attack in self.engine.last_attacks() {
-            sink.emit_at(ts, "health", "attack", &attack.to_fields());
         }
         let mut window = leading.to_vec();
         window.push(("alerts", alerts.len().into()));
@@ -908,24 +583,6 @@ mod tests {
             component: "sim.deliver",
             kind: "digest_reject",
             fields: vec![("peer", peer.into()), ("chunk", 0u64.into())],
-        }
-    }
-
-    fn duplicate_event(peer: u64) -> Event {
-        Event {
-            ts: 0.0,
-            component: "sim.deliver",
-            kind: "duplicate",
-            fields: vec![("peer", peer.into())],
-        }
-    }
-
-    fn retry_event(peer: u64) -> Event {
-        Event {
-            ts: 0.0,
-            component: "sim.heal",
-            kind: "retry",
-            fields: vec![("peer", peer.into())],
         }
     }
 
@@ -981,7 +638,6 @@ mod tests {
         // adapted baseline no longer alerts.
         assert!(engine.score(1).unwrap() < 95.0);
         assert_eq!(engine.score(2), Some(100.0));
-        assert!(engine.is_sick(1) || engine.score(1).unwrap() < 100.0);
         let report = engine.report();
         assert!(report.total_alerts >= 1);
         assert!(report.to_json().contains("\"peer\": 1"));
@@ -1064,136 +720,6 @@ mod tests {
         assert_eq!(alerts[0].peer, 1, "largest consumer is blamed");
         assert!(alerts[0].value < 0.7);
         assert!(!alerts[0].to_fields().is_empty());
-    }
-
-    /// Sustained pollution gets a typed `pollute` verdict and, after enough
-    /// strikes, a quarantine whose duration doubles per offense and decays
-    /// back on clean windows.
-    #[test]
-    fn pollution_is_attributed_and_quarantined() {
-        let mut engine = HealthEngine::new(HealthConfig::default());
-        for t in 0..8 {
-            engine.observe_event(&window_event(1, 100));
-            engine.evaluate(t as f64);
-            assert!(engine.last_attacks().is_empty(), "clean warmup");
-        }
-        let mut quarantined_at = None;
-        for t in 8..16 {
-            engine.observe_event(&window_event(1, 50));
-            for _ in 0..50 {
-                engine.observe_event(&reject_event(1));
-            }
-            engine.evaluate(t as f64);
-            for attack in engine.last_attacks() {
-                assert_eq!(attack.peer, 1);
-                assert_eq!(attack.strategy, "pollute");
-                assert_eq!(attack.detector, "digest_reject_rate");
-                assert!(!attack.to_fields().is_empty());
-                if attack.quarantined_until.is_some() && quarantined_at.is_none() {
-                    quarantined_at = Some(t);
-                }
-            }
-        }
-        let entered = quarantined_at.expect("sustained pollution must quarantine");
-        assert!(engine.is_quarantined(1, entered as f64 + 1.0));
-        let until = engine.quarantined_until(1).unwrap();
-        assert!(until > entered as f64, "timed ban, not permanent");
-        assert!(!engine.is_quarantined(1, until), "ban expires at `until`");
-        assert!(engine.attack_count(1) >= 2);
-        assert!(engine.total_attacks() >= 2);
-        let report = engine.report();
-        let p1 = report.peers.iter().find(|p| p.peer == 1).unwrap();
-        assert!(p1.attacks >= 2);
-        assert!(report.to_json().contains("\"attacks\""));
-    }
-
-    /// A duplicate flood with heal churn in the same window (the honest
-    /// post-reassignment signature) is NOT attributed to replay; the same
-    /// flood without churn is.
-    #[test]
-    fn replay_verdict_requires_no_heal_churn() {
-        let mut engine = HealthEngine::new(HealthConfig::default());
-        for t in 0..8 {
-            engine.observe_event(&window_event(1, 100));
-            engine.evaluate(t as f64);
-        }
-        // Flood with a retry in the window: honest churn, no verdict.
-        engine.observe_event(&window_event(1, 20));
-        for _ in 0..40 {
-            engine.observe_event(&duplicate_event(1));
-        }
-        engine.observe_event(&retry_event(1));
-        engine.evaluate(8.0);
-        assert!(
-            engine.last_attacks().is_empty(),
-            "churned duplicate flood must not be blamed on replay"
-        );
-        // Rebuild the baseline, then flood without churn: replay verdict.
-        let mut engine = HealthEngine::new(HealthConfig::default());
-        for t in 0..8 {
-            engine.observe_event(&window_event(1, 100));
-            engine.evaluate(t as f64);
-        }
-        engine.observe_event(&window_event(1, 20));
-        for _ in 0..40 {
-            engine.observe_event(&duplicate_event(1));
-        }
-        engine.evaluate(8.0);
-        let attacks = engine.last_attacks();
-        assert_eq!(attacks.len(), 1);
-        assert_eq!(attacks[0].strategy, "replay");
-        assert_eq!(attacks[0].detector, "replay_duplicate_rate");
-    }
-
-    /// Positive credit drift above the byte floor is attributed to ledger
-    /// inflation; honest near-zero drift is not.
-    #[test]
-    fn credit_inflation_verdict() {
-        let drift_event = |peer: u64, drift: f64| Event {
-            ts: 0.0,
-            component: "sim.credit",
-            kind: "balance",
-            fields: vec![("peer", peer.into()), ("drift", drift.into())],
-        };
-        let mut engine = HealthEngine::new(HealthConfig::default());
-        for t in 0..8 {
-            engine.observe_event(&window_event(1, 100));
-            engine.observe_event(&drift_event(1, 0.0));
-            engine.evaluate(t as f64);
-            assert!(engine.last_attacks().is_empty());
-        }
-        engine.observe_event(&window_event(1, 100));
-        engine.observe_event(&drift_event(1, 500_000.0));
-        engine.evaluate(8.0);
-        let attacks = engine.last_attacks();
-        assert_eq!(attacks.len(), 1);
-        assert_eq!(attacks[0].strategy, "inflate_credit");
-        assert_eq!(attacks[0].detector, "credit_drift");
-    }
-
-    /// Budget granted with nothing delivered, for enough consecutive
-    /// windows, yields a `selective` verdict via the starve counter.
-    #[test]
-    fn starved_budget_flags_selective_serving() {
-        let mut engine = HealthEngine::new(HealthConfig::default());
-        for t in 0..4 {
-            engine.observe_event(&window_event(1, 50));
-            engine.observe_event(&share_event(1, 10, 100_000.0));
-            engine.evaluate(t as f64);
-        }
-        let mut flagged = false;
-        for t in 4..12 {
-            // Budget keeps flowing, deliveries stop entirely.
-            engine.observe_event(&share_event(1, 10, 100_000.0));
-            engine.evaluate(t as f64);
-            for attack in engine.last_attacks() {
-                assert_eq!(attack.strategy, "selective");
-                assert_eq!(attack.detector, STARVE_DETECTOR);
-                flagged = true;
-            }
-        }
-        assert!(flagged, "sustained starvation must flag selective serving");
-        assert!(engine.is_quarantined(1, 11.0));
     }
 
     /// Determinism: the same event sequence with the same evaluation

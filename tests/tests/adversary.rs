@@ -1,15 +1,18 @@
 //! Byzantine-peer defense integration: seeded adversary strategies must be
-//! detected at line rate, attributed to the right strategy, quarantined by
-//! the response ladder, and routed around so the download still completes —
-//! while honest runs under ordinary loss and jitter never trip an attack
-//! verdict (zero false positives).
+//! convicted by the client they attack, on its own evidence and with no
+//! health engine installed, banned — a stop and a write-off — and routed
+//! around so the download still completes, while honest runs under
+//! ordinary loss, corruption, jitter and a slow link never lose a peer to a
+//! ban (zero false positives). Observability, where a test turns it on, is
+//! only there to read the verdicts back; the defense does not need it.
 
-use asymshare::{Identity, ParticipantId, RuntimeConfig, SimRuntime};
-use asymshare_netsim::{AdversaryStrategy, FaultPlan, LinkSpeed};
-use asymshare_obs::health::{HealthConfig, HealthEngine};
-use asymshare_obs::stream::EventCursor;
-use asymshare_obs::{Event, EventSink, Value};
-use asymshare_rlnc::FileId;
+use asymshare::rt::{download_file, Reactor, ReactorConfig, RtNetwork};
+use asymshare::{Identity, ParticipantId, Peer, RuntimeConfig, SimRuntime, User};
+use asymshare_gf::{FieldKind, Gf2p32};
+use asymshare_netsim::{AdversaryStrategy, FaultPlan, LinkSpeed, NodeId};
+use asymshare_obs::{Event, Value};
+use asymshare_rlnc::{ChunkedEncoder, DigestKind, FileId};
+use std::time::Duration;
 
 fn kbps(v: f64) -> LinkSpeed {
     LinkSpeed::kbps(v)
@@ -47,16 +50,6 @@ fn field_str(e: &Event, name: &str) -> Option<String> {
         })
 }
 
-/// Short warmup so the clean phase establishes baselines quickly; no score
-/// recovery so the final report is a monotone record of the whole run.
-fn detector_cfg() -> HealthConfig {
-    HealthConfig {
-        warmup_windows: 3,
-        recovery_per_window: 0.0,
-        ..HealthConfig::default()
-    }
-}
-
 /// CI sweeps this via the `ASYMSHARE_FAULT_SEED` matrix.
 fn fault_seed() -> u64 {
     std::env::var("ASYMSHARE_FAULT_SEED")
@@ -66,15 +59,17 @@ fn fault_seed() -> u64 {
 }
 
 /// A seeded download served by the first `serving` of four participants,
-/// where participant 3 turns Byzantine (if a strategy is given) after the
-/// detectors warm up on clean behavior. Returns the finished runtime, the
-/// participants, the adversary, the instant the attack began, and the
-/// session report.
+/// where participant 3 — with a fat uplink, so its attack traffic is a
+/// large share of what the user receives — turns Byzantine (if a strategy
+/// is given) six slots in. `observe` records the event log. Returns the
+/// finished runtime, the participants, the adversary, the instant the
+/// attack began, and the session report.
 fn adversary_scenario(
     strategy: Option<AdversaryStrategy>,
     seed: u64,
     salt: u8,
     serving: usize,
+    observe: bool,
 ) -> (
     SimRuntime,
     Vec<ParticipantId>,
@@ -83,10 +78,9 @@ fn adversary_scenario(
     asymshare::DownloadReport,
 ) {
     let mut rt = SimRuntime::new(cfg());
-    rt.enable_health(detector_cfg());
-    // Participant 3 — the future adversary — gets a fat uplink so its
-    // attack traffic clears the engine's per-window evidence floors (e.g.
-    // `attack_min_duplicates` for the replay verdict).
+    if observe {
+        rt.enable_observability();
+    }
     let ids: Vec<_> = (0..4u8)
         .map(|i| {
             let up = if i == 3 { 512.0 } else { 128.0 };
@@ -104,7 +98,7 @@ fn adversary_scenario(
     let session = rt
         .start_download(ids[0], manifest, kbps(128.0), kbps(3000.0), &ids[..serving])
         .unwrap();
-    // Clean phase: clear the detector warmup before the attack begins.
+    // A clean phase: the client's evidence windows start on honest traffic.
     rt.run_slots(6);
     assert!(
         !rt.session_complete(session),
@@ -123,79 +117,41 @@ fn adversary_scenario(
     (rt, ids, evil, attack_start, report)
 }
 
-/// Attack events attributed to `peer`, in emission order.
-fn attacks_against(log: &[Event], peer: u64) -> Vec<Event> {
+/// The client's bans, in order: `(instant, peer, strategy)`.
+fn bans(log: &[Event]) -> Vec<(f64, u64, String)> {
     log.iter()
-        .filter(|e| {
-            e.component == "health" && e.kind == "attack" && field_u64(e, "peer") == Some(peer)
+        .filter(|e| e.component == "sim.heal" && e.kind == "quarantine")
+        .map(|e| {
+            let peer = field_u64(e, "peer").expect("a ban names its peer");
+            let strategy = field_str(e, "strategy").expect("and its strategy");
+            (e.ts, peer, strategy)
         })
-        .cloned()
         .collect()
 }
 
-/// Whether the response ladder quarantined `peer` at any point.
-fn was_quarantined(log: &[Event], peer: u64) -> bool {
-    log.iter().any(|e| {
-        e.component == "sim.heal" && e.kind == "quarantine" && field_u64(e, "peer") == Some(peer)
-    })
-}
-
-/// A polluting peer is attributed, quarantined within a bounded window,
-/// its demand re-planned, and the download still decodes byte-identical
-/// data — the full response ladder end to end.
+/// A polluting peer is convicted of pollution, banned within a bounded
+/// window, its demand re-planned, and the download still decodes
+/// byte-identical data — the full ladder end to end. The same run with
+/// observability off bans it the same way.
 #[test]
 fn pollution_is_attributed_quarantined_and_survived() {
-    let (rt, ids, evil, attack_start, report) =
-        adversary_scenario(Some(AdversaryStrategy::Pollute { prob: 0.9 }), 11, 1, 4);
+    let pollute = Some(AdversaryStrategy::Pollute { prob: 0.9 });
+    let (rt, _ids, evil, attack_start, report) = adversary_scenario(pollute, 11, 1, 4, true);
     let log = rt.event_log();
-
-    let attacks = attacks_against(&log, evil.0 as u64);
-    assert!(!attacks.is_empty(), "pollution must raise attack verdicts");
-    assert!(
-        attacks
-            .iter()
-            .any(|e| field_str(e, "strategy").as_deref() == Some("pollute")),
-        "verdicts name the pollute strategy: {attacks:?}"
+    let bans = bans(&log);
+    assert_eq!(
+        bans.iter()
+            .map(|(_, p, s)| (*p, s.as_str()))
+            .collect::<Vec<_>>(),
+        [(evil.0 as u64, "pollute")],
+        "only the polluter is banned, once"
     );
-    // Line-rate detection: the first verdict lands within a bounded window
-    // of the attack starting (warmup is already cleared, strikes take a
-    // couple of evaluation windows).
-    let first_verdict = attacks[0].ts;
-    assert!(
-        first_verdict - attack_start <= 60.0,
-        "detection took {:.1}s",
-        first_verdict - attack_start
-    );
-
-    // The response ladder fired: a quarantine event against the adversary,
-    // tallied in the session stats, and the engine still reports the ban.
-    assert!(
-        was_quarantined(&log, evil.0 as u64),
-        "the adversary must be quarantined"
-    );
-    assert!(report.stats.quarantines >= 1, "{:?}", report.stats);
-
-    let health = rt.health_report().expect("health enabled");
-    let entry = health
-        .peers
-        .iter()
-        .find(|p| p.peer == evil.0 as u64)
-        .expect("adversary scored");
-    assert!(entry.attacks >= 1);
-    // Honest peers carry no attack verdicts.
-    for &id in &ids {
-        if id == evil {
-            continue;
-        }
-        assert!(
-            attacks_against(&log, id.0 as u64).is_empty(),
-            "honest peer {id:?} was falsely accused"
-        );
-    }
-    // The pollution was visible at the digest layer (rejections counted;
-    // the rejected bytes are debited from feedback credit — unit-tested in
-    // `user`/`peer`), and the adversary's score fell out of the healthy
-    // band.
+    let latency = bans[0].0 - attack_start;
+    assert!(latency <= 10.0, "the ban took {latency:.1} s");
+    assert_eq!(report.stats.quarantines, 1, "{:?}", report.stats);
+    assert!(report.stats.reassignments >= 1, "{:?}", report.stats);
+    // The pollution was visible at the digest layer (the rejected bytes
+    // are debited from feedback credit — unit-tested in `user`/`peer`).
     assert!(report.stats.corruptions > 0, "{:?}", report.stats);
     assert!(
         log.iter().any(|e| {
@@ -205,35 +161,91 @@ fn pollution_is_attributed_quarantined_and_survived() {
         }),
         "pollution must surface as digest rejections"
     );
-    assert!(!entry.healthy, "the adversary must leave the healthy band");
+    let (_, _, _, _, dark) = adversary_scenario(pollute, 11, 1, 4, false);
+    assert_eq!(dark.stats, report.stats, "the defense runs unobserved");
+    assert_eq!(dark.duration_secs, report.duration_secs);
 }
 
-/// A credit-inflating peer's claimed contribution diverges from what the
-/// downloader actually accepted; the balance detector attributes it.
+/// `InflateCredit` is inert: a ledger is credited only by its
+/// subscribers' signed feedback, so after a credit-inflating peer served a
+/// download the home ledger holds exactly what it holds after the honest
+/// run — in the simulator, and in the real-time runtime, where the user's
+/// feedback report is the only thing that can credit the home peer.
 #[test]
-fn credit_inflation_divergence_is_attributed() {
-    let (rt, _ids, evil, _t0, _report) = adversary_scenario(
-        Some(AdversaryStrategy::InflateCredit { factor: 4.0 }),
-        13,
-        2,
-        4,
-    );
-    let log = rt.event_log();
-    let attacks = attacks_against(&log, evil.0 as u64);
-    assert!(
-        attacks
-            .iter()
-            .any(|e| field_str(e, "strategy").as_deref() == Some("inflate_credit")),
-        "inflated credit must be attributed: {attacks:?}"
-    );
+fn inflate_credit_is_inert() {
+    let inflate = AdversaryStrategy::InflateCredit { factor: 4.0 };
+    let (honest_rt, _, _, _, honest) = adversary_scenario(None, 13, 2, 4, false);
+    let (inflated_rt, _, _, _, inflated) = adversary_scenario(Some(inflate), 13, 2, 4, false);
+    assert_eq!(inflated_rt.credit_matrix(), honest_rt.credit_matrix());
+    assert_eq!(inflated.stats, honest.stats);
+    assert_eq!(inflated.stats.quarantines, 0);
+
+    // One stocked peer serves; the report goes to an address the test
+    // reads and is applied to a home ledger here.
+    let ledger = |plan: FaultPlan| -> f64 {
+        let network = RtNetwork::new();
+        let owner = Identity::from_seed(b"inflate-owner");
+        let data = payload(256 * 1024, 4);
+        let mut enc = ChunkedEncoder::<Gf2p32>::with_chunk_size(
+            FieldKind::Gf2p32,
+            4,
+            DigestKind::Md5,
+            owner.coding_secret().clone(),
+            FileId(94),
+            &data,
+            16 * 1024,
+        )
+        .unwrap();
+        let batch = enc.encode_for_peers(1).unwrap().remove(0);
+        let identity = Identity::from_seed(b"inflate-server");
+        let key = identity.public_key().to_bytes();
+        let mut server = Peer::new(identity, 1_000.0);
+        server.add_subscriber(owner.public_key().to_bytes());
+        for m in batch {
+            server.store_mut().insert(m);
+        }
+        let mut reactor = Reactor::new(&network, ReactorConfig::default());
+        reactor.add_peer(7, server, 1 << 20);
+        network.install_faults(plan);
+        let inbox = network.register(8);
+        let mut user = User::<Gf2p32>::new(owner.clone(), enc.manifest().clone()).unwrap();
+        let got = download_file(
+            &network,
+            9,
+            &mut user,
+            &[(7, key)],
+            8,
+            Duration::from_secs(30),
+        )
+        .expect("the one peer serves the file");
+        assert_eq!(got, data);
+        assert_eq!(user.stats().quarantines, 0);
+        reactor.shutdown();
+        let report = inbox
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the feedback report reached the home address")
+            .decode()
+            .expect("one frame");
+        let mut home = Peer::new(Identity::from_seed(b"inflate-home"), 1_000.0);
+        home.add_subscriber(owner.public_key().to_bytes());
+        let mut rng = asymshare_crypto::chacha20::ChaChaRng::new([1; 32], [0; 12]);
+        home.on_message(0, report, &mut rng)
+            .expect("a signed report");
+        home.upload_weight(&key)
+    };
+    let server = NodeId::new(7);
+    let honest = ledger(FaultPlan::new(13));
+    assert!(honest > 1_000.0, "the server was credited");
+    let inflated = ledger(FaultPlan::new(13).with_adversary(server, inflate));
+    assert_eq!(inflated, honest);
 }
 
-/// A replaying peer re-serves stale coded messages; the duplicate-rate
-/// detector attributes it without any digest rejections to lean on.
+/// A replaying peer re-serves stale coded messages; the client convicts
+/// it of replay without any digest rejections to lean on.
 #[test]
 fn replayed_messages_are_detected() {
-    let (rt, _ids, evil, _t0, _report) =
-        adversary_scenario(Some(AdversaryStrategy::Replay { prob: 0.8 }), 17, 3, 4);
+    let replay = Some(AdversaryStrategy::Replay { prob: 0.8 });
+    let (rt, _ids, evil, _t0, report) = adversary_scenario(replay, 17, 3, 4, true);
     let log = rt.event_log();
     // The decoder saw (and cheaply rejected) duplicates from the adversary.
     assert!(
@@ -244,122 +256,60 @@ fn replayed_messages_are_detected() {
         }),
         "replay must surface as duplicate deliveries"
     );
-    let attacks = attacks_against(&log, evil.0 as u64);
-    assert!(
-        attacks
-            .iter()
-            .any(|e| field_str(e, "strategy").as_deref() == Some("replay")),
-        "replay must be attributed: {attacks:?}"
-    );
+    let bans: Vec<_> = bans(&log).into_iter().map(|(_, p, s)| (p, s)).collect();
+    assert_eq!(bans, [(evil.0 as u64, "replay".to_owned())]);
+    assert_eq!(report.stats.quarantines, 1);
 }
 
-/// Detection latency and goodput under attack, per strategy. At any fault
-/// seed every strategy is attributed and the download keeps at least 0.8
-/// of what the three honest peers alone deliver. At the default seed the
-/// slots from attack onset to the first verdict are pinned exactly —
-/// detection delay is a property of the detectors, not of the machine —
-/// and every adversary ends up quarantined. (Other seeds do not promise
-/// the ban: at seed 83 a 25 % selective server draws two isolated
-/// one-strike verdicts and the download finishes before a second strike.)
+/// Ban latency and goodput under attack, per strategy. At any fault seed
+/// the download keeps at least 0.8 of what the three honest peers alone
+/// deliver, only the adversary is ever banned, and a credit inflater —
+/// inert — never is. At the default seed the slots from attack onset to
+/// the ban are pinned exactly (the verdicts are a property of the rules,
+/// not of the machine), and pollute, replay and selective are each
+/// banned.
 #[test]
 fn every_strategy_is_detected_and_outrun() {
     const SALT: u8 = 5;
     let seed = fault_seed();
-    let (_, _, _, _, honest) = adversary_scenario(None, seed, SALT, 3);
+    let (_, _, _, _, honest) = adversary_scenario(None, seed, SALT, 3, false);
     let cases = [
-        (AdversaryStrategy::Pollute { prob: 0.9 }, 1.0),
-        (AdversaryStrategy::Replay { prob: 0.8 }, 1.0),
+        (AdversaryStrategy::Pollute { prob: 0.9 }, Some(2.0)),
+        (AdversaryStrategy::Replay { prob: 0.8 }, Some(2.0)),
         (
             AdversaryStrategy::SelectiveServe {
                 serve_fraction: 0.25,
             },
-            3.0,
+            Some(17.0),
         ),
-        (AdversaryStrategy::InflateCredit { factor: 4.0 }, 5.0),
+        (AdversaryStrategy::InflateCredit { factor: 4.0 }, None),
     ];
     for (strategy, pinned_slots) in cases {
-        let (rt, _, evil, attack_start, report) = adversary_scenario(Some(strategy), seed, SALT, 4);
-        let log = rt.event_log();
-        let attacks = attacks_against(&log, evil.0 as u64);
-        assert!(!attacks.is_empty(), "{strategy:?} was never attributed");
+        let (rt, _, evil, attack_start, report) =
+            adversary_scenario(Some(strategy), seed, SALT, 4, true);
         assert!(
             report.mean_rate_kbps >= 0.8 * honest.mean_rate_kbps,
             "{strategy:?}: goodput {:.1} kbps under the honest floor {:.1}",
             report.mean_rate_kbps,
             honest.mean_rate_kbps
         );
+        let bans = bans(&rt.event_log());
+        assert!(
+            bans.iter()
+                .all(|(_, p, s)| *p == evil.0 as u64 && s == strategy.name()),
+            "{strategy:?}: {bans:?}"
+        );
+        assert_eq!(report.stats.quarantines, bans.len() as u64);
+        if matches!(strategy, AdversaryStrategy::InflateCredit { .. }) {
+            assert_eq!(bans, [], "inflated credit is inert, not banned");
+        }
         if seed == 11 {
-            let detection_slots = (attacks[0].ts - attack_start) / rt.config().slot_secs;
-            assert_eq!(detection_slots, pinned_slots, "{strategy:?}");
-            assert!(
-                was_quarantined(&log, evil.0 as u64),
-                "{strategy:?}: the adversary must be quarantined"
-            );
+            let slots = bans
+                .first()
+                .map(|(ts, _, _)| (ts - attack_start) / rt.config().slot_secs);
+            assert_eq!(slots, pinned_slots, "{strategy:?}");
         }
     }
-}
-
-/// Attack-verdict identity for the golden comparison: everything the
-/// engine computes for a verdict.
-type AttackKey = (f64, u64, String, String, u64);
-
-/// Golden pin: replaying the sim's event log through the rt-style
-/// sink/cursor/engine pipeline at the recorded evaluation instants must
-/// reproduce the sim's attack-verdict sequence bit-exactly — attribution
-/// is a pure function of (events, evaluation instants), which is what
-/// makes sim and rt attack reports comparable at all.
-#[test]
-fn golden_attack_sequence_sim_vs_rt_replay() {
-    let (rt, _ids, _evil, _t0, _report) =
-        adversary_scenario(Some(AdversaryStrategy::Pollute { prob: 0.9 }), 11, 4, 4);
-    let log = rt.event_log();
-
-    let key = |ts: f64, e: &Event| -> AttackKey {
-        (
-            ts,
-            field_u64(e, "peer").expect("attack has peer"),
-            field_str(e, "strategy").expect("attack has strategy"),
-            field_str(e, "detector").expect("attack has detector"),
-            field_u64(e, "strikes").expect("attack has strikes"),
-        )
-    };
-    let expected: Vec<AttackKey> = log
-        .iter()
-        .filter(|e| e.component == "health" && e.kind == "attack")
-        .map(|e| key(e.ts, e))
-        .collect();
-    assert!(!expected.is_empty(), "the attack phase must raise verdicts");
-
-    let sink = EventSink::new();
-    let mut cursor = EventCursor::new(&sink);
-    let mut engine = HealthEngine::new(detector_cfg());
-    let mut replayed: Vec<AttackKey> = Vec::new();
-    for e in &log {
-        if e.component == "health" {
-            if e.kind == "window" {
-                for ev in cursor.drain() {
-                    engine.observe_event(&ev);
-                }
-                let _ = engine.evaluate(e.ts);
-                for a in engine.last_attacks() {
-                    replayed.push((
-                        a.ts,
-                        a.peer,
-                        a.strategy.to_owned(),
-                        a.detector.to_owned(),
-                        a.strikes as u64,
-                    ));
-                }
-            }
-            continue;
-        }
-        sink.emit_at(e.ts, e.component, e.kind, &e.fields);
-    }
-    assert_eq!(
-        replayed, expected,
-        "rt-style replay must pin the sim's attack sequence"
-    );
-    assert_eq!(engine.report(), rt.health_report().expect("health enabled"));
 }
 
 mod zero_false_positives {
@@ -369,46 +319,39 @@ mod zero_false_positives {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(8))]
 
-        /// Honest seeded runs — loss and jitter only, no adversary — must
-        /// never trip an attack verdict or a quarantine, across random
-        /// seeds and fault intensities. Attribution separates malice from
-        /// ordinary bad luck.
+        /// Honest seeded runs — loss, corruption up to 8 %, jitter, and one
+        /// peer on an eighth of the others' uplink, with no health engine
+        /// and no observability — never ban a peer, across random seeds
+        /// and fault intensities. Attribution separates malice from
+        /// ordinary bad luck and from a slow link.
         #[test]
         fn honest_loss_and_jitter_never_attributed(
             seed in 0u64..1_000,
             loss in 0.0f64..0.10,
+            corruption in 0.0f64..0.08,
             jitter in 0.0f64..0.05,
         ) {
             let mut rt = SimRuntime::new(cfg());
-            rt.enable_health(detector_cfg());
             let ids: Vec<_> = (0..4u8)
                 .map(|i| {
-                    rt.add_participant(
-                        Identity::from_seed(&[b'z', i]),
-                        kbps(256.0),
-                        kbps(3000.0),
-                    )
+                    let up = if i == 3 { 32.0 } else { 256.0 };
+                    rt.add_participant(Identity::from_seed(&[b'z', i]), kbps(up), kbps(3000.0))
                 })
                 .collect();
             let data = payload(128 * 1024, 9);
             let (manifest, _) = rt.disseminate(ids[0], FileId(77), &data, &ids).unwrap();
-            rt.set_fault_plan(FaultPlan::new(seed).with_loss(loss).with_jitter(jitter));
+            rt.set_fault_plan(
+                FaultPlan::new(seed)
+                    .with_loss(loss)
+                    .with_corruption(corruption)
+                    .with_jitter(jitter),
+            );
             let session = rt
                 .start_download(ids[0], manifest, kbps(256.0), kbps(3000.0), &ids)
                 .unwrap();
             let report = rt.run_to_completion(session, 3600).unwrap();
             prop_assert_eq!(&report.data, &data);
-            prop_assert_eq!(report.stats.quarantines, 0);
-            let health = rt.health_report().expect("health enabled");
-            for p in &health.peers {
-                prop_assert_eq!(p.attacks, 0, "false attack verdict on peer {}", p.peer);
-                prop_assert!(!p.quarantined, "false quarantine on peer {}", p.peer);
-            }
-            let log = rt.event_log();
-            prop_assert!(
-                log.iter().all(|e| e.kind != "attack" && e.kind != "quarantine"),
-                "honest run emitted attack/quarantine events"
-            );
+            prop_assert_eq!(report.stats.quarantines, 0, "{:?}", report.stats);
         }
     }
 }

@@ -4,14 +4,16 @@
 //! simulator and for the real-time transport alike, with the rt peers
 //! hosted at their sim node indices, and both fetches are held to the same
 //! invariants: the original bytes or a typed error, within the fetch's
-//! bound, and the original bytes whenever two honest, live peers remain.
+//! bound, the original bytes whenever two honest, live peers remain, and
+//! no ban without an adversary — at most one with one. The client's
+//! Byzantine defense is always on; nothing here installs a health engine.
 //!
 //! The proptest shim does not shrink, so cases are drawn from a plain
 //! `SplitMix64` keyed by `ASYMSHARE_FAULT_SEED` and every case prints its
 //! schedule before it runs.
 
 use asymshare::rt::{download_file_with, DownloadOptions, Reactor, ReactorConfig, RtNetwork};
-use asymshare::{Identity, Peer, RuntimeConfig, SimRuntime, SystemError, User};
+use asymshare::{Identity, Peer, RuntimeConfig, SessionStats, SimRuntime, SystemError, User};
 use asymshare_gf::{FieldKind, Gf2p32};
 use asymshare_netsim::{AdversaryStrategy, FaultPlan, LinkFault, LinkSpeed, NodeId, SplitMix64};
 use asymshare_rlnc::{
@@ -148,12 +150,12 @@ fn stock() -> (Vec<Vec<EncodedMessage>>, FileManifest) {
     (batches, enc.manifest().clone())
 }
 
-/// The sim fetch and the simulated seconds it took.
+/// The sim fetch, the simulated seconds it took, and its counters.
 fn sim_fetch(
     schedule: &Schedule,
     batches: &[Vec<EncodedMessage>],
     manifest: &FileManifest,
-) -> (Result<Vec<u8>, SystemError>, f64) {
+) -> (Result<Vec<u8>, SystemError>, f64, SessionStats) {
     let mut sim = SimRuntime::new(RuntimeConfig {
         k: 4,
         chunk_size: 16 * 1024,
@@ -186,16 +188,17 @@ fn sim_fetch(
     let outcome = sim
         .run_to_completion(session, MAX_SLOTS)
         .map(|report| report.data);
-    (outcome, sim.now().as_secs() - start)
+    let stats = sim.session_stats(session).clone();
+    (outcome, sim.now().as_secs() - start, stats)
 }
 
-/// The rt fetch and the wall time it took. The plan is installed as the
-/// download starts, so the rt's epoch is zero.
+/// The rt fetch, the wall time it took, and its counters. The plan is
+/// installed as the download starts, so the rt's epoch is zero.
 fn rt_fetch(
     schedule: &Schedule,
     batches: &[Vec<EncodedMessage>],
     manifest: &FileManifest,
-) -> (Result<Vec<u8>, SystemError>, Duration) {
+) -> (Result<Vec<u8>, SystemError>, Duration, SessionStats) {
     let network = RtNetwork::new();
     let mut reactor = Reactor::new(&network, ReactorConfig::default());
     let owner = identity(0);
@@ -229,12 +232,24 @@ fn rt_fetch(
     );
     let elapsed = started.elapsed();
     reactor.shutdown();
-    (outcome, elapsed)
+    (outcome, elapsed, user.stats().clone())
 }
 
 /// The original bytes, or a typed error only when fewer than two honest,
-/// live peers remained.
-fn check(runtime: &str, outcome: Result<Vec<u8>, SystemError>, schedule: &Schedule) {
+/// live peers remained; no ban without an adversary, and at most one —
+/// the adversary's — with one.
+fn check(
+    runtime: &str,
+    outcome: Result<Vec<u8>, SystemError>,
+    stats: &SessionStats,
+    schedule: &Schedule,
+) {
+    let bans = u64::from(schedule.adversary.is_some());
+    assert!(
+        stats.quarantines <= bans,
+        "{runtime} banned {} peer(s) under {schedule:?}",
+        stats.quarantines
+    );
     match outcome {
         Ok(bytes) => assert!(
             bytes == file_bytes(),
@@ -259,19 +274,23 @@ fn one_generated_plan_holds_on_both_runtimes() {
         let schedule = Schedule::draw(&mut rng);
         eprintln!("case {case}: {schedule:?}");
 
-        let (outcome, secs) = sim_fetch(&schedule, &batches, &manifest);
+        let (outcome, secs, stats) = sim_fetch(&schedule, &batches, &manifest);
+        eprintln!("case {case}: sim {} ban(s)", stats.quarantines);
         assert!(
             secs <= MAX_SLOTS as f64 + 1e-9,
             "sim ran {secs} s under {schedule:?}"
         );
-        check("sim", outcome, &schedule);
+        check("sim", outcome, &stats, &schedule);
 
-        let (outcome, elapsed) = rt_fetch(&schedule, &batches, &manifest);
-        eprintln!("case {case}: sim {secs:.1} s, rt {elapsed:.2?}");
+        let (outcome, elapsed, stats) = rt_fetch(&schedule, &batches, &manifest);
+        eprintln!(
+            "case {case}: sim {secs:.1} s, rt {elapsed:.2?}, rt {} ban(s)",
+            stats.quarantines
+        );
         assert!(
             elapsed <= RT_TIMEOUT + Duration::from_secs(1),
             "rt returned after {elapsed:?} under {schedule:?}"
         );
-        check("rt", outcome, &schedule);
+        check("rt", outcome, &stats, &schedule);
     }
 }

@@ -5,7 +5,10 @@
 //! write-off → re-plan → quarantine → re-dissemination — at the three fault
 //! seeds of the CI matrix. A control flow started in a different order draws
 //! different fault randoms, so any change to *when* or *whom* the ladder
-//! acts on moves these hashes.
+//! acts on moves these hashes. Two re-pins since: `churn`'s logs lost the
+//! health engine's `health`/`attack` lines when attribution left it (the
+//! rest of each log is byte-identical), and `pollution` is banned by the
+//! client's own rules instead of the engine's timed quarantine.
 
 use asymshare::{Identity, ParticipantId, RuntimeConfig, SessionId, SimRuntime};
 use asymshare_crypto::md5::Md5;
@@ -106,7 +109,7 @@ fn lossy(seed: u64) -> (String, String) {
 
 /// 2 of 5 peers die three seconds in, under 5 % loss: retried, written off,
 /// their demand re-planned round-robin onto the survivors (the health
-/// engine is on, so the pool selection runs through it).
+/// engine is on; its report is in the log, and nothing reads it).
 fn churn(seed: u64) -> (String, String) {
     let mut rt = SimRuntime::new(healing_cfg());
     rt.enable_health(HealthConfig::default());
@@ -129,10 +132,10 @@ fn churn(seed: u64) -> (String, String) {
 }
 
 /// The file lives on the owner's home peer and on participant 2, which
-/// starts polluting after the detectors warm up; the download contacts
-/// participant 1 (which holds nothing yet) and participant 2. The ban
-/// leaves no honest supply, so the owner re-disseminates to participant 1
-/// and the next nudge starts it serving.
+/// starts polluting six slots in; the download contacts participant 1
+/// (which holds nothing yet) and participant 2. The client's ban leaves no
+/// honest supply, so the owner re-disseminates to participant 1 and the
+/// next nudge starts it serving.
 fn pollution(seed: u64) -> (String, String) {
     let mut rt = SimRuntime::new(RuntimeConfig {
         max_peer_retries: 8,
@@ -212,15 +215,15 @@ fn churn_with_reassignment_is_pinned() {
         churn,
         [
             (
-                "2e26c392a3f4865427cc87e0d46a5c9e",
+                "31e5b01f1e2bf5f61b777b2431d0d59f",
                 "1f4a1ecb68316d03fd653d22e1b5294d",
             ),
             (
-                "04e496e4b890fd35f619e9695e0c817b",
+                "53b8edb68504a0049e9a394d7f8beaf7",
                 "1f4a1ecb68316d03fd653d22e1b5294d",
             ),
             (
-                "ee0d9ae3d213dd08de4bbcc3d5e86359",
+                "f26a2cad46f71a01c24539eb4c4c52c4",
                 "69377347aca7f2c7c9acdf367657e846",
             ),
         ],
@@ -234,15 +237,15 @@ fn pollution_quarantine_and_redissemination_are_pinned() {
         pollution,
         [
             (
-                "3735bc42b43cdb19505314ab9b939156",
+                "669320a587fab497f3fee6eae12a74a3",
                 "ebb8ebc3dfb96f23b94e159524385c24",
             ),
             (
-                "3ab85f1fbecbf78a7e13243a5b83b122",
+                "15629b30388527f0675d787fb5289d87",
                 "ebb8ebc3dfb96f23b94e159524385c24",
             ),
             (
-                "9eb146e173696151644d992def850086",
+                "0d17404fc47367ce474cfa6475b96b6d",
                 "ebb8ebc3dfb96f23b94e159524385c24",
             ),
         ],
