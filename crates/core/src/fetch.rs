@@ -109,8 +109,6 @@ pub(crate) struct Tally {
     /// surplus to a complete chunk — and their bytes on the wire.
     pub msgs: u64,
     pub bytes: u64,
-    /// Frames lost in transit.
-    pub drops: u64,
 }
 
 /// What the attribution rules know of one connection.
@@ -404,13 +402,12 @@ impl<U: BorrowMut<User<Gf2p32>>> Fetch<U> {
     }
 
     /// A frame for the user from `conn` never reached it: lost in transit
-    /// (`link`: a drop on the connection's tally) or garbled past parsing.
+    /// (`link`: it excuses the connection's silence) or garbled past
+    /// parsing.
     pub(crate) fn on_drop(&mut self, conn: u64, link: bool) {
         self.user_mut().stats_mut().drops += 1;
         if let Some(i) = self.index(conn).filter(|_| link) {
-            let peer = &mut self.peers[i];
-            peer.tallies.iter_mut().for_each(|t| t.drops += 1);
-            peer.evidence.excused = true;
+            self.peers[i].evidence.excused = true;
         }
     }
 

@@ -70,7 +70,6 @@ mod error;
 mod fetch;
 mod identity;
 mod peer;
-mod profile;
 mod protocol;
 mod recovery;
 pub mod rt;
@@ -83,9 +82,11 @@ mod user;
 pub use error::SystemError;
 pub use identity::Identity;
 pub use peer::{KeyBytes, Peer};
-pub use profile::{LadderMove, PeerProfile, ProfileConfig, ProfileStore};
 pub use protocol::{FeedbackEntry, FeedbackReport, Wire};
-pub use runtime::{DownloadReport, ParticipantId, RuntimeConfig, SessionId, SimRuntime};
+pub use runtime::{
+    DownloadReport, ParticipantId, RuntimeConfig, SessionId, SimRuntime, INITIAL_CREDIT_BYTES,
+    SLOT_SECS,
+};
 pub use session::{Prover, Verifier};
 pub use store::MessageStore;
 pub use user::{ConnStage, SessionStats, User};

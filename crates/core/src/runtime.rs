@@ -9,10 +9,9 @@
 //! Eq.-2 weights accumulated from their users' signed feedback.
 
 use crate::error::SystemError;
-use crate::fetch::{Fetch, Out, Tally};
+use crate::fetch::{Fetch, Out};
 use crate::identity::Identity;
 use crate::peer::{KeyBytes, Peer};
-use crate::profile::{ProfileConfig, ProfileStore};
 use crate::protocol::Wire;
 use crate::recovery::LadderConfig;
 use crate::serve::{self, ServePass};
@@ -34,15 +33,18 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 /// simulated seconds (the ladder doubles it per consecutive request).
 const REPL_BACKOFF_BASE_SECS: f64 = 0.5;
 
+/// Allocation slot length in simulated seconds: the paper's simulator
+/// re-divides every uplink once a second (§V).
+pub const SLOT_SECS: f64 = 1.0;
+
+/// The Eq.-2 credit every peer starts each party at, bytes.
+pub const INITIAL_CREDIT_BYTES: f64 = 1_000.0;
+
 /// Runtime tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct RuntimeConfig {
-    /// Allocation slot length in seconds (paper: 1 s).
-    pub slot_secs: f64,
     /// Slots between the user's feedback reports to its home peer.
     pub feedback_every_slots: u64,
-    /// Initial Eq.-2 credit per party, bytes.
-    pub initial_credit_bytes: f64,
     /// Pieces per chunk (`k`) used when encoding.
     pub k: usize,
     /// Chunk size in bytes (1 MB in the paper; tests use smaller).
@@ -59,26 +61,18 @@ pub struct RuntimeConfig {
     /// Consecutive fruitless recoveries before a connection is written off
     /// and its demand re-planned onto a surviving peer.
     pub max_peer_retries: u32,
-    /// Steer chunk sizing and fetch planning from persisted peer profiles.
-    /// Off by default so seeded schedules stay byte-identical; when on,
-    /// dissemination picks the ladder rung the weakest target peer can
-    /// sustain and downloads contact the fastest profiled peers first.
-    pub adaptive_sizing: bool,
 }
 
 impl Default for RuntimeConfig {
     fn default() -> Self {
         RuntimeConfig {
-            slot_secs: 1.0,
             feedback_every_slots: 10,
-            initial_credit_bytes: 1_000.0,
             k: 8,
             chunk_size: asymshare_rlnc::CHUNK_SIZE,
             latency_secs: 0.0,
             stall_timeout_secs: 10.0,
             retry_backoff_secs: 2.0,
             max_peer_retries: 3,
-            adaptive_sizing: false,
         }
     }
 }
@@ -225,16 +219,14 @@ impl SimObs {
 }
 
 impl Session {
-    /// What the engine tallied for participant `p`, over every connection
-    /// to it.
-    fn peer_tally(&self, p: usize) -> Tally {
-        let mut sum = Tally::default();
-        for (&conn, _) in self.conns.iter().filter(|&(_, &q)| q == p) {
-            let t = self.fetch.tally(conn);
-            (sum.msgs, sum.bytes, sum.drops) =
-                (sum.msgs + t.msgs, sum.bytes + t.bytes, sum.drops + t.drops);
-        }
-        sum
+    /// The frame bytes the engine took from participant `p`, over every
+    /// connection to it.
+    fn peer_bytes(&self, p: usize) -> u64 {
+        self.conns
+            .iter()
+            .filter(|&(_, &q)| q == p)
+            .map(|(&conn, _)| self.fetch.tally(conn).bytes)
+            .sum()
     }
 }
 
@@ -260,12 +252,6 @@ pub struct SimRuntime {
     /// `(session, chunk)` pairs the owner has already re-disseminated, so
     /// the starvation check reacts to each shortage at most once.
     redisseminated: HashSet<(usize, u32)>,
-    /// Per-peer EWMA link profiles, fed one sample per (peer, session) at
-    /// download completion. Always collected (pure bookkeeping — no
-    /// randomness, no simulated time); only *consulted* for chunk sizing
-    /// and fetch planning when [`RuntimeConfig::adaptive_sizing`] is set.
-    profiles: ProfileStore,
-    profile_cfg: ProfileConfig,
 }
 
 impl SimRuntime {
@@ -287,46 +273,12 @@ impl SimRuntime {
             health: None,
             alloc_conns: Vec::new(),
             redisseminated: HashSet::new(),
-            profiles: ProfileStore::new(),
-            profile_cfg: ProfileConfig::default(),
         }
     }
 
     /// The configuration this deployment runs under.
     pub fn config(&self) -> &RuntimeConfig {
         &self.cfg
-    }
-
-    /// The peer profiles accumulated from completed downloads so far.
-    pub fn profiles(&self) -> &ProfileStore {
-        &self.profiles
-    }
-
-    /// Mutable profile access — e.g. to seed warm profiles from a prior
-    /// deployment before the first download.
-    pub fn profiles_mut(&mut self) -> &mut ProfileStore {
-        &mut self.profiles
-    }
-
-    /// Loads persisted peer profiles from `path` (missing file = cold
-    /// start with an empty store).
-    ///
-    /// # Errors
-    ///
-    /// I/O or format errors other than "file not found".
-    pub fn load_profiles(&mut self, path: &std::path::Path) -> std::io::Result<()> {
-        self.profiles = ProfileStore::load(path)?;
-        Ok(())
-    }
-
-    /// Persists the current peer profiles to `path` (write-temp-then-
-    /// rename, so a crash never leaves a torn store).
-    ///
-    /// # Errors
-    ///
-    /// I/O errors from the write or rename.
-    pub fn save_profiles(&self, path: &std::path::Path) -> std::io::Result<()> {
-        self.profiles.save(path)
     }
 
     /// Turns on metrics and event tracing for this deployment. Events carry
@@ -392,14 +344,6 @@ impl SimRuntime {
                 metrics
                     .gauge(&format!("sim.store.p{i}.bytes"))
                     .set(p.peer.store().total_bytes() as f64);
-                if let Some(prof) = self.profiles.profile(&keys[i]) {
-                    metrics
-                        .gauge(&format!("sim.profile.p{i}.rung"))
-                        .set(prof.rung() as f64);
-                    metrics
-                        .gauge(&format!("sim.profile.p{i}.kbps"))
-                        .set(prof.throughput_bps().unwrap_or(0.0) * 8.0 / 1_000.0);
-                }
             }
             for (i, s) in self.sessions.iter().enumerate() {
                 metrics
@@ -450,7 +394,7 @@ impl SimRuntime {
     ) -> ParticipantId {
         let node = self.net.add_node(up, down);
         let key = identity.public_key().to_bytes();
-        let peer = Peer::new(identity, self.cfg.initial_credit_bytes);
+        let peer = Peer::new(identity, INITIAL_CREDIT_BYTES);
         self.participants.push(Participant {
             peer,
             key,
@@ -545,18 +489,6 @@ impl SimRuntime {
             .identity()
             .coding_secret()
             .clone();
-        // Adaptive sizing: encode at the ladder rung the weakest profiled
-        // target can sustain; the size rides the manifest, so downloaders
-        // need no negotiation. With the flag off this is exactly the
-        // configured size and the schedule is byte-identical to before.
-        let chunk_size = if self.cfg.adaptive_sizing {
-            let target_keys: Vec<KeyBytes> =
-                targets.iter().map(|t| self.participants[t.0].key).collect();
-            self.profiles
-                .preferred_chunk_size(&target_keys, self.cfg.chunk_size)
-        } else {
-            self.cfg.chunk_size
-        };
         let mut enc = ChunkedEncoder::<Gf2p32>::with_chunk_size(
             FieldKind::Gf2p32,
             self.cfg.k,
@@ -564,7 +496,7 @@ impl SimRuntime {
             secret,
             file_id,
             data,
-            chunk_size,
+            self.cfg.chunk_size,
         )?;
         let start = self.net.now();
         let batches = enc.encode_for_peers(targets.len())?;
@@ -605,23 +537,9 @@ impl SimRuntime {
         let identity = self.participants[owner.0].peer.identity().clone();
         let user = User::<Gf2p32>::new(identity, manifest)?;
         let remote_node = self.net.add_node(remote_up, remote_down);
-        // Adaptive planning: contact profiled-fastest peers first, so they
-        // get the lowest conn ids and the earliest flow starts. Unprofiled
-        // peers keep their caller-given order (or all of them do, when the
-        // flag is off — preserving seeded schedules exactly).
-        let planned: Vec<ParticipantId> = if self.cfg.adaptive_sizing {
-            let keys: Vec<KeyBytes> = peers.iter().map(|p| self.participants[p.0].key).collect();
-            self.profiles
-                .plan_order(&keys)
-                .into_iter()
-                .map(|i| peers[i])
-                .collect()
-        } else {
-            peers.to_vec()
-        };
         let mut conns = BTreeMap::new();
-        let mut keys = Vec::with_capacity(planned.len());
-        for &pid in &planned {
+        let mut keys = Vec::with_capacity(peers.len());
+        for &pid in peers {
             let conn = self.next_conn;
             self.next_conn += 1;
             conns.insert(conn, pid.0);
@@ -661,7 +579,7 @@ impl SimRuntime {
             if self.slot.is_multiple_of(self.cfg.feedback_every_slots) {
                 self.send_feedback_reports();
             }
-            let deadline = self.net.now().advance(self.cfg.slot_secs);
+            let deadline = self.net.now().advance(SLOT_SECS);
             while let Some(event) = self.net.step_until(deadline) {
                 self.deliver(event);
             }
@@ -720,7 +638,7 @@ impl SimRuntime {
         let per_peer_bytes: HashMap<usize, u64> = s
             .conns
             .values()
-            .map(|&p| (p, s.peer_tally(p).bytes))
+            .map(|&p| (p, s.peer_bytes(p)))
             .filter(|&(_, bytes)| bytes > 0)
             .collect();
         let total_bytes: u64 = per_peer_bytes.values().sum();
@@ -822,8 +740,7 @@ impl SimRuntime {
                 continue;
             }
             let total_w: f64 = conns.iter().map(|c| c.2).sum();
-            let cap_bytes_per_slot =
-                self.participants[p_idx].up_kbps * 1_000.0 / 8.0 * self.cfg.slot_secs;
+            let cap_bytes_per_slot = self.participants[p_idx].up_kbps * 1_000.0 / 8.0 * SLOT_SECS;
             let ts = self.net.now().as_secs();
             for &(conn, s_idx, w) in &conns {
                 let share = serve::share(w, total_w);
@@ -886,7 +803,7 @@ impl SimRuntime {
             if *self.participants[p_idx].inflight.entry(conn).or_insert(0) >= MAX_INFLIGHT {
                 break;
             }
-            let Some(msg) = self.peek_next_size(p_idx, conn) else {
+            let Some(msg) = self.participants[p_idx].peer.next_message_len(conn) else {
                 break;
             };
             if !self.participants[p_idx].serve.try_send(conn, msg as f64) {
@@ -948,18 +865,6 @@ impl SimRuntime {
                 tag,
             );
         }
-    }
-
-    fn peek_next_size(&self, p_idx: usize, conn: u64) -> Option<usize> {
-        let peer = &self.participants[p_idx].peer;
-        let file = peer.serving(conn)?;
-        if !peer.has_pending(conn) {
-            return None;
-        }
-        // All data messages of a chunked file share the per-chunk payload
-        // size; approximate with the first pending message's wire size.
-        let msgs = peer.store().messages(file);
-        msgs.first().map(Wire::message_data_frame_len)
     }
 
     /// Slot phase 2: users send signed feedback to their home peers.
@@ -1117,7 +1022,6 @@ impl SimRuntime {
                 self.carry_out(session, &mut out, ts);
                 if !was_complete && self.sessions[session].fetch.user().is_complete() {
                     self.sessions[session].finished_at = Some(self.net.now());
-                    self.record_session_profiles(session);
                     if self.obs.events.is_enabled() {
                         self.emit_trace_spans(session);
                     }
@@ -1125,52 +1029,6 @@ impl SimRuntime {
             }
         }
         self.repump(refill);
-    }
-
-    /// Folds one transfer sample per serving participant into the profile
-    /// store when a session completes: goodput = accepted bytes over the
-    /// session's wall-clock, loss = in-transit drops over attempted data
-    /// messages. Pure bookkeeping — draws no randomness and never touches
-    /// simulated time — so collecting profiles perturbs nothing.
-    fn record_session_profiles(&mut self, session: usize) {
-        let s = &self.sessions[session];
-        let finished = s.finished_at.unwrap_or_else(|| self.net.now());
-        let duration = (finished - s.started_at).as_secs().max(1e-9);
-        let mut peers: Vec<usize> = s.conns.values().copied().collect();
-        peers.sort_unstable();
-        peers.dedup();
-        for p_idx in peers {
-            let Tally {
-                bytes, msgs, drops, ..
-            } = s.peer_tally(p_idx);
-            if msgs + drops == 0 {
-                continue; // never served data; nothing to profile
-            }
-            let key = self.participants[p_idx].key;
-            let mv = self.profiles.record_transfer(
-                &self.profile_cfg,
-                &key,
-                bytes,
-                duration,
-                drops,
-                msgs + drops,
-                None, // the sim has no per-message RTT probe
-            );
-            if self.obs.events.is_enabled() {
-                let rung = self.profiles.profile(&key).map_or(0, |p| p.rung());
-                self.obs.events.emit_at(
-                    self.net.now().as_secs(),
-                    "sim.profile",
-                    "transfer",
-                    &[
-                        ("peer", p_idx.into()),
-                        ("session", session.into()),
-                        ("rung", rung.into()),
-                        ("move", (mv as usize).into()),
-                    ],
-                );
-            }
-        }
     }
 
     /// Per-slot self-healing pass: polls each unfinished session's engine
@@ -1439,8 +1297,8 @@ impl SimRuntime {
                     continue;
                 }
                 let key = self.participants[p_idx].key;
-                let credited = home.upload_weight(&key) - self.cfg.initial_credit_bytes;
-                let delivered = session.peer_tally(p_idx).bytes as f64;
+                let credited = home.upload_weight(&key) - INITIAL_CREDIT_BYTES;
+                let delivered = session.peer_bytes(p_idx) as f64;
                 *drift.entry(p_idx).or_insert(0.0) += credited - delivered;
             }
         }
@@ -1751,6 +1609,51 @@ mod tests {
         // 2 slots is nowhere near enough for 256 KB over 512 kbps aggregate.
         assert!(rt.run_to_completion(session, 2).is_err());
         assert!(rt.progress(session) < 1.0);
+    }
+
+    /// A data flow is sized by the frame it carries. The file's last chunk
+    /// is an eighth of the others, so its messages are shorter than the
+    /// first stored one; each must still go out (and be debited from the
+    /// Eq.-2 deficit) at its own length.
+    #[test]
+    fn data_flows_carry_exactly_their_frames() {
+        let cfg = small_cfg();
+        let mut rt = SimRuntime::new(cfg);
+        let owner = rt.add_participant(Identity::from_seed(b"tail"), kbps(256.0), kbps(3000.0));
+        let payload = data(3 * cfg.chunk_size + cfg.chunk_size / 8);
+        let (manifest, _) = rt
+            .disseminate(owner, FileId(5), &payload, &[owner])
+            .unwrap();
+        let session = rt
+            .start_download(owner, manifest, kbps(256.0), kbps(3000.0), &[owner])
+            .unwrap();
+        // `run_slots` by hand, reading each data flow before it is delivered.
+        let (mut flow_bytes, mut frame_bytes, mut flows) = (0, 0, 0);
+        for _ in 0..600 {
+            if rt.session_complete(session) {
+                break;
+            }
+            rt.slot += 1;
+            rt.heal_sessions();
+            rt.start_bulk_bursts();
+            let deadline = rt.net.now().advance(SLOT_SECS);
+            while let Some(event) = rt.net.step_until(deadline) {
+                if let Some(Pending {
+                    wire: Some(Wire::MessageData(msg)),
+                    bulk_from: Some(_),
+                    ..
+                }) = rt.pending.get(&event.tag)
+                {
+                    flow_bytes += event.bytes;
+                    frame_bytes += Wire::message_data_frame_len(msg) as u64;
+                    flows += 1;
+                }
+                rt.deliver(event);
+            }
+        }
+        assert_eq!(rt.report(session).unwrap().data, payload);
+        assert_eq!(flows, 4 * cfg.k, "one batch of k per chunk");
+        assert_eq!(flow_bytes, frame_bytes, "flows sized by their frames");
     }
 
     #[test]

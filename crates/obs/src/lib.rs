@@ -43,7 +43,6 @@ pub mod health;
 pub mod stream;
 
 use std::collections::{BTreeMap, VecDeque};
-use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -577,18 +576,19 @@ impl Event {
 pub const DEFAULT_EVENT_CAPACITY: usize = 64 * 1024;
 
 struct SinkState {
-    /// Ring of the most recent events; older ones were evicted (and counted
-    /// in `dropped` unless a drain streamed them out first).
+    /// Ring of the most recent events; older ones were evicted.
     events: VecDeque<Event>,
     capacity: usize,
-    /// Total events ever emitted; `total - events.len()` is the sequence
-    /// number of the oldest retained event.
+    /// Total events ever emitted; `total - events.len()` is both the
+    /// sequence number of the oldest retained event and the number of
+    /// events evicted.
     total: u64,
-    /// Events evicted from the ring without having been drained anywhere.
-    dropped: u64,
-    /// Optional streaming drain: every event is written as one JSONL line
-    /// at emission time, so eviction loses nothing.
-    drain: Option<Box<dyn Write + Send>>,
+}
+
+impl SinkState {
+    fn evicted(&self) -> u64 {
+        self.total - self.events.len() as u64
+    }
 }
 
 impl std::fmt::Debug for SinkState {
@@ -597,8 +597,7 @@ impl std::fmt::Debug for SinkState {
             .field("events", &self.events.len())
             .field("capacity", &self.capacity)
             .field("total", &self.total)
-            .field("dropped", &self.dropped)
-            .field("drain", &self.drain.is_some())
+            .field("dropped", &self.evicted())
             .finish()
     }
 }
@@ -628,8 +627,7 @@ impl EventSink {
     }
 
     /// An enabled sink retaining at most `capacity` events in memory; older
-    /// events are evicted (see [`dropped_events`](Self::dropped_events) and
-    /// [`set_drain`](Self::set_drain)).
+    /// events are evicted (see [`dropped_events`](Self::dropped_events)).
     pub fn with_capacity(capacity: usize) -> EventSink {
         EventSink {
             inner: Some(Arc::new(SinkInner {
@@ -637,8 +635,6 @@ impl EventSink {
                     events: VecDeque::new(),
                     capacity: capacity.max(1),
                     total: 0,
-                    dropped: 0,
-                    drain: None,
                 }),
                 epoch: Instant::now(),
                 next_span: AtomicU64::new(1),
@@ -654,16 +650,6 @@ impl EventSink {
     /// Whether this sink records anything.
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
-    }
-
-    /// Installs a streaming drain: from now on every emitted event is also
-    /// written as one JSONL line to `w` at emission time, so ring eviction
-    /// loses nothing. Write errors are silently ignored (observability must
-    /// never take down the data path).
-    pub fn set_drain(&self, w: impl Write + Send + 'static) {
-        if let Some(inner) = &self.inner {
-            inner.state.lock().expect("event sink lock").drain = Some(Box::new(w));
-        }
     }
 
     /// Records an event with an explicit timestamp (simulated runtimes pass
@@ -688,20 +674,10 @@ impl EventSink {
     fn push(&self, event: Event) {
         let Some(inner) = &self.inner else { return };
         let mut state = inner.state.lock().expect("event sink lock");
-        let drained = if let Some(drain) = &mut state.drain {
-            let mut line = event.to_json();
-            line.push('\n');
-            drain.write_all(line.as_bytes()).is_ok()
-        } else {
-            false
-        };
         state.events.push_back(event);
         state.total += 1;
         if state.events.len() > state.capacity {
             state.events.pop_front();
-            if !drained {
-                state.dropped += 1;
-            }
         }
     }
 
@@ -803,10 +779,10 @@ impl EventSink {
         })
     }
 
-    /// Events evicted from the ring without reaching any drain.
+    /// Events evicted from the ring.
     pub fn dropped_events(&self) -> u64 {
         self.inner.as_ref().map_or(0, |inner| {
-            inner.state.lock().expect("event sink lock").dropped
+            inner.state.lock().expect("event sink lock").evicted()
         })
     }
 
@@ -1085,34 +1061,6 @@ mod tests {
         // A cursor older than the ring snaps to the oldest retained event.
         let (all, _) = sink.events_since(0);
         assert_eq!(all.len(), 4);
-    }
-
-    #[test]
-    fn drain_streams_evicted_events() {
-        use std::sync::{Arc, Mutex};
-
-        #[derive(Clone)]
-        struct Shared(Arc<Mutex<Vec<u8>>>);
-        impl std::io::Write for Shared {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-
-        let buf = Shared(Arc::new(Mutex::new(Vec::new())));
-        let sink = EventSink::with_capacity(2);
-        sink.set_drain(buf.clone());
-        for i in 0..5u64 {
-            sink.emit_at(i as f64, "c", "k", &[("i", i.into())]);
-        }
-        assert_eq!(sink.dropped_events(), 0, "drained evictions are not drops");
-        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
-        assert_eq!(text.lines().count(), 5, "every event streamed");
-        assert!(text.lines().all(|l| l.starts_with("{\"ts\": ")));
     }
 
     #[test]

@@ -26,6 +26,11 @@ pub const CHUNK_SIZE: usize = crate::params::MEGABYTE;
 /// decoder matrix (`O(k²)`) bounded against adversarial headers.
 const MAX_WIRE_K: usize = 1 << 16;
 
+/// Largest chunk size a manifest parsed from the wire may declare (4 MiB,
+/// four times the paper's chunk): chunk decoders and symbol buffers are
+/// sized from it before any message arrives.
+const MAX_WIRE_CHUNK_SIZE: usize = 4 << 20;
+
 /// Everything a downloader needs to fetch and decode a chunked file —
 /// except the secret key, which travels separately (it *is* the privacy).
 ///
@@ -54,8 +59,8 @@ impl FileManifest {
     }
 
     /// The chunk size this file was encoded at, in bytes. Carried by the
-    /// manifest wire format, so adaptive sizing needs no negotiation: the
-    /// downloader decodes at whatever rung the owner encoded.
+    /// manifest wire format, so the downloader needs no negotiation: it
+    /// decodes at whatever size the owner encoded.
     pub fn chunk_size(&self) -> usize {
         self.chunk_size
     }
@@ -181,11 +186,10 @@ impl FileManifest {
                 reason: "manifest for an empty file".to_owned(),
             });
         }
-        if chunk_size > crate::ladder::ChunkLadder::MAX {
+        if chunk_size > MAX_WIRE_CHUNK_SIZE {
             return Err(CodecError::Malformed {
                 reason: format!(
-                    "manifest chunk size {chunk_size} exceeds ladder maximum {}",
-                    crate::ladder::ChunkLadder::MAX
+                    "manifest chunk size {chunk_size} exceeds maximum {MAX_WIRE_CHUNK_SIZE}"
                 ),
             });
         }
@@ -1101,10 +1105,10 @@ mod tests {
         patch_u64(&mut b, 16, 0);
         assert!(FileManifest::from_bytes(&b).is_err());
 
-        // Chunk size above the ladder maximum (a 2^63 chunk would size a
-        // single allocation at half the address space).
+        // Chunk size above the wire cap (a 2^63 chunk would size a single
+        // allocation at half the address space).
         let mut b = bytes.clone();
-        patch_u64(&mut b, 24, (crate::ladder::ChunkLadder::MAX as u64) * 2);
+        patch_u64(&mut b, 24, (MAX_WIRE_CHUNK_SIZE as u64) * 2);
         assert!(FileManifest::from_bytes(&b).is_err());
         let mut b = bytes.clone();
         patch_u64(&mut b, 24, u64::MAX);
@@ -1116,16 +1120,25 @@ mod tests {
         assert!(FileManifest::from_bytes(&b).is_err());
 
         // Geometry whose chunk count overflows u32: total_len u64::MAX
-        // with a tiny (still in-ladder) chunk size.
+        // with a tiny (still under the cap) chunk size.
         let mut b = bytes.clone();
         patch_u64(&mut b, 16, u64::MAX);
         patch_u64(&mut b, 24, 64 << 10);
         assert!(FileManifest::from_bytes(&b).is_err());
 
-        // Ladder-max chunk size with a sane total still parses.
+        // The cap is inclusive: exactly 4 MiB with a sane total parses,
+        // one byte more is refused by the cap itself.
         let mut b = bytes.clone();
-        patch_u64(&mut b, 24, crate::ladder::ChunkLadder::MAX as u64);
+        patch_u64(&mut b, 24, 4 << 20);
         assert!(FileManifest::from_bytes(&b).is_ok());
+        let mut b = bytes.clone();
+        patch_u64(&mut b, 24, (4 << 20) + 1);
+        match FileManifest::from_bytes(&b) {
+            Err(CodecError::Malformed { reason }) => {
+                assert!(reason.contains("exceeds maximum"), "{reason}");
+            }
+            other => panic!("4 MiB + 1 chunk accepted: {other:?}"),
+        }
     }
 
     mod adversarial {
@@ -1155,7 +1168,7 @@ mod tests {
                 }
                 if let Ok(m) = FileManifest::from_bytes(&bytes) {
                     prop_assert!(m.total_len() > 0);
-                    prop_assert!(m.chunk_size <= crate::ladder::ChunkLadder::MAX);
+                    prop_assert!(m.chunk_size <= super::super::MAX_WIRE_CHUNK_SIZE);
                     prop_assert!(m.k <= super::super::MAX_WIRE_K);
                     let count = m.chunk_count();
                     let mut sum = 0usize;
@@ -1175,7 +1188,7 @@ mod tests {
             ) {
                 if let Ok(m) = FileManifest::from_bytes(&bytes) {
                     prop_assert!(m.total_len() > 0);
-                    prop_assert!(m.chunk_size <= crate::ladder::ChunkLadder::MAX);
+                    prop_assert!(m.chunk_size <= super::super::MAX_WIRE_CHUNK_SIZE);
                 }
             }
         }

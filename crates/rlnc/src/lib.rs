@@ -48,7 +48,6 @@ mod coeffs;
 mod decoder;
 mod encoder;
 mod error;
-mod ladder;
 mod message;
 mod params;
 mod progressive;
@@ -59,7 +58,6 @@ pub use coeffs::RowGenerator;
 pub use decoder::{BlockDecoder, SealedBlock};
 pub use encoder::Encoder;
 pub use error::CodecError;
-pub use ladder::ChunkLadder;
 pub use message::{EncodedMessage, FileId, MessageId};
 pub use params::{table_one_entry, CodingParams, TableOneRow, MEGABYTE};
 pub use progressive::ProgressiveDecoder;

@@ -3,14 +3,12 @@
 //! Everything the benchmark harness needs to regenerate the paper's
 //! evaluation: the Figure-1 access-link and file-size catalog
 //! ([`catalog`]), ready-made [`SlotSimulator`](asymshare_alloc::SlotSimulator)
-//! scenario builders for Figures 5–8 ([`scenarios`]), the heterogeneous
-//! swarm behind the adaptive chunk-sizing evaluation ([`hetero`]), and
-//! small CSV/series utilities ([`series`]).
+//! scenario builders for Figures 5–8 ([`scenarios`]), and small CSV/series
+//! utilities ([`series`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod catalog;
-pub mod hetero;
 pub mod scenarios;
 pub mod series;

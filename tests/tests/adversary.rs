@@ -306,7 +306,7 @@ fn every_strategy_is_detected_and_outrun() {
         if seed == 11 {
             let slots = bans
                 .first()
-                .map(|(ts, _, _)| (ts - attack_start) / rt.config().slot_secs);
+                .map(|(ts, _, _)| (ts - attack_start) / asymshare::SLOT_SECS);
             assert_eq!(slots, pinned_slots, "{strategy:?}");
         }
     }

@@ -43,7 +43,7 @@ fn metrics_snapshot_credit_matrix_matches_eq2() {
     // Let the final feedback window flush into the home peer's ledger.
     rt.run_slots(rt.config().feedback_every_slots + 2);
 
-    let initial = rt.config().initial_credit_bytes;
+    let initial = asymshare::INITIAL_CREDIT_BYTES;
     let matrix = rt.credit_matrix();
     assert_eq!(matrix.len(), 5);
     assert!(matrix.iter().all(|row| row.len() == 5));

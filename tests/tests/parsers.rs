@@ -1,6 +1,6 @@
 //! One adversarial-input property for every parser of bytes that arrive
 //! from the network or the disk: wire frames, coded messages, file and
-//! digest manifests, persisted profiles, Schnorr keys and signatures.
+//! digest manifests, Schnorr keys and signatures.
 //!
 //! Each case starts from generated *valid* encodings, then hands each
 //! parser every truncation of its encoding, the encoding with one byte
@@ -9,7 +9,7 @@
 //! consuming more bytes than they were given. The per-parser tests beside
 //! each parser stay; this is the shared floor under all of them.
 
-use asymshare::{FeedbackEntry, FeedbackReport, ProfileConfig, ProfileStore, Wire};
+use asymshare::{FeedbackEntry, FeedbackReport, Wire};
 use asymshare_crypto::chacha20::ChaChaRng;
 use asymshare_crypto::schnorr::{KeyPair, PublicKey, Signature};
 use asymshare_crypto::u256::U256;
@@ -50,11 +50,6 @@ fn file_manifest(b: &[u8]) -> bool {
 
 fn auth_manifest(b: &[u8]) -> bool {
     let _ = AuthManifest::from_bytes(b);
-    true
-}
-
-fn profile_store(b: &[u8]) -> bool {
-    let _ = ProfileStore::from_bytes(b);
     true
 }
 
@@ -150,28 +145,6 @@ fn auth_encoding(rng: &mut SplitMix64) -> Vec<u8> {
     auth.to_bytes()
 }
 
-fn profile_encoding(rng: &mut SplitMix64) -> Vec<u8> {
-    let cfg = ProfileConfig::default();
-    let mut store = ProfileStore::new();
-    for _ in 0..below(rng, 4) {
-        let key = fill(rng);
-        for _ in 0..1 + below(rng, 3) {
-            let total = 1 + below(rng, 100);
-            let rtt = (rng.next_u64() & 1 == 1).then(|| below(rng, 100_000) as f64);
-            store.record_transfer(
-                &cfg,
-                &key,
-                below(rng, 1 << 24),
-                0.001 + below(rng, 10_000) as f64 / 1_000.0,
-                below(rng, total + 1),
-                total,
-                rtt,
-            );
-        }
-    }
-    store.to_bytes()
-}
-
 /// Every truncation of `valid` (itself included), `valid` with the byte at
 /// `flip_at` xored with `mask`, and `valid` followed by `suffix`.
 fn mutations(valid: &[u8], flip_at: usize, mask: u8, suffix: &[u8]) -> Vec<Vec<u8>> {
@@ -210,7 +183,6 @@ proptest! {
         cases.push(("coded message", coded_message, message.to_wire().to_vec()));
         cases.push(("file manifest", file_manifest, manifest_encoding(&mut rng)));
         cases.push(("auth manifest", auth_manifest, auth_encoding(&mut rng)));
-        cases.push(("profile store", profile_store, profile_encoding(&mut rng)));
         cases.push(("public key", public_key, keys.public_key().to_bytes().to_vec()));
         let signed = keys.sign(&suffix, &mut chacha);
         cases.push(("signature", signature, signed.to_bytes().to_vec()));

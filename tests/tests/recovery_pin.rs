@@ -5,10 +5,13 @@
 //! write-off → re-plan → quarantine → re-dissemination — at the three fault
 //! seeds of the CI matrix. A control flow started in a different order draws
 //! different fault randoms, so any change to *when* or *whom* the ladder
-//! acts on moves these hashes. Two re-pins since: `churn`'s logs lost the
+//! acts on moves these hashes. Three re-pins since: `churn`'s logs lost the
 //! health engine's `health`/`attack` lines when attribution left it (the
-//! rest of each log is byte-identical), and `pollution` is banned by the
-//! client's own rules instead of the engine's timed quarantine.
+//! rest of each log is byte-identical), `pollution` is banned by the
+//! client's own rules instead of the engine's timed quarantine, and every
+//! log lost its `sim.profile` lines when peer profiles left the sim (each
+//! event hash is the previous log's with exactly those lines removed; the
+//! schedule hashes did not move).
 
 use asymshare::{Identity, ParticipantId, RuntimeConfig, SessionId, SimRuntime};
 use asymshare_crypto::md5::Md5;
@@ -193,15 +196,15 @@ fn lossy_links_are_pinned() {
         lossy,
         [
             (
-                "5e1c152dbcffa16c4b6a4225ce8cb829",
+                "c09a531cd0fdf78318145dff6a81c04c",
                 "f931af5bd868e42cf705ffd39b927b9c",
             ),
             (
-                "1de647e8b0bbb8d81af5549ceb8d76e3",
+                "91301133d75512faf25ed99f0852bdc7",
                 "d4f5ab75cc0531086a6c21d0bbcd9c13",
             ),
             (
-                "559c2ab1d71d069c8d6c149c80e4ca3b",
+                "b00f11f8df093dce480aafe2dff47976",
                 "6dea38acf7794c5ad08c7d02d3cde148",
             ),
         ],
@@ -215,15 +218,15 @@ fn churn_with_reassignment_is_pinned() {
         churn,
         [
             (
-                "31e5b01f1e2bf5f61b777b2431d0d59f",
+                "2d15014bd16be14e02fe7fe80fe4fa99",
                 "1f4a1ecb68316d03fd653d22e1b5294d",
             ),
             (
-                "53b8edb68504a0049e9a394d7f8beaf7",
+                "2573d370621bcdc3afb8e341117c5a05",
                 "1f4a1ecb68316d03fd653d22e1b5294d",
             ),
             (
-                "f26a2cad46f71a01c24539eb4c4c52c4",
+                "017cd9bd5c99c3b383acedb8d6faec90",
                 "69377347aca7f2c7c9acdf367657e846",
             ),
         ],
@@ -237,15 +240,15 @@ fn pollution_quarantine_and_redissemination_are_pinned() {
         pollution,
         [
             (
-                "669320a587fab497f3fee6eae12a74a3",
+                "6e0810158835e3f88d0a91e0fa12df7d",
                 "ebb8ebc3dfb96f23b94e159524385c24",
             ),
             (
-                "15629b30388527f0675d787fb5289d87",
+                "796032bae01c1643514ce96bb6ca4c78",
                 "ebb8ebc3dfb96f23b94e159524385c24",
             ),
             (
-                "0d17404fc47367ce474cfa6475b96b6d",
+                "92bd11b8ac5399b3cdc47f17e18ced04",
                 "ebb8ebc3dfb96f23b94e159524385c24",
             ),
         ],
