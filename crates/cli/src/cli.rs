@@ -291,19 +291,24 @@ fn metrics(args: &[String]) -> Result<(), String> {
             report.duration_secs, report.mean_rate_kbps
         );
         print!("{}", report.metrics.pretty());
+        println!("Eq.-2 credit (row: serving peer, column: user key):");
+        for (i, row) in rt.credit_matrix().iter().enumerate() {
+            let cells: Vec<String> = row.iter().map(|c| format!("{c:>10.0}")).collect();
+            println!("  p{i:<3}{}", cells.join(""));
+        }
     }
     Ok(())
 }
 
-/// Runs a seeded download on the slotted simulator with health analytics
-/// on and renders the resulting span timeline as a text waterfall, followed
-/// by the per-peer health scores. `--faults` makes one serving peer lossy
-/// and corrupting so the replacement/heal spans and alerts have something
-/// to show.
+/// Runs a seeded download on the slotted simulator with observability on
+/// and renders the resulting span timeline as a text waterfall, followed by
+/// the per-peer health scores folded from the same log. `--faults` makes
+/// one serving peer lossy and corrupting so the replacement/heal spans and
+/// alerts have something to show.
 fn trace(args: &[String]) -> Result<(), String> {
     use asymshare::{Identity, ParticipantId, RuntimeConfig, SimRuntime};
     use asymshare_netsim::{FaultPlan, LinkFault, LinkSpeed};
-    use asymshare_obs::health::HealthConfig;
+    use asymshare_obs::health::{replay, HealthConfig};
     use asymshare_obs::stream::TraceTree;
 
     let peers: usize = flag_value(args, "--peers")
@@ -330,7 +335,7 @@ fn trace(args: &[String]) -> Result<(), String> {
         chunk_size: 16 * 1024,
         ..RuntimeConfig::default()
     });
-    rt.enable_health(HealthConfig::default());
+    rt.enable_observability();
     let ids: Vec<ParticipantId> = (0..peers as u8)
         .map(|i| {
             rt.add_participant(
@@ -368,25 +373,28 @@ fn trace(args: &[String]) -> Result<(), String> {
     rt.run_to_completion(session, 3_600)
         .map_err(|e| e.to_string())?;
 
-    print!("{}", TraceTree::build(&rt.event_log()).render(width));
-    if let Some(report) = rt.health_report() {
+    let log = rt.event_log();
+    print!("{}", TraceTree::build(&log).render(width));
+    let report = replay(&HealthConfig::default(), &log).report();
+    println!(
+        "health: {} window(s), {} alert(s)",
+        report.windows, report.total_alerts
+    );
+    for p in &report.peers {
+        let state = if p.healthy { "healthy" } else { "DEGRADED" };
         println!(
-            "health: {} window(s), {} alert(s)",
-            report.windows, report.total_alerts
+            "  peer p{}: score {:>5.1} {} ({} alert(s))",
+            p.peer, p.score, state, p.alerts
         );
-        for p in &report.peers {
-            let state = if p.healthy { "healthy" } else { "DEGRADED" };
-            println!(
-                "  peer p{}: score {:>5.1} {} ({} alert(s))",
-                p.peer, p.score, state, p.alerts
-            );
-        }
     }
     Ok(())
 }
 
-/// One rendered frame of the `top` dashboard.
+/// One rendered frame of the `top` dashboard: the network's metrics and
+/// the health report folded from its event log.
 fn render_top(network: &asymshare::rt::RtNetwork, elapsed: std::time::Duration) -> String {
+    use asymshare_obs::health::{replay, HealthConfig};
+
     let snap = network.metrics_snapshot();
     let recv = snap.counter("rt.transport.recv_bytes").unwrap_or(0);
     let secs = elapsed.as_secs_f64().max(1e-9);
@@ -428,42 +436,38 @@ fn render_top(network: &asymshare::rt::RtNetwork, elapsed: std::time::Duration) 
         mean("rt.reactor.queue_depth"),
         snap.counter("rt.reactor.backpressure_yields").unwrap_or(0),
     ));
-    match network.health_report() {
-        Some(report) => {
-            out.push_str(&format!(
-                "health: {} window(s), {} alert(s)\n",
-                report.windows, report.total_alerts
-            ));
-            for p in &report.peers {
-                let bar_len = (p.score / 5.0).round().clamp(0.0, 20.0) as usize;
-                let state = if p.healthy { "healthy " } else { "DEGRADED" };
-                out.push_str(&format!(
-                    "  peer {:>4}  [{:<20}] {:>5.1} {}  {} alert(s)\n",
-                    p.peer,
-                    "#".repeat(bar_len),
-                    p.score,
-                    state,
-                    p.alerts
-                ));
-            }
-        }
-        None => out.push_str("health: engine not installed\n"),
+    let report = replay(&HealthConfig::default(), &network.events().events()).report();
+    out.push_str(&format!(
+        "health: {} window(s), {} alert(s)\n",
+        report.windows, report.total_alerts
+    ));
+    for p in &report.peers {
+        let bar_len = (p.score / 5.0).round().clamp(0.0, 20.0) as usize;
+        let state = if p.healthy { "healthy " } else { "DEGRADED" };
+        out.push_str(&format!(
+            "  peer {:>4}  [{:<20}] {:>5.1} {}  {} alert(s)\n",
+            p.peer,
+            "#".repeat(bar_len),
+            p.score,
+            state,
+            p.alerts
+        ));
     }
     out
 }
 
-/// Runs a seeded real-time download (peers on the reactor, lossy transport,
-/// sampling health monitor) and renders a live terminal dashboard: per-peer
-/// health, throughput, pool hit rate and coalesce ratio. `--once` waits for
-/// completion and prints a single frame (no escape codes); `--listen ADDR`
-/// additionally serves `/metrics` and `/health` over HTTP while running.
+/// Runs a seeded real-time download (peers on the reactor, lossy transport)
+/// and renders a live terminal dashboard: per-peer health, throughput,
+/// pool hit rate and coalesce ratio. `--once` waits for completion and
+/// prints a single frame (no escape codes); `--listen ADDR` additionally
+/// serves `/metrics` and `/health` over HTTP while running.
 fn top(args: &[String]) -> Result<(), String> {
     use asymshare::rt::{
-        download_file_with, DownloadOptions, FaultPlan, HealthMonitor, MetricsServer, Reactor,
-        ReactorConfig, RtNetwork,
+        download_file_with, DownloadOptions, FaultPlan, MetricsServer, Reactor, ReactorConfig,
+        RtNetwork,
     };
     use asymshare::{Identity, Peer, User};
-    use asymshare_obs::health::HealthConfig;
+    use asymshare_obs::health::{replay, HealthConfig};
     use asymshare_obs::{EventSink, Registry};
     use std::time::{Duration, Instant};
 
@@ -491,12 +495,6 @@ fn top(args: &[String]) -> Result<(), String> {
     if let Some(s) = &server {
         eprintln!("serving /metrics and /health on http://{}", s.addr());
     }
-    let monitor = HealthMonitor::spawn(
-        &network,
-        HealthConfig::default(),
-        Duration::from_millis(200),
-    );
-
     // A seeded file spread over hosted peers, downloaded over a mildly
     // lossy link so the detectors and heal path have work to do.
     let owner = Identity::from_seed(b"cli-top-owner");
@@ -559,7 +557,7 @@ fn top(args: &[String]) -> Result<(), String> {
         }
     }
     let outcome = download.join().expect("download thread panicked");
-    let report = monitor.shutdown();
+    let report = replay(&HealthConfig::default(), &network.events().events()).report();
     // Shut down before the final frame so the window gauges flush.
     reactor.shutdown();
     print!("{}", render_top(&network, started.elapsed()));

@@ -430,55 +430,6 @@ impl Wire {
     }
 }
 
-/// Sizes the frame starting at `buf[0]` without decoding it: returns the
-/// frame's byte length, plus `(offset, len)` of its coded payload when it is
-/// a non-empty `MessageData` frame. `None` on truncated or unknown input.
-///
-/// The transport's fault injector uses this to walk a coalesced batch and
-/// flip bits only inside coded payloads, allocation-free.
-pub(crate) fn scan_frame(buf: &[u8]) -> Option<(usize, Option<(usize, usize)>)> {
-    let tag = *buf.first()?;
-    let body = match tag {
-        TAG_AUTH_COMMIT => 128,
-        TAG_AUTH_CHALLENGE | TAG_AUTH_RESPONSE => 32,
-        TAG_AUTH_RESULT => 97,
-        TAG_FILE_REQUEST | TAG_STOP => 8,
-        TAG_STOP_CHUNK | TAG_REPLACEMENT => 12,
-        TAG_MESSAGE_DATA => {
-            if buf.len() < 5 {
-                return None;
-            }
-            let len = u32::from_le_bytes(buf[1..5].try_into().expect("4 bytes")) as usize;
-            // `len` is untrusted wire data: `5 + len` can wrap on 32-bit
-            // targets, so size the frame with checked math.
-            let frame = len.checked_add(5)?;
-            if buf.len() < frame {
-                return None;
-            }
-            // Payload begins after the 16-byte id header inside the message.
-            let payload = (len > 16).then_some((5 + 16, len - 16));
-            return Some((frame, payload));
-        }
-        TAG_FEEDBACK => {
-            if buf.len() < 1 + 76 {
-                return None;
-            }
-            // `count` is untrusted: `count * 72` overflows usize on 32-bit
-            // targets, so reject declared counts that cannot fit any buffer
-            // instead of computing a wrapped (tiny) body size.
-            let count = u32::from_le_bytes(buf[73..77].try_into().expect("4 bytes")) as usize;
-            count.checked_mul(72).and_then(|n| n.checked_add(76 + 96))?
-        }
-        _ => return None,
-    };
-    let frame = body.checked_add(1)?;
-    if buf.len() >= frame {
-        Some((frame, None))
-    } else {
-        None
-    }
-}
-
 /// The transcript a peer countersigns in its [`Wire::AuthResult`]: domain
 /// tag, the user's response scalar, and the verdict byte. Binding to the
 /// response (which itself depends on the fresh challenge) makes the
@@ -505,7 +456,6 @@ pub fn challenge_from_bytes(b: &[u8; 32]) -> U256 {
 mod tests {
     use super::*;
     use asymshare_rlnc::{FileId, MessageId};
-    use proptest::prelude::*;
 
     fn rng() -> ChaChaRng {
         ChaChaRng::new([3u8; 32], [0u8; 12])
@@ -611,61 +561,6 @@ mod tests {
     }
 
     #[test]
-    fn scan_frame_agrees_with_encoded_len() {
-        let keys = KeyPair::from_secret(U256::from_u64(9));
-        let variants = [
-            Wire::AuthCommit {
-                commitment: [1u8; 64],
-                claimed_key: [2u8; 64],
-            },
-            Wire::AuthChallenge {
-                challenge: [3u8; 32],
-            },
-            Wire::AuthResponse { s: [4u8; 32] },
-            Wire::AuthResult {
-                ok: true,
-                ack: [5u8; 96],
-            },
-            Wire::FileRequest { file_id: 6 },
-            Wire::MessageData(EncodedMessage::new(FileId(1), MessageId(2), vec![7u8; 33])),
-            Wire::MessageData(EncodedMessage::new(FileId(1), MessageId(2), vec![])),
-            Wire::StopTransmission { file_id: 8 },
-            Wire::StopChunk {
-                file_id: 8,
-                chunk: 9,
-            },
-            Wire::ReplacementRequest {
-                file_id: 8,
-                chunk: 9,
-            },
-            Wire::Feedback(FeedbackReport::sign(
-                &keys,
-                10,
-                vec![FeedbackEntry {
-                    contributor: [6u8; 64],
-                    bytes: 11,
-                }],
-                &mut rng(),
-            )),
-        ];
-        for w in &variants {
-            let enc = w.encode();
-            let (len, span) = scan_frame(&enc).expect("scannable");
-            assert_eq!(len, enc.len(), "{w:?}");
-            match w {
-                Wire::MessageData(m) if !m.payload().is_empty() => {
-                    assert_eq!(span, Some((21, m.payload().len())), "{w:?}");
-                }
-                _ => assert_eq!(span, None, "{w:?}"),
-            }
-        }
-        assert_eq!(scan_frame(&[]), None);
-        assert_eq!(scan_frame(&[99]), None, "unknown tag");
-        let enc = variants[0].encode();
-        assert_eq!(scan_frame(&enc[..enc.len() - 1]), None, "truncated");
-    }
-
-    #[test]
     fn oversized_feedback_count_is_rejected() {
         // A feedback header whose declared entry count would overflow the
         // body-size arithmetic (count * 72) must be rejected, not wrapped
@@ -674,55 +569,9 @@ mod tests {
         frame[0] = TAG_FEEDBACK;
         frame[73..77].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(Wire::decode(&frame).is_err(), "decode rejects");
-        assert_eq!(scan_frame(&frame), None, "scan rejects");
         // A count that fits arithmetic but not the buffer is also rejected.
         frame[73..77].copy_from_slice(&1000u32.to_le_bytes());
         assert!(Wire::decode(&frame).is_err());
-        assert_eq!(scan_frame(&frame), None);
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(512))]
-
-        /// `scan_frame` and `Wire::decode` face raw network bytes: they must
-        /// never panic, and any window `scan_frame` reports must lie inside
-        /// the frame it sized.
-        #[test]
-        fn scan_frame_never_panics_or_overruns(
-            bytes in proptest::collection::vec(any::<u8>(), 0..512),
-        ) {
-            if let Some((frame_len, span)) = scan_frame(&bytes) {
-                prop_assert!(frame_len <= bytes.len(), "frame within buffer");
-                prop_assert!(frame_len >= 1, "frame covers at least the tag");
-                if let Some((off, len)) = span {
-                    let end = off.checked_add(len);
-                    prop_assert!(end.is_some_and(|e| e <= frame_len), "payload window in frame");
-                }
-            }
-            let _ = Wire::decode(&bytes); // must not panic
-        }
-
-        /// Same adversarial guarantee with a forged MessageData tag in front,
-        /// which exercises the length-prefixed path specifically.
-        #[test]
-        fn scan_message_data_never_overruns(
-            body in proptest::collection::vec(any::<u8>(), 0..64),
-            declared in any::<u32>(),
-        ) {
-            let mut frame = vec![TAG_MESSAGE_DATA];
-            frame.extend_from_slice(&declared.to_le_bytes());
-            frame.extend_from_slice(&body);
-            if let Some((frame_len, span)) = scan_frame(&frame) {
-                prop_assert!(frame_len <= frame.len());
-                prop_assert_eq!(frame_len, 5 + declared as usize);
-                if let Some((off, len)) = span {
-                    prop_assert!(off + len <= frame_len);
-                }
-            } else {
-                prop_assert!(declared as usize > body.len(), "only truncation is rejected");
-            }
-            let _ = Wire::decode(&frame);
-        }
     }
 
     #[test]

@@ -5,8 +5,10 @@
 //!
 //! * `GET /metrics` — the full metric snapshot rendered in the Prometheus
 //!   text exposition format ([`render_prometheus`]), pool gauges refreshed.
-//! * `GET /health` — the health engine's report as JSON (`200` while every
-//!   scored peer is healthy, `503` otherwise, `"disabled"` with no engine).
+//! * `GET /health` — the health report of the network's event log as JSON
+//!   (`200` while every scored peer is healthy, `503` otherwise), folded
+//!   from the log on each request by [`replay`]; empty when the network
+//!   records no events.
 //!
 //! One accept loop on one thread, non-blocking with a short sleep, one
 //! request per connection: deliberately minimal, enough for a scraper or a
@@ -14,6 +16,7 @@
 
 use super::transport::RtNetwork;
 use asymshare_obs::export::render_prometheus;
+use asymshare_obs::health::{replay, HealthConfig};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -102,22 +105,15 @@ fn serve_one(mut stream: TcpStream, net: &RtNetwork) -> std::io::Result<()> {
             "text/plain; version=0.0.4",
             render_prometheus(&net.metrics_snapshot()),
         ),
-        "/health" => match net.health_report() {
-            Some(report) => (
-                if report.all_healthy() {
-                    "200 OK"
-                } else {
-                    "503 Service Unavailable"
-                },
-                "application/json",
-                report.to_json(),
-            ),
-            None => (
-                "200 OK",
-                "application/json",
-                String::from("{\"status\": \"disabled\"}"),
-            ),
-        },
+        "/health" => {
+            let report = replay(&HealthConfig::default(), &net.events().events()).report();
+            let status = if report.all_healthy() {
+                "200 OK"
+            } else {
+                "503 Service Unavailable"
+            };
+            (status, "application/json", report.to_json())
+        }
         _ => ("404 Not Found", "text/plain", String::from("not found\n")),
     };
     write!(
@@ -131,7 +127,6 @@ fn serve_one(mut stream: TcpStream, net: &RtNetwork) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asymshare_obs::health::HealthConfig;
     use asymshare_obs::{EventSink, Registry};
 
     fn http_get(addr: SocketAddr, path: &str) -> (String, String) {
@@ -157,15 +152,12 @@ mod tests {
         assert!(head.contains("text/plain"), "{head}");
         assert!(body.contains("asymshare_rt_transport_sends 7\n"), "{body}");
 
-        let (head, body) = http_get(addr, "/health");
-        assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
-        assert!(body.contains("\"status\": \"disabled\""), "{body}");
-
-        net.enable_health(HealthConfig::default());
-        net.evaluate_health();
+        // The report is the fold of the log: one heartbeat, one window.
+        net.events().emit("health", "window", &[]);
         let (head, body) = http_get(addr, "/health");
         assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
         assert!(body.contains("\"status\": \"ok\""), "{body}");
+        assert!(body.contains("\"windows\": 1"), "{body}");
 
         let (head, _) = http_get(addr, "/nope");
         assert!(head.starts_with("HTTP/1.1 404"), "{head}");

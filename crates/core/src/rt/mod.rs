@@ -29,7 +29,6 @@
 
 mod limiter;
 mod metrics_http;
-mod monitor;
 mod pool;
 mod reactor;
 mod transport;
@@ -37,7 +36,6 @@ mod transport;
 pub use asymshare_netsim::{FaultPlan, FaultStats};
 pub use limiter::TokenBucket;
 pub use metrics_http::MetricsServer;
-pub use monitor::HealthMonitor;
 pub use pool::{BufferPool, PoolStats};
 pub use reactor::{Reactor, ReactorConfig, MAX_COALESCE};
 pub use transport::{Envelope, FrameIter, RtNetwork};
@@ -421,7 +419,8 @@ fn fetch(
         }
     };
     // Each peer's coded frames since the last report, as `window` events —
-    // the health report's rate denominators.
+    // the health report's rate denominators — then the `health`/`window`
+    // heartbeat at which the report's fold over the log closes a window.
     let report_windows = |fetch: &mut Fetch<&mut User<Gf2p32>>| {
         fetch.drain_window(|peer, counts| {
             if counts.frames > 0 {
@@ -431,6 +430,7 @@ fn fetch(
                 );
             }
         });
+        events.emit("health", "window", &[]);
     };
     let ladder = LadderConfig {
         stall_secs: options.stall_timeout.as_secs_f64(),

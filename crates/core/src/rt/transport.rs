@@ -14,12 +14,11 @@
 //! where a socket keeps it.
 
 use crate::error::SystemError;
-use crate::protocol::{self, Wire};
+use crate::protocol::Wire;
 use crate::rt::pool::BufferPool;
 use asymshare_netsim::{
     adversary_draw, AdversaryStrategy, FaultPlan, FaultStats, NodeId, SplitMix64,
 };
-use asymshare_obs::health::{HealthConfig, HealthReport, HealthStream};
 use asymshare_obs::{Counter, EventSink, Histogram, Registry, Snapshot};
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -246,9 +245,6 @@ pub struct RtNetwork {
     fault: Arc<RwLock<Option<FaultState>>>,
     pool: Arc<BufferPool>,
     obs: TransportObs,
-    /// One mutex, so closing a window (drain + evaluate + emit) is atomic
-    /// with respect to report and score reads.
-    health: Arc<Mutex<Option<HealthStream>>>,
 }
 
 impl RtNetwork {
@@ -278,7 +274,8 @@ impl RtNetwork {
     }
 
     /// A point-in-time copy of every metric, with the buffer-pool gauges
-    /// (`rt.pool.*`) refreshed first.
+    /// (`rt.pool.*`) and the events the log's ring has dropped
+    /// (`obs.dropped_events`) refreshed first.
     pub fn metrics_snapshot(&self) -> Snapshot {
         let metrics = &self.obs.metrics;
         if metrics.is_enabled() {
@@ -289,54 +286,11 @@ impl RtNetwork {
             metrics.gauge("rt.pool.dropped").set(stats.dropped as f64);
             metrics.gauge("rt.pool.capacity").set(stats.capacity as f64);
             metrics.gauge("rt.pool.idle").set(self.pool.idle() as f64);
+            metrics
+                .gauge("obs.dropped_events")
+                .set(self.obs.events.dropped_events() as f64);
         }
         metrics.snapshot()
-    }
-
-    /// Installs a streaming [`HealthStream`] fed from this network's event
-    /// sink. Meaningful only on a network built with
-    /// [`with_observability`](Self::with_observability) — without an event
-    /// stream the engine never sees a signal. Replaces any previous engine.
-    ///
-    /// Nothing evaluates automatically: call
-    /// [`evaluate_health`](Self::evaluate_health) at your chosen cadence,
-    /// or spawn a [`HealthMonitor`](crate::rt::HealthMonitor) to sample on
-    /// a thread.
-    pub fn enable_health(&self, cfg: HealthConfig) {
-        *self.health.lock().expect("health lock") = Some(HealthStream::new(cfg, &self.obs.events));
-    }
-
-    /// Closes the current health window: drains every event emitted since
-    /// the previous evaluation into the engine, runs the detector bank at
-    /// the sink's current timeline instant, emits one `health`/`alert`
-    /// event per raised alert plus a `health`/`window` heartbeat, and
-    /// refreshes the `health.score.p{addr}` gauges. Returns the number of
-    /// alerts raised (`None` when no engine is installed).
-    pub fn evaluate_health(&self) -> Option<usize> {
-        let mut guard = self.health.lock().expect("health lock");
-        let h = guard.as_mut()?;
-        let ts = self.obs.events.now_secs();
-        Some(h.close_window(ts, &self.obs.events, &self.obs.metrics, &[]))
-    }
-
-    /// The health engine's current per-peer report (`None` unless
-    /// [`enable_health`](Self::enable_health) was called).
-    pub fn health_report(&self) -> Option<HealthReport> {
-        self.health
-            .lock()
-            .expect("health lock")
-            .as_ref()
-            .map(|h| h.engine().report())
-    }
-
-    /// A peer address's current 0–100 health score, if the engine has
-    /// scored it.
-    pub fn health_score(&self, addr: u64) -> Option<f64> {
-        self.health
-            .lock()
-            .expect("health lock")
-            .as_ref()
-            .and_then(|h| h.engine().score(addr))
     }
 
     /// Registers `addr` and returns its inbox.
@@ -527,7 +481,7 @@ impl RtNetwork {
                     AdversaryStrategy::SelectiveServe { serve_fraction } => {
                         // Withhold whole data-bearing datagrams; control
                         // frames pass so the peer still looks alive.
-                        if payload_bytes(&buf) > 0 && draw >= serve_fraction {
+                        if frames.iter().any(|f| coded_len(f) > 0) && draw >= serve_fraction {
                             self.pool.recycle(buf);
                             return true; // withheld: reads as silence, not error
                         }
@@ -537,13 +491,13 @@ impl RtNetwork {
                             let mut rng = SplitMix64::new(
                                 plan.seed() ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15),
                             );
-                            corrupt_in_place(&mut buf, &mut rng);
+                            corrupt_in_place(&mut buf, frames, &mut rng);
                         }
                     }
                     AdversaryStrategy::Replay { prob } => {
                         // Serve the same coded bytes again: stale
                         // information dressed up as fresh service.
-                        if payload_bytes(&buf) > 0 && draw < prob {
+                        if frames.iter().any(|f| coded_len(f) > 0) && draw < prob {
                             copies = 2;
                         }
                     }
@@ -560,7 +514,7 @@ impl RtNetwork {
             }
             if link.corrupt_prob > 0.0
                 && rng.next_f64() < link.corrupt_prob
-                && corrupt_in_place(&mut buf, &mut rng)
+                && corrupt_in_place(&mut buf, frames, &mut rng)
             {
                 fault.corrupted.fetch_add(1, Ordering::Relaxed);
                 self.obs.events.emit(
@@ -630,49 +584,38 @@ impl RtNetwork {
 }
 
 /// Flips one bit inside one coded payload byte of the (possibly coalesced)
-/// frame batch in `buf` — never framing or control frames, so the damage
-/// surfaces as a digest-authentication failure, not a parse error. Mutates
-/// in place: corruption costs no extra copy. Returns `false`, drawing no
-/// positional randoms, when the batch carries no payload bytes.
-fn corrupt_in_place(buf: &mut [u8], rng: &mut SplitMix64) -> bool {
-    let total = payload_bytes(buf);
+/// batch `buf`, the encoding of `frames` — never framing or control frames,
+/// so the damage surfaces as a digest-authentication failure, not a parse
+/// error. Mutates in place: corruption costs no extra copy. Returns
+/// `false`, drawing no positional randoms, when the batch carries no
+/// payload bytes.
+fn corrupt_in_place(buf: &mut [u8], frames: &[Wire], rng: &mut SplitMix64) -> bool {
+    let total: usize = frames.iter().map(coded_len).sum();
     if total == 0 {
         return false;
     }
     let mut target = (rng.next_u64() as usize) % total;
     let bit = 1u8 << (rng.next_u64() % 8);
-    let mut off = 0usize;
-    while off < buf.len() {
-        let Some((frame_len, span)) = protocol::scan_frame(&buf[off..]) else {
-            break;
-        };
-        if let Some((payload_start, payload_len)) = span {
-            if target < payload_len {
-                buf[off + payload_start + target] ^= bit;
-                return true;
-            }
-            target -= payload_len;
+    let mut end = 0usize;
+    for frame in frames {
+        // A coded payload is the tail of its frame.
+        end += frame.encoded_len();
+        let len = coded_len(frame);
+        if target < len {
+            buf[end - len + target] ^= bit;
+            return true;
         }
-        off += frame_len;
+        target -= len;
     }
     unreachable!("target lies within the batch's payload bytes")
 }
 
-/// Total coded-payload bytes across the (possibly coalesced) frame batch in
-/// `buf` — zero for control-only batches.
-fn payload_bytes(buf: &[u8]) -> usize {
-    let mut total = 0usize;
-    let mut off = 0usize;
-    while off < buf.len() {
-        let Some((frame_len, span)) = protocol::scan_frame(&buf[off..]) else {
-            break;
-        };
-        if let Some((_, payload_len)) = span {
-            total += payload_len;
-        }
-        off += frame_len;
+/// Coded-payload bytes a frame carries — zero for control frames.
+fn coded_len(frame: &Wire) -> usize {
+    match frame {
+        Wire::MessageData(msg) => msg.payload().len(),
+        _ => 0,
     }
-    total
 }
 
 #[cfg(test)]
@@ -1057,13 +1000,16 @@ mod tests {
 
     #[test]
     fn health_engine_scores_faulty_sender() {
+        use asymshare_obs::health::{replay, HealthConfig};
         let net = RtNetwork::with_observability(Registry::new(), EventSink::new());
         let _inbox = net.register(40);
-        net.enable_health(HealthConfig {
+        let cfg = HealthConfig {
             warmup_windows: 2,
             ..HealthConfig::default()
-        });
-        assert_eq!(net.health_score(41), None, "no traffic yet");
+        };
+        let heartbeat = || net.events().emit("health", "window", &[]);
+        let fold = || replay(&cfg, &net.events().events());
+        assert_eq!(fold().score(41), None, "no traffic yet");
         // Clean warmup windows: peer 41 sends healthy traffic.
         for _ in 0..6 {
             for _ in 0..20 {
@@ -1073,37 +1019,39 @@ mod tests {
                     &[("peer", 41u64.into()), ("msgs", 20u64.into())],
                 );
             }
-            assert_eq!(net.evaluate_health(), Some(0));
+            heartbeat();
         }
-        assert_eq!(net.health_score(41), Some(100.0));
+        assert_eq!(fold().score(41), Some(100.0));
+        assert_eq!(fold().report().total_alerts, 0);
         // Then the link to 41 turns hostile: every send is dropped.
         net.install_faults(FaultPlan::new(5).with_loss(1.0));
         for _ in 0..4 {
             for _ in 0..30 {
                 net.send(41, 40, &Wire::FileRequest { file_id: 1 });
             }
-            net.evaluate_health();
+            heartbeat();
         }
-        let score = net.health_score(41).expect("scored");
+        let engine = fold();
+        let score = engine.score(41).expect("scored");
         assert!(score < 100.0, "drop burst must cost score, got {score}");
-        let report = net.health_report().expect("engine installed");
+        let report = engine.report();
+        assert_eq!(report.windows, 10);
         assert!(report.total_alerts >= 1, "{report:?}");
-        // Alerts were mirrored into the event stream.
-        let alerts = net
+        // The report is derived, never written back into the log.
+        assert!(net
             .events()
             .events()
             .iter()
-            .filter(|e| e.component == "health" && e.kind == "alert")
-            .count() as u64;
-        assert_eq!(alerts, report.total_alerts);
+            .all(|e| e.component != "health" || e.kind == "window"));
     }
 
     #[test]
     fn health_disabled_is_inert() {
+        use asymshare_obs::health::{replay, HealthConfig, HealthReport};
         let net = RtNetwork::new();
-        assert_eq!(net.evaluate_health(), None);
-        assert!(net.health_report().is_none());
-        assert_eq!(net.health_score(1), None);
+        net.events().emit("health", "window", &[]);
+        let report = replay(&HealthConfig::default(), &net.events().events()).report();
+        assert_eq!(report, HealthReport::default());
     }
 
     #[test]

@@ -22,7 +22,6 @@ use asymshare_netsim::{
     adversary_draw, AdversaryStrategy, Event, EventKind, FaultPlan, FaultStats, LinkSpeed, NodeId,
     SimNet, SimTime,
 };
-use asymshare_obs::health::{HealthConfig, HealthReport, HealthStream};
 use asymshare_obs::{Counter, EventSink, Gauge, Histogram, Registry, Snapshot, Value};
 use asymshare_rlnc::{
     ChunkedEncoder, CodecError, DigestKind, EncodedMessage, FileId, FileManifest,
@@ -242,10 +241,6 @@ pub struct SimRuntime {
     slot: u64,
     rng: ChaChaRng,
     obs: SimObs,
-    /// Streaming health analytics: the engine consumes the deployment's own
-    /// event log through an incremental cursor and is evaluated once per
-    /// allocation slot on simulated time.
-    health: Option<HealthStream>,
     /// Scratch for the per-slot allocation pass: `(conn, session, weight)`
     /// triples, reused so slots allocate nothing at steady state.
     alloc_conns: Vec<(u64, usize, f64)>,
@@ -270,7 +265,6 @@ impl SimRuntime {
             slot: 0,
             rng: ChaChaRng::new([0xE7; 32], *b"sim-runtime!"),
             obs: SimObs::default(),
-            health: None,
             alloc_conns: Vec::new(),
             redisseminated: HashSet::new(),
         }
@@ -283,36 +277,12 @@ impl SimRuntime {
 
     /// Turns on metrics and event tracing for this deployment. Events carry
     /// simulated timestamps and the hooks draw no randomness, so enabling
-    /// observability never changes a seeded run's schedule.
+    /// observability never changes a seeded run's schedule. Every slot ends
+    /// with its per-peer `window`/`balance` aggregates and a `health`/
+    /// `window` heartbeat, the instants at which
+    /// [`health::replay`](asymshare_obs::health::replay) closes a window.
     pub fn enable_observability(&mut self) {
         self.obs = SimObs::enabled();
-    }
-
-    /// Turns on streaming health analytics (implies
-    /// [`enable_observability`](Self::enable_observability)): detectors are
-    /// evaluated once per allocation slot on simulated time, alerts appear
-    /// as `health`/`alert` events and per-peer scores as
-    /// `health.score.p{i}` gauges. The report is read by nothing else: like
-    /// every observability hook, the engine draws no randomness and never
-    /// touches simulated time.
-    pub fn enable_health(&mut self, cfg: HealthConfig) {
-        if !self.obs.metrics.is_enabled() {
-            self.enable_observability();
-        }
-        self.health = Some(HealthStream::new(cfg, &self.obs.events));
-    }
-
-    /// The health engine's current per-peer report (`None` unless
-    /// [`enable_health`](Self::enable_health) was called).
-    pub fn health_report(&self) -> Option<HealthReport> {
-        self.health.as_ref().map(|h| h.engine().report())
-    }
-
-    /// A peer's current 0–100 health score, if the engine has scored it.
-    pub fn health_score(&self, id: ParticipantId) -> Option<f64> {
-        self.health
-            .as_ref()
-            .and_then(|h| h.engine().score(id.0 as u64))
     }
 
     /// The deployment's event log so far (empty unless observability is on).
@@ -325,22 +295,16 @@ impl SimRuntime {
         self.obs.events.to_jsonl()
     }
 
-    /// A point-in-time copy of every deployment metric, with the per-peer
-    /// Eq.-2 credit matrix (`sim.credit.p{i}.u{j}` — peer `i`'s ledger
-    /// weight for participant `j`'s user key), per-peer store bytes,
-    /// per-session decode progress, and network totals refreshed first.
+    /// A point-in-time copy of every deployment metric, with per-peer store
+    /// bytes, per-session decode progress, network totals and the events
+    /// the log's ring has dropped (`obs.dropped_events`) refreshed first.
+    /// The Eq.-2 credit matrix is [`credit_matrix`](Self::credit_matrix).
     /// Empty unless [`enable_observability`](Self::enable_observability)
     /// was called.
     pub fn metrics_snapshot(&self) -> Snapshot {
         let metrics = &self.obs.metrics;
         if metrics.is_enabled() {
-            let keys: Vec<KeyBytes> = self.participants.iter().map(|p| p.key).collect();
             for (i, p) in self.participants.iter().enumerate() {
-                for (j, key) in keys.iter().enumerate() {
-                    metrics
-                        .gauge(&format!("sim.credit.p{i}.u{j}"))
-                        .set(p.peer.upload_weight(key));
-                }
                 metrics
                     .gauge(&format!("sim.store.p{i}.bytes"))
                     .set(p.peer.store().total_bytes() as f64);
@@ -369,6 +333,9 @@ impl SimRuntime {
             metrics
                 .gauge("sim.net.bytes_delivered")
                 .set(totals.bytes_delivered as f64);
+            metrics
+                .gauge("obs.dropped_events")
+                .set(self.obs.events.dropped_events() as f64);
         }
         metrics.snapshot()
     }
@@ -583,7 +550,7 @@ impl SimRuntime {
             while let Some(event) = self.net.step_until(deadline) {
                 self.deliver(event);
             }
-            self.evaluate_health();
+            self.report_window();
         }
     }
 
@@ -1172,13 +1139,12 @@ impl SimRuntime {
         self.send_control(from, to, endpoint, wire);
     }
 
-    /// Slot epilogue with health analytics on: flush the slot's per-peer
-    /// aggregates as events, feed the engine everything new in the log,
-    /// and evaluate the detectors at the slot boundary. The evaluation
-    /// instants are exact slot deadlines, so the same event log replayed
-    /// against the same cadence reproduces the alert sequence bit for bit.
-    fn evaluate_health(&mut self) {
-        if self.health.is_none() {
+    /// Slot epilogue with observability on: the slot's per-peer aggregates
+    /// as events, then a `health`/`window` heartbeat at the slot deadline,
+    /// where [`health::replay`](asymshare_obs::health::replay) closes a
+    /// window.
+    fn report_window(&mut self) {
+        if !self.obs.events.is_enabled() {
             return;
         }
         let ts = self.net.now().as_secs();
@@ -1201,14 +1167,9 @@ impl SimRuntime {
             );
         }
         self.emit_credit_balances(ts);
-        if let Some(h) = &mut self.health {
-            h.close_window(
-                ts,
-                &self.obs.events,
-                &self.obs.metrics,
-                &[("slot", self.slot.into())],
-            );
-        }
+        self.obs
+            .events
+            .emit_at(ts, "health", "window", &[("slot", self.slot.into())]);
     }
 
     /// Owner re-dissemination: when the coded-message supply of the
@@ -1550,11 +1511,11 @@ mod tests {
         assert_eq!(plain.duration_secs, observed.duration_secs);
         assert_eq!(plain.per_peer_bytes, observed.per_peer_bytes);
         // The disabled run yields an empty snapshot; the enabled one carries
-        // per-peer credit gauges and netsim totals.
+        // netsim totals and the ring's drop count.
         assert!(plain.metrics.is_empty());
         assert!(!observed.metrics.is_empty());
         assert!(observed.metrics.gauge("sim.net.bytes_delivered").unwrap() > 0.0);
-        assert!(observed.metrics.gauge("sim.credit.p0.u0").is_some());
+        assert_eq!(observed.metrics.gauge("obs.dropped_events"), Some(0.0));
         // Credit matrix rows cover every participant pair.
         let matrix = rt.credit_matrix();
         assert_eq!(matrix.len(), 3);

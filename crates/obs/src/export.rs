@@ -86,7 +86,7 @@ mod tests {
     fn renders_all_metric_kinds() {
         let registry = Registry::new();
         registry.counter("sim.deliver.drops").add(3);
-        registry.gauge("health.score.p1").set(87.5);
+        registry.gauge("sim.store.p1.bytes").set(87.5);
         let h = registry.histogram("rt.transport.batch_frames");
         for v in [1u64, 2, 8, 8, 300] {
             h.record(v);
@@ -94,7 +94,7 @@ mod tests {
         let text = render_prometheus(&registry.snapshot());
         assert!(text.contains("# TYPE asymshare_sim_deliver_drops counter\n"));
         assert!(text.contains("asymshare_sim_deliver_drops 3\n"));
-        assert!(text.contains("asymshare_health_score_p1 87.5\n"));
+        assert!(text.contains("asymshare_sim_store_p1_bytes 87.5\n"));
         assert!(text.contains("# TYPE asymshare_rt_transport_batch_frames histogram\n"));
         // Cumulative buckets: 1 → 1, 2 → 2, 8 → 4, 512 → 5, +Inf → 5.
         assert!(text.contains("asymshare_rt_transport_batch_frames_bucket{le=\"8\"} 4\n"));

@@ -1,9 +1,9 @@
-//! Streaming health analytics over the obs event stream: a report, read by
-//! no policy.
+//! Health analytics over the obs event log: a report, read by no policy.
 //!
-//! A [`HealthEngine`] consumes [`Event`]s incrementally ([`observe_event`])
-//! and, at a cadence the caller chooses ([`evaluate`]), runs a bank of
-//! per-peer detectors over the accumulated window:
+//! [`replay`] folds a log into a [`HealthEngine`]: every event goes to
+//! [`observe_event`], and each `health`/`window` heartbeat the runtimes
+//! write closes a window ([`evaluate`]), running a bank of per-peer
+//! detectors over what the window accumulated:
 //!
 //! * **EWMA z-score detectors** keep an exponentially-weighted mean and
 //!   variance per `(peer, signal)` and raise an alert when a window's value
@@ -17,9 +17,9 @@
 //! Every alert subtracts from the peer's 0–100 [`HealthScore`]; clean
 //! active windows slowly restore it. The engine is a pure, deterministic
 //! function of the observed event sequence and the evaluation instants —
-//! no clocks, no randomness — which is what makes the sim-vs-rt golden
-//! test possible: replaying one runtime's event log through the other
-//! runtime's evaluation cadence must produce the identical alert sequence.
+//! no clocks, no randomness — so the report of a log is the same whoever
+//! folds it, whenever: `/health`, `asymshare trace` and `asymshare top`
+//! all compute it from the log rather than keep it.
 //!
 //! The Byzantine defense is not here: each client convicts and bans its
 //! own peers from the evidence of its own fetch, with or without an
@@ -29,8 +29,7 @@
 //! [`evaluate`]: HealthEngine::evaluate
 //! [`HealthScore`]: PeerHealth::score
 
-use crate::stream::EventCursor;
-use crate::{Event, EventSink, Registry, Value};
+use crate::{Event, Value};
 use std::collections::BTreeMap;
 
 /// Tuning knobs for the detector bank. The defaults are deliberately
@@ -112,21 +111,6 @@ pub struct HealthAlert {
     pub z: f64,
     /// The peer's health score after this alert's penalty.
     pub score: f64,
-}
-
-impl HealthAlert {
-    /// This alert as event fields, for emission as a `health`/`alert`
-    /// event.
-    pub fn to_fields(&self) -> Vec<(&'static str, Value)> {
-        vec![
-            ("peer", self.peer.into()),
-            ("detector", self.detector.into()),
-            ("value", self.value.into()),
-            ("baseline", self.baseline.into()),
-            ("z", self.z.into()),
-            ("score", self.score.into()),
-        ]
-    }
 }
 
 /// EWMA mean/variance baseline with update-after-test semantics.
@@ -301,11 +285,6 @@ impl HealthEngine {
         }
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> &HealthConfig {
-        &self.cfg
-    }
-
     fn field_u64(event: &Event, name: &str) -> Option<u64> {
         event
             .fields
@@ -332,12 +311,9 @@ impl HealthEngine {
     }
 
     /// Feeds one event into the current window. Events without a `peer`
-    /// field, and the engine's own `health` events, are ignored, so the
-    /// engine can safely be pointed at a whole event log.
+    /// field, or of a kind no detector reads, are ignored, so the engine
+    /// can safely be pointed at a whole event log.
     pub fn observe_event(&mut self, event: &Event) {
-        if event.component == "health" {
-            return;
-        }
         let Some(peer) = Self::field_u64(event, "peer") else {
             return;
         };
@@ -510,58 +486,22 @@ impl HealthEngine {
     }
 }
 
-/// A [`HealthEngine`] fed from an [`EventSink`] through its own cursor:
-/// the one place a health window is closed, shared by the simulated and
-/// the real-time runtime.
-#[derive(Debug)]
-pub struct HealthStream {
-    engine: HealthEngine,
-    cursor: EventCursor,
-}
-
-impl HealthStream {
-    /// A fresh engine reading `sink` from the start of its retained history.
-    pub fn new(cfg: HealthConfig, sink: &EventSink) -> HealthStream {
-        HealthStream {
-            engine: HealthEngine::new(cfg),
-            cursor: EventCursor::new(sink),
+/// The health report of an event log: a fresh engine fed every event of
+/// `events` in order, with a window closed ([`HealthEngine::evaluate`]) at
+/// each `health`/`window` heartbeat the runtimes write — the sim at every
+/// slot boundary, the rt client every quarter second of a traced fetch.
+/// A pure function of the log, so the report is derived on demand and
+/// never stored; it covers only what the sink's ring still retains.
+pub fn replay(cfg: &HealthConfig, events: &[Event]) -> HealthEngine {
+    let mut engine = HealthEngine::new(cfg.clone());
+    for event in events {
+        if event.component == "health" && event.kind == "window" {
+            engine.evaluate(event.ts);
+        } else {
+            engine.observe_event(event);
         }
     }
-
-    /// The engine, for score queries.
-    pub fn engine(&self) -> &HealthEngine {
-        &self.engine
-    }
-
-    /// Closes the current window at `ts`: feeds the engine every event
-    /// emitted since the previous close, runs the detector bank, emits one
-    /// `health`/`alert` event per alert and a `health`/`window` heartbeat
-    /// (`leading` fields first, then `alerts`), and refreshes the
-    /// `health.score.p{peer}` gauges. Returns the number of alerts raised.
-    pub fn close_window(
-        &mut self,
-        ts: f64,
-        sink: &EventSink,
-        metrics: &Registry,
-        leading: &[(&'static str, Value)],
-    ) -> usize {
-        for event in self.cursor.drain() {
-            self.engine.observe_event(&event);
-        }
-        let alerts = self.engine.evaluate(ts);
-        for alert in &alerts {
-            sink.emit_at(ts, "health", "alert", &alert.to_fields());
-        }
-        let mut window = leading.to_vec();
-        window.push(("alerts", alerts.len().into()));
-        sink.emit_at(ts, "health", "window", &window);
-        for peer in self.engine.report().peers {
-            metrics
-                .gauge(&format!("health.score.p{}", peer.peer))
-                .set(peer.score);
-        }
-        alerts.len()
-    }
+    engine
 }
 
 #[cfg(test)]
@@ -719,7 +659,42 @@ mod tests {
         assert_eq!(alerts[0].detector, JAIN_DETECTOR);
         assert_eq!(alerts[0].peer, 1, "largest consumer is blamed");
         assert!(alerts[0].value < 0.7);
-        assert!(!alerts[0].to_fields().is_empty());
+    }
+
+    /// The fold closes one window per `health`/`window` heartbeat, at the
+    /// heartbeat's instant, and agrees with driving the engine by hand.
+    #[test]
+    fn replay_closes_a_window_per_heartbeat() {
+        let heartbeat = |ts: f64| Event {
+            ts,
+            component: "health",
+            kind: "window",
+            fields: vec![],
+        };
+        let mut log = Vec::new();
+        let mut by_hand = HealthEngine::new(HealthConfig::default());
+        for t in 0..12 {
+            let mut window = vec![window_event(1, 60)];
+            if t >= 8 {
+                window.extend((0..40).map(|_| reject_event(1)));
+            }
+            for e in &window {
+                by_hand.observe_event(e);
+            }
+            by_hand.evaluate(t as f64);
+            log.extend(window);
+            log.push(heartbeat(t as f64));
+        }
+        // Events after the last heartbeat sit in an open window.
+        log.push(reject_event(1));
+        let folded = replay(&HealthConfig::default(), &log);
+        assert_eq!(folded.report(), by_hand.report());
+        assert_eq!(folded.report().windows, 12);
+        assert!(folded.report().total_alerts >= 1);
+        assert_eq!(
+            replay(&HealthConfig::default(), &[]).report(),
+            HealthReport::default()
+        );
     }
 
     /// Determinism: the same event sequence with the same evaluation

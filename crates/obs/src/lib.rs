@@ -800,23 +800,6 @@ impl EventSink {
         })
     }
 
-    /// Retained events with sequence number `>= seq`, plus the cursor to
-    /// pass next time. Sequence numbers count all emissions ever, so a
-    /// caller polling with the returned cursor sees each event exactly once
-    /// (minus any evicted between polls).
-    pub fn events_since(&self, seq: u64) -> (Vec<Event>, u64) {
-        let Some(inner) = &self.inner else {
-            return (Vec::new(), 0);
-        };
-        let state = inner.state.lock().expect("event sink lock");
-        let first = state.total - state.events.len() as u64;
-        let skip = seq.saturating_sub(first).min(state.events.len() as u64) as usize;
-        (
-            state.events.iter().skip(skip).cloned().collect(),
-            state.total,
-        )
-    }
-
     /// Serializes the retained log as JSONL (one event object per line).
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
@@ -1051,16 +1034,6 @@ mod tests {
         assert_eq!(sink.dropped_events(), 6);
         let events = sink.events();
         assert_eq!(events[0].ts, 6.0, "oldest retained is #6");
-        // events_since sees only what is still retained.
-        let (tail, cursor) = sink.events_since(8);
-        assert_eq!(tail.len(), 2);
-        assert_eq!(cursor, 10);
-        let (rest, cursor2) = sink.events_since(cursor);
-        assert!(rest.is_empty());
-        assert_eq!(cursor2, 10);
-        // A cursor older than the ring snaps to the oldest retained event.
-        let (all, _) = sink.events_since(0);
-        assert_eq!(all.len(), 4);
     }
 
     #[test]

@@ -1,8 +1,5 @@
-//! Online consumption of the event stream: incremental cursors and
-//! span-based trace timelines.
+//! Span-based trace timelines over the event log.
 //!
-//! An [`EventCursor`] lets a consumer (the health engine's evaluator, a
-//! sampling thread) poll an [`EventSink`] and see each event exactly once.
 //! A [`TraceTree`] reassembles span events (emitted by [`Span`] guards or
 //! [`EventSink::emit_span_at`]) into a nested per-transfer timeline and
 //! renders it as a text waterfall.
@@ -10,34 +7,8 @@
 //! [`Span`]: crate::Span
 //! [`EventSink::emit_span_at`]: crate::EventSink::emit_span_at
 
-use crate::{Event, EventSink, Value};
+use crate::{Event, Value};
 use std::collections::HashMap;
-
-/// An incremental reader over a shared [`EventSink`]: every
-/// [`drain`](EventCursor::drain) returns the events emitted since the last
-/// call (minus any the ring evicted between polls).
-#[derive(Debug, Clone)]
-pub struct EventCursor {
-    sink: EventSink,
-    cursor: u64,
-}
-
-impl EventCursor {
-    /// A cursor starting at the beginning of `sink`'s retained history.
-    pub fn new(sink: &EventSink) -> EventCursor {
-        EventCursor {
-            sink: sink.clone(),
-            cursor: 0,
-        }
-    }
-
-    /// The events emitted since the previous drain, advancing the cursor.
-    pub fn drain(&mut self) -> Vec<Event> {
-        let (events, next) = self.sink.events_since(self.cursor);
-        self.cursor = next;
-        events
-    }
-}
 
 /// One node of a [`TraceTree`]: a closed span with its children.
 #[derive(Debug, Clone)]
@@ -233,21 +204,7 @@ impl TraceTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn cursor_sees_each_event_once() {
-        let sink = EventSink::new();
-        sink.emit_at(0.0, "c", "a", &[]);
-        let mut cursor = EventCursor::new(&sink);
-        assert_eq!(cursor.drain().len(), 1);
-        assert!(cursor.drain().is_empty());
-        sink.emit_at(1.0, "c", "b", &[]);
-        sink.emit_at(2.0, "c", "c", &[]);
-        let batch = cursor.drain();
-        assert_eq!(batch.len(), 2);
-        assert_eq!(batch[0].kind, "b");
-        assert!(cursor.drain().is_empty());
-    }
+    use crate::EventSink;
 
     #[test]
     fn trace_tree_nests_and_renders() {

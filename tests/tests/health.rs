@@ -1,14 +1,13 @@
-//! Health-analytics integration: the streaming detector bank must produce
-//! the same alert sequence no matter which runtime feeds it, score faulty
-//! peers out of the healthy band without perturbing seeded runs, and the
-//! export surfaces (JSONL escaping, the `/metrics` + `/health` listener)
-//! must round-trip faithfully.
+//! Health-analytics integration: the report folded from a sim's event log
+//! must reproduce the one the engine kept when it ran inside the runtime,
+//! score faulty peers out of the healthy band, observing must not perturb
+//! seeded runs, and the export surfaces (JSONL escaping, the `/metrics` +
+//! `/health` listener) must round-trip faithfully.
 
 use asymshare::{Identity, ParticipantId, RuntimeConfig, SimRuntime};
 use asymshare_netsim::{FaultPlan, LinkFault, LinkSpeed};
-use asymshare_obs::health::{HealthConfig, HealthEngine};
-use asymshare_obs::stream::EventCursor;
-use asymshare_obs::{Event, EventSink, Value};
+use asymshare_obs::health::{replay, HealthConfig};
+use asymshare_obs::{Event, Value};
 use asymshare_rlnc::FileId;
 
 fn kbps(v: f64) -> LinkSpeed {
@@ -27,37 +26,6 @@ fn payload(n: usize, salt: u8) -> Vec<u8> {
     (0..n).map(|i| ((i * 37) as u8) ^ salt).collect()
 }
 
-fn field_u64(e: &Event, name: &str) -> Option<u64> {
-    e.fields
-        .iter()
-        .find(|(n, _)| *n == name)
-        .and_then(|(_, v)| match v {
-            Value::U64(v) => Some(*v),
-            _ => None,
-        })
-}
-
-fn field_f64(e: &Event, name: &str) -> Option<f64> {
-    e.fields
-        .iter()
-        .find(|(n, _)| *n == name)
-        .and_then(|(_, v)| match v {
-            Value::F64(v) => Some(*v),
-            Value::U64(v) => Some(*v as f64),
-            _ => None,
-        })
-}
-
-fn field_str(e: &Event, name: &str) -> Option<String> {
-    e.fields
-        .iter()
-        .find(|(n, _)| *n == name)
-        .and_then(|(_, v)| match v {
-            Value::Str(v) => Some(v.clone()),
-            _ => None,
-        })
-}
-
 /// Detector settings for the fault scenarios: short warmup so the clean
 /// phase establishes baselines quickly, and no score recovery so the final
 /// score is a monotone record of every alert the run raised.
@@ -71,11 +39,11 @@ fn detector_cfg() -> HealthConfig {
 
 /// A seeded download where one serving peer's uplink turns lossy and
 /// corrupting mid-run, after the detectors' baselines have warmed up on
-/// clean behavior. Returns the runtime (with its health engine and event
-/// log) and the faulty participant.
+/// clean behavior. Returns the runtime (with its event log) and the faulty
+/// participant.
 fn faulty_scenario() -> (SimRuntime, Vec<ParticipantId>, ParticipantId) {
     let mut rt = SimRuntime::new(cfg());
-    rt.enable_health(detector_cfg());
+    rt.enable_observability();
     let ids: Vec<_> = (0..4u8)
         .map(|i| rt.add_participant(Identity::from_seed(&[b'h', i]), kbps(128.0), kbps(3000.0)))
         .collect();
@@ -107,79 +75,20 @@ fn faulty_scenario() -> (SimRuntime, Vec<ParticipantId>, ParticipantId) {
     (rt, ids, sick)
 }
 
-/// Alert identity for golden comparison: every field the engine computes,
-/// bit-exact (both sides run identical arithmetic over identical inputs).
-type AlertKey = (f64, u64, String, f64, f64, f64, f64);
-
-/// Golden test: the rt runtime consumes the event stream through an
-/// `EventSink` + `EventCursor` and evaluates at sampling instants; the sim
-/// runtime evaluates inline at slot boundaries. Replaying the sim's event
-/// log through the rt-style sink/cursor/engine pipeline at the recorded
-/// evaluation instants must reproduce the sim's alert sequence bit-exactly
-/// — the engine is a pure function of (events, evaluation instants), which
-/// is what makes sim and rt health reports comparable at all.
+/// The fold reproduces the report the engine kept when it ran inside the
+/// runtime, evaluated at every slot boundary: this JSON is that report for
+/// this scenario, taken from the code before the fold replaced it.
 #[test]
-fn golden_alert_sequence_sim_vs_rt_replay() {
+fn fold_reproduces_the_in_runtime_report() {
     let (rt, _ids, _sick) = faulty_scenario();
-    let log = rt.event_log();
-
-    // The sim's own alert sequence, as recorded in the event stream.
-    let expected: Vec<AlertKey> = log
-        .iter()
-        .filter(|e| e.component == "health" && e.kind == "alert")
-        .map(|e| {
-            (
-                e.ts,
-                field_u64(e, "peer").expect("alert has peer"),
-                field_str(e, "detector").expect("alert has detector"),
-                field_f64(e, "value").expect("alert has value"),
-                field_f64(e, "baseline").expect("alert has baseline"),
-                field_f64(e, "z").expect("alert has z"),
-                field_f64(e, "score").expect("alert has score"),
-            )
-        })
-        .collect();
-    assert!(!expected.is_empty(), "the fault phase must raise alerts");
-
-    // Replay through the rt pipeline: re-emit every non-health event into a
-    // fresh sink, and at each recorded evaluation instant (the sim's
-    // `health`/`window` heartbeat) drain the cursor into a fresh engine and
-    // evaluate — exactly what `RtNetwork::evaluate_health` does on its
-    // sampling thread.
-    let sink = EventSink::new();
-    let mut cursor = EventCursor::new(&sink);
-    let mut engine = HealthEngine::new(detector_cfg());
-    let mut replayed: Vec<AlertKey> = Vec::new();
-    for e in &log {
-        if e.component == "health" {
-            if e.kind == "window" {
-                for ev in cursor.drain() {
-                    engine.observe_event(&ev);
-                }
-                for a in engine.evaluate(e.ts) {
-                    replayed.push((
-                        a.ts,
-                        a.peer,
-                        a.detector.to_owned(),
-                        a.value,
-                        a.baseline,
-                        a.z,
-                        a.score,
-                    ));
-                }
-            }
-            continue;
-        }
-        sink.emit_at(e.ts, e.component, e.kind, &e.fields);
-    }
     assert_eq!(
-        replayed, expected,
-        "rt-style replay must pin the sim's alert sequence"
+        replay(&detector_cfg(), &rt.event_log()).report().to_json(),
+        "{\"status\": \"sick\", \"windows\": 11, \"alerts\": 3, \"peers\": [\
+         {\"peer\": 0, \"score\": 100.0, \"alerts\": 0, \"healthy\": true}, \
+         {\"peer\": 1, \"score\": 100.0, \"alerts\": 0, \"healthy\": true}, \
+         {\"peer\": 2, \"score\": 100.0, \"alerts\": 0, \"healthy\": true}, \
+         {\"peer\": 3, \"score\": 64.0, \"alerts\": 3, \"healthy\": false}]}"
     );
-
-    // The replayed engine's end state matches the sim's report too.
-    let sim_report = rt.health_report().expect("health enabled");
-    assert_eq!(engine.report(), sim_report);
 }
 
 /// The seeded lossy/corrupting peer must fall out of the healthy band
@@ -188,11 +97,12 @@ fn golden_alert_sequence_sim_vs_rt_replay() {
 fn lossy_peer_scores_below_healthy_band() {
     let (rt, ids, sick) = faulty_scenario();
     let cfg = detector_cfg();
-    let report = rt.health_report().expect("health enabled");
+    let engine = replay(&cfg, &rt.event_log());
+    let report = engine.report();
     assert!(report.windows > 0);
     assert!(!report.all_healthy(), "the faulty peer must be flagged");
 
-    let sick_score = rt.health_score(sick).expect("faulty peer was scored");
+    let sick_score = engine.score(sick.0 as u64).expect("faulty peer was scored");
     assert!(
         sick_score < cfg.healthy_score,
         "faulty peer score {sick_score} should sit below the healthy band ({})",
@@ -202,7 +112,7 @@ fn lossy_peer_scores_below_healthy_band() {
         if id == sick {
             continue;
         }
-        if let Some(score) = rt.health_score(id) {
+        if let Some(score) = engine.score(id.0 as u64) {
             assert!(
                 score >= cfg.healthy_score,
                 "honest peer {id:?} score {score} dropped below the healthy band"
@@ -219,16 +129,17 @@ fn lossy_peer_scores_below_healthy_band() {
     assert!(entry.alerts > 0);
 }
 
-/// Observation must not perturb: the same seeded lossy run with the full
-/// health engine enabled and with observability entirely off must produce
+/// Observation must not perturb: the same seeded lossy run with
+/// observability on — every slot's window aggregates and heartbeat, which
+/// the health report is folded from — and entirely off must produce
 /// byte-identical downloads, identical per-peer byte tallies, identical
 /// fault/recovery counters, and identical simulated duration.
 #[test]
 fn health_engine_does_not_perturb_seeded_run() {
-    let run = |health: bool| {
+    let run = |observe: bool| {
         let mut rt = SimRuntime::new(cfg());
-        if health {
-            rt.enable_health(HealthConfig::default());
+        if observe {
+            rt.enable_observability();
         }
         let ids: Vec<_> = (0..4u8)
             .map(|i| rt.add_participant(Identity::from_seed(&[b'p', i]), kbps(256.0), kbps(3000.0)))
@@ -245,6 +156,7 @@ fn health_engine_does_not_perturb_seeded_run() {
     };
     let (with_health, now_health) = run(true);
     let (without, now_plain) = run(false);
+    assert!(!with_health.metrics.is_empty() && without.metrics.is_empty());
     assert_eq!(with_health.data, without.data);
     assert_eq!(with_health.per_peer_bytes, without.per_peer_bytes);
     assert_eq!(with_health.stats, without.stats);
@@ -254,15 +166,15 @@ fn health_engine_does_not_perturb_seeded_run() {
     assert_eq!(now_health, now_plain);
 }
 
-/// End-to-end export surfaces: a real-time download with the sampling
-/// health monitor attached, scraped live over HTTP — `/metrics` must
-/// render Prometheus text with cumulative `le` buckets and the health
-/// gauges, `/health` must report the engine's verdict, unknown paths 404.
+/// End-to-end export surfaces: a real-time download on an observed
+/// network, scraped live over HTTP — `/metrics` must render Prometheus
+/// text with cumulative `le` buckets and the ring's drop count, `/health`
+/// must report the verdict folded from the download's log, unknown paths
+/// 404.
 #[test]
 fn metrics_listener_serves_live_rt_state() {
     use asymshare::rt::{
-        download_file_with, DownloadOptions, HealthMonitor, MetricsServer, Reactor, ReactorConfig,
-        RtNetwork,
+        download_file_with, DownloadOptions, MetricsServer, Reactor, ReactorConfig, RtNetwork,
     };
     use asymshare::{Peer, User};
     use asymshare_gf::{FieldKind, Gf2p32};
@@ -283,8 +195,6 @@ fn metrics_listener_serves_live_rt_state() {
 
     let network = RtNetwork::with_observability(Registry::new(), EventSink::new());
     let server = MetricsServer::spawn(&network, "127.0.0.1:0").expect("bind listener");
-    let monitor =
-        HealthMonitor::spawn(&network, HealthConfig::default(), Duration::from_millis(10));
 
     let owner = Identity::from_seed(b"health-http-owner");
     let data = payload(128 * 1024, 11);
@@ -328,10 +238,10 @@ fn metrics_listener_serves_live_rt_state() {
     .expect("download completes");
     assert_eq!(got, data);
 
-    // Stop sampling (with a final evaluation) so the scrape sees the
-    // settled verdict; the engine stays installed for `/health`.
-    let report = monitor.shutdown();
-    assert!(report.windows > 0, "monitor must have evaluated");
+    // The download's final flush closed a window, so the log's fold
+    // scores the serving peers.
+    let report = replay(&HealthConfig::default(), &network.events().events()).report();
+    assert!(report.windows > 0, "the download must write heartbeats");
     assert!(!report.peers.is_empty(), "serving peers must be scored");
     assert!(report.all_healthy(), "clean run: every peer healthy");
 
@@ -347,14 +257,16 @@ fn metrics_listener_serves_live_rt_state() {
     );
     assert!(body.contains("le=\"+Inf\""), "+Inf bucket missing");
     assert!(
-        body.contains("asymshare_health_score_p"),
-        "health score gauges missing:\n{body}"
+        body.contains("asymshare_obs_dropped_events 0\n"),
+        "dropped-events gauge missing:\n{body}"
     );
 
+    // Only a heartbeat changes the report, and the download wrote its
+    // last: `/health` serves the same report.
     let (head, body) = http_get(server.addr(), "/health");
     assert!(head.starts_with("HTTP/1.1 200"), "got: {head}");
+    assert_eq!(body, report.to_json());
     assert!(body.contains("\"status\": \"ok\""), "got: {body}");
-    assert!(body.contains("\"peers\""), "got: {body}");
 
     let (head, _) = http_get(server.addr(), "/nope");
     assert!(head.starts_with("HTTP/1.1 404"), "got: {head}");

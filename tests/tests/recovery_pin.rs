@@ -5,18 +5,21 @@
 //! write-off → re-plan → quarantine → re-dissemination — at the three fault
 //! seeds of the CI matrix. A control flow started in a different order draws
 //! different fault randoms, so any change to *when* or *whom* the ladder
-//! acts on moves these hashes. Three re-pins since: `churn`'s logs lost the
+//! acts on moves these hashes. Four re-pins since: `churn`'s logs lost the
 //! health engine's `health`/`attack` lines when attribution left it (the
 //! rest of each log is byte-identical), `pollution` is banned by the
-//! client's own rules instead of the engine's timed quarantine, and every
-//! log lost its `sim.profile` lines when peer profiles left the sim (each
-//! event hash is the previous log's with exactly those lines removed; the
-//! schedule hashes did not move).
+//! client's own rules instead of the engine's timed quarantine, every log
+//! lost its `sim.profile` lines when peer profiles left the sim (each
+//! event hash is the previous log's with exactly those lines removed), and
+//! health became a fold over the log: every observed run now writes the
+//! per-slot `window`/`balance` aggregates and `health`/`window` heartbeats
+//! a health-enabled run wrote, minus the `health`/`alert` lines and each
+//! heartbeat's `alerts` count (each event hash is the previous code's log
+//! with the engine on, edited so). The schedule hashes did not move.
 
 use asymshare::{Identity, ParticipantId, RuntimeConfig, SessionId, SimRuntime};
 use asymshare_crypto::md5::Md5;
 use asymshare_netsim::{AdversaryStrategy, FaultPlan, LinkSpeed};
-use asymshare_obs::health::HealthConfig;
 use asymshare_rlnc::FileId;
 
 const SEEDS: [u64; 3] = [5, 17, 83];
@@ -111,11 +114,10 @@ fn lossy(seed: u64) -> (String, String) {
 }
 
 /// 2 of 5 peers die three seconds in, under 5 % loss: retried, written off,
-/// their demand re-planned round-robin onto the survivors (the health
-/// engine is on; its report is in the log, and nothing reads it).
+/// their demand re-planned round-robin onto the survivors.
 fn churn(seed: u64) -> (String, String) {
     let mut rt = SimRuntime::new(healing_cfg());
-    rt.enable_health(HealthConfig::default());
+    rt.enable_observability();
     let ids = participants(&mut rt, b'c', &[256.0; 5]);
     let data = payload(1024 * 1024, 22);
     let (manifest, _) = rt.disseminate(ids[0], FileId(62), &data, &ids).unwrap();
@@ -144,11 +146,7 @@ fn pollution(seed: u64) -> (String, String) {
         max_peer_retries: 8,
         ..cfg()
     });
-    rt.enable_health(HealthConfig {
-        warmup_windows: 3,
-        recovery_per_window: 0.0,
-        ..HealthConfig::default()
-    });
+    rt.enable_observability();
     let ids = participants(&mut rt, b'p', &[128.0, 128.0, 512.0]);
     let data = payload(1536 * 1024, 23);
     let (manifest, _) = rt
@@ -196,15 +194,15 @@ fn lossy_links_are_pinned() {
         lossy,
         [
             (
-                "c09a531cd0fdf78318145dff6a81c04c",
+                "d84bb6feece76da0c86cc1d9709a13e6",
                 "f931af5bd868e42cf705ffd39b927b9c",
             ),
             (
-                "91301133d75512faf25ed99f0852bdc7",
+                "9554187b14c18d26ac1768c520bad3fe",
                 "d4f5ab75cc0531086a6c21d0bbcd9c13",
             ),
             (
-                "b00f11f8df093dce480aafe2dff47976",
+                "1c8b04e8ea5b870ce02da3a671efdf04",
                 "6dea38acf7794c5ad08c7d02d3cde148",
             ),
         ],
@@ -218,15 +216,15 @@ fn churn_with_reassignment_is_pinned() {
         churn,
         [
             (
-                "2d15014bd16be14e02fe7fe80fe4fa99",
+                "fed01671f401a2f19b697a4d37a70d27",
                 "1f4a1ecb68316d03fd653d22e1b5294d",
             ),
             (
-                "2573d370621bcdc3afb8e341117c5a05",
+                "0a596281711ddc6ec170d232fab987ae",
                 "1f4a1ecb68316d03fd653d22e1b5294d",
             ),
             (
-                "017cd9bd5c99c3b383acedb8d6faec90",
+                "cc45b1c59014a2ff989b65525cdc932f",
                 "69377347aca7f2c7c9acdf367657e846",
             ),
         ],
@@ -240,15 +238,15 @@ fn pollution_quarantine_and_redissemination_are_pinned() {
         pollution,
         [
             (
-                "6e0810158835e3f88d0a91e0fa12df7d",
+                "898dc689b069b0e5592c7ef8e2556640",
                 "ebb8ebc3dfb96f23b94e159524385c24",
             ),
             (
-                "796032bae01c1643514ce96bb6ca4c78",
+                "a95e9b57a279c0208bfe1a7cb1761201",
                 "ebb8ebc3dfb96f23b94e159524385c24",
             ),
             (
-                "92bd11b8ac5399b3cdc47f17e18ced04",
+                "f61afd62b39ece129f423f15e62dc4dc",
                 "ebb8ebc3dfb96f23b94e159524385c24",
             ),
         ],
