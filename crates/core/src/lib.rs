@@ -68,6 +68,7 @@
 
 mod error;
 mod fetch;
+mod host;
 mod identity;
 mod peer;
 mod protocol;

@@ -143,11 +143,6 @@ impl Peer {
             .is_some_and(|s| s.verified.is_some())
     }
 
-    /// The file a connection is currently being served, if any.
-    pub fn serving(&self, conn: u64) -> Option<FileId> {
-        self.sessions.get(&conn).and_then(|s| s.serving)
-    }
-
     /// The verified user key of a connection.
     pub fn session_user(&self, conn: u64) -> Option<KeyBytes> {
         self.sessions.get(&conn).and_then(|s| s.verified)

@@ -7,8 +7,8 @@
 //! Eq.-2 serving, chunk stops, feedback — plus real concurrency, real
 //! (de)serialization on every hop, and wall-clock rate limiting.
 //!
-//! Peers are hosted by the event-loop [`Reactor`]: one worker thread (or a
-//! few) serves hundreds of [`Peer`](crate::Peer) state machines, each
+//! Peers are hosted by the event-loop [`Reactor`]: one worker thread
+//! drives the serving engine of hundreds of [`Peer`](crate::Peer)s, each
 //! connection bounded by the frames its receiver still holds. The
 //! client side is [`download_file_with`], a blocking loop on the caller's
 //! thread that drives the client engine the simulator also drives

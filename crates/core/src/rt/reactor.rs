@@ -1,23 +1,16 @@
-//! The event-loop reactor: many peers served by one (or a few) worker
-//! threads instead of one OS thread each.
+//! The event-loop reactor: many peers served by one worker thread, the
+//! real-time driver of the serving engine the simulator also drives
+//! ([`Host`](crate::host)).
 //!
-//! Each worker owns a shard of peers and blocks on a single shared
-//! *completion queue* — every peer address in the shard is registered onto
-//! the same channel ([`RtNetwork::register_queue`]), so one `recv` wakes
-//! the loop for any inbound datagram and an idle shard costs one parked
-//! thread regardless of peer count. A cycle is:
-//!
-//! 1. **Completion drain** — route every queued [`Envelope`] to its peer's
-//!    protocol state machine (`Peer::on_message`).
-//! 2. **Serve** — drain each peer's token bucket into its
-//!    [`ServePass`](crate::serve) engine, which grants the tokens to the
-//!    peer's connections by Eq.-2 weight and carries each connection's
-//!    unspent grant to the next pass; stage frames per connection while
-//!    its deficit covers the next frame and its window has room, and
-//!    flush the queues as coalesced datagrams. A full window stages
-//!    nothing and banks its share up to a cap, the rest going back to the
-//!    bucket — backpressure *is* the yield; no thread ever blocks on a
-//!    slow peer.
+//! Every hosted address is registered onto one shared *completion queue*
+//! ([`RtNetwork::register_queue`]), so one `recv` wakes the loop for any
+//! inbound datagram and idle peers cost nothing but their state. A cycle
+//! hands every queued [`Envelope`] to its peer's `Host::on_datagram`, then
+//! drains each peer's token bucket into `Host::pass` with each
+//! connection's window as its headroom, refunds the overflow to the bucket
+//! and flushes the staged frames as coalesced datagrams. A full window
+//! stages nothing — backpressure *is* the yield; no thread ever blocks on
+//! a slow peer.
 //!
 //! A connection's window is what its receiver still holds: at most
 //! [`ReactorConfig::window_frames`] of its frames may sit queued at the
@@ -32,15 +25,15 @@
 //! `StopTransmission` for its own connection; the peer keeps serving
 //! everyone else.
 //!
-//! Serving semantics (handshake handling, sweep order, replacement queues)
-//! come from the pure [`Peer`] state machine the simulator also drives,
-//! which is what the sim-vs-reactor golden schedule test pins.
+//! Serving semantics (handshakes, sweep order, replacement queues, the
+//! serve pass, a Byzantine node's behaviour) are the `Host`'s, which is
+//! what the sim-vs-reactor golden schedule test pins.
 
 use super::limiter::TokenBucket;
 use super::transport::{Envelope, QueuedFrames, RtNetwork};
+use crate::host::{Grant, Host};
 use crate::peer::Peer;
 use crate::protocol::Wire;
-use crate::serve::{self, ServePass};
 use asymshare_crypto::chacha20::ChaChaRng;
 use asymshare_obs::{Counter, EventSink, Histogram};
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -64,10 +57,6 @@ const POOL_MAX_SLOTS: usize = 4096;
 /// Tuning knobs for a [`Reactor`].
 #[derive(Debug, Clone)]
 pub struct ReactorConfig {
-    /// Event-loop worker threads; peers are sharded round-robin. One
-    /// worker serves hundreds of peers — raise this only when serving is
-    /// CPU-bound on serialization.
-    pub workers: usize,
     /// Idle park duration, bounding scheduling latency when no traffic
     /// arrives (an inbound datagram wakes the loop immediately).
     pub tick: Duration,
@@ -80,14 +69,13 @@ pub struct ReactorConfig {
 impl Default for ReactorConfig {
     fn default() -> ReactorConfig {
         ReactorConfig {
-            workers: 1,
             tick: Duration::from_millis(1),
             window_frames: 64,
         }
     }
 }
 
-/// Control-plane messages from the [`Reactor`] handle to a worker.
+/// Control-plane messages from the [`Reactor`] handle to its worker.
 enum Ctrl {
     AddPeer {
         addr: u64,
@@ -98,34 +86,27 @@ enum Ctrl {
     Shutdown,
 }
 
-/// Per-connection serving state: the frames queued at the receiver and the
-/// submission queue.
+/// The driver's side of one connection: the frames the transport has
+/// queued at its receiver, and the Eq.-2 grants not yet reported.
 #[derive(Default)]
 struct ConnState {
     queued: QueuedFrames,
-    staged: Vec<Wire>,
+    granted: f64,
 }
 
-/// One hosted peer on a worker's shard.
+/// One hosted peer.
 struct Slot {
     addr: u64,
-    peer: Peer,
+    host: Host,
     rng: ChaChaRng,
     bucket: TokenBucket,
-    /// Where the bucket's tokens wait, per connection, until a whole frame
-    /// is covered.
-    serve: ServePass,
     conns: HashMap<u64, ConnState>,
     last_share_emit: Option<Instant>,
-    /// Serve-pass scratch, reused so a steady-state pass allocates
-    /// nothing: the active connections, their Eq.-2 weight row, and the
-    /// connections found dead while flushing.
-    active: Vec<u64>,
-    weights: Vec<f64>,
-    dead: Vec<u64>,
+    /// The pass's grants, reused so a steady-state pass allocates nothing.
+    grants: Vec<Grant>,
 }
 
-/// Pre-resolved observability handles for one worker (inert when the
+/// Pre-resolved observability handles for the worker (inert when the
 /// network has no registry/sink attached).
 struct WorkerObs {
     events: EventSink,
@@ -154,80 +135,63 @@ impl WorkerObs {
     }
 }
 
-/// A small-pool event-loop runtime hosting many [`Peer`]s (see module
-/// docs). Dropping the handle shuts the workers down; prefer
+/// An event-loop runtime hosting many [`Peer`]s on one worker thread (see
+/// module docs). Dropping the handle shuts the worker down; prefer
 /// [`shutdown`](Reactor::shutdown) to get the peers (and their final
 /// ledgers) back.
 pub struct Reactor {
     network: RtNetwork,
-    workers: Vec<Worker>,
-    cfg: ReactorConfig,
-    addrs: Vec<u64>,
-    next_worker: usize,
-}
-
-struct Worker {
     ctrl: Sender<Ctrl>,
     ingress: Sender<Envelope>,
     handle: Option<JoinHandle<Vec<(u64, Peer)>>>,
+    cfg: ReactorConfig,
+    addrs: Vec<u64>,
 }
 
 impl std::fmt::Debug for Reactor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Reactor")
-            .field("workers", &self.workers.len())
             .field("peers", &self.addrs.len())
             .finish()
     }
 }
 
 impl Reactor {
-    /// Spawns the worker pool (initially hosting no peers).
+    /// Spawns the worker (initially hosting no peers).
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.workers` or `cfg.window_frames` is zero.
+    /// Panics if `cfg.window_frames` is zero.
     pub fn new(network: &RtNetwork, cfg: ReactorConfig) -> Reactor {
-        assert!(cfg.workers >= 1, "a reactor needs at least one worker");
         assert!(cfg.window_frames >= 1, "a window holds at least one frame");
-        let workers = (0..cfg.workers)
-            .map(|i| {
-                let (ctrl_tx, ctrl_rx) = unbounded::<Ctrl>();
-                let (ingress_tx, ingress_rx) = unbounded::<Envelope>();
-                let net = network.clone();
-                let cfg = cfg.clone();
-                let handle = std::thread::Builder::new()
-                    .name(format!("asymshare-reactor-{i}"))
-                    .spawn(move || run_worker(net, cfg, ctrl_rx, ingress_rx))
-                    .expect("spawn reactor worker thread");
-                Worker {
-                    ctrl: ctrl_tx,
-                    ingress: ingress_tx,
-                    handle: Some(handle),
-                }
-            })
-            .collect();
+        let (ctrl, ctrl_rx) = unbounded::<Ctrl>();
+        let (ingress, ingress_rx) = unbounded::<Envelope>();
+        let net = network.clone();
+        let worker_cfg = cfg.clone();
+        let handle = std::thread::Builder::new()
+            .name("asymshare-reactor".to_owned())
+            .spawn(move || run_worker(net, worker_cfg, ctrl_rx, ingress_rx))
+            .expect("spawn reactor worker thread");
         Reactor {
             network: network.clone(),
-            workers,
+            ctrl,
+            ingress,
+            handle: Some(handle),
             cfg,
             addrs: Vec::new(),
-            next_worker: 0,
         }
     }
 
-    /// Adds a peer to the least-recently-assigned worker's shard.
-    /// `upload_bytes_per_sec` shapes the uplink through a token bucket
-    /// (burst: a tenth of a second, at least 64 KiB).
+    /// Hosts a peer at `addr`. `upload_bytes_per_sec` shapes the uplink
+    /// through a token bucket (burst: a tenth of a second, at least
+    /// 64 KiB).
     ///
     /// # Panics
     ///
     /// Panics if `addr` is already registered on the network.
     pub fn add_peer(&mut self, addr: u64, peer: Peer, upload_bytes_per_sec: u64) {
-        let worker = &self.workers[self.next_worker % self.workers.len()];
-        self.next_worker += 1;
-        self.network.register_queue(addr, worker.ingress.clone());
-        let sent = worker.ctrl.send(Ctrl::AddPeer {
+        self.network.register_queue(addr, self.ingress.clone());
+        let sent = self.ctrl.send(Ctrl::AddPeer {
             addr,
             peer: Box::new(peer),
             upload_bytes_per_sec,
@@ -248,42 +212,33 @@ impl Reactor {
         self.addrs.len()
     }
 
-    /// Stops the workers and returns every hosted peer (with its final
+    /// Stops the worker and returns every hosted peer (with its final
     /// ledger/store), sorted by address.
     ///
     /// # Panics
     ///
-    /// Panics if a worker thread panicked.
+    /// Panics if the worker thread panicked.
     pub fn shutdown(mut self) -> Vec<(u64, Peer)> {
-        let mut peers = Vec::new();
-        for worker in &self.workers {
-            let _ = worker.ctrl.send(Ctrl::Shutdown);
-        }
-        for worker in &mut self.workers {
-            let handle = worker.handle.take().expect("handle present");
-            peers.extend(handle.join().expect("reactor worker panicked"));
-        }
+        let mut peers = self.stop().expect("reactor worker panicked");
+        peers.sort_by_key(|(addr, _)| *addr);
+        peers
+    }
+
+    /// Asks the worker to stop, joins it and unregisters the peers; the
+    /// worker's peers, or `None` if it panicked (or was stopped before).
+    fn stop(&mut self) -> Option<Vec<(u64, Peer)>> {
+        let _ = self.ctrl.send(Ctrl::Shutdown);
+        let peers = self.handle.take().and_then(|h| h.join().ok());
         for addr in self.addrs.drain(..) {
             self.network.unregister(addr);
         }
-        peers.sort_by_key(|(addr, _)| *addr);
         peers
     }
 }
 
 impl Drop for Reactor {
     fn drop(&mut self) {
-        for worker in &self.workers {
-            let _ = worker.ctrl.send(Ctrl::Shutdown);
-        }
-        for worker in &mut self.workers {
-            if let Some(handle) = worker.handle.take() {
-                let _ = handle.join();
-            }
-        }
-        for addr in self.addrs.drain(..) {
-            self.network.unregister(addr);
-        }
+        self.stop();
     }
 }
 
@@ -302,13 +257,17 @@ fn run_worker(
     loop {
         shutdown |= apply_ctrl(&ctrl_rx, &mut slots, &mut by_addr);
         if shutdown {
-            return slots.into_iter().map(|s| (s.addr, s.peer)).collect();
+            // The grants since the last report go out before the peers do.
+            for slot in &mut slots {
+                emit_shares(slot, &obs.events);
+            }
+            return slots.into_iter().map(|s| (s.addr, s.host.peer)).collect();
         }
         net.pump();
         let mut progressed = false;
         // Completion drain: park on the shared queue only when the
         // previous cycle was fully idle, so active serving never sleeps
-        // and an idle shard costs one parked thread.
+        // and an idle reactor costs one parked thread.
         let mut next = if idle {
             ingress_rx.recv_timeout(cfg.tick).ok()
         } else {
@@ -318,7 +277,7 @@ fn run_worker(
             progressed = true;
             if !by_addr.contains_key(&envelope.to) {
                 // `add_peer` registers the address before its `AddPeer`
-                // reaches this worker, so a datagram can overtake it; the
+                // reaches the worker, so a datagram can overtake it; the
                 // control message was sent first and is in the queue by now.
                 shutdown |= apply_ctrl(&ctrl_rx, &mut slots, &mut by_addr);
             }
@@ -329,7 +288,7 @@ fn run_worker(
         }
         let now = Instant::now();
         for slot in &mut slots {
-            progressed |= serve_slot(slot, &net, &cfg, now, &obs);
+            progressed |= pass(slot, &net, &cfg, now, &obs);
         }
         idle = !progressed;
     }
@@ -354,15 +313,12 @@ fn apply_ctrl(
                 by_addr.insert(addr, slots.len());
                 slots.push(Slot {
                     addr,
-                    peer: *peer,
+                    host: Host::new(*peer, MAX_COALESCE),
                     rng: ChaChaRng::new([0x7F; 32], nonce),
                     bucket: TokenBucket::new(rate, (rate * 0.1).max(65_536.0), Instant::now()),
-                    serve: ServePass::default(),
                     conns: HashMap::new(),
                     last_share_emit: None,
-                    active: Vec::new(),
-                    weights: Vec::new(),
-                    dead: Vec::new(),
+                    grants: Vec::new(),
                 });
             }
             Ctrl::Shutdown => return true,
@@ -371,38 +327,25 @@ fn apply_ctrl(
     false
 }
 
-/// Routes one inbound datagram through a slot's protocol state machine.
+/// Hands one inbound datagram to a slot's host and sends the replies.
 fn deliver(slot: &mut Slot, net: &RtNetwork, envelope: Envelope) {
-    for frame in envelope.decode_all() {
-        let Ok(wire) = frame else {
-            break;
-        };
-        match slot.peer.on_message(envelope.from, wire, &mut slot.rng) {
-            Ok(replies) => {
-                for reply in replies {
-                    if !net.send(slot.addr, envelope.from, &reply) {
-                        // The user vanished mid-handshake.
-                        slot.peer.disconnect(envelope.from);
-                        slot.conns.remove(&envelope.from);
-                        break;
-                    }
-                }
-            }
-            Err(_) => {
-                // Protocol violation: drop the session.
-                slot.peer.disconnect(envelope.from);
-                slot.conns.remove(&envelope.from);
-            }
-        }
+    let (conn, mut replies) = (envelope.from, Vec::new());
+    let frames = envelope.decode_all().map_while(Result::ok);
+    slot.host
+        .on_datagram(conn, frames, &mut slot.rng, &mut replies);
+    if !replies.iter().all(|reply| net.send(slot.addr, conn, reply)) {
+        // The user vanished mid-handshake.
+        slot.host.disconnect(conn);
+        slot.conns.remove(&conn);
     }
     net.recycle_envelope(envelope);
 }
 
-/// One serve pass over a slot: move the bucket's tokens into the
-/// [`ServePass`] engine by Eq.-2 weight, stage frames while a connection's
-/// deficit and window both allow, and flush the submission queues as
-/// coalesced datagrams. Returns whether anything was sent.
-fn serve_slot(
+/// One serve pass over a slot: drain the bucket into the host's pass with
+/// each connection's window as its headroom, refund the overflow, and
+/// flush what was staged as coalesced datagrams. Returns whether anything
+/// was sent.
+fn pass(
     slot: &mut Slot,
     net: &RtNetwork,
     cfg: &ReactorConfig,
@@ -413,119 +356,67 @@ fn serve_slot(
     // see one instant; the pass itself is timed from its own start, or slot
     // i's sample would count slots 0..i again.
     let pass_started = Instant::now();
+    slot.host.set_adversary(net.adversary_for(slot.addr));
     let Slot {
         addr,
-        peer,
+        host,
         bucket,
-        serve,
         conns,
         last_share_emit,
-        active,
-        weights,
-        dead,
+        grants,
         ..
     } = slot;
     let addr = *addr;
-    active.clear();
-    active.extend(peer.active_conns());
-    if active.is_empty() {
-        return false;
-    }
-    weights.clear();
-    weights.extend(active.iter().map(|&c| {
-        peer.session_user(c)
-            .map(|key| peer.upload_weight(&key))
-            .unwrap_or(0.0)
-    }));
-    let total: f64 = weights.iter().sum();
-    if total <= 0.0 {
-        return false;
-    }
-    let emit_shares = obs.events.is_enabled()
-        && last_share_emit.is_none_or(|t| now.duration_since(t) >= SHARE_EMIT_EVERY);
-    if emit_shares {
-        *last_share_emit = Some(now);
-    }
-    // Every token the uplink has accrued moves into the engine; `refund`
-    // collects what the connections may not keep, and goes back at the end.
-    // The bucket is thus never overdrawn, whatever a frame's length.
+    // Every token the uplink has accrued moves into the pass; what the
+    // connections may not keep goes back. The bucket is thus never
+    // overdrawn, whatever a frame's length.
     let budget = bucket.drain(now);
-    let mut refund = 0.0;
-    let mut served_any = false;
     let mut yielded = false;
-    for (&conn, &w) in active.iter().zip(weights.iter()) {
-        let Some(mut frame_len) = peer.next_message_len(conn) else {
-            continue;
-        };
-        let share = serve::share(w, total);
-        // A full window neither forfeits its share nor hoards the link:
-        // it banks up to the cap, and the rest goes back to the bucket.
-        let cap = serve::bank_cap(bucket.burst(), share, frame_len as f64);
-        refund += serve.grant(conn, budget * share, cap);
-        if emit_shares {
-            obs.events.emit(
-                "rt.reactor",
-                "slot_share",
-                &[
-                    ("peer", addr.into()),
-                    ("conn", conn.into()),
-                    ("budget_bytes", serve.deficit(conn).into()),
-                ],
-            );
-        }
-        let st = conns.entry(conn).or_default();
-        let headroom = cfg.window_frames.saturating_sub(st.queued.get());
-        if headroom == 0 {
+    let headroom = |conn| {
+        let room = cfg
+            .window_frames
+            .saturating_sub(conns.entry(conn).or_default().queued.get());
+        if room == 0 {
             // The receiver holds a full window: yield.
             obs.backpressure.inc();
             yielded = true;
+        }
+        room
+    };
+    grants.clear();
+    let overflow = host.pass(budget, bucket.burst(), headroom, grants);
+    bucket.refund(overflow);
+    let mut served_any = false;
+    for g in grants.iter() {
+        let st = conns.entry(g.conn).or_default();
+        st.granted += g.bytes;
+        let staged = host.staged(g.conn);
+        if staged.is_empty() {
             continue;
         }
-        let mut staged = 0u32;
-        while staged < headroom && serve.try_send(conn, frame_len as f64) {
-            let msg = peer
-                .next_message(conn)
-                .expect("a message whose length was just read");
-            staged += 1;
-            obs.served_frames.inc();
-            obs.served_bytes.add(frame_len as u64);
-            st.staged.push(Wire::MessageData(msg));
-            match peer.next_message_len(conn) {
-                Some(len) => frame_len = len,
-                None => break,
-            }
-        }
-        if st.staged.is_empty() {
-            continue;
-        }
-        // Flush the submission queue as coalesced datagrams.
-        obs.queue_depth.record(st.staged.len() as u64);
-        let mut alive = true;
-        for batch in st.staged.chunks(MAX_COALESCE) {
+        obs.served_frames.add(staged.len() as u64);
+        let bytes: usize = staged.iter().map(Wire::encoded_len).sum();
+        obs.served_bytes.add(bytes as u64);
+        obs.queue_depth.record(staged.len() as u64);
+        // Flush the submission queue as coalesced datagrams; a failed send
+        // means the downloader deregistered: stop burning uplink on it.
+        let alive = staged.chunks(MAX_COALESCE).all(|batch| {
             obs.coalesce_frames.record(batch.len() as u64);
-            alive = net.send_counted(addr, conn, batch, Some(&st.queued));
-            if !alive {
-                break;
-            }
-        }
-        st.staged.clear();
+            net.send_counted(addr, g.conn, batch, Some(&st.queued))
+        });
+        staged.clear();
         served_any = true;
         if !alive {
-            // The downloader deregistered: stop burning uplink on it.
-            dead.push(conn);
+            host.disconnect(g.conn);
+            conns.remove(&g.conn);
         }
     }
-    for conn in dead.drain(..) {
-        peer.disconnect(conn);
-        conns.remove(&conn);
+    if obs.events.is_enabled()
+        && last_share_emit.is_none_or(|t| now.duration_since(t) >= SHARE_EMIT_EVERY)
+    {
+        *last_share_emit = Some(now);
+        emit_shares(slot, &obs.events);
     }
-    // A connection that left the scheduling set (stock exhausted, transfer
-    // stopped, dropped) has no claim any more: its bank is idle capacity,
-    // and flows to the others through the bucket (Theorem 1).
-    if serve.len() > active.len() {
-        refund += serve.retain(|conn| active.binary_search(&conn).is_ok());
-    }
-    bucket.refund(refund);
     // A pass that had nothing to stage is not a sample: on a shaped link
     // that is most passes, and they would drown the ones that did work.
     if served_any || yielded {
@@ -534,6 +425,25 @@ fn serve_slot(
             .record(pass_started.elapsed().as_micros() as u64);
     }
     served_any
+}
+
+/// Reports, per connection, the bytes of Eq.-2 grant it received since
+/// its last report.
+fn emit_shares(slot: &mut Slot, events: &EventSink) {
+    for (&conn, st) in &mut slot.conns {
+        if st.granted > 0.0 {
+            let budget = std::mem::take(&mut st.granted);
+            events.emit(
+                "rt.reactor",
+                "slot_share",
+                &[
+                    ("peer", slot.addr.into()),
+                    ("conn", conn.into()),
+                    ("budget_bytes", budget.into()),
+                ],
+            );
+        }
+    }
 }
 
 #[cfg(test)]
@@ -868,6 +778,64 @@ mod tests {
         assert_eq!(network.buffer_pool().capacity(), 512);
         reactor.shutdown();
         assert!(!network.is_registered(2000), "shutdown unregisters peers");
+    }
+
+    /// `slot_share` reports the Eq.-2 grant a connection received since its
+    /// last report, so over a run its `budget_bytes` add up to its share of
+    /// what the bucket drained: alone on the peer, with a window that never
+    /// fills, what it was sent plus the bank it held when it left (under a
+    /// burst and a frame).
+    #[test]
+    fn slot_shares_add_up_to_each_connections_grant() {
+        use asymshare_obs::Value;
+        let network = RtNetwork::with_observability(Registry::new(), EventSink::new());
+        let owner = Identity::from_seed(b"reactor-shares");
+        let (batches, manifest) = build_file(&owner, 1, 256 * 1024);
+        let (reactor, peer_addrs) =
+            spawn_fleet(&network, &owner, batches, 960, 7, ReactorConfig::default());
+        let served = || {
+            let snapshot = network.metrics_snapshot();
+            snapshot.counter("rt.reactor.served_bytes").unwrap_or(0) as f64
+        };
+        let mut sent = Vec::new();
+        for user_addr in [20u64, 21] {
+            let before = served();
+            let mut user = User::<Gf2p32>::new(owner.clone(), manifest.clone()).unwrap();
+            download_file(
+                &network,
+                user_addr,
+                &mut user,
+                &peer_addrs,
+                peer_addrs[0].0,
+                Duration::from_secs(30),
+            )
+            .expect("download completes");
+            // The stop lands within the millisecond; nothing is sent after.
+            std::thread::sleep(Duration::from_millis(100));
+            sent.push((user_addr, served() - before));
+        }
+        reactor.shutdown();
+        let burst = 65_536.0_f64.max(0.1 * f64::from(4u32 << 20));
+        let frame = (4 * 1024 + 64) as f64;
+        let log = network.events().events();
+        for (conn, sent) in sent {
+            let granted: f64 = log
+                .iter()
+                .filter(|e| e.component == "rt.reactor" && e.kind == "slot_share")
+                .filter(|e| e.fields.contains(&("conn", Value::U64(conn))))
+                .filter_map(
+                    |e| match e.fields.iter().find(|(n, _)| *n == "budget_bytes") {
+                        Some((_, Value::F64(bytes))) => Some(*bytes),
+                        _ => None,
+                    },
+                )
+                .sum();
+            assert!(sent > 0.0);
+            assert!(
+                granted >= sent && granted <= sent + burst + frame,
+                "connection {conn}: granted {granted} B in reports, sent {sent} B"
+            );
+        }
     }
 
     #[test]

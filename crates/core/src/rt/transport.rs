@@ -14,11 +14,10 @@
 //! where a socket keeps it.
 
 use crate::error::SystemError;
+use crate::host::{self, Adversary};
 use crate::protocol::Wire;
 use crate::rt::pool::BufferPool;
-use asymshare_netsim::{
-    adversary_draw, AdversaryStrategy, FaultPlan, FaultStats, NodeId, SplitMix64,
-};
+use asymshare_netsim::{FaultPlan, FaultStats, NodeId, SplitMix64};
 use asymshare_obs::{Counter, EventSink, Histogram, Registry, Snapshot};
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -35,9 +34,6 @@ struct FaultState {
     /// The plan's outage windows are read in seconds since this instant.
     installed: Instant,
     rng: Mutex<SplitMix64>,
-    /// Datagrams sent so far by each of the plan's adversaries: the
-    /// per-address sequence their decisions are hashed from.
-    adversary_sends: HashMap<u64, AtomicU64>,
     /// Deliveries held back by injected delay: (due, destination, envelope).
     held: Mutex<Vec<(Instant, u64, Envelope)>>,
     dropped: AtomicU64,
@@ -50,10 +46,6 @@ impl FaultState {
         FaultState {
             installed: Instant::now(),
             rng: Mutex::new(SplitMix64::new(plan.seed())),
-            adversary_sends: plan
-                .adversaries()
-                .map(|(node, _)| (node as u64, AtomicU64::new(0)))
-                .collect(),
             plan,
             held: Mutex::new(Vec::new()),
             dropped: AtomicU64::new(0),
@@ -330,20 +322,20 @@ impl RtNetwork {
 
     /// Installs a [`FaultPlan`] affecting every subsequent send; replaces
     /// any previous plan and resets its counters. A node of the plan is the
-    /// address [`NodeId::new`] names. The plan is realised per datagram,
-    /// by [`send_frames`](Self::send_frames): a datagram from or to a node
-    /// inside an outage window (seconds since this call) is dropped; the
-    /// sender's adversary strategy filters it; then the sender's link
-    /// faults apply in the order loss, corruption, delay. With no plan
-    /// installed the transport draws no random numbers at all.
+    /// address [`NodeId::new`] names. Link faults are realised per
+    /// datagram, by [`send_frames`](Self::send_frames): a datagram from or
+    /// to a node inside an outage window (seconds since this call) is
+    /// dropped; then the sender's link faults apply in the order loss,
+    /// corruption, delay. With no plan installed the transport draws no
+    /// random numbers at all. A node's adversary strategy is its own
+    /// behaviour, applied by the reactor's serving engine before anything
+    /// is sent.
     ///
     /// Corruption touches only `MessageData` payload bytes, never framing
     /// or control messages — a flipped content bit surfaces as a
     /// per-message digest-authentication failure at the receiver, as link
     /// noise does under the paper's MD5 scheme, rather than as a parse
-    /// error. `InflateCredit` is inert: credit moves only inside signed
-    /// `Feedback` reports whose window strictly advances, which the
-    /// transport cannot forge (DESIGN.md §11).
+    /// error.
     pub fn install_faults(&self, plan: FaultPlan) {
         *self.fault.write() = Some(FaultState::new(plan));
     }
@@ -352,6 +344,12 @@ impl RtNetwork {
     /// discarded (and their frames leave their senders' counts).
     pub fn clear_faults(&self) {
         *self.fault.write() = None;
+    }
+
+    /// The strategy the installed plan assigns to `addr`, with its seed.
+    pub(crate) fn adversary_for(&self, addr: u64) -> Option<Adversary> {
+        let guard = self.fault.read();
+        host::adversary(&guard.as_ref()?.plan, NodeId::new(addr as usize))
     }
 
     /// Counters of faults realized so far (zero if no plan installed).
@@ -459,7 +457,6 @@ impl RtNetwork {
         for frame in frames {
             frame.encode_into(&mut buf);
         }
-        let mut copies = 1usize;
         let guard = self.fault.read();
         if let Some(fault) = guard.as_ref() {
             let plan = &fault.plan;
@@ -468,42 +465,6 @@ impl RtNetwork {
             if plan.node_down(sender, now) || plan.node_down(NodeId::new(to as usize), now) {
                 self.lose(fault, from, to, buf);
                 return true; // address resolved; an end is down
-            }
-            // A Byzantine sender filters its own datagrams before the link's
-            // faults apply. Nothing is counted or emitted here — a real
-            // attacker does not announce itself; detection happens at the
-            // receiver.
-            if let Some(strategy) = plan.adversary_for(sender) {
-                let seq = fault.adversary_sends[&from].fetch_add(1, Ordering::Relaxed);
-                let salt = from.wrapping_mul(0x9E37_79B9).wrapping_add(seq);
-                let draw = adversary_draw(plan.seed(), salt);
-                match strategy {
-                    AdversaryStrategy::SelectiveServe { serve_fraction } => {
-                        // Withhold whole data-bearing datagrams; control
-                        // frames pass so the peer still looks alive.
-                        if frames.iter().any(|f| coded_len(f) > 0) && draw >= serve_fraction {
-                            self.pool.recycle(buf);
-                            return true; // withheld: reads as silence, not error
-                        }
-                    }
-                    AdversaryStrategy::Pollute { prob } => {
-                        if draw < prob {
-                            let mut rng = SplitMix64::new(
-                                plan.seed() ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                            );
-                            corrupt_in_place(&mut buf, frames, &mut rng);
-                        }
-                    }
-                    AdversaryStrategy::Replay { prob } => {
-                        // Serve the same coded bytes again: stale
-                        // information dressed up as fresh service.
-                        if frames.iter().any(|f| coded_len(f) > 0) && draw < prob {
-                            copies = 2;
-                        }
-                    }
-                    // Inert on the wire (see `install_faults`).
-                    AdversaryStrategy::InflateCredit { .. } => {}
-                }
             }
             let link = plan.fault_for(sender);
             let mut rng = fault.rng.lock().expect("fault rng lock");
@@ -530,21 +491,16 @@ impl RtNetwork {
                 if !extra.is_zero() {
                     fault.delayed.fetch_add(1, Ordering::Relaxed);
                     let bytes = Bytes::from(buf);
-                    let mut held = fault.held.lock().expect("delay queue lock");
                     let due = Instant::now() + extra;
-                    for _ in 0..copies {
-                        held.push((
-                            due,
-                            to,
-                            Envelope {
-                                from,
-                                to,
-                                bytes: bytes.clone(),
-                                arrived: due,
-                                _held: hold(),
-                            },
-                        ));
-                    }
+                    let envelope = Envelope {
+                        from,
+                        to,
+                        bytes,
+                        arrived: due,
+                        _held: hold(),
+                    };
+                    let mut held = fault.held.lock().expect("delay queue lock");
+                    held.push((due, to, envelope));
                     return true;
                 }
             }
@@ -552,19 +508,16 @@ impl RtNetwork {
         drop(guard);
         let bytes = Bytes::from(buf);
         if let Some(tx) = self.registry.read().get(&to) {
-            let arrived = Instant::now();
-            for _ in 0..copies {
-                self.obs.recv_bytes.add(bytes.len() as u64);
-                // A receiver gone since the lookup hands the envelope back,
-                // and dropping it gives its frames back.
-                let _ = tx.send(Envelope {
-                    from,
-                    to,
-                    bytes: bytes.clone(),
-                    arrived,
-                    _held: hold(),
-                });
-            }
+            self.obs.recv_bytes.add(bytes.len() as u64);
+            // A receiver gone since the lookup hands the envelope back,
+            // and dropping it gives its frames back.
+            let _ = tx.send(Envelope {
+                from,
+                to,
+                bytes,
+                arrived: Instant::now(),
+                _held: hold(),
+            });
         } else {
             self.pool.recycle_bytes(bytes);
         }
@@ -841,32 +794,10 @@ mod tests {
         net.install_faults(FaultPlan::new(9).with_loss(1.0));
         assert!(net.send_counted(1, 101, &data_frames(4), Some(&queued)));
         assert_eq!(queued.get(), 0, "a lost datagram never counts");
-        net.install_faults(FaultPlan::new(5).with_adversary(
-            NodeId::new(1),
-            AdversaryStrategy::SelectiveServe {
-                serve_fraction: 0.0,
-            },
-        ));
+        net.install_faults(FaultPlan::new(5).with_kill(NodeId::new(1), 0.0));
         assert!(net.send_counted(1, 101, &data_frames(4), Some(&queued)));
-        assert_eq!(queued.get(), 0, "a withheld datagram never counts");
+        assert_eq!(queued.get(), 0, "nor one a dead sender held back");
         assert!(inbox.try_recv().is_none());
-    }
-
-    #[test]
-    fn queued_frames_count_each_replayed_copy() {
-        let net = RtNetwork::new();
-        let inbox = net.register(102);
-        let queued = QueuedFrames::default();
-        net.install_faults(
-            FaultPlan::new(3)
-                .with_adversary(NodeId::new(1), AdversaryStrategy::Replay { prob: 1.0 }),
-        );
-        assert!(net.send_counted(1, 102, &data_frames(3), Some(&queued)));
-        assert_eq!(queued.get(), 6, "the original and its replay");
-        drop(inbox.try_recv().unwrap());
-        assert_eq!(queued.get(), 3);
-        drop(inbox.try_recv().unwrap());
-        assert_eq!(queued.get(), 0);
     }
 
     #[test]
@@ -1054,82 +985,8 @@ mod tests {
         assert_eq!(report, HealthReport::default());
     }
 
-    #[test]
-    fn adversary_pollute_flips_payload_bits_silently() {
-        use asymshare_rlnc::{EncodedMessage, FileId, MessageId};
-        let net = RtNetwork::with_observability(Registry::new(), EventSink::new());
-        let inbox = net.register(50);
-        net.install_faults(
-            FaultPlan::new(7)
-                .with_adversary(NodeId::new(51), AdversaryStrategy::Pollute { prob: 1.0 }),
-        );
-        let msg = EncodedMessage::new(FileId(1), MessageId(0), vec![0x55; 48]);
-        assert!(net.send(51, 50, &Wire::MessageData(msg.clone())));
-        let e = inbox.try_recv().unwrap();
-        let Wire::MessageData(got) = e.decode().expect("framing intact") else {
-            panic!("still a data frame");
-        };
-        assert_ne!(got.payload(), msg.payload(), "payload polluted");
-        // The attacker leaves no trace at the transport: no fault counters,
-        // no corruption events — only the receiver's digest check can tell.
-        assert_eq!(net.fault_stats(), FaultStats::default());
-        assert!(net
-            .events()
-            .events()
-            .iter()
-            .all(|ev| ev.kind != "corruption"));
-        // Control frames pass unharmed.
-        net.send(51, 50, &Wire::FileRequest { file_id: 9 });
-        let e = inbox.try_recv().unwrap();
-        assert_eq!(e.decode().unwrap(), Wire::FileRequest { file_id: 9 });
-    }
-
-    #[test]
-    fn adversary_replay_duplicates_data_datagrams() {
-        use asymshare_rlnc::{EncodedMessage, FileId, MessageId};
-        let net = RtNetwork::new();
-        let inbox = net.register(60);
-        net.install_faults(
-            FaultPlan::new(3)
-                .with_adversary(NodeId::new(61), AdversaryStrategy::Replay { prob: 1.0 }),
-        );
-        let msg = EncodedMessage::new(FileId(1), MessageId(4), vec![0xAB; 32]);
-        assert!(net.send(61, 60, &Wire::MessageData(msg.clone())));
-        let first = inbox.try_recv().expect("original");
-        let second = inbox.try_recv().expect("replayed copy");
-        assert_eq!(first.bytes, second.bytes, "identical stale bytes");
-        assert!(inbox.try_recv().is_none());
-        // Control frames are not replayed (nothing stale to re-serve).
-        net.send(61, 60, &Wire::FileRequest { file_id: 2 });
-        assert!(inbox.try_recv().is_some());
-        assert!(inbox.try_recv().is_none());
-    }
-
-    #[test]
-    fn adversary_selective_withholds_data_but_passes_control() {
-        use asymshare_rlnc::{EncodedMessage, FileId, MessageId};
-        let net = RtNetwork::new();
-        let inbox = net.register(70);
-        net.install_faults(FaultPlan::new(5).with_adversary(
-            NodeId::new(71),
-            AdversaryStrategy::SelectiveServe {
-                serve_fraction: 0.0,
-            },
-        ));
-        let msg = EncodedMessage::new(FileId(1), MessageId(0), vec![1u8; 16]);
-        assert!(
-            net.send(71, 70, &Wire::MessageData(msg)),
-            "address resolves"
-        );
-        assert!(inbox.try_recv().is_none(), "data withheld");
-        net.send(71, 70, &Wire::StopTransmission { file_id: 1 });
-        assert!(inbox.try_recv().is_some(), "control still flows");
-        net.clear_faults();
-        let msg = EncodedMessage::new(FileId(1), MessageId(1), vec![2u8; 16]);
-        assert!(net.send(71, 70, &Wire::MessageData(msg)));
-        assert!(inbox.try_recv().is_some(), "honest again once cleared");
-    }
-
+    /// Adversaries are their node's behaviour, applied by its `Host`
+    /// before it sends: the transport realises link faults only.
     #[test]
     fn adversary_inflate_credit_is_inert_on_the_wire() {
         use asymshare_rlnc::{EncodedMessage, FileId, MessageId};
@@ -1137,7 +994,7 @@ mod tests {
         let inbox = net.register(80);
         net.install_faults(FaultPlan::new(2).with_adversary(
             NodeId::new(81),
-            AdversaryStrategy::InflateCredit { factor: 4.0 },
+            asymshare_netsim::AdversaryStrategy::InflateCredit { factor: 4.0 },
         ));
         let msg = EncodedMessage::new(FileId(1), MessageId(0), vec![9u8; 24]);
         assert!(net.send(81, 80, &Wire::MessageData(msg.clone())));

@@ -10,17 +10,16 @@
 
 use crate::error::SystemError;
 use crate::fetch::{Fetch, Out};
+use crate::host::{adversary, corrupt_message, Grant, Host};
 use crate::identity::Identity;
 use crate::peer::{KeyBytes, Peer};
 use crate::protocol::Wire;
 use crate::recovery::LadderConfig;
-use crate::serve::{self, ServePass};
 use crate::user::{SessionStats, User};
 use asymshare_crypto::chacha20::ChaChaRng;
 use asymshare_gf::{FieldKind, Gf2p32};
 use asymshare_netsim::{
-    adversary_draw, AdversaryStrategy, Event, EventKind, FaultPlan, FaultStats, LinkSpeed, NodeId,
-    SimNet, SimTime,
+    Event, EventKind, FaultPlan, FaultStats, LinkSpeed, NodeId, SimNet, SimTime,
 };
 use asymshare_obs::{Counter, EventSink, Gauge, Histogram, Registry, Snapshot, Value};
 use asymshare_rlnc::{
@@ -38,6 +37,11 @@ pub const SLOT_SECS: f64 = 1.0;
 
 /// The Eq.-2 credit every peer starts each party at, bytes.
 pub const INITIAL_CREDIT_BYTES: f64 = 1_000.0;
+
+/// Bulk flows a connection may have in flight: the sim driver's headroom
+/// is this less the flows still in flight, so downlink congestion
+/// back-pressures the serve pass instead of piling flows up.
+const MAX_INFLIGHT: usize = 2;
 
 /// Runtime tuning knobs.
 #[derive(Debug, Clone, Copy)]
@@ -107,21 +111,14 @@ pub struct DownloadReport {
 }
 
 struct Participant {
-    peer: Peer,
+    /// The peer's serving engine, which this runtime drives.
+    host: Host,
     /// The peer identity's public key, as ledgers and handshakes name it.
     key: KeyBytes,
     node: NodeId,
     up_kbps: f64,
-    /// Per-connection bulk-send deficits (bytes granted and not yet sent).
-    serve: ServePass,
     /// Number of bulk flows currently in flight per connection.
     inflight: HashMap<u64, usize>,
-    /// Last data message sent per connection — the stale copy a replaying
-    /// adversary re-serves instead of fresh coded messages.
-    last_sent: HashMap<u64, EncodedMessage>,
-    /// Per-connection adversary decision counter, so seeded draws replay
-    /// identically without consuming the shared fault RNG.
-    adv_seq: HashMap<u64, u64>,
 }
 
 struct Session {
@@ -130,10 +127,8 @@ struct Session {
     fetch: Fetch,
     home: usize,
     remote_node: NodeId,
-    // Conn id -> participant index. Ordered: the slot driver iterates this
-    // map to start flows, and flow-start order pairs each flow with the
-    // fault plan's next RNG draws — hash order here would make seeded runs
-    // diverge between runtime instances.
+    // Conn id -> participant index. Ordered, so reports and trace spans
+    // walk the connections the same way in every run.
     conns: BTreeMap<u64, usize>,
     started_at: SimTime,
     finished_at: Option<SimTime>,
@@ -156,6 +151,7 @@ struct SessionTrace {
     spans_emitted: bool,
 }
 
+#[derive(Clone, Copy)]
 enum Endpoint {
     ToPeer { participant: usize, conn: u64 },
     ToUser { session: usize, conn: u64 },
@@ -164,10 +160,7 @@ enum Endpoint {
 
 struct Pending {
     endpoint: Endpoint,
-    wire: Option<Wire>,
-    msg: Option<asymshare_rlnc::EncodedMessage>,
-    /// Marks a bulk data flow so completion clears the in-flight flag.
-    bulk_from: Option<(usize, u64)>,
+    wire: Wire,
 }
 
 /// Pre-resolved observability handles for the simulated deployment — inert
@@ -241,9 +234,9 @@ pub struct SimRuntime {
     slot: u64,
     rng: ChaChaRng,
     obs: SimObs,
-    /// Scratch for the per-slot allocation pass: `(conn, session, weight)`
-    /// triples, reused so slots allocate nothing at steady state.
-    alloc_conns: Vec<(u64, usize, f64)>,
+    /// Scratch for the serve passes' grants, reused so a pass allocates
+    /// nothing at steady state.
+    grants: Vec<Grant>,
     /// `(session, chunk)` pairs the owner has already re-disseminated, so
     /// the starvation check reacts to each shortage at most once.
     redisseminated: HashSet<(usize, u32)>,
@@ -265,7 +258,7 @@ impl SimRuntime {
             slot: 0,
             rng: ChaChaRng::new([0xE7; 32], *b"sim-runtime!"),
             obs: SimObs::default(),
-            alloc_conns: Vec::new(),
+            grants: Vec::new(),
             redisseminated: HashSet::new(),
         }
     }
@@ -307,7 +300,7 @@ impl SimRuntime {
             for (i, p) in self.participants.iter().enumerate() {
                 metrics
                     .gauge(&format!("sim.store.p{i}.bytes"))
-                    .set(p.peer.store().total_bytes() as f64);
+                    .set(p.host.peer.store().total_bytes() as f64);
             }
             for (i, s) in self.sessions.iter().enumerate() {
                 metrics
@@ -347,7 +340,7 @@ impl SimRuntime {
         let keys: Vec<KeyBytes> = self.participants.iter().map(|p| p.key).collect();
         self.participants
             .iter()
-            .map(|p| keys.iter().map(|k| p.peer.upload_weight(k)).collect())
+            .map(|p| keys.iter().map(|k| p.host.peer.upload_weight(k)).collect())
             .collect()
     }
 
@@ -361,16 +354,15 @@ impl SimRuntime {
     ) -> ParticipantId {
         let node = self.net.add_node(up, down);
         let key = identity.public_key().to_bytes();
-        let peer = Peer::new(identity, INITIAL_CREDIT_BYTES);
+        // A flow carries one frame.
+        let mut host = Host::new(Peer::new(identity, INITIAL_CREDIT_BYTES), 1);
+        host.set_adversary(self.net.fault_plan().and_then(|plan| adversary(plan, node)));
         self.participants.push(Participant {
-            peer,
+            host,
             key,
             node,
             up_kbps: up.as_kbps(),
-            serve: ServePass::default(),
             inflight: HashMap::new(),
-            last_sent: HashMap::new(),
-            adv_seq: HashMap::new(),
         });
         let id = ParticipantId(self.participants.len() - 1);
         // Everyone subscribes everyone registered so far (the "system
@@ -378,7 +370,7 @@ impl SimRuntime {
         let keys: Vec<KeyBytes> = self.participants.iter().map(|p| p.key).collect();
         for p in &mut self.participants {
             for k in &keys {
-                p.peer.add_subscriber(*k);
+                p.host.peer.add_subscriber(*k);
             }
         }
         id
@@ -386,7 +378,7 @@ impl SimRuntime {
 
     /// Direct access to a participant's peer (e.g. to cap its store).
     pub fn peer_mut(&mut self, id: ParticipantId) -> &mut Peer {
-        &mut self.participants[id.0].peer
+        &mut self.participants[id.0].host.peer
     }
 
     /// Changes a participant's access link mid-simulation (the Fig. 8(b)
@@ -404,25 +396,23 @@ impl SimRuntime {
     }
 
     /// Installs a deterministic fault plan (loss, corruption, jitter,
-    /// outages, Byzantine strategies) on the underlying network simulator.
-    /// Adversary assignments are realized at the protocol layer here: their
-    /// decisions hash off the plan's seed independently of the link-fault
-    /// RNG, so adding an adversary never shifts honest faults.
+    /// outages, Byzantine strategies): link faults on the underlying
+    /// network simulator, each adversary on its participant's `Host`,
+    /// whose decisions hash off the plan's seed independently of the
+    /// link-fault RNG, so adding an adversary never shifts honest faults.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
+        for p in &mut self.participants {
+            p.host.set_adversary(adversary(&plan, p.node));
+        }
         self.net.set_fault_plan(plan);
     }
 
     /// Removes any installed fault plan; subsequent traffic is clean.
     pub fn clear_fault_plan(&mut self) {
+        for p in &mut self.participants {
+            p.host.set_adversary(None);
+        }
         self.net.clear_fault_plan();
-    }
-
-    /// The strategy the installed plan assigns to participant `p_idx`'s
-    /// node, with the seed its decisions hash from.
-    fn adversary(&self, p_idx: usize) -> Option<(AdversaryStrategy, u64)> {
-        let plan = self.net.fault_plan()?;
-        let strategy = plan.adversary_for(self.participants[p_idx].node)?;
-        Some((strategy, plan.seed()))
     }
 
     /// Counters of faults injected since the plan was installed.
@@ -452,6 +442,7 @@ impl SimRuntime {
         targets: &[ParticipantId],
     ) -> Result<(FileManifest, f64), SystemError> {
         let secret = self.participants[owner.0]
+            .host
             .peer
             .identity()
             .coding_secret()
@@ -471,7 +462,7 @@ impl SimRuntime {
             if target.0 == owner.0 {
                 // Local deposit: no network transfer needed.
                 for m in batch {
-                    self.participants[target.0].peer.store_mut().insert(m);
+                    self.participants[target.0].host.peer.store_mut().insert(m);
                 }
                 continue;
             }
@@ -501,7 +492,7 @@ impl SimRuntime {
         remote_down: LinkSpeed,
         peers: &[ParticipantId],
     ) -> Result<SessionId, SystemError> {
-        let identity = self.participants[owner.0].peer.identity().clone();
+        let identity = self.participants[owner.0].host.peer.identity().clone();
         let user = User::<Gf2p32>::new(identity, manifest)?;
         let remote_node = self.net.add_node(remote_up, remote_down);
         let mut conns = BTreeMap::new();
@@ -542,7 +533,7 @@ impl SimRuntime {
         for _ in 0..slots {
             self.slot += 1;
             self.heal_sessions();
-            self.start_bulk_bursts();
+            self.grant_slot();
             if self.slot.is_multiple_of(self.cfg.feedback_every_slots) {
                 self.send_feedback_reports();
             }
@@ -633,111 +624,31 @@ impl SimRuntime {
         self.sessions[session.0].fetch.user().progress()
     }
 
-    fn alloc_tag(&mut self, pending: Pending) -> u64 {
+    /// Starts the flow carrying `wire` from `src` to `dst`, for `endpoint`.
+    fn start_flow(&mut self, src: NodeId, dst: NodeId, endpoint: Endpoint, wire: Wire) {
+        let size = wire.encoded_len().max(1) as u64;
         let tag = self.next_tag;
         self.next_tag += 1;
-        self.pending.insert(tag, pending);
-        tag
-    }
-
-    /// Starts the flow of a control frame from `src` to `dst`, for
-    /// `endpoint`.
-    fn send_control(&mut self, src: NodeId, dst: NodeId, endpoint: Endpoint, wire: Wire) {
-        let size = wire.encoded_len().max(1) as u64;
-        let (wire, msg, bulk_from) = (Some(wire), None, None);
-        let tag = self.alloc_tag(Pending {
-            endpoint,
-            wire,
-            msg,
-            bulk_from,
-        });
+        self.pending.insert(tag, Pending { endpoint, wire });
         self.net.start_flow(src, dst, size, tag);
     }
 
     /// Starts the flow depositing a coded message from participant `from`
     /// with participant `to`.
     fn deposit(&mut self, from: usize, to: usize, msg: EncodedMessage) {
-        let size = Wire::message_data_frame_len(&msg) as u64;
         let endpoint = Endpoint::StoreDeposit { participant: to };
-        let (wire, msg, bulk_from) = (None, Some(msg), None);
-        let tag = self.alloc_tag(Pending {
-            endpoint,
-            wire,
-            msg,
-            bulk_from,
-        });
         let (from, to) = (self.participants[from].node, self.participants[to].node);
-        self.net.start_flow(from, to, size, tag);
+        self.start_flow(from, to, endpoint, Wire::MessageData(msg));
     }
 
-    /// Slot phase 1: every peer re-divides its uplink per Eq. 2 and starts
-    /// bulk message flows within the accumulated per-connection deficits.
-    ///
-    /// The connection list is persistent scratch (`alloc_conns`), so the
-    /// per-slot pass allocates nothing at steady state; the arithmetic is
-    /// untouched, keeping seeded schedules byte-identical.
-    fn start_bulk_bursts(&mut self) {
+    /// Slot phase 1: every peer's `Host` divides one slot of its uplink
+    /// per Eq. 2 and starts flows for what it staged. The overflow is
+    /// dropped: a slot's capacity does not outlive it.
+    fn grant_slot(&mut self) {
         let pass_start = std::time::Instant::now();
-        let mut conns = std::mem::take(&mut self.alloc_conns);
         for p_idx in 0..self.participants.len() {
-            // Gather this peer's active serving connections and weights.
-            conns.clear(); // (conn, session, weight)
-            for (s_idx, session) in self.sessions.iter().enumerate() {
-                if session.finished_at.is_some() {
-                    continue;
-                }
-                for (&conn, &pid) in &session.conns {
-                    if pid != p_idx {
-                        continue;
-                    }
-                    // Written off or banned by this session's client.
-                    if session.fetch.is_dead(conn) {
-                        continue;
-                    }
-                    let peer = &self.participants[p_idx].peer;
-                    if peer.serving(conn).is_none() || !peer.has_pending(conn) {
-                        continue;
-                    }
-                    let user_key = self.participants[session.home].key;
-                    let w = self.participants[p_idx].peer.upload_weight(&user_key);
-                    conns.push((conn, s_idx, w));
-                }
-            }
-            if conns.is_empty() {
-                continue;
-            }
-            let total_w: f64 = conns.iter().map(|c| c.2).sum();
-            let cap_bytes_per_slot = self.participants[p_idx].up_kbps * 1_000.0 / 8.0 * SLOT_SECS;
-            let ts = self.net.now().as_secs();
-            for &(conn, s_idx, w) in &conns {
-                let share = serve::share(w, total_w);
-                let budget = cap_bytes_per_slot * share;
-                self.obs.alloc_budget_bytes.record(budget as u64);
-                self.obs.events.emit_at(
-                    ts,
-                    "sim.alloc",
-                    "slot_share",
-                    &[
-                        ("slot", self.slot.into()),
-                        ("peer", p_idx.into()),
-                        ("session", s_idx.into()),
-                        ("conn", conn.into()),
-                        ("weight", w.into()),
-                        ("share", share.into()),
-                        ("budget_bytes", budget.into()),
-                    ],
-                );
-                // A slot's capacity does not outlive the bank: what exceeds
-                // four slots' worth is forfeited, not handed on.
-                self.participants[p_idx].serve.grant(
-                    conn,
-                    budget,
-                    cap_bytes_per_slot.max(budget) * 4.0,
-                );
-                self.pump(p_idx, s_idx, conn);
-            }
+            self.pass(p_idx, true);
         }
-        self.alloc_conns = conns;
         self.obs.alloc_slots.inc();
         let pass_us = pass_start.elapsed().as_micros() as u64;
         self.obs.alloc_pass_us.record(pass_us);
@@ -746,92 +657,70 @@ impl SimRuntime {
             .set(1e6 / pass_us.max(1) as f64);
     }
 
-    /// Starts bulk message flows on one connection while the accumulated
-    /// deficit covers them, keeping a bounded number in flight so downlink
-    /// congestion applies back-pressure instead of piling up flows. Called
-    /// at slot boundaries (after deficit refill) and on each bulk-flow
-    /// completion (so the pipe never idles mid-slot).
-    fn pump(&mut self, p_idx: usize, s_idx: usize, conn: u64) {
-        const MAX_INFLIGHT: usize = 2;
-        if self.sessions[s_idx].finished_at.is_some() {
-            return;
-        }
-        let adversary = self.adversary(p_idx);
-        // A selectively-serving adversary withholds the whole slot: the
-        // Eq.-2 budget was granted (it has pending work), yet nothing
-        // moves while the other peers keep delivering.
-        if let Some((AdversaryStrategy::SelectiveServe { serve_fraction }, seed)) = adversary {
-            let salt = self.slot.wrapping_mul(1_000_003).wrapping_add(conn);
-            if adversary_draw(seed, salt) >= serve_fraction {
-                return;
+    /// One `Host` pass over participant `p_idx`, granting a slot of its
+    /// uplink at a slot boundary and nothing otherwise (a completed flow
+    /// re-opens headroom, and the deficits carry the rest of the slot).
+    /// The boundary's grants become `slot_share` events; each staged frame
+    /// becomes a bulk flow to its session's user.
+    fn pass(&mut self, p_idx: usize, boundary: bool) {
+        let mut grants = std::mem::take(&mut self.grants);
+        grants.clear();
+        let p = &mut self.participants[p_idx];
+        let slot_bytes = p.up_kbps * 1_000.0 / 8.0 * SLOT_SECS;
+        let budget = if boundary { slot_bytes } else { 0.0 };
+        let (inflight, sessions) = (&p.inflight, &self.sessions);
+        // A finished download's user has left: it takes no more frames.
+        let headroom = |conn| match sessions.iter().find(|s| s.conns.contains_key(&conn)) {
+            Some(s) if s.finished_at.is_none() => {
+                let busy = inflight.get(&conn).copied().unwrap_or(0);
+                MAX_INFLIGHT.saturating_sub(busy) as u32
             }
-        }
-        loop {
-            if *self.participants[p_idx].inflight.entry(conn).or_insert(0) >= MAX_INFLIGHT {
-                break;
-            }
-            let Some(msg) = self.participants[p_idx].peer.next_message_len(conn) else {
-                break;
+            _ => 0,
+        };
+        p.host.pass(budget, slot_bytes, headroom, &mut grants);
+        let ts = self.net.now().as_secs();
+        for g in &grants {
+            let Some(s_idx) = self.session_of(g.conn) else {
+                continue;
             };
-            if !self.participants[p_idx].serve.try_send(conn, msg as f64) {
-                break;
+            if boundary {
+                self.obs.alloc_budget_bytes.record(g.bytes as u64);
+                self.obs.events.emit_at(
+                    ts,
+                    "sim.alloc",
+                    "slot_share",
+                    &[
+                        ("slot", self.slot.into()),
+                        ("peer", p_idx.into()),
+                        ("session", s_idx.into()),
+                        ("conn", g.conn.into()),
+                        ("weight", g.weight.into()),
+                        ("share", g.share.into()),
+                        ("budget_bytes", g.bytes.into()),
+                    ],
+                );
             }
-            // A replaying adversary re-serves its previous message instead
-            // of fresh ones: the frame is authentic (digest passes) but the
-            // decoder has seen the id, so the bytes buy no progress.
-            let mut message: Option<EncodedMessage> = None;
-            if let Some((AdversaryStrategy::Replay { prob }, seed)) = adversary {
-                let seq = {
-                    let e = self.participants[p_idx].adv_seq.entry(conn).or_insert(0);
-                    *e += 1;
-                    *e
-                };
-                let salt = conn.wrapping_mul(0x9E37_79B9).wrapping_add(seq);
-                if adversary_draw(seed, salt) < prob {
-                    message = self.participants[p_idx].last_sent.get(&conn).cloned();
-                }
+            let p = &mut self.participants[p_idx];
+            let mut staged = std::mem::take(p.host.staged(g.conn));
+            *p.inflight.entry(g.conn).or_insert(0) += staged.len();
+            let (from, to) = (p.node, self.sessions[s_idx].remote_node);
+            let endpoint = Endpoint::ToUser {
+                session: s_idx,
+                conn: g.conn,
+            };
+            for wire in staged.drain(..) {
+                self.start_flow(from, to, endpoint, wire);
             }
-            let message = match message {
-                Some(stale) => stale, // fresh queue does not advance
-                None => {
-                    let Some(m) = self.participants[p_idx].peer.next_message(conn) else {
-                        break;
-                    };
-                    if matches!(adversary, Some((AdversaryStrategy::Replay { .. }, _))) {
-                        self.participants[p_idx].last_sent.insert(conn, m.clone());
-                    }
-                    m
-                }
-            };
-            // A polluting adversary tampers with the payload before it
-            // leaves: the frame stays well-formed, so only the downstream
-            // digest check can tell (no `corruption` event — the attacker
-            // does not announce itself).
-            let wire = match adversary {
-                Some((AdversaryStrategy::Pollute { prob }, seed))
-                    if adversary_draw(seed, message.message_id().0) < prob =>
-                {
-                    corrupt_message(&message).unwrap_or(Wire::MessageData(message))
-                }
-                _ => Wire::MessageData(message),
-            };
-            *self.participants[p_idx].inflight.get_mut(&conn).unwrap() += 1;
-            let tag = self.alloc_tag(Pending {
-                endpoint: Endpoint::ToUser {
-                    session: s_idx,
-                    conn,
-                },
-                wire: Some(wire),
-                msg: None,
-                bulk_from: Some((p_idx, conn)),
-            });
-            self.net.start_flow(
-                self.participants[p_idx].node,
-                self.sessions[s_idx].remote_node,
-                msg as u64,
-                tag,
-            );
+            *self.participants[p_idx].host.staged(g.conn) = staged;
         }
+        self.grants = grants;
+    }
+
+    /// The session connection `conn` belongs to.
+    fn session_of(&self, conn: u64) -> Option<usize> {
+        self.sessions
+            .iter()
+            .position(|s| s.conns.contains_key(&conn))
     }
 
     /// Slot phase 2: users send signed feedback to their home peers.
@@ -857,7 +746,7 @@ impl SimRuntime {
             let home_node = self.participants[participant].node;
             let conn = u64::MAX - s_idx as u64; // dedicated feedback lane
             let endpoint = Endpoint::ToPeer { participant, conn };
-            self.send_control(remote, home_node, endpoint, Wire::Feedback(report));
+            self.start_flow(remote, home_node, endpoint, Wire::Feedback(report));
         }
     }
 
@@ -868,74 +757,74 @@ impl SimRuntime {
     /// [`EventKind::FlowCorrupted`] data message reaches the user with a
     /// flipped payload bit so the digest check rejects it downstream.
     fn deliver(&mut self, event: Event) {
-        let Some(pending) = self.pending.remove(&event.tag) else {
+        let Some(Pending { endpoint, wire }) = self.pending.remove(&event.tag) else {
             return;
         };
-        let refill = pending.bulk_from;
-        if let Some((p_idx, conn)) = refill {
+        // A data flow to a user ended: its connection has headroom again.
+        let bulk = match (&endpoint, &wire) {
+            (&Endpoint::ToUser { session, conn }, Wire::MessageData(_)) => {
+                Some((self.sessions[session].conns[&conn], conn))
+            }
+            _ => None,
+        };
+        if let Some((p_idx, conn)) = bulk {
             let count = self.participants[p_idx].inflight.entry(conn).or_insert(1);
             *count = count.saturating_sub(1);
         }
-        if event.kind == EventKind::FlowLost {
+        self.land(endpoint, wire, event.kind);
+        if let Some((p_idx, _)) = bulk {
+            self.pass(p_idx, false);
+        }
+    }
+
+    /// Hands a completed flow's payload to its destination.
+    fn land(&mut self, endpoint: Endpoint, wire: Wire, kind: EventKind) {
+        if kind == EventKind::FlowLost {
             // The payload is gone in transit; only the (omniscient)
             // user-side drop counter observes it.
             self.obs.drops.inc();
-            if let Endpoint::ToUser { session, conn } = pending.endpoint {
+            if let Endpoint::ToUser { session, conn } = endpoint {
                 self.sessions[session].fetch.on_drop(conn, true);
                 let fields = self.conn_fields(session, conn, &[]);
                 let now = self.net.now().as_secs();
                 self.obs.events.emit_at(now, "sim.deliver", "drop", &fields);
             }
-            self.repump(refill);
             return;
         }
-        let corrupted = event.kind == EventKind::FlowCorrupted;
-        match pending.endpoint {
+        let corrupted = kind == EventKind::FlowCorrupted;
+        match endpoint {
             Endpoint::StoreDeposit { participant } => {
-                if corrupted {
-                    // The depositing owner's transfer layer drops garbage.
-                    self.repump(refill);
-                    return;
-                }
-                if let Some(msg) = pending.msg {
-                    self.participants[participant].peer.store_mut().insert(msg);
+                // The depositing owner's transfer layer drops garbage.
+                if let (false, Wire::MessageData(msg)) = (corrupted, wire) {
+                    let peer = &mut self.participants[participant].host.peer;
+                    peer.store_mut().insert(msg);
                 }
             }
             Endpoint::ToPeer { participant, conn } => {
                 if corrupted {
                     // Peers discard control frames that fail to parse.
-                    self.repump(refill);
                     return;
                 }
-                let Some(wire) = pending.wire else { return };
-                let replies = {
-                    let peer = &mut self.participants[participant].peer;
-                    peer.on_message(conn, wire, &mut self.rng)
-                        .unwrap_or_default()
-                };
+                let mut replies = Vec::new();
+                let host = &mut self.participants[participant].host;
+                host.on_datagram(conn, [wire], &mut self.rng, &mut replies);
                 // Find the session this connection belongs to (if any).
-                let Some(s_idx) = self
-                    .sessions
-                    .iter()
-                    .position(|s| s.conns.contains_key(&conn))
-                else {
-                    return self.repump(refill);
+                let Some(s_idx) = self.session_of(conn) else {
+                    return;
+                };
+                let (from, to) = (
+                    self.participants[participant].node,
+                    self.sessions[s_idx].remote_node,
+                );
+                let endpoint = Endpoint::ToUser {
+                    session: s_idx,
+                    conn,
                 };
                 for reply in replies {
-                    let endpoint = Endpoint::ToUser {
-                        session: s_idx,
-                        conn,
-                    };
-                    let from = self.participants[participant].node;
-                    let to = self.sessions[s_idx].remote_node;
-                    self.send_control(from, to, endpoint, reply);
+                    self.start_flow(from, to, endpoint, reply);
                 }
             }
             Endpoint::ToUser { session, conn } => {
-                let Some(wire) = pending.wire else {
-                    self.repump(refill);
-                    return;
-                };
                 let wire = match (corrupted, wire) {
                     (true, Wire::MessageData(msg)) => match corrupt_message(&msg) {
                         Some(mangled) => {
@@ -947,25 +836,20 @@ impl SimRuntime {
                                 .emit_at(now, "sim.deliver", "corruption", &fields);
                             mangled
                         }
-                        None => {
-                            // Empty payload: nothing to flip, the frame
-                            // silently evaporates (no stats change, keeping
-                            // seeded replays identical).
-                            self.repump(refill);
-                            return;
-                        }
+                        // Empty payload: nothing to flip, the frame
+                        // silently evaporates (no stats change, keeping
+                        // seeded replays identical).
+                        None => return,
                     },
                     (true, _) => {
                         // A mangled control frame fails to parse: the user
                         // sees nothing but a drop.
                         self.sessions[session].fetch.on_drop(conn, false);
-                        self.repump(refill);
                         return;
                     }
                     (false, wire) => wire,
                 };
                 if self.sessions[session].failed.is_some() {
-                    self.repump(refill);
                     return;
                 }
                 let ts = self.net.now().as_secs();
@@ -995,7 +879,6 @@ impl SimRuntime {
                 }
             }
         }
-        self.repump(refill);
     }
 
     /// Per-slot self-healing pass: polls each unfinished session's engine
@@ -1136,7 +1019,7 @@ impl SimRuntime {
             participant: p_idx,
             conn,
         };
-        self.send_control(from, to, endpoint, wire);
+        self.start_flow(from, to, endpoint, wire);
     }
 
     /// Slot epilogue with observability on: the slot's per-peer aggregates
@@ -1195,7 +1078,7 @@ impl SimRuntime {
         }
         let mut supply: BTreeMap<u32, usize> = BTreeMap::new();
         for &p in &honest {
-            for m in self.participants[p].peer.store().messages(file_id) {
+            for m in self.participants[p].host.peer.store().messages(file_id) {
                 *supply
                     .entry(FileManifest::chunk_of(m.message_id()))
                     .or_insert(0) += 1;
@@ -1213,6 +1096,7 @@ impl SimRuntime {
                 continue;
             }
             let msgs: Vec<EncodedMessage> = self.participants[home]
+                .host
                 .peer
                 .store()
                 .messages(file_id)
@@ -1252,7 +1136,7 @@ impl SimRuntime {
     fn emit_credit_balances(&mut self, ts: f64) {
         let mut drift: std::collections::BTreeMap<usize, f64> = std::collections::BTreeMap::new();
         for session in &self.sessions {
-            let home = &self.participants[session.home].peer;
+            let home = &self.participants[session.home].host.peer;
             for &p_idx in session.conns.values() {
                 if p_idx == session.home {
                     continue;
@@ -1337,38 +1221,6 @@ impl SimRuntime {
             );
         }
     }
-
-    /// Restarts a connection's bulk pipeline after one of its flows
-    /// completed (remaining deficit permitting).
-    fn repump(&mut self, refill: Option<(usize, u64)>) {
-        let Some((p_idx, conn)) = refill else { return };
-        let Some(s_idx) = self
-            .sessions
-            .iter()
-            .position(|s| s.conns.contains_key(&conn))
-        else {
-            return;
-        };
-        self.pump(p_idx, s_idx, conn);
-    }
-}
-
-/// The sim's corruption model: flips one payload bit of a data message, with
-/// the position keyed off the message id so seeded replays stay identical.
-/// Returns `None` for an empty payload — there is no bit to flip, and the
-/// index computation (`% payload.len()`) would otherwise divide by zero.
-fn corrupt_message(msg: &EncodedMessage) -> Option<Wire> {
-    let mut payload = msg.payload().to_vec();
-    if payload.is_empty() {
-        return None;
-    }
-    let at = (msg.message_id().0 as usize).wrapping_mul(7919) % payload.len();
-    payload[at] ^= 1;
-    Some(Wire::MessageData(EncodedMessage::new(
-        msg.file_id(),
-        msg.message_id(),
-        payload,
-    )))
 }
 
 #[cfg(test)]
@@ -1461,14 +1313,14 @@ mod tests {
         let (manifest, _) = rt.disseminate(a, FileId(3), &payload, &ids).unwrap();
         let key = |rt: &SimRuntime, p: ParticipantId| rt.participants[p.0].key;
         let (b_key, c_key) = (key(&rt, b), key(&rt, c));
-        let before = rt.participants[a.0].peer.upload_weight(&b_key);
+        let before = rt.participants[a.0].host.peer.upload_weight(&b_key);
         let session = rt
             .start_download(a, manifest, kbps(512.0), kbps(3000.0), &ids)
             .unwrap();
         let report = rt.run_to_completion(session, 600).unwrap();
         // Let the final feedback report flush.
         rt.run_slots(rt.cfg.feedback_every_slots + 2);
-        let after = rt.participants[a.0].peer.upload_weight(&b_key);
+        let after = rt.participants[a.0].host.peer.upload_weight(&b_key);
         assert!(
             after > before,
             "A's ledger must credit B for served bytes ({before} -> {after})"
@@ -1478,7 +1330,7 @@ mod tests {
         assert_eq!(bytes.len(), 3, "every peer contributed");
         let jain = asymshare_alloc::jain_index(&bytes);
         assert!(jain >= 0.99, "byte Jain {jain:.3} over {bytes:?}");
-        let other = rt.participants[a.0].peer.upload_weight(&c_key);
+        let other = rt.participants[a.0].host.peer.upload_weight(&c_key);
         assert!(
             after.min(other) >= 0.75 * after.max(other),
             "home credit {after} vs {other}"
@@ -1596,13 +1448,12 @@ mod tests {
             }
             rt.slot += 1;
             rt.heal_sessions();
-            rt.start_bulk_bursts();
+            rt.grant_slot();
             let deadline = rt.net.now().advance(SLOT_SECS);
             while let Some(event) = rt.net.step_until(deadline) {
                 if let Some(Pending {
-                    wire: Some(Wire::MessageData(msg)),
-                    bulk_from: Some(_),
-                    ..
+                    endpoint: Endpoint::ToUser { .. },
+                    wire: Wire::MessageData(msg),
                 }) = rt.pending.get(&event.tag)
                 {
                     flow_bytes += event.bytes;

@@ -18,12 +18,8 @@
 //!    that was not granted first;
 //! 3. takes back what departed connections had banked ([`retain`]).
 //!
-//! The two drivers differ only in where the budget comes from.
-//! [`SimRuntime`](crate::SimRuntime) grants one slot's worth of the
-//! simulated uplink per allocation slot and drops the overflow (a slot's
-//! capacity does not outlive it). The [`rt`](crate::rt) reactor drains its
-//! token bucket into the engine every pass and refunds the overflow to the
-//! bucket, which therefore never goes into debt.
+//! Its one driver is the serving engine's pass,
+//! [`Host::pass`](crate::host::Host::pass); the runtimes drive the `Host`.
 //!
 //! [`grant`]: ServePass::grant
 //! [`share`]: share
@@ -82,11 +78,6 @@ impl ServePass {
         }
     }
 
-    /// Bytes `conn` has been granted and not sent.
-    pub fn deficit(&self, conn: u64) -> f64 {
-        self.deficits.get(&conn).copied().unwrap_or(0.0)
-    }
-
     /// Forgets every connection `keep` rejects, returning what they had
     /// banked together.
     pub fn retain(&mut self, keep: impl Fn(u64) -> bool) -> f64 {
@@ -100,17 +91,24 @@ impl ServePass {
         });
         released
     }
-
-    /// Connections holding a deficit entry.
-    pub fn len(&self) -> usize {
-        self.deficits.len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    impl ServePass {
+        /// Bytes `conn` has been granted and not sent.
+        pub(crate) fn deficit(&self, conn: u64) -> f64 {
+            self.deficits.get(&conn).copied().unwrap_or(0.0)
+        }
+
+        /// Connections holding a deficit entry.
+        fn len(&self) -> usize {
+            self.deficits.len()
+        }
+    }
 
     const KIB: f64 = 1024.0;
     /// The model link: 1 MB/s with the reactor's tenth-of-a-second burst,

@@ -58,12 +58,12 @@ impl LinkFault {
 /// Strategies model the Byzantine attacks of the threat model (DESIGN.md
 /// §11): the node still speaks the protocol — frames parse, handshakes
 /// succeed — but the *content* or *schedule* of what it serves is hostile.
-/// The runtimes realize the strategy at their serving/delivery layer; the
-/// flow simulator itself stays attack-agnostic, exactly as it stays
-/// loss-agnostic.
+/// Both runtimes apply it once, where the node sends (their serving
+/// engine); the flow simulator itself stays attack-agnostic, exactly as
+/// it stays loss-agnostic.
 ///
-/// Every per-message decision is derived from an order-independent hash of
-/// `(plan seed, message identity)` via [`adversary_draw`], never from the
+/// Every decision is derived from an order-independent hash of
+/// `(plan seed, message or decision identity)` via [`adversary_draw`], never from the
 /// shared fault RNG stream, so installing an adversary perturbs *nothing*
 /// about honest peers' loss/corruption/jitter draws and a given plan
 /// replays byte-for-byte.
@@ -310,11 +310,6 @@ impl FaultPlan {
         self.adversaries.get(&node.index()).copied()
     }
 
-    /// All `(node index, strategy)` adversary assignments in the plan.
-    pub fn adversaries(&self) -> impl Iterator<Item = (usize, AdversaryStrategy)> + '_ {
-        self.adversaries.iter().map(|(&n, &s)| (n, s))
-    }
-
     /// The RNG seed the plan replays from.
     pub fn seed(&self) -> u64 {
         self.seed
@@ -457,7 +452,6 @@ mod tests {
             !plan.is_noop(),
             "an adversary makes the plan non-trivial even with clean links"
         );
-        assert_eq!(plan.adversaries().count(), 1);
         assert_eq!(
             AdversaryStrategy::InflateCredit { factor: 2.0 }.name(),
             "inflate_credit"

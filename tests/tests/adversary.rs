@@ -280,7 +280,7 @@ fn every_strategy_is_detected_and_outrun() {
             AdversaryStrategy::SelectiveServe {
                 serve_fraction: 0.25,
             },
-            Some(17.0),
+            Some(20.0),
         ),
         (AdversaryStrategy::InflateCredit { factor: 4.0 }, None),
     ];

@@ -6,19 +6,17 @@
 //! both runtimes, so reactor changes cannot silently diverge from the
 //! model the paper's results were produced on.
 //!
-//! Below them, the paper's §IV claims checked on the reactor over
-//! *delivered bytes*: two users side by side on one shaped uplink receive
-//! in proportion to their credit (Eq. 2; the shape of Fig. 5(a) and
-//! Fig. 7), neither falls below its share of the link (Theorem 1), a user
-//! alone gets all of it, and the limiter holds its rate even for frames
-//! longer than its burst.
+//! Below them, a wall-clock smoke test of the shaped reactor: the limiter
+//! holds its rate even for frames longer than its burst. The paper's §IV
+//! byte shares (Eq. 2, Theorem 1) are the serving engine's, checked on a
+//! scripted clock in `host::tests`; CI's `scripts/check_share.sh` gates
+//! them on the wire.
 
 use asymshare::rt::{download_file_with, DownloadOptions, Reactor, ReactorConfig, RtNetwork};
 use asymshare::{Identity, Peer, RuntimeConfig, SimRuntime, User};
 use asymshare_gf::{FieldKind, Gf2p32};
 use asymshare_netsim::{FaultPlan, LinkSpeed};
 use asymshare_rlnc::{ChunkedEncoder, DigestKind, EncodedMessage, FileId, FileManifest, MessageId};
-use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 /// CI sweeps this via the `ASYMSHARE_FAULT_SEED` matrix.
@@ -202,7 +200,7 @@ fn sim_and_reactor_plan_identical_schedules_under_loss() {
     );
 }
 
-/// The shaped uplink of the paper tests, and the burst `Reactor::add_peer`
+/// The shaped uplink of the smoke test, and the burst `Reactor::add_peer`
 /// derives from it (a tenth of a second).
 const UPLINK: u64 = 1_000_000;
 const BURST: f64 = 100_000.0;
@@ -238,109 +236,6 @@ fn patient(timeout: Duration) -> DownloadOptions {
         retry_backoff: Duration::from_secs(15),
         max_peer_retries: 3,
     }
-}
-
-/// One peer shaped to [`UPLINK`] serves one user per entry of `credit`,
-/// each fetching its own file — too long to finish — for `window`. Returns
-/// the verified bytes each user had received when its window closed.
-fn fetch_side_by_side(credit: &[f64], window: Duration) -> Vec<f64> {
-    const CHUNK: usize = 64 * 1024;
-    let file_len = 3 * UPLINK as usize * window.as_secs() as usize / 2 / CHUNK * CHUNK;
-    let identity = Identity::from_seed(b"paper-peer");
-    let peer_key = identity.public_key().to_bytes();
-    // No initial credit: a user's weight is exactly what it is given here.
-    let mut peer = Peer::new(identity, 0.0);
-    let users: Vec<_> = credit
-        .iter()
-        .enumerate()
-        .map(|(i, &bytes)| {
-            let owner = Identity::from_seed(&[b'P', b'U', i as u8]);
-            let (batch, manifest, _) = stock(&owner, 40 + i as u64, file_len, CHUNK);
-            peer.add_subscriber(owner.public_key().to_bytes());
-            peer.credit_direct(owner.public_key().to_bytes(), bytes);
-            for m in batch {
-                peer.store_mut().insert(m);
-            }
-            User::<Gf2p32>::new(owner, manifest).unwrap()
-        })
-        .collect();
-    let network = RtNetwork::new();
-    let mut reactor = Reactor::new(&network, ReactorConfig::default());
-    reactor.add_peer(700, peer, UPLINK);
-    let start = Barrier::new(users.len());
-    let received = std::thread::scope(|scope| {
-        let fetches: Vec<_> = users
-            .into_iter()
-            .enumerate()
-            .map(|(i, mut user)| {
-                let (network, start) = (&network, &start);
-                scope.spawn(move || {
-                    start.wait();
-                    let fetched = download_file_with(
-                        network,
-                        i as u64,
-                        &mut user,
-                        &[(700, peer_key)],
-                        700,
-                        patient(window),
-                    );
-                    assert!(fetched.is_err(), "the window closes mid-file");
-                    user.window_bytes().values().sum::<u64>() as f64
-                })
-            })
-            .collect();
-        fetches
-            .into_iter()
-            .map(|fetch| fetch.join().expect("user thread"))
-            .collect()
-    });
-    reactor.shutdown();
-    received
-}
-
-/// Eq. 2 and Theorem 1 on the wire. Shares are ratios of delivered bytes,
-/// so they do not depend on how fast this machine's clock or CPU is; the
-/// lower bound allows each user the additive constants of a finite
-/// window — the burst whoever asked first may have taken, and the part of
-/// a frame it is still owed.
-#[test]
-fn users_side_by_side_receive_in_proportion_to_their_credit() {
-    let window = Duration::from_secs(2);
-    let frame = 8.0 * 1024.0 + 64.0;
-    for (credit, owed) in [([1e6, 1e6], 0.50), ([3e6, 1e6], 0.75), ([9e6, 1e6], 0.90)] {
-        let received = fetch_side_by_side(&credit, window);
-        let total: f64 = received.iter().sum();
-        let share = received[0] / total;
-        assert!(
-            (share - owed).abs() <= 0.05,
-            "credit {credit:?}: the first user got {share:.3} of the bytes, owed {owed}"
-        );
-        let link = UPLINK as f64 * window.as_secs_f64();
-        for (bytes, fraction) in received.iter().zip([owed, 1.0 - owed]) {
-            let floor = fraction * link - BURST - frame * window.as_secs_f64();
-            assert!(
-                *bytes >= floor,
-                "credit {credit:?}: a user owed {fraction} of the link got {bytes} B, under {floor}"
-            );
-        }
-        assert!(
-            total <= link + BURST + 2.0 * frame,
-            "the limiter let {total} B through"
-        );
-    }
-}
-
-/// Theorem 1's "plus a share of idle capacity", at its limit: with nobody
-/// else asking, the whole link is this user's.
-#[test]
-fn a_user_alone_gets_the_whole_link() {
-    let window = Duration::from_secs(2);
-    let received = fetch_side_by_side(&[1e6], window)[0];
-    let link = UPLINK as f64 * window.as_secs_f64();
-    assert!(
-        received >= 0.95 * link,
-        "alone on the link yet only {received} of {link} B"
-    );
 }
 
 /// Frames longer than the burst (128 KiB against 100 KB) used to go out on

@@ -16,6 +16,19 @@
 //! a health-enabled run wrote, minus the `health`/`alert` lines and each
 //! heartbeat's `alerts` count (each event hash is the previous code's log
 //! with the engine on, edited so). The schedule hashes did not move.
+//! Fifth, the serve pass became the `Host` engine, which reads none of
+//! the client's state: a connection the client wrote off or banned is
+//! served until its `StopTransmission` lands, or for as long as its peer
+//! lives (a write-off sends none). Each moved hash is the parent's code
+//! with exactly its pass's `is_dead` skip removed: `churn`'s logs gain a
+//! `slot_share` line per slot for each killed peer's written-off
+//! connection (its flows stall, so nothing else moves), `lossy` at seed 5
+//! keeps serving the live peer it wrote off in slot 4 (its flows draw
+//! fault randoms, so the later draws re-pair), and `pollution` serves the
+//! polluter in the slot of its ban until the stop lands (its frames are
+//! dropped unread, but mark the trace spans, and its flows reorder the
+//! re-disseminated deposits that finish together, so participant 1
+//! plans another schedule).
 
 use asymshare::{Identity, ParticipantId, RuntimeConfig, SessionId, SimRuntime};
 use asymshare_crypto::md5::Md5;
@@ -194,7 +207,7 @@ fn lossy_links_are_pinned() {
         lossy,
         [
             (
-                "d84bb6feece76da0c86cc1d9709a13e6",
+                "ed1af302438d346fec5769eaffd55394",
                 "f931af5bd868e42cf705ffd39b927b9c",
             ),
             (
@@ -216,15 +229,15 @@ fn churn_with_reassignment_is_pinned() {
         churn,
         [
             (
-                "fed01671f401a2f19b697a4d37a70d27",
+                "3ac592b260d762a33997892b9410f83f",
                 "1f4a1ecb68316d03fd653d22e1b5294d",
             ),
             (
-                "0a596281711ddc6ec170d232fab987ae",
+                "ecb0c10ecf41f2d6720f29028f7f652b",
                 "1f4a1ecb68316d03fd653d22e1b5294d",
             ),
             (
-                "cc45b1c59014a2ff989b65525cdc932f",
+                "3e29844673ee8d0fad9ee54bc82aac7b",
                 "69377347aca7f2c7c9acdf367657e846",
             ),
         ],
@@ -238,16 +251,16 @@ fn pollution_quarantine_and_redissemination_are_pinned() {
         pollution,
         [
             (
-                "898dc689b069b0e5592c7ef8e2556640",
-                "ebb8ebc3dfb96f23b94e159524385c24",
+                "089eb90649e76ec57c77f104052c1776",
+                "fd458cdcd7a50a162d7d1a76705d0e6d",
             ),
             (
-                "a95e9b57a279c0208bfe1a7cb1761201",
-                "ebb8ebc3dfb96f23b94e159524385c24",
+                "e310282f38460b88c54666fcb5f2041e",
+                "fd458cdcd7a50a162d7d1a76705d0e6d",
             ),
             (
-                "f61afd62b39ece129f423f15e62dc4dc",
-                "ebb8ebc3dfb96f23b94e159524385c24",
+                "b418360268aa5509284311f6e61684c5",
+                "fd458cdcd7a50a162d7d1a76705d0e6d",
             ),
         ],
     );
