@@ -41,32 +41,6 @@ impl Demand {
             Demand::SaturatedFrom { start } => slot >= *start,
         }
     }
-
-    /// Long-run request probability γ (exact for all variants given the
-    /// horizon `total_slots`).
-    pub fn long_run_gamma(&self, total_slots: u64) -> f64 {
-        match self {
-            Demand::Never => 0.0,
-            Demand::Saturated => 1.0,
-            Demand::Bernoulli { gamma } => gamma.clamp(0.0, 1.0),
-            Demand::Windows(windows) => {
-                if total_slots == 0 {
-                    return 0.0;
-                }
-                let on: u64 = windows
-                    .iter()
-                    .map(|&(s, e)| e.min(total_slots).saturating_sub(s.min(total_slots)))
-                    .sum();
-                on as f64 / total_slots as f64
-            }
-            Demand::SaturatedFrom { start } => {
-                if total_slots == 0 {
-                    return 0.0;
-                }
-                total_slots.saturating_sub(*start) as f64 / total_slots as f64
-            }
-        }
-    }
 }
 
 /// Samples `hours_on` distinct one-hour request windows out of `total_hours`
@@ -139,22 +113,6 @@ mod tests {
     }
 
     #[test]
-    fn long_run_gamma_matches_schedules() {
-        assert_eq!(Demand::Never.long_run_gamma(100), 0.0);
-        assert_eq!(Demand::Saturated.long_run_gamma(100), 1.0);
-        assert_eq!(
-            Demand::Windows(vec![(0, 25), (50, 75)]).long_run_gamma(100),
-            0.5
-        );
-        assert_eq!(
-            Demand::SaturatedFrom { start: 25 }.long_run_gamma(100),
-            0.75
-        );
-        // Windows clipped to the horizon.
-        assert_eq!(Demand::Windows(vec![(50, 150)]).long_run_gamma(100), 0.5);
-    }
-
-    #[test]
     fn random_hours_pick_exactly_requested_budget() {
         let mut r = rng();
         let d = random_hour_windows(&mut r, 12, 24, 3600);
@@ -170,7 +128,6 @@ mod tests {
         let mut starts: Vec<u64> = w.iter().map(|&(s, _)| s).collect();
         starts.dedup();
         assert_eq!(starts.len(), 12, "windows are distinct");
-        assert!((d.long_run_gamma(24 * 3600) - 0.5).abs() < 1e-12);
     }
 
     #[test]

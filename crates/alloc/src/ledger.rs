@@ -84,7 +84,6 @@ impl SparseRow {
 /// let mut ledger = ContributionLedger::new(2, 0.0);
 /// ledger.credit(0, 1, 256.0);
 /// assert_eq!(ledger.cumulative(0, 1), 256.0);
-/// assert_eq!(ledger.received_by(1), 256.0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ContributionLedger {
@@ -156,18 +155,10 @@ impl ContributionLedger {
         self.recv[to].add(from as u32, self.baseline, amount);
     }
 
-    /// Peer `i`'s Eq.-2 weight vector: `weight[j] = cumulative(j, i)`, what
-    /// each peer `j` has contributed *to* `i` historically.
-    pub fn weights_for_allocator(&self, i: usize) -> Vec<f64> {
-        let mut out = vec![0.0; self.n];
-        self.write_weights_for_allocator(i, &mut out);
-        out
-    }
-
-    /// Zero-allocation variant of
-    /// [`weights_for_allocator`](Self::weights_for_allocator): fills the
-    /// baseline then overwrites the materialized entries of receiver `i`'s
-    /// row.
+    /// Writes peer `i`'s Eq.-2 weight vector into `out`: `out[j] =
+    /// cumulative(j, i)`, what each peer `j` has contributed *to* `i`
+    /// historically. Fills the baseline, then overwrites the materialized
+    /// entries of receiver `i`'s row.
     ///
     /// # Panics
     ///
@@ -180,22 +171,6 @@ impl ContributionLedger {
         for (&j, &v) in row.indices().iter().zip(row.values()) {
             out[j as usize] = v;
         }
-    }
-
-    /// Total bandwidth user `j` has received from everyone.
-    pub fn received_by(&self, j: usize) -> f64 {
-        assert!(j < self.n, "peer index out of range");
-        let row = &self.recv[j];
-        let materialized: f64 = row.values().iter().sum();
-        materialized + self.baseline * (self.n - row.len()) as f64
-    }
-
-    /// Total bandwidth peer `i` has contributed to everyone.
-    pub fn contributed_by(&self, i: usize) -> f64 {
-        assert!(i < self.n, "peer index out of range");
-        (0..self.n)
-            .map(|j| self.recv[j].get(i as u32, self.baseline))
-            .sum()
     }
 
     /// Applies exponential discounting to all history (the "disproportionately
@@ -301,30 +276,9 @@ mod tests {
         let mut ledger = ContributionLedger::new(3, 0.0);
         ledger.credit(1, 0, 7.0); // peer 1 gave user 0
         ledger.credit(2, 0, 3.0); // peer 2 gave user 0
-        assert_eq!(ledger.weights_for_allocator(0), vec![0.0, 7.0, 3.0]);
         let mut row = vec![f64::NAN; 3];
         ledger.write_weights_for_allocator(0, &mut row);
         assert_eq!(row, vec![0.0, 7.0, 3.0]);
-    }
-
-    #[test]
-    fn totals_are_row_and_column_sums() {
-        let mut ledger = ContributionLedger::new(3, 0.0);
-        ledger.credit(0, 1, 4.0);
-        ledger.credit(0, 2, 6.0);
-        ledger.credit(1, 2, 1.0);
-        assert_eq!(ledger.contributed_by(0), 10.0);
-        assert_eq!(ledger.received_by(2), 7.0);
-    }
-
-    #[test]
-    fn baseline_counts_toward_totals() {
-        let mut ledger = ContributionLedger::new(4, 1.0);
-        ledger.credit(0, 2, 5.0);
-        // Column 2: materialized 1 + 5 = 6, plus 3 untouched baselines.
-        assert_eq!(ledger.received_by(2), 9.0);
-        // Row 0: one materialized 6, three baselines.
-        assert_eq!(ledger.contributed_by(0), 9.0);
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub use bounds::theorem1_lower_bound;
 pub use demand::{random_hour_windows, Demand};
 pub use ledger::ContributionLedger;
 pub use mask::RequestMask;
-pub use metrics::{gain_over_isolation, jain_index, pairwise_unfairness, smooth};
+pub use metrics::{gain_over_isolation, jain_index, pairwise_unfairness};
 pub use rules::{allocate_into, AllocScratch, AllocationInputs, RuleKind};
 pub use sim::{InitialCredit, SimConfig, SlotSimulator};
 pub use strategy::{CapacityProfile, PeerConfig, Strategy};

@@ -54,16 +54,6 @@ impl SimConfig {
         }
     }
 
-    /// A configuration that leaves each peer's strategy untouched.
-    pub fn heterogeneous(peers: Vec<PeerConfig>) -> Self {
-        SimConfig {
-            peers,
-            initial_credit: InitialCredit::Equal(1.0),
-            seed: 0xA5A5_5A5A,
-            discount: 1.0,
-        }
-    }
-
     /// Sets the initial ledger seeding.
     pub fn with_initial_credit(mut self, credit: InitialCredit) -> Self {
         self.initial_credit = credit;

@@ -34,7 +34,7 @@ impl SimTrace {
     }
 
     /// Number of simulated slots.
-    pub fn slot_count(&self) -> usize {
+    fn slot_count(&self) -> usize {
         self.downloads.first().map_or(0, Vec::len)
     }
 

@@ -105,9 +105,8 @@ pub(crate) enum Out {
 pub(crate) struct Tally {
     /// Coded frames that arrived, whatever became of them.
     pub frames: u64,
-    /// Coded frames the user took — digest-checked, or dropped unhashed as
-    /// surplus to a complete chunk — and their bytes on the wire.
-    pub msgs: u64,
+    /// Wire bytes of the coded frames the user took — digest-checked, or
+    /// dropped unhashed as surplus to a complete chunk.
     pub bytes: u64,
 }
 
@@ -137,13 +136,14 @@ struct Evidence {
 }
 
 /// A connection: its peer's key (for a re-run handshake), its counts since
-/// the fetch began and since the last [`Fetch::drain_window`], and the
-/// evidence against it.
+/// the fetch began, the coded frames the user took since the last
+/// [`Fetch::drain_window`], and the evidence against it.
 #[derive(Debug)]
 struct PeerState {
     conn: u64,
     key: KeyBytes,
-    tallies: [Tally; 2],
+    tally: Tally,
+    window_msgs: u64,
     evidence: Evidence,
 }
 
@@ -179,12 +179,12 @@ impl<U: BorrowMut<User<Gf2p32>>> Fetch<U> {
         let mut states = Vec::with_capacity(peers.len());
         for &(conn, key) in peers {
             out.push(Out::Send(conn, user.borrow_mut().connect(conn, key, rng)));
-            let (tallies, evidence) = Default::default();
             states.push(PeerState {
                 conn,
                 key,
-                tallies,
-                evidence,
+                tally: Tally::default(),
+                window_msgs: 0,
+                evidence: Evidence::default(),
             });
         }
         states.sort_unstable_by_key(|p| p.conn);
@@ -251,14 +251,19 @@ impl<U: BorrowMut<User<Gf2p32>>> Fetch<U> {
         let sent = out.len();
         let (mut rejected, mut replayed) = (false, false);
         let mut resends = i.map_or(0, |i| self.peers[i].evidence.resends);
-        let tallies = i.map_or(&mut [][..], |i| &mut self.peers[i].tallies[..]);
+        let mut counts = i.map(|i| {
+            let p = &mut self.peers[i];
+            (&mut p.tally, &mut p.window_msgs)
+        });
         for wire in frames.drain(..) {
             let mut data = None;
             let mut asked = false;
             if let Wire::MessageData(msg) = &wire {
                 let chunk = FileManifest::chunk_of(msg.message_id());
                 data = Some((chunk, wire.encoded_len() as u64, user.chunk_complete(chunk)));
-                tallies.iter_mut().for_each(|t| t.frames += 1);
+                if let Some((tally, _)) = &mut counts {
+                    tally.frames += 1;
+                }
                 // A message of the chunk closes the round trip its sender
                 // owes.
                 if !self.replacements.is_empty() {
@@ -276,8 +281,9 @@ impl<U: BorrowMut<User<Gf2p32>>> Fetch<U> {
             match user.on_message(conn, wire, rng) {
                 Ok(replies) => {
                     if let Some((chunk, bytes, was_ranked)) = data {
-                        for t in tallies.iter_mut() {
-                            (t.msgs, t.bytes) = (t.msgs + 1, t.bytes + bytes);
+                        if let Some((tally, window_msgs)) = &mut counts {
+                            tally.bytes += bytes;
+                            **window_msgs += 1;
                         }
                         if !was_ranked && user.chunk_complete(chunk) {
                             let last = user.is_complete();
@@ -386,11 +392,11 @@ impl<U: BorrowMut<User<Gf2p32>>> Fetch<U> {
                 continue;
             };
             let PeerState {
-                tallies, evidence, ..
+                tally, evidence, ..
             } = &mut self.peers[i];
             match wire {
                 Wire::FileRequest { .. } => {
-                    evidence.resends = tallies[0].frames;
+                    evidence.resends = tally.frames;
                     evidence.excused = true;
                 }
                 Wire::ReplacementRequest { .. } | Wire::AuthCommit { .. } => {
@@ -510,18 +516,18 @@ impl<U: BorrowMut<User<Gf2p32>>> Fetch<U> {
     /// `conn`'s counts since the fetch began (zero for a stranger).
     pub(crate) fn tally(&self, conn: u64) -> Tally {
         self.index(conn)
-            .map_or(Tally::default(), |i| self.peers[i].tallies[0])
+            .map_or(Tally::default(), |i| self.peers[i].tally)
     }
 
-    /// Hands `f` each connection's counts since the last drain, in
-    /// connection order, skipping those with nothing new.
-    pub(crate) fn drain_window(&mut self, mut f: impl FnMut(u64, Tally)) {
-        for peer in self
-            .peers
-            .iter_mut()
-            .filter(|p| p.tallies[1] != Tally::default())
-        {
-            f(peer.conn, std::mem::take(&mut peer.tallies[1]));
+    /// Hands `f` the coded frames each connection's user took since the
+    /// last drain (a health window's `msgs`: no digest reject or duplicate
+    /// among them), in connection order, skipping those that took none.
+    pub(crate) fn drain_window(&mut self, mut f: impl FnMut(u64, u64)) {
+        for peer in &mut self.peers {
+            let msgs = std::mem::take(&mut peer.window_msgs);
+            if msgs > 0 {
+                f(peer.conn, msgs);
+            }
         }
     }
 }

@@ -202,8 +202,6 @@ impl Host {
 ///   only the digest can tell.
 /// - `Replay`: with probability `prob`, a frame is replaced by the last
 ///   one that left — authentic bytes that buy no rank.
-/// - `InflateCredit` is inert: credit moves only inside the user's signed
-///   feedback (DESIGN.md §11).
 fn tamper(
     (strategy, seed): Adversary,
     conn: u64,
@@ -246,7 +244,6 @@ fn tamper(
                 }
             }
         }
-        AdversaryStrategy::InflateCredit { .. } => {}
     }
 }
 
@@ -450,19 +447,6 @@ mod tests {
         authenticate(&mut host, 5, &user(0), &mut rng);
         host.set_adversary(None);
         assert_eq!(pass(&mut host, 64, 0).len(), 6, "honest again once lifted");
-    }
-
-    #[test]
-    fn adversary_inflate_credit_stages_what_an_honest_node_would() {
-        let mut rng = rng();
-        let mut honest = hosting(&[1.0], &[24; 8], &mut rng);
-        let mut rng = self::rng();
-        let mut inflater = hosting(&[1.0], &[24; 8], &mut rng);
-        let inflate = AdversaryStrategy::InflateCredit { factor: 4.0 };
-        inflater.set_adversary(Some((inflate, 2)));
-        request(&mut honest, 0, &mut rng);
-        request(&mut inflater, 0, &mut rng);
-        assert_eq!(pass(&mut inflater, 64, 0), pass(&mut honest, 64, 0));
     }
 
     /// What one run of a driver saw: per arrival its replies, per pass its

@@ -419,7 +419,7 @@ impl Peer {
     }
 
     /// Whether `conn` has more stored messages to send.
-    pub fn has_pending(&self, conn: u64) -> bool {
+    fn has_pending(&self, conn: u64) -> bool {
         self.peek_next(conn).is_some()
     }
 

@@ -19,8 +19,8 @@ use std::time::Instant;
 /// assert_eq!(bucket.drain(t0), 500.0);
 /// bucket.refund(100.0);
 /// assert_eq!(bucket.available(t0), 100.0);
-/// assert!(!bucket.try_take(400.0, t0));
-/// assert!(bucket.try_take(400.0, t0 + Duration::from_secs(1)));
+/// // Refilled at 1000 bytes/s, capped at the burst.
+/// assert_eq!(bucket.available(t0 + Duration::from_secs(1)), 500.0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct TokenBucket {
@@ -51,17 +51,6 @@ impl TokenBucket {
         let dt = now.saturating_duration_since(self.last).as_secs_f64();
         self.tokens = (self.tokens + dt * self.rate).min(self.burst);
         self.last = now;
-    }
-
-    /// Attempts to spend `amount` tokens; returns whether it succeeded.
-    pub fn try_take(&mut self, amount: f64, now: Instant) -> bool {
-        self.refill(now);
-        if self.tokens >= amount {
-            self.tokens -= amount;
-            true
-        } else {
-            false
-        }
     }
 
     /// Takes every token out of the bucket, returning how many there were.
@@ -102,11 +91,11 @@ mod tests {
     fn spends_and_refills() {
         let t0 = Instant::now();
         let mut b = TokenBucket::new(100.0, 100.0, t0);
-        assert!(b.try_take(100.0, t0));
-        assert!(!b.try_take(1.0, t0));
+        assert!((b.drain(t0) - 100.0).abs() < 1e-9);
+        assert_eq!(b.available(t0), 0.0);
         let t1 = t0 + Duration::from_millis(500);
         assert!((b.available(t1) - 50.0).abs() < 1e-9);
-        assert!(b.try_take(50.0, t1));
+        assert!((b.drain(t1) - 50.0).abs() < 1e-9);
     }
 
     #[test]

@@ -418,17 +418,13 @@ fn fetch(
             }
         }
     };
-    // Each peer's coded frames since the last report, as `window` events —
-    // the health report's rate denominators — then the `health`/`window`
+    // The coded frames each peer's user took since the last report, as
+    // `window` events — the health report's rate denominators, to which it
+    // adds the digest rejects and duplicates — then the `health`/`window`
     // heartbeat at which the report's fold over the log closes a window.
     let report_windows = |fetch: &mut Fetch<&mut User<Gf2p32>>| {
-        fetch.drain_window(|peer, counts| {
-            if counts.frames > 0 {
-                download(
-                    "window",
-                    &[("peer", peer.into()), ("msgs", counts.frames.into())],
-                );
-            }
+        fetch.drain_window(|peer, msgs| {
+            download("window", &[("peer", peer.into()), ("msgs", msgs.into())]);
         });
         events.emit("health", "window", &[]);
     };
@@ -1015,8 +1011,9 @@ mod tests {
     /// coded messages, hashed four at a time — while `sabotage` damages
     /// payloads in transit, and checks the books: the file is intact, each
     /// damaged message that could still reach a decoder was rejected alone
-    /// and asked for again, nothing else was rejected, and the feedback
-    /// report debits exactly the rejected bytes.
+    /// and asked for again, nothing else was rejected, the health windows
+    /// count no frame twice, and the feedback report debits exactly the
+    /// rejected bytes.
     fn download_with_damaged_payloads(
         tag: [u8; 2],
         base: u64,
@@ -1065,6 +1062,29 @@ mod tests {
             (accepted + stats.corruptions..=accepted + stats.corruptions + stats.duplicates)
                 .contains(&hashed),
             "{hashed} hashed, {accepted} accepted, {stats:?}"
+        );
+        // A `window` event's `msgs` are the coded frames the user took; a
+        // digest reject or a duplicate is counted by its own event, so the
+        // three add up to the coded frames that arrived.
+        assert_eq!(network.events().dropped_events(), 0);
+        let events = network.events().events();
+        let count = |kind: &str| -> u64 {
+            let of_kind = events
+                .iter()
+                .filter(|e| e.component == "rt.download" && e.kind == kind);
+            of_kind
+                .map(|e| match e.fields.iter().find(|(n, _)| *n == "msgs") {
+                    Some((_, Value::U64(msgs))) => *msgs,
+                    _ => 1,
+                })
+                .sum()
+        };
+        let arrived =
+            user.innovative_count() + user.redundant_count() + stats.corruptions + stats.duplicates;
+        assert_eq!(
+            count("window") + count("digest_reject") + count("duplicate"),
+            arrived,
+            "{stats:?}"
         );
         // Credited iff hashed and accepted, less what was rejected.
         let report = std::iter::from_fn(|| home.try_recv())

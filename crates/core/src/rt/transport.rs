@@ -321,15 +321,16 @@ impl RtNetwork {
     }
 
     /// Installs a [`FaultPlan`] affecting every subsequent send; replaces
-    /// any previous plan and resets its counters. A node of the plan is the
-    /// address [`NodeId::new`] names. Link faults are realised per
-    /// datagram, by [`send_frames`](Self::send_frames): a datagram from or
-    /// to a node inside an outage window (seconds since this call) is
-    /// dropped; then the sender's link faults apply in the order loss,
-    /// corruption, delay. With no plan installed the transport draws no
-    /// random numbers at all. A node's adversary strategy is its own
-    /// behaviour, applied by the reactor's serving engine before anything
-    /// is sent.
+    /// any previous plan, discarding what its delay queue still holds
+    /// (their frames leave their senders' counts), and resets its counters.
+    /// A node of the plan is the address [`NodeId::new`] names. Link
+    /// faults are realised per datagram, by
+    /// [`send_frames`](Self::send_frames): a datagram from or to a node
+    /// inside an outage window (seconds since this call) is dropped; then
+    /// the sender's link faults apply in the order loss, corruption,
+    /// delay. With no plan installed the transport draws no random
+    /// numbers at all. A node's adversary strategy is its own behaviour,
+    /// applied by the reactor's serving engine before anything is sent.
     ///
     /// Corruption touches only `MessageData` payload bytes, never framing
     /// or control messages — a flipped content bit surfaces as a
@@ -338,12 +339,6 @@ impl RtNetwork {
     /// error.
     pub fn install_faults(&self, plan: FaultPlan) {
         *self.fault.write() = Some(FaultState::new(plan));
-    }
-
-    /// Removes the fault plan; messages still held in the delay queue are
-    /// discarded (and their frames leave their senders' counts).
-    pub fn clear_faults(&self) {
-        *self.fault.write() = None;
     }
 
     /// The strategy the installed plan assigns to `addr`, with its seed.
@@ -640,9 +635,12 @@ mod tests {
         assert!(net.send(1, 4, &Wire::FileRequest { file_id: 1 }));
         assert!(inbox.try_recv().is_none(), "payload lost in transit");
         assert_eq!(net.fault_stats().dropped, 1);
-        net.clear_faults();
+        net.install_faults(FaultPlan::new(9));
         assert!(net.send(1, 4, &Wire::FileRequest { file_id: 1 }));
-        assert!(inbox.try_recv().is_some(), "healthy again after clearing");
+        assert!(
+            inbox.try_recv().is_some(),
+            "healthy again under a clean plan"
+        );
     }
 
     #[test]
@@ -826,8 +824,8 @@ mod tests {
         assert!(net.send_counted(1, 104, &data_frames(3), Some(&queued)));
         assert_eq!(net.fault_stats().delayed, 1);
         assert_eq!(queued.get(), 3);
-        net.clear_faults();
-        assert_eq!(queued.get(), 0, "clear_faults discards the held datagram");
+        net.install_faults(FaultPlan::new(13));
+        assert_eq!(queued.get(), 0, "a new plan discards the held datagram");
         assert!(net.send_counted(1, 104, &data_frames(2), Some(&queued)));
         assert_eq!(queued.get(), 2);
         drop(inbox);
@@ -911,7 +909,6 @@ mod tests {
         let _inbox = net.register(30);
         net.install_faults(FaultPlan::new(9).with_loss(1.0));
         net.send(31, 30, &Wire::FileRequest { file_id: 1 });
-        net.clear_faults();
         net.install_faults(FaultPlan::new(11).with_corruption(1.0));
         let msg = EncodedMessage::new(FileId(1), MessageId(0), vec![0xAA; 32]);
         net.send(32, 30, &Wire::MessageData(msg));
@@ -983,27 +980,6 @@ mod tests {
         net.events().emit("health", "window", &[]);
         let report = replay(&HealthConfig::default(), &net.events().events()).report();
         assert_eq!(report, HealthReport::default());
-    }
-
-    /// Adversaries are their node's behaviour, applied by its `Host`
-    /// before it sends: the transport realises link faults only.
-    #[test]
-    fn adversary_inflate_credit_is_inert_on_the_wire() {
-        use asymshare_rlnc::{EncodedMessage, FileId, MessageId};
-        let net = RtNetwork::new();
-        let inbox = net.register(80);
-        net.install_faults(FaultPlan::new(2).with_adversary(
-            NodeId::new(81),
-            asymshare_netsim::AdversaryStrategy::InflateCredit { factor: 4.0 },
-        ));
-        let msg = EncodedMessage::new(FileId(1), MessageId(0), vec![9u8; 24]);
-        assert!(net.send(81, 80, &Wire::MessageData(msg.clone())));
-        let e = inbox.try_recv().unwrap();
-        let Wire::MessageData(got) = e.decode().unwrap() else {
-            panic!("data frame");
-        };
-        assert_eq!(got.payload(), msg.payload(), "bytes untouched");
-        assert!(inbox.try_recv().is_none(), "no duplication either");
     }
 
     #[test]

@@ -52,9 +52,6 @@ pub struct RuntimeConfig {
     pub k: usize,
     /// Chunk size in bytes (1 MB in the paper; tests use smaller).
     pub chunk_size: usize,
-    /// One-way propagation delay on every transfer, seconds (default 0;
-    /// set ~0.02–0.1 to model WAN RTTs — it mostly taxes the handshake).
-    pub latency_secs: f64,
     /// Simulated seconds without progress on a connection before the
     /// downloader declares it stalled and starts recovery.
     pub stall_timeout_secs: f64,
@@ -72,7 +69,6 @@ impl Default for RuntimeConfig {
             feedback_every_slots: 10,
             k: 8,
             chunk_size: asymshare_rlnc::CHUNK_SIZE,
-            latency_secs: 0.0,
             stall_timeout_secs: 10.0,
             retry_backoff_secs: 2.0,
             max_peer_retries: 3,
@@ -245,11 +241,9 @@ pub struct SimRuntime {
 impl SimRuntime {
     /// A fresh deployment with the given configuration.
     pub fn new(cfg: RuntimeConfig) -> SimRuntime {
-        let mut net = SimNet::new();
-        net.set_propagation_delay(cfg.latency_secs);
         SimRuntime {
             cfg,
-            net,
+            net: SimNet::new(),
             participants: Vec::new(),
             sessions: Vec::new(),
             pending: HashMap::new(),
@@ -1035,10 +1029,8 @@ impl SimRuntime {
         let mut msgs: BTreeMap<usize, u64> = BTreeMap::new();
         for session in &mut self.sessions {
             let conns = &session.conns;
-            session.fetch.drain_window(|conn, counts| {
-                if counts.msgs > 0 {
-                    *msgs.entry(conns[&conn]).or_insert(0) += counts.msgs;
-                }
+            session.fetch.drain_window(|conn, n| {
+                *msgs.entry(conns[&conn]).or_insert(0) += n;
             });
         }
         for (p_idx, n) in msgs {
@@ -1378,35 +1370,6 @@ mod tests {
             .iter()
             .any(|e| e.component == "sim.alloc" && e.kind == "slot_share"));
         assert!(rt.events_jsonl().contains("\"component\": \"sim.alloc\""));
-    }
-
-    #[test]
-    fn propagation_delay_slows_small_downloads() {
-        let run = |latency: f64| {
-            let mut rt = SimRuntime::new(RuntimeConfig {
-                latency_secs: latency,
-                ..small_cfg()
-            });
-            let ids: Vec<ParticipantId> = (0..3u8)
-                .map(|i| {
-                    rt.add_participant(Identity::from_seed(&[b'l', i]), kbps(512.0), kbps(3000.0))
-                })
-                .collect();
-            let payload = data(48 * 1024);
-            let (manifest, _) = rt.disseminate(ids[0], FileId(9), &payload, &ids).unwrap();
-            let session = rt
-                .start_download(ids[0], manifest, kbps(512.0), kbps(3000.0), &ids)
-                .unwrap();
-            let report = rt.run_to_completion(session, 600).unwrap();
-            assert_eq!(report.data, payload);
-            report.duration_secs
-        };
-        let fast = run(0.0);
-        let slow = run(0.25);
-        assert!(
-            slow > fast,
-            "250 ms propagation delay must cost time ({slow:.2}s vs {fast:.2}s)"
-        );
     }
 
     #[test]

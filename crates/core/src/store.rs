@@ -89,13 +89,6 @@ impl MessageStore {
         self.message_count(file) > 0
     }
 
-    /// Ids of all files with stored messages.
-    pub fn file_ids(&self) -> Vec<FileId> {
-        let mut ids: Vec<FileId> = self.files.keys().map(|&id| FileId(id)).collect();
-        ids.sort_unstable();
-        ids
-    }
-
     /// Total stored bytes (wire size) — the disk cost of participating,
     /// which the paper prices at "under a dollar per gigabyte". O(1): a
     /// running counter maintained by `insert`/`remove_file`.
@@ -141,7 +134,6 @@ mod tests {
         assert_eq!(s.message_count(FileId(3)), 0);
         assert!(s.has_file(FileId(1)));
         assert!(!s.has_file(FileId(3)));
-        assert_eq!(s.file_ids(), vec![FileId(1), FileId(2)]);
     }
 
     #[test]

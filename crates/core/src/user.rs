@@ -459,12 +459,6 @@ impl<F: Field> User<F> {
     pub fn chunk_count(&self) -> u32 {
         self.decoder.manifest().chunk_count()
     }
-
-    /// Digest-rejected bytes per peer in the current feedback window (the
-    /// debit side of the next report).
-    pub fn window_rejected_bytes(&self) -> &HashMap<KeyBytes, u64> {
-        &self.rejected_from
-    }
 }
 
 #[cfg(test)]
@@ -625,7 +619,7 @@ mod tests {
         assert_eq!(user.redundant_count(), redundant + 1);
         assert_eq!(user.stats(), &stats, "no corruption, no bytes_by_peer");
         assert_eq!(user.window_bytes(), &window, "no credit");
-        assert!(user.window_rejected_bytes().is_empty(), "no debit either");
+        assert!(user.rejected_from.is_empty(), "no debit either");
         assert_eq!(window.len(), 1);
         assert!(window.contains_key(&peer_key));
     }
@@ -725,7 +719,7 @@ mod tests {
             "got {err}"
         );
         assert_eq!(user.stats().corruptions, 1);
-        assert!(user.window_rejected_bytes()[&peer_key] > 0);
+        assert!(user.rejected_from[&peer_key] > 0);
         // The forged id never entered the seen-set, so the genuine message
         // is innovative rather than a "duplicate".
         let innovative = user.innovative_count();
@@ -804,7 +798,7 @@ mod tests {
                 user.hashed_count(),
             ),
             user.window_bytes().clone(),
-            user.window_rejected_bytes().clone(),
+            user.rejected_from.clone(),
             user.completed_chunks(),
             (0..4).map(|conn| user.stage(conn)).collect::<Vec<_>>(),
             user.decode(),

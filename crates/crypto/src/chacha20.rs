@@ -111,26 +111,6 @@ impl ChaChaRng {
         self.fill_bytes(&mut buf);
         u64::from_le_bytes(buf)
     }
-
-    /// Uniform value in `[0, bound)` by rejection sampling.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bound == 0`.
-    pub fn next_u64_below(&mut self, bound: u64) -> u64 {
-        assert!(bound > 0, "bound must be positive");
-        if bound.is_power_of_two() {
-            return self.next_u64() & (bound - 1);
-        }
-        // Rejection zone keeps the distribution exactly uniform.
-        let zone = u64::MAX - (u64::MAX % bound + 1) % bound;
-        loop {
-            let v = self.next_u64();
-            if v <= zone {
-                return v % bound;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -179,31 +159,5 @@ mod tests {
         b.fill_bytes(&mut rest);
         assert_eq!(&big[..37], &first);
         assert_eq!(&big[37..], &rest);
-    }
-
-    #[test]
-    fn bounded_sampling_is_in_range() {
-        let mut rng = ChaChaRng::new([5u8; 32], [7u8; 12]);
-        for bound in [1u64, 2, 3, 16, 1000, u32::MAX as u64 + 17] {
-            for _ in 0..200 {
-                assert!(rng.next_u64_below(bound) < bound);
-            }
-        }
-    }
-
-    #[test]
-    fn bounded_sampling_hits_all_small_values() {
-        let mut rng = ChaChaRng::new([5u8; 32], [8u8; 12]);
-        let mut seen = [false; 5];
-        for _ in 0..500 {
-            seen[rng.next_u64_below(5) as usize] = true;
-        }
-        assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    #[should_panic(expected = "bound must be positive")]
-    fn zero_bound_panics() {
-        ChaChaRng::new([0u8; 32], [0u8; 12]).next_u64_below(0);
     }
 }

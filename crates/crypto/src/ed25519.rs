@@ -214,7 +214,7 @@ impl Point {
 
     /// Constructs a point from affine coordinates, checking the curve
     /// equation −x² + y² = 1 + d·x²y².
-    pub fn from_affine(x: Fe, y: Fe) -> Option<Point> {
+    fn from_affine(x: Fe, y: Fe) -> Option<Point> {
         let x2 = x.square();
         let y2 = y.square();
         let lhs = y2 - x2;
@@ -232,7 +232,7 @@ impl Point {
     }
 
     /// Affine coordinates (x, y).
-    pub fn to_affine(self) -> (Fe, Fe) {
+    fn to_affine(self) -> (Fe, Fe) {
         let zinv = self.z.inv();
         (self.x * zinv, self.y * zinv)
     }
@@ -348,21 +348,12 @@ impl Point {
         }
         sum.extended()
     }
-
-    /// Projective equality (compares x/z and y/z without inversions).
-    pub fn eq_point(&self, rhs: &Point) -> bool {
-        self.x * rhs.z == rhs.x * self.z && self.y * rhs.z == rhs.y * self.z
-    }
-
-    /// Whether this is the identity.
-    pub fn is_identity(&self) -> bool {
-        self.x.is_zero() && self.y == self.z
-    }
 }
 
 impl PartialEq for Point {
-    fn eq(&self, other: &Self) -> bool {
-        self.eq_point(other)
+    /// Projective equality (compares x/z and y/z without inversions).
+    fn eq(&self, rhs: &Self) -> bool {
+        self.x * rhs.z == rhs.x * self.z && self.y * rhs.z == rhs.y * self.z
     }
 }
 
@@ -597,8 +588,7 @@ mod tests {
         let id = Point::identity();
         assert_eq!(b.add(id), b);
         assert_eq!(id.add(b), b);
-        assert!(id.is_identity());
-        assert!(id.double().is_identity());
+        assert_eq!(id.double(), id);
     }
 
     #[test]
@@ -621,8 +611,9 @@ mod tests {
     #[test]
     fn base_point_has_order_l() {
         let b = Point::base();
-        assert!(b.mul_scalar(&L).is_identity(), "ℓ·B must be the identity");
-        assert!(!b.mul_scalar(&U256::from_u64(1)).is_identity());
+        let id = Point::identity();
+        assert_eq!(b.mul_scalar(&L), id, "ℓ·B must be the identity");
+        assert_ne!(b.mul_scalar(&U256::from_u64(1)), id);
     }
 
     #[test]

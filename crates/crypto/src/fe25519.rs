@@ -62,11 +62,6 @@ impl Fe {
         self.0.to_le_bytes()
     }
 
-    /// The underlying reduced integer.
-    pub fn to_u256(self) -> U256 {
-        self.0
-    }
-
     /// Whether this is zero.
     pub fn is_zero(self) -> bool {
         self.0.is_zero()
@@ -288,7 +283,7 @@ mod tests {
         ];
         for &a in &vals {
             for &b in &vals {
-                let fast = Fe::from_u256(a).mul(Fe::from_u256(b)).to_u256();
+                let fast = Fe::from_u256(a).mul(Fe::from_u256(b)).0;
                 let slow = a.reduce_mod(&P).mul_mod(&b.reduce_mod(&P), &P);
                 assert_eq!(fast, slow);
             }

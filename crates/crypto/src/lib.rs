@@ -5,7 +5,8 @@
 //!
 //! * [`md5`] — the per-message 128-bit authentication digests of §III-C
 //!   (RFC 1321), kept for fidelity; [`sha256`] is the modern alternative.
-//! * [`sha256`] + [`hmac`] — seed derivation and keyed MACs.
+//! * [`sha256`] — seed derivation; [`ct_eq`] compares digests in
+//!   constant time.
 //! * [`chacha20`] + [`rng`] — the "cryptographically strong random number
 //!   generator seeded with a cryptographic hash of *i* and a secret key"
 //!   that produces coding coefficients (§III-A).
@@ -43,9 +44,35 @@
 pub mod chacha20;
 pub mod ed25519;
 pub mod fe25519;
-pub mod hmac;
 pub mod md5;
 pub mod rng;
 pub mod schnorr;
 pub mod sha256;
 pub mod u256;
+
+/// Constant-time equality of two byte strings.
+///
+/// Returns `false` for different lengths without inspecting contents.
+pub fn ct_eq(a: &[u8], b: &[u8]) -> bool {
+    if a.len() != b.len() {
+        return false;
+    }
+    let mut acc = 0u8;
+    for (x, y) in a.iter().zip(b) {
+        acc |= x ^ y;
+    }
+    acc == 0
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn ct_eq_behaviour() {
+        assert!(ct_eq(b"same", b"same"));
+        assert!(!ct_eq(b"same", b"sam"));
+        assert!(!ct_eq(b"same", b"sane"));
+        assert!(ct_eq(b"", b""));
+    }
+}

@@ -115,11 +115,6 @@ impl KeyPair {
         self.public
     }
 
-    /// The secret scalar (for the owner's local key store only).
-    pub fn secret_scalar(&self) -> U256 {
-        self.secret
-    }
-
     /// Signs `message` (Fiat–Shamir transform of the identification
     /// protocol, challenge bound to the public key and message).
     pub fn sign(&self, message: &[u8], rng: &mut ChaChaRng) -> Signature {
@@ -354,7 +349,7 @@ mod tests {
         let k2 = KeyPair::from_secret(U256::from_u64(12345));
         assert_eq!(k1.public_key(), k2.public_key());
         let k3 = KeyPair::from_secret(U256::ZERO); // degenerate input handled
-        assert_eq!(k3.secret_scalar(), U256::ONE);
+        assert_eq!(k3.secret, U256::ONE);
     }
 
     /// The cost model, in field inversions (≈ 265 field multiplications

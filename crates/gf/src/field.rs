@@ -139,7 +139,7 @@ pub trait Field:
 /// use asymshare_gf::FieldKind;
 ///
 /// assert_eq!(FieldKind::Gf2p32.bits_per_symbol(), 32);
-/// assert_eq!(FieldKind::Gf16.symbols_per_byte_num_den(), (2, 1));
+/// assert_eq!(FieldKind::Gf16.bytes_for_symbols(2), 1);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum FieldKind {
@@ -177,29 +177,13 @@ impl FieldKind {
     ///
     /// GF(2⁴) packs 2 symbols per byte; wider fields span multiple bytes per
     /// symbol, e.g. GF(2³²) yields `(1, 4)`.
-    pub fn symbols_per_byte_num_den(self) -> (usize, usize) {
+    fn symbols_per_byte_num_den(self) -> (usize, usize) {
         match self {
             FieldKind::Gf16 => (2, 1),
             FieldKind::Gf256 => (1, 1),
             FieldKind::Gf65536 => (1, 2),
             FieldKind::Gf2p32 => (1, 4),
         }
-    }
-
-    /// Number of symbols needed to represent `n_bytes` bytes exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the byte count does not pack to a whole number of symbols
-    /// (e.g. 3 bytes in GF(2¹⁶)); the codec always sizes chunks so this holds.
-    pub fn symbols_for_bytes(self, n_bytes: usize) -> usize {
-        let (num, den) = self.symbols_per_byte_num_den();
-        let total = n_bytes * num;
-        assert!(
-            total.is_multiple_of(den),
-            "{n_bytes} bytes do not pack into whole {self:?} symbols"
-        );
-        total / den
     }
 
     /// Number of bytes spanned by `n_symbols` symbols.
@@ -250,16 +234,9 @@ mod tests {
     fn symbol_byte_round_trip() {
         for kind in FieldKind::ALL {
             let bytes = 1024usize;
-            let syms = kind.symbols_for_bytes(bytes);
+            let syms = bytes * 8 / kind.bits_per_symbol() as usize;
             assert_eq!(kind.bytes_for_symbols(syms), bytes);
-            assert_eq!(syms as u32 * kind.bits_per_symbol(), bytes as u32 * 8);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "do not pack")]
-    fn odd_bytes_gf2p32_panics() {
-        FieldKind::Gf2p32.symbols_for_bytes(3);
     }
 
     #[test]

@@ -50,7 +50,7 @@ impl Gf2p32 {
 /// Folds the bits above x³¹ down using x³² ≡ x²² + x² + x + 1; three folds
 /// always suffice for a 64-bit input.
 #[inline]
-pub(crate) fn reduce64(mut v: u64) -> u32 {
+fn reduce64(mut v: u64) -> u32 {
     const LOW: u64 = MODULUS & 0xffff_ffff; // x^22 + x^2 + x + 1
     while v >> 32 != 0 {
         let hi = v >> 32;

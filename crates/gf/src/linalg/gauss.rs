@@ -153,25 +153,6 @@ impl<F: Field> RankTracker<F> {
         }
         false
     }
-
-    /// Whether `row` would be accepted, without mutating the tracker.
-    pub fn is_independent(&self, row: &[F]) -> bool {
-        assert_eq!(row.len(), self.width, "row width mismatch");
-        let mut v = row.to_vec();
-        for col in 0..self.width {
-            if v[col] == F::ZERO {
-                continue;
-            }
-            match &self.echelon[col] {
-                Some(basis) => {
-                    let f = v[col];
-                    F::axpy_slice(f, basis, &mut v);
-                }
-                None => return true,
-            }
-        }
-        false
-    }
 }
 
 #[cfg(test)]
@@ -247,18 +228,6 @@ mod tests {
         let mut t = RankTracker::<Gf256>::new(4);
         assert!(!t.try_add(&[Gf256::ZERO; 4]));
         assert_eq!(t.rank(), 0);
-    }
-
-    #[test]
-    fn is_independent_matches_try_add() {
-        let mut t = RankTracker::<Gf256>::new(2);
-        let r0 = [g(1), g(1)];
-        let r1 = [g(1), g(0)];
-        assert!(t.is_independent(&r0));
-        t.try_add(&r0);
-        assert!(!t.is_independent(&[g(2), g(2)]));
-        assert!(t.is_independent(&r1));
-        assert_eq!(t.rank(), 1); // is_independent did not mutate
     }
 
     #[test]

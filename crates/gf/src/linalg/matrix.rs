@@ -114,7 +114,7 @@ impl<F: Field> Matrix<F> {
 
     /// Mutable borrow of row `r`.
     #[inline]
-    pub fn row_mut(&mut self, r: usize) -> &mut [F] {
+    fn row_mut(&mut self, r: usize) -> &mut [F] {
         &mut self.data[r * self.ncols..(r + 1) * self.ncols]
     }
 

@@ -51,7 +51,7 @@ pub fn degree(a: u128) -> Option<u32> {
 /// # Panics
 ///
 /// Panics if `modulus` is zero.
-pub fn reduce(mut a: u128, modulus: u64) -> u64 {
+fn reduce(mut a: u128, modulus: u64) -> u64 {
     let md = degree(modulus as u128).expect("modulus must be nonzero");
     while let Some(d) = degree(a) {
         if d < md {

@@ -47,10 +47,6 @@ impl LinkFault {
             "jitter must be finite and non-negative"
         );
     }
-
-    fn is_noop(&self) -> bool {
-        self.loss_prob == 0.0 && self.corrupt_prob == 0.0 && self.jitter_secs == 0.0
-    }
 }
 
 /// A deterministic malicious-peer behaviour assigned to one node.
@@ -90,13 +86,6 @@ pub enum AdversaryStrategy {
         /// Fraction in `[0, 1]` of owed messages actually served.
         serve_fraction: f64,
     },
-    /// Eq.-2 credit inflation: claim contribution for bytes the victim
-    /// rejected or never received, inflating the ledger by `factor` times
-    /// the genuinely attempted bytes.
-    InflateCredit {
-        /// Multiplier (≥ 0) on attempted bytes claimed as extra credit.
-        factor: f64,
-    },
 }
 
 impl AdversaryStrategy {
@@ -104,8 +93,7 @@ impl AdversaryStrategy {
     ///
     /// # Panics
     ///
-    /// Panics for probabilities or fractions outside `[0, 1]`, or a
-    /// non-finite / negative inflation factor.
+    /// Panics for probabilities or fractions outside `[0, 1]`.
     fn validate(&self) {
         match *self {
             AdversaryStrategy::Pollute { prob } | AdversaryStrategy::Replay { prob } => {
@@ -120,12 +108,6 @@ impl AdversaryStrategy {
                     "serve fraction must lie in [0, 1]"
                 );
             }
-            AdversaryStrategy::InflateCredit { factor } => {
-                assert!(
-                    factor.is_finite() && factor >= 0.0,
-                    "credit inflation factor must be finite and non-negative"
-                );
-            }
         }
     }
 
@@ -135,7 +117,6 @@ impl AdversaryStrategy {
             AdversaryStrategy::Pollute { .. } => "pollute",
             AdversaryStrategy::Replay { .. } => "replay",
             AdversaryStrategy::SelectiveServe { .. } => "selective",
-            AdversaryStrategy::InflateCredit { .. } => "inflate_credit",
         }
     }
 }
@@ -155,14 +136,14 @@ pub fn adversary_draw(seed: u64, salt: u64) -> f64 {
 /// `[from_secs, until_secs)`. An infinite `until_secs` models churn — the
 /// node leaves and never comes back.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Outage {
+struct Outage {
     /// The affected node.
-    pub node: NodeId,
+    node: NodeId,
     /// Outage start, seconds of simulated time (on the real-time
     /// transport, seconds since the plan was installed).
-    pub from_secs: f64,
+    from_secs: f64,
     /// Outage end (exclusive); `f64::INFINITY` for a permanent kill.
-    pub until_secs: f64,
+    until_secs: f64,
 }
 
 /// Counters of faults actually realized (not merely configured): flows in
@@ -323,14 +304,6 @@ impl FaultPlan {
             .unwrap_or(self.default)
     }
 
-    /// Whether the plan can affect any flow at all.
-    pub fn is_noop(&self) -> bool {
-        self.default.is_noop()
-            && self.per_node.values().all(LinkFault::is_noop)
-            && self.outages.is_empty()
-            && self.adversaries.is_empty()
-    }
-
     /// Whether `node` is inside an outage window at time `now`.
     pub fn node_down(&self, node: NodeId, now_secs: f64) -> bool {
         self.outages
@@ -412,8 +385,6 @@ mod tests {
         );
         assert_eq!(plan.fault_for(node).loss_prob, 0.9);
         assert_eq!(plan.fault_for(other).loss_prob, 0.1);
-        assert!(!plan.is_noop());
-        assert!(FaultPlan::new(5).is_noop());
     }
 
     #[test]
@@ -448,14 +419,6 @@ mod tests {
             Some(AdversaryStrategy::Pollute { prob: 0.5 })
         );
         assert_eq!(plan.adversary_for(NodeId(0)), None);
-        assert!(
-            !plan.is_noop(),
-            "an adversary makes the plan non-trivial even with clean links"
-        );
-        assert_eq!(
-            AdversaryStrategy::InflateCredit { factor: 2.0 }.name(),
-            "inflate_credit"
-        );
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub(crate) fn assign_max_min_rates(nodes: &[Node], flows: &mut [Flow], now: f64)
     if flows.is_empty() {
         return;
     }
-    // Flows still in their propagation-delay window carry nothing and
+    // Flows still in their jitter-delay window carry nothing and
     // consume no capacity.
     for f in flows.iter_mut() {
         if f.starts_at > now {

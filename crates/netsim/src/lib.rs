@@ -37,9 +37,7 @@ mod net;
 mod node;
 mod time;
 
-pub use fault::{
-    adversary_draw, AdversaryStrategy, FaultPlan, FaultStats, LinkFault, Outage, SplitMix64,
-};
+pub use fault::{adversary_draw, AdversaryStrategy, FaultPlan, FaultStats, LinkFault, SplitMix64};
 pub use flow::{FlowId, FlowProgress};
 pub use net::{Event, EventKind, NetTotals, SimNet};
 pub use node::{LinkSpeed, NodeId, NodeStats};

@@ -68,9 +68,6 @@ pub struct SimNet {
     now: SimTime,
     next_flow_id: u64,
     rates_dirty: bool,
-    /// One-way propagation delay applied to every flow started from now on
-    /// (seconds; default 0).
-    propagation_delay: f64,
     /// Installed fault plan plus its RNG stream and realized-fault counters.
     fault: Option<FaultState>,
     /// Aggregate lifetime counters (pure bookkeeping: never read by the
@@ -94,21 +91,6 @@ impl SimNet {
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Sets the one-way propagation delay applied to flows started from now
-    /// on: a flow carries no bytes for its first `secs` seconds, modelling
-    /// RTT-scale latency for small control messages.
-    ///
-    /// # Panics
-    ///
-    /// Panics for a negative or non-finite delay.
-    pub fn set_propagation_delay(&mut self, secs: f64) {
-        assert!(
-            secs.is_finite() && secs >= 0.0,
-            "propagation delay must be finite and non-negative"
-        );
-        self.propagation_delay = secs;
     }
 
     /// Installs a [`FaultPlan`]: flows started from now on may be lost,
@@ -205,7 +187,7 @@ impl SimNet {
         self.settle_progress();
         let id = FlowId(self.next_flow_id);
         self.next_flow_id += 1;
-        let mut starts_at = self.now.as_secs() + self.propagation_delay;
+        let mut starts_at = self.now.as_secs();
         let mut lost = false;
         let mut corrupted = false;
         // Fault decisions are sampled once, at flow start, from the plan's
@@ -260,11 +242,6 @@ impl SimNet {
         true
     }
 
-    /// Number of active flows.
-    pub fn active_flows(&self) -> usize {
-        self.flows.len()
-    }
-
     /// Progress snapshot of an active flow.
     pub fn progress(&mut self, id: FlowId) -> Option<FlowProgress> {
         self.settle_progress();
@@ -295,7 +272,7 @@ impl SimNet {
 
     /// Seconds until the next instant at which rates must be recomputed for
     /// a reason other than a completion: a pending flow leaving its
-    /// propagation-delay window, or a scheduled outage beginning/ending.
+    /// jitter-delay window, or a scheduled outage beginning/ending.
     fn next_start(&self) -> Option<f64> {
         let now = self.now.as_secs();
         let flow_wake = self
@@ -586,7 +563,7 @@ mod tests {
         assert!(net.cancel_flow(id));
         assert_eq!(net.stats(b).bytes_received, 10_000);
         assert!(!net.cancel_flow(id), "second cancel is a no-op");
-        assert_eq!(net.active_flows(), 0);
+        assert!(net.flows.is_empty());
     }
 
     #[test]
@@ -633,39 +610,27 @@ mod tests {
     }
 
     #[test]
-    fn propagation_delay_shifts_completion() {
-        let mut net = SimNet::new();
-        net.set_propagation_delay(0.25);
-        let a = net.add_node(kbps(100.0), kbps(100.0));
-        let b = net.add_node(kbps(100.0), kbps(100.0));
-        net.start_flow(a, b, 12_500, 0); // 1 s of transfer + 0.25 s delay
-        let e = net.step().unwrap();
-        assert!(
-            (e.at.as_secs() - 1.25).abs() < 1e-9,
-            "got {}",
-            e.at.as_secs()
-        );
-    }
-
-    #[test]
     fn delayed_flow_does_not_steal_capacity_early() {
         let mut net = SimNet::new();
         let a = net.add_node(kbps(100.0), kbps(10_000.0));
         let b = net.add_node(kbps(100.0), kbps(10_000.0));
         // Active flow: 1 s of transfer at the full link.
         net.start_flow(a, b, 12_500, 1);
-        // Second flow is delayed past the first one's completion: the first
-        // must still finish at exactly t = 1 s.
-        net.set_propagation_delay(2.0);
+        // Second flow is jittered past the first one's completion (the
+        // plan's first draw, replayed here): the first must still finish at
+        // exactly t = 1 s.
+        let delay = SplitMix64::new(1).next_f64() * 4.0;
+        assert!(delay > 1.0, "seed 1 delays by {delay} s");
+        net.set_fault_plan(FaultPlan::new(1).with_jitter(4.0));
         net.start_flow(a, b, 12_500, 2);
         let e1 = net.step().unwrap();
         assert_eq!(e1.tag, 1);
         assert!((e1.at.as_secs() - 1.0).abs() < 1e-9);
-        // The second starts at t = 2, finishes at t = 3.
+        // The second starts at t = delay and takes 1 s.
         let e2 = net.step().unwrap();
         assert_eq!(e2.tag, 2);
         assert!(
-            (e2.at.as_secs() - 3.0).abs() < 1e-9,
+            (e2.at.as_secs() - (delay + 1.0)).abs() < 1e-9,
             "got {}",
             e2.at.as_secs()
         );
@@ -796,6 +761,6 @@ mod tests {
         assert_eq!(e.tag, 2, "only the live sender completes");
         assert!(net.step().is_none(), "dead sender's flow is stuck");
         assert!(net.node_down(a));
-        assert_eq!(net.active_flows(), 1);
+        assert_eq!(net.flows.len(), 1);
     }
 }

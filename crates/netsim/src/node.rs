@@ -52,7 +52,7 @@ impl LinkSpeed {
     /// # Panics
     ///
     /// Panics if negative or not finite.
-    pub fn from_bps(bps: f64) -> LinkSpeed {
+    fn from_bps(bps: f64) -> LinkSpeed {
         assert!(
             bps.is_finite() && bps >= 0.0,
             "link speed must be finite and non-negative"

@@ -1,8 +1,8 @@
 //! Health analytics over the obs event log: a report, read by no policy.
 //!
 //! [`replay`] folds a log into a [`HealthEngine`]: every event goes to
-//! [`observe_event`], and each `health`/`window` heartbeat the runtimes
-//! write closes a window ([`evaluate`]), running a bank of per-peer
+//! `observe_event`, and each `health`/`window` heartbeat the runtimes
+//! write closes a window (`evaluate`), running a bank of per-peer
 //! detectors over what the window accumulated:
 //!
 //! * **EWMA z-score detectors** keep an exponentially-weighted mean and
@@ -25,8 +25,6 @@
 //! own peers from the evidence of its own fetch, with or without an
 //! engine (`asymshare::fetch`, DESIGN.md §11).
 //!
-//! [`observe_event`]: HealthEngine::observe_event
-//! [`evaluate`]: HealthEngine::evaluate
 //! [`HealthScore`]: PeerHealth::score
 
 use crate::{Event, Value};
@@ -313,7 +311,7 @@ impl HealthEngine {
     /// Feeds one event into the current window. Events without a `peer`
     /// field, or of a kind no detector reads, are ignored, so the engine
     /// can safely be pointed at a whole event log.
-    pub fn observe_event(&mut self, event: &Event) {
+    fn observe_event(&mut self, event: &Event) {
         let Some(peer) = Self::field_u64(event, "peer") else {
             return;
         };
@@ -361,7 +359,7 @@ impl HealthEngine {
     /// tested against their baselines, scores are updated, and the raised
     /// alerts are returned (deterministically ordered by peer then
     /// detector).
-    pub fn evaluate(&mut self, ts: f64) -> Vec<HealthAlert> {
+    fn evaluate(&mut self, ts: f64) -> Vec<HealthAlert> {
         self.evaluations += 1;
         let mut alerts = Vec::new();
         let alpha = self.cfg.ewma_alpha;
@@ -487,7 +485,7 @@ impl HealthEngine {
 }
 
 /// The health report of an event log: a fresh engine fed every event of
-/// `events` in order, with a window closed ([`HealthEngine::evaluate`]) at
+/// `events` in order, with a window closed (`HealthEngine::evaluate`) at
 /// each `health`/`window` heartbeat the runtimes write — the sim at every
 /// slot boundary, the rt client every quarter second of a traced fetch.
 /// A pure function of the log, so the report is derived on demand and

@@ -3,9 +3,8 @@
 //! The codec's hot loops — combining payloads for many peers, decoding many
 //! independent 1 MB chunks — are embarrassingly parallel: every work item
 //! reads shared immutable state and produces an owned result. This crate
-//! provides exactly that shape and nothing more: [`map`], [`try_map`], and
-//! the index-driven [`map_indices`] they build on, all running on
-//! [`std::thread::scope`] so borrowed inputs need no `'static` bound and no
+//! provides exactly that shape and nothing more: [`map`] and [`try_map`],
+//! both running on [`std::thread::scope`] so borrowed inputs need no `'static` bound and no
 //! runtime or thread pool has to be managed.
 //!
 //! Work is split into one contiguous range per worker, which keeps results
@@ -56,7 +55,7 @@ fn threads_from_env(var: Option<&str>, detected: usize) -> usize {
 /// Each worker owns one contiguous index range, so ordering costs nothing
 /// and items of similar cost balance well; the caller runs the first range.
 /// A panic in any worker propagates to the caller after the scope joins.
-pub fn map_indices<U, F>(n: usize, f: F) -> Vec<U>
+fn map_indices<U, F>(n: usize, f: F) -> Vec<U>
 where
     U: Send,
     F: Fn(usize) -> U + Sync,

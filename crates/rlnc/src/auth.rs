@@ -255,7 +255,7 @@ impl AuthManifest {
                 MessageDigest::compute(self.kind, msg)
             }
         };
-        if asymshare_crypto::hmac::ct_eq(expected.as_bytes(), actual.as_bytes()) {
+        if asymshare_crypto::ct_eq(expected.as_bytes(), actual.as_bytes()) {
             Ok(())
         } else {
             Err(CodecError::AuthenticationFailed { id })
@@ -338,22 +338,6 @@ impl AuthManifest {
             digests,
         })
     }
-
-    /// Merges another manifest's digests into this one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if file-ids or digest kinds disagree.
-    pub fn merge(&mut self, other: &AuthManifest) {
-        assert_eq!(self.file_id, other.file_id, "manifests for different files");
-        assert_eq!(
-            self.kind, other.kind,
-            "manifests with different digest kinds"
-        );
-        for (id, d) in other.iter() {
-            self.digests.insert(id, *d);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -418,16 +402,6 @@ mod tests {
             m.record(&msg(i, i as u8));
         }
         assert_eq!(m.overhead_bytes(), 128);
-    }
-
-    #[test]
-    fn merge_combines_ids() {
-        let mut a = AuthManifest::new(FileId(1), DigestKind::Md5);
-        let mut b = AuthManifest::new(FileId(1), DigestKind::Md5);
-        a.record(&EncodedMessage::new(FileId(1), MessageId(0), vec![1]));
-        b.record(&EncodedMessage::new(FileId(1), MessageId(1), vec![2]));
-        a.merge(&b);
-        assert_eq!(a.len(), 2);
     }
 
     #[test]
@@ -602,13 +576,5 @@ mod tests {
             h.finish()
         };
         assert_eq!(hash_of(carrier), hash_of(&plain));
-    }
-
-    #[test]
-    #[should_panic(expected = "different files")]
-    fn merge_rejects_foreign_file() {
-        let mut a = AuthManifest::new(FileId(1), DigestKind::Md5);
-        let b = AuthManifest::new(FileId(2), DigestKind::Md5);
-        a.merge(&b);
     }
 }

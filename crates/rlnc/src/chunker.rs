@@ -570,30 +570,9 @@ impl<F: Field> ChunkedDecoder<F> {
     ///
     /// A sealed chunk stays complete — every accessor answers as before and
     /// [`add_message`](Self::add_message) still reports a replayed id — but
-    /// [`decode_chunk`](Self::decode_chunk) and [`decode`](Self::decode)
-    /// return [`CodecError::ChunkSealed`].
+    /// [`decode`](Self::decode) returns [`CodecError::ChunkSealed`].
     pub fn seal_chunk(&mut self, index: u32) -> Option<SealedBlock<F>> {
         self.chunks.get_mut(index as usize)?.seal()
-    }
-
-    /// Decodes a single chunk (streaming mode).
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::ChunkOutOfRange`], [`CodecError::ChunkSealed`] or
-    /// decoding errors.
-    pub fn decode_chunk(&self, index: u32) -> Result<Vec<u8>, CodecError> {
-        let decoder = self
-            .chunks
-            .get(index as usize)
-            .ok_or(CodecError::ChunkOutOfRange {
-                index,
-                count: self.manifest.chunk_count(),
-            })?;
-        if decoder.is_sealed() {
-            return Err(CodecError::ChunkSealed { index });
-        }
-        decoder.decode()
     }
 
     /// Whether every chunk is decodable.
@@ -710,7 +689,6 @@ mod tests {
         }
         assert!(dec.chunk_complete(0).unwrap());
         assert!(!dec.chunk_complete(1).unwrap());
-        assert_eq!(dec.decode_chunk(0).unwrap(), &data[..4096]);
         assert!(dec.decode().is_err(), "full decode still blocked");
         for m in chunk1 {
             dec.add_message(m).unwrap();
@@ -899,20 +877,6 @@ mod tests {
         assert_eq!(dec.decode(), Err(CodecError::ChunkSealed { index: 0 }));
         dec.seal_chunk(1).expect("chunk 1 is at rank k");
         assert_eq!(dec.decode(), Err(CodecError::ChunkSealed { index: 0 }));
-    }
-
-    #[test]
-    fn decode_chunk_of_a_sealed_chunk_is_a_typed_error() {
-        let (dec, data, _, _) = half_sealed();
-        assert_eq!(
-            dec.decode_chunk(0),
-            Err(CodecError::ChunkSealed { index: 0 })
-        );
-        assert_eq!(dec.decode_chunk(1).unwrap(), &data[4096..8192]);
-        assert_eq!(
-            dec.decode_chunk(2),
-            Err(CodecError::NotEnoughMessages { have: 3, need: 4 })
-        );
     }
 
     #[test]

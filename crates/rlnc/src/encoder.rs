@@ -95,13 +95,6 @@ impl<F: Field> Encoder<F> {
         self.data_len
     }
 
-    /// Encodes the single message with the given id (no rank check).
-    pub fn encode_message(&self, id: MessageId) -> EncodedMessage {
-        self.encode_planned(&[id], &mut block::Scratch::new())
-            .pop()
-            .expect("one message per id")
-    }
-
     /// Combines the payloads of `ids` — one `ids.len() × k` block of
     /// Eq. (1) — without a rank check: the ids normally come from
     /// [`plan_batch`](Self::plan_batch). A caller encoding many batches
@@ -254,7 +247,7 @@ mod tests {
     fn payload_has_m_symbols() {
         let params = CodingParams::new(FieldKind::Gf256, 32, 4).unwrap();
         let enc = Encoder::<Gf256>::new(params, secret(), FileId(1), &data(100)).unwrap();
-        let msg = enc.encode_message(MessageId(0));
+        let msg = &enc.encode_batch(0, 1).unwrap()[0];
         assert_eq!(msg.payload().len(), 32);
         assert_eq!(msg.file_id(), FileId(1));
     }
@@ -265,8 +258,8 @@ mod tests {
         let e1 = Encoder::<Gf256>::new(params, secret(), FileId(1), &data(100)).unwrap();
         let e2 = Encoder::<Gf256>::new(params, secret(), FileId(1), &data(100)).unwrap();
         assert_eq!(
-            e1.encode_message(MessageId(9)),
-            e2.encode_message(MessageId(9))
+            e1.encode_batch(0, 4).unwrap(),
+            e2.encode_batch(0, 4).unwrap()
         );
     }
 
@@ -310,7 +303,10 @@ mod tests {
         enc.encode_planned(&ids[..2], &mut scratch);
         assert_eq!(enc.encode_planned(&ids, &mut scratch), batch);
         // A batch is its messages one at a time (the `r = 1` block).
-        let singly: Vec<_> = ids.iter().map(|&id| enc.encode_message(id)).collect();
+        let singly: Vec<_> = ids
+            .iter()
+            .flat_map(|&id| enc.encode_planned(&[id], &mut scratch))
+            .collect();
         assert_eq!(singly, batch);
     }
 

@@ -91,14 +91,6 @@ pub fn transfer_secs(bytes: u64, kbps: f64) -> f64 {
     bytes as f64 * 8.0 / (kbps * 1_000.0)
 }
 
-/// The speedup available to a downloader when `n` peers of `peer_up_kbps`
-/// each serve it in parallel, bounded by the user's downlink — the ratio
-/// Figure 1's gap represents and the system's whole point.
-pub fn aggregation_speedup(n: usize, peer_up_kbps: f64, user_down_kbps: f64) -> f64 {
-    let aggregate = (n as f64 * peer_up_kbps).min(user_down_kbps);
-    aggregate / peer_up_kbps
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,13 +120,6 @@ mod tests {
         // Fig. 1's top-right region: 10 GB over 256 kbps ≈ 3.9 days.
         let days = transfer_secs(FIG1_PAYLOADS[4].bytes, CABLE.up_kbps) / 86_400.0;
         assert!((days - 3.88).abs() < 0.1, "{days} days");
-    }
-
-    #[test]
-    fn speedup_saturates_at_downlink() {
-        // Cable: down/up ≈ 11.7, so 4 peers give 4x but 20 peers only ~11.7x.
-        assert!((aggregation_speedup(4, 256.0, 3000.0) - 4.0).abs() < 1e-9);
-        assert!((aggregation_speedup(20, 256.0, 3000.0) - 3000.0 / 256.0).abs() < 1e-9);
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! only there to read the verdicts back; the defense does not need it.
 
 use asymshare::rt::{download_file, Reactor, ReactorConfig, RtNetwork};
-use asymshare::{Identity, ParticipantId, Peer, RuntimeConfig, SimRuntime, User};
+use asymshare::{
+    Identity, ParticipantId, Peer, RuntimeConfig, SimRuntime, User, INITIAL_CREDIT_BYTES,
+};
 use asymshare_gf::{FieldKind, Gf2p32};
 use asymshare_netsim::{AdversaryStrategy, FaultPlan, LinkSpeed, NodeId};
 use asymshare_obs::{Event, Value};
@@ -166,78 +168,87 @@ fn pollution_is_attributed_quarantined_and_survived() {
     assert_eq!(dark.duration_secs, report.duration_secs);
 }
 
-/// `InflateCredit` is inert: a ledger is credited only by its
-/// subscribers' signed feedback, so after a credit-inflating peer served a
-/// download the home ledger holds exactly what it holds after the honest
-/// run — in the simulator, and in the real-time runtime, where the user's
-/// feedback report is the only thing that can credit the home peer.
+/// Credit is never minted: a home ledger grows only by its subscribers'
+/// signed feedback, and a report credits each contributor at most the
+/// bytes the user took from it that passed the digest check (rejected
+/// bytes are debited). So with a polluter among the servers, every
+/// contributor's credit above the initial grant stays within its verified
+/// bytes — in the simulator, and in the real-time runtime, where the
+/// user's feedback report is the only thing that can credit the home peer.
 #[test]
-fn inflate_credit_is_inert() {
-    let inflate = AdversaryStrategy::InflateCredit { factor: 4.0 };
-    let (honest_rt, _, _, _, honest) = adversary_scenario(None, 13, 2, 4, false);
-    let (inflated_rt, _, _, _, inflated) = adversary_scenario(Some(inflate), 13, 2, 4, false);
-    assert_eq!(inflated_rt.credit_matrix(), honest_rt.credit_matrix());
-    assert_eq!(inflated.stats, honest.stats);
-    assert_eq!(inflated.stats.quarantines, 0);
+fn credit_never_exceeds_verified_bytes() {
+    let pollute = AdversaryStrategy::Pollute { prob: 0.9 };
+    let salt = 2;
+    let (rt, ids, _, _, report) = adversary_scenario(Some(pollute), 13, salt, 4, false);
+    assert!(report.stats.corruptions > 0, "{:?}", report.stats);
+    let home = &rt.credit_matrix()[ids[0].0];
+    for (j, credit) in home.iter().enumerate() {
+        let key = Identity::from_seed(&[b'v', salt, j as u8])
+            .public_key()
+            .to_bytes();
+        let verified = report.stats.bytes_by_peer.get(&key).copied().unwrap_or(0);
+        assert!(
+            credit - INITIAL_CREDIT_BYTES <= verified as f64,
+            "sim, participant {j}: {credit} credited, {verified} verified"
+        );
+    }
+    assert!(home.iter().any(|&c| c > INITIAL_CREDIT_BYTES));
 
-    // One stocked peer serves; the report goes to an address the test
-    // reads and is applied to a home ledger here.
-    let ledger = |plan: FaultPlan| -> f64 {
-        let network = RtNetwork::new();
-        let owner = Identity::from_seed(b"inflate-owner");
-        let data = payload(256 * 1024, 4);
-        let mut enc = ChunkedEncoder::<Gf2p32>::with_chunk_size(
-            FieldKind::Gf2p32,
-            4,
-            DigestKind::Md5,
-            owner.coding_secret().clone(),
-            FileId(94),
-            &data,
-            16 * 1024,
-        )
-        .unwrap();
-        let batch = enc.encode_for_peers(1).unwrap().remove(0);
-        let identity = Identity::from_seed(b"inflate-server");
-        let key = identity.public_key().to_bytes();
+    // Two stocked peers serve, one of them polluting; the report goes to
+    // an address the test reads and is applied to a home ledger here.
+    let network = RtNetwork::new();
+    let owner = Identity::from_seed(b"credit-owner");
+    let data = payload(256 * 1024, 4);
+    let mut enc = ChunkedEncoder::<Gf2p32>::with_chunk_size(
+        FieldKind::Gf2p32,
+        4,
+        DigestKind::Md5,
+        owner.coding_secret().clone(),
+        FileId(94),
+        &data,
+        16 * 1024,
+    )
+    .unwrap();
+    let mut reactor = Reactor::new(&network, ReactorConfig::default());
+    let mut servers = Vec::new();
+    for (addr, batch) in (6..).zip(enc.encode_for_peers(2).unwrap()) {
+        let identity = Identity::from_seed(&[b's', addr as u8]);
+        servers.push((addr, identity.public_key().to_bytes()));
         let mut server = Peer::new(identity, 1_000.0);
         server.add_subscriber(owner.public_key().to_bytes());
         for m in batch {
             server.store_mut().insert(m);
         }
-        let mut reactor = Reactor::new(&network, ReactorConfig::default());
-        reactor.add_peer(7, server, 1 << 20);
-        network.install_faults(plan);
-        let inbox = network.register(8);
-        let mut user = User::<Gf2p32>::new(owner.clone(), enc.manifest().clone()).unwrap();
-        let got = download_file(
-            &network,
-            9,
-            &mut user,
-            &[(7, key)],
-            8,
-            Duration::from_secs(30),
-        )
-        .expect("the one peer serves the file");
-        assert_eq!(got, data);
-        assert_eq!(user.stats().quarantines, 0);
-        reactor.shutdown();
-        let report = inbox
-            .recv_timeout(Duration::from_secs(5))
-            .expect("the feedback report reached the home address")
-            .decode()
-            .expect("one frame");
-        let mut home = Peer::new(Identity::from_seed(b"inflate-home"), 1_000.0);
-        home.add_subscriber(owner.public_key().to_bytes());
-        let mut rng = asymshare_crypto::chacha20::ChaChaRng::new([1; 32], [0; 12]);
-        home.on_message(0, report, &mut rng)
-            .expect("a signed report");
-        home.upload_weight(&key)
-    };
-    let server = NodeId::new(7);
-    let honest = ledger(FaultPlan::new(13));
-    assert!(honest > 1_000.0, "the server was credited");
-    let inflated = ledger(FaultPlan::new(13).with_adversary(server, inflate));
-    assert_eq!(inflated, honest);
+        reactor.add_peer(addr, server, 1 << 20);
+    }
+    network.install_faults(FaultPlan::new(13).with_adversary(NodeId::new(6), pollute));
+    let inbox = network.register(8);
+    let mut user = User::<Gf2p32>::new(owner.clone(), enc.manifest().clone()).unwrap();
+    let got = download_file(&network, 9, &mut user, &servers, 8, Duration::from_secs(30))
+        .expect("the honest peer covers the file");
+    assert_eq!(got, data);
+    reactor.shutdown();
+    let stats = user.stats();
+    assert!(stats.corruptions > 0, "{stats:?}");
+    let report = inbox
+        .recv_timeout(Duration::from_secs(5))
+        .expect("the feedback report reached the home address")
+        .decode()
+        .expect("one frame");
+    let mut home = Peer::new(Identity::from_seed(b"credit-home"), INITIAL_CREDIT_BYTES);
+    home.add_subscriber(owner.public_key().to_bytes());
+    let mut rng = asymshare_crypto::chacha20::ChaChaRng::new([1; 32], [0; 12]);
+    home.on_message(0, report, &mut rng)
+        .expect("a signed report");
+    for (addr, key) in &servers {
+        let credit = home.upload_weight(key) - INITIAL_CREDIT_BYTES;
+        let verified = stats.bytes_by_peer.get(key).copied().unwrap_or(0);
+        assert!(
+            credit <= verified as f64,
+            "rt, peer {addr}: {credit} credited, {verified} verified"
+        );
+    }
+    assert!(home.upload_weight(&servers[1].1) > INITIAL_CREDIT_BYTES);
 }
 
 /// A replaying peer re-serves stale coded messages; the client convicts
@@ -263,8 +274,7 @@ fn replayed_messages_are_detected() {
 
 /// Ban latency and goodput under attack, per strategy. At any fault seed
 /// the download keeps at least 0.8 of what the three honest peers alone
-/// deliver, only the adversary is ever banned, and a credit inflater —
-/// inert — never is. At the default seed the slots from attack onset to
+/// deliver, and only the adversary is ever banned. At the default seed the slots from attack onset to
 /// the ban are pinned exactly (the verdicts are a property of the rules,
 /// not of the machine), and pollute, replay and selective are each
 /// banned.
@@ -282,7 +292,6 @@ fn every_strategy_is_detected_and_outrun() {
             },
             Some(20.0),
         ),
-        (AdversaryStrategy::InflateCredit { factor: 4.0 }, None),
     ];
     for (strategy, pinned_slots) in cases {
         let (rt, _, evil, attack_start, report) =
@@ -300,9 +309,6 @@ fn every_strategy_is_detected_and_outrun() {
             "{strategy:?}: {bans:?}"
         );
         assert_eq!(report.stats.quarantines, bans.len() as u64);
-        if matches!(strategy, AdversaryStrategy::InflateCredit { .. }) {
-            assert_eq!(bans, [], "inflated credit is inert, not banned");
-        }
         if seed == 11 {
             let slots = bans
                 .first()
