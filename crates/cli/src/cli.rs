@@ -224,92 +224,18 @@ fn decode(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs a seeded demonstration download on the slotted simulator with
-/// observability on and dumps the resulting metrics snapshot — the quickest
-/// way to see what the instrumentation layer records.
-fn metrics(args: &[String]) -> Result<(), String> {
-    use asymshare::{Identity, ParticipantId, RuntimeConfig, SimRuntime};
-    use asymshare_netsim::LinkSpeed;
-
-    let peers: usize = flag_value(args, "--peers")
-        .unwrap_or("4")
-        .parse()
-        .map_err(|_| "--peers must be a number")?;
-    let size: usize = flag_value(args, "--size")
-        .unwrap_or("131072")
-        .parse()
-        .map_err(|_| "--size must be a number of bytes")?;
-    if !(2..=64).contains(&peers) {
-        return Err("--peers must be between 2 and 64".to_owned());
-    }
-    if size == 0 || size > 16 << 20 {
-        return Err("--size must be between 1 byte and 16 MiB".to_owned());
-    }
-
-    let mut rt = SimRuntime::new(RuntimeConfig {
-        k: 4,
-        chunk_size: 16 * 1024,
-        ..RuntimeConfig::default()
-    });
-    rt.enable_observability();
-    let ids: Vec<ParticipantId> = (0..peers as u8)
-        .map(|i| {
-            // The paper's reference access profile: cable-modem peers with
-            // 256 kbps uplinks and 3 Mbps downlinks.
-            rt.add_participant(
-                Identity::from_seed(&[b'm', i]),
-                LinkSpeed::kbps(256.0),
-                LinkSpeed::kbps(3000.0),
-            )
-        })
-        .collect();
-    let payload: Vec<u8> = (0..size).map(|i| (i * 31 % 251) as u8).collect();
-    let (manifest, _) = rt
-        .disseminate(ids[0], FileId(1), &payload, &ids)
-        .map_err(|e| e.to_string())?;
-    let session = rt
-        .start_download(
-            ids[0],
-            manifest,
-            LinkSpeed::kbps(256.0),
-            LinkSpeed::kbps(3000.0),
-            &ids,
-        )
-        .map_err(|e| e.to_string())?;
-    let report = rt
-        .run_to_completion(session, 3_600)
-        .map_err(|e| e.to_string())?;
-
-    if let Some(path) = flag_value(args, "--events") {
-        fs::write(path, rt.events_jsonl()).map_err(|e| format!("writing {path}: {e}"))?;
-    }
-    if args.iter().any(|a| a == "--json") {
-        println!("{}", report.metrics.to_json());
-    } else {
-        println!(
-            "seeded demo: {peers} peers, {size} B payload, {:.2} s simulated, {:.0} kbps mean",
-            report.duration_secs, report.mean_rate_kbps
-        );
-        print!("{}", report.metrics.pretty());
-        println!("Eq.-2 credit (row: serving peer, column: user key):");
-        for (i, row) in rt.credit_matrix().iter().enumerate() {
-            let cells: Vec<String> = row.iter().map(|c| format!("{c:>10.0}")).collect();
-            println!("  p{i:<3}{}", cells.join(""));
-        }
-    }
-    Ok(())
-}
-
-/// Runs a seeded download on the slotted simulator with observability on
-/// and renders the resulting span timeline as a text waterfall, followed by
-/// the per-peer health scores folded from the same log. `--faults` makes
-/// one serving peer lossy and corrupting so the replacement/heal spans and
-/// alerts have something to show.
-fn trace(args: &[String]) -> Result<(), String> {
+/// The seeded demonstration both `metrics` and `trace` run: `--peers`
+/// cable-modem participants (identities seeded by `tag`) on the slotted
+/// simulator with observability on, `--size` bytes disseminated to all of
+/// them, and the owner's download run to completion. `faults` makes the
+/// last peer's uplink lossy and corrupting once the file is disseminated.
+fn sim_demo(
+    args: &[String],
+    tag: u8,
+    faults: bool,
+) -> Result<(asymshare::SimRuntime, asymshare::DownloadReport), String> {
     use asymshare::{Identity, ParticipantId, RuntimeConfig, SimRuntime};
     use asymshare_netsim::{FaultPlan, LinkFault, LinkSpeed};
-    use asymshare_obs::health::{replay, HealthConfig};
-    use asymshare_obs::stream::TraceTree;
 
     let peers: usize = flag_value(args, "--peers")
         .unwrap_or("4")
@@ -319,10 +245,6 @@ fn trace(args: &[String]) -> Result<(), String> {
         .unwrap_or("131072")
         .parse()
         .map_err(|_| "--size must be a number of bytes")?;
-    let width: usize = flag_value(args, "--width")
-        .unwrap_or("72")
-        .parse()
-        .map_err(|_| "--width must be a number of columns")?;
     if !(2..=64).contains(&peers) {
         return Err("--peers must be between 2 and 64".to_owned());
     }
@@ -336,21 +258,17 @@ fn trace(args: &[String]) -> Result<(), String> {
         ..RuntimeConfig::default()
     });
     rt.enable_observability();
+    // The paper's reference access profile: cable-modem peers with 256 kbps
+    // uplinks and 3 Mbps downlinks.
+    let (up, down) = (LinkSpeed::kbps(256.0), LinkSpeed::kbps(3000.0));
     let ids: Vec<ParticipantId> = (0..peers as u8)
-        .map(|i| {
-            rt.add_participant(
-                Identity::from_seed(&[b't', i]),
-                LinkSpeed::kbps(256.0),
-                LinkSpeed::kbps(3000.0),
-            )
-        })
+        .map(|i| rt.add_participant(Identity::from_seed(&[tag, i]), up, down))
         .collect();
     let payload: Vec<u8> = (0..size).map(|i| (i * 31 % 251) as u8).collect();
     let (manifest, _) = rt
         .disseminate(ids[0], FileId(1), &payload, &ids)
         .map_err(|e| e.to_string())?;
-    if args.iter().any(|a| a == "--faults") {
-        // One serving peer's uplink turns lossy and corrupting.
+    if faults {
         let node = rt.participant_node(ids[peers - 1]);
         rt.set_fault_plan(FaultPlan::new(7).with_node_fault(
             node,
@@ -362,16 +280,57 @@ fn trace(args: &[String]) -> Result<(), String> {
         ));
     }
     let session = rt
-        .start_download(
-            ids[0],
-            manifest,
-            LinkSpeed::kbps(256.0),
-            LinkSpeed::kbps(3000.0),
-            &ids,
-        )
+        .start_download(ids[0], manifest, up, down, &ids)
         .map_err(|e| e.to_string())?;
-    rt.run_to_completion(session, 3_600)
+    let report = rt
+        .run_to_completion(session, 3_600)
         .map_err(|e| e.to_string())?;
+    Ok((rt, report))
+}
+
+/// Runs the seeded demonstration download and dumps the resulting metrics
+/// snapshot — the quickest way to see what the instrumentation layer
+/// records.
+fn metrics(args: &[String]) -> Result<(), String> {
+    let (rt, report) = sim_demo(args, b'm', false)?;
+    if let Some(path) = flag_value(args, "--events") {
+        fs::write(path, rt.events_jsonl()).map_err(|e| format!("writing {path}: {e}"))?;
+    }
+    if args.iter().any(|a| a == "--json") {
+        println!("{}", report.metrics.to_json());
+    } else {
+        let credit = rt.credit_matrix();
+        println!(
+            "seeded demo: {} peers, {} B payload, {:.2} s simulated, {:.0} kbps mean",
+            credit.len(),
+            report.data.len(),
+            report.duration_secs,
+            report.mean_rate_kbps
+        );
+        print!("{}", report.metrics.pretty());
+        println!("Eq.-2 credit (row: serving peer, column: user key):");
+        for (i, row) in credit.iter().enumerate() {
+            let cells: Vec<String> = row.iter().map(|c| format!("{c:>10.0}")).collect();
+            println!("  p{i:<3}{}", cells.join(""));
+        }
+    }
+    Ok(())
+}
+
+/// Runs the seeded demonstration download and renders the resulting span
+/// timeline as a text waterfall, followed by the per-peer health scores
+/// folded from the same log. `--faults` makes one serving peer lossy and
+/// corrupting so the replacement/heal spans and alerts have something to
+/// show.
+fn trace(args: &[String]) -> Result<(), String> {
+    use asymshare_obs::health::{replay, HealthConfig};
+    use asymshare_obs::stream::TraceTree;
+
+    let width: usize = flag_value(args, "--width")
+        .unwrap_or("72")
+        .parse()
+        .map_err(|_| "--width must be a number of columns")?;
+    let (rt, _) = sim_demo(args, b't', args.iter().any(|a| a == "--faults"))?;
 
     let log = rt.event_log();
     print!("{}", TraceTree::build(&log).render(width));

@@ -3,10 +3,10 @@
 //!
 //! [`Fetch`] owns the `User`, its [`RecoveryLadder`], the open replacement
 //! round trips and a [`Tally`] per connection. A driver feeds it datagrams
-//! with their arrival time, frames that never arrived, failed sends and the
-//! passing of time, and carries out, in order, the [`Out`]s each call
-//! appends to a caller-owned buffer. Time is `f64` seconds on the driver's
-//! epoch: since the fetch began in
+//! with their arrival time, failed sends and the passing of time, and
+//! carries out, in order, the [`Out`]s each call appends to a caller-owned
+//! buffer. Time is `f64` seconds on the driver's epoch: since the fetch
+//! began in
 //! [`rt::download_file_with`](crate::rt::download_file_with), simulated in
 //! [`SimRuntime`](crate::SimRuntime).
 //!
@@ -127,8 +127,8 @@ struct Evidence {
     last_mark: u64,
     /// Its decayed share of the fetch's recent coded datagrams.
     share: f64,
-    /// Since the last delivery the engine asked the peer for something or
-    /// one of its frames was lost: a silence that ends is not withholding.
+    /// Since the last delivery the engine asked the peer for something: a
+    /// silence that ends is not withholding.
     excused: bool,
     silences: u32,
     /// Convicted: its frames are dropped unread.
@@ -407,16 +407,6 @@ impl<U: BorrowMut<User<Gf2p32>>> Fetch<U> {
         }
     }
 
-    /// A frame for the user from `conn` never reached it: lost in transit
-    /// (`link`: it excuses the connection's silence) or garbled past
-    /// parsing.
-    pub(crate) fn on_drop(&mut self, conn: u64, link: bool) {
-        self.user_mut().stats_mut().drops += 1;
-        if let Some(i) = self.index(conn).filter(|_| link) {
-            self.peers[i].evidence.excused = true;
-        }
-    }
-
     /// A send to `conn` failed (its address is gone): the next
     /// [`poll`](Self::poll) writes it off.
     pub(crate) fn lost(&mut self, conn: u64) {
@@ -506,11 +496,6 @@ impl<U: BorrowMut<User<Gf2p32>>> Fetch<U> {
     /// [`RecoveryLadder::next_deadline`].
     pub(crate) fn next_deadline(&self, now: f64) -> (f64, bool) {
         self.ladder.next_deadline(now)
-    }
-
-    /// Whether `conn` was written off or banned.
-    pub(crate) fn is_dead(&self, conn: u64) -> bool {
-        self.ladder.is_dead(conn)
     }
 
     /// `conn`'s counts since the fetch began (zero for a stranger).

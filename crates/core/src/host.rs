@@ -18,7 +18,6 @@
 //! is the driver's datagram: a sim flow carries one frame, an rt datagram
 //! up to [`MAX_COALESCE`](crate::rt::MAX_COALESCE).
 
-use crate::error::SystemError;
 use crate::peer::Peer;
 use crate::protocol::Wire;
 use crate::serve::{self, bank_cap, ServePass};
@@ -90,9 +89,7 @@ impl Host {
     }
 
     /// Takes one datagram's frames from `conn`, appending the peer's
-    /// replies. A protocol error drops the session — except a request for
-    /// a file not held yet, so a request after the owner re-disseminates
-    /// is served.
+    /// replies. A protocol error drops the session.
     pub(crate) fn on_datagram(
         &mut self,
         conn: u64,
@@ -103,7 +100,6 @@ impl Host {
         for wire in frames {
             match self.peer.on_message(conn, wire, rng) {
                 Ok(out) => replies.extend(out),
-                Err(SystemError::UnknownFile { .. }) => {}
                 Err(_) => self.disconnect(conn),
             }
         }
@@ -344,27 +340,31 @@ mod tests {
     }
 
     #[test]
-    fn a_request_for_a_file_not_held_yet_keeps_the_session() {
+    fn a_protocol_error_drops_the_session() {
         let mut rng = rng();
-        let mut host = hosting(&[1.0], &[64; 8], &mut rng);
+        let mut host = hosting(&[1.0, 1.0], &[64; 8], &mut rng);
         let mut replies = Vec::new();
+        // A request for a file the peer does not hold is one.
         host.on_datagram(
             0,
             [Wire::FileRequest { file_id: 99 }],
             &mut rng,
             &mut replies,
         );
-        assert!(host.peer.is_authenticated(0), "kept for a later request");
-        request(&mut host, 0, &mut rng);
-        assert_eq!(pass(&mut host, 64, 0).len(), 8);
-        // Any other protocol error drops the session.
+        assert!(!host.peer.is_authenticated(0));
+        request(&mut host, 1, &mut rng);
+        assert_eq!(
+            pass(&mut host, 64, 1).len(),
+            8,
+            "the other session is served"
+        );
         host.on_datagram(
-            0,
+            1,
             [Wire::AuthResponse { s: [0; 32] }],
             &mut rng,
             &mut replies,
         );
-        assert!(!host.peer.is_authenticated(0));
+        assert!(!host.peer.is_authenticated(1));
         assert!(replies.is_empty());
     }
 

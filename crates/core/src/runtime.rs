@@ -25,7 +25,7 @@ use asymshare_obs::{Counter, EventSink, Gauge, Histogram, Registry, Snapshot, Va
 use asymshare_rlnc::{
     ChunkedEncoder, CodecError, DigestKind, EncodedMessage, FileId, FileManifest,
 };
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 
 /// Base delay between replacement requests for the same `(conn, chunk)`,
 /// simulated seconds (the ladder doubles it per consecutive request).
@@ -233,9 +233,6 @@ pub struct SimRuntime {
     /// Scratch for the serve passes' grants, reused so a pass allocates
     /// nothing at steady state.
     grants: Vec<Grant>,
-    /// `(session, chunk)` pairs the owner has already re-disseminated, so
-    /// the starvation check reacts to each shortage at most once.
-    redisseminated: HashSet<(usize, u32)>,
 }
 
 impl SimRuntime {
@@ -253,7 +250,6 @@ impl SimRuntime {
             rng: ChaChaRng::new([0xE7; 32], *b"sim-runtime!"),
             obs: SimObs::default(),
             grants: Vec::new(),
-            redisseminated: HashSet::new(),
         }
     }
 
@@ -774,11 +770,10 @@ impl SimRuntime {
     /// Hands a completed flow's payload to its destination.
     fn land(&mut self, endpoint: Endpoint, wire: Wire, kind: EventKind) {
         if kind == EventKind::FlowLost {
-            // The payload is gone in transit; only the (omniscient)
-            // user-side drop counter observes it.
+            // The payload is gone in transit: the network's view counts
+            // it, the user sees nothing.
             self.obs.drops.inc();
             if let Endpoint::ToUser { session, conn } = endpoint {
-                self.sessions[session].fetch.on_drop(conn, true);
                 let fields = self.conn_fields(session, conn, &[]);
                 let now = self.net.now().as_secs();
                 self.obs.events.emit_at(now, "sim.deliver", "drop", &fields);
@@ -835,12 +830,9 @@ impl SimRuntime {
                         // seeded replays identical).
                         None => return,
                     },
-                    (true, _) => {
-                        // A mangled control frame fails to parse: the user
-                        // sees nothing but a drop.
-                        self.sessions[session].fetch.on_drop(conn, false);
-                        return;
-                    }
+                    // A mangled control frame fails to parse: the user sees
+                    // nothing.
+                    (true, _) => return,
                     (false, wire) => wire,
                 };
                 if self.sessions[session].failed.is_some() {
@@ -894,21 +886,13 @@ impl SimRuntime {
 
     /// Carries out, in order, what a session's engine asked for at `ts`,
     /// draining `out`: frames go to the peers, notes become `sim.deliver`
-    /// and `sim.heal` events and trace marks. After a ban's stop and
-    /// re-plan, the owner checks the honest supply, which may start
-    /// deposit flows of its own.
+    /// and `sim.heal` events and trace marks.
     fn carry_out(&mut self, s_idx: usize, out: &mut Vec<Out>, ts: f64) {
-        let banned = out
-            .iter()
-            .any(|item| matches!(item, Out::Quarantine { .. }));
         for item in out.drain(..) {
             match item {
                 Out::Send(conn, wire) => self.send_to_peer(s_idx, conn, wire),
                 note => self.note(s_idx, note, ts),
             }
-        }
-        if banned {
-            self.redisseminate_if_starved(s_idx, ts);
         }
     }
 
@@ -1045,78 +1029,6 @@ impl SimRuntime {
         self.obs
             .events
             .emit_at(ts, "health", "window", &[("slot", self.slot.into())]);
-    }
-
-    /// Owner re-dissemination: when the coded-message supply of the
-    /// session's live (neither written off nor banned) peers for an
-    /// incomplete chunk has fallen below rank `k`, the owner deposits its
-    /// own coded copies of that chunk with one of them (once per
-    /// `(session, chunk)`), restoring decodability without trusting the
-    /// banned source.
-    fn redisseminate_if_starved(&mut self, s_idx: usize, ts: f64) {
-        let file_id = FileId(self.sessions[s_idx].fetch.user().file_id());
-        let k = self.cfg.k;
-        let session = &self.sessions[s_idx];
-        let mut honest: Vec<usize> = session
-            .conns
-            .iter()
-            .filter(|(&c, _)| !session.fetch.is_dead(c))
-            .map(|(_, &p)| p)
-            .collect();
-        honest.sort_unstable();
-        honest.dedup();
-        if honest.is_empty() {
-            return;
-        }
-        let mut supply: BTreeMap<u32, usize> = BTreeMap::new();
-        for &p in &honest {
-            for m in self.participants[p].host.peer.store().messages(file_id) {
-                *supply
-                    .entry(FileManifest::chunk_of(m.message_id()))
-                    .or_insert(0) += 1;
-            }
-        }
-        let user = session.fetch.user();
-        let completed: HashSet<u32> = user.completed_chunks().into_iter().collect();
-        let chunk_count = user.chunk_count();
-        let home = session.home;
-        for chunk in 0..chunk_count {
-            if completed.contains(&chunk) || supply.get(&chunk).copied().unwrap_or(0) >= k {
-                continue;
-            }
-            if !self.redisseminated.insert((s_idx, chunk)) {
-                continue;
-            }
-            let msgs: Vec<EncodedMessage> = self.participants[home]
-                .host
-                .peer
-                .store()
-                .messages(file_id)
-                .iter()
-                .filter(|m| FileManifest::chunk_of(m.message_id()) == chunk)
-                .cloned()
-                .collect();
-            let Some(&target) = honest.iter().find(|&&p| p != home) else {
-                continue;
-            };
-            if msgs.is_empty() {
-                continue;
-            }
-            self.obs.events.emit_at(
-                ts,
-                "sim.heal",
-                "redisseminate",
-                &[
-                    ("session", s_idx.into()),
-                    ("chunk", chunk.into()),
-                    ("target", target.into()),
-                    ("messages", msgs.len().into()),
-                ],
-            );
-            for m in msgs {
-                self.deposit(home, target, m);
-            }
-        }
     }
 
     /// Emits one `sim.credit`/`balance` event per serving participant:

@@ -15,13 +15,11 @@ use std::collections::{BTreeMap, HashMap};
 /// Fault and recovery counters for one download session.
 ///
 /// Filled in by the user core (corruptions, duplicates, cumulative bytes)
-/// and by the client engine both runtimes drive (drops, retries,
-/// reassignments, replacements), so tests and benches can assert recovery
+/// and by the client engine both runtimes drive (retries, reassignments,
+/// replacements, quarantines), so tests and benches can assert recovery
 /// behavior instead of eyeballing logs.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SessionStats {
-    /// Messages lost in transit (never usable at the receiver).
-    pub drops: u64,
     /// Messages rejected by per-message digest authentication (bit
     /// corruption or tampering).
     pub corruptions: u64,
@@ -420,8 +418,8 @@ impl<F: Field> User<F> {
         &self.stats
     }
 
-    /// Mutable access for the client engine, which records drops, retries,
-    /// and reassignments it performs on the user's behalf.
+    /// Mutable access for the client engine, which records the retries,
+    /// reassignments and replacements it performs on the user's behalf.
     pub fn stats_mut(&mut self) -> &mut SessionStats {
         &mut self.stats
     }

@@ -254,6 +254,7 @@ fn healing_cfg() -> RuntimeConfig {
 #[test]
 fn fault_download_survives_lossy_links() {
     let mut rt = SimRuntime::new(healing_cfg());
+    rt.enable_observability(); // draws no randomness: the run is unchanged
     let peers: Vec<_> = (0..4u8)
         .map(|i| rt.add_participant(Identity::from_seed(&[b'z', i]), kbps(256.0), kbps(3000.0)))
         .collect();
@@ -270,11 +271,12 @@ fn fault_download_survives_lossy_links() {
         "5% loss must claim at least one flow: {:?}",
         rt.fault_stats()
     );
-    assert!(
-        report.stats.drops >= 1,
-        "some lost flow was headed for the user: {:?}",
-        report.stats
-    );
+    let to_user = rt
+        .event_log()
+        .iter()
+        .filter(|e| e.component == "sim.deliver" && e.kind == "drop")
+        .count();
+    assert!(to_user > 0, "some lost flow was headed for the user");
 }
 
 /// The acceptance scenario: 2 of 5 peers die mid-download under 5% link
