@@ -33,8 +33,9 @@
 //! // The owner's secret key deterministically regenerates any coefficient
 //! // row; peers without the key cannot.
 //! let key = SecretKey::from_passphrase("owner secret");
-//! let c1 = key.coefficient_rng(/*file*/ 9, /*message*/ 0).next_u64();
-//! let c2 = key.coefficient_rng(9, 0).next_u64();
+//! let file = key.coefficient_key(/*file*/ 9);
+//! let c1 = file.rng(/*message*/ 0).next_u64();
+//! let c2 = key.coefficient_key(9).rng(0).next_u64();
 //! assert_eq!(c1, c2);
 //! ```
 

@@ -101,9 +101,10 @@ impl Md5 {
 
 /// Four streaming MD5 hashers advanced in lockstep over four inputs of
 /// equal length: every step of the compression function runs once on
-/// registers that hold one 32-bit word per input, which the compiler keeps
-/// in one SIMD register. Lane `i` of the result is exactly
-/// [`Md5`]'s digest of input `i`.
+/// registers that hold one 32-bit word per input. The release build lowers
+/// the four words to four independent scalar chains, which the core runs
+/// side by side. Lane `i` of the result is exactly [`Md5`]'s digest of
+/// input `i`.
 ///
 /// # Example
 ///
@@ -229,9 +230,12 @@ impl<const N: usize> Hasher<N> {
     }
 }
 
-/// One 32-bit word per lane. Every operation is element-wise, so with
-/// `N = 4` each is one SSE2 instruction (two for the rotation) on the
-/// baseline x86-64 target, and with `N = 1` it is the plain `u32` operation.
+/// One 32-bit word per lane. Every operation is element-wise. On the
+/// baseline x86-64 target the release build does not vectorise `N = 4`:
+/// `compress::<4>` is four interleaved scalar chains (`roll`/`addl`, no
+/// `paddd`), and its gain over `N = 1`, the plain `u32` operation, is
+/// instruction-level parallelism between chains that never wait on each
+/// other.
 #[derive(Debug, Clone, Copy)]
 struct Lanes<const N: usize>([u32; N]);
 

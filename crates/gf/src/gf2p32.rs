@@ -1,5 +1,6 @@
 //! GF(2³²) — 32-bit symbols, modulus x³² + x²² + x² + x + 1, windowed
-//! carry-less multiplication and extended-Euclid inversion.
+//! carry-less multiplication, shift-xor fold reduction and extended-Euclid
+//! inversion.
 //!
 //! This is the field the paper recommends for the fastest decoding of 1 MB
 //! data blocks (Table II): the largest symbols give the smallest `k`, and the
@@ -45,44 +46,45 @@ impl Gf2p32 {
     }
 }
 
+/// The 4-bit multiplication window of `c`: entry `i` is the carry-less
+/// product `c · i`, of degree ≤ 34. Sixteen shifts and xors to build; the
+/// slice kernels build one per coefficient, not per symbol.
+#[inline]
+fn window(c: u32) -> [u64; 16] {
+    let mut table = [0u64; 16];
+    for i in 1..16usize {
+        table[i] = (table[i >> 1] << 1) ^ if i & 1 == 1 { c as u64 } else { 0 };
+    }
+    table
+}
+
+/// The field product `c · x` from `c`'s window: eight lookups, one per
+/// nibble of `x`, give the carry-less product (degree ≤ 62), and
+/// [`reduce64`] folds it.
+#[inline]
+fn mul_window(table: &[u64; 16], x: u32) -> u32 {
+    reduce64((0..8).fold(0, |acc, nibble| {
+        acc ^ (table[((x >> (4 * nibble)) & 0xf) as usize] << (4 * nibble))
+    }))
+}
+
 /// Reduces a ≤ 62-degree product to a field element.
 ///
-/// Folds the bits above x³¹ down using x³² ≡ x²² + x² + x + 1; three folds
-/// always suffice for a 64-bit input.
+/// Folds the bits above x³¹ down with x³² ≡ x²² + x² + x + 1, a shift-xor per
+/// term. Each fold lowers the excess degree by ten (30 → 20 → 10 → 0 → none),
+/// so four folds always suffice and none branches on the value.
 #[inline]
 fn reduce64(mut v: u64) -> u32 {
-    const LOW: u64 = MODULUS & 0xffff_ffff; // x^22 + x^2 + x + 1
-    while v >> 32 != 0 {
+    for _ in 0..4 {
         let hi = v >> 32;
-        v &= 0xffff_ffff;
-        // hi has degree <= 30 after the first fold; clmul(hi, LOW) <= 52 bits.
-        v ^= clmul_small(hi, LOW);
+        v = (v & 0xffff_ffff) ^ (hi << 22) ^ (hi << 2) ^ (hi << 1) ^ hi;
     }
     v as u32
 }
 
-/// Carry-less multiply where `a` fits well below 64 bits (used by the
-/// reduction fold); 4-bit windowed like [`poly::clmul64`] but staying in u64.
-#[inline]
-fn clmul_small(a: u64, b: u64) -> u64 {
-    let mut table = [0u64; 16];
-    for i in 1..16usize {
-        table[i] = (table[i >> 1] << 1) ^ if i & 1 == 1 { b } else { 0 };
-    }
-    let mut acc = 0u64;
-    let mut a = a;
-    let mut shift = 0u32;
-    while a != 0 {
-        acc ^= table[(a & 0xf) as usize] << shift;
-        a >>= 4;
-        shift += 4;
-    }
-    acc
-}
-
 #[inline]
 fn mul32(a: u32, b: u32) -> u32 {
-    reduce64(clmul_small(a as u64, b as u64))
+    mul_window(&window(a), b)
 }
 
 /// Byte-sliced multiplication tables for a fixed coefficient: entry
@@ -157,9 +159,9 @@ impl Field for Gf2p32 {
             }
             return;
         }
-        let w = poly::Window32::new(c.0, MODULUS);
+        let w = window(c.0);
         for (yi, &xi) in y.iter_mut().zip(x) {
-            yi.0 ^= w.mul(xi.0);
+            yi.0 ^= mul_window(&w, xi.0);
         }
     }
 
@@ -174,9 +176,9 @@ impl Field for Gf2p32 {
             }
             return;
         }
-        let w = poly::Window32::new(c.0, MODULUS);
+        let w = window(c.0);
         for yi in y.iter_mut() {
-            yi.0 = w.mul(yi.0);
+            yi.0 = mul_window(&w, yi.0);
         }
     }
 }
@@ -198,6 +200,7 @@ impl From<Gf2p32> for u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn modulus_is_irreducible() {
@@ -276,6 +279,43 @@ mod tests {
                 u32::MAX,
             ] {
                 assert_eq!(split_mul(&t, x), mul32(c, x), "c={c:#x} x={x:#x}");
+            }
+        }
+    }
+
+    /// Operands that every case mixes in: the identities, and the all-ones
+    /// and top-bit patterns, whose products reach degree 62, the most a
+    /// fold ever sees.
+    const EDGES: [u32; 5] = [0, 1, 0xffff_ffff, 0x8000_0000, 0x8000_0001];
+
+    fn oracle(c: u32, x: u32) -> u32 {
+        poly::mulmod(c as u64, x as u64, MODULUS) as u32
+    }
+
+    proptest! {
+        #[test]
+        fn products_match_mulmod(
+            c in (0..2 * EDGES.len(), any::<u32>())
+                .prop_map(|(i, random)| EDGES.get(i).copied().unwrap_or(random)),
+            xs in proptest::collection::vec(any::<u32>(), SPLIT_TABLE_THRESHOLD..3 * SPLIT_TABLE_THRESHOLD),
+            y0 in any::<u32>(),
+        ) {
+            let xs: Vec<u32> = EDGES.iter().copied().chain(xs).collect();
+            for &x in &xs {
+                prop_assert_eq!((Gf2p32(c) * Gf2p32(x)).0, oracle(c, x));
+            }
+            // A prefix below the threshold takes the window kernel, the
+            // whole slice the split table.
+            for len in [SPLIT_TABLE_THRESHOLD - 1, xs.len()] {
+                let x: Vec<Gf2p32> = xs[..len].iter().map(|&v| Gf2p32(v)).collect();
+                let mut y: Vec<Gf2p32> = (0..len as u32).map(|i| Gf2p32(y0.rotate_left(i))).collect();
+                let axpy: Vec<u32> = y.iter().zip(&xs).map(|(yi, &xi)| yi.0 ^ oracle(c, xi)).collect();
+                Gf2p32::axpy_slice(Gf2p32(c), &x, &mut y);
+                prop_assert_eq!(y.iter().map(|v| v.0).collect::<Vec<_>>(), axpy);
+                let mut scaled = x;
+                Gf2p32::scale_slice(Gf2p32(c), &mut scaled);
+                let want: Vec<u32> = xs[..len].iter().map(|&xi| oracle(c, xi)).collect();
+                prop_assert_eq!(scaled.iter().map(|v| v.0).collect::<Vec<_>>(), want);
             }
         }
     }

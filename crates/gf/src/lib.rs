@@ -12,9 +12,9 @@
 //!
 //! * GF(2⁴) and GF(2⁸) use full log/exp tables computed at compile time.
 //! * GF(2¹⁶) uses lazily-built 64 Ki-entry log/exp tables.
-//! * GF(2³²) uses windowed carry-less multiplication with reduction modulo
-//!   the irreducible polynomial x³² + x²² + x² + x + 1, and inversion by
-//!   binary extended Euclid over GF(2)\[x\].
+//! * GF(2³²) uses windowed carry-less multiplication, reduced modulo the
+//!   irreducible polynomial x³² + x²² + x² + x + 1 by four shift-xor folds,
+//!   and inversion by binary extended Euclid over GF(2)\[x\].
 //!
 //! # Example
 //!

@@ -2,7 +2,8 @@
 //!
 //! These helpers back the wide fields (GF(2¹⁶), GF(2³²)): carry-less
 //! multiplication, reduction modulo an irreducible polynomial, and inversion
-//! by the binary extended Euclidean algorithm. Polynomials are represented as
+//! by the binary extended Euclidean algorithm. `mulmod` is the tests' oracle;
+//! GF(2³²) inverts with `invmod`. Polynomials are represented as
 //! bit patterns: bit `i` is the coefficient of `x^i`.
 //!
 //! # Example
@@ -10,16 +11,15 @@
 //! ```rust
 //! use asymshare_gf::poly;
 //!
-//! // (x + 1)(x + 1) = x^2 + 1 over GF(2)
-//! assert_eq!(poly::clmul64(0b11, 0b11), 0b101);
+//! // (x + 1)(x + 1) = x^2 + 1 over GF(2), reduced modulo x^4 + x + 1
+//! assert_eq!(poly::mulmod(0b11, 0b11, 0b10011), 0b101);
 //! ```
 
 /// Carry-less multiplication of two 64-bit polynomials, full 128-bit result.
 ///
-/// Uses a 4-bit windowed shift-and-xor schoolbook; this is the software
-/// fallback for hardware CLMUL and is fast enough for the codec's bulk
-/// kernels (which hoist the window table; see [`Window32`]).
-pub fn clmul64(a: u64, b: u64) -> u128 {
+/// Uses a 4-bit windowed shift-and-xor schoolbook: the reference product
+/// behind [`mulmod`].
+fn clmul64(a: u64, b: u64) -> u128 {
     let mut table = [0u128; 16];
     for i in 1..16usize {
         table[i] = (table[i >> 1] << 1) ^ if i & 1 == 1 { b as u128 } else { 0 };
@@ -134,43 +134,6 @@ fn poly_rem(mut a: u128, b: u64) -> u64 {
     a as u64
 }
 
-/// A precomputed 4-bit multiplication window for a fixed 32-bit coefficient,
-/// for the GF(2³²) bulk kernels.
-///
-/// Building the window costs ~16 xors/shifts; each subsequent product costs
-/// 8 table lookups plus a two-fold reduction. The codec hoists one `Window32`
-/// per coefficient per encoded row.
-#[derive(Debug, Clone)]
-pub struct Window32 {
-    table: [u64; 16],
-    modulus: u64,
-}
-
-impl Window32 {
-    /// Builds the window for coefficient `c` in GF(2)\[x\] / (modulus).
-    pub fn new(c: u32, modulus: u64) -> Self {
-        let mut table = [0u64; 16];
-        for i in 1..16usize {
-            table[i] = (table[i >> 1] << 1) ^ if i & 1 == 1 { c as u64 } else { 0 };
-        }
-        Window32 { table, modulus }
-    }
-
-    /// Multiplies `x` by the window's coefficient, reduced.
-    #[inline]
-    pub fn mul(&self, x: u32) -> u32 {
-        let mut acc = 0u64;
-        let mut v = x;
-        let mut shift = 0u32;
-        while v != 0 {
-            acc ^= self.table[(v & 0xf) as usize] << shift;
-            v >>= 4;
-            shift += 4;
-        }
-        reduce(acc as u128, self.modulus) as u32
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,20 +181,5 @@ mod tests {
         assert!(!is_irreducible(0b101)); // x^2 + 1 = (x+1)^2
         assert!(!is_irreducible(0b110)); // divisible by x
         assert!(!is_irreducible(0));
-    }
-
-    #[test]
-    fn window32_matches_mulmod() {
-        let modulus = 0x1_0040_0007u64;
-        for &c in &[0u32, 1, 2, 0xdead_beef, u32::MAX] {
-            let w = Window32::new(c, modulus);
-            for &x in &[0u32, 1, 7, 0x1234_5678, u32::MAX] {
-                assert_eq!(
-                    w.mul(x) as u64,
-                    mulmod(c as u64, x as u64, modulus),
-                    "c={c:#x} x={x:#x}"
-                );
-            }
-        }
     }
 }

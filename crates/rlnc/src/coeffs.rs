@@ -1,14 +1,15 @@
 //! Deterministic coefficient-row generation from the owner's secret key.
 //!
 //! A row β_i = [β_i1 … β_ik] is the expansion of a ChaCha20 stream keyed by
-//! `SHA-256(secret ‖ file-id)` with nonce `message-id` — exactly the paper's
+//! `SHA-256(secret ‖ file-id)` (the file's [`CoefficientKey`], derived once)
+//! with nonce `message-id` — exactly the paper's
 //! "βij randomly chosen from F_q using a cryptographically strong random
 //! number generator seeded with a cryptographic hash of i, and a secret key
 //! known only to the encoding peer" (§III-A). Anyone holding the secret can
 //! regenerate any row from the plaintext ids; nobody else can.
 
 use crate::message::{FileId, MessageId};
-use asymshare_crypto::rng::SecretKey;
+use asymshare_crypto::rng::{CoefficientKey, SecretKey};
 use asymshare_gf::Field;
 
 /// Generates coefficient rows for one file under one secret key.
@@ -16,7 +17,7 @@ use asymshare_gf::Field;
 /// # Example
 ///
 /// ```rust
-/// use asymshare_crypto::rng::SecretKey;
+/// use asymshare_crypto::rng::{CoefficientKey, SecretKey};
 /// use asymshare_gf::Gf256;
 /// use asymshare_rlnc::{FileId, MessageId, RowGenerator};
 ///
@@ -27,8 +28,7 @@ use asymshare_gf::Field;
 /// ```
 #[derive(Debug, Clone)]
 pub struct RowGenerator<F> {
-    secret: SecretKey,
-    file_id: FileId,
+    key: CoefficientKey,
     k: usize,
     _field: core::marker::PhantomData<F>,
 }
@@ -37,8 +37,7 @@ impl<F: Field> RowGenerator<F> {
     /// A generator for rows of length `k` for `file_id` under `secret`.
     pub fn new(secret: SecretKey, file_id: FileId, k: usize) -> Self {
         RowGenerator {
-            secret,
-            file_id,
+            key: secret.coefficient_key(file_id.0),
             k,
             _field: core::marker::PhantomData,
         }
@@ -63,7 +62,7 @@ impl<F: Field> RowGenerator<F> {
     /// scratch-buffer form of [`row`](Self::row) for hot loops that
     /// regenerate rows repeatedly.
     pub fn row_into(&self, message_id: MessageId, out: &mut Vec<F>) {
-        let mut rng = self.secret.coefficient_rng(self.file_id.0, message_id.0);
+        let mut rng = self.key.rng(message_id.0);
         out.reserve(self.k);
         out.extend((0..self.k).map(|_| {
             let raw = rng.next_u64();
@@ -107,6 +106,21 @@ mod tests {
             seen[s.to_u64() as usize] = true;
         }
         assert!(seen.iter().all(|&b| b), "all 16 symbols appear");
+    }
+
+    /// A row of the kind every disseminated GF(2³²) file was encoded with;
+    /// how the key is derived and held must not move one coefficient.
+    #[test]
+    fn gf2p32_row_is_pinned() {
+        let g = RowGenerator::<Gf2p32>::new(secret("coefficient pin"), FileId(7), 8);
+        let row: Vec<u64> = g.row(MessageId(3)).iter().map(|s| s.to_u64()).collect();
+        assert_eq!(
+            row,
+            [
+                0xa807fabd, 0xa9a0363e, 0x5b435dc3, 0x61da4200, 0x16b638a5, 0x29173dd6, 0x90d2b729,
+                0x34bc6387
+            ]
+        );
     }
 
     #[test]
