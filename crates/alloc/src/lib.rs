@@ -40,9 +40,7 @@
 
 mod bounds;
 mod demand;
-mod kernels;
 mod ledger;
-mod mask;
 mod metrics;
 mod rules;
 mod sim;
@@ -52,7 +50,6 @@ mod trace;
 pub use bounds::theorem1_lower_bound;
 pub use demand::{random_hour_windows, Demand};
 pub use ledger::ContributionLedger;
-pub use mask::RequestMask;
 pub use metrics::{gain_over_isolation, jain_index, pairwise_unfairness};
 pub use rules::{allocate_into, AllocScratch, AllocationInputs, RuleKind};
 pub use sim::{InitialCredit, SimConfig, SlotSimulator};

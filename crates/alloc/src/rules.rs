@@ -1,9 +1,7 @@
 //! The allocation rules: Eq. 2 (peer-wise proportional), Eq. 3 (global
 //! proportional) and an equal-split baseline.
 
-use crate::kernels;
 use crate::ledger::ContributionLedger;
-use crate::mask::RequestMask;
 
 /// Which allocation rule a peer runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -35,18 +33,17 @@ pub struct AllocationInputs<'a> {
     pub ledger: &'a ContributionLedger,
 }
 
-/// Caller-owned scratch for [`allocate_into`]: a reusable weight row and
-/// request mask that settle at their high-water marks after the first slot.
+/// Caller-owned scratch for [`allocate_into`]: a reusable weight row that
+/// settles at its high-water mark after the first slot.
 #[derive(Debug, Clone, Default)]
 pub struct AllocScratch {
-    /// Dense per-user weight row (`w_j` for the active rule).
+    /// Dense per-user weight row (`w_j` for the active rule, zero for a
+    /// non-requester).
     pub weights: Vec<f64>,
-    /// Packed request mask for the slot.
-    pub mask: RequestMask,
 }
 
 impl AllocScratch {
-    /// Empty scratch; buffers grow on first use.
+    /// Empty scratch; the row grows on first use.
     pub fn new() -> AllocScratch {
         AllocScratch::default()
     }
@@ -59,10 +56,10 @@ impl AllocScratch {
 /// (otherwise `out` is all zeros — the bandwidth is simply unused that
 /// slot, the "use it or lose it" the system exists to recycle).
 ///
-/// This is the zero-allocation hot path: weights and the packed request
-/// mask live in `scratch` (which settles at its high-water mark after the
-/// first call), and the masked weighted normalize runs through
-/// [`kernels`](crate::kernels).
+/// The rule's weights go into `scratch`, with non-requesters (and negative
+/// Eq.-3 declarations, the legacy `.max(0.0)` clamp) zeroed; then
+/// `out[j] = w_j · (capacity / Σ w)`, the sum taken in a pinned 4-lane
+/// order.
 ///
 /// # Panics
 ///
@@ -85,33 +82,51 @@ pub fn allocate_into(
     if n == 0 {
         return false;
     }
-    scratch.mask.fill_from_bools(inputs.requesting);
-    scratch.weights.clear();
+    let weights = &mut scratch.weights;
+    weights.clear();
     match rule {
+        // Σ_{k<t} μ_ji(k): what each j has given this allocator — one
+        // contiguous ledger row.
         RuleKind::PeerWise => {
-            // Σ_{k<t} μ_ji(k): what each j has given this allocator — one
-            // contiguous ledger row, no per-pair lookups.
-            scratch.weights.resize(n, 0.0);
+            weights.resize(n, 0.0);
             inputs
                 .ledger
-                .write_weights_for_allocator(inputs.allocator, &mut scratch.weights);
+                .write_weights_for_allocator(inputs.allocator, weights);
         }
-        RuleKind::GlobalProportional => {
-            scratch.weights.extend_from_slice(inputs.declared);
-            // A negative declaration contributes nothing (the legacy
-            // `.max(0.0)` clamp), expressed as a cleared mask bit so the
-            // kernels only ever see non-negative selected weights.
-            for (j, &d) in inputs.declared.iter().enumerate() {
-                if d < 0.0 {
-                    scratch.mask.unset(j);
-                }
-            }
-        }
-        RuleKind::EqualSplit => {
-            scratch.weights.resize(n, 1.0);
+        RuleKind::GlobalProportional => weights.extend_from_slice(inputs.declared),
+        RuleKind::EqualSplit => weights.resize(n, 1.0),
+    }
+    for (w, &requesting) in weights.iter_mut().zip(inputs.requesting) {
+        if !requesting || *w < 0.0 {
+            *w = 0.0;
         }
     }
-    kernels::normalize_masked_into(&scratch.weights, scratch.mask.words(), inputs.capacity, out)
+    let total = lane_sum(weights);
+    // Written as negated comparisons on purpose: a NaN total (poisoned
+    // credit row) must take the zeroing branch, which `total <= 0.0` or a
+    // `partial_cmp` rewrite would silently stop doing.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    if !(total > 0.0) || !(inputs.capacity > 0.0) || !total.is_finite() {
+        out.fill(0.0);
+        return false;
+    }
+    let scale = inputs.capacity / total;
+    for (o, &w) in out.iter_mut().zip(weights.iter()) {
+        *o = w * scale;
+    }
+    true
+}
+
+/// `Σ x` in the one order the committed figure CSVs carry the bits of:
+/// element `i` adds into lane `i mod 4`, and the lanes are reduced as
+/// `(acc0 + acc1) + (acc2 + acc3)`. Floating-point addition does not
+/// associate, so a running sum would move the figures' last bits.
+fn lane_sum(x: &[f64]) -> f64 {
+    let mut acc = [0.0f64; 4];
+    for (i, &v) in x.iter().enumerate() {
+        acc[i % 4] += v;
+    }
+    (acc[0] + acc[1]) + (acc[2] + acc[3])
 }
 
 #[cfg(test)]
@@ -277,6 +292,16 @@ mod tests {
             assert_eq!(out.as_slice(), legacy.as_slice(), "{rule:?}");
             assert!(full, "{rule:?} has a positive-weight requester");
         }
+    }
+
+    #[test]
+    fn lane_sum_keeps_the_four_lane_order() {
+        // 1e16 absorbs a lone 1.0 but not 2.0, so the lane order (which
+        // pairs lanes 2 and 3 first) and a running sum end on different bits.
+        let x = [1e16, 1.0, 1.0, 1.0, 1.0];
+        let lanes = ((1e16f64 + 1.0) + 1.0) + (1.0 + 1.0);
+        assert_eq!(lane_sum(&x).to_bits(), lanes.to_bits());
+        assert_ne!(lanes, x.iter().sum::<f64>());
     }
 
     #[test]

@@ -155,8 +155,7 @@ impl SlotSimulator {
                     }
                     None | Some(EffectiveRule::SelfOnly) => {}
                     Some(EffectiveRule::Rule(rule)) => {
-                        // Zero-alloc slot path: the kernels write straight
-                        // into this peer's allocation row.
+                        // Written straight into this peer's allocation row.
                         allocate_into(
                             rule,
                             &AllocationInputs {

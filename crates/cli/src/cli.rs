@@ -24,7 +24,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
         Some("encode") => encode(&args[1..]),
         Some("decode") => decode(&args[1..]),
         Some("inspect") => inspect(&args[1..]),
-        Some("metrics") => metrics(&args[1..]),
+        Some("metrics") => metrics(&args[1..]).map(|out| print!("{out}")),
         Some("trace") => trace(&args[1..]),
         Some("top") => top(&args[1..]),
         Some(other) => Err(format!("unknown command '{other}'")),
@@ -288,33 +288,34 @@ fn sim_demo(
     Ok((rt, report))
 }
 
-/// Runs the seeded demonstration download and dumps the resulting metrics
-/// snapshot — the quickest way to see what the instrumentation layer
-/// records.
-fn metrics(args: &[String]) -> Result<(), String> {
+/// Runs the seeded demonstration download and renders the resulting
+/// metrics snapshot — the quickest way to see what the instrumentation
+/// layer records. The text depends on the arguments alone.
+fn metrics(args: &[String]) -> Result<String, String> {
+    use std::fmt::Write;
+
     let (rt, report) = sim_demo(args, b'm', false)?;
     if let Some(path) = flag_value(args, "--events") {
         fs::write(path, rt.events_jsonl()).map_err(|e| format!("writing {path}: {e}"))?;
     }
     if args.iter().any(|a| a == "--json") {
-        println!("{}", report.metrics.to_json());
-    } else {
-        let credit = rt.credit_matrix();
-        println!(
-            "seeded demo: {} peers, {} B payload, {:.2} s simulated, {:.0} kbps mean",
-            credit.len(),
-            report.data.len(),
-            report.duration_secs,
-            report.mean_rate_kbps
-        );
-        print!("{}", report.metrics.pretty());
-        println!("Eq.-2 credit (row: serving peer, column: user key):");
-        for (i, row) in credit.iter().enumerate() {
-            let cells: Vec<String> = row.iter().map(|c| format!("{c:>10.0}")).collect();
-            println!("  p{i:<3}{}", cells.join(""));
-        }
+        return Ok(report.metrics.to_json() + "\n");
     }
-    Ok(())
+    let credit = rt.credit_matrix();
+    let mut out = format!(
+        "seeded demo: {} peers, {} B payload, {:.2} s simulated, {:.0} kbps mean\n",
+        credit.len(),
+        report.data.len(),
+        report.duration_secs,
+        report.mean_rate_kbps
+    );
+    out += &report.metrics.pretty();
+    out += "Eq.-2 credit (row: serving peer, column: user key):\n";
+    for (i, row) in credit.iter().enumerate() {
+        let cells: Vec<String> = row.iter().map(|c| format!("{c:>10.0}")).collect();
+        let _ = writeln!(out, "  p{i:<3}{}", cells.join(""));
+    }
+    Ok(out)
 }
 
 /// Runs the seeded demonstration download and renders the resulting span
@@ -664,6 +665,28 @@ mod tests {
         // Bad arguments are rejected before any simulation work happens.
         assert!(run(&s(&["metrics", "--peers", "1"])).is_err());
         assert!(run(&s(&["metrics", "--size", "0"])).is_err());
+    }
+
+    #[test]
+    fn metrics_demo_is_deterministic() {
+        for format in [&[][..], &["--json"][..]] {
+            let args = s(&[&["--peers", "3", "--size", "32768"][..], format].concat());
+            assert_eq!(
+                metrics(&args).unwrap(),
+                metrics(&args).unwrap(),
+                "{format:?}"
+            );
+        }
+        // The simulated deployment reads no wall clock, so it reports no
+        // allocator timings.
+        let (rt, _) = sim_demo(&s(&["--peers", "3", "--size", "32768"]), b'm', false).unwrap();
+        let snapshot = rt.metrics_snapshot();
+        let names = (snapshot.counters.iter().map(|(n, _)| n))
+            .chain(snapshot.gauges.iter().map(|(n, _)| n))
+            .chain(snapshot.histograms.iter().map(|(n, _)| n));
+        for name in names {
+            assert!(!name.starts_with("alloc."), "{name}");
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@ use asymshare_gf::{FieldKind, Gf2p32};
 use asymshare_netsim::{
     Event, EventKind, FaultPlan, FaultStats, LinkSpeed, NodeId, SimNet, SimTime,
 };
-use asymshare_obs::{Counter, EventSink, Gauge, Histogram, Registry, Snapshot, Value};
+use asymshare_obs::{Counter, EventSink, Histogram, Registry, Snapshot, Value};
 use asymshare_rlnc::{
     ChunkedEncoder, CodecError, DigestKind, EncodedMessage, FileId, FileManifest,
 };
@@ -176,14 +176,6 @@ struct SimObs {
     digest_rejections: Counter,
     /// Per-slot per-connection Eq.-2 budgets, bytes.
     alloc_budget_bytes: Histogram,
-    /// Wall-clock microseconds per Eq.-2 allocation pass (phase 1 of a
-    /// slot) — pure instrumentation, simulated time never observes it.
-    alloc_pass_us: Histogram,
-    /// Allocator throughput: slots per wall-clock second, from the last
-    /// pass's duration.
-    alloc_slots_per_sec: Gauge,
-    /// Allocation passes completed.
-    alloc_slots: Counter,
     /// Request-to-serve latency of digest-replacement round trips, µs.
     replacement_rtt_us: Histogram,
 }
@@ -196,9 +188,6 @@ impl SimObs {
             corruptions: metrics.counter("sim.deliver.corruptions"),
             digest_rejections: metrics.counter("sim.deliver.digest_rejections"),
             alloc_budget_bytes: metrics.histogram("sim.alloc.budget_bytes"),
-            alloc_pass_us: metrics.histogram("alloc.pass_us"),
-            alloc_slots_per_sec: metrics.gauge("alloc.slots_per_sec"),
-            alloc_slots: metrics.counter("alloc.slots"),
             replacement_rtt_us: metrics.histogram("sim.deliver.replacement_rtt_us"),
             metrics,
             events: EventSink::new(),
@@ -635,16 +624,9 @@ impl SimRuntime {
     /// per Eq. 2 and starts flows for what it staged. The overflow is
     /// dropped: a slot's capacity does not outlive it.
     fn grant_slot(&mut self) {
-        let pass_start = std::time::Instant::now();
         for p_idx in 0..self.participants.len() {
             self.pass(p_idx, true);
         }
-        self.obs.alloc_slots.inc();
-        let pass_us = pass_start.elapsed().as_micros() as u64;
-        self.obs.alloc_pass_us.record(pass_us);
-        self.obs
-            .alloc_slots_per_sec
-            .set(1e6 / pass_us.max(1) as f64);
     }
 
     /// One `Host` pass over participant `p_idx`, granting a slot of its

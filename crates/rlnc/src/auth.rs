@@ -65,8 +65,9 @@ impl MessageDigest {
     ///
     /// MD5 digests of neighbouring messages with equal payload length —
     /// the frames of one datagram, the `k` messages of one encoded batch —
-    /// are computed four at a time in the lanes of one [`Md5x4`]; a message
-    /// with no such neighbour is hashed alone.
+    /// are computed in groups of up to four; a group of three or four
+    /// shares the lanes of one [`Md5x4`], and a shorter one is hashed a
+    /// message at a time.
     pub fn compute_many<'a>(
         kind: DigestKind,
         msgs: impl IntoIterator<Item = &'a EncodedMessage>,
@@ -105,8 +106,9 @@ fn wire_header(msg: &EncodedMessage) -> [u8; crate::message::HEADER_LEN] {
 /// digest of the message `msg_of` finds in it.
 ///
 /// Consecutive items whose payloads are equally long are held back until
-/// four are in hand (or the run ends) and hashed together; nothing is
-/// allocated.
+/// four are in hand (or the run ends); a group of three or four is hashed
+/// in the lanes of one [`Md5x4`], a group of one or two one message at a
+/// time. Nothing is allocated.
 pub(crate) fn digest_each<T>(
     kind: DigestKind,
     items: impl Iterator<Item = T>,
@@ -116,18 +118,19 @@ pub(crate) fn digest_each<T>(
     let mut group: [Option<T>; 4] = [None, None, None, None];
     let mut held = 0;
     let mut flush = |held: &mut [Option<T>]| {
-        let Some(last) = held.len().checked_sub(1) else {
+        // Four lanes run at 1.4-1.8x the one-lane rate (independent
+        // scalar chains, not SIMD): three or four messages in use beat as
+        // many one-lane passes, but a pair padded to four lanes is slower
+        // than two, so one or two messages go alone.
+        if held.len() <= 2 {
+            for item in held.iter_mut().map(|item| item.take().expect("held item")) {
+                let digest = MessageDigest::compute(kind, msg_of(&item));
+                emit(item, digest);
+            }
             return;
-        };
-        if last == 0 {
-            let item = held[0].take().expect("held item");
-            let digest = MessageDigest::compute(kind, msg_of(&item));
-            return emit(item, digest);
         }
-        // Lanes beyond the group repeat its last message. Four lanes run
-        // at about 1.5x the one-lane rate (independent scalar chains, not
-        // SIMD), so three in use still edge out three passes; two in use
-        // are slower than two passes.
+        // A group of three repeats its last message in the fourth lane.
+        let last = held.len() - 1;
         let lanes: [&EncodedMessage; 4] =
             core::array::from_fn(|lane| msg_of(held[lane.min(last)].as_ref().expect("held item")));
         let headers = lanes.map(wire_header);

@@ -474,8 +474,8 @@ impl<F: Field> ChunkedDecoder<F> {
         })
     }
 
-    /// Hashes `msgs` now — four at a time where neighbours have equally
-    /// long payloads — and leaves each digest in its message, so that
+    /// Hashes `msgs` now — up to four at a time where neighbours have
+    /// equally long payloads — and leaves each digest in its message, so that
     /// [`add_message`](Self::add_message) compares it against the manifest
     /// instead of hashing the message a second time. Purely a matter of
     /// *when* the hashing happens: a message is accepted or rejected
