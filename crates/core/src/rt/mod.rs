@@ -49,8 +49,8 @@ use asymshare_crypto::chacha20::ChaChaRng;
 use asymshare_gf::{block, Gf2p32};
 use asymshare_obs::Value;
 use asymshare_rlnc::{CodecError, SealedBlock};
-use crossbeam::channel;
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::{Scope, ScopedJoinHandle};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
@@ -142,10 +142,11 @@ impl DecodeJob<'_> {
 
 /// The thread draining the decode queue, and the queue's two ends: the
 /// caller keeps the receiving one to share what is left once it is done
-/// receiving.
+/// receiving. The worker holds the lock while it blocks in `recv`; the
+/// caller locks only after dropping `jobs`, when `recv` returns at once.
 struct DecodeWorker<'scope, 'env> {
-    jobs: channel::Sender<DecodeJob<'env>>,
-    queue: Arc<channel::Receiver<DecodeJob<'env>>>,
+    jobs: Sender<DecodeJob<'env>>,
+    queue: Arc<Mutex<Receiver<DecodeJob<'env>>>>,
     thread: ScopedJoinHandle<'scope, Vec<Decoded>>,
 }
 
@@ -193,13 +194,14 @@ impl<'scope, 'env> DecodePipeline<'scope, 'env> {
         }
         let (scope, events) = (self.scope, &self.events);
         let worker = self.worker.get_or_insert_with(|| {
-            let (jobs, queue) = channel::unbounded::<DecodeJob<'env>>();
-            let queue = Arc::new(queue);
+            let (jobs, queue) = channel::<DecodeJob<'env>>();
+            let queue = Arc::new(Mutex::new(queue));
             let (events, theirs) = (events.clone(), queue.clone());
             let thread = scope.spawn(move || {
                 let mut scratch = block::Scratch::new();
                 let run = |job: DecodeJob<'env>| job.run(&mut scratch, false, &events, parent);
-                std::iter::from_fn(|| theirs.recv().ok()).map(run).collect()
+                let next = || theirs.lock().unwrap_or_else(PoisonError::into_inner).recv();
+                std::iter::from_fn(|| next().ok()).map(run).collect()
             });
             DecodeWorker {
                 jobs,
@@ -233,7 +235,9 @@ impl<'scope, 'env> DecodePipeline<'scope, 'env> {
             drop(worker.jobs);
             // Nothing left to receive: share the worker's backlog.
             let parent = self.span.id();
-            while let Ok(job) = worker.queue.try_recv() {
+            let queue = &worker.queue;
+            let next = || queue.lock().unwrap_or_else(PoisonError::into_inner).recv();
+            while let Ok(job) = next() {
                 results.push(job.run(&mut self.scratch, true, &self.events, parent));
             }
             let joined = worker.thread.join();
@@ -946,6 +950,51 @@ mod tests {
             Err(SystemError::Codec(CodecError::ChunkSealed { index: 0 }))
         );
         reactor.shutdown();
+    }
+
+    /// Eight sealed chunks queued at once and `finish` called at once: the
+    /// worker has a backlog when the caller seals the ragged last chunk and
+    /// then shares what is left of the queue. Whichever of the two takes a
+    /// chunk, it is decoded exactly once, into its own slice.
+    #[test]
+    fn a_shared_decode_backlog_decodes_each_chunk_once() {
+        const LEN: usize = 8 * 16 * 1024 + 1001;
+        let network = RtNetwork::with_observability(
+            asymshare_obs::Registry::new(),
+            asymshare_obs::EventSink::new(),
+        );
+        let owner = Identity::from_seed(b"rt-backlog");
+        let (batches, manifest) = build_file(&owner, 1, LEN);
+        let mut user = fed_user(&owner, manifest, batches.into_iter().next().unwrap());
+        let mut out = vec![0u8; LEN];
+        let events = network.events();
+        std::thread::scope(|scope| {
+            let mut pipeline = DecodePipeline {
+                scope,
+                slices: out.chunks_mut(16 * 1024).map(Some).collect(),
+                worker: None,
+                scratch: block::Scratch::new(),
+                results: Vec::new(),
+                pipelined: true,
+                completed_secs: None,
+                events: events.clone(),
+                span: events.span("rt.download", "download"),
+            };
+            for chunk in 0..8 {
+                let block = user.seal_chunk(chunk).expect("complete, not yet sealed");
+                pipeline.submit(chunk, block, false);
+            }
+            pipeline.finish(&mut user)
+        })
+        .expect("every chunk decodes");
+        assert_eq!(out, file_bytes(LEN));
+        let mut chunks: Vec<u64> = chunks_decoded(&network).iter().map(|&(c, _)| c).collect();
+        chunks.sort_unstable();
+        assert_eq!(
+            chunks,
+            (0..9).collect::<Vec<u64>>(),
+            "each chunk decoded once"
+        );
     }
 
     /// The default fault seed for rt tests; CI sweeps a small matrix via

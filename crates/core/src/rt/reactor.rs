@@ -36,8 +36,8 @@ use crate::peer::Peer;
 use crate::protocol::Wire;
 use asymshare_crypto::chacha20::ChaChaRng;
 use asymshare_obs::{Counter, EventSink, Histogram};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::collections::HashMap;
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -164,8 +164,8 @@ impl Reactor {
     /// Panics if `cfg.window_frames` is zero.
     pub fn new(network: &RtNetwork, cfg: ReactorConfig) -> Reactor {
         assert!(cfg.window_frames >= 1, "a window holds at least one frame");
-        let (ctrl, ctrl_rx) = unbounded::<Ctrl>();
-        let (ingress, ingress_rx) = unbounded::<Envelope>();
+        let (ctrl, ctrl_rx) = channel::<Ctrl>();
+        let (ingress, ingress_rx) = channel::<Envelope>();
         let net = network.clone();
         let worker_cfg = cfg.clone();
         let handle = std::thread::Builder::new()

@@ -1,4 +1,4 @@
-//! In-process datagram transport: addressed inboxes over crossbeam
+//! In-process datagram transport: addressed inboxes over std
 //! channels, with every message crossing as serialized wire bytes.
 //!
 //! Sends assemble their frames into a buffer drawn from a shared
@@ -20,11 +20,10 @@ use crate::rt::pool::BufferPool;
 use asymshare_netsim::{FaultPlan, FaultStats, NodeId, SplitMix64};
 use asymshare_obs::{Counter, EventSink, Histogram, Registry, Snapshot};
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 /// An installed [`FaultPlan`] and what realising it per datagram needs.
@@ -233,7 +232,7 @@ impl TransportObs {
 /// clients can hold their own handles.
 #[derive(Debug, Clone, Default)]
 pub struct RtNetwork {
-    registry: Arc<RwLock<HashMap<u64, Sender<Envelope>>>>,
+    inboxes: Arc<RwLock<HashMap<u64, Sender<Envelope>>>>,
     fault: Arc<RwLock<Option<FaultState>>>,
     pool: Arc<BufferPool>,
     obs: TransportObs,
@@ -291,9 +290,8 @@ impl RtNetwork {
     ///
     /// Panics if the address is already registered.
     pub fn register(&self, addr: u64) -> Inbox {
-        let (tx, rx) = unbounded();
-        let previous = self.registry.write().insert(addr, tx);
-        assert!(previous.is_none(), "address {addr} already registered");
+        let (tx, rx) = channel();
+        self.register_queue(addr, tx);
         Inbox { rx }
     }
 
@@ -306,18 +304,21 @@ impl RtNetwork {
     ///
     /// Panics if the address is already registered.
     pub(crate) fn register_queue(&self, addr: u64, tx: Sender<Envelope>) {
-        let previous = self.registry.write().insert(addr, tx);
+        let mut inboxes = self.inboxes.write().unwrap_or_else(PoisonError::into_inner);
+        let previous = inboxes.insert(addr, tx);
         assert!(previous.is_none(), "address {addr} already registered");
     }
 
     /// Removes an address (its inbox stops receiving).
     pub fn unregister(&self, addr: u64) {
-        self.registry.write().remove(&addr);
+        let mut inboxes = self.inboxes.write().unwrap_or_else(PoisonError::into_inner);
+        inboxes.remove(&addr);
     }
 
     /// Whether `addr` currently has a registered inbox.
     pub fn is_registered(&self, addr: u64) -> bool {
-        self.registry.read().contains_key(&addr)
+        let inboxes = self.inboxes.read().unwrap_or_else(PoisonError::into_inner);
+        inboxes.contains_key(&addr)
     }
 
     /// Installs a [`FaultPlan`] affecting every subsequent send; replaces
@@ -338,18 +339,19 @@ impl RtNetwork {
     /// noise does under the paper's MD5 scheme, rather than as a parse
     /// error.
     pub fn install_faults(&self, plan: FaultPlan) {
-        *self.fault.write() = Some(FaultState::new(plan));
+        *self.fault.write().unwrap_or_else(PoisonError::into_inner) = Some(FaultState::new(plan));
     }
 
     /// The strategy the installed plan assigns to `addr`, with its seed.
     pub(crate) fn adversary_for(&self, addr: u64) -> Option<Adversary> {
-        let guard = self.fault.read();
+        let guard = self.fault.read().unwrap_or_else(PoisonError::into_inner);
         host::adversary(&guard.as_ref()?.plan, NodeId::new(addr as usize))
     }
 
     /// Counters of faults realized so far (zero if no plan installed).
     pub fn fault_stats(&self) -> FaultStats {
-        match self.fault.read().as_ref() {
+        let guard = self.fault.read().unwrap_or_else(PoisonError::into_inner);
+        match guard.as_ref() {
             Some(f) => FaultStats {
                 dropped: f.dropped.load(Ordering::Relaxed),
                 corrupted: f.corrupted.load(Ordering::Relaxed),
@@ -365,7 +367,7 @@ impl RtNetwork {
     pub fn pump(&self) {
         let mut due = Vec::new();
         {
-            let guard = self.fault.read();
+            let guard = self.fault.read().unwrap_or_else(PoisonError::into_inner);
             let Some(fault) = guard.as_ref() else {
                 return;
             };
@@ -382,10 +384,10 @@ impl RtNetwork {
         }
         // Deliver oldest-first so delayed traffic stays roughly ordered.
         due.sort_by_key(|(at, _, _)| *at);
-        let registry = self.registry.read();
+        let inboxes = self.inboxes.read().unwrap_or_else(PoisonError::into_inner);
         let released = Instant::now();
         for (_, to, mut envelope) in due {
-            if let Some(tx) = registry.get(&to) {
+            if let Some(tx) = inboxes.get(&to) {
                 self.obs.recv_bytes.add(envelope.bytes.len() as u64);
                 envelope.arrived = released;
                 let _ = tx.send(envelope);
@@ -452,7 +454,7 @@ impl RtNetwork {
         for frame in frames {
             frame.encode_into(&mut buf);
         }
-        let guard = self.fault.read();
+        let guard = self.fault.read().unwrap_or_else(PoisonError::into_inner);
         if let Some(fault) = guard.as_ref() {
             let plan = &fault.plan;
             let sender = NodeId::new(from as usize);
@@ -502,7 +504,8 @@ impl RtNetwork {
         }
         drop(guard);
         let bytes = Bytes::from(buf);
-        if let Some(tx) = self.registry.read().get(&to) {
+        let inboxes = self.inboxes.read().unwrap_or_else(PoisonError::into_inner);
+        if let Some(tx) = inboxes.get(&to) {
             self.obs.recv_bytes.add(bytes.len() as u64);
             // A receiver gone since the lookup hands the envelope back,
             // and dropping it gives its frames back.

@@ -264,24 +264,6 @@ pub mod rngs {
     }
 }
 
-/// A generator seeded from ambient entropy (time + a counter). Not
-/// cryptographic; provided for API compatibility.
-pub fn thread_rng() -> rngs::StdRng {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let t = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_nanos() as u64)
-        .unwrap_or(0);
-    let c = COUNTER.fetch_add(1, Ordering::Relaxed);
-    SeedableRng::seed_from_u64(t ^ c.rotate_left(32))
-}
-
-/// One value of a standard-distribution type from [`thread_rng`].
-pub fn random<T: Standard>() -> T {
-    T::standard_sample(&mut thread_rng())
-}
-
 #[cfg(test)]
 mod tests {
     use super::rngs::StdRng;
