@@ -7,14 +7,18 @@
 //! what must hold: decode time grows with k (smaller m) and shrinks with
 //! larger fields, so GF(2³²) with large m is the fast corner. Each cell is
 //! the fastest of several passes over the whole grid (five, or three with
-//! `--quick`): the shape is checked on 1–2 ms cells, which interference
-//! from the rest of the machine can slow down but never speed up.
+//! `--quick`), and each pass repeats the cell until the repetitions span
+//! at least [`SPAN`], reporting the time per MB: the fastest cells take
+//! 1–2 ms, too short for one timing to survive a scheduler tick.
 
 use asymshare_bench::print_grid_table;
 use asymshare_crypto::rng::SecretKey;
 use asymshare_gf::{Field, FieldKind, Gf16, Gf256, Gf2p32, Gf65536};
 use asymshare_rlnc::{BlockDecoder, CodingParams, Encoder, FileId, MEGABYTE};
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// The least wall-clock time one cell's timed repetitions span.
+const SPAN: Duration = Duration::from_millis(20);
 
 /// The paper's Table II (seconds, NTL/GMP on a 2006 Pentium 4), for the
 /// side-by-side comparison printout.
@@ -25,7 +29,20 @@ const PAPER: [(FieldKind, [f64; 6]); 4] = [
     (FieldKind::Gf2p32, [3.9, 1.96, 1.0, 0.51, 0.26, 0.15]),
 ];
 
-/// Seconds to encode, then to decode, 1 MB once.
+/// Runs `f` until the runs span at least [`SPAN`]; seconds per run.
+fn per_run(mut f: impl FnMut()) -> f64 {
+    let (t0, mut runs) = (Instant::now(), 0u32);
+    loop {
+        f();
+        runs += 1;
+        let spent = t0.elapsed();
+        if spent >= SPAN {
+            return spent.as_secs_f64() / f64::from(runs);
+        }
+    }
+}
+
+/// Seconds to encode, then to decode, 1 MB.
 fn measure_cell<F: Field>(m: usize) -> (f64, f64) {
     let params = CodingParams::for_1mb(F::KIND, m).expect("valid Table II cell");
     let k = params.k();
@@ -33,18 +50,18 @@ fn measure_cell<F: Field>(m: usize) -> (f64, f64) {
     let secret = SecretKey::from_passphrase("table2");
     let encoder = Encoder::<F>::new(params, secret.clone(), FileId(1), &data).expect("encoder");
 
-    let t0 = Instant::now();
     let batch = encoder.encode_batch(0, k).expect("batch");
-    let encode_secs = t0.elapsed().as_secs_f64();
-
-    let t0 = Instant::now();
-    let mut dec = BlockDecoder::<F>::new(params, secret, FileId(1), data.len());
-    for msg in batch {
-        dec.add_message(msg).expect("accept");
-    }
-    let out = dec.decode().expect("decode");
-    let decode_secs = t0.elapsed().as_secs_f64();
-    assert_eq!(out.len(), data.len());
+    let encode_secs = per_run(|| {
+        encoder.encode_batch(0, k).expect("batch");
+    });
+    let decode_secs = per_run(|| {
+        let mut dec = BlockDecoder::<F>::new(params, secret.clone(), FileId(1), data.len());
+        for msg in batch.iter().cloned() {
+            dec.add_message(msg).expect("accept");
+        }
+        let out = dec.decode().expect("decode");
+        assert_eq!(out.len(), data.len());
+    });
     (encode_secs, decode_secs)
 }
 
@@ -60,7 +77,11 @@ fn measure(field: FieldKind, m: usize) -> (f64, f64) {
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let passes = if quick { 3 } else { 5 };
-    println!("measuring 1 MB encode/decode across the Table II grid (fastest of {passes} passes per cell)...\n");
+    println!(
+        "measuring 1 MB encode/decode across the Table II grid (fastest of {passes} passes per cell, \
+         each repeating the cell for at least {} ms)...\n",
+        SPAN.as_millis()
+    );
 
     // (encode, decode) seconds per cell, the fastest pass's.
     let mut fastest = [[(f64::INFINITY, f64::INFINITY); 6]; PAPER.len()];

@@ -59,6 +59,9 @@ const SELECTIVE_SILENCES: u32 = 2;
 /// What one coded datagram weighs in the decayed delivery shares (a
 /// memory of about 64 datagrams).
 const SHARE_STEP: f64 = 1.0 / 64.0;
+/// A downloading connection quiet for this share of the stall timeout
+/// gets its latest ack again (the persist timer of a sliding window).
+const PERSIST_OF_STALL: f64 = 0.25;
 
 /// One thing for the driver to do or report, in order. Every variant but
 /// `Send` is a note, counted in the user's `SessionStats` where a counter
@@ -137,13 +140,15 @@ struct Evidence {
 
 /// A connection: its peer's key (for a re-run handshake), its counts since
 /// the fetch began, the coded frames the user took since the last
-/// [`Fetch::drain_window`], and the evidence against it.
+/// [`Fetch::drain_window`], when it was last acked (never, before its
+/// first coded datagram), and the evidence against it.
 #[derive(Debug)]
 struct PeerState {
     conn: u64,
     key: KeyBytes,
     tally: Tally,
     window_msgs: u64,
+    acked_at: Option<f64>,
     evidence: Evidence,
 }
 
@@ -161,8 +166,10 @@ pub(crate) struct Fetch<U = User<Gf2p32>> {
     actions: Vec<Action>,
     /// Coded datagrams delivered by live connections.
     delivered: u64,
-    /// The shortest silence that can count as withholding.
+    /// The shortest silence that can count as withholding, and the
+    /// persist timer's period.
     silence_floor: f64,
+    persist: f64,
 }
 
 impl<U: BorrowMut<User<Gf2p32>>> Fetch<U> {
@@ -184,6 +191,7 @@ impl<U: BorrowMut<User<Gf2p32>>> Fetch<U> {
                 key,
                 tally: Tally::default(),
                 window_msgs: 0,
+                acked_at: None,
                 evidence: Evidence::default(),
             });
         }
@@ -196,6 +204,7 @@ impl<U: BorrowMut<User<Gf2p32>>> Fetch<U> {
             actions: Vec::new(),
             delivered: 0,
             silence_floor: cfg.stall_secs * SILENCE_OF_STALL,
+            persist: cfg.stall_secs * PERSIST_OF_STALL,
         }
     }
 
@@ -216,8 +225,9 @@ impl<U: BorrowMut<User<Gf2p32>>> Fetch<U> {
     /// Takes one datagram from `conn` that arrived at `at`, draining
     /// `frames`: the arrival is activity on the connection, its coded
     /// frames are hashed together, then each frame is admitted in turn, and
-    /// what became of them is evidence. A banned connection's datagram is
-    /// dropped unread.
+    /// what became of them is evidence. A datagram that carried coded
+    /// frames is answered with one ack, the user's newest. A banned
+    /// connection's datagram is dropped unread.
     ///
     /// # Errors
     ///
@@ -290,7 +300,10 @@ impl<U: BorrowMut<User<Gf2p32>>> Fetch<U> {
                             out.push(Out::Ranked { chunk, last });
                         }
                     }
-                    out.extend(replies.into_iter().map(|(to, reply)| Out::Send(to, reply)));
+                    let replies = replies
+                        .into_iter()
+                        .filter(|(_, r)| !matches!(r, Wire::Ack { .. }));
+                    out.extend(replies.map(|(to, reply)| Out::Send(to, reply)));
                 }
                 // Corrupted or tampered in transit: ask the sender for
                 // another message of the chunk, through the limiter. The
@@ -329,12 +342,34 @@ impl<U: BorrowMut<User<Gf2p32>>> Fetch<U> {
         }
         if let Some(i) = i {
             self.peers[i].evidence.resends = resends;
+            if let Some(ack) = user.ack(conn).filter(|_| coded > 0) {
+                self.peers[i].acked_at = Some(at);
+                out.push(Out::Send(conn, ack));
+            }
         }
         self.watch(&out[sent..]);
         if let Some(i) = i.filter(|_| coded > 0 && !self.ladder.is_dead(conn)) {
             self.judge(i, at, rejected, replayed);
         }
+        self.persist(at, out);
         Ok(())
+    }
+
+    /// Re-sends its latest ack to each downloading connection quiet since
+    /// `now − persist`: a window whose frames or acks were all lost cannot
+    /// stay shut. Any call that hands the engine time checks it. A
+    /// connection never acked has nothing to re-send; if its first window
+    /// is lost, the ladder's re-sweep empties it.
+    fn persist(&mut self, now: f64, out: &mut Vec<Out>) {
+        let user = self.user.borrow();
+        for p in &mut self.peers {
+            if p.acked_at.is_some_and(|at| now - at >= self.persist) {
+                if let Some(ack) = user.ack(p.conn) {
+                    p.acked_at = Some(now);
+                    out.push(Out::Send(p.conn, ack));
+                }
+            }
+        }
     }
 
     /// Weighs a coded datagram from live connection `i`, which arrived at
@@ -414,7 +449,8 @@ impl<U: BorrowMut<User<Gf2p32>>> Fetch<U> {
     }
 
     /// Carries out the recovery due at `now`: re-sweeps and re-handshakes
-    /// of stalled connections, write-offs, bans and re-plans.
+    /// of stalled connections, write-offs, bans and re-plans, then the ack
+    /// of each downloading connection quiet for the persist period.
     ///
     /// # Errors
     ///
@@ -483,6 +519,7 @@ impl<U: BorrowMut<User<Gf2p32>>> Fetch<U> {
             }
         }
         self.watch(&out[sent..]);
+        self.persist(now, out);
         if self.ladder.all_dead() {
             let user = self.user.borrow();
             return Err(SystemError::AllPeersUnavailable {
@@ -493,9 +530,20 @@ impl<U: BorrowMut<User<Gf2p32>>> Fetch<U> {
         Ok(())
     }
 
-    /// [`RecoveryLadder::next_deadline`].
+    /// [`RecoveryLadder::next_deadline`], or sooner when a persist ack is
+    /// due first.
     pub(crate) fn next_deadline(&self, now: f64) -> (f64, bool) {
-        self.ladder.next_deadline(now)
+        let (wait, backing_off) = self.ladder.next_deadline(now);
+        let user = self.user.borrow();
+        let acking = self.peers.iter().filter(|p| user.ack(p.conn).is_some());
+        match acking
+            .filter_map(|p| p.acked_at)
+            .map(|at| at + self.persist - now)
+            .reduce(f64::min)
+        {
+            Some(persist) if persist < wait => (persist.max(0.0), false),
+            _ => (wait, backing_off),
+        }
     }
 
     /// `conn`'s counts since the fetch began (zero for a stranger).
@@ -889,6 +937,60 @@ mod tests {
         assert_eq!(at(&mut rig, 2.0, late), []);
         assert_eq!(rig.fetch.tally(0), tally);
         assert_eq!(rig.fetch.user().hashed_count(), hashed, "dropped unhashed");
+    }
+
+    /// The acks in `outs`, as `(conn, newest, taken)`.
+    fn acks(outs: &[Out]) -> Vec<(u64, u64, u64)> {
+        outs.iter()
+            .filter_map(|item| match item {
+                Out::Send(conn, Wire::Ack { newest, taken }) => Some((*conn, *newest, *taken)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// A coded datagram is answered with one ack, the user's newest; a
+    /// downloading connection quiet for a quarter of the stall timeout
+    /// gets it again, and the driver is woken for it; a connection never
+    /// acked, or written off, gets none.
+    #[test]
+    fn a_quiet_connection_gets_its_ack_again() {
+        let mut rig = connected(0.0);
+        let id = |w: &Wire| match w {
+            Wire::MessageData(m) => m.message_id().0,
+            _ => unreachable!(),
+        };
+        let datagram = vec![coded(&rig, 0, 0), coded(&rig, 0, 1)];
+        let (first, other) = (id(&datagram[1]), coded(&rig, 1, 0));
+        let second = id(&other);
+        let outs = at(&mut rig, 0.125, vec![(0, datagram), (1, vec![other])]);
+        assert_eq!(
+            acks(&outs),
+            [(0, first, 2), (1, second, 1)],
+            "one per datagram"
+        );
+        let outs = at(&mut rig, 0.25, vec![]);
+        assert_eq!(
+            acks(&outs),
+            [],
+            "nobody quiet for a quarter of the stall (1 s)"
+        );
+        assert_eq!(rig.fetch.next_deadline(0.25), (0.125, false));
+        let outs = at(&mut rig, 0.375, vec![]);
+        assert_eq!(
+            acks(&outs),
+            [(0, first, 2), (1, second, 1)],
+            "the same acks"
+        );
+        rig.fetch.lost(1);
+        let outs = at(&mut rig, 0.5, vec![]);
+        assert!(outs.contains(&Out::WriteOff { conn: 1 }));
+        let outs = at(&mut rig, 0.75, vec![]);
+        assert_eq!(
+            acks(&outs),
+            [(0, first, 2)],
+            "2 and 3 took nothing, 1 is gone"
+        );
     }
 
     /// A peer the engine re-swept re-sends what it sent before: a window

@@ -77,6 +77,16 @@ pub enum Wire {
         /// The chunk whose message was rejected.
         chunk: u32,
     },
+    /// User → peer: what the user has taken on this connection, the
+    /// serving peer's only view of its window (§III: the user tells each
+    /// peer when to stop, and a peer knows only what the user sends back).
+    Ack {
+        /// Id of the newest coded frame taken.
+        newest: u64,
+        /// Coded frames taken since the connection opened — verified,
+        /// rejected or surplus alike.
+        taken: u64,
+    },
 }
 
 /// One contributor's tally inside a feedback report.
@@ -156,6 +166,7 @@ const TAG_STOP: u8 = 7;
 const TAG_FEEDBACK: u8 = 8;
 const TAG_STOP_CHUNK: u8 = 9;
 const TAG_REPLACEMENT: u8 = 10;
+const TAG_ACK: u8 = 11;
 
 fn need(buf: &[u8], n: usize, what: &str) -> Result<(), SystemError> {
     if buf.len() < n {
@@ -232,6 +243,11 @@ impl Wire {
                 buf.put_u64_le(*file_id);
                 buf.put_u32_le(*chunk);
             }
+            Wire::Ack { newest, taken } => {
+                buf.put_u8(TAG_ACK);
+                buf.put_u64_le(*newest);
+                buf.put_u64_le(*taken);
+            }
             Wire::Feedback(report) => {
                 buf.put_u8(TAG_FEEDBACK);
                 buf.put_slice(&report.reporter);
@@ -259,6 +275,7 @@ impl Wire {
             Wire::StopTransmission { .. } => 8,
             Wire::StopChunk { .. } => 12,
             Wire::ReplacementRequest { .. } => 12,
+            Wire::Ack { .. } => 16,
             Wire::Feedback(report) => 64 + 8 + 4 + report.entries.len() * 72 + 96,
         }
     }
@@ -339,6 +356,13 @@ impl Wire {
                 Ok(Wire::ReplacementRequest {
                     file_id: buf.get_u64_le(),
                     chunk: buf.get_u32_le(),
+                })
+            }
+            TAG_ACK => {
+                need(buf, 16, "ack")?;
+                Ok(Wire::Ack {
+                    newest: buf.get_u64_le(),
+                    taken: buf.get_u64_le(),
                 })
             }
             TAG_FEEDBACK => {
@@ -499,6 +523,10 @@ mod tests {
         round_trip(Wire::ReplacementRequest {
             file_id: 5,
             chunk: 17,
+        });
+        round_trip(Wire::Ack {
+            newest: 1 << 40,
+            taken: 9,
         });
         let keys = KeyPair::from_secret(U256::from_u64(1234));
         let report = FeedbackReport::sign(

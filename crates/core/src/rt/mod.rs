@@ -627,8 +627,9 @@ mod tests {
     /// more than the wall-clock they ran in — as they did when every slot
     /// measured from the cycle's shared clock and slot `i`'s sample counted
     /// slots `0..i` a second time. Eight peers stream their whole stores to
-    /// a client that only counts frames, on a worker that never parks, so
-    /// serving is all that happens between the requests and the shutdown.
+    /// a client that only counts frames and acks each datagram, as a user
+    /// would, so serving is all that happens between the requests and the
+    /// shutdown.
     #[test]
     fn pass_durations_add_up_to_at_most_the_wall_clock() {
         let network = RtNetwork::with_observability(
@@ -638,13 +639,7 @@ mod tests {
         let owner = Identity::from_seed(b"rt-pass");
         let (batches, manifest) = build_file(&owner, 8, 1 << 20);
         let stored: usize = batches.iter().map(Vec::len).sum();
-        let mut reactor = Reactor::new(
-            &network,
-            ReactorConfig {
-                tick: Duration::ZERO,
-                ..ReactorConfig::default()
-            },
-        );
+        let mut reactor = Reactor::new(&network, ReactorConfig::default());
         let mut peer_addrs = Vec::new();
         for (i, batch) in batches.into_iter().enumerate() {
             let (peer, key) = stocked_peer(&owner, &[b'p', b'u', i as u8], batch);
@@ -677,11 +672,26 @@ mod tests {
             assert!(network.send(3, *conn, request));
         }
         let mut received = 0;
+        let mut taken = std::collections::HashMap::new();
         while received < stored {
             let envelope = inbox
                 .recv_timeout(Duration::from_secs(10))
                 .expect("peers serve their whole stores");
-            received += envelope.decode_all().count();
+            let ids: Vec<u64> = envelope
+                .decode_all()
+                .map(|frame| match frame {
+                    Ok(Wire::MessageData(msg)) => msg.message_id().0,
+                    other => panic!("a data frame, not {other:?}"),
+                })
+                .collect();
+            received += ids.len();
+            let taken = taken.entry(envelope.from).or_insert(0);
+            *taken += ids.len() as u64;
+            let ack = Wire::Ack {
+                newest: ids[ids.len() - 1],
+                taken: *taken,
+            };
+            assert!(network.send(3, envelope.from, &ack));
             network.recycle_envelope(envelope);
         }
         reactor.shutdown();
@@ -1394,6 +1404,10 @@ mod tests {
                 let wire = envelope.decode().expect("one control frame");
                 if matches!(wire, Wire::Feedback(_)) {
                     break;
+                }
+                // It serves all it has at once: its window is not under test.
+                if matches!(wire, Wire::Ack { .. }) {
+                    continue;
                 }
                 if matches!(wire, Wire::AuthCommit { .. }) {
                     commits += 1;

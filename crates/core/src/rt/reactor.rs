@@ -6,31 +6,28 @@
 //! ([`RtNetwork::register_queue`]), so one `recv` wakes the loop for any
 //! inbound datagram and idle peers cost nothing but their state. A cycle
 //! hands every queued [`Envelope`] to its peer's `Host::on_datagram`, then
-//! drains each peer's token bucket into `Host::pass` with each
-//! connection's window as its headroom, refunds the overflow to the bucket
-//! and flushes the staged frames as coalesced datagrams. A full window
-//! stages nothing — backpressure *is* the yield; no thread ever blocks on
-//! a slow peer.
+//! drains each peer's token bucket into `Host::pass`, refunds the overflow
+//! to the bucket and flushes the staged frames as coalesced datagrams. A
+//! full window stages nothing — backpressure *is* the yield; no thread
+//! ever blocks on a slow peer.
 //!
-//! A connection's window is what its receiver still holds: at most
-//! [`ReactorConfig::window_frames`] of its frames may sit queued at the
-//! user, as the transport counts them ([`QueuedFrames`]) — delivered or
-//! delay-held, not yet dropped. A lost datagram never counts, so no loss
-//! can wedge a window, and a user that stops reading stops its peers
-//! after one window, as a full socket receive buffer would. Windows start
-//! open; there is no depth to earn. Observability is a tap here, never an
-//! input: the reactor emits counters and events but reads none back, so a
-//! traced and an untraced run pace their links by the same rules. A user
-//! that bans one of its peers says so on the wire, with a
-//! `StopTransmission` for its own connection; the peer keeps serving
-//! everyone else.
+//! A connection's window is what its user acknowledged: at most
+//! [`WINDOW_FRAMES`] of its frames may be unacknowledged, counted by the
+//! `Host` from the `Ack`s the user sends back, so nothing is read across
+//! the transport. A user that stops reading stops acknowledging, and its
+//! peers stop after one window. Windows start open; there is no depth to
+//! earn. Observability is a tap here, never an input: the reactor emits
+//! counters and events but reads none back, so a traced and an untraced
+//! run pace their links by the same rules. A user that bans one of its
+//! peers says so on the wire, with a `StopTransmission` for its own
+//! connection; the peer keeps serving everyone else.
 //!
 //! Serving semantics (handshakes, sweep order, replacement queues, the
-//! serve pass, a Byzantine node's behaviour) are the `Host`'s, which is
-//! what the sim-vs-reactor golden schedule test pins.
+//! serve pass, the window, a Byzantine node's behaviour) are the `Host`'s,
+//! which is what the sim-vs-reactor golden schedule test pins.
 
 use super::limiter::TokenBucket;
-use super::transport::{Envelope, QueuedFrames, RtNetwork};
+use super::transport::{Envelope, RtNetwork};
 use crate::host::{Grant, Host};
 use crate::peer::Peer;
 use crate::protocol::Wire;
@@ -47,6 +44,12 @@ use std::time::{Duration, Instant};
 /// quota (with 32 KiB payloads, 8 frames ≈ 256 KiB ≈ one default burst).
 pub const MAX_COALESCE: usize = 8;
 
+/// The most frames a connection may have unacknowledged. Also each
+/// peer's share of the [`BufferPool`](super::BufferPool) sizing.
+const WINDOW_FRAMES: usize = 64;
+/// Idle park duration, bounding scheduling latency when no traffic arrives
+/// (an inbound datagram wakes the loop immediately).
+const TICK: Duration = Duration::from_millis(1);
 /// Fairness telemetry is time-gated so a sub-millisecond pass cadence does
 /// not flood the event ring.
 const SHARE_EMIT_EVERY: Duration = Duration::from_millis(250);
@@ -54,26 +57,11 @@ const SHARE_EMIT_EVERY: Duration = Duration::from_millis(250);
 const POOL_MIN_SLOTS: usize = 32;
 const POOL_MAX_SLOTS: usize = 4096;
 
-/// Tuning knobs for a [`Reactor`].
-#[derive(Debug, Clone)]
-pub struct ReactorConfig {
-    /// Idle park duration, bounding scheduling latency when no traffic
-    /// arrives (an inbound datagram wakes the loop immediately).
-    pub tick: Duration,
-    /// Per-connection window: the most frames a connection may have queued
-    /// at its receiver. Also each peer's share of the
-    /// [`BufferPool`](super::BufferPool) sizing.
-    pub window_frames: u32,
-}
-
-impl Default for ReactorConfig {
-    fn default() -> ReactorConfig {
-        ReactorConfig {
-            tick: Duration::from_millis(1),
-            window_frames: 64,
-        }
-    }
-}
+/// A [`Reactor`]'s settings: none. The window and the idle tick are
+/// constants; the type stays, as `ReactorConfig::default()`, only because
+/// the benchmark harness names it.
+#[derive(Debug, Clone, Default)]
+pub struct ReactorConfig {}
 
 /// Control-plane messages from the [`Reactor`] handle to its worker.
 enum Ctrl {
@@ -86,21 +74,14 @@ enum Ctrl {
     Shutdown,
 }
 
-/// The driver's side of one connection: the frames the transport has
-/// queued at its receiver, and the Eq.-2 grants not yet reported.
-#[derive(Default)]
-struct ConnState {
-    queued: QueuedFrames,
-    granted: f64,
-}
-
 /// One hosted peer.
 struct Slot {
     addr: u64,
     host: Host,
     rng: ChaChaRng,
     bucket: TokenBucket,
-    conns: HashMap<u64, ConnState>,
+    /// Per connection, the Eq.-2 grants not yet reported.
+    granted: HashMap<u64, f64>,
     last_share_emit: Option<Instant>,
     /// The pass's grants, reused so a steady-state pass allocates nothing.
     grants: Vec<Grant>,
@@ -144,7 +125,6 @@ pub struct Reactor {
     ctrl: Sender<Ctrl>,
     ingress: Sender<Envelope>,
     handle: Option<JoinHandle<Vec<(u64, Peer)>>>,
-    cfg: ReactorConfig,
     addrs: Vec<u64>,
 }
 
@@ -158,26 +138,19 @@ impl std::fmt::Debug for Reactor {
 
 impl Reactor {
     /// Spawns the worker (initially hosting no peers).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg.window_frames` is zero.
-    pub fn new(network: &RtNetwork, cfg: ReactorConfig) -> Reactor {
-        assert!(cfg.window_frames >= 1, "a window holds at least one frame");
+    pub fn new(network: &RtNetwork, _cfg: ReactorConfig) -> Reactor {
         let (ctrl, ctrl_rx) = channel::<Ctrl>();
         let (ingress, ingress_rx) = channel::<Envelope>();
         let net = network.clone();
-        let worker_cfg = cfg.clone();
         let handle = std::thread::Builder::new()
             .name("asymshare-reactor".to_owned())
-            .spawn(move || run_worker(net, worker_cfg, ctrl_rx, ingress_rx))
+            .spawn(move || run_worker(net, ctrl_rx, ingress_rx))
             .expect("spawn reactor worker thread");
         Reactor {
             network: network.clone(),
             ctrl,
             ingress,
             handle: Some(handle),
-            cfg,
             addrs: Vec::new(),
         }
     }
@@ -199,10 +172,10 @@ impl Reactor {
         assert!(sent.is_ok(), "reactor worker alive");
         self.addrs.push(addr);
         // Deep windows would thrash a fixed-size frame pool: one buffer is
-        // held per queued datagram, so size the free list from the sum of
+        // held per datagram in flight, so size the free list from the sum of
         // per-peer windows (in datagrams, i.e. frames over the coalescing
         // bound), within sane bounds.
-        let frames = self.addrs.len() * self.cfg.window_frames as usize;
+        let frames = self.addrs.len() * WINDOW_FRAMES;
         let cap = (frames / MAX_COALESCE).clamp(POOL_MIN_SLOTS, POOL_MAX_SLOTS);
         self.network.buffer_pool().set_capacity(cap);
     }
@@ -245,7 +218,6 @@ impl Drop for Reactor {
 /// The worker's event loop (see module docs for the cycle structure).
 fn run_worker(
     net: RtNetwork,
-    cfg: ReactorConfig,
     ctrl_rx: Receiver<Ctrl>,
     ingress_rx: Receiver<Envelope>,
 ) -> Vec<(u64, Peer)> {
@@ -269,7 +241,7 @@ fn run_worker(
         // previous cycle was fully idle, so active serving never sleeps
         // and an idle reactor costs one parked thread.
         let mut next = if idle {
-            ingress_rx.recv_timeout(cfg.tick).ok()
+            ingress_rx.recv_timeout(TICK).ok()
         } else {
             ingress_rx.try_recv().ok()
         };
@@ -288,7 +260,7 @@ fn run_worker(
         }
         let now = Instant::now();
         for slot in &mut slots {
-            progressed |= pass(slot, &net, &cfg, now, &obs);
+            progressed |= pass(slot, &net, now, &obs);
         }
         idle = !progressed;
     }
@@ -313,10 +285,10 @@ fn apply_ctrl(
                 by_addr.insert(addr, slots.len());
                 slots.push(Slot {
                     addr,
-                    host: Host::new(*peer, MAX_COALESCE),
+                    host: Host::new(*peer, MAX_COALESCE, WINDOW_FRAMES),
                     rng: ChaChaRng::new([0x7F; 32], nonce),
                     bucket: TokenBucket::new(rate, (rate * 0.1).max(65_536.0), Instant::now()),
-                    conns: HashMap::new(),
+                    granted: HashMap::new(),
                     last_share_emit: None,
                     grants: Vec::new(),
                 });
@@ -336,22 +308,15 @@ fn deliver(slot: &mut Slot, net: &RtNetwork, envelope: Envelope) {
     if !replies.iter().all(|reply| net.send(slot.addr, conn, reply)) {
         // The user vanished mid-handshake.
         slot.host.disconnect(conn);
-        slot.conns.remove(&conn);
+        slot.granted.remove(&conn);
     }
     net.recycle_envelope(envelope);
 }
 
-/// One serve pass over a slot: drain the bucket into the host's pass with
-/// each connection's window as its headroom, refund the overflow, and
-/// flush what was staged as coalesced datagrams. Returns whether anything
-/// was sent.
-fn pass(
-    slot: &mut Slot,
-    net: &RtNetwork,
-    cfg: &ReactorConfig,
-    now: Instant,
-    obs: &WorkerObs,
-) -> bool {
+/// One serve pass over a slot: drain the bucket into the host's pass,
+/// refund the overflow, and flush what was staged as coalesced datagrams.
+/// Returns whether anything was sent.
+fn pass(slot: &mut Slot, net: &RtNetwork, now: Instant, obs: &WorkerObs) -> bool {
     // `now` is the cycle's clock, shared by every slot so the token buckets
     // see one instant; the pass itself is timed from its own start, or slot
     // i's sample would count slots 0..i again.
@@ -361,7 +326,7 @@ fn pass(
         addr,
         host,
         bucket,
-        conns,
+        granted,
         last_share_emit,
         grants,
         ..
@@ -371,25 +336,17 @@ fn pass(
     // connections may not keep goes back. The bucket is thus never
     // overdrawn, whatever a frame's length.
     let budget = bucket.drain(now);
-    let mut yielded = false;
-    let headroom = |conn| {
-        let room = cfg
-            .window_frames
-            .saturating_sub(conns.entry(conn).or_default().queued.get());
-        if room == 0 {
-            // The receiver holds a full window: yield.
+    grants.clear();
+    let overflow = host.pass(budget, bucket.burst(), grants);
+    bucket.refund(overflow);
+    let (mut served_any, mut yielded) = (false, false);
+    for g in grants.iter() {
+        *granted.entry(g.conn).or_default() += g.bytes;
+        if g.full {
+            // The user has a full window unacknowledged: yield.
             obs.backpressure.inc();
             yielded = true;
         }
-        room
-    };
-    grants.clear();
-    let overflow = host.pass(budget, bucket.burst(), headroom, grants);
-    bucket.refund(overflow);
-    let mut served_any = false;
-    for g in grants.iter() {
-        let st = conns.entry(g.conn).or_default();
-        st.granted += g.bytes;
         let staged = host.staged(g.conn);
         if staged.is_empty() {
             continue;
@@ -402,13 +359,13 @@ fn pass(
         // means the downloader deregistered: stop burning uplink on it.
         let alive = staged.chunks(MAX_COALESCE).all(|batch| {
             obs.coalesce_frames.record(batch.len() as u64);
-            net.send_counted(addr, g.conn, batch, Some(&st.queued))
+            net.send_frames(addr, g.conn, batch)
         });
         staged.clear();
         served_any = true;
         if !alive {
             host.disconnect(g.conn);
-            conns.remove(&g.conn);
+            granted.remove(&g.conn);
         }
     }
     if obs.events.is_enabled()
@@ -430,9 +387,9 @@ fn pass(
 /// Reports, per connection, the bytes of Eq.-2 grant it received since
 /// its last report.
 fn emit_shares(slot: &mut Slot, events: &EventSink) {
-    for (&conn, st) in &mut slot.conns {
-        if st.granted > 0.0 {
-            let budget = std::mem::take(&mut st.granted);
+    for (&conn, granted) in &mut slot.granted {
+        if *granted > 0.0 {
+            let budget = std::mem::take(granted);
             events.emit(
                 "rt.reactor",
                 "slot_share",
@@ -625,8 +582,8 @@ mod tests {
     }
 
     /// The benchmark's staged client loop in miniature: admit a datagram's
-    /// frames, send the replies, recycle the buffer — nothing a peer could
-    /// read as an acknowledgement.
+    /// frames, send the replies — the user's acks among them — and recycle
+    /// the buffer.
     fn admit(
         network: &RtNetwork,
         my_addr: u64,
@@ -691,10 +648,11 @@ mod tests {
             .flat_map(Envelope::decode_all)
             .filter(|f| matches!(f, Ok(Wire::MessageData(_))))
             .count() as u64;
-        let window = u64::from(ReactorConfig::default().window_frames);
+        let window = WINDOW_FRAMES as u64;
         assert_eq!(frames, window, "the user holds exactly one window");
         assert_eq!(counter("rt.reactor.served_frames"), window, "and no more");
-        // Draining the inbox reopens the window; the fetch completes.
+        // Reading the inbox acks the window and reopens it; the fetch
+        // completes.
         for envelope in held {
             admit(&network, 2, &mut user, envelope, &mut rng);
         }
@@ -707,18 +665,15 @@ mod tests {
 
     #[test]
     fn a_receive_reply_recycle_loop_completes_a_multi_chunk_fetch() {
-        // The windows count what the transport queued at the user, not
-        // acknowledgements: a client that never says what it consumed
-        // still reopens them by dropping what it read.
+        // A client that only sends what `User::on_message` returns — no
+        // engine, no persist timer — reopens its windows: the user's
+        // replies carry its acks.
         let network = RtNetwork::new();
         let owner = Identity::from_seed(b"reactor-staged");
         let len = 384 * 1024;
         let (batches, manifest) = build_file(&owner, 3, len);
-        let cfg = ReactorConfig {
-            window_frames: 4,
-            ..ReactorConfig::default()
-        };
-        let (reactor, peer_addrs) = spawn_fleet(&network, &owner, batches, 970, 6, cfg);
+        let (reactor, peer_addrs) =
+            spawn_fleet(&network, &owner, batches, 970, 6, ReactorConfig::default());
         let inbox = network.register(7);
         let mut user = User::<Gf2p32>::new(owner, manifest).unwrap();
         let mut rng = ChaChaRng::new([0x5D; 32], *b"rt-download!");
@@ -836,45 +791,5 @@ mod tests {
                 "connection {conn}: granted {granted} B in reports, sent {sent} B"
             );
         }
-    }
-
-    #[test]
-    fn backpressure_counts_when_windows_fill() {
-        // A tiny window against an unshaped bucket must yield rather than
-        // stall: the backpressure counter proves the skip path ran.
-        let network = RtNetwork::with_observability(Registry::new(), EventSink::new());
-        let owner = Identity::from_seed(b"reactor-bp");
-        let (batches, manifest) = build_file(&owner, 1, 192 * 1024);
-        let mut reactor = Reactor::new(
-            &network,
-            ReactorConfig {
-                window_frames: 1,
-                ..ReactorConfig::default()
-            },
-        );
-        let identity = Identity::from_seed(b"reactor-bp-peer");
-        let key = identity.public_key().to_bytes();
-        let mut peer = Peer::new(identity, 1_000.0);
-        peer.add_subscriber(owner.public_key().to_bytes());
-        for m in batches.into_iter().next().unwrap() {
-            peer.store_mut().insert(m);
-        }
-        reactor.add_peer(950, peer, 64 << 20);
-        let mut user = User::<Gf2p32>::new(owner, manifest).unwrap();
-        download_file(
-            &network,
-            5,
-            &mut user,
-            &[(950, key)],
-            950,
-            Duration::from_secs(30),
-        )
-        .expect("download completes through a one-frame window");
-        reactor.shutdown();
-        let snap = network.metrics_snapshot();
-        assert!(
-            snap.counter("rt.reactor.backpressure_yields").unwrap_or(0) > 0,
-            "a one-frame window against a fat bucket must backpressure"
-        );
     }
 }

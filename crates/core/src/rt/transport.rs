@@ -7,11 +7,6 @@
 //! [`Envelope::decode_all`], which parses `MessageData` payloads as
 //! zero-copy handles into the delivery buffer, and hand the buffer back via
 //! [`RtNetwork::recycle_envelope`].
-//!
-//! A sender may count its datagrams against a [`QueuedFrames`]: the frames
-//! the transport has queued for the receiver (or holds for jitter delay)
-//! that the receiver has not yet dropped — a socket's receive window, kept
-//! where a socket keeps it.
 
 use crate::error::SystemError;
 use crate::host::{self, Adversary};
@@ -21,7 +16,7 @@ use asymshare_netsim::{FaultPlan, FaultStats, NodeId, SplitMix64};
 use asymshare_obs::{Counter, EventSink, Histogram, Registry, Snapshot};
 use bytes::Bytes;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::{Duration, Instant};
@@ -54,49 +49,11 @@ impl FaultState {
     }
 }
 
-/// The frames one connection's datagrams hold at their receiver: counted
-/// up when the transport queues a datagram for the receiver (or holds it
-/// for jitter delay), down when the receiver drops it. A lost or withheld
-/// datagram never counts, so a loss cannot leave the count stuck. Clones
-/// share one count.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct QueuedFrames(Arc<AtomicU32>);
-
-impl QueuedFrames {
-    /// Frames queued at the receiver right now.
-    pub(crate) fn get(&self) -> u32 {
-        self.0.load(Ordering::Acquire)
-    }
-
-    /// Counts `frames` until the returned token is dropped.
-    fn hold(&self, frames: u32) -> Held {
-        self.0.fetch_add(frames, Ordering::AcqRel);
-        Held {
-            count: self.clone(),
-            frames,
-        }
-    }
-}
-
-/// One datagram's frames on its sender's [`QueuedFrames`], given back when
-/// the envelope carrying it is dropped.
-#[derive(Debug)]
-struct Held {
-    count: QueuedFrames,
-    frames: u32,
-}
-
-impl Drop for Held {
-    fn drop(&mut self) {
-        self.count.0.fetch_sub(self.frames, Ordering::AcqRel);
-    }
-}
-
 /// A delivered message: sender and destination addresses plus serialized
 /// wire bytes. The destination matters to shared-queue receivers (the
 /// reactor registers many peer addresses onto one completion queue and
 /// routes each delivery by `to`); dedicated inboxes can ignore it.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Envelope {
     /// Sender address.
     pub from: u64,
@@ -107,22 +64,6 @@ pub struct Envelope {
     /// When the datagram landed in the receiver's inbox — for one held
     /// back by injected jitter, when the delay queue released it.
     pub arrived: Instant,
-    /// The sender's count of this datagram's frames, if it keeps one.
-    _held: Option<Held>,
-}
-
-/// A clone is the receiver's own copy of the bytes: the original alone
-/// holds the sender's count.
-impl Clone for Envelope {
-    fn clone(&self) -> Envelope {
-        Envelope {
-            from: self.from,
-            to: self.to,
-            bytes: self.bytes.clone(),
-            arrived: self.arrived,
-            _held: None,
-        }
-    }
 }
 
 impl Envelope {
@@ -322,8 +263,8 @@ impl RtNetwork {
     }
 
     /// Installs a [`FaultPlan`] affecting every subsequent send; replaces
-    /// any previous plan, discarding what its delay queue still holds
-    /// (their frames leave their senders' counts), and resets its counters.
+    /// any previous plan, discarding what its delay queue still holds, and
+    /// resets its counters.
     /// A node of the plan is the address [`NodeId::new`] names. Link
     /// faults are realised per datagram, by
     /// [`send_frames`](Self::send_frames): a datagram from or to a node
@@ -402,8 +343,7 @@ impl RtNetwork {
     }
 
     /// Returns an envelope's buffer to the frame pool (a no-op while any
-    /// payload handle sliced from the envelope is still alive) and its
-    /// frames to the sender's count.
+    /// payload handle sliced from the envelope is still alive).
     pub fn recycle_envelope(&self, envelope: Envelope) {
         self.pool.recycle_bytes(envelope.bytes);
     }
@@ -424,19 +364,6 @@ impl RtNetwork {
     /// cost. Faults apply per *send*: a loss drops the whole datagram, a
     /// corruption flips one bit in one coded payload of the batch.
     pub fn send_frames(&self, from: u64, to: u64, frames: &[Wire]) -> bool {
-        self.send_counted(from, to, frames, None)
-    }
-
-    /// [`send_frames`](Self::send_frames), counting the datagram's frames
-    /// on `queued` while each delivered (or delay-held) copy waits at the
-    /// receiver.
-    pub(crate) fn send_counted(
-        &self,
-        from: u64,
-        to: u64,
-        frames: &[Wire],
-        queued: Option<&QueuedFrames>,
-    ) -> bool {
         self.pump();
         if !self.is_registered(to) {
             self.obs.send_failures.inc();
@@ -445,7 +372,6 @@ impl RtNetwork {
         if frames.is_empty() {
             return true;
         }
-        let hold = || queued.map(|q| q.hold(frames.len() as u32));
         let total: usize = frames.iter().map(Wire::encoded_len).sum();
         self.obs.sends.inc();
         self.obs.send_bytes.add(total as u64);
@@ -494,7 +420,6 @@ impl RtNetwork {
                         to,
                         bytes,
                         arrived: due,
-                        _held: hold(),
                     };
                     let mut held = fault.held.lock().expect("delay queue lock");
                     held.push((due, to, envelope));
@@ -507,14 +432,12 @@ impl RtNetwork {
         let inboxes = self.inboxes.read().unwrap_or_else(PoisonError::into_inner);
         if let Some(tx) = inboxes.get(&to) {
             self.obs.recv_bytes.add(bytes.len() as u64);
-            // A receiver gone since the lookup hands the envelope back,
-            // and dropping it gives its frames back.
+            // A receiver gone since the lookup hands the envelope back.
             let _ = tx.send(Envelope {
                 from,
                 to,
                 bytes,
                 arrived: Instant::now(),
-                _held: hold(),
             });
         } else {
             self.pool.recycle_bytes(bytes);
@@ -753,97 +676,6 @@ mod tests {
         assert_eq!(net.buffer_pool().idle(), 0, "send drew from the pool");
         let e = inbox.try_recv().unwrap();
         assert_eq!(e.decode().unwrap(), Wire::FileRequest { file_id: 2 });
-    }
-
-    fn data_frames(n: u64) -> Vec<Wire> {
-        use asymshare_rlnc::{EncodedMessage, FileId, MessageId};
-        (0..n)
-            .map(|i| {
-                Wire::MessageData(EncodedMessage::new(
-                    FileId(1),
-                    MessageId(i),
-                    vec![i as u8; 16],
-                ))
-            })
-            .collect()
-    }
-
-    #[test]
-    fn queued_frames_count_a_delivery_until_the_receiver_drops_it() {
-        let net = RtNetwork::new();
-        let inbox = net.register(100);
-        let queued = QueuedFrames::default();
-        assert!(net.send_counted(1, 100, &data_frames(3), Some(&queued)));
-        assert!(net.send_counted(1, 100, &data_frames(2), Some(&queued)));
-        assert_eq!(queued.get(), 5, "both datagrams wait at the receiver");
-        let first = inbox.try_recv().unwrap();
-        let copy = first.clone();
-        assert_eq!(queued.get(), 5, "receiving is not consuming");
-        net.recycle_envelope(first);
-        assert_eq!(queued.get(), 2, "recycling gives the frames back");
-        drop(copy);
-        assert_eq!(queued.get(), 2, "a clone carries no count");
-        drop(inbox.try_recv().unwrap());
-        assert_eq!(queued.get(), 0, "dropping gives them back too");
-    }
-
-    #[test]
-    fn queued_frames_never_count_a_lost_or_withheld_datagram() {
-        let net = RtNetwork::new();
-        let inbox = net.register(101);
-        let queued = QueuedFrames::default();
-        net.install_faults(FaultPlan::new(9).with_loss(1.0));
-        assert!(net.send_counted(1, 101, &data_frames(4), Some(&queued)));
-        assert_eq!(queued.get(), 0, "a lost datagram never counts");
-        net.install_faults(FaultPlan::new(5).with_kill(NodeId::new(1), 0.0));
-        assert!(net.send_counted(1, 101, &data_frames(4), Some(&queued)));
-        assert_eq!(queued.get(), 0, "nor one a dead sender held back");
-        assert!(inbox.try_recv().is_none());
-    }
-
-    #[test]
-    fn queued_frames_count_a_delay_held_datagram_until_it_is_dropped() {
-        let net = RtNetwork::new();
-        let inbox = net.register(103);
-        let queued = QueuedFrames::default();
-        net.install_faults(FaultPlan::new(13).with_jitter(0.005));
-        assert!(net.send_counted(1, 103, &data_frames(2), Some(&queued)));
-        assert_eq!(net.fault_stats().delayed, 1, "held for delay");
-        assert_eq!(queued.get(), 2, "counted while held");
-        std::thread::sleep(Duration::from_millis(10));
-        net.pump();
-        let e = inbox.try_recv().expect("flushed as due");
-        assert_eq!(queued.get(), 2, "and while queued");
-        net.recycle_envelope(e);
-        assert_eq!(queued.get(), 0);
-    }
-
-    #[test]
-    fn queued_frames_return_with_a_discarded_delay_queue_or_inbox() {
-        let net = RtNetwork::new();
-        let inbox = net.register(104);
-        let queued = QueuedFrames::default();
-        net.install_faults(FaultPlan::new(13).with_jitter(60.0));
-        assert!(net.send_counted(1, 104, &data_frames(3), Some(&queued)));
-        assert_eq!(net.fault_stats().delayed, 1);
-        assert_eq!(queued.get(), 3);
-        net.install_faults(FaultPlan::new(13));
-        assert_eq!(queued.get(), 0, "a new plan discards the held datagram");
-        assert!(net.send_counted(1, 104, &data_frames(2), Some(&queued)));
-        assert_eq!(queued.get(), 2);
-        drop(inbox);
-        assert_eq!(queued.get(), 0, "a dropped inbox drops what it queued");
-    }
-
-    #[test]
-    fn queued_frames_ignore_uncounted_sends() {
-        let net = RtNetwork::new();
-        let _inbox = net.register(105);
-        let queued = QueuedFrames::default();
-        assert!(net.send_counted(1, 105, &data_frames(2), Some(&queued)));
-        assert!(net.send(1, 105, &Wire::FileRequest { file_id: 1 }));
-        assert!(net.send_frames(1, 105, &data_frames(3)));
-        assert_eq!(queued.get(), 2);
     }
 
     #[test]

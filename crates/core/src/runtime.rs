@@ -38,10 +38,10 @@ pub const SLOT_SECS: f64 = 1.0;
 /// The Eq.-2 credit every peer starts each party at, bytes.
 pub const INITIAL_CREDIT_BYTES: f64 = 1_000.0;
 
-/// Bulk flows a connection may have in flight: the sim driver's headroom
-/// is this less the flows still in flight, so downlink congestion
-/// back-pressures the serve pass instead of piling flows up.
-const MAX_INFLIGHT: usize = 2;
+/// Frames a connection may have unacknowledged: a sim flow carries one,
+/// so downlink congestion back-pressures the serve pass instead of piling
+/// flows up.
+const WINDOW_FRAMES: usize = 2;
 
 /// Runtime tuning knobs.
 #[derive(Debug, Clone, Copy)]
@@ -113,8 +113,6 @@ struct Participant {
     key: KeyBytes,
     node: NodeId,
     up_kbps: f64,
-    /// Number of bulk flows currently in flight per connection.
-    inflight: HashMap<u64, usize>,
 }
 
 struct Session {
@@ -334,14 +332,14 @@ impl SimRuntime {
         let node = self.net.add_node(up, down);
         let key = identity.public_key().to_bytes();
         // A flow carries one frame.
-        let mut host = Host::new(Peer::new(identity, INITIAL_CREDIT_BYTES), 1);
+        let peer = Peer::new(identity, INITIAL_CREDIT_BYTES);
+        let mut host = Host::new(peer, 1, WINDOW_FRAMES);
         host.set_adversary(self.net.fault_plan().and_then(|plan| adversary(plan, node)));
         self.participants.push(Participant {
             host,
             key,
             node,
             up_kbps: up.as_kbps(),
-            inflight: HashMap::new(),
         });
         let id = ParticipantId(self.participants.len() - 1);
         // Everyone subscribes everyone registered so far (the "system
@@ -630,8 +628,8 @@ impl SimRuntime {
     }
 
     /// One `Host` pass over participant `p_idx`, granting a slot of its
-    /// uplink at a slot boundary and nothing otherwise (a completed flow
-    /// re-opens headroom, and the deficits carry the rest of the slot).
+    /// uplink at a slot boundary and nothing otherwise (an acknowledgement
+    /// re-opens a window, and the deficits carry the rest of the slot).
     /// The boundary's grants become `slot_share` events; each staged frame
     /// becomes a bulk flow to its session's user.
     fn pass(&mut self, p_idx: usize, boundary: bool) {
@@ -640,16 +638,7 @@ impl SimRuntime {
         let p = &mut self.participants[p_idx];
         let slot_bytes = p.up_kbps * 1_000.0 / 8.0 * SLOT_SECS;
         let budget = if boundary { slot_bytes } else { 0.0 };
-        let (inflight, sessions) = (&p.inflight, &self.sessions);
-        // A finished download's user has left: it takes no more frames.
-        let headroom = |conn| match sessions.iter().find(|s| s.conns.contains_key(&conn)) {
-            Some(s) if s.finished_at.is_none() => {
-                let busy = inflight.get(&conn).copied().unwrap_or(0);
-                MAX_INFLIGHT.saturating_sub(busy) as u32
-            }
-            _ => 0,
-        };
-        p.host.pass(budget, slot_bytes, headroom, &mut grants);
+        p.host.pass(budget, slot_bytes, &mut grants);
         let ts = self.net.now().as_secs();
         for g in &grants {
             let Some(s_idx) = self.session_of(g.conn) else {
@@ -674,7 +663,6 @@ impl SimRuntime {
             }
             let p = &mut self.participants[p_idx];
             let mut staged = std::mem::take(p.host.staged(g.conn));
-            *p.inflight.entry(g.conn).or_insert(0) += staged.len();
             let (from, to) = (p.node, self.sessions[s_idx].remote_node);
             let endpoint = Endpoint::ToUser {
                 session: s_idx,
@@ -732,21 +720,7 @@ impl SimRuntime {
         let Some(Pending { endpoint, wire }) = self.pending.remove(&event.tag) else {
             return;
         };
-        // A data flow to a user ended: its connection has headroom again.
-        let bulk = match (&endpoint, &wire) {
-            (&Endpoint::ToUser { session, conn }, Wire::MessageData(_)) => {
-                Some((self.sessions[session].conns[&conn], conn))
-            }
-            _ => None,
-        };
-        if let Some((p_idx, conn)) = bulk {
-            let count = self.participants[p_idx].inflight.entry(conn).or_insert(1);
-            *count = count.saturating_sub(1);
-        }
         self.land(endpoint, wire, event.kind);
-        if let Some((p_idx, _)) = bulk {
-            self.pass(p_idx, false);
-        }
     }
 
     /// Hands a completed flow's payload to its destination.
@@ -777,8 +751,13 @@ impl SimRuntime {
                     return;
                 }
                 let mut replies = Vec::new();
+                let acked = matches!(wire, Wire::Ack { .. });
                 let host = &mut self.participants[participant].host;
                 host.on_datagram(conn, [wire], &mut self.rng, &mut replies);
+                // An ack may have opened the connection's window.
+                if acked {
+                    self.pass(participant, false);
+                }
                 // Find the session this connection belongs to (if any).
                 let Some(s_idx) = self.session_of(conn) else {
                     return;

@@ -65,6 +65,10 @@ struct Conn {
     /// The response scalar we sent, kept to verify the peer's countersigned
     /// acknowledgement (mutual authentication).
     sent_response: Option<[u8; 32]>,
+    /// The id of the newest coded frame taken here, and how many were
+    /// taken since the connection first opened: its [`Wire::Ack`].
+    newest: u64,
+    taken: u64,
 }
 
 /// A remote download session for one (chunked) file.
@@ -125,9 +129,15 @@ impl<F: Field> User<F> {
     }
 
     /// Opens a connection to a peer, producing the first handshake message.
+    /// A re-run handshake keeps the connection's count of frames taken, so
+    /// its acknowledgements never go back.
     pub fn connect(&mut self, conn: u64, peer_key: KeyBytes, rng: &mut ChaChaRng) -> Wire {
         let mut prover = Prover::new(self.identity.auth_keys().clone());
         let commit = prover.start(rng);
+        let (newest, taken) = self
+            .conns
+            .get(&conn)
+            .map_or((0, 0), |c| (c.newest, c.taken));
         self.conns.insert(
             conn,
             Conn {
@@ -135,9 +145,23 @@ impl<F: Field> User<F> {
                 prover,
                 stage: ConnStage::Authenticating,
                 sent_response: None,
+                newest,
+                taken,
             },
         );
         commit
+    }
+
+    /// The acknowledgement `conn` is owed: what it has taken, while it is
+    /// downloading and the file is incomplete. A stopped, dropped or
+    /// finished connection is not acked, so its peer sends at most one
+    /// more window.
+    pub(crate) fn ack(&self, conn: u64) -> Option<Wire> {
+        let c = self.conns.get(&conn)?;
+        (c.stage == ConnStage::Downloading && !self.decoder.is_complete()).then_some(Wire::Ack {
+            newest: c.newest,
+            taken: c.taken,
+        })
     }
 
     /// Connection `conn`'s state. Runs once per frame, so the error for a
@@ -196,7 +220,9 @@ impl<F: Field> User<F> {
     }
 
     /// Handles an inbound message; returns `(connection, message)` pairs to
-    /// send (stop messages fan out to every live connection).
+    /// send (stop messages fan out to every live connection, and a coded
+    /// frame admitted on a downloading connection is answered with its
+    /// [`ack`](Self::ack)).
     ///
     /// # Errors
     ///
@@ -255,6 +281,9 @@ impl<F: Field> User<F> {
             }
             Wire::MessageData(msg) => {
                 let c = self.conn(conn)?;
+                // Every coded frame that reaches the connection is taken,
+                // whatever becomes of it.
+                (c.newest, c.taken) = (msg.message_id().0, c.taken + 1);
                 // Nothing from a peer that has not completed the mutual
                 // handshake reaches the decoder or earns credit.
                 if matches!(c.stage, ConnStage::Authenticating | ConnStage::Refused) {
@@ -284,7 +313,7 @@ impl<F: Field> User<F> {
                         .into());
                     }
                     self.redundant += 1;
-                    return Ok(vec![]);
+                    return Ok(self.ack(conn).map(|ack| (conn, ack)).into_iter().collect());
                 }
                 let wire_len = Wire::message_data_frame_len(&msg) as u64;
                 let innovative = match self.decoder.add_message(msg) {
@@ -312,25 +341,25 @@ impl<F: Field> User<F> {
                 // decodable, tell every downloading peer to skip it; once the
                 // file is, stop everyone still sending (transmission "5").
                 let (file_id, done) = (self.file_id, self.decoder.is_complete());
+                let ack = self.ack(conn).map(|ack| (conn, ack));
                 let stop = if done {
                     Wire::StopTransmission { file_id }
                 } else if self.decoder.chunk_complete(chunk).unwrap_or(false) {
                     Wire::StopChunk { file_id, chunk }
                 } else {
-                    return Ok(vec![]);
+                    return Ok(ack.into_iter().collect());
                 };
                 let downloading = self
                     .conns
                     .iter_mut()
                     .filter(|(_, c)| c.stage == ConnStage::Downloading);
-                Ok(downloading
-                    .map(|(&id, c)| {
-                        if done {
-                            c.stage = ConnStage::Stopped;
-                        }
-                        (id, stop.clone())
-                    })
-                    .collect())
+                let stops = downloading.map(|(&id, c)| {
+                    if done {
+                        c.stage = ConnStage::Stopped;
+                    }
+                    (id, stop.clone())
+                });
+                Ok(stops.chain(ack).collect())
             }
             other => Err(SystemError::UnexpectedMessage {
                 got: format!("{other:?}"),
@@ -610,16 +639,56 @@ mod tests {
         let window = user.window_bytes().clone();
         let redundant = user.redundant_count();
         // Were it hashed, the flipped payload byte would be a corruption.
+        let straggler = corrupted(&by_chunk[0][4]);
+        let newest = straggler.message_id().0;
         let replies = user
-            .on_message(0, Wire::MessageData(corrupted(&by_chunk[0][4])), &mut r)
+            .on_message(0, Wire::MessageData(straggler), &mut r)
             .unwrap();
-        assert!(replies.is_empty());
+        assert_eq!(
+            replies,
+            [(0, Wire::Ack { newest, taken: 5 })],
+            "only its ack"
+        );
         assert_eq!(user.redundant_count(), redundant + 1);
         assert_eq!(user.stats(), &stats, "no corruption, no bytes_by_peer");
         assert_eq!(user.window_bytes(), &window, "no credit");
         assert!(user.rejected_from.is_empty(), "no debit either");
         assert_eq!(window.len(), 1);
         assert!(window.contains_key(&peer_key));
+    }
+
+    /// Every coded frame counts toward the connection's ack, whether it
+    /// was admitted, rejected or surplus; the count survives a re-run
+    /// handshake; a finished download acks nothing.
+    #[test]
+    fn acks_count_every_frame_taken() {
+        let mut r = rng(15);
+        let (mut user, peer_key, by_chunk) = downloading_user(&mut r);
+        let first = by_chunk[0][0].clone();
+        let ack = |newest: &EncodedMessage, taken| Wire::Ack {
+            newest: newest.message_id().0,
+            taken,
+        };
+        let replies = user.on_message(0, Wire::MessageData(first.clone()), &mut r);
+        assert_eq!(replies, Ok(vec![(0, ack(&first, 1))]));
+        let bad = corrupted(&by_chunk[0][1]);
+        assert!(user
+            .on_message(0, Wire::MessageData(bad.clone()), &mut r)
+            .is_err());
+        assert_eq!(
+            user.ack(0),
+            Some(ack(&bad, 2)),
+            "a rejected frame was taken"
+        );
+        user.connect(0, peer_key, &mut r);
+        assert_eq!(user.ack(0), None, "not acked while authenticating");
+        assert_eq!(user.conns[&0].taken, 2, "the count survives the handshake");
+        let mut user = downloading_user(&mut r).0;
+        for msg in by_chunk.iter().flat_map(|c| &c[..4]).cloned() {
+            user.on_message(0, Wire::MessageData(msg), &mut r).unwrap();
+        }
+        assert!(user.is_complete());
+        assert_eq!(user.ack(0), None, "a finished download acks nothing");
     }
 
     #[test]
@@ -683,8 +752,10 @@ mod tests {
         let mut r = rng(14);
         let (mut user, by_chunk) = half_sealed_user(&mut r);
         let (hashed, redundant) = (user.hashed_count(), user.redundant_count());
-        let straggler = Wire::MessageData(corrupted(&by_chunk[0][4]));
-        assert!(user.on_message(0, straggler, &mut r).unwrap().is_empty());
+        let straggler = corrupted(&by_chunk[0][4]);
+        let newest = straggler.message_id().0;
+        let replies = user.on_message(0, Wire::MessageData(straggler), &mut r);
+        assert_eq!(replies, Ok(vec![(0, Wire::Ack { newest, taken: 5 })]));
         assert_eq!(user.hashed_count(), hashed, "dropped before the digest");
         assert_eq!(user.redundant_count(), redundant + 1);
         let replay = by_chunk[0][2].clone();

@@ -137,6 +137,19 @@ fn replacement_request_layout() {
 }
 
 #[test]
+fn ack_layout() {
+    let wire = Wire::Ack {
+        newest: 0x0102_0304_0506_0708,
+        taken: 77,
+    };
+    let mut expect = vec![11u8];
+    expect.extend_from_slice(&0x0102_0304_0506_0708u64.to_le_bytes());
+    expect.extend_from_slice(&77u64.to_le_bytes());
+    assert_eq!(&wire.encode()[..], &expect[..]);
+    assert_eq!(Wire::decode(&expect).unwrap(), wire);
+}
+
+#[test]
 fn feedback_layout() {
     let keys = KeyPair::from_secret(U256::from_u64(4242));
     let mut rng = ChaChaRng::new([9u8; 32], *b"golden-wire!");

@@ -87,39 +87,6 @@ fn mul32(a: u32, b: u32) -> u32 {
     mul_window(&window(a), b)
 }
 
-/// Byte-sliced multiplication tables for a fixed coefficient: entry
-/// `t[j][b]` is `c · (b << 8j)` in the field, so a full product is four
-/// lookups and three xors. Building costs 32 field multiplications plus
-/// ~1 K xors (multiplication is linear over GF(2), so non-power-of-two
-/// entries are xor combinations of the single-bit ones); the bulk kernels
-/// amortize that over whole symbol slices.
-fn split_table(c: u32) -> [[u32; 256]; 4] {
-    let mut t = [[0u32; 256]; 4];
-    for (j, table) in t.iter_mut().enumerate() {
-        for i in 0..8 {
-            table[1usize << i] = mul32(c, 1u32 << (8 * j + i));
-        }
-        for b in 1..256usize {
-            let low = b & b.wrapping_neg();
-            if b != low {
-                table[b] = table[b ^ low] ^ table[low];
-            }
-        }
-    }
-    t
-}
-
-#[inline]
-fn split_mul(t: &[[u32; 256]; 4], x: u32) -> u32 {
-    t[0][(x & 0xff) as usize]
-        ^ t[1][((x >> 8) & 0xff) as usize]
-        ^ t[2][((x >> 16) & 0xff) as usize]
-        ^ t[3][(x >> 24) as usize]
-}
-
-/// Below this many symbols the split-table build does not pay for itself.
-const SPLIT_TABLE_THRESHOLD: usize = 64;
-
 impl Field for Gf2p32 {
     const ZERO: Self = Gf2p32(0);
     const ONE: Self = Gf2p32(1);
@@ -152,13 +119,6 @@ impl Field for Gf2p32 {
             }
             return;
         }
-        if x.len() >= SPLIT_TABLE_THRESHOLD {
-            let t = split_table(c.0);
-            for (yi, &xi) in y.iter_mut().zip(x) {
-                yi.0 ^= split_mul(&t, xi.0);
-            }
-            return;
-        }
         let w = window(c.0);
         for (yi, &xi) in y.iter_mut().zip(x) {
             yi.0 ^= mul_window(&w, xi.0);
@@ -167,13 +127,6 @@ impl Field for Gf2p32 {
 
     fn scale_slice(c: Self, y: &mut [Self]) {
         if c.0 == 1 {
-            return;
-        }
-        if y.len() >= SPLIT_TABLE_THRESHOLD {
-            let t = split_table(c.0);
-            for yi in y.iter_mut() {
-                yi.0 = split_mul(&t, yi.0);
-            }
             return;
         }
         let w = window(c.0);
@@ -264,25 +217,6 @@ mod tests {
         Gf2p32::ZERO.inv();
     }
 
-    #[test]
-    fn split_table_matches_mul_exhaustively_per_byte_lane() {
-        for &c in &[1u32, 2, 0xdead_beef, u32::MAX, 0x8000_0001] {
-            let t = split_table(c);
-            for &x in &[
-                0u32,
-                1,
-                0xff,
-                0x100,
-                0x1_0000,
-                0x0100_0000,
-                0x1234_5678,
-                u32::MAX,
-            ] {
-                assert_eq!(split_mul(&t, x), mul32(c, x), "c={c:#x} x={x:#x}");
-            }
-        }
-    }
-
     /// Operands that every case mixes in: the identities, and the all-ones
     /// and top-bit patterns, whose products reach degree 62, the most a
     /// fold ever sees.
@@ -297,16 +231,15 @@ mod tests {
         fn products_match_mulmod(
             c in (0..2 * EDGES.len(), any::<u32>())
                 .prop_map(|(i, random)| EDGES.get(i).copied().unwrap_or(random)),
-            xs in proptest::collection::vec(any::<u32>(), SPLIT_TABLE_THRESHOLD..3 * SPLIT_TABLE_THRESHOLD),
+            xs in proptest::collection::vec(any::<u32>(), 0..192),
             y0 in any::<u32>(),
         ) {
             let xs: Vec<u32> = EDGES.iter().copied().chain(xs).collect();
             for &x in &xs {
                 prop_assert_eq!((Gf2p32(c) * Gf2p32(x)).0, oracle(c, x));
             }
-            // A prefix below the threshold takes the window kernel, the
-            // whole slice the split table.
-            for len in [SPLIT_TABLE_THRESHOLD - 1, xs.len()] {
+            // Every slice length takes the one window kernel.
+            for len in [xs.len() / 2, xs.len()] {
                 let x: Vec<Gf2p32> = xs[..len].iter().map(|&v| Gf2p32(v)).collect();
                 let mut y: Vec<Gf2p32> = (0..len as u32).map(|i| Gf2p32(y0.rotate_left(i))).collect();
                 let axpy: Vec<u32> = y.iter().zip(&xs).map(|(yi, &xi)| yi.0 ^ oracle(c, xi)).collect();
@@ -318,17 +251,5 @@ mod tests {
                 prop_assert_eq!(scaled.iter().map(|v| v.0).collect::<Vec<_>>(), want);
             }
         }
-    }
-
-    #[test]
-    fn long_axpy_uses_split_path_and_matches_scalar() {
-        let c = Gf2p32::new(0xCAFE_BABE);
-        let xs: Vec<Gf2p32> = (0..SPLIT_TABLE_THRESHOLD as u32 * 3)
-            .map(|i| Gf2p32::new(i.wrapping_mul(0x9E37_79B9) | 1))
-            .collect();
-        let mut fast = vec![Gf2p32::ZERO; xs.len()];
-        Gf2p32::axpy_slice(c, &xs, &mut fast);
-        let slow: Vec<Gf2p32> = xs.iter().map(|&x| c * x).collect();
-        assert_eq!(fast, slow);
     }
 }

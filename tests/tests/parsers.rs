@@ -104,6 +104,10 @@ fn wire_encodings(rng: &mut SplitMix64, keys: &KeyPair, chacha: &mut ChaChaRng) 
         Wire::StopTransmission { file_id },
         Wire::StopChunk { file_id, chunk },
         Wire::ReplacementRequest { file_id, chunk },
+        Wire::Ack {
+            newest: file_id,
+            taken: u64::from(chunk),
+        },
         Wire::Feedback(FeedbackReport::sign(keys, rng.next_u64(), entries, chacha)),
     ];
     frames.iter().map(|w| w.encode().to_vec()).collect()

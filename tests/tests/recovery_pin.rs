@@ -37,6 +37,24 @@
 //! it now disseminates to all three participants: participant 1 holds a
 //! batch from the start, the code before never re-disseminates in it,
 //! and its hashes are that code's for this scenario.
+//! Seventh, a window became what the user acknowledged: one rule in the
+//! `Host`, two frames in the sim where `MAX_INFLIGHT` was two flows. Every
+//! coded frame the user takes now sends a `Wire::Ack` flow back, a quiet
+//! downloading connection that took something gets its ack again after a
+//! quarter of the stall timeout, a window reopens when an ack lands
+//! instead of when a data flow ends (lost or not), and the pass reads no
+//! session's `finished_at`. `pollution` installs no fault plan before its
+//! adversary, so its logs move only where the pacing did: the acks' round
+//! trips shift a frame between slot windows (its first differing line,
+//! the 21st, is peer 2's `window` `msgs` 17 -> 16); its completion instant
+//! (279.616) and its schedules are unchanged. Under `lossy` and `churn`
+//! each ack is a flow that draws from the plan's fault stream, so from the
+//! first data delivery the draws re-pair (first differing line: the 12th,
+//! 24th and 7th of `lossy` at seeds 5, 17 and 83, the 11th, 23rd and 10th
+//! of `churn`). Each scenario's assertions hold; every download completed
+//! at the same slot or up to 4 s sooner; the schedules at seeds 5 and 17
+//! are unchanged. Each new hash is the change's own log and schedules,
+//! compared line by line with the parent's.
 
 use asymshare::{Identity, ParticipantId, RuntimeConfig, SessionId, SimRuntime};
 use asymshare_crypto::md5::Md5;
@@ -205,16 +223,16 @@ fn lossy_links_are_pinned() {
         lossy,
         [
             (
-                "ed1af302438d346fec5769eaffd55394",
+                "d40207529630b5a37886f858a74235cc",
                 "f931af5bd868e42cf705ffd39b927b9c",
             ),
             (
-                "9554187b14c18d26ac1768c520bad3fe",
+                "5f480ab645d8204380cc2236716fae6e",
                 "d4f5ab75cc0531086a6c21d0bbcd9c13",
             ),
             (
-                "1c8b04e8ea5b870ce02da3a671efdf04",
-                "6dea38acf7794c5ad08c7d02d3cde148",
+                "fb4d2688da9100c02acdfbc2c5ef2423",
+                "acfcf9147566310c56531dec05517c27",
             ),
         ],
     );
@@ -227,16 +245,16 @@ fn churn_with_reassignment_is_pinned() {
         churn,
         [
             (
-                "3ac592b260d762a33997892b9410f83f",
+                "93273b2a94147166ce1fbfcef06c67db",
                 "1f4a1ecb68316d03fd653d22e1b5294d",
             ),
             (
-                "ecb0c10ecf41f2d6720f29028f7f652b",
+                "b8372d36e15cafea79ff5aa66eaae2bb",
                 "1f4a1ecb68316d03fd653d22e1b5294d",
             ),
             (
-                "3e29844673ee8d0fad9ee54bc82aac7b",
-                "69377347aca7f2c7c9acdf367657e846",
+                "84c6dc492ad3bbb9fd514b29c86f80d0",
+                "1f4a1ecb68316d03fd653d22e1b5294d",
             ),
         ],
     );
@@ -249,15 +267,15 @@ fn pollution_quarantine_is_pinned() {
         pollution,
         [
             (
-                "d29629c9b6ffe8d110d87f8aa56e79af",
+                "5af4467fbc6d1b2fcb5ecc600b7eaedb",
                 "f8f79098583791e3e0ca32c49b5cb037",
             ),
             (
-                "3e3776658026bffa6fa61a95b378fdcb",
+                "61db23d25893ba0b42d30fe96d31bec1",
                 "f8f79098583791e3e0ca32c49b5cb037",
             ),
             (
-                "566763c41143689854572ff6226f8b98",
+                "b8fad59997e4ccb8442937b2eb3843d2",
                 "f8f79098583791e3e0ca32c49b5cb037",
             ),
         ],
