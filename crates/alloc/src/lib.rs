@@ -56,8 +56,5 @@ pub use sim::{InitialCredit, SimConfig, SlotSimulator};
 pub use strategy::{CapacityProfile, PeerConfig, Strategy};
 pub use trace::SimTrace;
 
-/// Slots per simulated second (the paper reallocates once per second).
-pub const SLOTS_PER_SECOND: u64 = 1;
-
 /// Slots per simulated hour.
 pub const SLOTS_PER_HOUR: u64 = 3600;

@@ -324,7 +324,7 @@ fn metrics(args: &[String]) -> Result<String, String> {
 /// corrupting so the replacement/heal spans and alerts have something to
 /// show.
 fn trace(args: &[String]) -> Result<(), String> {
-    use asymshare_obs::health::{replay, HealthConfig};
+    use asymshare_obs::health::replay;
     use asymshare_obs::stream::TraceTree;
 
     let width: usize = flag_value(args, "--width")
@@ -335,7 +335,7 @@ fn trace(args: &[String]) -> Result<(), String> {
 
     let log = rt.event_log();
     print!("{}", TraceTree::build(&log).render(width));
-    let report = replay(&HealthConfig::default(), &log).report();
+    let report = replay(&log);
     println!(
         "health: {} window(s), {} alert(s)",
         report.windows, report.total_alerts
@@ -353,7 +353,7 @@ fn trace(args: &[String]) -> Result<(), String> {
 /// One rendered frame of the `top` dashboard: the network's metrics and
 /// the health report folded from its event log.
 fn render_top(network: &asymshare::rt::RtNetwork, elapsed: std::time::Duration) -> String {
-    use asymshare_obs::health::{replay, HealthConfig};
+    use asymshare_obs::health::replay;
 
     let snap = network.metrics_snapshot();
     let recv = snap.counter("rt.transport.recv_bytes").unwrap_or(0);
@@ -396,7 +396,7 @@ fn render_top(network: &asymshare::rt::RtNetwork, elapsed: std::time::Duration) 
         mean("rt.reactor.queue_depth"),
         snap.counter("rt.reactor.backpressure_yields").unwrap_or(0),
     ));
-    let report = replay(&HealthConfig::default(), &network.events().events()).report();
+    let report = replay(&network.events().events());
     out.push_str(&format!(
         "health: {} window(s), {} alert(s)\n",
         report.windows, report.total_alerts
@@ -427,7 +427,7 @@ fn top(args: &[String]) -> Result<(), String> {
         RtNetwork,
     };
     use asymshare::{Identity, Peer, User};
-    use asymshare_obs::health::{replay, HealthConfig};
+    use asymshare_obs::health::replay;
     use asymshare_obs::{EventSink, Registry};
     use std::time::{Duration, Instant};
 
@@ -517,7 +517,7 @@ fn top(args: &[String]) -> Result<(), String> {
         }
     }
     let outcome = download.join().expect("download thread panicked");
-    let report = replay(&HealthConfig::default(), &network.events().events()).report();
+    let report = replay(&network.events().events());
     // Shut down before the final frame so the window gauges flush.
     reactor.shutdown();
     print!("{}", render_top(&network, started.elapsed()));

@@ -313,31 +313,38 @@ impl Peer {
     /// The next stored message to send on `conn`, advancing the cursor, or
     /// `None` when the session is idle or this peer's stock is exhausted.
     pub fn next_message(&mut self, conn: u64) -> Option<EncodedMessage> {
+        let (next, consumed) = self.walk(conn)?;
+        let next = next.cloned();
         let session = self.sessions.get_mut(&conn)?;
-        let file = session.serving?;
-        let msgs = self.store.messages(file);
-        // Replacements for corrupted messages jump the queue.
-        while let Some(idx) = session.resend.pop_front() {
-            let msg = &msgs[idx];
-            if !session
-                .stopped_chunks
-                .contains(&chunk_of(msg.message_id().0))
-            {
-                return Some(msg.clone());
-            }
-        }
-        while session.served < session.order.len() {
-            let idx = session.order[session.served];
-            session.served += 1;
-            let msg = &msgs[idx];
-            if !session
-                .stopped_chunks
-                .contains(&chunk_of(msg.message_id().0))
-            {
-                return Some(msg.clone());
-            }
-        }
-        None
+        let resent = consumed.min(session.resend.len());
+        session.resend.drain(..resent);
+        session.served += consumed - resent;
+        next
+    }
+
+    /// One walk over `conn`'s send queue — replacements for corrupted
+    /// messages first, then the sweep — past messages of stopped chunks:
+    /// the next message, if any, and how many queue entries taking it
+    /// consumes. `None` when `conn` serves nothing.
+    fn walk(&self, conn: u64) -> Option<(Option<&EncodedMessage>, usize)> {
+        let session = self.sessions.get(&conn)?;
+        let msgs = self.store.messages(session.serving?);
+        let sweep = &session.order[session.served.min(session.order.len())..];
+        let live = session
+            .resend
+            .iter()
+            .chain(sweep)
+            .map(|&idx| &msgs[idx])
+            .enumerate()
+            .find(|(_, msg)| {
+                !session
+                    .stopped_chunks
+                    .contains(&chunk_of(msg.message_id().0))
+            });
+        Some(match live {
+            Some((at, msg)) => (Some(msg), at + 1),
+            None => (None, session.resend.len() + sweep.len()),
+        })
     }
 
     /// Builds the serving order for a session: chunks visited starting at a
@@ -404,18 +411,7 @@ impl Peer {
     /// The message [`next_message`](Peer::next_message) would return on
     /// `conn`, without advancing anything.
     fn peek_next(&self, conn: u64) -> Option<&EncodedMessage> {
-        let session = self.sessions.get(&conn)?;
-        let msgs = self.store.messages(session.serving?);
-        session
-            .resend
-            .iter()
-            .chain(&session.order[session.served.min(session.order.len())..])
-            .map(|&idx| &msgs[idx])
-            .find(|msg| {
-                !session
-                    .stopped_chunks
-                    .contains(&chunk_of(msg.message_id().0))
-            })
+        self.walk(conn)?.0
     }
 
     /// Whether `conn` has more stored messages to send.

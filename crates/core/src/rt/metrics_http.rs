@@ -16,7 +16,7 @@
 
 use super::transport::RtNetwork;
 use asymshare_obs::export::render_prometheus;
-use asymshare_obs::health::{replay, HealthConfig};
+use asymshare_obs::health::replay;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -106,7 +106,7 @@ fn serve_one(mut stream: TcpStream, net: &RtNetwork) -> std::io::Result<()> {
             render_prometheus(&net.metrics_snapshot()),
         ),
         "/health" => {
-            let report = replay(&HealthConfig::default(), &net.events().events()).report();
+            let report = replay(&net.events().events());
             let status = if report.all_healthy() {
                 "200 OK"
             } else {

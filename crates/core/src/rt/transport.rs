@@ -763,17 +763,15 @@ mod tests {
 
     #[test]
     fn health_engine_scores_faulty_sender() {
-        use asymshare_obs::health::{replay, HealthConfig};
+        use asymshare_obs::health::replay;
         let net = RtNetwork::with_observability(Registry::new(), EventSink::new());
         let _inbox = net.register(40);
-        let cfg = HealthConfig {
-            warmup_windows: 2,
-            ..HealthConfig::default()
-        };
         let heartbeat = || net.events().emit("health", "window", &[]);
-        let fold = || replay(&cfg, &net.events().events());
-        assert_eq!(fold().score(41), None, "no traffic yet");
-        // Clean warmup windows: peer 41 sends healthy traffic.
+        let fold = || replay(&net.events().events());
+        let score = || fold().peers.iter().find(|p| p.peer == 41).map(|p| p.score);
+        assert_eq!(score(), None, "no traffic yet");
+        // Clean windows, more than the detectors' four of warmup: peer 41
+        // sends healthy traffic.
         for _ in 0..6 {
             for _ in 0..20 {
                 net.events().emit(
@@ -784,8 +782,8 @@ mod tests {
             }
             heartbeat();
         }
-        assert_eq!(fold().score(41), Some(100.0));
-        assert_eq!(fold().report().total_alerts, 0);
+        assert_eq!(score(), Some(100.0));
+        assert_eq!(fold().total_alerts, 0);
         // Then the link to 41 turns hostile: every send is dropped.
         net.install_faults(FaultPlan::new(5).with_loss(1.0));
         for _ in 0..4 {
@@ -794,10 +792,9 @@ mod tests {
             }
             heartbeat();
         }
-        let engine = fold();
-        let score = engine.score(41).expect("scored");
-        assert!(score < 100.0, "drop burst must cost score, got {score}");
-        let report = engine.report();
+        let after = score().expect("scored");
+        assert!(after < 100.0, "drop burst must cost score, got {after}");
+        let report = fold();
         assert_eq!(report.windows, 10);
         assert!(report.total_alerts >= 1, "{report:?}");
         // The report is derived, never written back into the log.
@@ -810,10 +807,10 @@ mod tests {
 
     #[test]
     fn health_disabled_is_inert() {
-        use asymshare_obs::health::{replay, HealthConfig, HealthReport};
+        use asymshare_obs::health::{replay, HealthReport};
         let net = RtNetwork::new();
         net.events().emit("health", "window", &[]);
-        let report = replay(&HealthConfig::default(), &net.events().events()).report();
+        let report = replay(&net.events().events());
         assert_eq!(report, HealthReport::default());
     }
 

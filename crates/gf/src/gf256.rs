@@ -9,7 +9,7 @@ pub const MODULUS: u16 = 0x11B;
 
 /// Generator of the multiplicative group (0x03; `x` itself is not primitive
 /// for this modulus).
-pub const GENERATOR: u8 = 0x03;
+const GENERATOR: u8 = 0x03;
 
 const ORDER: usize = 256;
 const GROUP: usize = ORDER - 1;

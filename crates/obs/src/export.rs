@@ -8,7 +8,7 @@
 use crate::Snapshot;
 
 /// Prefix for every exported metric name.
-pub const METRIC_PREFIX: &str = "asymshare_";
+const METRIC_PREFIX: &str = "asymshare_";
 
 /// `name` mangled into a legal Prometheus metric name.
 fn sanitize(name: &str) -> String {

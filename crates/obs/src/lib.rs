@@ -12,15 +12,19 @@
 //!   heal/reassignment decisions) that point-in-time metrics cannot capture,
 //!   plus [`Span`] guards that record wall-clock durations per component.
 //!
+//! Over the event log, [`health::replay`] folds a per-peer health report —
+//! an operator's view that no policy reads, with nothing to set — and
+//! [`stream::TraceTree`] nests its spans.
+//!
 //! # Disabled-path cost model
 //!
 //! Both types are handles around an `Option<Arc<...>>`. A disabled registry
-//! or sink ([`Registry::disabled`], [`EventSink::disabled`]) hands out
-//! handles whose inner cell is `None`, so every `inc`/`record`/`emit` is a
-//! single pointer-is-null branch — no atomics, no allocation, no formatting.
-//! Enabled counters cost one relaxed `fetch_add`; enabled events cost one
-//! mutex push of preformatted fields. Metric *registration* (name lookup)
-//! takes a lock, so hot paths create their handles once and hold them.
+//! or sink (the types' `Default`) hands out handles whose inner cell is
+//! `None`, so every `inc`/`record`/`emit` is a single pointer-is-null
+//! branch — no atomics, no allocation, no formatting. Enabled counters cost
+//! one relaxed `fetch_add`; enabled events cost one mutex push of
+//! preformatted fields. Metric *registration* (name lookup) takes a lock,
+//! so hot paths create their handles once and hold them.
 //!
 //! ```
 //! use asymshare_obs::{Registry, EventSink};
@@ -100,9 +104,9 @@ struct RegistryInner {
     histograms: Mutex<BTreeMap<String, Arc<HistogramCore>>>,
 }
 
-/// A named-metric registry. Cloning shares the underlying store; a
-/// [`disabled`](Registry::disabled) registry hands out inert handles (see
-/// the crate docs for the cost model).
+/// A named-metric registry. Cloning shares the underlying store; the
+/// `Default` registry is disabled and hands out inert handles (see the
+/// crate docs for the cost model).
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
     inner: Option<Arc<RegistryInner>>,
@@ -114,11 +118,6 @@ impl Registry {
         Registry {
             inner: Some(Arc::new(RegistryInner::default())),
         }
-    }
-
-    /// A disabled registry: every handle it creates is a no-op.
-    pub fn disabled() -> Registry {
-        Registry { inner: None }
     }
 
     /// Whether this registry records anything.
@@ -573,7 +572,7 @@ impl Event {
 }
 
 /// Default [`EventSink`] ring capacity: old events are evicted past this.
-pub const DEFAULT_EVENT_CAPACITY: usize = 64 * 1024;
+const DEFAULT_EVENT_CAPACITY: usize = 64 * 1024;
 
 struct SinkState {
     /// Ring of the most recent events; older ones were evicted.
@@ -610,18 +609,18 @@ struct SinkInner {
     next_span: AtomicU64,
 }
 
-/// An in-memory structured event log. Cloning shares the log; a
-/// [`disabled`](EventSink::disabled) sink drops everything at a single
-/// branch (see the crate docs for the cost model).
+/// An in-memory structured event log. Cloning shares the log; the
+/// `Default` sink is disabled and drops everything at a single branch (see
+/// the crate docs for the cost model).
 #[derive(Debug, Clone, Default)]
 pub struct EventSink {
     inner: Option<Arc<SinkInner>>,
 }
 
 impl EventSink {
-    /// An enabled, empty sink with the default ring capacity
-    /// ([`DEFAULT_EVENT_CAPACITY`]). Wall-clock [`emit`](Self::emit)
-    /// timestamps count from this moment.
+    /// An enabled, empty sink with the default ring capacity (65 536
+    /// events). Wall-clock [`emit`](Self::emit) timestamps count from this
+    /// moment.
     pub fn new() -> EventSink {
         EventSink::with_capacity(DEFAULT_EVENT_CAPACITY)
     }
@@ -640,11 +639,6 @@ impl EventSink {
                 next_span: AtomicU64::new(1),
             })),
         }
-    }
-
-    /// A disabled sink: every emit is a no-op.
-    pub fn disabled() -> EventSink {
-        EventSink { inner: None }
     }
 
     /// Whether this sink records anything.
@@ -921,7 +915,7 @@ mod tests {
 
     #[test]
     fn disabled_registry_is_inert() {
-        let registry = Registry::disabled();
+        let registry = Registry::default();
         assert!(!registry.is_enabled());
         let c = registry.counter("x");
         c.add(100);
@@ -991,7 +985,7 @@ mod tests {
 
     #[test]
     fn disabled_sink_is_inert() {
-        let sink = EventSink::disabled();
+        let sink = EventSink::default();
         sink.emit("a", "b", &[]);
         let _span = sink.span("a", "b");
         drop(_span);
@@ -1069,7 +1063,7 @@ mod tests {
             id + 1
         );
         assert_eq!(
-            EventSink::disabled().emit_span_at(0.0, 0.0, 1.0, "c", "k", None, &[]),
+            EventSink::default().emit_span_at(0.0, 0.0, 1.0, "c", "k", None, &[]),
             0
         );
     }

@@ -32,17 +32,6 @@ pub const CABLE: AccessLink = AccessLink {
     down_kbps: 3_000.0,
 };
 
-/// CAP ADSL (mentioned in §I; not plotted in Fig. 1): the 25–160 kHz
-/// upstream vs 240–1500 kHz downstream split, ~384 kbps up / 4 Mbps down.
-pub const ADSL: AccessLink = AccessLink {
-    name: "CAP ADSL",
-    up_kbps: 384.0,
-    down_kbps: 4_000.0,
-};
-
-/// The two links Figure 1 actually plots.
-pub const FIG1_LINKS: [AccessLink; 2] = [DIALUP, CABLE];
-
 /// A representative payload from Figure 1's annotations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PayloadExample {

@@ -29,7 +29,7 @@ pub struct Scenario {
 }
 
 /// The paper's smoothing window: 10-second running average.
-pub const SMOOTHING_WINDOW: usize = 10;
+const SMOOTHING_WINDOW: usize = 10;
 
 /// Fig. 5(a): ten saturated users with uploads 100…1000 kbps and random
 /// initial credit converge to download at their own upload rate.

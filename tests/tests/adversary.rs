@@ -272,28 +272,39 @@ fn replayed_messages_are_detected() {
     assert_eq!(report.stats.quarantines, 1);
 }
 
+/// Onset → ban, in one-second slots, at the default seed and at each seed
+/// CI's byzantine job runs: pollute, replay, selective. The selective
+/// readings are the known selective-serving gap — the client cannot see
+/// the Eq.-2 budget its peer was granted, so a withheld share is told from
+/// a slow link only by its silences — which stays open until signed
+/// grants land (DESIGN.md §11).
+const PINNED_SLOTS: [(u64, [f64; 3]); 4] = [
+    (5, [2.0, 2.0, 9.0]),
+    (11, [2.0, 2.0, 20.0]),
+    (17, [2.0, 2.0, 6.0]),
+    (83, [2.0, 2.0, 11.0]),
+];
+
 /// Ban latency and goodput under attack, per strategy. At any fault seed
 /// the download keeps at least 0.8 of what the three honest peers alone
-/// deliver, and only the adversary is ever banned. At the default seed the slots from attack onset to
-/// the ban are pinned exactly (the verdicts are a property of the rules,
-/// not of the machine), and pollute, replay and selective are each
-/// banned.
+/// deliver, and only the adversary is ever banned. At each seed of
+/// [`PINNED_SLOTS`] the slots from attack onset to the ban are pinned
+/// exactly (the verdicts are a property of the rules, not of the machine),
+/// and pollute, replay and selective are each banned.
 #[test]
 fn every_strategy_is_detected_and_outrun() {
     const SALT: u8 = 5;
     let seed = fault_seed();
     let (_, _, _, _, honest) = adversary_scenario(None, seed, SALT, 3, false);
-    let cases = [
-        (AdversaryStrategy::Pollute { prob: 0.9 }, Some(2.0)),
-        (AdversaryStrategy::Replay { prob: 0.8 }, Some(2.0)),
-        (
-            AdversaryStrategy::SelectiveServe {
-                serve_fraction: 0.25,
-            },
-            Some(20.0),
-        ),
+    let pinned = PINNED_SLOTS.iter().find(|&&(s, _)| s == seed);
+    let strategies = [
+        AdversaryStrategy::Pollute { prob: 0.9 },
+        AdversaryStrategy::Replay { prob: 0.8 },
+        AdversaryStrategy::SelectiveServe {
+            serve_fraction: 0.25,
+        },
     ];
-    for (strategy, pinned_slots) in cases {
+    for (i, strategy) in strategies.into_iter().enumerate() {
         let (rt, _, evil, attack_start, report) =
             adversary_scenario(Some(strategy), seed, SALT, 4, true);
         assert!(
@@ -309,11 +320,11 @@ fn every_strategy_is_detected_and_outrun() {
             "{strategy:?}: {bans:?}"
         );
         assert_eq!(report.stats.quarantines, bans.len() as u64);
-        if seed == 11 {
-            let slots = bans
+        if let Some((_, slots)) = pinned {
+            let measured = bans
                 .first()
                 .map(|(ts, _, _)| (ts - attack_start) / asymshare::SLOT_SECS);
-            assert_eq!(slots, pinned_slots, "{strategy:?}");
+            assert_eq!(measured, Some(slots[i]), "seed {seed}, {strategy:?}");
         }
     }
 }

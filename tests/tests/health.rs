@@ -6,7 +6,7 @@
 
 use asymshare::{Identity, ParticipantId, RuntimeConfig, SimRuntime};
 use asymshare_netsim::{FaultPlan, LinkFault, LinkSpeed};
-use asymshare_obs::health::{replay, HealthConfig};
+use asymshare_obs::health::replay;
 use asymshare_obs::{Event, Value};
 use asymshare_rlnc::FileId;
 
@@ -24,17 +24,6 @@ fn cfg() -> RuntimeConfig {
 
 fn payload(n: usize, salt: u8) -> Vec<u8> {
     (0..n).map(|i| ((i * 37) as u8) ^ salt).collect()
-}
-
-/// Detector settings for the fault scenarios: short warmup so the clean
-/// phase establishes baselines quickly, and no score recovery so the final
-/// score is a monotone record of every alert the run raised.
-fn detector_cfg() -> HealthConfig {
-    HealthConfig {
-        warmup_windows: 3,
-        recovery_per_window: 0.0,
-        ..HealthConfig::default()
-    }
 }
 
 /// A seeded download where one serving peer's uplink turns lossy and
@@ -76,18 +65,22 @@ fn faulty_scenario() -> (SimRuntime, Vec<ParticipantId>, ParticipantId) {
 }
 
 /// The fold reproduces the report the engine kept when it ran inside the
-/// runtime, evaluated at every slot boundary: this JSON is that report for
-/// this scenario, taken from the code before the fold replaced it.
+/// runtime, evaluated at every slot boundary. That report was pinned with
+/// a three-window warmup and no score recovery; once the detectors'
+/// settings became constants, this JSON is the same log folded at them
+/// (the code before, `replay(&HealthConfig::default(), ..)`): the same 11
+/// windows and 3 alerts, all on peer 3, whose clean windows now restore
+/// 1.5 each — 64.0 → 68.5, still under the healthy band's 70.
 #[test]
 fn fold_reproduces_the_in_runtime_report() {
     let (rt, _ids, _sick) = faulty_scenario();
     assert_eq!(
-        replay(&detector_cfg(), &rt.event_log()).report().to_json(),
+        replay(&rt.event_log()).to_json(),
         "{\"status\": \"sick\", \"windows\": 11, \"alerts\": 3, \"peers\": [\
          {\"peer\": 0, \"score\": 100.0, \"alerts\": 0, \"healthy\": true}, \
          {\"peer\": 1, \"score\": 100.0, \"alerts\": 0, \"healthy\": true}, \
          {\"peer\": 2, \"score\": 100.0, \"alerts\": 0, \"healthy\": true}, \
-         {\"peer\": 3, \"score\": 64.0, \"alerts\": 3, \"healthy\": false}]}"
+         {\"peer\": 3, \"score\": 68.5, \"alerts\": 3, \"healthy\": false}]}"
     );
 }
 
@@ -96,37 +89,30 @@ fn fold_reproduces_the_in_runtime_report() {
 #[test]
 fn lossy_peer_scores_below_healthy_band() {
     let (rt, ids, sick) = faulty_scenario();
-    let cfg = detector_cfg();
-    let engine = replay(&cfg, &rt.event_log());
-    let report = engine.report();
+    let report = replay(&rt.event_log());
     assert!(report.windows > 0);
     assert!(!report.all_healthy(), "the faulty peer must be flagged");
 
-    let sick_score = engine.score(sick.0 as u64).expect("faulty peer was scored");
+    let health_of = |id: ParticipantId| report.peers.iter().find(|p| p.peer == id.0 as u64);
+    let entry = health_of(sick).expect("faulty peer was scored");
     assert!(
-        sick_score < cfg.healthy_score,
-        "faulty peer score {sick_score} should sit below the healthy band ({})",
-        cfg.healthy_score
+        !entry.healthy && entry.score < 70.0,
+        "faulty peer score {} should sit below the healthy band (70)",
+        entry.score
     );
+    assert!(entry.alerts > 0);
     for &id in &ids {
         if id == sick {
             continue;
         }
-        if let Some(score) = engine.score(id.0 as u64) {
+        if let Some(honest) = health_of(id) {
             assert!(
-                score >= cfg.healthy_score,
-                "honest peer {id:?} score {score} dropped below the healthy band"
+                honest.healthy && honest.score >= 70.0,
+                "honest peer {id:?} score {} dropped below the healthy band",
+                honest.score
             );
         }
     }
-    // The report agrees with the per-peer accessors.
-    let entry = report
-        .peers
-        .iter()
-        .find(|p| p.peer == sick.0 as u64)
-        .expect("faulty peer in report");
-    assert!(!entry.healthy);
-    assert!(entry.alerts > 0);
 }
 
 /// Observation must not perturb: the same seeded lossy run with
@@ -240,7 +226,7 @@ fn metrics_listener_serves_live_rt_state() {
 
     // The download's final flush closed a window, so the log's fold
     // scores the serving peers.
-    let report = replay(&HealthConfig::default(), &network.events().events()).report();
+    let report = replay(&network.events().events());
     assert!(report.windows > 0, "the download must write heartbeats");
     assert!(!report.peers.is_empty(), "serving peers must be scored");
     assert!(report.all_healthy(), "clean run: every peer healthy");
