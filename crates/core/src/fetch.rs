@@ -10,6 +10,11 @@
 //! [`rt::download_file_with`](crate::rt::download_file_with), simulated in
 //! [`SimRuntime`](crate::SimRuntime).
 //!
+//! The client's log is written here too, for both drivers: [`log`] turns a
+//! note into its line and [`Fetch::log_window`] writes the `window` lines.
+//! A driver hands them its event sink, its two component names and the
+//! fields that name a connection; the engine keeps none of them.
+//!
 //! The engine is also the client's only Byzantine defense (DESIGN.md §11):
 //! from the outcomes it already sorts each datagram into, it convicts a
 //! connection of pollution, replay or selective serving by the rules
@@ -24,6 +29,7 @@ use crate::recovery::{Action, LadderConfig, RecoveryLadder};
 use crate::user::{ConnStage, User};
 use asymshare_crypto::chacha20::ChaChaRng;
 use asymshare_gf::Gf2p32;
+use asymshare_obs::{EventSink, Value};
 use asymshare_rlnc::{CodecError, FileManifest, MessageId};
 use std::borrow::BorrowMut;
 use std::collections::HashMap;
@@ -65,7 +71,7 @@ const PERSIST_OF_STALL: f64 = 0.25;
 
 /// One thing for the driver to do or report, in order. Every variant but
 /// `Send` is a note, counted in the user's `SessionStats` where a counter
-/// exists; the driver turns it into its own events.
+/// exists and written to the client log by [`log`].
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Out {
     /// Put a frame on `conn`; report a failed send with [`Fetch::lost`].
@@ -139,9 +145,9 @@ struct Evidence {
 }
 
 /// A connection: its peer's key (for a re-run handshake), its counts since
-/// the fetch began, the coded frames the user took since the last
-/// [`Fetch::drain_window`], when it was last acked (never, before its
-/// first coded datagram), and the evidence against it.
+/// the fetch began, the coded frames the user took since its last
+/// `window` line ([`Fetch::log_window`]), when it was last acked (never,
+/// before its first coded datagram), and the evidence against it.
 #[derive(Debug)]
 struct PeerState {
     conn: u64,
@@ -552,16 +558,84 @@ impl<U: BorrowMut<User<Gf2p32>>> Fetch<U> {
             .map_or(Tally::default(), |i| self.peers[i].tally)
     }
 
-    /// Hands `f` the coded frames each connection's user took since the
-    /// last drain (a health window's `msgs`: no digest reject or duplicate
-    /// among them), in connection order, skipping those that took none.
-    pub(crate) fn drain_window(&mut self, mut f: impl FnMut(u64, u64)) {
+    /// Writes a `component`/`window` line at `ts` for each connection whose
+    /// user took coded frames since the last call, in connection order:
+    /// `name(conn)`, then `msgs`, the frames it took (a health window's
+    /// denominator: no digest reject or duplicate among them). Writes and
+    /// drains nothing when `events` is disabled.
+    pub(crate) fn log_window(
+        &mut self,
+        events: &EventSink,
+        ts: f64,
+        component: &'static str,
+        name: impl Fn(u64) -> Fields,
+    ) {
+        if !events.is_enabled() {
+            return;
+        }
         for peer in &mut self.peers {
             let msgs = std::mem::take(&mut peer.window_msgs);
             if msgs > 0 {
-                f(peer.conn, msgs);
+                let mut fields = name(peer.conn);
+                fields.push(("msgs", msgs.into()));
+                events.emit_at(ts, component, "window", &fields);
             }
         }
+    }
+}
+
+/// The fields of a client log line.
+pub(crate) type Fields = Vec<(&'static str, Value)>;
+
+/// Writes `note` to the client log at `ts`, one line whose kind its variant
+/// fixes: under `client` what a datagram brought, under `heal` what the
+/// ladder did. The line is named by `name(conn)` for the connection the
+/// note concerns (a re-plan's target), then carries the note's own fields.
+/// A reject the limiter answered is followed by its `replacement_request`
+/// line; `Send` and `Ranked` write nothing. Returns before building a
+/// field when `events` is disabled.
+pub(crate) fn log(
+    events: &EventSink,
+    ts: f64,
+    (client, heal): (&'static str, &'static str),
+    note: &Out,
+    name: impl Fn(u64) -> Fields,
+) {
+    if !events.is_enabled() {
+        return;
+    }
+    let (component, kind, conn, more): (_, _, _, Fields) = match *note {
+        Out::Send(..) | Out::Ranked { .. } => return,
+        Out::DigestReject { conn, chunk, .. } => {
+            (client, "digest_reject", conn, vec![("chunk", chunk.into())])
+        }
+        Out::Duplicate { conn } => (client, "duplicate", conn, vec![]),
+        Out::Served {
+            conn,
+            chunk,
+            requested,
+            at,
+        } => {
+            let rtt_us = ((at - requested) * 1e6).round();
+            let more = vec![("chunk", chunk.into()), ("rtt_us", rtt_us.into())];
+            (client, "replacement_served", conn, more)
+        }
+        Out::Stale { conn } => (heal, "handshake_error", conn, vec![]),
+        Out::Retry { conn, attempt } => (heal, "retry", conn, vec![("attempt", attempt.into())]),
+        Out::WriteOff { conn } => (heal, "write_off", conn, vec![]),
+        Out::Reassign { target } => (heal, "reassign", target, vec![]),
+        Out::Quarantine { conn, strategy } => (
+            heal,
+            "quarantine",
+            conn,
+            vec![("strategy", strategy.into())],
+        ),
+    };
+    let mut fields = name(conn);
+    fields.extend(more);
+    events.emit_at(ts, component, kind, &fields);
+    if let Out::DigestReject { replaced: true, .. } = note {
+        events.emit_at(ts, component, "replacement_request", &fields);
     }
 }
 
@@ -1069,6 +1143,127 @@ mod tests {
         assert_eq!(withholding, [(3, "selective")]);
         let slow = run(|step| usize::from(step % 8 == 0));
         assert_eq!(slow, []);
+    }
+
+    /// The client log's one mapping: each note's component, kind and
+    /// fields, after the driver's name for the connection it concerns (a
+    /// re-plan's target); `Send` and `Ranked` write nothing, and a sink
+    /// that is off is never asked for a name.
+    #[test]
+    fn each_note_is_one_line_of_the_client_log() {
+        let name = |conn: u64| vec![("peer", Value::from(conn + 10)), ("conn", conn.into())];
+        let notes = [
+            Out::Send(
+                1,
+                Wire::Ack {
+                    newest: 0,
+                    taken: 1,
+                },
+            ),
+            Out::DigestReject {
+                conn: 1,
+                chunk: 2,
+                replaced: false,
+            },
+            Out::DigestReject {
+                conn: 1,
+                chunk: 3,
+                replaced: true,
+            },
+            Out::Duplicate { conn: 2 },
+            // 1.7 µs: rounded, not truncated.
+            Out::Served {
+                conn: 1,
+                chunk: 3,
+                requested: 0.25,
+                at: 0.250_001_7,
+            },
+            Out::Stale { conn: 3 },
+            Out::Ranked {
+                chunk: 2,
+                last: false,
+            },
+            Out::Retry {
+                conn: 0,
+                attempt: 2,
+            },
+            Out::WriteOff { conn: 0 },
+            Out::Reassign { target: 2 },
+            Out::Quarantine {
+                conn: 3,
+                strategy: "replay",
+            },
+        ];
+        let events = EventSink::new();
+        for note in &notes {
+            log(&events, 1.5, ("client", "heal"), note, name);
+        }
+        let lines: Vec<_> = events
+            .events()
+            .into_iter()
+            .map(|e| (e.ts, e.component, e.kind, e.fields))
+            .collect();
+        let chunk = |c: u32| ("chunk", Value::from(c));
+        let table: [(_, _, u64, Fields); 10] = [
+            ("client", "digest_reject", 1, vec![chunk(2)]),
+            ("client", "digest_reject", 1, vec![chunk(3)]),
+            ("client", "replacement_request", 1, vec![chunk(3)]),
+            ("client", "duplicate", 2, vec![]),
+            (
+                "client",
+                "replacement_served",
+                1,
+                vec![chunk(3), ("rtt_us", Value::F64(2.0))],
+            ),
+            ("heal", "handshake_error", 3, vec![]),
+            ("heal", "retry", 0, vec![("attempt", 2u32.into())]),
+            ("heal", "write_off", 0, vec![]),
+            ("heal", "reassign", 2, vec![]),
+            ("heal", "quarantine", 3, vec![("strategy", "replay".into())]),
+        ];
+        let table = table.map(|(component, kind, conn, more)| {
+            (1.5, component, kind, [name(conn), more].concat())
+        });
+        assert_eq!(lines, table);
+        for note in &notes {
+            let unasked = |_: u64| -> Fields { unreachable!("the sink is off") };
+            log(
+                &EventSink::default(),
+                1.5,
+                ("client", "heal"),
+                note,
+                unasked,
+            );
+        }
+    }
+
+    /// `window` lines: one per connection that took coded frames since the
+    /// last, in connection order, with the frames it took; none while the
+    /// sink is off, which leaves the counts to the next line.
+    #[test]
+    fn a_window_line_counts_one_connections_frames() {
+        let mut rig = connected(0.0);
+        let datagrams = vec![
+            (2, vec![coded(&rig, 2, 0)]),
+            (0, vec![coded(&rig, 0, 0), coded(&rig, 0, 1)]),
+        ];
+        at(&mut rig, 0.125, datagrams);
+        let name = |conn: u64| vec![("peer", Value::from(conn))];
+        let window = |rig: &mut Rig, events: &EventSink| {
+            rig.fetch.log_window(events, 0.25, "client", name);
+        };
+        window(&mut rig, &EventSink::default());
+        let events = EventSink::new();
+        window(&mut rig, &events);
+        window(&mut rig, &events);
+        let lines: Vec<_> = events
+            .events()
+            .into_iter()
+            .map(|e| (e.kind, e.fields))
+            .collect();
+        let line =
+            |peer: u64, msgs: u64| ("window", vec![("peer", peer.into()), ("msgs", msgs.into())]);
+        assert_eq!(lines, [line(0, 2), line(2, 1)]);
     }
 
     /// Honest links that corrupt 8 % of datagrams, drawn at random, are

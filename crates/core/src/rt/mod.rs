@@ -41,7 +41,7 @@ pub use reactor::{Reactor, ReactorConfig, MAX_COALESCE};
 pub use transport::{Envelope, FrameIter, RtNetwork};
 
 use crate::error::SystemError;
-use crate::fetch::{Fetch, Out};
+use crate::fetch::{log, Fetch, Out};
 use crate::protocol::Wire;
 use crate::recovery::LadderConfig;
 use crate::user::User;
@@ -85,6 +85,10 @@ impl DownloadOptions {
         }
     }
 }
+
+/// The components of the client log's lines: what a datagram brought,
+/// and what the recovery ladder did.
+const CLIENT_LOG: (&str, &str) = ("rt.download", "rt.heal");
 
 /// Base delay between replacement requests for the same `(peer, chunk)`,
 /// wall seconds (the ladder doubles it per consecutive request).
@@ -353,19 +357,15 @@ fn fetch(
     let started = Instant::now();
     // The engine's clock: seconds since the download started.
     let secs = |t: Instant| t.saturating_duration_since(started).as_secs_f64();
-    // Observability: handles resolved once (inert when the network was not
-    // built with `with_observability`).
+    // The client log (inert when the network was not built with
+    // `with_observability`) names a connection by its peer's address.
     let events = network.events().clone();
-    let digest_rejections = network.metrics().counter("rt.download.digest_rejections");
-    let rtt_us = network
-        .metrics()
-        .histogram("rt.download.replacement_rtt_us");
-    let download = |kind, fields: &[_]| events.emit("rt.download", kind, fields);
-    let heal = |kind, fields: &[_]| events.emit("rt.heal", kind, fields);
+    let name = |conn: u64| vec![("peer", Value::from(conn))];
     // Carries out what the engine asked for, in order: frames go on the
-    // wire (a send that fails reports the peer lost), notes become events,
-    // and a chunk at rank `k` leaves the session for the decoders.
+    // wire (a send that fails reports the peer lost), a chunk at rank `k`
+    // leaves the session for the decoders, and notes go to the log.
     let mut carry_out = |fetch: &mut Fetch<&mut User<Gf2p32>>, out: &mut Vec<Out>| {
+        let ts = events.now_secs();
         for item in out.drain(..) {
             match item {
                 Out::Send(conn, wire) => {
@@ -378,58 +378,14 @@ fn fetch(
                         decoders.submit(chunk, block, last);
                     }
                 }
-                Out::DigestReject {
-                    conn,
-                    chunk,
-                    replaced,
-                } => {
-                    digest_rejections.inc();
-                    let fields = [("peer", conn.into()), ("chunk", chunk.into())];
-                    download("digest_reject", &fields);
-                    if replaced {
-                        download("replacement_request", &fields);
-                    }
-                }
-                Out::Served {
-                    conn,
-                    chunk,
-                    requested,
-                    at,
-                } => {
-                    let rtt = ((at - requested) * 1e6) as u64;
-                    rtt_us.record(rtt);
-                    let fields = [
-                        ("peer", conn.into()),
-                        ("chunk", chunk.into()),
-                        ("rtt_us", rtt.into()),
-                    ];
-                    download("replacement_served", &fields);
-                }
-                Out::Duplicate { conn } => download("duplicate", &[("peer", conn.into())]),
-                Out::Stale { conn } => heal("handshake_error", &[("peer", conn.into())]),
-                Out::Retry { conn, attempt } => {
-                    heal(
-                        "retry",
-                        &[("peer", conn.into()), ("attempt", attempt.into())],
-                    );
-                }
-                Out::WriteOff { conn } => heal("write_off", &[("peer", conn.into())]),
-                Out::Reassign { target } => heal("reassign", &[("target", target.into())]),
-                Out::Quarantine { conn, strategy } => {
-                    let fields = [("peer", conn.into()), ("strategy", strategy.into())];
-                    heal("quarantine", &fields);
-                }
+                note => log(&events, ts, CLIENT_LOG, &note, name),
             }
         }
     };
-    // The coded frames each peer's user took since the last report, as
-    // `window` events — the health report's rate denominators, to which it
-    // adds the digest rejects and duplicates — then the `health`/`window`
-    // heartbeat at which the report's fold over the log closes a window.
+    // Each peer's `window` line, then the `health`/`window` heartbeat at
+    // which the report's fold over the log closes a window.
     let report_windows = |fetch: &mut Fetch<&mut User<Gf2p32>>| {
-        fetch.drain_window(|peer, msgs| {
-            download("window", &[("peer", peer.into()), ("msgs", msgs.into())]);
-        });
+        fetch.log_window(&events, events.now_secs(), CLIENT_LOG.0, name);
         events.emit("health", "window", &[]);
     };
     let ladder = LadderConfig {
@@ -1107,10 +1063,6 @@ mod tests {
         assert!(stats.corruptions > 0, "damage reached the digest check");
         assert!(stats.replacements > 0, "replacements were requested");
         let snapshot = network.metrics().snapshot();
-        assert_eq!(
-            snapshot.counter("rt.download.digest_rejections"),
-            Some(stats.corruptions)
-        );
         let datagrams = snapshot.histogram("rt.transport.batch_frames").unwrap();
         assert!(datagrams.sum > datagrams.count, "frames were coalesced");
         // Hashed iff it could still reach a decoder: the accepted, the
@@ -1138,6 +1090,7 @@ mod tests {
                 })
                 .sum()
         };
+        assert_eq!(count("digest_reject"), stats.corruptions);
         let arrived =
             user.innovative_count() + user.redundant_count() + stats.corruptions + stats.duplicates;
         assert_eq!(

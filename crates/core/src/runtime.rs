@@ -9,7 +9,7 @@
 //! Eq.-2 weights accumulated from their users' signed feedback.
 
 use crate::error::SystemError;
-use crate::fetch::{Fetch, Out};
+use crate::fetch::{log, Fetch, Fields, Out};
 use crate::host::{adversary, corrupt_message, Grant, Host};
 use crate::identity::Identity;
 use crate::peer::{KeyBytes, Peer};
@@ -21,7 +21,7 @@ use asymshare_gf::{FieldKind, Gf2p32};
 use asymshare_netsim::{
     Event, EventKind, FaultPlan, FaultStats, LinkSpeed, NodeId, SimNet, SimTime,
 };
-use asymshare_obs::{Counter, EventSink, Histogram, Registry, Snapshot, Value};
+use asymshare_obs::{EventSink, Registry, Snapshot};
 use asymshare_rlnc::{
     ChunkedEncoder, CodecError, DigestKind, EncodedMessage, FileId, FileManifest,
 };
@@ -37,6 +37,10 @@ pub const SLOT_SECS: f64 = 1.0;
 
 /// The Eq.-2 credit every peer starts each party at, bytes.
 pub const INITIAL_CREDIT_BYTES: f64 = 1_000.0;
+
+/// The components of the client log's lines: what a datagram brought,
+/// and what the recovery ladder did.
+const CLIENT_LOG: (&str, &str) = ("sim.deliver", "sim.heal");
 
 /// Frames a connection may have unacknowledged: a sim flow carries one,
 /// so downlink congestion back-pressures the serve pass instead of piling
@@ -145,6 +149,37 @@ struct SessionTrace {
     spans_emitted: bool,
 }
 
+impl SessionTrace {
+    /// Marks the instants an engine note gives the spans: a chunk's ends
+    /// when it reached rank `k`, a served replacement is a span of its own.
+    fn mark(&mut self, note: &Out, ts: f64) {
+        match *note {
+            Out::Ranked { chunk, .. } => {
+                self.chunk_done.entry(chunk).or_insert(ts);
+            }
+            Out::Served {
+                conn,
+                chunk,
+                requested,
+                at,
+            } => self.repl_spans.push((conn, chunk, requested, at)),
+            _ => {}
+        }
+    }
+}
+
+/// How the log names session `s_idx`'s connection `conn`: the participant
+/// behind it, the session, the connection.
+fn naming(conns: &BTreeMap<u64, usize>, s_idx: usize) -> impl Fn(u64) -> Fields + '_ {
+    move |conn| {
+        vec![
+            ("peer", conns[&conn].into()),
+            ("session", s_idx.into()),
+            ("conn", conn.into()),
+        ]
+    }
+}
+
 #[derive(Clone, Copy)]
 enum Endpoint {
     ToPeer { participant: usize, conn: u64 },
@@ -166,31 +201,6 @@ struct Pending {
 struct SimObs {
     metrics: Registry,
     events: EventSink,
-    /// Flows whose payload fault injection dropped in transit.
-    drops: Counter,
-    /// Data messages delivered with a corrupted payload.
-    corruptions: Counter,
-    /// Messages the user's digest check rejected.
-    digest_rejections: Counter,
-    /// Per-slot per-connection Eq.-2 budgets, bytes.
-    alloc_budget_bytes: Histogram,
-    /// Request-to-serve latency of digest-replacement round trips, µs.
-    replacement_rtt_us: Histogram,
-}
-
-impl SimObs {
-    fn enabled() -> SimObs {
-        let metrics = Registry::new();
-        SimObs {
-            drops: metrics.counter("sim.deliver.drops"),
-            corruptions: metrics.counter("sim.deliver.corruptions"),
-            digest_rejections: metrics.counter("sim.deliver.digest_rejections"),
-            alloc_budget_bytes: metrics.histogram("sim.alloc.budget_bytes"),
-            replacement_rtt_us: metrics.histogram("sim.deliver.replacement_rtt_us"),
-            metrics,
-            events: EventSink::new(),
-        }
-    }
 }
 
 impl Session {
@@ -248,11 +258,14 @@ impl SimRuntime {
     /// Turns on metrics and event tracing for this deployment. Events carry
     /// simulated timestamps and the hooks draw no randomness, so enabling
     /// observability never changes a seeded run's schedule. Every slot ends
-    /// with its per-peer `window`/`balance` aggregates and a `health`/
-    /// `window` heartbeat, the instants at which
+    /// with each connection's `window` line, each peer's credit `balance`
+    /// and a `health`/`window` heartbeat, the instants at which
     /// [`health::replay`](asymshare_obs::health::replay) closes a window.
     pub fn enable_observability(&mut self) {
-        self.obs = SimObs::enabled();
+        self.obs = SimObs {
+            metrics: Registry::new(),
+            events: EventSink::new(),
+        };
     }
 
     /// The deployment's event log so far (empty unless observability is on).
@@ -265,28 +278,15 @@ impl SimRuntime {
         self.obs.events.to_jsonl()
     }
 
-    /// A point-in-time copy of every deployment metric, with per-peer store
-    /// bytes, per-session decode progress, network totals and the events
-    /// the log's ring has dropped (`obs.dropped_events`) refreshed first.
-    /// The Eq.-2 credit matrix is [`credit_matrix`](Self::credit_matrix).
-    /// Empty unless [`enable_observability`](Self::enable_observability)
-    /// was called.
+    /// A point-in-time copy of every deployment metric: the network's
+    /// totals and the events the log's ring has dropped
+    /// (`obs.dropped_events`). A session's progress is
+    /// [`progress`](Self::progress), the Eq.-2 credit matrix
+    /// [`credit_matrix`](Self::credit_matrix). Empty unless
+    /// [`enable_observability`](Self::enable_observability) was called.
     pub fn metrics_snapshot(&self) -> Snapshot {
         let metrics = &self.obs.metrics;
         if metrics.is_enabled() {
-            for (i, p) in self.participants.iter().enumerate() {
-                metrics
-                    .gauge(&format!("sim.store.p{i}.bytes"))
-                    .set(p.host.peer.store().total_bytes() as f64);
-            }
-            for (i, s) in self.sessions.iter().enumerate() {
-                metrics
-                    .gauge(&format!("sim.session.s{i}.progress"))
-                    .set(s.fetch.user().progress());
-                metrics
-                    .gauge(&format!("sim.session.s{i}.rank"))
-                    .set(s.fetch.user().independent_count() as f64);
-            }
             let totals = self.net.totals();
             metrics
                 .gauge("sim.net.flows_started")
@@ -645,7 +645,6 @@ impl SimRuntime {
                 continue;
             };
             if boundary {
-                self.obs.alloc_budget_bytes.record(g.bytes as u64);
                 self.obs.events.emit_at(
                     ts,
                     "sim.alloc",
@@ -726,13 +725,10 @@ impl SimRuntime {
     /// Hands a completed flow's payload to its destination.
     fn land(&mut self, endpoint: Endpoint, wire: Wire, kind: EventKind) {
         if kind == EventKind::FlowLost {
-            // The payload is gone in transit: the network's view counts
-            // it, the user sees nothing.
-            self.obs.drops.inc();
+            // The payload is gone in transit: the network's view logs it,
+            // the user sees nothing.
             if let Endpoint::ToUser { session, conn } = endpoint {
-                let fields = self.conn_fields(session, conn, &[]);
-                let now = self.net.now().as_secs();
-                self.obs.events.emit_at(now, "sim.deliver", "drop", &fields);
+                self.flow_event("drop", session, conn);
             }
             return;
         }
@@ -778,12 +774,7 @@ impl SimRuntime {
                 let wire = match (corrupted, wire) {
                     (true, Wire::MessageData(msg)) => match corrupt_message(&msg) {
                         Some(mangled) => {
-                            self.obs.corruptions.inc();
-                            let fields = self.conn_fields(session, conn, &[]);
-                            let now = self.net.now().as_secs();
-                            self.obs
-                                .events
-                                .emit_at(now, "sim.deliver", "corruption", &fields);
+                            self.flow_event("corruption", session, conn);
                             mangled
                         }
                         // Empty payload: nothing to flip, the frame
@@ -846,102 +837,31 @@ impl SimRuntime {
     }
 
     /// Carries out, in order, what a session's engine asked for at `ts`,
-    /// draining `out`: frames go to the peers, notes become `sim.deliver`
-    /// and `sim.heal` events and trace marks.
+    /// draining `out`: frames go to the peers, notes mark the trace and go
+    /// to the client log.
     fn carry_out(&mut self, s_idx: usize, out: &mut Vec<Out>, ts: f64) {
         for item in out.drain(..) {
-            match item {
-                Out::Send(conn, wire) => self.send_to_peer(s_idx, conn, wire),
-                note => self.note(s_idx, note, ts),
+            if let Out::Send(conn, wire) = item {
+                self.send_to_peer(s_idx, conn, wire);
+                continue;
             }
+            let (events, session) = (&self.obs.events, &mut self.sessions[s_idx]);
+            if events.is_enabled() {
+                session.trace.mark(&item, ts);
+            }
+            log(events, ts, CLIENT_LOG, &item, naming(&session.conns, s_idx));
         }
     }
 
-    /// Turns one of a session's engine notes into its events and trace marks.
-    fn note(&mut self, s_idx: usize, note: Out, ts: f64) {
-        let events = self.obs.events.clone();
-        let on = |conn, more: &[_]| self.conn_fields(s_idx, conn, more);
-        let (component, kind, fields) = match note {
-            Out::Send(..) | Out::Stale { .. } => return,
-            Out::DigestReject {
-                conn,
-                chunk,
-                replaced,
-            } => {
-                self.obs.digest_rejections.inc();
-                let fields = on(conn, &[("chunk", chunk.into())]);
-                if replaced {
-                    events.emit_at(ts, "sim.deliver", "digest_reject", &fields);
-                    ("sim.deliver", "replacement_request", fields)
-                } else {
-                    ("sim.deliver", "digest_reject", fields)
-                }
-            }
-            Out::Duplicate { conn } => ("sim.deliver", "duplicate", on(conn, &[])),
-            Out::Served {
-                conn,
-                chunk,
-                requested,
-                at,
-            } => {
-                if !events.is_enabled() {
-                    return;
-                }
-                let rtt_us = ((at - requested) * 1e6).round();
-                let fields = on(conn, &[("chunk", chunk.into()), ("rtt_us", rtt_us.into())]);
-                self.obs.replacement_rtt_us.record(rtt_us as u64);
-                let trace = &mut self.sessions[s_idx].trace;
-                trace.repl_spans.push((conn, chunk, requested, at));
-                ("sim.deliver", "replacement_served", fields)
-            }
-            // Chunk spans end when decoding did.
-            Out::Ranked { chunk, .. } => {
-                if events.is_enabled() {
-                    let trace = &mut self.sessions[s_idx].trace;
-                    trace.chunk_done.entry(chunk).or_insert(ts);
-                }
-                return;
-            }
-            Out::Retry { conn, attempt } => (
-                "sim.heal",
-                "retry",
-                on(conn, &[("attempt", attempt.into())]),
-            ),
-            Out::WriteOff { conn } => ("sim.heal", "write_off", on(conn, &[])),
-            // Nothing is passed over any more; the field keeps the log's
-            // format.
-            Out::Reassign { target } => {
-                let fields = vec![
-                    ("session", s_idx.into()),
-                    ("target", target.into()),
-                    ("deprioritized", 0usize.into()),
-                ];
-                ("sim.heal", "reassign", fields)
-            }
-            Out::Quarantine { conn, strategy } => (
-                "sim.heal",
-                "quarantine",
-                on(conn, &[("strategy", strategy.into())]),
-            ),
-        };
-        events.emit_at(ts, component, kind, &fields);
-    }
-
-    /// A session's connection as events name it — the participant behind
-    /// it, the session, the connection — then `more`.
-    fn conn_fields(
-        &self,
-        s_idx: usize,
-        conn: u64,
-        more: &[(&'static str, Value)],
-    ) -> Vec<(&'static str, Value)> {
-        let peer = self.sessions[s_idx].conns[&conn];
-        let conn = [
-            ("peer", peer.into()),
-            ("session", s_idx.into()),
-            ("conn", conn.into()),
-        ];
-        [&conn, more].concat()
+    /// A `sim.deliver` line at the current instant about a flow to session
+    /// `s_idx`'s user on `conn` (`drop`, `corruption`): the network's view,
+    /// which the client never has.
+    fn flow_event(&self, kind: &'static str, s_idx: usize, conn: u64) {
+        let events = &self.obs.events;
+        if events.is_enabled() {
+            let fields = naming(&self.sessions[s_idx].conns, s_idx)(conn);
+            events.emit_at(self.net.now().as_secs(), "sim.deliver", kind, &fields);
+        }
     }
 
     /// Sends a control frame from a session's user to the peer behind
@@ -961,30 +881,19 @@ impl SimRuntime {
         self.start_flow(from, to, endpoint, wire);
     }
 
-    /// Slot epilogue with observability on: the slot's per-peer aggregates
-    /// as events, then a `health`/`window` heartbeat at the slot deadline,
-    /// where [`health::replay`](asymshare_obs::health::replay) closes a
-    /// window.
+    /// Slot epilogue with observability on: each connection's `window`
+    /// line and each peer's credit `balance`, then a `health`/`window`
+    /// heartbeat at the slot deadline, where
+    /// [`health::replay`](asymshare_obs::health::replay) closes a window.
     fn report_window(&mut self) {
-        if !self.obs.events.is_enabled() {
+        let events = &self.obs.events;
+        if !events.is_enabled() {
             return;
         }
         let ts = self.net.now().as_secs();
-        // Data messages accepted per serving participant this slot.
-        let mut msgs: BTreeMap<usize, u64> = BTreeMap::new();
-        for session in &mut self.sessions {
-            let conns = &session.conns;
-            session.fetch.drain_window(|conn, n| {
-                *msgs.entry(conns[&conn]).or_insert(0) += n;
-            });
-        }
-        for (p_idx, n) in msgs {
-            self.obs.events.emit_at(
-                ts,
-                "sim.deliver",
-                "window",
-                &[("peer", p_idx.into()), ("msgs", n.into())],
-            );
+        for (s_idx, session) in self.sessions.iter_mut().enumerate() {
+            let name = naming(&session.conns, s_idx);
+            session.fetch.log_window(events, ts, CLIENT_LOG.0, name);
         }
         self.emit_credit_balances(ts);
         self.obs

@@ -295,56 +295,7 @@ impl SimNet {
     /// Advances to the next flow completion and returns it, or `None` when
     /// no flows are active or the remaining flows have zero rate.
     pub fn step(&mut self) -> Option<Event> {
-        loop {
-            self.settle_progress();
-            self.refresh_rates();
-            let completion = self.next_completion();
-            let start = self.next_start();
-            let take_completion = match (completion, start) {
-                (Some((_, eta)), Some(s)) => eta <= s,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => return None,
-            };
-            if take_completion {
-                let (idx, eta) = completion.expect("checked above");
-                let at = self.now.advance(eta);
-                self.advance_progress_to(at);
-                self.now = at;
-                let flow = self.flows.swap_remove(idx);
-                self.nodes[flow.src.0].stats.bytes_sent += flow.total_bytes;
-                self.nodes[flow.dst.0].stats.bytes_received += flow.total_bytes;
-                self.totals.bytes_delivered += flow.total_bytes;
-                self.rates_dirty = true;
-                // Lost/corrupted payloads still traversed (and congested)
-                // the links; only the delivered event kind differs.
-                let kind = if flow.lost {
-                    self.totals.flows_lost += 1;
-                    EventKind::FlowLost
-                } else if flow.corrupted {
-                    self.totals.flows_corrupted += 1;
-                    EventKind::FlowCorrupted
-                } else {
-                    self.totals.flows_completed += 1;
-                    EventKind::FlowCompleted
-                };
-                return Some(Event {
-                    at,
-                    kind,
-                    flow: flow.id,
-                    src: flow.src,
-                    dst: flow.dst,
-                    bytes: flow.total_bytes,
-                    tag: flow.tag,
-                });
-            }
-            // A pending flow wakes: advance and re-rate.
-            let s = start.expect("start exists when not taking a completion");
-            let at = self.now.advance(s);
-            self.advance_progress_to(at);
-            self.now = at;
-            self.rates_dirty = true;
-        }
+        self.advance(None)
     }
 
     /// Advances to the next flow completion only if it happens at or before
@@ -353,35 +304,63 @@ impl SimNet {
     /// logic with network events (react to each event, possibly starting
     /// new flows, without overshooting a slot boundary).
     pub fn step_until(&mut self, deadline: SimTime) -> Option<Event> {
+        self.advance(Some(deadline))
+    }
+
+    /// The one stepping loop: moves from wake to wake (a pending flow
+    /// starting, an outage boundary) until the next completion, which it
+    /// returns, a completion winning a tie. Past `deadline`, or with
+    /// nothing left to happen, it stops at `deadline` instead (a clock
+    /// that is already there, or has none, stays put).
+    fn advance(&mut self, deadline: Option<SimTime>) -> Option<Event> {
         loop {
             self.settle_progress();
             self.refresh_rates();
-            let completion = self.next_completion().map(|(_, eta)| eta);
-            let start = self.next_start();
-            let completion_first = match (completion, start) {
-                (Some(eta), Some(s)) => Some(eta <= s),
-                (Some(_), None) => Some(true),
-                (None, Some(_)) => Some(false),
-                (None, None) => None,
+            let next = match (self.next_completion(), self.next_start()) {
+                (Some((idx, eta)), start) if start.is_none_or(|s| eta <= s) => {
+                    Some((Some(idx), eta))
+                }
+                (_, start) => start.map(|s| (None, s)),
             };
-            match completion_first {
-                Some(true) if self.now.advance(completion.expect("eta")) <= deadline => {
-                    return self.step();
+            let next = next.map(|(done, secs)| (done, self.now.advance(secs)));
+            let Some((done, at)) = next.filter(|&(_, at)| deadline.is_none_or(|d| at <= d)) else {
+                if let Some(d) = deadline.filter(|&d| d > self.now) {
+                    self.advance_progress_to(d);
+                    self.now = d;
                 }
-                Some(false) if self.now.advance(start.expect("start")) <= deadline => {
-                    let at = self.now.advance(start.expect("start"));
-                    self.advance_progress_to(at);
-                    self.now = at;
-                    self.rates_dirty = true;
-                }
-                _ => {
-                    if deadline > self.now {
-                        self.advance_progress_to(deadline);
-                        self.now = deadline;
-                    }
-                    return None;
-                }
-            }
+                return None;
+            };
+            self.advance_progress_to(at);
+            self.now = at;
+            self.rates_dirty = true;
+            let Some(idx) = done else {
+                continue;
+            };
+            let flow = self.flows.swap_remove(idx);
+            self.nodes[flow.src.0].stats.bytes_sent += flow.total_bytes;
+            self.nodes[flow.dst.0].stats.bytes_received += flow.total_bytes;
+            self.totals.bytes_delivered += flow.total_bytes;
+            // Lost/corrupted payloads still traversed (and congested)
+            // the links; only the delivered event kind differs.
+            let kind = if flow.lost {
+                self.totals.flows_lost += 1;
+                EventKind::FlowLost
+            } else if flow.corrupted {
+                self.totals.flows_corrupted += 1;
+                EventKind::FlowCorrupted
+            } else {
+                self.totals.flows_completed += 1;
+                EventKind::FlowCompleted
+            };
+            return Some(Event {
+                at,
+                kind,
+                flow: flow.id,
+                src: flow.src,
+                dst: flow.dst,
+                bytes: flow.total_bytes,
+                tag: flow.tag,
+            });
         }
     }
 

@@ -3,7 +3,7 @@
 //! Dependency-free: the renderer emits the exposition format version 0.0.4
 //! (`# TYPE` lines, cumulative `_bucket{le="..."}` series, `_sum`/`_count`)
 //! that any Prometheus-compatible scraper ingests. Metric names are
-//! sanitized (`sim.deliver.drops` → `asymshare_sim_deliver_drops`).
+//! sanitized (`sim.net.flows_lost` → `asymshare_sim_net_flows_lost`).
 
 use crate::Snapshot;
 

@@ -2,9 +2,13 @@
 //! matrix consistent with what was actually served, and the JSONL
 //! event log must replay the self-healing sequence of a faulted download.
 
-use asymshare::{Identity, RuntimeConfig, SimRuntime};
-use asymshare_netsim::{FaultPlan, LinkSpeed};
-use asymshare_rlnc::FileId;
+use asymshare::rt::{download_file_with, DownloadOptions, Reactor, ReactorConfig, RtNetwork};
+use asymshare::{Identity, Peer, RuntimeConfig, SimRuntime, User};
+use asymshare_gf::{FieldKind, Gf2p32};
+use asymshare_netsim::{FaultPlan, LinkSpeed, NodeId};
+use asymshare_obs::{Event, EventSink, Registry, Value};
+use asymshare_rlnc::{ChunkedEncoder, DigestKind, FileId};
+use std::time::Duration;
 
 fn kbps(v: f64) -> LinkSpeed {
     LinkSpeed::kbps(v)
@@ -129,8 +133,135 @@ fn event_log_replays_heal_sequence() {
     assert!(events.windows(2).all(|w| w[0].ts <= w[1].ts));
     // The JSONL serialization carries one line per event.
     assert_eq!(rt.events_jsonl().lines().count(), events.len());
-    // The drop counter saw every lost flow the log names as headed for the
-    // user (plus any lost traffic to the peers).
+    // The network lost every flow the log names as headed for the user
+    // (plus any lost traffic to the peers).
     let snap = rt.metrics_snapshot();
-    assert!(snap.counter("sim.deliver.drops").unwrap() >= count("sim.deliver", "drop"));
+    assert!(snap.gauge("sim.net.flows_lost").unwrap() >= count("sim.deliver", "drop") as f64);
+}
+
+/// The kinds of the client log's lines: the `window` counts, what a
+/// datagram brought, and what the recovery ladder did.
+const CLIENT_KINDS: [&str; 10] = [
+    "window",
+    "digest_reject",
+    "replacement_request",
+    "replacement_served",
+    "duplicate",
+    "handshake_error",
+    "retry",
+    "write_off",
+    "reassign",
+    "quarantine",
+];
+
+fn field(event: &Event, name: &str) -> Option<u64> {
+    event.fields.iter().find_map(|(n, v)| match v {
+        Value::U64(x) if *n == name => Some(*x),
+        _ => None,
+    })
+}
+
+/// The client log's lines in `events`, under the driver's two components.
+fn client_lines(events: &[Event], components: [&str; 2]) -> Vec<Event> {
+    let client = |e: &&Event| components.contains(&e.component) && CLIENT_KINDS.contains(&e.kind);
+    events.iter().filter(client).cloned().collect()
+}
+
+/// Every line of the client log names the peer it concerns, whichever
+/// driver wrote it: the sim's the participant behind the connection (here
+/// connection `i` is participant `i`), the rt's the peer's address. A
+/// re-plan names the peer that took the demand.
+#[test]
+fn every_client_line_names_its_peer() {
+    let mut sim = SimRuntime::new(RuntimeConfig {
+        stall_timeout_secs: 1.5,
+        retry_backoff_secs: 0.5,
+        max_peer_retries: 1,
+        ..cfg()
+    });
+    sim.enable_observability();
+    let peers: Vec<_> = (0..4u8)
+        .map(|i| sim.add_participant(Identity::from_seed(&[b'n', i]), kbps(256.0), kbps(3000.0)))
+        .collect();
+    let data = payload(256 * 1024, 12);
+    let (manifest, _) = sim
+        .disseminate(peers[0], FileId(22), &data, &peers)
+        .unwrap();
+    let t0 = sim.now().as_secs();
+    sim.set_fault_plan(
+        FaultPlan::new(7)
+            .with_loss(0.05)
+            .with_corruption(0.08)
+            .with_kill(sim.participant_node(peers[3]), t0 + 3.0),
+    );
+    let session = sim
+        .start_download(peers[0], manifest, kbps(256.0), kbps(3000.0), &peers)
+        .unwrap();
+    assert_eq!(sim.run_to_completion(session, 3600).unwrap().data, data);
+    let lines = client_lines(&sim.event_log(), ["sim.deliver", "sim.heal"]);
+    for kind in ["window", "digest_reject", "retry", "write_off", "reassign"] {
+        assert!(lines.iter().any(|e| e.kind == kind), "no {kind} line");
+    }
+    for e in &lines {
+        assert!(field(e, "peer").is_some(), "{e:?}");
+        assert_eq!(field(e, "peer"), field(e, "conn"), "{e:?}");
+        assert_eq!(field(e, "session"), Some(0), "{e:?}");
+    }
+
+    // The rt: three peers on a reactor, shaped so the fetch outlasts the
+    // third one's death and write-off.
+    let network = RtNetwork::with_observability(Registry::new(), EventSink::new());
+    let owner = Identity::from_seed(b"names-owner");
+    let mut enc = ChunkedEncoder::<Gf2p32>::with_chunk_size(
+        FieldKind::Gf2p32,
+        4,
+        DigestKind::Md5,
+        owner.coding_secret().clone(),
+        FileId(23),
+        &data,
+        16 * 1024,
+    )
+    .unwrap();
+    let mut reactor = Reactor::new(&network, ReactorConfig::default());
+    let mut addrs = Vec::new();
+    for (i, batch) in enc.encode_for_peers(3).unwrap().into_iter().enumerate() {
+        let identity = Identity::from_seed(&[b'n', b'r', i as u8]);
+        let key = identity.public_key().to_bytes();
+        let mut peer = Peer::new(identity, 1_000.0);
+        peer.add_subscriber(owner.public_key().to_bytes());
+        for m in batch {
+            peer.store_mut().insert(m);
+        }
+        reactor.add_peer(700 + i as u64, peer, 64 * 1024);
+        addrs.push((700 + i as u64, key));
+    }
+    network.install_faults(
+        FaultPlan::new(7)
+            .with_corruption(0.2)
+            .with_kill(NodeId::new(702), 0.3),
+    );
+    let mut user = User::<Gf2p32>::new(owner, enc.manifest().clone()).unwrap();
+    let fetched = download_file_with(
+        &network,
+        7,
+        &mut user,
+        &addrs,
+        700,
+        DownloadOptions {
+            timeout: Duration::from_secs(30),
+            stall_timeout: Duration::from_millis(200),
+            retry_backoff: Duration::from_millis(50),
+            max_peer_retries: 1,
+        },
+    );
+    reactor.shutdown();
+    assert_eq!(fetched.unwrap(), data);
+    let lines = client_lines(&network.events().events(), ["rt.download", "rt.heal"]);
+    for kind in ["window", "digest_reject", "reassign"] {
+        assert!(lines.iter().any(|e| e.kind == kind), "no {kind} line");
+    }
+    for e in &lines {
+        let peer = field(e, "peer");
+        assert!(addrs.iter().any(|&(a, _)| Some(a) == peer), "{e:?}");
+    }
 }

@@ -55,6 +55,15 @@
 //! at the same slot or up to 4 s sooner; the schedules at seeds 5 and 17
 //! are unchanged. Each new hash is the change's own log and schedules,
 //! compared line by line with the parent's.
+//! Eighth, the client's log became one mapping in `core::fetch` for both
+//! drivers. Only event hashes moved, each the parent's log with exactly
+//! these edits: each `sim.deliver`/`window` line counts one connection and
+//! carries its `session` and `conn` after `peer` (one session, one
+//! connection per participant here, so the counts are unchanged); each
+//! `sim.heal`/`reassign` line names its target as `peer`, `session` and
+//! `conn`, in place of `session`, `target` and `deprioritized`; and a
+//! `sim.heal`/`handshake_error` line appears wherever the engine returned
+//! `Stale` (twice, in `lossy` at seed 5). The schedules did not move.
 
 use asymshare::{Identity, ParticipantId, RuntimeConfig, SessionId, SimRuntime};
 use asymshare_crypto::md5::Md5;
@@ -223,15 +232,15 @@ fn lossy_links_are_pinned() {
         lossy,
         [
             (
-                "d40207529630b5a37886f858a74235cc",
+                "c3ba6e3d7b2d50c12e2d737831da3cac",
                 "f931af5bd868e42cf705ffd39b927b9c",
             ),
             (
-                "5f480ab645d8204380cc2236716fae6e",
+                "d7e59fee06e514c343c66691100f608a",
                 "d4f5ab75cc0531086a6c21d0bbcd9c13",
             ),
             (
-                "fb4d2688da9100c02acdfbc2c5ef2423",
+                "919ee44662141e0b0b93aa22fa9d4a43",
                 "acfcf9147566310c56531dec05517c27",
             ),
         ],
@@ -245,15 +254,15 @@ fn churn_with_reassignment_is_pinned() {
         churn,
         [
             (
-                "93273b2a94147166ce1fbfcef06c67db",
+                "40db6294ba9ed126409dbea716e836df",
                 "1f4a1ecb68316d03fd653d22e1b5294d",
             ),
             (
-                "b8372d36e15cafea79ff5aa66eaae2bb",
+                "7d373ce820ffa7dac06ec87426cc37da",
                 "1f4a1ecb68316d03fd653d22e1b5294d",
             ),
             (
-                "84c6dc492ad3bbb9fd514b29c86f80d0",
+                "71790a9387c0ec3802919b293242bc8e",
                 "1f4a1ecb68316d03fd653d22e1b5294d",
             ),
         ],
@@ -267,15 +276,15 @@ fn pollution_quarantine_is_pinned() {
         pollution,
         [
             (
-                "5af4467fbc6d1b2fcb5ecc600b7eaedb",
+                "1b5d5cc4ef11fb514dfb9b810c79df8c",
                 "f8f79098583791e3e0ca32c49b5cb037",
             ),
             (
-                "61db23d25893ba0b42d30fe96d31bec1",
+                "2d2119ec8beb55619c657cc3b133a6a1",
                 "f8f79098583791e3e0ca32c49b5cb037",
             ),
             (
-                "b8fad59997e4ccb8442937b2eb3843d2",
+                "0e490b4d2e9cba561b9419d1e3819ef6",
                 "f8f79098583791e3e0ca32c49b5cb037",
             ),
         ],
