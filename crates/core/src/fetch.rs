@@ -11,9 +11,10 @@
 //! [`SimRuntime`](crate::SimRuntime).
 //!
 //! The client's log is written here too, for both drivers: [`log`] turns a
-//! note into its line and [`Fetch::log_window`] writes the `window` lines.
-//! A driver hands them its event sink, its two component names and the
-//! fields that name a connection; the engine keeps none of them.
+//! note into its line, [`Fetch::log_window`] writes the `window` lines and
+//! [`Fetch::log_trace`] the download's spans. A driver hands them its event
+//! sink, its component names and the fields that name a connection; the
+//! engine keeps none of them.
 //!
 //! The engine is also the client's only Byzantine defense (DESIGN.md §11):
 //! from the outcomes it already sorts each datagram into, it convicts a
@@ -146,14 +147,16 @@ struct Evidence {
 
 /// A connection: its peer's key (for a re-run handshake), its counts since
 /// the fetch began, the coded frames the user took since its last
-/// `window` line ([`Fetch::log_window`]), when it was last acked (never,
-/// before its first coded datagram), and the evidence against it.
+/// `window` line ([`Fetch::log_window`]), when its last datagram arrived
+/// (when the fetch began, before its first), when it was last acked
+/// (never, before its first coded datagram), and the evidence against it.
 #[derive(Debug)]
 struct PeerState {
     conn: u64,
     key: KeyBytes,
     tally: Tally,
     window_msgs: u64,
+    heard_at: f64,
     acked_at: Option<f64>,
     evidence: Evidence,
 }
@@ -176,6 +179,13 @@ pub(crate) struct Fetch<U = User<Gf2p32>> {
     /// persist timer's period.
     silence_floor: f64,
     persist: f64,
+    /// The timeline [`log_trace`](Self::log_trace) lays out: when the
+    /// fetch began; per chunk, when its first coded frame arrived and when
+    /// it reached rank `k`; each served replacement round trip, `(conn,
+    /// chunk, requested, served)`.
+    began: f64,
+    chunks: Vec<(Option<f64>, Option<f64>)>,
+    served: Vec<(u64, u32, f64, f64)>,
 }
 
 impl<U: BorrowMut<User<Gf2p32>>> Fetch<U> {
@@ -197,11 +207,13 @@ impl<U: BorrowMut<User<Gf2p32>>> Fetch<U> {
                 key,
                 tally: Tally::default(),
                 window_msgs: 0,
+                heard_at: now,
                 acked_at: None,
                 evidence: Evidence::default(),
             });
         }
         states.sort_unstable_by_key(|p| p.conn);
+        let chunks = vec![(None, None); user.borrow().chunk_count() as usize];
         Fetch {
             user,
             ladder: RecoveryLadder::new(cfg, states.iter().map(|p| p.conn), now),
@@ -211,7 +223,17 @@ impl<U: BorrowMut<User<Gf2p32>>> Fetch<U> {
             delivered: 0,
             silence_floor: cfg.stall_secs * SILENCE_OF_STALL,
             persist: cfg.stall_secs * PERSIST_OF_STALL,
+            began: now,
+            chunks,
+            served: Vec::new(),
         }
+    }
+
+    /// When the fetch began, and when its last chunk reached rank `k`
+    /// (none while a chunk is short of it, or if one was whole before).
+    pub(crate) fn interval(&self) -> (f64, Option<f64>) {
+        let ranked = self.chunks.iter().map(|&(_, ranked)| ranked);
+        (self.began, ranked.reduce(|a, b| Some(a?.max(b?))).flatten())
     }
 
     /// The session's user.
@@ -248,7 +270,21 @@ impl<U: BorrowMut<User<Gf2p32>>> Fetch<U> {
         rng: &mut ChaChaRng,
         out: &mut Vec<Out>,
     ) -> Result<(), SystemError> {
+        // The timeline is what arrived, banned or not.
         let i = self.index(conn);
+        if let Some(i) = i {
+            self.peers[i].heard_at = at;
+        }
+        let mut coded = 0;
+        for wire in frames.iter() {
+            if let Wire::MessageData(msg) = wire {
+                coded += 1;
+                let chunk = FileManifest::chunk_of(msg.message_id()) as usize;
+                if let Some((first @ None, _)) = self.chunks.get_mut(chunk) {
+                    *first = Some(at);
+                }
+            }
+        }
         if i.is_some_and(|i| self.peers[i].evidence.banned) {
             frames.clear();
             return Ok(());
@@ -258,8 +294,6 @@ impl<U: BorrowMut<User<Gf2p32>>> Fetch<U> {
         self.ladder.on_activity(conn, at);
         let user = self.user.borrow_mut();
         // Four digests per pass of the MD5 kernel.
-        let coded = frames.iter().filter(|w| matches!(w, Wire::MessageData(_)));
-        let coded = coded.count();
         if coded >= 2 {
             user.prehash(conn, frames);
         }
@@ -285,6 +319,7 @@ impl<U: BorrowMut<User<Gf2p32>>> Fetch<U> {
                 if !self.replacements.is_empty() {
                     if let Some(requested) = self.replacements.remove(&(conn, chunk)) {
                         asked = true;
+                        self.served.push((conn, chunk, requested, at));
                         out.push(Out::Served {
                             conn,
                             chunk,
@@ -303,6 +338,7 @@ impl<U: BorrowMut<User<Gf2p32>>> Fetch<U> {
                         }
                         if !was_ranked && user.chunk_complete(chunk) {
                             let last = user.is_complete();
+                            self.chunks[chunk as usize].1 = Some(at);
                             out.push(Out::Ranked { chunk, last });
                         }
                     }
@@ -580,6 +616,45 @@ impl<U: BorrowMut<User<Gf2p32>>> Fetch<U> {
                 fields.push(("msgs", msgs.into()));
                 events.emit_at(ts, component, "window", &fields);
             }
+        }
+    }
+
+    /// Writes the download's spans at `ts`, each a `component` child of
+    /// `root`, with the engine's instants plus `epoch` (the engine's 0 on
+    /// the sink's clock): per connection, in connection order, a `request`
+    /// from the start to its last datagram, with `conn` and `peer(conn)`;
+    /// per chunk that a coded frame reached, in chunk order, a `chunk` from
+    /// that frame to its rank `k` (or to `ts`); per served replacement, in
+    /// the order served, a `replacement` round trip with `conn` and
+    /// `chunk`. Writes nothing when `events` is disabled.
+    pub(crate) fn log_trace(
+        &self,
+        events: &EventSink,
+        ts: f64,
+        component: &'static str,
+        (root, epoch): (u64, f64),
+        peer: impl Fn(u64) -> Value,
+    ) {
+        if !events.is_enabled() {
+            return;
+        }
+        let span = |start: f64, end: f64, kind, fields: &[(&'static str, Value)]| {
+            events.emit_span_at(ts, start, end, component, kind, Some(root), fields);
+        };
+        let start = self.began + epoch;
+        for p in &self.peers {
+            let fields = [("conn", p.conn.into()), ("peer", peer(p.conn))];
+            span(start, p.heard_at + epoch, "request", &fields);
+        }
+        for (chunk, &(first, ranked)) in self.chunks.iter().enumerate() {
+            if let Some(first) = first {
+                let end = ranked.map_or(ts, |t| t + epoch);
+                span(first + epoch, end, "chunk", &[("chunk", chunk.into())]);
+            }
+        }
+        for &(conn, chunk, requested, served) in &self.served {
+            let fields = [("conn", conn.into()), ("chunk", chunk.into())];
+            span(requested + epoch, served + epoch, "replacement", &fields);
         }
     }
 }

@@ -353,13 +353,16 @@ fn fetch(
     mut decoders: DecodePipeline<'_, '_>,
 ) -> Result<(), SystemError> {
     let inbox = network.register(my_addr);
-    let mut rng = ChaChaRng::new([0x5D; 32], *b"rt-download!");
-    let started = Instant::now();
-    // The engine's clock: seconds since the download started.
-    let secs = |t: Instant| t.saturating_duration_since(started).as_secs_f64();
+    // Fresh per fetch: a commitment or signing nonce drawn twice gives the
+    // secret key away.
+    let mut rng = ChaChaRng::from_entropy();
     // The client log (inert when the network was not built with
     // `with_observability`) names a connection by its peer's address.
     let events = network.events().clone();
+    // The engine's clock: seconds since the download started, which the
+    // sink's clock read as `epoch`.
+    let (started, epoch) = (Instant::now(), events.now_secs());
+    let secs = |t: Instant| t.saturating_duration_since(started).as_secs_f64();
     let name = |conn: u64| vec![("peer", Value::from(conn))];
     // Carries out what the engine asked for, in order: frames go on the
     // wire (a send that fails reports the peer lost), a chunk at rank `k`
@@ -470,8 +473,11 @@ fn fetch(
             }
         }
     }
-    // Flush the last partial window before reporting back.
+    // Flush the last partial window before reporting back, and lay the
+    // download's timeline under its span.
     report_windows(&mut fetch);
+    let root = (decoders.span.id(), epoch);
+    fetch.log_trace(&events, events.now_secs(), CLIENT_LOG.0, root, Value::from);
     // Final feedback to the home peer (the off-line informational update).
     // The window end doubles as the report's anti-replay counter on the
     // peer side (each accepted report must strictly advance it), so use
@@ -1426,5 +1432,51 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, SystemError::AuthenticationRejected { .. }));
         reactor.shutdown();
+    }
+
+    /// A fetch draws its nonces fresh. One commitment answered with two
+    /// challenges gives the key away (`x = (s₁ − s₂)/(c₁ − c₂)`), so two
+    /// fetches by one user, to an address that never answers, send no
+    /// commitment twice, the re-handshakes' included.
+    #[test]
+    fn fetches_never_repeat_a_commitment() {
+        let network = RtNetwork::new();
+        let owner = Identity::from_seed(b"rt-nonces");
+        let (_, manifest) = build_file(&owner, 1, 16 * 1024);
+        let passive = network.register(900);
+        let key = Identity::from_seed(b"rt-nonces-peer")
+            .public_key()
+            .to_bytes();
+        let mut user = User::<Gf2p32>::new(owner, manifest).unwrap();
+        let options = DownloadOptions {
+            timeout: Duration::from_millis(400),
+            stall_timeout: Duration::from_millis(50),
+            retry_backoff: Duration::from_millis(10),
+            max_peer_retries: 2,
+        };
+        let mut commitments = Vec::new();
+        for fetch in 0..2 {
+            // A fetch leaves its address registered: each gets its own.
+            let me = 9 + fetch;
+            let result =
+                download_file_with(&network, me, &mut user, &[(900, key)], 900, options.clone());
+            assert!(result.is_err(), "nobody answered");
+            let before = commitments.len();
+            while let Some(envelope) = passive.try_recv() {
+                if let Ok(Wire::AuthCommit { commitment, .. }) = envelope.decode() {
+                    commitments.push(commitment);
+                }
+            }
+            assert!(
+                commitments.len() >= before + 2,
+                "fetch {fetch} re-ran its handshake"
+            );
+        }
+        let distinct: std::collections::HashSet<_> = commitments.iter().collect();
+        assert_eq!(
+            distinct.len(),
+            commitments.len(),
+            "a commitment was sent twice"
+        );
     }
 }

@@ -280,13 +280,13 @@ fn apply_ctrl(
                 upload_bytes_per_sec,
             } => {
                 let rate = upload_bytes_per_sec as f64;
-                let mut nonce = [0u8; 12];
-                nonce[..8].copy_from_slice(&addr.to_le_bytes());
                 by_addr.insert(addr, slots.len());
                 slots.push(Slot {
                     addr,
                     host: Host::new(*peer, MAX_COALESCE, WINDOW_FRAMES),
-                    rng: ChaChaRng::new([0x7F; 32], nonce),
+                    // Fresh per hosting: a challenge repeated to a replayed
+                    // commit would accept the replay.
+                    rng: ChaChaRng::from_entropy(),
                     bucket: TokenBucket::new(rate, (rate * 0.1).max(65_536.0), Instant::now()),
                     granted: HashMap::new(),
                     last_share_emit: None,
@@ -791,5 +791,33 @@ mod tests {
                 "connection {conn}: granted {granted} B in reports, sent {sent} B"
             );
         }
+    }
+
+    /// A reactor draws its challenges fresh: two reactors hosting one
+    /// identity at one address answer the same commit with different
+    /// challenges, so a response recorded from one is refused by the other.
+    #[test]
+    fn two_reactors_challenge_one_commit_differently() {
+        let owner = Identity::from_seed(b"reactor-fresh");
+        let (_, manifest) = build_file(&owner, 1, 16 * 1024);
+        let challenge = || {
+            let network = RtNetwork::new();
+            let mut reactor = Reactor::new(&network, ReactorConfig::default());
+            let identity = Identity::from_seed(b"reactor-fresh-peer");
+            let key = identity.public_key().to_bytes();
+            let mut peer = Peer::new(identity, 1_000.0);
+            peer.add_subscriber(owner.public_key().to_bytes());
+            reactor.add_peer(60, peer, 1 << 20);
+            let inbox = network.register(6);
+            let mut user = User::<Gf2p32>::new(owner.clone(), manifest.clone()).unwrap();
+            let mut rng = ChaChaRng::new([0x46; 32], *b"fresh-commit");
+            assert!(network.send(6, 60, &user.connect(60, key, &mut rng)));
+            let reply = inbox.recv_timeout(Duration::from_secs(10));
+            reactor.shutdown();
+            reply.expect("a challenge").decode().unwrap()
+        };
+        let (first, second) = (challenge(), challenge());
+        assert!(matches!(first, Wire::AuthChallenge { .. }), "{first:?}");
+        assert_ne!(first, second);
     }
 }

@@ -121,51 +121,16 @@ struct Participant {
 
 struct Session {
     /// The download's client engine: the user, its recovery ladder on
-    /// simulated seconds, and what each connection delivered.
+    /// simulated seconds, what each connection delivered and the
+    /// download's timeline.
     fetch: Fetch,
     home: usize,
     remote_node: NodeId,
-    // Conn id -> participant index. Ordered, so reports and trace spans
-    // walk the connections the same way in every run.
+    // Conn id -> participant index. Ordered, so reports walk the
+    // connections the same way in every run.
     conns: BTreeMap<u64, usize>,
-    started_at: SimTime,
-    finished_at: Option<SimTime>,
     /// The error the engine ended the fetch with.
     failed: Option<SystemError>,
-    /// Lifecycle instants for the trace timeline (filled only while the
-    /// event sink is enabled; emitted as closed spans at completion).
-    trace: SessionTrace,
-}
-
-/// Download→request→chunk→replacement lifecycle instants, reassembled into
-/// nested spans when the session completes.
-#[derive(Debug, Default)]
-struct SessionTrace {
-    conn_last: HashMap<u64, f64>,
-    chunk_first: HashMap<u32, f64>,
-    chunk_done: HashMap<u32, f64>,
-    /// Served replacements: `(conn, chunk, requested_at, served_at)`.
-    repl_spans: Vec<(u64, u32, f64, f64)>,
-    spans_emitted: bool,
-}
-
-impl SessionTrace {
-    /// Marks the instants an engine note gives the spans: a chunk's ends
-    /// when it reached rank `k`, a served replacement is a span of its own.
-    fn mark(&mut self, note: &Out, ts: f64) {
-        match *note {
-            Out::Ranked { chunk, .. } => {
-                self.chunk_done.entry(chunk).or_insert(ts);
-            }
-            Out::Served {
-                conn,
-                chunk,
-                requested,
-                at,
-            } => self.repl_spans.push((conn, chunk, requested, at)),
-            _ => {}
-        }
-    }
 }
 
 /// How the log names session `s_idx`'s connection `conn`: the participant
@@ -494,10 +459,7 @@ impl SimRuntime {
             home: owner.0,
             remote_node,
             conns,
-            started_at: now,
-            finished_at: None,
             failed: None,
-            trace: SessionTrace::default(),
         });
         // The handshake commits.
         let session = self.sessions.len() - 1;
@@ -561,15 +523,15 @@ impl SimRuntime {
     /// The error the session's engine ended the fetch with; decoder errors
     /// when the session is incomplete.
     pub fn report(&mut self, session: SessionId) -> Result<DownloadReport, SystemError> {
-        let now = self.net.now();
+        let now = self.net.now().as_secs();
         let metrics = self.metrics_snapshot();
-        let s = &mut self.sessions[session.0];
+        let s = &self.sessions[session.0];
         if let Some(e) = &s.failed {
             return Err(e.clone());
         }
         let data = s.fetch.user().decode()?;
-        let finished = *s.finished_at.get_or_insert(now);
-        let duration = (finished - s.started_at).as_secs().max(1e-9);
+        let (began, completed) = s.fetch.interval();
+        let duration = (completed.unwrap_or(now) - began).max(1e-9);
         let per_peer_bytes: HashMap<usize, u64> = s
             .conns
             .values()
@@ -791,14 +753,6 @@ impl SimRuntime {
                     return;
                 }
                 let ts = self.net.now().as_secs();
-                if self.obs.events.is_enabled() {
-                    let trace = &mut self.sessions[session].trace;
-                    if let Wire::MessageData(msg) = &wire {
-                        let chunk = FileManifest::chunk_of(msg.message_id());
-                        trace.chunk_first.entry(chunk).or_insert(ts);
-                    }
-                    trace.conn_last.insert(conn, ts);
-                }
                 let was_complete = self.sessions[session].fetch.user().is_complete();
                 let mut out = Vec::new();
                 let s = &mut self.sessions[session];
@@ -809,11 +763,16 @@ impl SimRuntime {
                     s.failed = Some(e);
                 }
                 self.carry_out(session, &mut out, ts);
-                if !was_complete && self.sessions[session].fetch.user().is_complete() {
-                    self.sessions[session].finished_at = Some(self.net.now());
-                    if self.obs.events.is_enabled() {
-                        self.emit_trace_spans(session);
-                    }
+                // At completion, the download's root and the engine's spans
+                // under it, each stamped now so the log stays monotonic.
+                let (events, s) = (&self.obs.events, &self.sessions[session]);
+                if !was_complete && s.fetch.user().is_complete() {
+                    let (began, fields) = (s.fetch.interval().0, [("session", session.into())]);
+                    let root =
+                        events.emit_span_at(ts, began, ts, "sim.trace", "download", None, &fields);
+                    let peer = |conn| s.conns[&conn].into();
+                    s.fetch
+                        .log_trace(events, ts, "sim.trace", (root, 0.0), peer);
                 }
             }
         }
@@ -826,7 +785,7 @@ impl SimRuntime {
         let mut out = Vec::new();
         for s_idx in 0..self.sessions.len() {
             let session = &mut self.sessions[s_idx];
-            if session.finished_at.is_some() || session.failed.is_some() {
+            if session.fetch.user().is_complete() || session.failed.is_some() {
                 continue;
             }
             if let Err(e) = session.fetch.poll(now, &mut self.rng, &mut out) {
@@ -837,18 +796,14 @@ impl SimRuntime {
     }
 
     /// Carries out, in order, what a session's engine asked for at `ts`,
-    /// draining `out`: frames go to the peers, notes mark the trace and go
-    /// to the client log.
+    /// draining `out`: frames go to the peers, notes to the client log.
     fn carry_out(&mut self, s_idx: usize, out: &mut Vec<Out>, ts: f64) {
         for item in out.drain(..) {
             if let Out::Send(conn, wire) = item {
                 self.send_to_peer(s_idx, conn, wire);
                 continue;
             }
-            let (events, session) = (&self.obs.events, &mut self.sessions[s_idx]);
-            if events.is_enabled() {
-                session.trace.mark(&item, ts);
-            }
+            let (events, session) = (&self.obs.events, &self.sessions[s_idx]);
             log(events, ts, CLIENT_LOG, &item, naming(&session.conns, s_idx));
         }
     }
@@ -927,71 +882,6 @@ impl SimRuntime {
                 "sim.credit",
                 "balance",
                 &[("peer", p_idx.into()), ("drift", d.into())],
-            );
-        }
-    }
-
-    /// Lays a completed session's lifecycle down as nested spans: one
-    /// `download` root, a `request` child per connection, a `chunk` child
-    /// per decoded chunk and a `replacement` child per served digest
-    /// replacement. All events are stamped at the completion instant (the
-    /// log stays monotonic) and carry explicit `start`/`dur_us` fields for
-    /// the waterfall.
-    fn emit_trace_spans(&mut self, s_idx: usize) {
-        if self.sessions[s_idx].trace.spans_emitted {
-            return;
-        }
-        self.sessions[s_idx].trace.spans_emitted = true;
-        let ts = self.net.now().as_secs();
-        let start = self.sessions[s_idx].started_at.as_secs();
-        let events = self.obs.events.clone();
-        let root = events.emit_span_at(
-            ts,
-            start,
-            ts,
-            "sim.trace",
-            "download",
-            None,
-            &[("session", s_idx.into())],
-        );
-        let session = &self.sessions[s_idx];
-        // Every connection was opened when the download started.
-        for (&conn, &peer) in &session.conns {
-            let t1 = session.trace.conn_last.get(&conn).copied().unwrap_or(start);
-            events.emit_span_at(
-                ts,
-                start,
-                t1,
-                "sim.trace",
-                "request",
-                Some(root),
-                &[("conn", conn.into()), ("peer", peer.into())],
-            );
-        }
-        let mut chunks: Vec<u32> = session.trace.chunk_first.keys().copied().collect();
-        chunks.sort_unstable();
-        for chunk in chunks {
-            let t0 = session.trace.chunk_first[&chunk];
-            let t1 = session.trace.chunk_done.get(&chunk).copied().unwrap_or(ts);
-            events.emit_span_at(
-                ts,
-                t0,
-                t1,
-                "sim.trace",
-                "chunk",
-                Some(root),
-                &[("chunk", chunk.into())],
-            );
-        }
-        for &(conn, chunk, t_req, t_served) in &session.trace.repl_spans {
-            events.emit_span_at(
-                ts,
-                t_req,
-                t_served,
-                "sim.trace",
-                "replacement",
-                Some(root),
-                &[("conn", conn.into()), ("chunk", chunk.into())],
             );
         }
     }

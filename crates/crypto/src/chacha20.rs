@@ -7,6 +7,10 @@
 //! owner can regenerate any coefficient row on demand (the β's are never
 //! transmitted — they *are* the secret).
 
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
+use std::sync::{Mutex, OnceLock, PoisonError};
+
 const CONSTANTS: [u32; 4] = [0x61707865, 0x3320646e, 0x79622d32, 0x6b206574];
 
 #[inline]
@@ -87,6 +91,25 @@ impl ChaChaRng {
             buffer: [0u8; 64],
             offset: 64,
         }
+    }
+
+    /// A generator on a key no other call gets, for nonces and challenges:
+    /// the next 32 bytes of one process-wide stream, keyed once from the
+    /// operating system's entropy (the random keys of std's `RandomState`).
+    pub fn from_entropy() -> Self {
+        static POOL: OnceLock<Mutex<ChaChaRng>> = OnceLock::new();
+        let pool = POOL.get_or_init(|| {
+            let state = RandomState::new();
+            let mut key = [0u8; 32];
+            for (i, word) in key.chunks_exact_mut(8).enumerate() {
+                word.copy_from_slice(&state.hash_one(i).to_le_bytes());
+            }
+            Mutex::new(ChaChaRng::new(key, *b"from-entropy"))
+        });
+        let mut key = [0u8; 32];
+        let mut pool = pool.lock().unwrap_or_else(PoisonError::into_inner);
+        pool.fill_bytes(&mut key);
+        ChaChaRng::new(key, [0; 12])
     }
 
     /// Fills `dest` with pseudorandom bytes.

@@ -265,3 +265,90 @@ fn every_client_line_names_its_peer() {
         assert!(addrs.iter().any(|&(a, _)| Some(a) == peer), "{e:?}");
     }
 }
+
+/// An rt fetch is traced as a sim one is, by the client engine: under the
+/// fetch's `rt.download`/`download` span, one `request` per connection
+/// (`conn` and `peer`, the address), one `chunk` per chunk and one
+/// `replacement` per served round trip, each inside the download's span.
+#[test]
+fn an_rt_fetch_writes_the_download_span_tree() {
+    let network = RtNetwork::with_observability(Registry::new(), EventSink::new());
+    let owner = Identity::from_seed(b"trace-owner");
+    let data = payload(256 * 1024, 13);
+    let mut enc = ChunkedEncoder::<Gf2p32>::with_chunk_size(
+        FieldKind::Gf2p32,
+        4,
+        DigestKind::Md5,
+        owner.coding_secret().clone(),
+        FileId(24),
+        &data,
+        16 * 1024,
+    )
+    .unwrap();
+    let mut reactor = Reactor::new(&network, ReactorConfig::default());
+    let mut addrs = Vec::new();
+    for (i, batch) in enc.encode_for_peers(3).unwrap().into_iter().enumerate() {
+        let identity = Identity::from_seed(&[b't', b'r', i as u8]);
+        let key = identity.public_key().to_bytes();
+        let mut peer = Peer::new(identity, 1_000.0);
+        peer.add_subscriber(owner.public_key().to_bytes());
+        for m in batch {
+            peer.store_mut().insert(m);
+        }
+        reactor.add_peer(740 + i as u64, peer, 1 << 20);
+        addrs.push((740 + i as u64, key));
+    }
+    network.install_faults(FaultPlan::new(7).with_loss(0.05).with_corruption(0.1));
+    let chunks = u64::from(enc.manifest().chunk_count());
+    let mut user = User::<Gf2p32>::new(owner, enc.manifest().clone()).unwrap();
+    let fetched = download_file_with(
+        &network,
+        8,
+        &mut user,
+        &addrs,
+        740,
+        DownloadOptions {
+            timeout: Duration::from_secs(30),
+            stall_timeout: Duration::from_millis(200),
+            retry_backoff: Duration::from_millis(50),
+            max_peer_retries: 3,
+        },
+    );
+    reactor.shutdown();
+    assert_eq!(fetched.unwrap(), data);
+
+    let events = network.events().events();
+    let of = |kind: &str| -> Vec<&Event> {
+        let mine = |e: &&Event| e.component == "rt.download" && e.kind == kind;
+        events.iter().filter(mine).collect()
+    };
+    let download = of("download");
+    assert_eq!(download.len(), 1);
+    let root = field(download[0], "span");
+    let start = |e: &Event| match e.fields.iter().find(|(n, _)| *n == "start") {
+        Some((_, Value::F64(t))) => *t,
+        _ => panic!("a span has a start: {e:?}"),
+    };
+    let end = |e: &Event| start(e) + field(e, "dur_us").unwrap() as f64 / 1e6;
+    let (t0, t1) = (start(download[0]), end(download[0]));
+    let under = |kind: &str| -> Vec<&Event> {
+        let spans = of(kind);
+        for e in &spans {
+            assert_eq!(field(e, "parent"), root, "{e:?}");
+            // Microsecond rounding of each end.
+            assert!(start(e) >= t0 - 1e-6 && end(e) <= t1 + 1e-6, "{e:?}");
+        }
+        spans
+    };
+    let requests: Vec<_> = under("request")
+        .iter()
+        .map(|e| (field(e, "conn"), field(e, "peer")))
+        .collect();
+    let conns: Vec<_> = addrs.iter().map(|&(a, _)| (Some(a), Some(a))).collect();
+    assert_eq!(requests, conns);
+    let traced: Vec<_> = under("chunk").iter().map(|e| field(e, "chunk")).collect();
+    assert_eq!(traced, (0..chunks).map(Some).collect::<Vec<_>>());
+    let served = of("replacement_served").len();
+    assert!(served > 0, "a corrupted frame's replacement was served");
+    assert_eq!(under("replacement").len(), served);
+}
