@@ -323,7 +323,7 @@ pub fn download_file_with(
     let mut out = vec![0u8; user.manifest().total_len()];
     let chunk_size = user.manifest().chunk_size();
     let events = network.events();
-    std::thread::scope(|scope| {
+    let fetched = std::thread::scope(|scope| {
         let decoders = DecodePipeline {
             scope,
             slices: out.chunks_mut(chunk_size).map(Some).collect(),
@@ -336,7 +336,11 @@ pub fn download_file_with(
             span: events.span("rt.download", "download"),
         };
         fetch(network, my_addr, user, peers, home_peer, options, decoders)
-    })?;
+    });
+    // The address is the fetch's while it runs, however it ends: the next
+    // fetch from it registers it again.
+    network.unregister(my_addr);
+    fetched?;
     Ok(out)
 }
 
@@ -581,6 +585,32 @@ mod tests {
         )
         .expect("download completes");
         assert_eq!(data, file_bytes(96 * 1024));
+        reactor.shutdown();
+    }
+
+    /// A fetch holds its address only while it runs: one address fetches
+    /// the file twice in a row (the failed fetches of
+    /// `fetches_never_repeat_a_commitment` share one too).
+    #[test]
+    fn one_address_fetches_again_once_its_fetch_ends() {
+        let network = RtNetwork::new();
+        let owner = Identity::from_seed(b"rt-again");
+        let (batches, manifest) = build_file(&owner, 2, 32 * 1024);
+        let (reactor, peer_addrs) = host_fleet(&network, &owner, batches, 950, *b"ag", 4 << 20);
+        for _ in 0..2 {
+            let mut user = User::<Gf2p32>::new(owner.clone(), manifest.clone()).unwrap();
+            let data = download_file(
+                &network,
+                5,
+                &mut user,
+                &peer_addrs,
+                peer_addrs[0].0,
+                Duration::from_secs(30),
+            )
+            .expect("download completes");
+            assert_eq!(data, file_bytes(32 * 1024));
+            assert!(!network.is_registered(5), "the fetch let its address go");
+        }
         reactor.shutdown();
     }
 
@@ -1456,10 +1486,8 @@ mod tests {
         };
         let mut commitments = Vec::new();
         for fetch in 0..2 {
-            // A fetch leaves its address registered: each gets its own.
-            let me = 9 + fetch;
             let result =
-                download_file_with(&network, me, &mut user, &[(900, key)], 900, options.clone());
+                download_file_with(&network, 9, &mut user, &[(900, key)], 900, options.clone());
             assert!(result.is_err(), "nobody answered");
             let before = commitments.len();
             while let Some(envelope) = passive.try_recv() {
