@@ -648,6 +648,21 @@ mod tests {
         assert!(report.verify().is_err());
     }
 
+    /// R = r·B and s = r satisfy s·B = R + c·O for every c: a report
+    /// "signed" under the identity key is refused with its key.
+    #[test]
+    fn feedback_under_the_identity_key_fails() {
+        let r = U256::from_u64(4242);
+        let mut report = FeedbackReport::sign(&KeyPair::from_secret(r), 100, vec![], &mut rng());
+        report.reporter = [0u8; 64];
+        report.reporter[32] = 1;
+        report.signature = Signature {
+            commitment: KeyPair::from_secret(r).public_key().to_bytes(),
+            s: r,
+        };
+        assert_eq!(report.verify(), Err(SystemError::BadFeedbackSignature));
+    }
+
     #[test]
     fn challenge_bytes_round_trip() {
         let c = U256::from_u64(0xFEED_BEEF);

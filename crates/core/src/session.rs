@@ -99,7 +99,7 @@ impl Verifier {
     ///
     /// # Errors
     ///
-    /// [`SystemError::BadMessage`] for an off-curve claimed key and
+    /// [`SystemError::BadMessage`] for an off-curve or small-order claimed key and
     /// [`SystemError::UnexpectedMessage`] for a non-commit message.
     pub fn on_commit(&mut self, wire: &Wire, rng: &mut ChaChaRng) -> Result<Wire, SystemError> {
         let Wire::AuthCommit {
@@ -114,7 +114,7 @@ impl Verifier {
         };
         let Some(claimed) = PublicKey::from_bytes(claimed_key) else {
             return Err(SystemError::BadMessage {
-                reason: "claimed key is not a curve point".to_owned(),
+                reason: "claimed key is not a curve point of large order".to_owned(),
             });
         };
         let challenge = Identification::challenge(rng);
@@ -254,6 +254,22 @@ mod tests {
         };
         assert!(matches!(
             verifier.on_commit(&bad, &mut r),
+            Err(SystemError::BadMessage { .. })
+        ));
+    }
+
+    /// The identity (0, 1) is on the curve, but under it `s = r` answers
+    /// every challenge: refused like an off-curve key.
+    #[test]
+    fn identity_claimed_key_rejected_early() {
+        let mut claimed_key = [0u8; 64];
+        claimed_key[32] = 1;
+        let commit = Wire::AuthCommit {
+            commitment: keys(3).public_key().to_bytes(),
+            claimed_key,
+        };
+        assert!(matches!(
+            Verifier::new().on_commit(&commit, &mut rng(6)),
             Err(SystemError::BadMessage { .. })
         ));
     }

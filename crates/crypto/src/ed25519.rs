@@ -5,20 +5,24 @@
 //! addition, doubling, scalar multiplication, and (de)serialization as an
 //! uncompressed 64-byte (x, y) pair with an on-curve check.
 //!
-//! Scalar multiplication comes in the two standard fast forms:
+//! Scalar multiplication comes in three forms, two of them one walk:
 //!
 //! * [`Point::mul_base`] — `k·B` from a table of `j·16ⁱ·B` (i < 64,
 //!   1 ≤ j ≤ 8) built once per process: the signed radix-16 digits of `k`
 //!   select one entry per position, so a multiplication is at most 64 mixed
 //!   additions and **no doublings**. Entries are kept affine in the
 //!   (y+x, y−x, 2dxy) form, 96 bytes each, 48 KiB in all.
+//! * `KeyTable::mul` — `k·P` for a point the caller multiplies often, by
+//!   the same walk over the same 64 × 8 multiples of `P`, kept projective
+//!   in the (Y+X, Y−X, 2Z, 2dT) form: 128 bytes each, 64 KiB, and no
+//!   inversion to build.
 //! * [`Point::mul_scalar`] — `k·P` for any point by width-5 wNAF: the eight
 //!   odd multiples P, 3P, … 15P live on the stack, and the ≈ 253 doublings
 //!   of a scalar below ℓ carry ≈ 42 additions (a sixth of the positions)
 //!   where bit-at-a-time double-and-add carried ≈ 126. Doublings between
 //!   additions skip the T coordinate.
 //!
-//! Both index tables by, and branch on, digits of the scalar: like the
+//! All index tables by, and branch on, digits of the scalar: like the
 //! double-and-add they replace they are variable-time — adequate for the
 //! simulated deployment this crate targets, *not* hardened against timing
 //! channels.
@@ -109,8 +113,19 @@ struct Niels {
     xy2d: Fe,
 }
 
-/// `table[i][j − 1]` = j·16ⁱ·B for 1 ≤ j ≤ 8.
-type BaseTable = [[Niels; 8]; 64];
+/// `table[i][j − 1]` = j·16ⁱ·P for 1 ≤ j ≤ 8: what [`walk`] adds.
+type Multiples<E> = [[E; 8]; 64];
+
+/// `k·P` for one point `P` by [`walk`]ing its [`Multiples`], kept
+/// projective: 64 KiB, built in 448 additions and 64 doublings with no
+/// inversion, and at most 64 additions a multiplication.
+pub(crate) struct KeyTable(Box<Multiples<Cached>>);
+
+/// An entry of [`Multiples`]: what [`walk`] negates and adds.
+trait Entry: Copy {
+    fn neg(self) -> Self;
+    fn add_to(&self, sum: Point) -> Completed;
+}
 
 /// Doubling (dbl-2008-hwcd, a = −1) of (X : Y : Z): four squarings.
 fn double_xyz(x: Fe, y: Fe, z: Fe) -> Completed {
@@ -152,7 +167,7 @@ impl Completed {
     }
 }
 
-impl Cached {
+impl Entry for Cached {
     /// The same point negated (x ↦ −x).
     fn neg(self) -> Cached {
         Cached {
@@ -161,6 +176,10 @@ impl Cached {
             z2: self.z2,
             t2d: self.t2d.neg(),
         }
+    }
+
+    fn add_to(&self, sum: Point) -> Completed {
+        sum.add_cached(self)
     }
 }
 
@@ -178,7 +197,9 @@ impl Niels {
             xy2d: x * y * FE_2D,
         }
     }
+}
 
+impl Entry for Niels {
     /// The same point negated (x ↦ −x).
     fn neg(self) -> Niels {
         Niels {
@@ -186,6 +207,10 @@ impl Niels {
             y_minus_x: self.y_plus_x,
             xy2d: self.xy2d.neg(),
         }
+    }
+
+    fn add_to(&self, sum: Point) -> Completed {
+        sum.add_niels(self)
     }
 }
 
@@ -311,17 +336,16 @@ impl Point {
     /// `j·16ⁱ·B`: one mixed addition per non-zero signed radix-16 digit of
     /// `k`, no doublings.
     pub fn mul_base(k: &U256) -> Point {
-        // B has order ℓ, and below ℓ < 2²⁵³ the top digit cannot carry out.
+        // B has order ℓ < 2²⁵³, so reducing first keeps the walk's bound.
         let k = if *k >= L { k.reduce_mod(&L) } else { *k };
-        let mut acc = Point::identity();
-        for (row, digit) in base_table().iter().zip(signed_radix16(&k)) {
-            if digit != 0 {
-                let entry = row[digit.unsigned_abs() as usize - 1];
-                let entry = if digit < 0 { entry.neg() } else { entry };
-                acc = acc.add_niels(&entry).extended();
-            }
-        }
-        acc
+        walk(base_table(), &k)
+    }
+
+    /// Whether 8·P = O, i.e. P lies in the curve's torsion subgroup of
+    /// order 8: three doublings. Such a point times any scalar takes at
+    /// most eight values.
+    pub(crate) fn has_small_order(self) -> bool {
+        self.double().double().double() == Point::identity()
     }
 
     /// Scalar multiplication `k · self` by width-5 wNAF: one doubling per
@@ -360,19 +384,67 @@ impl PartialEq for Point {
 impl Eq for Point {}
 
 /// The 64 digits of `k` in radix 16 recoded to −8 ≤ dᵢ < 8 (a digit of 8 or
-/// more borrows 16 from the next). The caller keeps `k` below 2²⁵⁵ so the
-/// last digit absorbs its carry.
+/// more borrows 16 from the next); the last digit takes the final carry and
+/// is at most 8 for `k` below 2²⁵⁵, which the caller ensures.
 fn signed_radix16(k: &U256) -> [i8; 64] {
+    debug_assert!(!k.bit(255), "scalar too large for 64 signed digits");
     let limbs = k.limbs();
     let mut digits = [0i8; 64];
     let mut carry = 0i8;
     for (i, digit) in digits.iter_mut().enumerate() {
         let nibble = ((limbs[i / 16] >> (4 * (i % 16))) & 15) as i8 + carry;
-        carry = (nibble >= 8) as i8;
+        carry = (nibble >= 8 && i < 63) as i8;
         *digit = nibble - 16 * carry;
     }
-    debug_assert_eq!(carry, 0, "scalar too large for 64 signed digits");
     digits
+}
+
+/// `k·P` from a table of P's multiples: one addition per non-zero signed
+/// radix-16 digit of `k` (`k` < 2²⁵⁵), no doublings. Exact for every such
+/// `k`, whatever the order of P.
+fn walk<E: Entry>(table: &Multiples<E>, k: &U256) -> Point {
+    let mut sum = Point::identity();
+    for (row, digit) in table.iter().zip(signed_radix16(k)) {
+        if digit != 0 {
+            let entry = row[digit.unsigned_abs() as usize - 1];
+            let entry = if digit < 0 { entry.neg() } else { entry };
+            sum = entry.add_to(sum).extended();
+        }
+    }
+    sum
+}
+
+/// The rows of [`Multiples`] of P, each multiple mapped by `entry`: 448
+/// additions, and one doubling a row, since 16ⁱ⁺¹·P is twice the row's
+/// last multiple 8·16ⁱ·P.
+fn multiples<E>(p: Point, entry: impl Fn(Point) -> E) -> Vec<[E; 8]> {
+    let mut rows = Vec::with_capacity(64);
+    let mut power = p; // 16ⁱ·P
+    for _ in 0..64 {
+        let step = power.cached();
+        let mut multiple = power;
+        rows.push(core::array::from_fn(|j| {
+            if j > 0 {
+                multiple = multiple.add_cached(&step).extended();
+            }
+            entry(multiple)
+        }));
+        power = multiple.double();
+    }
+    rows
+}
+
+impl KeyTable {
+    pub(crate) fn new(p: Point) -> KeyTable {
+        let rows = multiples(p, Point::cached).into_boxed_slice();
+        KeyTable(rows.try_into().ok().expect("multiples has 64 rows"))
+    }
+
+    /// Exactly `k·P`, not `(k mod ℓ)·P` (they differ when P has a torsion
+    /// component); `None` for `k` ≥ 2²⁵⁵, which 64 signed digits cannot hold.
+    pub(crate) fn mul(&self, k: &U256) -> Option<Point> {
+        (!k.bit(255)).then(|| walk(&self.0, k))
+    }
 }
 
 /// Width-5 non-adjacent form of `k`: every non-zero digit is odd, within
@@ -402,23 +474,12 @@ fn wnaf5(k: &U256) -> [i8; 257] {
     naf
 }
 
-/// The fixed-base table, built on first use (≈ 0.3 ms: 256 doublings, 448
+/// The fixed-base table, built on first use (≈ 0.2 ms: 64 doublings, 448
 /// additions, and one shared inversion to make all 512 entries affine).
-fn base_table() -> &'static BaseTable {
-    static TABLE: OnceLock<BaseTable> = OnceLock::new();
+fn base_table() -> &'static Multiples<Niels> {
+    static TABLE: OnceLock<Multiples<Niels>> = OnceLock::new();
     TABLE.get_or_init(|| {
-        let mut points = Vec::with_capacity(64 * 8);
-        let mut power = Point::base(); // 16ⁱ·B
-        for _ in 0..64 {
-            let step = power.cached();
-            let mut multiple = power;
-            points.push(multiple);
-            for _ in 1..8 {
-                multiple = multiple.add_cached(&step).extended();
-                points.push(multiple);
-            }
-            power = power.double().double().double().double();
-        }
+        let points: Vec<Point> = multiples(Point::base(), |p| p).concat();
         // Montgomery's trick: invert the product of all Z, then peel one
         // factor at a time.
         let mut prefix = Vec::with_capacity(points.len());
@@ -439,7 +500,7 @@ fn base_table() -> &'static BaseTable {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
 
@@ -457,6 +518,31 @@ mod tests {
             }
         }
         acc
+    }
+
+    /// A point of order exactly 8: ℓ·Q for an on-curve Q whose torsion
+    /// component has order 8 (half of all points), with Q found from
+    /// y = 2, 3, … as x = √((y² − 1)/(d·y² + 1)). For p ≡ 5 (mod 8) a root
+    /// of a square u is u^((p+3)/8), or that times √−1 = 2^((p−1)/4).
+    pub(crate) fn order_eight() -> Point {
+        let root_exp = U256::from_limbs([u64::MAX - 1, u64::MAX, u64::MAX, u64::MAX >> 4]);
+        let i_exp = U256::from_limbs([u64::MAX - 4, u64::MAX, u64::MAX, u64::MAX >> 3]);
+        let sqrt_minus_one = Fe::from_u64(2).pow(&i_exp);
+        assert_eq!(sqrt_minus_one.square(), Fe::ONE.neg());
+        (2..)
+            .find_map(|y| {
+                let y = Fe::from_u64(y);
+                let u = (y.square() - Fe::ONE) * (FE_D * y.square() + Fe::ONE).inv();
+                let r = u.pow(&root_exp);
+                let x = if r.square() == u {
+                    r
+                } else {
+                    r * sqrt_minus_one
+                };
+                let t = double_and_add(Point::from_affine(x, y)?, &L);
+                (t.double().double() != Point::identity()).then_some(t)
+            })
+            .expect("half of all points have a torsion component of order 8")
     }
 
     fn edge_scalars() -> Vec<U256> {
@@ -487,6 +573,8 @@ mod tests {
     fn fast_multiplications_match_double_and_add_at_the_edges() {
         let b = Point::base();
         let p = double_and_add(b, &U256::from_limbs([3, 1, 4, 1])); // not B
+        let mixed = p.add(order_eight());
+        let keys = [b, p, Point::identity(), mixed].map(|q| (q, KeyTable::new(q)));
         for k in edge_scalars() {
             let expect = double_and_add(b, &k);
             assert_eq!(Point::mul_base(&k), expect, "mul_base, k = {k}");
@@ -497,6 +585,28 @@ mod tests {
                 Point::identity(),
                 "k·O, k = {k}"
             );
+            for (n, (q, table)) in keys.iter().enumerate() {
+                let expect = (!k.bit(255)).then(|| double_and_add(*q, &k));
+                assert_eq!(table.mul(&k), expect, "key walk {n}, k = {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn small_order_is_eight_times_the_identity() {
+        let t = order_eight();
+        let p = Point::mul_base(&U256::from_u64(99));
+        for small in [
+            Point::identity(),
+            t,
+            t.double(),
+            t.double().double(),
+            t.add(t.double()),
+        ] {
+            assert!(small.has_small_order());
+        }
+        for large in [Point::base(), p, p.add(t), p.add(t.double().double())] {
+            assert!(!large.has_small_order());
         }
     }
 
@@ -529,7 +639,7 @@ mod tests {
     #[test]
     fn base_table_fits_64_kib() {
         assert_eq!(core::mem::size_of::<Niels>(), 96);
-        assert!(core::mem::size_of::<BaseTable>() <= 64 << 10);
+        assert!(core::mem::size_of::<Multiples<Niels>>() <= 64 << 10);
     }
 
     #[test]
@@ -563,6 +673,13 @@ mod tests {
             // A random point of the group, not only B.
             let p = double_and_add(b, &U256::from_le_bytes(&r));
             prop_assert_eq!(p.mul_scalar(&k), double_and_add(p, &k));
+            // The key walk, on that point and on it plus an order-8 point,
+            // for k with its top bit cleared.
+            let [k0, k1, k2, k3] = k.limbs();
+            let low = U256::from_limbs([k0, k1, k2, k3 & u64::MAX >> 1]);
+            for q in [p, p.add(order_eight())] {
+                prop_assert_eq!(KeyTable::new(q).mul(&low), Some(double_and_add(q, &low)));
+            }
         }
 
         /// What lets `schnorr::verify` hash a commitment as received:

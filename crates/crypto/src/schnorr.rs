@@ -26,8 +26,11 @@
 //! assert!(Identification::verify(&keys.public_key(), &commitment, &challenge, &response));
 //! ```
 
+use std::collections::HashMap;
+use std::sync::{Arc, LazyLock, Mutex, MutexGuard, PoisonError};
+
 use crate::chacha20::ChaChaRng;
-use crate::ed25519::{Point, L};
+use crate::ed25519::{KeyTable, Point, L};
 use crate::sha256::Sha256;
 use crate::u256::U256;
 
@@ -58,10 +61,12 @@ impl PublicKey {
         self.bytes
     }
 
-    /// Deserializes, rejecting off-curve points and non-canonical
-    /// coordinates.
+    /// Deserializes, rejecting off-curve points, non-canonical coordinates
+    /// and points of small order (8·P = O), under which `c·P` takes at most
+    /// eight values and a proof needs no secret: under the identity,
+    /// `s = r` answers every challenge to `R = r·B`.
     pub fn from_bytes(bytes: &[u8]) -> Option<PublicKey> {
-        let point = Point::from_bytes(bytes)?;
+        let point = Point::from_bytes(bytes).filter(|p| !p.has_small_order())?;
         Some(PublicKey {
             point,
             bytes: bytes.try_into().expect("from_bytes accepted 64 bytes"),
@@ -173,7 +178,99 @@ pub fn verify(public: &PublicKey, message: &[u8], sig: &Signature) -> bool {
 
 /// Whether s < ℓ and s·B == R + c·P, compared projectively (no inversion).
 fn group_equation_holds(public: &PublicKey, big_r: Point, c: &U256, s: &U256) -> bool {
-    *s < L && Point::mul_base(s) == big_r.add(public.point.mul_scalar(c))
+    static KNOWN: LazyLock<KnownKeys> = LazyLock::new(KnownKeys::default);
+    KNOWN.equation_holds(public, big_r, c, s)
+}
+
+/// How many keys [`KnownKeys`] remembers, sightings and tables together:
+/// at most 64 × 64 KiB = 4 MiB of tables. A peer verifies its subscribers
+/// and a user the peers it fetches from, far fewer than this.
+const KNOWN_KEYS: usize = 64;
+
+/// How many verifications under a key multiply by wNAF before one builds
+/// the key's table (≈ 2.5–2.9 wNAF multiplications' worth of work): a key
+/// seen once never pays for a build.
+const WNAF_SIGHTINGS: u64 = 1;
+
+/// The keys this process has verified under, least recently used first out
+/// at [`KNOWN_KEYS`], each with its [`KeyTable`] once it has come back:
+/// `c·P` is a walk over that table, at most 64 additions where wNAF takes
+/// ≈ 253 doublings and 42 additions. A table is built outside the lock.
+#[derive(Default)]
+struct KnownKeys(Mutex<Sightings>);
+
+#[derive(Default)]
+struct Sightings {
+    /// Counts lookups: a key's `used` is the count at its last one.
+    clock: u64,
+    keys: HashMap<[u8; 64], Sighting>,
+}
+
+struct Sighting {
+    used: u64,
+    count: u64,
+    table: Option<Arc<KeyTable>>,
+}
+
+/// What a lookup found for `c·P`.
+enum Known {
+    Wnaf,
+    Build,
+    Table(Arc<KeyTable>),
+}
+
+impl KnownKeys {
+    fn equation_holds(&self, public: &PublicKey, big_r: Point, c: &U256, s: &U256) -> bool {
+        *s < L && Point::mul_base(s) == big_r.add(self.times(public, c))
+    }
+
+    /// `c·P` for the key `public`: the same point whichever way it is
+    /// computed.
+    fn times(&self, public: &PublicKey, c: &U256) -> Point {
+        let table = match self.sight(public) {
+            Known::Wnaf => return public.point.mul_scalar(c),
+            Known::Table(table) => table,
+            Known::Build => {
+                let table = Arc::new(KeyTable::new(public.point));
+                self.lock()
+                    .keys
+                    .entry(public.bytes)
+                    .and_modify(|seen| seen.table = Some(Arc::clone(&table)));
+                table
+            }
+        };
+        table.mul(c).unwrap_or_else(|| public.point.mul_scalar(c))
+    }
+
+    /// Records a verification under `public` and says how to multiply.
+    fn sight(&self, public: &PublicKey) -> Known {
+        let mut sightings = self.lock();
+        sightings.clock += 1;
+        let used = sightings.clock;
+        if !sightings.keys.contains_key(&public.bytes) && sightings.keys.len() >= KNOWN_KEYS {
+            let oldest = sightings.keys.iter().min_by_key(|(_, seen)| seen.used);
+            let oldest = *oldest.expect("a full map has keys").0;
+            sightings.keys.remove(&oldest);
+        }
+        let seen = sightings.keys.entry(public.bytes).or_insert(Sighting {
+            used,
+            count: 0,
+            table: None,
+        });
+        seen.used = used;
+        seen.count += 1;
+        match &seen.table {
+            Some(table) => Known::Table(Arc::clone(table)),
+            None if seen.count > WNAF_SIGHTINGS => Known::Build,
+            None => Known::Wnaf,
+        }
+    }
+
+    /// Every update leaves the map whole, so a panic elsewhere while the
+    /// lock was held spoils nothing.
+    fn lock(&self) -> MutexGuard<'_, Sightings> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 fn challenge_hash(commitment: &[u8; 64], public: &PublicKey, message: &[u8]) -> U256 {
@@ -442,6 +539,91 @@ mod tests {
         assert_eq!(parsed.point, pk.point);
         assert_eq!(parsed.to_bytes(), parsed.point.to_bytes());
         assert_ne!(pk, KeyPair::generate(&mut r).public_key());
+    }
+
+    /// Under a small-order key `c·P` takes at most eight values, so a
+    /// proof needs no secret; such keys are refused where they are parsed,
+    /// while a key with a small-order component (mixed order) is kept.
+    #[test]
+    fn small_order_keys_are_refused() {
+        let t = crate::ed25519::tests::order_eight();
+        let mut r = rng(13);
+        let (commitment, nonce) = Identification::commit(&mut r);
+        let c = Identification::challenge(&mut r);
+        // The forgery the refusal prevents: under the identity, s = r
+        // answers any challenge.
+        let identity = PublicKey::from_point(Point::identity());
+        assert!(KnownKeys::default().equation_holds(
+            &identity,
+            Point::from_bytes(&commitment).unwrap(),
+            &c,
+            &nonce.0
+        ));
+        for small in [Point::identity(), t, t.double().double()] {
+            assert_eq!(PublicKey::from_bytes(&small.to_bytes()), None);
+        }
+        let mixed = KeyPair::generate(&mut r).public_key().point.add(t);
+        assert!(PublicKey::from_bytes(&mixed.to_bytes()).is_some());
+    }
+
+    /// A genuine proof and the same proof with `s`, `c` or `R` tampered:
+    /// one verdict each, by wNAF and by the key's table.
+    #[test]
+    fn verdicts_are_the_same_before_and_after_a_keys_table() {
+        let mut r = rng(14);
+        let keys = KeyPair::generate(&mut r);
+        let pk = keys.public_key();
+        let (commitment, nonce) = Identification::commit(&mut r);
+        let c = Identification::challenge(&mut r);
+        let s = Identification::respond(&keys, &nonce, &c);
+        let big_r = Point::from_bytes(&commitment).unwrap();
+        let other_r = Point::from_bytes(&Identification::commit(&mut r).0).unwrap();
+        let one_more = |v: &U256| v.add_mod(&U256::ONE, &L);
+        let cases = [
+            (big_r, c, s),
+            (big_r, c, one_more(&s)),
+            (big_r, one_more(&c), s),
+            (other_r, c, s),
+        ];
+        // A fresh map per case: every check is a key's first, by wNAF.
+        let before = cases.map(|(big_r, c, s)| {
+            let known = KnownKeys::default();
+            let verdict = known.equation_holds(&pk, big_r, &c, &s);
+            assert!(known.lock().keys[&pk.bytes].table.is_none());
+            verdict
+        });
+        assert_eq!(before, [true, false, false, false]);
+        let known = KnownKeys::default();
+        for _ in 0..=WNAF_SIGHTINGS {
+            assert!(known.equation_holds(&pk, big_r, &c, &s));
+        }
+        assert!(known.lock().keys[&pk.bytes].table.is_some());
+        let after = cases.map(|(big_r, c, s)| known.equation_holds(&pk, big_r, &c, &s));
+        assert_eq!(after, before);
+    }
+
+    #[test]
+    fn known_keys_never_exceed_their_capacity() {
+        let mut r = rng(15);
+        let known = KnownKeys::default();
+        let keys: Vec<KeyPair> = (0..=KNOWN_KEYS as u64)
+            .map(|secret| KeyPair::from_secret(U256::from_u64(secret + 2)))
+            .collect();
+        for keys in &keys {
+            let (commitment, nonce) = Identification::commit(&mut r);
+            let c = Identification::challenge(&mut r);
+            let s = Identification::respond(keys, &nonce, &c);
+            let big_r = Point::from_bytes(&commitment).unwrap();
+            for _ in 0..=WNAF_SIGHTINGS {
+                assert!(known.equation_holds(&keys.public_key(), big_r, &c, &s));
+                assert!(known.lock().keys.len() <= KNOWN_KEYS);
+            }
+            assert!(known.lock().keys[&keys.public_key().bytes].table.is_some());
+        }
+        // The least recently used key made room for the last.
+        let map = known.lock();
+        assert_eq!(map.keys.len(), KNOWN_KEYS);
+        assert!(!map.keys.contains_key(&keys[0].public_key().bytes));
     }
 
     #[test]
